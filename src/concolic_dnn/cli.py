@@ -40,6 +40,10 @@ def load_refs(directory: str, norm: str, net=None) -> ReferenceSet:
     inputs = np.load(inputs_path)
     if inputs.ndim == 1:
         inputs = inputs.reshape(1, -1)
+    if net is not None and inputs.shape[-1] != net.input_dim:
+        raise ConfigError(
+            f"reference inputs have {inputs.shape[-1]} entries, the model takes {net.input_dim}"
+        )
     labels_path = os.path.join(directory, "labels.npy")
     if os.path.exists(labels_path):
         labels = np.load(labels_path)
@@ -48,7 +52,10 @@ def load_refs(directory: str, norm: str, net=None) -> ReferenceSet:
         labels = np.array([cache.get(row).label for row in inputs])
     else:
         raise ConfigError(f"reference set needs {labels_path} (or a model to label with)")
-    return ReferenceSet(inputs=inputs, labels=labels, norm=norm)
+    try:
+        return ReferenceSet(inputs=inputs, labels=labels, norm=norm)
+    except ValueError as exc:
+        raise ConfigError(f"{directory}: {exc}") from exc
 
 
 def load_seeds(path: str) -> list[np.ndarray]:

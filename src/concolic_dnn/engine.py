@@ -13,6 +13,7 @@ finished suite goes to the oracle for the coverage report.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .logic import (
     gen_ssc,
     satisfies,
 )
-from .lp import lp_text, symbolic_lp
+from .lp import LpError, lp_text, symbolic_lp
 from .network import ActivationCache, Network
 from .oracle import (
     CoverageReport,
@@ -169,10 +170,14 @@ class RunConfig:
             raise ConfigError(f"unknown norm {self.norm!r}")
         if self.criterion == "ssc" and self.norm == "l0":
             raise ConfigError("the ssc criterion is not supported under the l0 norm")
-        if self.bound <= 0:
-            raise ConfigError("validity bound must be positive")
+        if not math.isfinite(self.bound) or self.bound <= 0:
+            raise ConfigError("validity bound must be positive and finite")
+        if not math.isfinite(self.timeout):
+            raise ConfigError("timeout must be finite")
         if self.max_attempts < 1 or self.timeout <= 0 or self.l0_budget < 1:
             raise ConfigError("budgets must be positive")
+        if self.quantize is not None and self.quantize <= 0:
+            raise ConfigError("quantization grid must be positive")
         if self.criterion == "lipschitz" and self.lip is None:
             raise ConfigError("criterion lipschitz needs a LipConfig")
 
@@ -243,6 +248,10 @@ def run(
     cfg.validate()
     if not seeds:
         raise ConfigError("at least one seed input is required")
+    if refs.inputs.shape[1] != net.input_dim:
+        raise ConfigError(
+            f"reference inputs have {refs.inputs.shape[1]} entries, the model takes {net.input_dim}"
+        )
     rng = np.random.default_rng(cfg.rng_seed)
     deadline = time.monotonic() + cfg.timeout
     cache = ActivationCache(net)
@@ -355,7 +364,10 @@ def run(
             attempts[ridx] = attempts.get(ridx, 0) + 1
             source = suite.cases[source_idx].vector
             if cfg.norm == "linf":
-                t_new = symbolic_lp(net, source, r_top, factors, dump_hook=hook)
+                try:
+                    t_new = symbolic_lp(net, source, r_top, factors, dump_hook=hook)
+                except LpError:
+                    continue  # the solver's answer failed its residual check
             else:
                 t_new = symbolic_l0(net, source, r_top, L0Budget(cfg.l0_budget))
             if t_new is None:

@@ -113,6 +113,7 @@ class LpOutcome:
     status: str  # "optimal" | "infeasible" | "unbounded" | "iteration-limit"
     values: Optional[np.ndarray]
     objective: Optional[float]
+    iterations: int  # pivots the solver made, whatever the status
 
     def assignment(self, problem: LpProblem) -> Optional[dict[str, float]]:
         if self.values is None:
@@ -314,7 +315,7 @@ def solve(p: LpProblem, solver: Optional[Callable[..., SimplexResult]] = None) -
     c, A_ub, b_ub, A_eq, b_eq, bounds = p.to_arrays()
     res = solver(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
     if res.status != "optimal":
-        return LpOutcome(res.status, None, None)
+        return LpOutcome(res.status, None, None, res.iterations)
     x = res.x
     if A_eq.shape[0] and np.max(np.abs(A_eq @ x - b_eq)) > TOL_LP:
         raise LpError("equality residual exceeds tolerance")
@@ -325,7 +326,7 @@ def solve(p: LpProblem, solver: Optional[Callable[..., SimplexResult]] = None) -
             raise LpError(f"lower bound violated for {p.variables[j]}")
         if hi is not None and x[j] > hi + TOL_LP:
             raise LpError(f"upper bound violated for {p.variables[j]}")
-    return LpOutcome("optimal", x, res.objective)
+    return LpOutcome("optimal", x, res.objective, res.iterations)
 
 
 def symbolic_lp(

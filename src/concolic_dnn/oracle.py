@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .l0search import QUANT_TOL, l0_distance
 from .logic import Requirement, coverage, satisfies
 from .network import ActivationCache, Network
 
@@ -22,8 +23,6 @@ def _dist(a: np.ndarray, b: np.ndarray, norm: str) -> float:
     if norm == "linf":
         return float(np.max(np.abs(diff)))
     if norm == "l0":
-        from .l0search import l0_distance
-
         return float(l0_distance(a, b))
     if norm == "l2":
         return float(np.linalg.norm(diff))
@@ -44,6 +43,8 @@ class ReferenceSet:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] == 0:
             raise ValueError("reference set must be a non-empty (N, d) array")
+        if not np.isfinite(self.inputs).all():
+            raise ValueError("reference inputs must be finite")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.shape != (self.inputs.shape[0],):
             raise ValueError("one label per reference input is required")
@@ -52,15 +53,29 @@ class ReferenceSet:
         return self.inputs.shape[0]
 
 
+def _distances(inputs: np.ndarray, t: np.ndarray, norm: str) -> np.ndarray:
+    """``_dist`` from every row of ``inputs`` to ``t``, equal to it bit for bit.
+
+    A maximum and a count do not depend on the order of their terms, so linf
+    and l0 are one row-wise reduction. l1 and l2 keep the per-row scan: a
+    row-wise sum may add in another order than the 1-d sum (the order follows
+    the array's memory layout), and the 1-d l2 norm is a dot product.
+    """
+    if norm == "linf":
+        return np.max(np.abs(inputs - t), axis=1)
+    if norm == "l0":
+        return np.count_nonzero(np.abs(inputs - t) > QUANT_TOL, axis=1).astype(np.float64)
+    return np.array([_dist(row, t, norm) for row in inputs])
+
+
 def nearest(refs: ReferenceSet, t: np.ndarray) -> tuple[int, float]:
-    """Linear-scan nearest reference; ties go to the earliest index."""
+    """Nearest reference to ``t``; ties go to the earliest index."""
     t = np.ravel(np.asarray(t, dtype=np.float64))
-    best_idx, best_dist = 0, _dist(refs.inputs[0], t, refs.norm)
-    for i in range(1, len(refs)):
-        d = _dist(refs.inputs[i], t, refs.norm)
-        if d < best_dist:
-            best_idx, best_dist = i, d
-    return best_idx, best_dist
+    if t.size != refs.inputs.shape[1]:
+        raise ValueError(f"input has {t.size} entries, references have {refs.inputs.shape[1]}")
+    dists = _distances(refs.inputs, t, refs.norm)
+    idx = int(np.argmin(dists))
+    return idx, float(dists[idx])
 
 
 def validity_check(refs: ReferenceSet, t: np.ndarray, bound: float) -> bool:

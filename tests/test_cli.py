@@ -68,6 +68,28 @@ class TestRunCommand:
         args[args.index(str(workspace["refs"]))] = str(workspace["dir"] / "nowhere")
         assert main(args) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--bound", "nan"], ["--timeout", "nan"], ["--quantize", "0"], ["--quantize", "-1"]],
+    )
+    def test_bad_numbers_exit_code(self, workspace, extra):
+        out = workspace["dir"] / "out_bad"
+        assert main(base_args(workspace, out, extra=extra)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_reference_dimension_mismatch_exit_code(self, workspace, with_labels):
+        refs = workspace["dir"] / "refs5"
+        refs.mkdir()
+        np.save(refs / "inputs.npy", np.zeros((3, 5)))
+        if with_labels:
+            np.save(refs / "labels.npy", np.zeros(3, dtype=int))
+        out = workspace["dir"] / "out_dim"
+        args = base_args(workspace, out)
+        args[args.index(str(workspace["refs"]))] = str(refs)
+        assert main(args) == 2
+        assert not out.exists()
+
     def test_dump_lp_writes_problems(self, workspace):
         out = workspace["dir"] / "out4"
         code = main(base_args(workspace, out, extra=["--dump-lp"]))

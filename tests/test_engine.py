@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from concolic_dnn import engine
 from concolic_dnn.engine import (
     ConfigError,
     RunConfig,
@@ -16,6 +17,7 @@ from concolic_dnn.engine import (
     save_run,
 )
 from concolic_dnn.lipschitz import LipConfig
+from concolic_dnn.lp import LpError
 from concolic_dnn.network import Dense, Network, forward
 from concolic_dnn.oracle import ReferenceSet
 
@@ -116,6 +118,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(criterion="lipschitz").validate()
 
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf")])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ConfigError):
+            RunConfig(criterion="nc", bound=bound).validate()
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout):
+        with pytest.raises(ConfigError):
+            RunConfig(criterion="nc", timeout=timeout).validate()
+
+    @pytest.mark.parametrize("grid", [0, -255])
+    def test_quantize_must_be_positive(self, grid):
+        with pytest.raises(ConfigError):
+            RunConfig(criterion="nc", quantize=grid).validate()
+
+    def test_reference_dimension_mismatch_rejected_before_work(self, monkeypatch):
+        net = dense_net([3, 4, 2], seed=0)
+        refs = make_refs(dense_net([2, 4, 2], seed=0))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run() started work on a bad configuration")
+
+        monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
+        with pytest.raises(ConfigError, match="reference inputs have 2 entries"):
+            run(net, refs, [np.zeros(3)], RunConfig(criterion="nc"))
+
 
 class TestNbcBounds:
     def test_high_at_least_low(self, mid_net):
@@ -168,6 +196,28 @@ class TestRunNC:
         result = run(mid_net, refs, [np.full(4, 0.5)], cfg)
         for i, case in enumerate(result.suite.cases):
             assert case.parent is None or case.parent < i
+
+
+class TestLpErrorSurvival:
+    def test_run_finishes_and_marks_requirements_failed(self, monkeypatch, tmp_path, mid_net):
+        calls = []
+
+        def failing_lp(net, t, r, *args, **kwargs):
+            calls.append(r.tag.label())
+            raise LpError("equality residual exceeds tolerance")
+
+        monkeypatch.setattr(engine, "symbolic_lp", failing_lp)
+        refs = make_refs(mid_net, seed=7)
+        cfg = RunConfig(criterion="nc", sample_count=50, rng_seed=8)
+        result = run(mid_net, refs, [np.full(4, 0.5)], cfg)
+        assert not result.timed_out
+        assert len(set(calls)) > 1  # the loop went on after the first error
+        statuses = {r.tag.label(): r.status for r in result.requirements}
+        assert all(statuses[label] == "failed" for label in calls)
+        assert len(result.suite) == 1
+        save_run(result, cfg, str(tmp_path / "out"))
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["failed"] == len(set(calls))
 
 
 class TestRunOtherCriteria:

@@ -299,6 +299,21 @@ class TestSymbolicLp:
         symbolic_lp(mid_net, x, r, solver=spy_solver)
         assert calls
 
+    @pytest.mark.parametrize("source_seed", range(4))
+    def test_outcome_keeps_pivot_count(self, mid_net, source_seed):
+        results = []
+
+        def spy_solver(*args, **kwargs):
+            results.append(solve_lp(*args, **kwargs))
+            return results[-1]
+
+        x = np.random.default_rng(source_seed).uniform(0, 1, 4)
+        target, k_star = nc_target_pattern(pattern_of(forward(mid_net, x)), (2, source_seed))
+        p = add_chebyshev_objective(encode_pattern(mid_net, target, k_star), x)
+        outcome = solve(p, solver=spy_solver)
+        assert outcome.status == results[0].status
+        assert outcome.iterations == results[0].iterations > 0
+
 
 class TestConvEncoding:
     def conv_net(self):

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from concolic_dnn.logic import Atom, Const, Requirement, coverage, gen_nc
 from concolic_dnn.network import Dense, Network, forward
 from concolic_dnn.oracle import (
     ReferenceSet,
+    _dist,
     nearest,
     report_to_dict,
     robustness_check,
@@ -50,6 +53,60 @@ class TestNearest:
         rs = ReferenceSet(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
         idx, _ = nearest(rs, np.array([0.5, 0.5]))
         assert idx == 0
+
+
+NORMS = ("linf", "l0", "l1", "l2")
+# A coarse grid next to arbitrary values makes equal distances common.
+coordinate = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-2.0, 2.0))
+
+
+def loop_nearest(refs, t):
+    """The per-reference scan over ``_dist`` with a strict ``<``."""
+    best_idx, best_dist = 0, _dist(refs.inputs[0], t, refs.norm)
+    for i in range(1, len(refs)):
+        d = _dist(refs.inputs[i], t, refs.norm)
+        if d < best_dist:
+            best_idx, best_dist = i, d
+    return best_idx, best_dist
+
+
+@st.composite
+def refs_and_query(draw):
+    d = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d), min_size=1, max_size=8))
+    # repeat some rows further down, so equal distances also come from equal references
+    dupes = draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+    rows = rows + [rows[i] for i in dupes]
+    t = draw(st.lists(coordinate, min_size=d, max_size=d))
+    norm = draw(st.sampled_from(NORMS))
+    return ReferenceSet(np.array(rows), np.zeros(len(rows), dtype=int), norm=norm), np.array(t)
+
+
+class TestNearestAgainstLoop:
+    @given(refs_and_query())
+    def test_matches_plain_scan(self, case):
+        refs, t = case
+        idx, dist = nearest(refs, t)
+        assert (idx, dist) == loop_nearest(refs, t)
+        assert type(idx) is int and type(dist) is float
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_duplicate_references_earliest_wins(self, norm):
+        rows = np.array([[0.9, 0.9], [0.2, 0.3], [0.5, 0.5], [0.2, 0.3], [0.5, 0.5]])
+        rs = ReferenceSet(rows, np.zeros(5, dtype=int), norm=norm)
+        assert nearest(rs, np.array([0.2, 0.3]))[0] == 1
+        assert nearest(rs, np.array([0.5, 0.5]))[0] == 2
+
+    @pytest.mark.parametrize("norm", NORMS)
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_query_dimension_checked(self, refs, norm, size):
+        refs.norm = norm
+        with pytest.raises(ValueError):
+            nearest(refs, np.full(size, 0.5))
+
+    def test_non_finite_references_rejected(self):
+        with pytest.raises(ValueError):
+            ReferenceSet(np.array([[0.0, np.nan]]), np.zeros(1))
 
 
 class TestValidity:

@@ -1,9 +1,18 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from concolic_dnn.lp import add_chebyshev_objective, encode_pattern, nc_target_pattern
+from concolic_dnn.network import forward, pattern_of
 from concolic_dnn.simplex import solve_lp
 
+from conftest import dense_net
 from helpers import vertex_enum_lp
+
+GOLDEN_PATH = Path(__file__).with_name("simplex_golden.json")
 
 
 class TestAnalyticCases:
@@ -134,3 +143,52 @@ class TestIterationLimit:
         b = rng.uniform(1, 2, 10)
         res = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6, max_iters=1)
         assert res.status == "iteration-limit"
+
+
+def _nc_lps():
+    """NC synthesis LPs on a small seeded dense net: every ReLU neuron flipped
+    from three source points, as ``symbolic_lp`` builds them. The u/v split
+    and the Chebyshev rows make these tableaux degenerate: about a quarter of
+    the ratio tests have tied minimum ratios."""
+    net = dense_net([6, 8, 8, 3], seed=7)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        t = rng.uniform(0, 1, net.input_dim)
+        source = pattern_of(forward(net, t))
+        for neuron in net.relu_neurons():
+            target, k_star = nc_target_pattern(source, neuron)
+            p = encode_pattern(net, target, k_star)
+            add_chebyshev_objective(p, t)
+            c, A_ub, b_ub, A_eq, b_eq, bounds = p.to_arrays()
+            yield dict(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+
+
+def _vertex_enum_lps():
+    rng = np.random.default_rng(123)
+    for _ in range(100):
+        c, A, b = TestAgainstVertexEnumeration.random_instance(rng)
+        yield dict(c=c, A_ub=A, b_ub=b, bounds=[(None, None)] * c.size)
+
+
+GOLDEN_FAMILIES = {"vertex_enum": _vertex_enum_lps, "nc_dense": _nc_lps}
+
+
+def pivot_fingerprint(lp) -> list:
+    """Status, pivot count and SHA-256 of the solution bytes of one solve."""
+    res = solve_lp(**lp)
+    digest = None if res.x is None else hashlib.sha256(res.x.tobytes()).hexdigest()
+    return [res.status, res.iterations, digest]
+
+
+class TestPivotPathGolden:
+    """The pivot sequence is part of the solver's contract. The fingerprints
+    were recorded with the row-by-row Bland scan and full-tableau update; a
+    solver change that alters the pivot path on these LPs fails here."""
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_FAMILIES))
+    def test_fingerprints_unchanged(self, family):
+        golden = json.loads(GOLDEN_PATH.read_text())[family]
+        lps = list(GOLDEN_FAMILIES[family]())
+        assert len(lps) == len(golden)
+        for i, (lp, expected) in enumerate(zip(lps, golden)):
+            assert pivot_fingerprint(lp) == expected, f"{family} LP {i}"
