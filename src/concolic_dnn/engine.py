@@ -252,6 +252,9 @@ def run(
         raise ConfigError(
             f"reference inputs have {refs.inputs.shape[1]} entries, the model takes {net.input_dim}"
         )
+    for i, s in enumerate(seeds):
+        if np.size(s) != net.input_dim:
+            raise ConfigError(f"seed {i} has {np.size(s)} entries, the model takes {net.input_dim}")
     rng = np.random.default_rng(cfg.rng_seed)
     deadline = time.monotonic() + cfg.timeout
     cache = ActivationCache(net)
@@ -283,19 +286,24 @@ def run(
     lip_rows: list[dict] = []
     req_index = {id(r): i for i, r in enumerate(reqs)}
     timed_out = False
+    checked = 0  # suite length at the last satisfaction pass
 
     while True:
         if time.monotonic() > deadline:
             timed_out = True
             break
+        # an open existential requirement has no witness in suite[:checked],
+        # so only the bindings that use a newer test can satisfy it
         open_reqs = []
         for i, r in enumerate(reqs):
             if r.status == "satisfied" or i in failed:
                 continue
-            if satisfies(suite.vectors, r, net, cache):
+            start = checked if r.quantifier == "exists" else 0
+            if satisfies(suite.vectors, r, net, cache, start):
                 r.status = "satisfied"
             else:
                 open_reqs.append(r)
+        checked = len(suite)
         if not open_reqs:
             break
 

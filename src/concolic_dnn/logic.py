@@ -329,7 +329,15 @@ def _eval_bool(e, binding, net, cache: ActivationCache) -> bool:
     if isinstance(e, Atom):
         return _compare(_eval_arith(e.expr, binding, cache), e.rel, 0.0)
     if isinstance(e, And):
-        return _eval_bool(e.left, binding, net, cache) and _eval_bool(e.right, binding, net, cache)
+        # walk the left spine iteratively: gen_ssc nests one And per neuron of
+        # the condition layer, deeper than the recursion limit on wide layers
+        rights = []
+        while isinstance(e, And):
+            rights.append(e.right)
+            e = e.left
+        if not _eval_bool(e, binding, net, cache):
+            return False
+        return all(_eval_bool(r, binding, net, cache) for r in reversed(rights))
     if isinstance(e, Not):
         return not _eval_bool(e.inner, binding, net, cache)
     if isinstance(e, CountCmp):
@@ -405,13 +413,14 @@ def expand(e: BoolExpr) -> BoolExpr:
 # ---------------------------------------------------------------------------
 
 
-def _bindings(r: Requirement, suite: Sequence[np.ndarray]):
+def _bindings(r: Requirement, suite: Sequence[np.ndarray], start: int = 0):
     if r.arity == 1:
-        for t in suite:
+        for t in suite[start:]:
             yield {"x": t}
     else:
-        for t1 in suite:
-            for t2 in suite:
+        tail = suite[start:]
+        for i, t1 in enumerate(suite):
+            for t2 in suite if i >= start else tail:
                 yield {"x1": t1, "x2": t2}
 
 
@@ -420,20 +429,29 @@ def satisfies(
     r: Requirement,
     net: Network,
     cache: Optional[ActivationCache] = None,
+    start: int = 0,
 ) -> bool:
     """Whether the suite satisfies the requirement.
 
     Existential requirements need one test (one ordered pair for arity 2,
     equal witnesses permitted); universal requirements need every test (pair).
+
+    ``start`` restricts the bindings to those that use at least one test at an
+    index >= ``start``: the tests ``suite[start:]`` for arity 1, the ordered
+    pairs (i, j) with ``i >= start or j >= start`` for arity 2, in row-major
+    order. An existential requirement that ``suite[:start]`` does not satisfy
+    is satisfied by ``suite`` exactly when ``satisfies(..., start=start)``
+    holds. With ``start >= len(suite)`` no binding is left, so an existential
+    requirement is unsatisfied and a universal one holds vacuously.
     """
     if len(suite) == 0:
         raise EvalError("satisfaction is undefined for an empty suite")
     if cache is None:
         cache = ActivationCache(net)
     if r.quantifier == "exists":
-        return any(_eval_bool(r.body, b, net, cache) for b in _bindings(r, suite))
+        return any(_eval_bool(r.body, b, net, cache) for b in _bindings(r, suite, start))
     if r.quantifier == "forall":
-        return all(_eval_bool(r.body, b, net, cache) for b in _bindings(r, suite))
+        return all(_eval_bool(r.body, b, net, cache) for b in _bindings(r, suite, start))
     raise EvalError(f"unknown quantifier {r.quantifier!r}")
 
 

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .l0search import QUANT_TOL, l0_distance
-from .logic import Requirement, coverage, satisfies
+# bench/spans.py traces ``oracle.coverage``, so the name stays importable here
+from .logic import Requirement, coverage, satisfies  # noqa: F401
 from .network import ActivationCache, Network
 
 
@@ -114,11 +115,25 @@ def robustness_check(
     """Compare the network's label on ``t`` with its label on the nearest reference."""
     cache = cache or ActivationCache(net)
     idx, dist = nearest(refs, t)
+    record = _adversarial_record(refs, t, idx, dist, test_index, cache)
+    return record is None, record
+
+
+def _adversarial_record(
+    refs: ReferenceSet,
+    t: np.ndarray,
+    idx: int,
+    dist: float,
+    test_index: int,
+    cache: ActivationCache,
+) -> Optional[AdversarialRecord]:
+    """The record for ``t`` against its nearest reference ``idx`` at ``dist``,
+    or None when the network gives both the same label."""
     label = cache.get(t).label
     ref_label = cache.get(refs.inputs[idx]).label
     if label == ref_label:
-        return True, None
-    record = AdversarialRecord(
+        return None
+    return AdversarialRecord(
         test_index=test_index,
         input=np.ravel(np.asarray(t, dtype=np.float64)).copy(),
         nearest_index=idx,
@@ -128,7 +143,6 @@ def robustness_check(
         trusted_label=int(refs.labels[idx]),
         norm=refs.norm,
     )
-    return False, record
 
 
 @dataclass
@@ -159,6 +173,8 @@ def suite_report(
     suite satisfies is marked satisfied (even if generation had given up on
     it), so satisfied / open / failed always partition the requirement set.
     """
+    if bound <= 0:
+        raise ValueError("validity bound must be positive")
     cache = cache or ActivationCache(net)
     for r in reqs:
         if satisfies(suite, r, net, cache):
@@ -170,14 +186,14 @@ def suite_report(
     n_failed = sum(1 for r in reqs if r.status == "failed")
     records: list[AdversarialRecord] = []
     for i, t in enumerate(suite):
-        if not validity_check(refs, t, bound):
-            continue
-        ok, record = robustness_check(net, refs, t, test_index=i, cache=cache)
-        if not ok:
-            records.append(record)
+        idx, dist = nearest(refs, t)
+        if dist <= bound:  # only a valid test can be adversarial
+            record = _adversarial_record(refs, t, idx, dist, i, cache)
+            if record is not None:
+                records.append(record)
     distances = [r.distance for r in records]
     return CoverageReport(
-        coverage=coverage(suite, reqs, net, cache) if reqs else 0.0,
+        coverage=n_sat / len(reqs) if reqs else 0.0,
         satisfied=n_sat,
         open=len(reqs) - n_sat - n_failed,
         failed=n_failed,

@@ -88,15 +88,17 @@ def _cmp(v, rel, rhs):
     return {"<=": v <= rhs, "<": v < rhs, "=": v == rhs, ">": v > rhs, ">=": v >= rhs}[rel]
 
 
-def brute_satisfies(suite, r, net, memo=None):
-    """Exhaustive enumeration over all tests / all ordered pairs."""
+def brute_satisfies(suite, r, net, memo=None, start=0):
+    """Exhaustive enumeration over all tests / all ordered pairs, keeping only
+    the bindings that use a test at an index >= ``start``."""
     if r.arity == 1:
-        hits = [brute_eval(r.body, {"x": t}, net, memo) for t in suite]
+        hits = [brute_eval(r.body, {"x": t}, net, memo) for i, t in enumerate(suite) if i >= start]
     else:
         hits = [
             brute_eval(r.body, {"x1": t1, "x2": t2}, net, memo)
-            for t1 in suite
-            for t2 in suite
+            for i, t1 in enumerate(suite)
+            for j, t2 in enumerate(suite)
+            if max(i, j) >= start
         ]
     return any(hits) if r.quantifier == "exists" else all(hits)
 

@@ -90,6 +90,15 @@ class TestRunCommand:
         assert main(args) == 2
         assert not out.exists()
 
+    def test_seed_dimension_mismatch_exit_code(self, workspace):
+        seeds = workspace["dir"] / "seeds3.npy"
+        np.save(seeds, np.zeros(3))
+        out = workspace["dir"] / "out_seed_dim"
+        args = base_args(workspace, out)
+        args[args.index(str(workspace["seeds"]))] = str(seeds)
+        assert main(args) == 2
+        assert not out.exists()
+
     def test_dump_lp_writes_problems(self, workspace):
         out = workspace["dir"] / "out4"
         code = main(base_args(workspace, out, extra=["--dump-lp"]))

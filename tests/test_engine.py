@@ -144,6 +144,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="reference inputs have 2 entries"):
             run(net, refs, [np.zeros(3)], RunConfig(criterion="nc"))
 
+    def test_seed_dimension_mismatch_rejected_before_work(self, monkeypatch):
+        net = dense_net([4, 4, 2], seed=0)
+        refs = make_refs(net)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run() started work on a bad configuration")
+
+        monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
+        with pytest.raises(ConfigError, match="seed 1 has 3 entries"):
+            run(net, refs, [np.zeros(4), np.zeros(3)], RunConfig(criterion="nc"))
+
 
 class TestNbcBounds:
     def test_high_at_least_low(self, mid_net):
@@ -265,6 +276,48 @@ class TestRunOtherCriteria:
         assert methods == {"concolic", "random"}
         concolic_rows = [r for r in result.lipschitz_rows if r["method"] == "concolic"]
         assert len(concolic_rows) == 3
+
+
+def _small_run(criterion):
+    """A seeded run per criterion, small enough for a unit test."""
+    if criterion == "lipschitz":
+        net = dense_net([3, 6, 2], seed=18, scale=2.0)
+        rng = np.random.default_rng(20)
+        seeds = [rng.uniform(0.2, 0.8, 3) for _ in range(3)]
+        lip = LipConfig(c=0.05, delta=0.1, compass_iters=40)
+        cfg = RunConfig(criterion, lip=lip, sample_count=30, rng_seed=21, lip_random_attempts=50)
+    else:
+        net = dense_net([3, 5, 4, 2], seed=13)
+        rng = np.random.default_rng(13)
+        seeds = [rng.uniform(0, 1, 3) for _ in range(3)]
+        cfg = RunConfig(criterion, sample_count=40, rng_seed=14, timeout=120)
+    return net, make_refs(net, seed=12), seeds, cfg
+
+
+class TestIncrementalCheck:
+    @pytest.mark.parametrize("criterion", ["nc", "ssc", "nbc", "lipschitz"])
+    def test_report_equals_full_recheck(self, monkeypatch, tmp_path, criterion):
+        real = engine.satisfies
+        starts = []
+
+        def spy(suite, r, net, cache=None, start=0):
+            starts.append((start, len(suite)))
+            return real(suite, r, net, cache, start)
+
+        def full_recheck(suite, r, net, cache=None, start=0):
+            return real(suite, r, net, cache)
+
+        reports = []
+        for name, check in (("incremental", spy), ("full", full_recheck)):
+            monkeypatch.setattr(engine, "satisfies", check)
+            net, refs, seeds, cfg = _small_run(criterion)
+            result = run(net, refs, seeds, cfg)
+            assert not result.timed_out
+            save_run(result, cfg, str(tmp_path / name))
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        # the loop checked a grown suite against only its new tests
+        assert any(0 < start < size for start, size in starts)
 
 
 class TestDeterminismAndArtifacts:

@@ -30,7 +30,7 @@ from concolic_dnn.logic import (
     requirements_to_json,
     satisfies,
 )
-from concolic_dnn.network import forward
+from concolic_dnn.network import Dense, Network, forward
 
 from conftest import dense_net, identity_net
 from helpers import brute_coverage, brute_satisfies
@@ -126,6 +126,97 @@ class TestSatisfies:
         assert satisfies(suite, r, tiny_net)
         r_false = Requirement("forall", 1, FALSE_ATOM, gen_nc(tiny_net)[0].tag)
         assert not satisfies(suite, r_false, tiny_net)
+
+
+INCR_NET = dense_net([3, 4, 3, 2], seed=2)
+INCR_REQS = (
+    gen_nc(INCR_NET)
+    + gen_ssc(INCR_NET)
+    + gen_lipschitz(SubspacePartition.from_seeds([np.full(3, 0.5)], 0.5), 0.05)
+    + gen_lipschitz(SubspacePartition.from_seeds([np.full(3, 0.5)], 0.5), 0.5)
+    # asymmetric in (x1, x2), so the pair (i, j) and the pair (j, i) differ
+    + [
+        Requirement("exists", 2, Atom(Sub(Var("u", k, 0, "x1"), Var("u", k, 0, "x2")), ">"),
+                    gen_nc(INCR_NET)[0].tag)
+        for k in (2, 3)
+    ]
+)
+coordinate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1))
+small_suite = st.lists(st.lists(coordinate, min_size=3, max_size=3), min_size=1, max_size=5)
+
+
+class TestIncrementalSatisfies:
+    @given(small_suite, st.data())
+    def test_start_keeps_bindings_with_a_newer_test(self, rows, data):
+        suite = [np.array(t) for t in rows]
+        start = data.draw(st.integers(0, len(suite)))
+        for r in INCR_REQS:
+            for quantifier in ("exists", "forall"):
+                q = Requirement(quantifier, r.arity, r.body, r.tag)
+                assert satisfies(suite, q, INCR_NET, start=start) == brute_satisfies(
+                    suite, q, INCR_NET, start=start
+                ), (r.tag.label(), quantifier, start)
+
+    def test_start_skips_pairs_of_older_tests(self):
+        # u_{2,0} = x0 - 0.25: `on` activates neuron (2, 0), `off` does not
+        net = Network(
+            (2,),
+            [
+                Dense(np.eye(2), np.array([-0.25, 0.0]), relu=True),
+                Dense(np.eye(2), np.zeros(2), relu=False),
+            ],
+        )
+        r = Requirement("exists", 2, SignNeq("x1", "x2", 2, 0), gen_nc(net)[0].tag)
+        on, off = np.array([0.5, 0.5]), np.array([0.1, 0.5])
+        assert satisfies([on, off], r, net, start=1)
+        assert not satisfies([on, off], r, net, start=2)  # the witness (0, 1) is all old
+        assert not satisfies([on, on], r, net, start=1)
+        assert satisfies([off, on, on], r, net, start=2)  # (0, 2) pairs old with new
+        # ordered pairs: u_{2,0}(x1) > u_{2,0}(x2) holds for (on, off) only
+        above = Atom(Sub(Var("u", 2, 0, "x1"), Var("u", 2, 0, "x2")), ">")
+        r = Requirement("exists", 2, above, gen_nc(net)[0].tag)
+        assert satisfies([off, on], r, net, start=1)  # the witness (1, 0) starts at the new test
+        assert satisfies([on, off], r, net, start=1)  # the witness (0, 1) ends at it
+        assert not satisfies([off, on], r, net, start=2)
+
+
+def wide_ssc_net(width=1200):
+    """4-[width,3]-2 net where only x0 moves the signs of (2,0) and (3,0)."""
+    w1 = np.zeros((4, width))
+    w1[0, 0] = 1.0
+    b1 = np.ones(width)
+    b1[0] = -0.5
+    w2 = np.zeros((width, 3))
+    w2[0, 0] = 1.0
+    b2 = np.array([-0.25, 1.0, 1.0])
+    head = Dense(np.ones((3, 2)), np.zeros(2), relu=False)
+    return Network((4,), [Dense(w1, b1), Dense(w2, b2), head])
+
+
+class TestWideLayers:
+    def test_ssc_on_a_1200_wide_condition_layer(self):
+        net = wide_ssc_net()
+        (r,) = gen_ssc(net, [(2, 0, 0)])
+        on, off, also_on = (np.array([x0, 0.0, 0.0, 0.0]) for x0 in (1.0, 0.0, 0.9))
+        assert satisfies([on, off], r, net)
+        assert not satisfies([on, also_on], r, net)
+
+    def test_left_nested_and_short_circuits_left_to_right(self, tiny_net):
+        unbound = Atom(Var("u", 2, 0, "x"), ">=")  # raises EvalError when evaluated
+        chain = And(TRUE_ATOM, FALSE_ATOM)
+        for _ in range(3000):
+            chain = And(chain, unbound)
+        assert not eval_bool(chain, {}, tiny_net)
+        chain = And(TRUE_ATOM, unbound)
+        for _ in range(3000):
+            chain = And(chain, FALSE_ATOM)
+        with pytest.raises(EvalError):
+            eval_bool(chain, {}, tiny_net)
+        chain = TRUE_ATOM
+        for _ in range(3000):
+            chain = And(chain, And(TRUE_ATOM, TRUE_ATOM))
+        assert eval_bool(chain, {}, tiny_net)
+        assert not eval_bool(And(chain, FALSE_ATOM), {}, tiny_net)
 
 
 class TestCoverage:

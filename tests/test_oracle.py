@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from concolic_dnn import oracle
 from concolic_dnn.logic import Atom, Const, Requirement, coverage, gen_nc
 from concolic_dnn.network import Dense, Network, forward
 from concolic_dnn.oracle import (
@@ -179,6 +180,16 @@ class TestSuiteReport:
         report = suite_report(net, refs, suite, reqs, bound=0.5)
         assert report.satisfied + report.open + report.failed == len(reqs)
 
+    def test_coverage_counts_reconciled_statuses(self, refs):
+        net = dense_net([2, 4, 2], seed=1)
+        suite = [np.array([0.5, 0.5])]
+        reqs = gen_nc(net)
+        for r, stale in zip(reqs, ["failed", "satisfied", "failed", "open"]):
+            r.status = stale
+        report = suite_report(net, refs, suite, reqs, bound=0.5)
+        assert 0 < report.failed and 0 < report.satisfied < len(reqs)
+        assert report.coverage == coverage(suite, reqs, net) == report.satisfied / len(reqs)
+
     def test_satisfaction_overrides_stale_failure(self, refs):
         net = identity_net(2)
         r = Requirement("exists", 1, Atom(Const(1.0), ">"), gen_nc(net)[0].tag)
@@ -214,6 +225,39 @@ class TestSuiteReport:
             assert forward(net, nearest_ref).label == rec.nearest_label
             assert rec.label != rec.nearest_label
             assert rec.distance <= 0.5
+
+    def test_one_nearest_search_per_test(self, monkeypatch):
+        net = boundary_net()
+        rng = np.random.default_rng(4)
+        rs = ReferenceSet(rng.uniform(0, 1, (30, 2)), np.zeros(30, dtype=int), norm="linf")
+        suite = [rng.uniform(-0.2, 1.2, 2) for _ in range(40)]
+        valid = [validity_check(rs, t, 0.2) for t in suite]
+        expected = []
+        for i, t in enumerate(suite):
+            if valid[i]:
+                ok, record = robustness_check(net, rs, t, test_index=i)
+                if not ok:
+                    expected.append(record)
+        assert 0 < len(expected) < sum(valid) < len(suite)
+
+        calls = []
+        real = oracle.nearest
+
+        def counting(refs, t):
+            calls.append(1)
+            return real(refs, t)
+
+        monkeypatch.setattr(oracle, "nearest", counting)
+        report = suite_report(net, rs, suite, gen_nc(net), bound=0.2)
+        assert len(calls) == len(suite)
+        view = lambda r: (r.test_index, r.input.tobytes(), r.nearest_index, r.distance,
+                          r.label, r.nearest_label, r.trusted_label, r.norm)
+        assert [view(r) for r in report.adversarial] == [view(r) for r in expected]
+
+    def test_report_bound_must_be_positive(self, refs):
+        net = boundary_net()
+        with pytest.raises(ValueError):
+            suite_report(net, refs, [refs.inputs[0]], gen_nc(net), bound=0.0)
 
 
 class TestSerialization:
