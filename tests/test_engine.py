@@ -1,5 +1,8 @@
+import functools
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +295,34 @@ def _small_run(criterion):
         seeds = [rng.uniform(0, 1, 3) for _ in range(3)]
         cfg = RunConfig(criterion, sample_count=40, rng_seed=14, timeout=120)
     return net, make_refs(net, seed=12), seeds, cfg
+
+
+def _small_l0_run(criterion):
+    """``_small_run``'s dense net under the l0 norm, with an l0 reference set."""
+    net, _, seeds, _ = _small_run(criterion)
+    cfg = RunConfig(criterion, norm="l0", bound=2, l0_budget=2, sample_count=40, rng_seed=14,
+                    timeout=120)
+    return net, make_refs(net, seed=12, norm="l0"), seeds, cfg
+
+
+GOLDEN_RUNS_PATH = Path(__file__).with_name("run_golden.json")
+GOLDEN_RUNS = {
+    **{f"{c}-linf": functools.partial(_small_run, c) for c in ("nc", "ssc", "nbc", "lipschitz")},
+    **{f"{c}-l0": functools.partial(_small_l0_run, c) for c in ("nc", "nbc")},
+}
+
+
+class TestGoldenRuns:
+    """SHA-256 of ``report.json`` for six small seeded runs. A change that
+    alters what a run synthesizes, admits or reports fails here."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_report_unchanged(self, tmp_path, name):
+        net, refs, seeds, cfg = GOLDEN_RUNS[name]()
+        result = run(net, refs, seeds, cfg)
+        save_run(result, cfg, str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == json.loads(GOLDEN_RUNS_PATH.read_text())[name]
 
 
 class TestIncrementalCheck:
