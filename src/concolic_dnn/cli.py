@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import ConfigError, RunConfig, load_suite, run, save_run
+from .engine import FAMILIES, NORMS, ConfigError, RunConfig, load_suite, run, save_run
 from .lipschitz import LipConfig
 from .network import ActivationCache, load_model
 from .oracle import ReferenceSet, nearest
@@ -76,8 +76,8 @@ def load_seeds(path: str) -> list[np.ndarray]:
 def _run_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="concolic-dnn", description=__doc__.splitlines()[0])
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--criterion", required=True, choices=["nc", "ssc", "nbc", "lipschitz"])
-    p.add_argument("--norm", default="linf", choices=["linf", "l0"])
+    p.add_argument("--criterion", required=True, choices=list(FAMILIES))
+    p.add_argument("--norm", default="linf", choices=list(NORMS))
     p.add_argument("--seeds", required=True, help=".npy file or directory of seed inputs")
     p.add_argument("--refs", required=True, help="directory with inputs.npy [+ labels.npy]")
     p.add_argument("--bound", type=float, default=0.3, help="validity distance bound")
@@ -110,7 +110,7 @@ def _cmd_run(args) -> int:
     refs = load_refs(args.refs, args.norm, net)
     seeds = load_seeds(args.seeds)
     lip = None
-    if args.criterion == "lipschitz":
+    if FAMILIES[args.criterion].needs_lip:
         lip = LipConfig(c=args.lip_c, delta=args.lip_delta)
     cfg = RunConfig(
         criterion=args.criterion,

@@ -17,14 +17,13 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .l0search import L0Budget, symbolic_l0
 from .lipschitz import LipConfig, alternating_search, random_baseline
 from .logic import (
-    LipTag,
     Requirement,
     SubspacePartition,
     gen_lipschitz,
@@ -33,7 +32,14 @@ from .logic import (
     gen_ssc,
     satisfies,
 )
-from .lp import LpError, lp_text, symbolic_lp
+from .lp import (
+    LpError,
+    lp_text,
+    nbc_constraint,
+    nc_target_pattern,
+    ssc_target_pattern,
+    symbolic_lp,
+)
 from .network import ActivationCache, Network
 from .oracle import (
     CoverageReport,
@@ -44,6 +50,7 @@ from .oracle import (
     validity_check,
 )
 from .ranking import (
+    LayerFactors,
     RankedCandidate,
     estimate_layer_factors,
     rank_lipschitz,
@@ -53,7 +60,6 @@ from .ranking import (
     ranked_tests,
 )
 
-CRITERIA = ("nc", "ssc", "nbc", "lipschitz")
 NORMS = ("linf", "l0")
 
 
@@ -164,12 +170,15 @@ class RunConfig:
     lip_random_attempts: int = 1000  # baseline rows in lipschitz.csv; 0 disables
 
     def validate(self) -> None:
-        if self.criterion not in CRITERIA:
+        family = FAMILIES.get(self.criterion)
+        if family is None:
             raise ConfigError(f"unknown criterion {self.criterion!r}")
         if self.norm not in NORMS:
             raise ConfigError(f"unknown norm {self.norm!r}")
-        if self.criterion == "ssc" and self.norm == "l0":
-            raise ConfigError("the ssc criterion is not supported under the l0 norm")
+        if self.norm not in family.norms:
+            raise ConfigError(
+                f"the {self.criterion} criterion is not supported under the {self.norm} norm"
+            )
         if not math.isfinite(self.bound) or self.bound <= 0:
             raise ConfigError("validity bound must be positive and finite")
         if not math.isfinite(self.timeout):
@@ -178,8 +187,8 @@ class RunConfig:
             raise ConfigError("budgets must be positive")
         if self.quantize is not None and self.quantize <= 0:
             raise ConfigError("quantization grid must be positive")
-        if self.criterion == "lipschitz" and self.lip is None:
-            raise ConfigError("criterion lipschitz needs a LipConfig")
+        if family.needs_lip and self.lip is None:
+            raise ConfigError(f"criterion {self.criterion} needs a LipConfig")
 
 
 @dataclass
@@ -197,20 +206,12 @@ def nbc_bounds_from_samples(
     """Per-neuron high/low activation bounds: sample min/max widened by a
     fraction of the observed range."""
     cache = ActivationCache(net)
+    acts = [cache.get(s) for s in samples]
     high: dict[tuple[int, int], float] = {}
     low: dict[tuple[int, int], float] = {}
-    per_layer: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for s in samples:
-        acts = cache.get(s)
-        for k in net.hidden_relu_layers:
-            u = acts.u_flat(k)
-            if k not in per_layer:
-                per_layer[k] = (u.copy(), u.copy())
-            else:
-                lo, hi = per_layer[k]
-                np.minimum(lo, u, out=lo)
-                np.maximum(hi, u, out=hi)
-    for k, (lo, hi) in per_layer.items():
+    for k in net.hidden_relu_layers if acts else ():
+        u = np.stack([a.u_flat(k) for a in acts])
+        lo, hi = u.min(axis=0), u.max(axis=0)
         span = hi - lo
         for i in range(lo.size):
             high[(k, i)] = float(hi[i] + widen * span[i])
@@ -218,23 +219,33 @@ def nbc_bounds_from_samples(
     return high, low
 
 
-def _generate_requirements(net, seeds, cfg, sample_set) -> tuple[list[Requirement], dict]:
-    if cfg.criterion == "nc":
-        return gen_nc(net), {}
-    if cfg.criterion == "ssc":
-        return gen_ssc(net, cfg.ssc_pairs), {}
-    if cfg.criterion == "nbc":
-        high, low = nbc_bounds_from_samples(net, sample_set, cfg.nbc_widen)
-        return gen_nbc(net, high, low), {}
-    partition = SubspacePartition.from_seeds(seeds, cfg.lip.delta)
-    reqs = gen_lipschitz(partition, cfg.lip.c, cfg.lip.norm, cfg.lip.semantics)
-    return reqs, dict(enumerate(partition.boxes))
-
-
 def _quantize(t: np.ndarray, grid: Optional[int]) -> np.ndarray:
     if grid is None:
         return t
     return np.round(t * grid) / grid
+
+
+@dataclass
+class _Loop:
+    """The state of one ``run`` that its family's steps read and update."""
+
+    net: Network
+    refs: ReferenceSet
+    cfg: RunConfig
+    rng: np.random.Generator
+    deadline: float
+    factors: LayerFactors
+    boxes: dict  # box index -> Box, for Lipschitz requirements
+    suite: TestSuite
+    dump_hook: Optional[Callable]
+    tried: dict = field(default_factory=dict)  # id(requirement) -> source tests attempted
+    lip_rows: list = field(default_factory=list)
+    timed_out: bool = False
+
+    def expired(self) -> bool:
+        """Whether the wall-clock budget is spent; a spent budget marks the run timed out."""
+        self.timed_out = self.timed_out or time.monotonic() > self.deadline
+        return self.timed_out
 
 
 def run(
@@ -255,6 +266,7 @@ def run(
     for i, s in enumerate(seeds):
         if np.size(s) != net.input_dim:
             raise ConfigError(f"seed {i} has {np.size(s)} entries, the model takes {net.input_dim}")
+    family = FAMILIES[cfg.criterion]
     rng = np.random.default_rng(cfg.rng_seed)
     deadline = time.monotonic() + cfg.timeout
     cache = ActivationCache(net)
@@ -262,7 +274,7 @@ def run(
     samples = list(rng.uniform(0.0, 1.0, size=(cfg.sample_count, net.input_dim)))
     sample_set = samples + [np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds]
     factors = estimate_layer_factors(net, sample_set)
-    reqs, boxes = _generate_requirements(net, seeds, cfg, sample_set)
+    reqs, boxes = family.generate(net, seeds, cfg, sample_set)
 
     suite = TestSuite(dim=net.input_dim)
     for s in seeds:
@@ -278,25 +290,16 @@ def run(
             fh.write(lp_text(problem))
         dump_count += 1
 
-    hook = dump_hook if dump_lp_dir else None
-
-    attempts: dict[int, int] = {}
-    tried: set[tuple[int, int]] = set()  # (requirement, source test) pairs already attempted
-    failed: set[int] = set()
-    lip_rows: list[dict] = []
-    req_index = {id(r): i for i, r in enumerate(reqs)}
-    timed_out = False
+    loop = _Loop(net, refs, cfg, rng, deadline, factors, boxes, suite,
+                 dump_hook if dump_lp_dir else None)
     checked = 0  # suite length at the last satisfaction pass
 
-    while True:
-        if time.monotonic() > deadline:
-            timed_out = True
-            break
+    while not loop.expired():
         # an open existential requirement has no witness in suite[:checked],
         # so only the bindings that use a newer test can satisfy it
         open_reqs = []
-        for i, r in enumerate(reqs):
-            if r.status == "satisfied" or i in failed:
+        for r in reqs:
+            if r.status != "open":
                 continue
             start = checked if r.quantifier == "exists" else 0
             if satisfies(suite.vectors, r, net, cache, start):
@@ -306,118 +309,179 @@ def run(
         checked = len(suite)
         if not open_reqs:
             break
+        family.synthesize(loop, family.rank(loop, open_reqs).requirement)
 
-        if cfg.criterion == "nc":
-            top = rank_nc(suite.vectors, open_reqs, net, factors)
-        elif cfg.criterion == "ssc":
-            top = rank_ssc(suite.vectors, open_reqs, net, factors)
-        elif cfg.criterion == "nbc":
-            top = rank_nbc(suite.vectors, open_reqs, net, factors)
-        else:
-            top = rank_lipschitz(
-                suite.vectors, open_reqs, net, boxes, cfg.lip.norm, cfg.lip.semantics
-            )
-            if top is None:
-                # no box holds a test yet; take the first open requirement
-                top = RankedCandidate(open_reqs[0], (0,), float("-inf"))
-        r_top = top.requirement
-        ridx = req_index[id(r_top)]
-
-        if isinstance(r_top.tag, LipTag):
-            if attempts.get(ridx, 0) >= cfg.max_attempts:
-                failed.add(ridx)
-                r_top.status = "failed"
-                continue
-            box = boxes[r_top.tag.box]
-            center = np.asarray(box.center, dtype=np.float64)
-            outcome = alternating_search(net, center, cfg.lip, eval_budget=cfg.lip_eval_budget)
-            lip_rows.append(
-                {
-                    "seed": r_top.tag.box,
-                    "method": "concolic",
-                    "best_ratio": outcome.witness.ratio,
-                    "satisfied": outcome.witness.satisfied,
-                    "forward_evals": outcome.evals,
-                }
-            )
-            parent = next(
-                (i for i, c in enumerate(suite.cases) if np.array_equal(c.vector, center)), None
-            )
-            appended = False
-            for point in (outcome.witness.t1, outcome.witness.t2):
-                point = _quantize(point, cfg.quantize)
-                if validity_check(refs, point, cfg.bound):
-                    if not any(np.array_equal(c.vector, point) for c in suite.cases):
-                        suite.append(point, r_top.tag.label(), parent)
-                        appended = True
-            # the search is deterministic for a fixed box: one shot per requirement
-            attempts[ridx] = cfg.max_attempts
-            if not (appended and outcome.witness.satisfied):
-                failed.add(ridx)
-                r_top.status = "failed"
-            continue
-
-        candidates = ranked_tests(suite.vectors, r_top, net, factors)
-        success = False
-        for cand in candidates:
-            if attempts.get(ridx, 0) >= cfg.max_attempts:
-                break
-            source_idx = cand.tests[0]
-            if (ridx, source_idx) in tried:
-                continue  # synthesis is deterministic; a failed pair stays failed
-            if time.monotonic() > deadline:
-                timed_out = True
-                break
-            tried.add((ridx, source_idx))
-            attempts[ridx] = attempts.get(ridx, 0) + 1
-            source = suite.cases[source_idx].vector
-            if cfg.norm == "linf":
-                try:
-                    t_new = symbolic_lp(net, source, r_top, factors, dump_hook=hook)
-                except LpError:
-                    continue  # the solver's answer failed its residual check
-            else:
-                t_new = symbolic_l0(net, source, r_top, L0Budget(cfg.l0_budget))
-            if t_new is None:
-                continue
-            t_new = _quantize(t_new, cfg.quantize)
-            if not validity_check(refs, t_new, cfg.bound):
-                continue
-            suite.append(t_new, r_top.tag.label(), source_idx)
-            success = True
-            break
-        if timed_out:
-            break
-        if not success:
-            # attempt budget exhausted or no untried candidate left
-            failed.add(ridx)
-            r_top.status = "failed"
-
-    if cfg.criterion == "lipschitz" and cfg.lip_random_attempts > 0:
-        for i, box in boxes.items():
-            base = random_baseline(
-                net,
-                np.asarray(box.center, dtype=np.float64),
-                cfg.lip.c,
-                cfg.lip.delta,
-                cfg.lip_random_attempts,
-                rng,
-                eps=cfg.lip.eps,
-                norm=cfg.lip.norm,
-                semantics=cfg.lip.semantics,
-            )
-            lip_rows.append(
-                {
-                    "seed": i,
-                    "method": "random",
-                    "best_ratio": base.witness.ratio,
-                    "satisfied": base.witness.satisfied,
-                    "forward_evals": base.evals,
-                }
-            )
-
+    if family.finish is not None:
+        family.finish(loop)
     report = suite_report(net, refs, suite.vectors, reqs, cfg.bound, cache)
-    return RunResult(suite, report, reqs, timed_out, lip_rows)
+    return RunResult(suite, report, reqs, loop.timed_out, loop.lip_rows)
+
+
+# ---------------------------------------------------------------------------
+# Requirement families
+# ---------------------------------------------------------------------------
+
+# The family steps call the package functions (gen_*, rank_*, ranked_tests,
+# symbolic_lp, alternating_search, ...) through this module's globals at call
+# time, so a replaced module attribute (a tracer, a test's monkeypatch) runs.
+
+
+def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
+    """Synthesize from the best-scored untried source tests until one input is
+    admitted; the requirement fails when its attempts run out first."""
+    cfg = loop.cfg
+    tried = loop.tried.setdefault(id(r), set())
+    for cand in ranked_tests(loop.suite.vectors, r, loop.net, loop.factors):
+        if len(tried) >= cfg.max_attempts:
+            break
+        source_idx = cand.tests[0]
+        if source_idx in tried:
+            continue  # synthesis is deterministic; a failed pair stays failed
+        if loop.expired():
+            return
+        tried.add(source_idx)
+        source = loop.suite.cases[source_idx].vector
+        if cfg.norm == "linf":
+            try:
+                t_new = symbolic_lp(loop.net, source, r, dump_hook=loop.dump_hook)
+            except LpError:
+                continue  # the solver's answer failed its residual check
+        else:
+            t_new = symbolic_l0(loop.net, source, r, L0Budget(cfg.l0_budget))
+        if t_new is None:
+            continue
+        t_new = _quantize(t_new, cfg.quantize)
+        if validity_check(loop.refs, t_new, cfg.bound):
+            loop.suite.append(t_new, r.tag.label(), source_idx)
+            return
+    r.status = "failed"  # attempt budget exhausted or no untried candidate left
+
+
+def _lip_row(box: int, method: str, outcome) -> dict:
+    witness = outcome.witness
+    return {"seed": box, "method": method, "best_ratio": witness.ratio,
+            "satisfied": witness.satisfied, "forward_evals": outcome.evals}
+
+
+def _rank_lipschitz(loop: _Loop, reqs: list[Requirement]) -> RankedCandidate:
+    lip = loop.cfg.lip
+    top = rank_lipschitz(loop.suite.vectors, reqs, loop.net, loop.boxes, lip.norm, lip.semantics)
+    # no box holds a test yet: take the first open requirement
+    return top or RankedCandidate(reqs[0], (0,), float("-inf"))
+
+
+def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
+    """One alternating compass search in the requirement's box; both points of
+    the best pair are offered to the suite."""
+    cfg, suite = loop.cfg, loop.suite
+    if id(r) in loop.tried:
+        # the search is deterministic for a fixed box: one shot per requirement
+        r.status = "failed"
+        return
+    loop.tried[id(r)] = set()
+    center = np.asarray(loop.boxes[r.tag.box].center, dtype=np.float64)
+    outcome = alternating_search(loop.net, center, cfg.lip, eval_budget=cfg.lip_eval_budget)
+    loop.lip_rows.append(_lip_row(r.tag.box, "concolic", outcome))
+    parent = next((i for i, c in enumerate(suite.cases) if np.array_equal(c.vector, center)), None)
+    appended = False
+    for point in (outcome.witness.t1, outcome.witness.t2):
+        point = _quantize(point, cfg.quantize)
+        if validity_check(loop.refs, point, cfg.bound):
+            if not any(np.array_equal(c.vector, point) for c in suite.cases):
+                suite.append(point, r.tag.label(), parent)
+                appended = True
+    if not (appended and outcome.witness.satisfied):
+        r.status = "failed"
+
+
+def _random_baselines(loop: _Loop) -> None:
+    """The uniform-sampling baseline in each box, for lipschitz.csv."""
+    cfg, lip = loop.cfg, loop.cfg.lip
+    for i, box in loop.boxes.items():
+        if cfg.lip_random_attempts <= 0 or loop.expired():
+            break  # no baseline box starts once the budget is spent
+        center = np.asarray(box.center, dtype=np.float64)
+        base = random_baseline(loop.net, center, lip.c, lip.delta, cfg.lip_random_attempts,
+                               loop.rng, eps=lip.eps, norm=lip.norm, semantics=lip.semantics)
+        loop.lip_rows.append(_lip_row(i, "random", base))
+
+
+def _generate_nbc(net, seeds, cfg, sample_set):
+    high, low = nbc_bounds_from_samples(net, sample_set, cfg.nbc_widen)
+    return gen_nbc(net, high, low), {}
+
+
+def _generate_lipschitz(net, seeds, cfg, sample_set):
+    partition = SubspacePartition.from_seeds(seeds, cfg.lip.delta)
+    reqs = gen_lipschitz(partition, cfg.lip.c, cfg.lip.norm, cfg.lip.semantics)
+    return reqs, dict(enumerate(partition.boxes))
+
+
+def _nc_lp_target(net, acts, source, tag):
+    return (*nc_target_pattern(source, (tag.layer, tag.neuron)), None)
+
+
+def _ssc_lp_target(net, acts, source, tag):
+    return (*ssc_target_pattern(source, (tag.layer, tag.cond), (tag.layer + 1, tag.decision)), None)
+
+
+def _nbc_lp_target(net, acts, source, tag):
+    branch = nbc_constraint(acts, (tag.layer, tag.neuron), tag.high, tag.low)
+    return source, net.num_layers - 1, branch
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the engine knows about one requirement family (criterion).
+
+    ``generate(net, seeds, cfg, sample_set)`` returns the requirements and a
+    box index -> Box map; ``rank(loop, open_reqs)`` picks the requirement to
+    work on; ``synthesize(loop, r)`` is one loop iteration's synthesis;
+    ``lp_target(net, acts, source_pattern, tag)`` gives ``symbolic_lp`` the
+    target pattern, top layer and NBC branch (or None); ``finish(loop)`` runs
+    after the loop; ``save(result, outdir)`` writes extra run artifacts.
+    """
+
+    generate: Callable
+    rank: Callable
+    synthesize: Callable
+    norms: tuple[str, ...] = NORMS
+    lp_target: Optional[Callable] = None
+    finish: Optional[Callable] = None
+    save: Optional[Callable] = None
+    needs_lip: bool = False  # RunConfig.lip must be set
+
+
+FAMILIES: dict[str, Family] = {
+    "nc": Family(
+        generate=lambda net, seeds, cfg, sample_set: (gen_nc(net), {}),
+        rank=lambda loop, reqs: rank_nc(loop.suite.vectors, reqs, loop.net, loop.factors),
+        synthesize=_synthesize_ranked,
+        lp_target=_nc_lp_target,
+    ),
+    "ssc": Family(
+        generate=lambda net, seeds, cfg, sample_set: (gen_ssc(net, cfg.ssc_pairs), {}),
+        rank=lambda loop, reqs: rank_ssc(loop.suite.vectors, reqs, loop.net, loop.factors),
+        synthesize=_synthesize_ranked,
+        norms=("linf",),
+        lp_target=_ssc_lp_target,
+    ),
+    "nbc": Family(
+        generate=_generate_nbc,
+        rank=lambda loop, reqs: rank_nbc(loop.suite.vectors, reqs, loop.net, loop.factors),
+        synthesize=_synthesize_ranked,
+        lp_target=_nbc_lp_target,
+    ),
+    "lipschitz": Family(
+        generate=_generate_lipschitz,
+        rank=_rank_lipschitz,
+        synthesize=_synthesize_compass,
+        finish=_random_baselines,
+        save=lambda result, outdir: write_lipschitz_csv(
+            result.lipschitz_rows, os.path.join(outdir, "lipschitz.csv")),
+        needs_lip=True,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -464,5 +528,6 @@ def save_run(result: RunResult, cfg: RunConfig, outdir: str) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     save_adversarial(result.report.adversarial, os.path.join(outdir, "adversarial"))
-    if cfg.criterion == "lipschitz":
-        write_lipschitz_csv(result.lipschitz_rows, os.path.join(outdir, "lipschitz.csv"))
+    family = FAMILIES[cfg.criterion]
+    if family.save is not None:
+        family.save(result, outdir)

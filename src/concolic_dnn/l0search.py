@@ -2,11 +2,11 @@
 
 Instead of an LP (which needs a linear distance metric), NC and NBC
 requirements are attacked by changing one pixel at a time: every step
-evaluates the family objective for each not-yet-modified pixel at the extreme
-values {0, 1} (plus the pixel's source value, a no-op) and applies the single
-best strictly-improving change. The search stops as soon as the requirement
-holds, or fails when the pixel budget is exhausted or no change improves the
-objective.
+evaluates the requirement's gap (``tag.gap``) for each not-yet-modified pixel
+at the extreme values {0, 1} (plus the pixel's source value, a no-op) and
+applies the single best strictly-improving change. The search stops as soon as
+the requirement holds, or fails when the pixel budget is exhausted or no change
+improves the gap.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .logic import NBCTag, NCTag, Requirement
+from .logic import Requirement, vector_norm
 from .network import Network, forward
-
-QUANT_TOL = 1.0 / 510.0  # half of one 8-bit quantization step
 
 
 @dataclass(frozen=True)
@@ -32,34 +30,13 @@ class L0Budget:
             raise ValueError("pixel budget must be at least 1")
 
 
-def l0_distance(a: np.ndarray, b: np.ndarray, tol: float = QUANT_TOL) -> int:
+def l0_distance(a: np.ndarray, b: np.ndarray) -> int:
     """Number of coordinates differing by more than the quantization tolerance."""
     a = np.ravel(np.asarray(a, dtype=np.float64))
     b = np.ravel(np.asarray(b, dtype=np.float64))
     if a.size != b.size:
         raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    return int(np.count_nonzero(np.abs(a - b) > tol))
-
-
-def _objective_and_check(net: Network, r: Requirement):
-    tag = r.tag
-    if isinstance(tag, NCTag):
-        k, i = tag.layer, tag.neuron
-
-        def obj(x):
-            return float(forward(net, x).u_flat(k)[i])
-
-        return obj, lambda val: val >= 0.0
-    if isinstance(tag, NBCTag):
-        k, i = tag.layer, tag.neuron
-        if tag.side == "hi":
-            def obj(x):
-                return float(forward(net, x).u_flat(k)[i]) - tag.high
-        else:
-            def obj(x):
-                return tag.low - float(forward(net, x).u_flat(k)[i])
-        return obj, lambda val: val > 0.0
-    raise ValueError(f"L0 search supports NC and NBC requirements, not {type(tag).__name__}")
+    return int(vector_norm(a - b, "l0"))
 
 
 def symbolic_l0(
@@ -71,10 +48,16 @@ def symbolic_l0(
     coordinates, or None on failure. Every accepted step strictly increases the
     requirement's objective, so the loop runs at most ``max_pixels`` steps.
     """
+    tag = r.tag
+    if not hasattr(tag, "reached"):
+        raise ValueError(f"L0 search needs a one-neuron requirement, not {type(tag).__name__}")
+
+    def obj(x):
+        return tag.gap(forward(net, x))
+
     cur = np.ravel(np.asarray(t, dtype=np.float64)).copy()
-    obj, satisfied = _objective_and_check(net, r)
     value = obj(cur)
-    if satisfied(value):
+    if tag.reached(value):
         return cur
     modified: set[int] = set()
     while len(modified) < budget.max_pixels:
@@ -96,6 +79,6 @@ def symbolic_l0(
         pix, cand, value = best
         cur[pix] = cand
         modified.add(pix)
-        if satisfied(value):
+        if tag.reached(value):
             return cur
     return None

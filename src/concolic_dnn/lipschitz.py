@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .network import Network, forward
-from .logic import output_vector
+from .logic import output_vector, vector_norm
 
 
 class BudgetExhausted(Exception):
@@ -44,10 +44,6 @@ class EvalCounter:
         if self.limit is not None and self.count >= self.limit:
             raise BudgetExhausted()
         self.count += 1
-
-    @property
-    def remaining(self) -> Optional[int]:
-        return None if self.limit is None else self.limit - self.count
 
 
 @dataclass
@@ -69,7 +65,6 @@ class LipConfig:
     progress_tol: float = 1e-6
     norm: str = "linf"
     semantics: str = "logits"
-    random_attempts: int = 1_000_000
 
     def __post_init__(self):
         if self.c <= 0 or self.delta <= 0 or self.eps <= 0:
@@ -98,16 +93,6 @@ class CompassResult:
     iterations: int
 
 
-def _norm(vec: np.ndarray, norm: str) -> float:
-    if norm == "linf":
-        return float(np.max(np.abs(vec))) if vec.size else 0.0
-    if norm == "l2":
-        return float(np.linalg.norm(vec))
-    if norm == "l1":
-        return float(np.sum(np.abs(vec)))
-    raise ValueError(f"unknown norm {norm!r}")
-
-
 def domain_box(t0: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """The delta-hypercube around the seed, clipped to the [0, 1] input domain."""
     t0 = np.ravel(t0)
@@ -125,7 +110,7 @@ def lip_ratio(
     """||out(t1) - out(t2)|| / (||t1 - t2|| + eps); zero for identical inputs."""
     o1 = output_vector(forward(net, t1), net, semantics)
     o2 = output_vector(forward(net, t2), net, semantics)
-    return _norm(o1 - o2, norm) / (_norm(np.ravel(t1) - np.ravel(t2), norm) + eps)
+    return vector_norm(o1 - o2, norm) / (vector_norm(np.ravel(t1) - np.ravel(t2), norm) + eps)
 
 
 def compass_minimize(
@@ -215,12 +200,12 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker) -> CompassResult:
     gaps: dict[bytes, float] = {}
 
     def objective(x: np.ndarray) -> float:
-        gap = _norm(out(x) - out_anchor, cfg.norm)
+        gap = vector_norm(out(x) - out_anchor, cfg.norm)
         gaps[x.tobytes()] = gap
         return -gap
 
     def early(x: np.ndarray) -> bool:
-        ratio = gaps[x.tobytes()] / (_norm(x - anchor, cfg.norm) + cfg.eps)
+        ratio = gaps[x.tobytes()] / (vector_norm(x - anchor, cfg.norm) + cfg.eps)
         return tracker.offer(anchor, x, ratio, cfg.c)
 
     return compass_minimize(
@@ -363,7 +348,7 @@ def random_baseline(
             counter.tick()
             o2 = output_vector(forward(net, t2), net, semantics)
             used += 1
-            ratio = _norm(o1 - o2, norm) / (_norm(t1 - t2, norm) + eps)
+            ratio = vector_norm(o1 - o2, norm) / (vector_norm(t1 - t2, norm) + eps)
             if tracker.offer(t1, t2, ratio, c):
                 break
     except BudgetExhausted:

@@ -24,6 +24,7 @@ import numpy as np
 from .network import ActivationCache, Activations, Network
 
 RELATIONS = ("<=", "<", "=", ">", ">=")
+QUANT_TOL = 1.0 / 510.0  # half of one 8-bit quantization step
 
 
 class EvalError(ValueError):
@@ -155,22 +156,41 @@ BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom
 # Requirement families
 # ---------------------------------------------------------------------------
 
+# A tag names one requirement and carries its family's per-requirement facts:
+# ``criterion`` (its row in ``engine.FAMILIES``), ``label``, ``order_key`` (the
+# deterministic ranking order) and, for the one-test families, ``gap(acts)``:
+# how close a test is to satisfying the requirement, higher is closer (NC: u;
+# SSC: -|u| at the condition neuron; NBC: u - high or low - u). The gap is the
+# ranking score before layer scaling and the L0 search objective. ``reached``
+# (NC and NBC, the L0 families) says whether a gap satisfies the requirement.
+
 
 @dataclass(frozen=True)
 class NCTag:
     """Neuron coverage: activate neuron (layer, neuron)."""
 
+    criterion = "nc"
     layer: int
     neuron: int
 
     def label(self) -> str:
         return f"nc:{self.layer}:{self.neuron}"
 
+    def order_key(self) -> tuple:
+        return (self.layer, self.neuron)
+
+    def gap(self, acts: Activations) -> float:
+        return float(acts.u_flat(self.layer)[self.neuron])
+
+    def reached(self, gap: float) -> bool:
+        return gap >= 0.0
+
 
 @dataclass(frozen=True)
 class SSCTag:
     """Sign-sign coverage: condition (layer, cond) flips decision (layer+1, decision)."""
 
+    criterion = "ssc"
     layer: int
     cond: int
     decision: int
@@ -178,11 +198,18 @@ class SSCTag:
     def label(self) -> str:
         return f"ssc:{self.layer}:{self.cond}:{self.layer + 1}:{self.decision}"
 
+    def order_key(self) -> tuple:
+        return (self.layer, self.cond, self.decision)
+
+    def gap(self, acts: Activations) -> float:
+        return -abs(float(acts.u_flat(self.layer)[self.cond]))
+
 
 @dataclass(frozen=True)
 class NBCTag:
     """Neuron boundary coverage, one side of neuron (layer, neuron)."""
 
+    criterion = "nbc"
     layer: int
     neuron: int
     side: str  # "hi" | "lo"
@@ -192,16 +219,30 @@ class NBCTag:
     def label(self) -> str:
         return f"nbc-{self.side}:{self.layer}:{self.neuron}"
 
+    def order_key(self) -> tuple:
+        return (self.layer, self.neuron, 0 if self.side == "hi" else 1)
+
+    def gap(self, acts: Activations) -> float:
+        u = float(acts.u_flat(self.layer)[self.neuron])
+        return (u - self.high) if self.side == "hi" else (self.low - u)
+
+    def reached(self, gap: float) -> bool:
+        return gap > 0.0
+
 
 @dataclass(frozen=True)
 class LipTag:
     """Lipschitz coverage for one input subspace box."""
 
+    criterion = "lipschitz"
     box: int
     threshold: float
 
     def label(self) -> str:
         return f"lip:{self.box}"
+
+    def order_key(self) -> tuple:
+        return (self.box,)
 
 
 Tag = Union[NCTag, SSCTag, NBCTag, LipTag]
@@ -214,9 +255,6 @@ class Requirement:
     body: BoolExpr
     tag: Tag
     status: str = "open"  # "open" | "satisfied" | "failed"
-
-    def vars(self) -> tuple[str, ...]:
-        return ("x",) if self.arity == 1 else ("x1", "x2")
 
 
 @dataclass(frozen=True)
@@ -294,13 +332,17 @@ def _bit(acts: Activations, layer: int, neuron: int) -> bool:
     return bool(acts.u_flat(layer)[neuron] >= 0.0)
 
 
-def _norm(vec: np.ndarray, norm: str) -> float:
+def vector_norm(vec: np.ndarray, norm: str) -> float:
+    """The linf, l2, l1 or l0 norm of a vector; l0 counts the entries whose
+    magnitude exceeds ``QUANT_TOL``."""
     if norm == "linf":
         return float(np.max(np.abs(vec))) if vec.size else 0.0
     if norm == "l2":
         return float(np.linalg.norm(vec))
     if norm == "l1":
         return float(np.sum(np.abs(vec)))
+    if norm == "l0":
+        return float(np.count_nonzero(np.abs(vec) > QUANT_TOL))
     raise EvalError(f"unknown norm {norm!r}")
 
 
@@ -359,8 +401,9 @@ def _eval_bool(e, binding, net, cache: ActivationCache) -> bool:
     if isinstance(e, LipschitzAtom):
         a = _acts_for(e.a, binding, cache)
         b = _acts_for(e.b, binding, cache)
-        out_gap = _norm(output_vector(a, net, e.semantics) - output_vector(b, net, e.semantics), e.norm)
-        in_gap = _norm(np.ravel(binding[e.a]) - np.ravel(binding[e.b]), e.norm)
+        outs = output_vector(a, net, e.semantics) - output_vector(b, net, e.semantics)
+        out_gap = vector_norm(outs, e.norm)
+        in_gap = vector_norm(np.ravel(binding[e.a]) - np.ravel(binding[e.b]), e.norm)
         return out_gap - e.threshold * in_gap > 0.0
     raise EvalError(f"unknown boolean node {type(e).__name__}")
 

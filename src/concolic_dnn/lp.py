@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .logic import NBCTag, NCTag, Requirement, SSCTag
+from .logic import Requirement
 from .network import (
     ActivationPattern,
     Activations,
@@ -114,11 +114,6 @@ class LpOutcome:
     values: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int  # pivots the solver made, whatever the status
-
-    def assignment(self, problem: LpProblem) -> Optional[dict[str, float]]:
-        if self.values is None:
-            return None
-        return {name: float(v) for name, v in zip(problem.variables, self.values)}
 
 
 def layer_affine(layer, in_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -333,32 +328,23 @@ def symbolic_lp(
     net: Network,
     t: np.ndarray,
     r: Requirement,
-    factors=None,
     dump_hook: Optional[Callable[[LpProblem, Requirement], None]] = None,
     solver=None,
 ) -> Optional[np.ndarray]:
     """Synthesize an input satisfying the requirement's target pattern, close to ``t``.
 
-    Returns the new input on success, None when the pattern is infeasible or
-    the solver gave up. ``factors`` is accepted for interface parity with the
-    ranking heuristics; the LP itself does not need it.
+    The requirement's family (its row in ``engine.FAMILIES``) picks the target
+    pattern. Returns the new input on success, None when the pattern is
+    infeasible or the solver gave up.
     """
+    from .engine import FAMILIES  # imported here: engine imports this module
+
+    lp_target = FAMILIES[r.tag.criterion].lp_target
+    if lp_target is None:
+        raise EncodingError(f"no LP synthesis for requirement family {type(r.tag).__name__}")
     t = np.ravel(np.asarray(t, dtype=np.float64))
     acts = forward(net, t)
-    source = pattern_of(acts)
-    tag = r.tag
-    branch = None
-    if isinstance(tag, NCTag):
-        target, k_star = nc_target_pattern(source, (tag.layer, tag.neuron))
-    elif isinstance(tag, SSCTag):
-        target, k_star = ssc_target_pattern(
-            source, (tag.layer, tag.cond), (tag.layer + 1, tag.decision)
-        )
-    elif isinstance(tag, NBCTag):
-        target, k_star = source, net.num_layers - 1
-        branch = nbc_constraint(acts, (tag.layer, tag.neuron), tag.high, tag.low)
-    else:
-        raise EncodingError(f"no LP synthesis for requirement family {type(tag).__name__}")
+    target, k_star, branch = lp_target(net, acts, pattern_of(acts), r.tag)
     p = encode_pattern(net, target, k_star, acts.pool_winners)
     if branch is not None:
         apply_nbc_branch(p, branch)

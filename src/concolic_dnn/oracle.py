@@ -13,23 +13,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .l0search import QUANT_TOL, l0_distance
 # bench/spans.py traces ``oracle.coverage``, so the name stays importable here
-from .logic import Requirement, coverage, satisfies  # noqa: F401
+from .logic import QUANT_TOL, Requirement, coverage, satisfies, vector_norm  # noqa: F401
 from .network import ActivationCache, Network
 
 
 def _dist(a: np.ndarray, b: np.ndarray, norm: str) -> float:
-    diff = np.ravel(a) - np.ravel(b)
-    if norm == "linf":
-        return float(np.max(np.abs(diff)))
-    if norm == "l0":
-        return float(l0_distance(a, b))
-    if norm == "l2":
-        return float(np.linalg.norm(diff))
-    if norm == "l1":
-        return float(np.sum(np.abs(diff)))
-    raise ValueError(f"unknown norm {norm!r}")
+    return vector_norm(np.ravel(a) - np.ravel(b), norm)
 
 
 @dataclass

@@ -4,7 +4,8 @@ analysis.
 
 Scores use a per-layer factor c_k = 1 / mean |u| (estimated on a sample set)
 so that values from layers of different magnitude are comparable. Tie-breaking
-is deterministic: lowest layer, then lowest neuron index, then earliest test.
+is deterministic: lowest tag ``order_key`` (layer first, then neuron), then
+earliest test.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .logic import LipTag, NBCTag, NCTag, Requirement, SSCTag
+from .logic import LipTag, Requirement, output_vector, vector_norm
 from .network import ActivationCache, Activations, Network
 
 FACTOR_FLOOR = 1e-12
@@ -53,84 +54,38 @@ def estimate_layer_factors(net: Network, samples: Sequence[np.ndarray]) -> Layer
     return LayerFactors(factors)
 
 
-def _activations(tests, net, acts):
-    if acts is not None:
-        return list(acts)
+def _activations(tests, net):
     cache = ActivationCache(net)
     return [cache.get(t) for t in tests]
 
 
-def _tag_order(r: Requirement) -> tuple:
-    tag = r.tag
-    if isinstance(tag, NCTag):
-        return (tag.layer, tag.neuron)
-    if isinstance(tag, SSCTag):
-        return (tag.layer, tag.cond, tag.decision)
-    if isinstance(tag, NBCTag):
-        return (tag.layer, tag.neuron, 0 if tag.side == "hi" else 1)
-    if isinstance(tag, LipTag):
-        return (tag.box,)
-    raise ValueError(f"unknown tag {tag!r}")
+def score(acts: Activations, r: Requirement, factors: LayerFactors) -> float:
+    """c_k times the requirement's gap at layer k: higher is closer to satisfied."""
+    return factors[r.tag.layer] * r.tag.gap(acts)
 
 
-def nc_score(acts: Activations, r: Requirement, factors: LayerFactors) -> float:
-    tag: NCTag = r.tag
-    return factors[tag.layer] * float(acts.u_flat(tag.layer)[tag.neuron])
-
-
-def ssc_score(acts: Activations, r: Requirement, factors: LayerFactors) -> float:
-    tag: SSCTag = r.tag
-    return -factors[tag.layer] * abs(float(acts.u_flat(tag.layer)[tag.cond]))
-
-
-def nbc_score(acts: Activations, r: Requirement, factors: LayerFactors) -> float:
-    tag: NBCTag = r.tag
-    u = float(acts.u_flat(tag.layer)[tag.neuron])
-    gap = (u - tag.high) if tag.side == "hi" else (tag.low - u)
-    return factors[tag.layer] * gap
-
-
-def _rank_single(tests, reqs, net, factors, score_fn, acts) -> RankedCandidate:
+def rank(tests, reqs, net, factors) -> RankedCandidate:
+    """The (test, requirement) pair with the highest ``score`` (NC, SSC, NBC)."""
     if not reqs or len(tests) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
-    all_acts = _activations(tests, net, acts)
+    all_acts = _activations(tests, net)
     best: Optional[RankedCandidate] = None
-    for r in sorted(reqs, key=_tag_order):
+    for r in sorted(reqs, key=lambda r: r.tag.order_key()):
         for ti, a in enumerate(all_acts):
-            score = score_fn(a, r, factors)
-            if best is None or score > best.score:
-                best = RankedCandidate(r, (ti,), score)
+            s = score(a, r, factors)
+            if best is None or s > best.score:
+                best = RankedCandidate(r, (ti,), s)
     return best
 
 
-def rank_nc(tests, reqs, net, factors, acts=None) -> RankedCandidate:
-    """Pick the (test, requirement) pair with maximal c_k * u at the target neuron."""
-    return _rank_single(tests, reqs, net, factors, nc_score, acts)
+# one name per family, as the engine's family table calls them
+rank_nc = rank_ssc = rank_nbc = rank
 
 
-def rank_ssc(tests, reqs, net, factors, acts=None) -> RankedCandidate:
-    """Pick the pair whose condition neuron is closest to a sign change (max -c_k * |u|)."""
-    return _rank_single(tests, reqs, net, factors, ssc_score, acts)
-
-
-def rank_nbc(tests, reqs, net, factors, acts=None) -> RankedCandidate:
-    """Pick the pair closest to crossing its bound (max c_k * (u - h) or c_k * (l - u))."""
-    return _rank_single(tests, reqs, net, factors, nbc_score, acts)
-
-
-def ranked_tests(tests, r: Requirement, net, factors, acts=None) -> list[RankedCandidate]:
+def ranked_tests(tests, r: Requirement, net, factors) -> list[RankedCandidate]:
     """All tests scored for one requirement, best first (stable on ties)."""
-    tag = r.tag
-    if isinstance(tag, NCTag):
-        score_fn = nc_score
-    elif isinstance(tag, SSCTag):
-        score_fn = ssc_score
-    elif isinstance(tag, NBCTag):
-        score_fn = nbc_score
-    else:
-        raise ValueError(f"per-test ranking is not defined for {tag!r}")
-    all_acts = _activations(tests, net, acts)
-    cands = [RankedCandidate(r, (ti,), score_fn(a, r, factors)) for ti, a in enumerate(all_acts)]
+    all_acts = _activations(tests, net)
+    cands = [RankedCandidate(r, (ti,), score(a, r, factors)) for ti, a in enumerate(all_acts)]
     cands.sort(key=lambda c: -c.score)
     return cands
 
@@ -142,29 +97,18 @@ def rank_lipschitz(
     boxes,
     norm: str = "linf",
     semantics: str = "logits",
-    acts=None,
 ) -> Optional[RankedCandidate]:
     """Best in-box pair by margin ||out(t1) - out(t2)|| - c * ||t1 - t2||.
 
     ``boxes`` maps each requirement's box index to its Box. Requirements whose
     box contains no test are skipped; returns None when every box is empty.
     """
-    from .logic import output_vector  # local import to avoid a cycle at module load
-
     if not reqs or len(tests) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
-    all_acts = _activations(tests, net, acts)
+    all_acts = _activations(tests, net)
     outs = [output_vector(a, net, semantics) for a in all_acts]
-
-    def dist(vec):
-        if norm == "linf":
-            return float(np.max(np.abs(vec))) if vec.size else 0.0
-        if norm == "l2":
-            return float(np.linalg.norm(vec))
-        return float(np.sum(np.abs(vec)))
-
     best: Optional[RankedCandidate] = None
-    for r in sorted(reqs, key=_tag_order):
+    for r in sorted(reqs, key=lambda r: r.tag.order_key()):
         tag: LipTag = r.tag
         box = boxes[tag.box]
         inside = [i for i, t in enumerate(tests) if box.contains(np.ravel(t))]
@@ -176,8 +120,8 @@ def rank_lipschitz(
         else:
             pairs = [(i, j) for i in inside for j in inside if i != j]
         for i, j in pairs:
-            margin = dist(outs[i] - outs[j]) - tag.threshold * dist(
-                np.ravel(tests[i]) - np.ravel(tests[j])
+            margin = vector_norm(outs[i] - outs[j], norm) - tag.threshold * vector_norm(
+                np.ravel(tests[i]) - np.ravel(tests[j]), norm
             )
             if best is None or margin > best.score:
                 best = RankedCandidate(r, (i, j), margin)

@@ -384,3 +384,10 @@ class TestDeterminismAndArtifacts:
         cfg = RunConfig(criterion="ssc", sample_count=30, rng_seed=27, timeout=1e-6)
         result = run(mid_net, refs, [np.full(4, 0.5)], cfg)
         assert result.timed_out
+
+    def test_timeout_before_loop_writes_no_random_rows(self):
+        net, refs, seeds, cfg = _small_run("lipschitz")
+        cfg.timeout = 1e-6
+        result = run(net, refs, seeds, cfg)
+        assert result.timed_out
+        assert [row for row in result.lipschitz_rows if row["method"] == "random"] == []

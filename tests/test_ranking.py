@@ -6,14 +6,12 @@ from concolic_dnn.network import Dense, Network, forward
 from concolic_dnn.ranking import (
     LayerFactors,
     estimate_layer_factors,
-    nbc_score,
-    nc_score,
     rank_lipschitz,
     rank_nbc,
     rank_nc,
     rank_ssc,
     ranked_tests,
-    ssc_score,
+    score,
 )
 
 from conftest import dense_net, identity_net
@@ -81,7 +79,7 @@ class TestRankNC:
         factors = estimate_layer_factors(mid_net, tests)
         best = rank_nc(tests, reqs, mid_net, factors)
         brute = max(
-            (nc_score(forward(mid_net, t), r, factors) for t in tests for r in reqs)
+            (score(forward(mid_net, t), r, factors) for t in tests for r in reqs)
         )
         assert best.score == pytest.approx(brute)
 
@@ -89,7 +87,7 @@ class TestRankNC:
         net = passthrough_net()
         r = gen_nc(net)[0]
         factors = LayerFactors({2: 0.7})
-        values = [nc_score(forward(net, np.array([u])), r, factors) for u in (-2.0, -1.0, 0.5)]
+        values = [score(forward(net, np.array([u])), r, factors) for u in (-2.0, -1.0, 0.5)]
         assert values[0] < values[1] < values[2]
 
     def test_empty_arguments_rejected(self, tiny_net):
@@ -129,7 +127,7 @@ class TestRankSSC:
         factors = estimate_layer_factors(mid_net, tests)
         best = rank_ssc(tests, reqs, mid_net, factors)
         brute = max(
-            ssc_score(forward(mid_net, t), r, factors) for t in tests for r in reqs
+            score(forward(mid_net, t), r, factors) for t in tests for r in reqs
         )
         assert best.score == pytest.approx(brute)
 
@@ -160,7 +158,7 @@ class TestRankNBC:
         factors = estimate_layer_factors(mid_net, tests)
         best = rank_nbc(tests, reqs, mid_net, factors)
         brute = max(
-            nbc_score(forward(mid_net, t), r, factors) for t in tests for r in reqs
+            score(forward(mid_net, t), r, factors) for t in tests for r in reqs
         )
         assert best.score == pytest.approx(brute)
 
