@@ -1,8 +1,9 @@
 """Symbolic input synthesis with the LP back-end.
 
-Fixing an activation pattern makes a ReLU network linear, so "find an input
-that activates neuron n, keeping everything before it unchanged, as close as
-possible to a given test" is a linear program. This walks through one neuron
+Fixing an activation pattern makes a ReLU network affine in its input, so
+"find an input that activates neuron n, keeping everything before it
+unchanged, as close as possible to a given test" is a linear program over the
+input alone. This walks through one neuron
 flip end to end and prints the problem in its plain-text dump format.
 """
 
@@ -38,8 +39,8 @@ print(f"source test {t}: neuron ({k},{i}) is off (u = {acts.u_flat(k)[i]:.4f})")
 target, k_star = nc_target_pattern(source, (k, i))
 problem = encode_pattern(net, target, k_star)
 add_chebyshev_objective(problem, t)
-print(f"\nLP: {problem.num_vars} variables, {len(problem.eq_rows)} equality rows, "
-      f"{len(problem.ub_rows)} inequality rows")
+rows, cols = problem.A_ub.shape
+print(f"\nLP over the input: {cols} columns (x0..x{problem.n_in - 1}, then d), {rows} rows")
 print("\n" + lp_text(problem))
 
 outcome = solve(problem)

@@ -24,6 +24,7 @@ import numpy as np
 from .l0search import L0Budget, symbolic_l0
 from .lipschitz import LipConfig, alternating_search, random_baseline
 from .logic import (
+    GenerationError,
     Requirement,
     SubspacePartition,
     gen_lipschitz,
@@ -31,6 +32,7 @@ from .logic import (
     gen_nc,
     gen_ssc,
     satisfies,
+    select_ssc_pairs,
 )
 from .lp import (
     LpError,
@@ -266,6 +268,11 @@ def run(
     for i, s in enumerate(seeds):
         if np.size(s) != net.input_dim:
             raise ConfigError(f"seed {i} has {np.size(s)} entries, the model takes {net.input_dim}")
+    if cfg.ssc_pairs is not None:
+        try:
+            select_ssc_pairs(net, cfg.ssc_pairs)
+        except GenerationError as err:
+            raise ConfigError(f"ssc_pairs: {err}") from None
     family = FAMILIES[cfg.criterion]
     rng = np.random.default_rng(cfg.rng_seed)
     deadline = time.monotonic() + cfg.timeout

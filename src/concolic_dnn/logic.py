@@ -548,6 +548,24 @@ def ssc_pairs(net: Network) -> list[tuple[int, int, int]]:
     return eligible
 
 
+def select_ssc_pairs(
+    net: Network, pairs: Optional[Iterable[tuple[int, int, int]]] = None
+) -> list[tuple[int, int, int]]:
+    """The (layer, cond, decision) triples ``pairs`` names, repeats dropped in
+    first-occurrence order; all eligible triples when ``pairs`` is None."""
+    eligible = ssc_pairs(net)
+    if pairs is None:
+        return eligible
+    selected = list(dict.fromkeys((int(k), int(i), int(j)) for (k, i, j) in pairs))
+    eligible_set = set(eligible)
+    for trip in selected:
+        if trip not in eligible_set:
+            raise GenerationError(
+                f"pair {trip} is not a (condition, decision) pair of adjacent hidden ReLU layers"
+            )
+    return selected
+
+
 def gen_ssc(
     net: Network, pairs: Optional[Iterable[tuple[int, int, int]]] = None
 ) -> list[Requirement]:
@@ -558,21 +576,10 @@ def gen_ssc(
     other neuron of the condition layer keeps its sign. ``pairs`` restricts
     generation to a subset of (layer, cond, decision) triples.
     """
-    eligible = ssc_pairs(net)
-    if pairs is None:
-        selected = eligible
-    else:
-        selected = [(int(k), int(i), int(j)) for (k, i, j) in pairs]
-        eligible_set = set(eligible)
-        for trip in selected:
-            if trip not in eligible_set:
-                raise GenerationError(
-                    f"pair {trip} is not a (condition, decision) pair of adjacent hidden ReLU layers"
-                )
-    reqs = []
-    for k, i, j in selected:
-        reqs.append(Requirement("exists", 2, _ssc_body(net, k, i, j), SSCTag(k, i, j)))
-    return reqs
+    return [
+        Requirement("exists", 2, _ssc_body(net, k, i, j), SSCTag(k, i, j))
+        for k, i, j in select_ssc_pairs(net, pairs)
+    ]
 
 
 def gen_nbc(

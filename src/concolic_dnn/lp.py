@@ -1,11 +1,16 @@
 """Symbolic input synthesis via linear programming.
 
-With a fixed activation pattern a ReLU network is piecewise-linear, so "find
-an input exhibiting pattern P" becomes a linear feasibility problem: one
-affine row per neuron (u = W v_prev + b), plus per-neuron sign constraints
-(activated: u >= eps_strict and v = u; deactivated: u <= -eps_strict and
-v = 0), plus the [0, 1] input box. Minimizing the Chebyshev distance to the
-source test turns feasibility into synthesis of a nearby input.
+Under a fixed activation pattern a ReLU network is affine in its input
+(Ehlers, "Planet", arXiv 1705.01320, section 3), so "find an input exhibiting
+pattern P" is a linear feasibility problem in the input alone. The encoder
+carries the current layer's values as one affine map of the input,
+``x @ J + c``: a dense or conv layer multiplies the map through; a ReLU layer
+adds one sign row per constrained neuron (activated: u >= eps_strict,
+deactivated: u <= -eps_strict) and zeroes the columns of its inactive
+neurons; a maxpool layer adds a loser <= winner row per window member and
+keeps the winners' columns. The [0, 1] input box is the variable bounds.
+Minimizing the Chebyshev distance to the source test turns feasibility into
+synthesis of a nearby input.
 
 Strict inequalities are realized with the margin ``EPS_STRICT``: an LP cannot
 express strictness, and the margin (applied on both sides of the sign split)
@@ -16,7 +21,7 @@ are never encoded; their neurons cannot influence the constrained ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,63 +54,27 @@ class LpError(RuntimeError):
 
 @dataclass
 class LpProblem:
-    """Variables, affine rows and an optional min-distance objective.
+    """min c.z subject to A_ub z <= b_ub, as plain arrays.
 
-    ``eq_rows``/``ub_rows`` hold sparse rows as (coefficient map, rhs) meaning
-    sum(coeff * var) = rhs respectively <= rhs. Metadata maps record which
-    columns play which role so callers can pull the synthesized input back out.
+    The columns of z are the input x in [0, 1]^n_in, then the Chebyshev
+    distance d >= 0 once ``add_chebyshev_objective`` has added it. ``pre``
+    maps each constrained neuron (k, l) to its pre-activation as an affine
+    map of the input, u = a.x + c, given as the pair (a, c).
     """
 
-    variables: list[str] = field(default_factory=list)
-    lower: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
-    eq_rows: list[tuple[dict[int, float], float]] = field(default_factory=list)
-    ub_rows: list[tuple[dict[int, float], float]] = field(default_factory=list)
-    objective: Optional[dict[int, float]] = None
-    x_vars: list[int] = field(default_factory=list)
-    u_vars: dict[tuple[int, int], int] = field(default_factory=dict)
-    v_vars: dict[tuple[int, int], int] = field(default_factory=dict)
-    d_var: Optional[int] = None
-
-    def add_var(self, name: str, lower: float = -np.inf, upper: float = np.inf) -> int:
-        self.variables.append(name)
-        self.lower.append(lower)
-        self.upper.append(upper)
-        return len(self.variables) - 1
-
-    def add_eq(self, coeffs: dict[int, float], rhs: float) -> None:
-        self.eq_rows.append((coeffs, rhs))
-
-    def add_ub(self, coeffs: dict[int, float], rhs: float) -> None:
-        self.ub_rows.append((coeffs, rhs))
+    n_in: int
+    A_ub: np.ndarray
+    b_ub: np.ndarray
+    c: np.ndarray
+    pre: dict[tuple[int, int], tuple[np.ndarray, float]]
 
     @property
-    def num_vars(self) -> int:
-        return len(self.variables)
+    def x_vars(self) -> range:
+        return range(self.n_in)
 
-    def to_arrays(self):
-        n = self.num_vars
-        c = np.zeros(n)
-        if self.objective:
-            for idx, coef in self.objective.items():
-                c[idx] = coef
-
-        def dense(rows):
-            A = np.zeros((len(rows), n))
-            b = np.zeros(len(rows))
-            for r, (coeffs, rhs) in enumerate(rows):
-                for idx, coef in coeffs.items():
-                    A[r, idx] = coef
-                b[r] = rhs
-            return A, b
-
-        A_ub, b_ub = dense(self.ub_rows)
-        A_eq, b_eq = dense(self.eq_rows)
-        bounds = [
-            (None if lo == -np.inf else lo, None if hi == np.inf else hi)
-            for lo, hi in zip(self.lower, self.upper)
-        ]
-        return c, A_ub, b_ub, A_eq, b_eq, bounds
+    @property
+    def bounds(self) -> list[tuple[float, Optional[float]]]:
+        return [(0.0, 1.0)] * self.n_in + [(0.0, None)] * (self.c.size - self.n_in)
 
 
 @dataclass
@@ -138,21 +107,12 @@ def layer_affine(layer, in_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     raise EncodingError(f"layer type {type(layer).__name__} has no affine map")
 
 
-def _pool_windows(in_shape: tuple[int, ...], window: tuple[int, int]):
-    """Yield (output flat index, member flat indices) per pooling window."""
-    h, w, c = in_shape
+def _pool_members(in_shape: tuple[int, ...], window: tuple[int, int]) -> np.ndarray:
+    """Flat input indices of the pooling windows: row o lists output o's members."""
+    h, w, ch = in_shape
     ph, pw = window
-    oh, ow = h // ph, w // pw
-    for i in range(oh):
-        for j in range(ow):
-            for ch in range(c):
-                out_flat = (i * ow + j) * c + ch
-                members = [
-                    (i * ph + di) * (w * c) + (j * pw + dj) * c + ch
-                    for di in range(ph)
-                    for dj in range(pw)
-                ]
-                yield out_flat, members
+    i, j, c, di, dj = np.ix_(range(h // ph), range(w // pw), range(ch), range(ph), range(pw))
+    return ((i * ph + di) * (w * ch) + (j * pw + dj) * ch + c).reshape(-1, ph * pw)
 
 
 def encode_pattern(
@@ -168,74 +128,58 @@ def encode_pattern(
     influence them). Maxpool layers need the winner indices recorded during the
     source test's forward pass.
     """
-    p = LpProblem()
-    p.x_vars = [p.add_var(f"x{i}", 0.0, 1.0) for i in range(net.input_dim)]
-    cur: list[int] = list(p.x_vars)
+    n_in = net.input_dim
+    J, c = np.eye(n_in), np.zeros(n_in)  # the current layer's values are x @ J + c
+    rows, rhs = [np.zeros((0, n_in))], [np.zeros(0)]
+    pre = {}
     for k in range(2, k_star + 1):
         layer = net.layer(k)
-        top = k == k_star
         if isinstance(layer, (Dense, Conv2D)):
             A, b = layer_affine(layer, net.shape(k - 1))
-            width = net.width(k)
-            new_cols: list[int] = [-1] * width
-            for l in range(width):
-                constrained = (k, l) in pattern
-                if layer.relu and not constrained:
-                    if not top:
-                        raise EncodingError(f"pattern is missing neuron ({k}, {l})")
-                    continue
-                u = p.add_var(f"u{k}_{l}")
-                p.u_vars[(k, l)] = u
-                coeffs = {u: 1.0}
-                for h, col in enumerate(cur):
-                    if A[h, l] != 0.0:
-                        coeffs[col] = coeffs.get(col, 0.0) - A[h, l]
-                p.add_eq(coeffs, float(b[l]))
-                if layer.relu:
-                    v = p.add_var(f"v{k}_{l}")
-                    p.v_vars[(k, l)] = v
-                    if pattern[(k, l)]:
-                        p.add_ub({u: -1.0}, -EPS_STRICT)  # u >= eps: activated
-                        p.add_eq({v: 1.0, u: -1.0}, 0.0)  # v = u
-                    else:
-                        p.add_ub({u: 1.0}, -EPS_STRICT)  # u <= -eps: deactivated
-                        p.add_eq({v: 1.0}, 0.0)  # v = 0
-                    new_cols[l] = v
-                else:
-                    new_cols[l] = u
-            cur = new_cols
+            J, c = J @ A, c @ A + b
+            if not layer.relu:
+                continue
+            on = [l for l in range(c.size) if (k, l) in pattern]
+            if k < k_star and len(on) < c.size:
+                missing = next(l for l in range(c.size) if (k, l) not in pattern)
+                raise EncodingError(f"pattern is missing neuron ({k}, {missing})")
+            sign = np.array([1.0 if pattern[(k, l)] else -1.0 for l in on])
+            rows.append(-sign[:, None] * J[:, on].T)  # sign * (x @ J + c) >= eps
+            rhs.append(sign * c[on] - EPS_STRICT)
+            pre.update(((k, l), (J[:, l], float(c[l]))) for l in on)
+            active = np.zeros(c.size)
+            active[on] = sign > 0
+            J, c = J * active, c * active
         elif isinstance(layer, MaxPool):
             if pool_winners is None or k not in pool_winners:
                 raise EncodingError(f"maxpool layer {k} needs winner indices from a source run")
-            winners = pool_winners[k]
-            new_cols = [0] * net.width(k)
-            for out_flat, members in _pool_windows(net.shape(k - 1), layer.window):
-                win = int(winners[out_flat])
-                new_cols[out_flat] = cur[win]
-                for other in members:
-                    if other != win:
-                        p.add_ub({cur[other]: 1.0, cur[win]: -1.0}, 0.0)
-            cur = new_cols
-        elif isinstance(layer, Flatten):
-            pass  # flat order already matches the forward pass
-        else:
+            winners = np.asarray(pool_winners[k])
+            members = _pool_members(net.shape(k - 1), layer.window)
+            loses = members != winners[:, None]
+            losers = members[loses]
+            beaten_by = np.broadcast_to(winners[:, None], members.shape)[loses]
+            rows.append(J[:, losers].T - J[:, beaten_by].T)  # loser <= winner
+            rhs.append(c[beaten_by] - c[losers])
+            J, c = J[:, winners], c[winners]
+        elif not isinstance(layer, Flatten):  # flatten: flat order already matches
             raise EncodingError(f"cannot encode layer type {type(layer).__name__}")
-    return p
+    return LpProblem(n_in, np.vstack(rows), np.concatenate(rhs), np.zeros(n_in), pre)
 
 
 def add_chebyshev_objective(p: LpProblem, anchor: np.ndarray) -> LpProblem:
-    """Add |x - anchor|_inf <= d rows and the objective min d."""
+    """Add the column d, the |x - anchor|_inf <= d rows and the objective min d."""
     anchor = np.ravel(np.asarray(anchor, dtype=np.float64))
-    if anchor.size != len(p.x_vars):
+    if anchor.size != p.n_in:
         raise EncodingError(
-            f"anchor has {anchor.size} entries, problem has {len(p.x_vars)} input variables"
+            f"anchor has {anchor.size} entries, problem has {p.n_in} input variables"
         )
-    d = p.add_var("d", 0.0, np.inf)
-    p.d_var = d
-    for i, xv in enumerate(p.x_vars):
-        p.add_ub({xv: 1.0, d: -1.0}, float(anchor[i]))
-        p.add_ub({xv: -1.0, d: -1.0}, float(-anchor[i]))
-    p.objective = {d: 1.0}
+    eye = np.eye(p.n_in)
+    p.A_ub = np.block([
+        [p.A_ub, np.zeros((p.A_ub.shape[0], 1))],
+        [np.vstack([eye, -eye]), -np.ones((2 * p.n_in, 1))],
+    ])
+    p.b_ub = np.concatenate([p.b_ub, anchor, -anchor])
+    p.c = np.append(np.zeros(p.n_in), 1.0)
     return p
 
 
@@ -291,13 +235,14 @@ def nbc_constraint(
 
 
 def apply_nbc_branch(p: LpProblem, branch: NbcBranch) -> None:
-    u = p.u_vars.get(branch.neuron)
-    if u is None:
+    if branch.neuron not in p.pre:
         raise EncodingError(f"neuron {branch.neuron} is not encoded in this problem")
-    if branch.side == "hi":
-        p.add_ub({u: -1.0}, -branch.threshold)
-    else:
-        p.add_ub({u: 1.0}, branch.threshold)
+    a, c = p.pre[branch.neuron]
+    sign = -1.0 if branch.side == "hi" else 1.0  # hi: u >= threshold, lo: u <= threshold
+    row = np.zeros(p.A_ub.shape[1])
+    row[: p.n_in] = sign * a
+    p.A_ub = np.vstack([p.A_ub, row])
+    p.b_ub = np.append(p.b_ub, sign * (branch.threshold - c))
 
 
 def solve(p: LpProblem, solver: Optional[Callable[..., SimplexResult]] = None) -> LpOutcome:
@@ -307,20 +252,14 @@ def solve(p: LpProblem, solver: Optional[Callable[..., SimplexResult]] = None) -
     constraint holds within TOL_LP, otherwise LpError is raised.
     """
     solver = solver or solve_lp
-    c, A_ub, b_ub, A_eq, b_eq, bounds = p.to_arrays()
-    res = solver(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+    res = solver(p.c, A_ub=p.A_ub, b_ub=p.b_ub, bounds=p.bounds)
     if res.status != "optimal":
         return LpOutcome(res.status, None, None, res.iterations)
     x = res.x
-    if A_eq.shape[0] and np.max(np.abs(A_eq @ x - b_eq)) > TOL_LP:
-        raise LpError("equality residual exceeds tolerance")
-    if A_ub.shape[0] and np.max(A_ub @ x - b_ub) > TOL_LP:
+    if p.A_ub.shape[0] and np.max(p.A_ub @ x - p.b_ub) > TOL_LP:
         raise LpError("inequality residual exceeds tolerance")
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None and x[j] < lo - TOL_LP:
-            raise LpError(f"lower bound violated for {p.variables[j]}")
-        if hi is not None and x[j] > hi + TOL_LP:
-            raise LpError(f"upper bound violated for {p.variables[j]}")
+    if np.min(x) < -TOL_LP or np.max(x[: p.n_in]) > 1.0 + TOL_LP:
+        raise LpError("variable bound violated")
     return LpOutcome("optimal", x, res.objective, res.iterations)
 
 
@@ -354,37 +293,22 @@ def symbolic_lp(
     outcome = solve(p, solver=solver)
     if outcome.status != "optimal":
         return None
-    return np.array([outcome.values[idx] for idx in p.x_vars], dtype=np.float64)
+    return outcome.values[: p.n_in].copy()
 
 
 def lp_text(p: LpProblem) -> str:
     """Plain-text dump of a problem (CPLEX-LP-style rows) for debugging."""
+    names = [f"x{i}" for i in p.x_vars] + ["d"] * (p.c.size - p.n_in)
 
-    def term(coef: float, name: str) -> str:
-        sign = "+" if coef >= 0 else "-"
-        return f"{sign} {abs(coef):.12g} {name}"
+    def row(coeffs: np.ndarray) -> str:
+        terms = [f"{'-' if a < 0 else '+'} {abs(a):.12g} {names[j]}"
+                 for j, a in enumerate(coeffs) if a != 0.0]
+        return " ".join(terms).lstrip("+ ") or "0"
 
-    def row(coeffs: dict[int, float]) -> str:
-        parts = [term(c, p.variables[idx]) for idx, c in sorted(coeffs.items())]
-        return " ".join(parts).lstrip("+ ")
-
-    lines = ["Minimize"]
-    if p.objective:
-        lines.append(" obj: " + row(p.objective))
-    else:
-        lines.append(" obj: 0")
-    lines.append("Subject To")
-    for i, (coeffs, rhs) in enumerate(p.eq_rows):
-        lines.append(f" eq{i}: {row(coeffs)} = {rhs:.12g}")
-    for i, (coeffs, rhs) in enumerate(p.ub_rows):
-        lines.append(f" ub{i}: {row(coeffs)} <= {rhs:.12g}")
+    lines = ["Minimize", f" obj: {row(p.c)}", "Subject To"]
+    lines += [f" ub{i}: {row(a)} <= {b:.12g}" for i, (a, b) in enumerate(zip(p.A_ub, p.b_ub))]
     lines.append("Bounds")
-    for name, lo, hi in zip(p.variables, p.lower, p.upper):
-        if lo == -np.inf and hi == np.inf:
-            lines.append(f" {name} free")
-        elif hi == np.inf:
-            lines.append(f" {lo:.12g} <= {name}")
-        else:
-            lines.append(f" {lo:.12g} <= {name} <= {hi:.12g}")
+    for name, (lo, hi) in zip(names, p.bounds):
+        lines.append(f" {lo:.12g} <= {name}" + ("" if hi is None else f" <= {hi:.12g}"))
     lines.append("End")
     return "\n".join(lines) + "\n"

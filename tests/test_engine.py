@@ -158,6 +158,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed 1 has 3 entries"):
             run(net, refs, [np.zeros(4), np.zeros(3)], RunConfig(criterion="nc"))
 
+    def test_ineligible_ssc_pair_rejected_before_work(self, monkeypatch):
+        net = dense_net([3, 4, 3, 2], seed=11)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run() started work on a bad configuration")
+
+        monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
+        cfg = RunConfig(criterion="ssc", ssc_pairs=[(2, 0, 0), (3, 0, 0)])
+        with pytest.raises(ConfigError, match=r"\(3, 0, 0\)"):
+            run(net, make_refs(net), [np.zeros(3)], cfg)
+
+    def test_repeated_ssc_pair_reported_once(self, tmp_path):
+        net = dense_net([3, 4, 3, 2], seed=11)
+        rng = np.random.default_rng(13)
+        seeds = [rng.uniform(0, 1, 3) for _ in range(4)]
+        cfg = RunConfig(criterion="ssc", sample_count=50, rng_seed=14, timeout=120,
+                        ssc_pairs=[(2, 0, 0), (2, 1, 2), (2, 0, 0)])
+        result = run(net, make_refs(net, seed=12), seeds, cfg)
+        assert [r.tag.label() for r in result.requirements] == ["ssc:2:0:3:0", "ssc:2:1:3:2"]
+        save_run(result, cfg, str(tmp_path))
+        report = (tmp_path / "report.json").read_text()
+        assert report.count('"ssc:2:0:3:0"') == 1
+        assert report.count('"ssc:2:1:3:2"') == 1
+
 
 class TestNbcBounds:
     def test_high_at_least_low(self, mid_net):

@@ -285,6 +285,11 @@ class TestGenerators:
         with pytest.raises(GenerationError):
             gen_ssc(net, [(2, 0, 5)])
 
+    def test_ssc_repeated_pairs_dropped_in_first_order(self):
+        net = dense_net([2, 3, 2, 2], seed=5)
+        reqs = gen_ssc(net, [(2, 2, 1), (2, 0, 0), (2, 2, 1), (2, 0, 0)])
+        assert [r.tag.label() for r in reqs] == ["ssc:2:2:3:1", "ssc:2:0:3:0"]
+
     def test_ssc_grid_witness_satisfies_body(self):
         net = dense_net([2, 4, 3, 2], seed=6)
         reqs = gen_ssc(net)

@@ -15,7 +15,16 @@ from concolic_dnn.lp import (
     ssc_target_pattern,
     symbolic_lp,
 )
-from concolic_dnn.network import ActivationPattern, Dense, Network, forward, pattern_of
+from concolic_dnn.network import (
+    ActivationPattern,
+    Conv2D,
+    Dense,
+    Flatten,
+    MaxPool,
+    Network,
+    forward,
+    pattern_of,
+)
 from concolic_dnn.simplex import solve_lp
 
 from conftest import dense_net, identity_net
@@ -32,15 +41,23 @@ def check_bits(net, pattern, x, margin=EPS_STRICT / 2):
 
 
 class TestEncodePattern:
-    def test_row_counts_single_hidden_layer(self):
+    def test_one_row_per_constrained_neuron(self):
         net = identity_net(2)
         pattern = ActivationPattern({(2, 0): True, (2, 1): False})
         p = encode_pattern(net, pattern, 2)
-        # 2 affine rows + 2 v-definition rows; 2 sign inequalities; [0,1] box
-        assert len(p.eq_rows) == 4
-        assert len(p.ub_rows) == 2
-        assert p.lower[: len(p.x_vars)] == [0.0, 0.0]
-        assert p.upper[: len(p.x_vars)] == [1.0, 1.0]
+        # x0 >= eps (activated), x1 <= -eps (deactivated); the box is the bounds
+        np.testing.assert_array_equal(p.A_ub, [[-1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(p.b_ub, [-EPS_STRICT, -EPS_STRICT])
+        assert p.bounds == [(0.0, 1.0), (0.0, 1.0)]
+        assert list(p.x_vars) == [0, 1]
+
+    def test_rows_per_layer_of_a_deeper_net(self):
+        net = dense_net([3, 5, 4, 2], seed=2)
+        src = pattern_of(forward(net, np.full(3, 0.5)))
+        target, k_star = nc_target_pattern(src, (3, 1))
+        p = encode_pattern(net, target, k_star)
+        assert p.A_ub.shape == (5 + 1, 3)
+        assert sorted(p.pre) == sorted(target.bits)
 
     def test_all_true_identity_layer_feasible_region(self):
         net = identity_net(2)
@@ -64,8 +81,8 @@ class TestEncodePattern:
         bits = {pos: val for pos, val in src.bits.items() if pos[0] == 2}
         bits[(3, 1)] = True
         p = encode_pattern(net, ActivationPattern(bits), 3)
-        assert (3, 0) not in p.u_vars and (3, 2) not in p.u_vars
-        assert (3, 1) in p.u_vars
+        assert sorted(pos for pos in p.pre if pos[0] == 3) == [(3, 1)]
+        assert p.A_ub.shape[0] == 3 + 1
 
     def test_solution_reproduces_bits(self):
         net = dense_net([3, 6, 4, 2], seed=1)
@@ -84,6 +101,66 @@ class TestEncodePattern:
             check_bits(net, target, sol)
             checked += 1
         assert checked >= 10
+
+
+def random_conv_pool_net(seed):
+    """ReLU conv (valid or same padding), 2x2 maxpool, flatten, ReLU dense, linear out."""
+    rng = np.random.default_rng(seed)
+    c_in, c_out = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    padding = "same" if seed % 2 else "valid"
+    side = 6 if padding == "same" else 5  # conv output 6x6 or 4x4, both even
+    width = (side // 2 if padding == "same" else (side - 1) // 2) ** 2 * c_out
+    return Network(
+        (side, side, c_in),
+        [
+            Conv2D(rng.normal(size=(2, 2, c_in, c_out)), rng.normal(size=c_out) * 0.1,
+                   padding=padding),
+            MaxPool((2, 2)),
+            Flatten(),
+            Dense(rng.normal(size=(width, 5)) / np.sqrt(width), rng.normal(size=5) * 0.1),
+            Dense(rng.normal(size=(5, 3)), np.zeros(3), relu=False),
+        ],
+    )
+
+
+class TestEncodingDifferential:
+    """The encoding against the forward pass: every pre-activation map, taken
+    at the source input, is the forward pass's pre-activation value, and the
+    source input satisfies every row of its own full pattern."""
+
+    def check(self, net, x):
+        acts = forward(net, x)
+        pattern = pattern_of(acts)
+        if min(abs(acts.u_flat(k)[l]) for k, l in pattern.bits) < 10 * EPS_STRICT:
+            return False  # too close to a sign change for the strict margin
+        k_star = max(k for k, _ in pattern.bits)
+        p = encode_pattern(net, pattern, k_star, acts.pool_winners)
+        assert sorted(p.pre) == sorted(pattern.bits)
+        for (k, l), (a, c) in p.pre.items():
+            assert a @ x + c == pytest.approx(acts.u_flat(k)[l], abs=1e-12)
+        pool_rows = sum(
+            net.width(k) * (np.prod(net.layer(k).window) - 1)
+            for k in range(2, k_star + 1)
+            if isinstance(net.layer(k), MaxPool)
+        )
+        assert p.A_ub.shape == (len(pattern) + pool_rows, net.input_dim)
+        assert np.max(p.A_ub @ x - p.b_ub) <= 1e-12
+        return True
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [int(rng.integers(2, 7)) for _ in range(4)]
+        net = dense_net(sizes + [3], seed=seed)
+        checked = sum(self.check(net, rng.uniform(0, 1, sizes[0])) for _ in range(5))
+        assert checked >= 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_conv_pool(self, seed):
+        net = random_conv_pool_net(seed)
+        rng = np.random.default_rng(100 + seed)
+        checked = sum(self.check(net, rng.uniform(0, 1, net.input_dim)) for _ in range(5))
+        assert checked >= 3
 
 
 class TestChebyshevObjective:
@@ -120,9 +197,12 @@ class TestChebyshevObjective:
         net = dense_net([4, 5, 2], seed=4)
         src = pattern_of(forward(net, np.full(4, 0.5)))
         p = encode_pattern(net, src, 2)
-        before = len(p.ub_rows)
+        before = p.A_ub.shape[0]
         add_chebyshev_objective(p, np.full(4, 0.5))
-        assert len(p.ub_rows) - before == 2 * 4
+        assert p.A_ub.shape == (before + 2 * 4, 4 + 1)
+        assert p.b_ub.shape == (before + 2 * 4,)
+        np.testing.assert_array_equal(p.c, [0, 0, 0, 0, 1])
+        assert p.bounds[-1] == (0.0, None)
 
     def test_anchor_dimension_checked(self):
         net = dense_net([4, 5, 2], seed=4)
@@ -172,6 +252,14 @@ class TestNbcBranch:
                 Dense(np.array([[1.0, -1.0]]), np.zeros(2), relu=False),
             ],
         )
+
+    def test_unencoded_neuron_rejected(self):
+        net = dense_net([2, 3, 3, 2], seed=0)
+        acts = forward(net, np.array([0.4, 0.6]))
+        target, k_star = nc_target_pattern(pattern_of(acts), (2, 0))
+        p = encode_pattern(net, target, k_star)
+        with pytest.raises(EncodingError):
+            apply_nbc_branch(p, nbc_constraint(acts, (3, 0), 1.0, -1.0))
 
     def test_closer_to_high_bound(self):
         net = self.one_dim_net()
@@ -318,8 +406,6 @@ class TestSymbolicLp:
 class TestConvEncoding:
     def conv_net(self):
         rng = np.random.default_rng(14)
-        from concolic_dnn.network import Conv2D, Flatten, MaxPool
-
         return Network(
             (4, 4, 1),
             [
@@ -362,8 +448,6 @@ class TestConvEncoding:
         """ReLU conv, pool, flatten, ReLU dense, linear out: the pool sits
         inside the encoded range when a dense neuron is targeted."""
         rng = np.random.default_rng(17)
-        from concolic_dnn.network import Conv2D, Flatten, MaxPool
-
         return Network(
             (4, 4, 1),
             [
@@ -381,10 +465,12 @@ class TestConvEncoding:
         acts = forward(net, x)
         src = pattern_of(acts)
         target, k_star = nc_target_pattern(src, (5, 0))
-        base_rows = len(encode_pattern(net, target, 2).ub_rows)
+        base_rows = encode_pattern(net, target, 2).A_ub.shape[0]
+        assert base_rows == 18  # one row per conv neuron (3x3 positions, 2 channels)
         p = encode_pattern(net, target, k_star, acts.pool_winners)
-        # each 3x3 window contributes 8 winner-dominance inequalities per channel
-        assert len(p.ub_rows) >= base_rows + 2 * 8
+        # window - 1 = 8 loser rows per pool output (one window, 2 channels),
+        # then one row for the constrained dense neuron
+        assert p.A_ub.shape[0] == base_rows + 2 * 8 + 1
 
     def test_synthesis_through_pool_rechecked(self):
         net = self.deep_conv_net()
@@ -412,5 +498,7 @@ def test_lp_text_dump_is_readable(mid_net):
     p = encode_pattern(mid_net, src, 2)
     add_chebyshev_objective(p, x)
     text = lp_text(p)
-    assert text.startswith("Minimize")
+    assert text.startswith("Minimize\n obj: 1 d\n")
     assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
+    assert sum(line.startswith(" ub") for line in text.splitlines()) == p.A_ub.shape[0]
+    assert " 0 <= x3 <= 1\n 0 <= d\nEnd" in text
