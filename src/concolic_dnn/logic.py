@@ -574,7 +574,8 @@ def gen_ssc(
     Each requirement asks for two inputs that flip both the condition neuron
     (layer, cond) and the decision neuron (layer + 1, decision) while every
     other neuron of the condition layer keeps its sign. ``pairs`` restricts
-    generation to a subset of (layer, cond, decision) triples.
+    generation to a subset of (layer, cond, decision) triples; a repeated
+    triple yields one requirement.
     """
     return [
         Requirement("exists", 2, _ssc_body(net, k, i, j), SSCTag(k, i, j))

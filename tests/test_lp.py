@@ -41,7 +41,7 @@ def check_bits(net, pattern, x, margin=EPS_STRICT / 2):
 
 
 class TestEncodePattern:
-    def test_one_row_per_constrained_neuron(self):
+    def test_row_counts_single_hidden_layer(self):
         net = identity_net(2)
         pattern = ActivationPattern({(2, 0): True, (2, 1): False})
         p = encode_pattern(net, pattern, 2)
