@@ -21,7 +21,7 @@ from concolic_dnn.engine import (
 )
 from concolic_dnn.lipschitz import LipConfig
 from concolic_dnn.lp import LpError
-from concolic_dnn.network import Dense, Network, forward
+from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward
 from concolic_dnn.oracle import ReferenceSet
 
 from conftest import DEAD_NEURONS, dense_net, saturation_net
@@ -329,15 +329,34 @@ def _small_l0_run(criterion):
     return net, make_refs(net, seed=12, norm="l0"), seeds, cfg
 
 
+def _small_conv_run(norm):
+    """NC on a 6x6x1 conv-maxpool-dense net. The seeds are the first two
+    references: uniform seeds in 36 dimensions get nothing admitted."""
+    rng = np.random.default_rng(15)
+    net = Network((6, 6, 1), [
+        Conv2D(rng.normal(size=(3, 3, 1, 2)) / 3.0, rng.normal(size=2) * 0.1, relu=True),
+        MaxPool((2, 2)),
+        Flatten(),
+        Dense(rng.normal(size=(8, 6)) / np.sqrt(8), rng.normal(size=6) * 0.1, relu=True),
+        Dense(rng.normal(size=(6, 3)) / np.sqrt(6), rng.normal(size=3) * 0.1, relu=False),
+    ])
+    refs = make_refs(net, n=200, seed=16, norm=norm)
+    seeds = [refs.inputs[0].copy(), refs.inputs[1].copy()]
+    budget = {"bound": 4, "l0_budget": 4} if norm == "l0" else {}
+    cfg = RunConfig("nc", norm=norm, sample_count=40, rng_seed=17, timeout=120, **budget)
+    return net, refs, seeds, cfg
+
+
 GOLDEN_RUNS_PATH = Path(__file__).with_name("run_golden.json")
 GOLDEN_RUNS = {
     **{f"{c}-linf": functools.partial(_small_run, c) for c in ("nc", "ssc", "nbc", "lipschitz")},
     **{f"{c}-l0": functools.partial(_small_l0_run, c) for c in ("nc", "nbc")},
+    **{f"nc-{norm}-conv": functools.partial(_small_conv_run, norm) for norm in ("linf", "l0")},
 }
 
 
 class TestGoldenRuns:
-    """SHA-256 of ``report.json`` for six small seeded runs. A change that
+    """SHA-256 of ``report.json`` for eight small seeded runs. A change that
     alters what a run synthesizes, admits or reports fails here."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
