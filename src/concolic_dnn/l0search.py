@@ -3,7 +3,7 @@
 Instead of an LP (which needs a linear distance metric), NC and NBC
 requirements are attacked by changing one pixel at a time: every step
 evaluates the requirement's gap (``tag.gap``) for each not-yet-modified pixel
-at the extreme values {0, 1} (plus the pixel's source value, a no-op) and
+set to each extreme value, 0 and 1, that differs from its source value, and
 applies the single best strictly-improving change. The search stops as soon as
 the requirement holds, or fails when the pixel budget is exhausted or no change
 improves the gap.
@@ -23,7 +23,6 @@ from .network import Network, forward
 @dataclass(frozen=True)
 class L0Budget:
     max_pixels: int = 100
-    extremes: tuple[float, ...] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.max_pixels < 1:
@@ -66,7 +65,7 @@ def symbolic_l0(
             if pix in modified:
                 continue
             original = cur[pix]
-            for cand in (*budget.extremes, float(t[pix])):
+            for cand in (0.0, 1.0):
                 if cand == original:
                     continue
                 cur[pix] = cand

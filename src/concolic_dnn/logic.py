@@ -371,15 +371,10 @@ def _eval_bool(e, binding, net, cache: ActivationCache) -> bool:
     if isinstance(e, Atom):
         return _compare(_eval_arith(e.expr, binding, cache), e.rel, 0.0)
     if isinstance(e, And):
-        # walk the left spine iteratively: gen_ssc nests one And per neuron of
-        # the condition layer, deeper than the recursion limit on wide layers
-        rights = []
-        while isinstance(e, And):
-            rights.append(e.right)
-            e = e.left
-        if not _eval_bool(e, binding, net, cache):
-            return False
-        return all(_eval_bool(r, binding, net, cache) for r in reversed(rights))
+        for c in _conjuncts(e):
+            if not _eval_bool(c, binding, net, cache):
+                return False
+        return True
     if isinstance(e, Not):
         return not _eval_bool(e.inner, binding, net, cache)
     if isinstance(e, CountCmp):
@@ -413,6 +408,29 @@ def _eval_bool(e, binding, net, cache: ActivationCache) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _conjuncts(e: BoolExpr) -> list[BoolExpr]:
+    """Operands of the left-nested ``And`` chain ``e``, left to right ([e] if no And).
+
+    The left spine is walked iteratively: gen_ssc nests one And per neuron of
+    the condition layer, deeper than the recursion limit on wide layers.
+    """
+    spine = []
+    while isinstance(e, And):
+        spine.append(e.right)
+        e = e.left
+    spine.append(e)
+    spine.reverse()
+    return spine
+
+
+def _all_of(conjuncts: Sequence[BoolExpr]) -> BoolExpr:
+    """The left-nested ``And`` chain of the conjuncts, in order."""
+    body = conjuncts[0]
+    for c in conjuncts[1:]:
+        body = And(body, c)
+    return body
+
+
 def _or(a: BoolExpr, b: BoolExpr) -> BoolExpr:
     return Not(And(Not(a), Not(b)))
 
@@ -425,7 +443,7 @@ def expand(e: BoolExpr) -> BoolExpr:
     if isinstance(e, (Atom, LipschitzAtom)):
         return e
     if isinstance(e, And):
-        return And(expand(e.left), expand(e.right))
+        return _all_of([expand(c) for c in _conjuncts(e)])
     if isinstance(e, Not):
         return Not(expand(e.inner))
     if isinstance(e, CountCmp):
@@ -444,10 +462,7 @@ def expand(e: BoolExpr) -> BoolExpr:
             coord = Var("v", 1, i, e.var)
             conjuncts.append(Atom(Sub(coord, Const(hi)), "<="))
             conjuncts.append(Atom(Sub(coord, Const(lo)), ">="))
-        body = conjuncts[0]
-        for c in conjuncts[1:]:
-            body = And(body, c)
-        return body
+        return _all_of(conjuncts)
     raise EvalError(f"unknown boolean node {type(e).__name__}")
 
 
@@ -530,10 +545,7 @@ def gen_nc(net: Network) -> list[Requirement]:
 def _ssc_body(net: Network, k: int, i: int, j: int) -> BoolExpr:
     conjuncts: list[BoolExpr] = [SignNeq("x1", "x2", k, i), SignNeq("x1", "x2", k + 1, j)]
     conjuncts += [SignEq("x1", "x2", k, l) for l in range(net.width(k)) if l != i]
-    body = conjuncts[0]
-    for c in conjuncts[1:]:
-        body = And(body, c)
-    return body
+    return _all_of(conjuncts)
 
 
 def ssc_pairs(net: Network) -> list[tuple[int, int, int]]:
@@ -649,7 +661,7 @@ def body_sexp(e: BoolExpr):
     if isinstance(e, Atom):
         return [e.rel, _sexp_arith(e.expr), 0]
     if isinstance(e, And):
-        return ["and", body_sexp(e.left), body_sexp(e.right)]
+        return ["and", *(body_sexp(c) for c in _conjuncts(e))]
     if isinstance(e, Not):
         return ["not", body_sexp(e.inner)]
     if isinstance(e, CountCmp):

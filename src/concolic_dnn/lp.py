@@ -4,13 +4,14 @@ Under a fixed activation pattern a ReLU network is affine in its input
 (Ehlers, "Planet", arXiv 1705.01320, section 3), so "find an input exhibiting
 pattern P" is a linear feasibility problem in the input alone. The encoder
 carries the current layer's values as one affine map of the input,
-``x @ J + c``: a dense or conv layer multiplies the map through; a ReLU layer
-adds one sign row per constrained neuron (activated: u >= eps_strict,
+``x @ J + c``: a dense or conv layer multiplies the map through (a conv
+layer's matrix is its kernel scattered through ``Network.gather``); a ReLU
+layer adds one sign row per constrained neuron (activated: u >= eps_strict,
 deactivated: u <= -eps_strict) and zeroes the columns of its inactive
-neurons; a maxpool layer adds a loser <= winner row per window member and
-keeps the winners' columns. The [0, 1] input box is the variable bounds.
-Minimizing the Chebyshev distance to the source test turns feasibility into
-synthesis of a nearby input.
+neurons; a maxpool layer adds a loser <= winner row per member of each
+window in ``Network.gather`` and keeps the winners' columns. The [0, 1] input
+box is the variable bounds. Minimizing the Chebyshev distance to the source
+test turns feasibility into synthesis of a nearby input.
 
 Strict inequalities are realized with the margin ``EPS_STRICT``: an LP cannot
 express strictness, and the margin (applied on both sides of the sign split)
@@ -85,34 +86,22 @@ class LpOutcome:
     iterations: int  # pivots the solver made, whatever the status
 
 
-def layer_affine(layer, in_shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The affine map of a dense or conv layer: u_flat = v_prev_flat @ A + b."""
+def layer_affine(net: Network, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The affine map of dense or conv layer k: u_flat = v_prev_flat @ A + b.
+
+    A conv layer's matrix scatters the flattened kernel to the rows that
+    ``net.gather[k]`` names; the row standing for padding zeros is dropped.
+    """
+    layer = net.layer(k)
     if isinstance(layer, Dense):
         return layer.weights, layer.bias
     if isinstance(layer, Conv2D):
-        from .network import _conv_forward  # reuse the forward kernel exactly
-
-        n_in = int(np.prod(in_shape))
-        zero_bias = Conv2D(layer.kernels, np.zeros_like(layer.bias), layer.stride,
-                           layer.padding, layer.relu)
-        b = _conv_forward(layer, np.zeros(in_shape)).reshape(-1)
-        A = np.empty((n_in, b.size))
-        basis = np.zeros(in_shape)
-        flat = basis.reshape(-1)
-        for h in range(n_in):
-            flat[h] = 1.0
-            A[h] = _conv_forward(zero_bias, basis).reshape(-1)
-            flat[h] = 0.0
-        return A, b
+        idx = net.gather[k]
+        positions, out_ch = idx.shape[0], layer.bias.size
+        A = np.zeros((net.width(k - 1) + 1, positions, out_ch))
+        A[idx, np.arange(positions)[:, None]] = layer.kernels.reshape(idx.shape[1], out_ch)
+        return A[:-1].reshape(-1, positions * out_ch), np.tile(layer.bias, positions)
     raise EncodingError(f"layer type {type(layer).__name__} has no affine map")
-
-
-def _pool_members(in_shape: tuple[int, ...], window: tuple[int, int]) -> np.ndarray:
-    """Flat input indices of the pooling windows: row o lists output o's members."""
-    h, w, ch = in_shape
-    ph, pw = window
-    i, j, c, di, dj = np.ix_(range(h // ph), range(w // pw), range(ch), range(ph), range(pw))
-    return ((i * ph + di) * (w * ch) + (j * pw + dj) * ch + c).reshape(-1, ph * pw)
 
 
 def encode_pattern(
@@ -135,7 +124,7 @@ def encode_pattern(
     for k in range(2, k_star + 1):
         layer = net.layer(k)
         if isinstance(layer, (Dense, Conv2D)):
-            A, b = layer_affine(layer, net.shape(k - 1))
+            A, b = layer_affine(net, k)
             J, c = J @ A, c @ A + b
             if not layer.relu:
                 continue
@@ -154,7 +143,7 @@ def encode_pattern(
             if pool_winners is None or k not in pool_winners:
                 raise EncodingError(f"maxpool layer {k} needs winner indices from a source run")
             winners = np.asarray(pool_winners[k])
-            members = _pool_members(net.shape(k - 1), layer.window)
+            members = net.gather[k]
             loses = members != winners[:, None]
             losers = members[loses]
             beaten_by = np.broadcast_to(winners[:, None], members.shape)[loses]

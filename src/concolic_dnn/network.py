@@ -5,6 +5,11 @@ ReLU markers), a deterministic forward pass that exposes pre- and post-ReLU
 values for every layer, activation-pattern extraction, and a bit-exact JSON
 model file format.
 
+The window geometry of conv2d and maxpool layers is defined once, as the
+gather index ``Network.gather``: ``forward`` runs conv as one gather plus one
+matrix product (im2col; Chellapilla, Puri & Simard 2006) and maxpool as one
+gather plus a row-wise argmax, and the LP encoder reads the same index.
+
 Layers are indexed the way the rest of the package expects: the input layer
 is layer 1, the output layer is layer K, and hidden layers are 2..K-1.
 """
@@ -81,10 +86,27 @@ def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: tuple[int, int], padd
     raise ModelError(f"unknown conv2d padding {padding!r}")
 
 
-def _same_pad(size: int, k: int, s: int) -> tuple[int, int]:
-    out = math.ceil(size / s)
-    total = max((out - 1) * s + k - size, 0)
-    return total // 2, total - total // 2
+def _same_pad_before(size: int, k: int, s: int) -> int:
+    """Zeros "same" padding puts before the first row (or column); the odd one goes after."""
+    return max((math.ceil(size / s) - 1) * s + k - size, 0) // 2
+
+
+def _gather_index(layer: Union[Conv2D, MaxPool], in_shape: tuple[int, ...],
+                  out_shape: tuple[int, ...]) -> np.ndarray:
+    """Flat input indices read by each output position; see ``Network.gather``."""
+    h, w, c = in_shape
+    if isinstance(layer, Conv2D):
+        (kh, kw), (sh, sw) = layer.kernels.shape[:2], layer.stride
+        same = layer.padding == "same"
+        pt, pl = (_same_pad_before(h, kh, sh), _same_pad_before(w, kw, sw)) if same else (0, 0)
+    else:
+        (kh, kw), (sh, sw), pt, pl = layer.window, layer.window, 0, 0
+    i, j, di, dj, ch = np.ix_(range(out_shape[0]), range(out_shape[1]), range(kh), range(kw), range(c))
+    r, q = i * sh + di - pt, j * sw + dj - pl
+    idx = np.where((r >= 0) & (r < h) & (q >= 0) & (q < w), (r * w + q) * c + ch, h * w * c)
+    if isinstance(layer, Conv2D):  # one row per (i, j), members in (di, dj, ch) order
+        return idx.reshape(out_shape[0] * out_shape[1], -1)
+    return idx.transpose(0, 1, 4, 2, 3).reshape(-1, kh * kw)  # one row per (i, j, ch)
 
 
 def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -128,6 +150,14 @@ class Network:
     Construction validates that consecutive shapes compose, that there is at
     least one hidden layer, that the output layer has >= 2 neurons, and that
     all weights are finite.
+
+    ``gather[k]`` is the window geometry of a conv2d or maxpool layer k, built
+    once here and read by ``forward`` and the LP encoder: row o lists the flat
+    input indices that output position o reads. For conv2d the rows are in
+    output order (i, j) and list the patch in the kernel's (kh, kw, in_ch)
+    order, with index ``width(k - 1)`` standing for a "same"-padding zero. For
+    maxpool the rows are in output order (i, j, ch) and list the window
+    members in row-major order.
     """
 
     def __init__(self, input_shape: tuple[int, ...], layers: list[Layer]):
@@ -147,6 +177,11 @@ class Network:
             self.layer_shapes.append(_layer_out_shape(layer, self.layer_shapes[-1]))
         if int(np.prod(self.layer_shapes[-1])) < 2:
             raise ModelError("output layer must have at least 2 neurons")
+        self.gather: dict[int, np.ndarray] = {
+            j + 2: _gather_index(layer, self.layer_shapes[j], self.layer_shapes[j + 1])
+            for j, layer in enumerate(self.layers)
+            if isinstance(layer, (Conv2D, MaxPool))
+        }
 
     @property
     def num_layers(self) -> int:
@@ -232,43 +267,6 @@ class ActivationPattern:
         return len(self.bits)
 
 
-def _conv_forward(layer: Conv2D, x: np.ndarray) -> np.ndarray:
-    kh, kw, in_ch, out_ch = layer.kernels.shape
-    sh, sw = layer.stride
-    if layer.padding == "same":
-        (pt, pb) = _same_pad(x.shape[0], kh, sh)
-        (pl, pr) = _same_pad(x.shape[1], kw, sw)
-        x = np.pad(x, ((pt, pb), (pl, pr), (0, 0)))
-    oh, ow = (x.shape[0] - kh) // sh + 1, (x.shape[1] - kw) // sw + 1
-    out = np.empty((oh, ow, out_ch), dtype=np.float64)
-    flat_k = layer.kernels.reshape(kh * kw * in_ch, out_ch)
-    for i in range(oh):
-        for j in range(ow):
-            patch = x[i * sh : i * sh + kh, j * sw : j * sw + kw, :].reshape(-1)
-            out[i, j, :] = patch @ flat_k + layer.bias
-    return out
-
-
-def _pool_forward(layer: MaxPool, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ph, pw = layer.window
-    h, w, c = x.shape
-    oh, ow = h // ph, w // pw
-    out = np.empty((oh, ow, c), dtype=np.float64)
-    winners = np.empty(oh * ow * c, dtype=np.int64)
-    for i in range(oh):
-        for j in range(ow):
-            for ch in range(c):
-                window = x[i * ph : (i + 1) * ph, j * pw : (j + 1) * pw, ch]
-                # np.argmax takes the first maximum: deterministic tie-breaking
-                local = int(np.argmax(window))
-                li, lj = divmod(local, pw)
-                src = (i * ph + li) * (w * c) + (j * pw + lj) * c + ch
-                flat_out = (i * ow + j) * c + ch
-                winners[flat_out] = src
-                out[i, j, ch] = x[i * ph + li, j * pw + lj, ch]
-    return out, winners
-
-
 def forward(net: Network, x: np.ndarray) -> Activations:
     """Deterministic forward pass exposing all pre-/post-ReLU values.
 
@@ -291,11 +289,15 @@ def forward(net: Network, x: np.ndarray) -> Activations:
             pre = value @ layer.weights + layer.bias
             value = np.maximum(pre, 0.0) if layer.relu else pre
         elif isinstance(layer, Conv2D):
-            pre = _conv_forward(layer, value)
+            idx = net.gather[k]
+            pre = np.append(value, 0.0)[idx] @ layer.kernels.reshape(idx.shape[1], -1) + layer.bias
+            pre = pre.reshape(net.shape(k))
             value = np.maximum(pre, 0.0) if layer.relu else pre
         elif isinstance(layer, MaxPool):
-            pre, winners[k] = _pool_forward(layer, value)
-            value = pre
+            idx, flat = net.gather[k], value.reshape(-1)
+            # argmax takes the first maximum: deterministic tie-breaking
+            winners[k] = idx[np.arange(idx.shape[0]), flat[idx].argmax(axis=1)]
+            pre = value = flat[winners[k]].reshape(net.shape(k))
         elif isinstance(layer, Flatten):
             pre = value.reshape(-1)
             value = pre

@@ -8,6 +8,7 @@ over a finished suite and never steers generation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -224,14 +225,8 @@ def report_to_dict(report: CoverageReport) -> dict:
     }
 
 
-def save_adversarial(records: Sequence[AdversarialRecord], directory, renderer=None) -> None:
-    """Dump adversarial inputs as flat float64 vectors; ``renderer`` optionally
-    writes an image next to each vector (disabled by default)."""
-    import os
-
+def save_adversarial(records: Sequence[AdversarialRecord], directory) -> None:
+    """Dump adversarial inputs as flat float64 vectors."""
     os.makedirs(directory, exist_ok=True)
     for r in records:
-        path = os.path.join(directory, f"adv{r.test_index:05d}.npy")
-        np.save(path, r.input)
-        if renderer is not None:
-            renderer(r, os.path.splitext(path)[0] + ".png")
+        np.save(os.path.join(directory, f"adv{r.test_index:05d}.npy"), r.input)

@@ -1,14 +1,17 @@
 """Independent oracles used by the tests: a from-scratch formula evaluator,
-exhaustive suite enumeration, and a vertex-enumeration LP solver. These stay
+exhaustive suite enumeration, a vertex-enumeration LP solver, and
+per-position conv and maxpool kernels with the conv matrix built from them.
+These stay
 deliberately naive so they share no code path with the implementations they
 check (forward passes are memoized for speed, nothing else is)."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from concolic_dnn import logic
-from concolic_dnn.network import forward
+from concolic_dnn.network import Conv2D, forward
 
 
 def _fwd(x, net, memo):
@@ -129,3 +132,55 @@ def vertex_enum_lp(c, A_ub, b_ub, tol=1e-9):
             if best is None or val < best[0]:
                 best = (val, x)
     return best
+
+
+def conv_forward_reference(layer, x):
+    """Conv2D pre-activations of an (H, W, C) input, one gemv per output position."""
+    kh, kw, in_ch, out_ch = layer.kernels.shape
+    sh, sw = layer.stride
+    if layer.padding == "same":
+        pads = []
+        for size, k, s in ((x.shape[0], kh, sh), (x.shape[1], kw, sw)):
+            total = max((math.ceil(size / s) - 1) * s + k - size, 0)
+            pads.append((total // 2, total - total // 2))
+        x = np.pad(x, (*pads, (0, 0)))
+    oh, ow = (x.shape[0] - kh) // sh + 1, (x.shape[1] - kw) // sw + 1
+    out = np.empty((oh, ow, out_ch), dtype=np.float64)
+    flat_k = layer.kernels.reshape(kh * kw * in_ch, out_ch)
+    for i in range(oh):
+        for j in range(ow):
+            patch = x[i * sh : i * sh + kh, j * sw : j * sw + kw, :].reshape(-1)
+            out[i, j, :] = patch @ flat_k + layer.bias
+    return out
+
+
+def pool_forward_reference(layer, x):
+    """MaxPool values of an (H, W, C) input and the flat index of each window's
+    first maximum, one window at a time."""
+    ph, pw = layer.window
+    h, w, c = x.shape
+    oh, ow = h // ph, w // pw
+    out = np.empty((oh, ow, c), dtype=np.float64)
+    winners = np.empty(oh * ow * c, dtype=np.int64)
+    for i in range(oh):
+        for j in range(ow):
+            for ch in range(c):
+                window = x[i * ph : (i + 1) * ph, j * pw : (j + 1) * pw, ch]
+                li, lj = divmod(int(np.argmax(window)), pw)
+                winners[(i * ow + j) * c + ch] = (i * ph + li) * (w * c) + (j * pw + lj) * c + ch
+                out[i, j, ch] = x[i * ph + li, j * pw + lj, ch]
+    return out, winners
+
+
+def conv_matrix_reference(layer, in_shape):
+    """A conv layer's affine map (A, b), one reference forward per input entry."""
+    zero_bias = Conv2D(layer.kernels, np.zeros_like(layer.bias), layer.stride, layer.padding)
+    b = conv_forward_reference(layer, np.zeros(in_shape)).reshape(-1)
+    basis = np.zeros(in_shape)
+    flat = basis.reshape(-1)
+    A = np.empty((flat.size, b.size))
+    for h in range(flat.size):
+        flat[h] = 1.0
+        A[h] = conv_forward_reference(zero_bias, basis).reshape(-1)
+        flat[h] = 0.0
+    return A, b

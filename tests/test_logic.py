@@ -201,6 +201,20 @@ class TestWideLayers:
         assert satisfies([on, off], r, net)
         assert not satisfies([on, also_on], r, net)
 
+    def test_wide_ssc_body_expands_and_serializes(self):
+        net = wide_ssc_net()
+        (r,) = gen_ssc(net, [(2, 0, 0)])
+        on, off, also_on = (np.array([x0, 0.0, 0.0, 0.0]) for x0 in (1.0, 0.0, 0.9))
+        expanded = expand(r.body)
+        seen = set()
+        for x1, x2 in ((on, off), (off, on), (on, also_on)):
+            holds = eval_bool(r.body, {"x1": x1, "x2": x2}, net)
+            assert eval_bool(expanded, {"x1": x1, "x2": x2}, net) == holds
+            seen.add(holds)
+        assert seen == {True, False}
+        (doc,) = json.loads(json.dumps(requirements_to_json([r])))
+        assert doc["body"][0] == "and" and len(doc["body"]) == 1 + 2 + (net.width(2) - 1)
+
     def test_left_nested_and_short_circuits_left_to_right(self, tiny_net):
         unbound = Atom(Var("u", 2, 0, "x"), ">=")  # raises EvalError when evaluated
         chain = And(TRUE_ATOM, FALSE_ATOM)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from concolic_dnn.lp import layer_affine
 from concolic_dnn.network import (
     ActivationCache,
     Conv2D,
@@ -20,6 +21,7 @@ from concolic_dnn.network import (
 )
 
 from conftest import dense_net, identity_net
+from helpers import conv_forward_reference, conv_matrix_reference, pool_forward_reference
 
 
 def two_layer(w, b, relu=True):
@@ -178,6 +180,55 @@ class TestConvAndPool:
         )
         acts = forward(net, np.ones(16))
         assert acts.u[2].shape == (4, 4, 2)
+
+
+@st.composite
+def conv_layers(draw):
+    """A conv layer over an (h, w, c) input: kernels up to 4x4, strides 1-2,
+    valid or same padding, odd sizes included."""
+    padding = draw(st.sampled_from(["valid", "same"]))
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lo_h, lo_w = (1, 1) if padding == "same" else (kh, kw)
+    h, w = draw(st.integers(lo_h, 7)), draw(st.integers(lo_w, 7))
+    c, out_ch = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layer = Conv2D(rng.normal(size=(kh, kw, c, out_ch)), rng.normal(size=out_ch), stride, padding)
+    return layer, (h, w, c), rng.uniform(0.0, 1.0, h * w * c)
+
+
+class TestGatherAgainstReference:
+    """``Network.gather`` drives the conv and maxpool forward and the LP's conv
+    matrix; each is checked against a per-position reference kernel."""
+
+    @given(conv_layers())
+    def test_conv_pre_activations(self, case):
+        layer, in_shape, x = case
+        net = Network(in_shape, [layer, Flatten()])
+        pre = forward(net, x).u[2]
+        expected = conv_forward_reference(layer, x.reshape(in_shape))
+        assert pre.shape == expected.shape
+        assert np.max(np.abs(pre - expected)) <= 1e-12
+
+    @given(conv_layers())
+    def test_conv_matrix(self, case):
+        layer, in_shape, _ = case
+        A, b = layer_affine(Network(in_shape, [layer, Flatten()]), 2)
+        A_ref, b_ref = conv_matrix_reference(layer, in_shape)
+        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_pool_values_and_winners(self, ph, pw, oh, ow, c, seed):
+        in_shape = (ph * oh, pw * ow, c)
+        layer = MaxPool((ph, pw))
+        # a quarter grid makes ties, which must go to the first maximum
+        x = np.random.default_rng(seed).integers(0, 5, in_shape) / 4.0
+        net = Network(in_shape, [layer, Flatten(), Dense(np.ones((oh * ow * c, 2)), np.zeros(2))])
+        acts = forward(net, x.reshape(-1))
+        values, winners = pool_forward_reference(layer, x)
+        assert np.array_equal(acts.u[2], values)
+        assert np.array_equal(acts.pool_winners[2], winners)
 
 
 class TestModelIO:

@@ -279,14 +279,6 @@ class TestSerialization:
         stored = np.load(tmp_path / "adv00007.npy")
         assert np.array_equal(stored, record.input)
 
-    def test_renderer_hook_called(self, tmp_path):
-        net = boundary_net()
-        rs = ReferenceSet(np.array([[0.55, 0.5]]), np.array([0]))
-        _, record = robustness_check(net, rs, np.array([0.45, 0.5]), test_index=0)
-        seen = []
-        save_adversarial([record], tmp_path, renderer=lambda rec, path: seen.append(path))
-        assert len(seen) == 1
-
 
 def test_reference_set_validation():
     with pytest.raises(ValueError):
