@@ -54,8 +54,6 @@ from .lipschitz import (
     compass_minimize,
     lip_ratio,
     random_baseline,
-    stage_one,
-    stage_two_loop,
 )
 from .oracle import (
     AdversarialRecord,

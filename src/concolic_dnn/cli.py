@@ -111,7 +111,10 @@ def _cmd_run(args) -> int:
     seeds = load_seeds(args.seeds)
     lip = None
     if FAMILIES[args.criterion].needs_lip:
-        lip = LipConfig(c=args.lip_c, delta=args.lip_delta)
+        try:
+            lip = LipConfig(c=args.lip_c, delta=args.lip_delta)
+        except ValueError as exc:
+            raise ConfigError(f"--lip-c/--lip-delta: {exc}") from exc
     cfg = RunConfig(
         criterion=args.criterion,
         norm=args.norm,

@@ -371,8 +371,7 @@ def _lip_row(box: int, method: str, outcome) -> dict:
 
 
 def _rank_lipschitz(loop: _Loop, reqs: list[Requirement]) -> RankedCandidate:
-    lip = loop.cfg.lip
-    top = rank_lipschitz(loop.suite.vectors, reqs, loop.net, loop.boxes, lip.norm, lip.semantics)
+    top = rank_lipschitz(loop.suite.vectors, reqs, loop.net, loop.boxes)
     # no box holds a test yet: take the first open requirement
     return top or RankedCandidate(reqs[0], (0,), float("-inf"))
 
@@ -408,8 +407,7 @@ def _random_baselines(loop: _Loop) -> None:
         if cfg.lip_random_attempts <= 0 or loop.expired():
             break  # no baseline box starts once the budget is spent
         center = np.asarray(box.center, dtype=np.float64)
-        base = random_baseline(loop.net, center, lip.c, lip.delta, cfg.lip_random_attempts,
-                               loop.rng, eps=lip.eps, norm=lip.norm, semantics=lip.semantics)
+        base = random_baseline(loop.net, center, lip.c, lip.delta, cfg.lip_random_attempts, loop.rng)
         loop.lip_rows.append(_lip_row(i, "random", base))
 
 
@@ -420,7 +418,7 @@ def _generate_nbc(net, seeds, cfg, sample_set):
 
 def _generate_lipschitz(net, seeds, cfg, sample_set):
     partition = SubspacePartition.from_seeds(seeds, cfg.lip.delta)
-    reqs = gen_lipschitz(partition, cfg.lip.c, cfg.lip.norm, cfg.lip.semantics)
+    reqs = gen_lipschitz(partition, cfg.lip.c)
     return reqs, dict(enumerate(partition.boxes))
 
 

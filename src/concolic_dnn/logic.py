@@ -6,8 +6,9 @@ post-ReLU value of one neuron under a bound input, optionally scaled, combined
 with +/- and constants, and compared against 0. Boolean structure adds
 conjunction, negation and counting. Three sugar forms (same-sign, differing
 sign, box membership) expand into the core grammar; a fourth atom, the
-Lipschitz margin ||out(x1) - out(x2)|| - c * ||x1 - x2|| > 0, is evaluated
-natively because norms have no core encoding.
+Lipschitz margin ||out(x1) - out(x2)|| - c * ||x1 - x2|| > 0 (L-infinity
+norms, "out" the output layer), is evaluated natively because norms have no
+core encoding.
 
 A requirement set for each of the four supported families (NC, SSC, NBC,
 Lipschitz) is produced by the gen_* functions; ``satisfies`` and ``coverage``
@@ -135,18 +136,11 @@ class InBox:
 
 @dataclass(frozen=True)
 class LipschitzAtom:
-    """||out(a) - out(b)||_norm - threshold * ||a - b||_norm > 0.
-
-    ``semantics`` selects what "out" means: "logits" reads the output layer,
-    "inputs" reads the input layer (useful only as a fidelity switch, where the
-    map is the identity).
-    """
+    """||out(a) - out(b)||_inf - threshold * ||a - b||_inf > 0, "out" the output layer."""
 
     a: str
     b: str
     threshold: float
-    norm: str = "linf"
-    semantics: str = "logits"
 
 
 BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom]
@@ -346,13 +340,9 @@ def vector_norm(vec: np.ndarray, norm: str) -> float:
     raise EvalError(f"unknown norm {norm!r}")
 
 
-def output_vector(acts: Activations, net: Network, semantics: str = "logits") -> np.ndarray:
-    """The "out" vector compared by Lipschitz requirements."""
-    if semantics == "logits":
-        return acts.v_flat(net.num_layers)
-    if semantics == "inputs":
-        return acts.v_flat(1)
-    raise EvalError(f"unknown output semantics {semantics!r}")
+def output_vector(acts: Activations, net: Network) -> np.ndarray:
+    """The "out" vector compared by Lipschitz requirements: the output layer."""
+    return acts.v_flat(net.num_layers)
 
 
 def eval_bool(
@@ -396,9 +386,8 @@ def _eval_bool(e, binding, net, cache: ActivationCache) -> bool:
     if isinstance(e, LipschitzAtom):
         a = _acts_for(e.a, binding, cache)
         b = _acts_for(e.b, binding, cache)
-        outs = output_vector(a, net, e.semantics) - output_vector(b, net, e.semantics)
-        out_gap = vector_norm(outs, e.norm)
-        in_gap = vector_norm(np.ravel(binding[e.a]) - np.ravel(binding[e.b]), e.norm)
+        out_gap = vector_norm(output_vector(a, net) - output_vector(b, net), "linf")
+        in_gap = vector_norm(np.ravel(binding[e.a]) - np.ravel(binding[e.b]), "linf")
         return out_gap - e.threshold * in_gap > 0.0
     raise EvalError(f"unknown boolean node {type(e).__name__}")
 
@@ -617,12 +606,7 @@ def gen_nbc(
     return reqs
 
 
-def gen_lipschitz(
-    partition: SubspacePartition,
-    c: float,
-    norm: str = "linf",
-    semantics: str = "logits",
-) -> list[Requirement]:
+def gen_lipschitz(partition: SubspacePartition, c: float) -> list[Requirement]:
     """Per box: two inputs inside it whose output distance exceeds c times their input distance."""
     if c <= 0:
         raise GenerationError(f"Lipschitz threshold must be positive, got {c}")
@@ -631,7 +615,7 @@ def gen_lipschitz(
         lower = tuple(float(v) for v in box.lower)
         upper = tuple(float(v) for v in box.upper)
         body = And(
-            LipschitzAtom("x1", "x2", float(c), norm, semantics),
+            LipschitzAtom("x1", "x2", float(c)),
             And(InBox("x1", lower, upper), InBox("x2", lower, upper)),
         )
         reqs.append(Requirement("exists", 2, body, LipTag(idx, float(c))))
@@ -673,7 +657,7 @@ def body_sexp(e: BoolExpr):
     if isinstance(e, InBox):
         return ["in-box", e.var, list(e.lower), list(e.upper)]
     if isinstance(e, LipschitzAtom):
-        return ["lip-margin", e.a, e.b, e.threshold, e.norm, e.semantics]
+        return ["lip-margin", e.a, e.b, e.threshold]
     raise EvalError(f"unknown boolean node {type(e).__name__}")
 
 

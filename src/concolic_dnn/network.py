@@ -352,51 +352,30 @@ class ActivationCache:
 #        "stride": [1, 1], "padding": "valid", "relu": true},
 #       {"kind": "maxpool", "window": [2, 2]},
 #       {"kind": "flatten"}]}
-# Floats are written with 17 significant digits so that load(save(net))
-# reproduces every weight bit for bit.
+# json writes each float as its shortest round-tripping repr, so
+# load(save(net)) reproduces every weight bit for bit, -0.0 included.
 # ---------------------------------------------------------------------------
-
-
-def _emit_json(obj) -> str:
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        text = format(float(obj), ".17g")
-        # keep a float token so json round-trips the sign of -0.0
-        return text if ("." in text or "e" in text) else text + ".0"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_emit_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _emit_json(obj.tolist())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _layer_to_json(layer: Layer) -> dict:
     if isinstance(layer, Dense):
         return {
             "kind": "dense",
-            "weights": layer.weights,
-            "bias": layer.bias,
+            "weights": layer.weights.tolist(),
+            "bias": layer.bias.tolist(),
             "relu": layer.relu,
         }
     if isinstance(layer, Conv2D):
         return {
             "kind": "conv2d",
-            "kernels": layer.kernels,
-            "bias": layer.bias,
-            "stride": list(layer.stride),
+            "kernels": layer.kernels.tolist(),
+            "bias": layer.bias.tolist(),
+            "stride": [int(s) for s in layer.stride],
             "padding": layer.padding,
             "relu": layer.relu,
         }
     if isinstance(layer, MaxPool):
-        return {"kind": "maxpool", "window": list(layer.window)}
+        return {"kind": "maxpool", "window": [int(w) for w in layer.window]}
     if isinstance(layer, Flatten):
         return {"kind": "flatten"}
     raise ModelError(f"unknown layer type {type(layer).__name__}")
@@ -408,7 +387,7 @@ def save_model(net: Network, path: str) -> None:
         "layers": [_layer_to_json(layer) for layer in net.layers],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_emit_json(doc))
+        json.dump(doc, fh)
         fh.write("\n")
 
 

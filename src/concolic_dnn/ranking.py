@@ -90,14 +90,7 @@ def ranked_tests(tests, r: Requirement, net, factors) -> list[RankedCandidate]:
     return cands
 
 
-def rank_lipschitz(
-    tests,
-    reqs,
-    net,
-    boxes,
-    norm: str = "linf",
-    semantics: str = "logits",
-) -> Optional[RankedCandidate]:
+def rank_lipschitz(tests, reqs, net, boxes) -> Optional[RankedCandidate]:
     """Best in-box pair by margin ||out(t1) - out(t2)|| - c * ||t1 - t2||.
 
     ``boxes`` maps each requirement's box index to its Box. Requirements whose
@@ -106,7 +99,7 @@ def rank_lipschitz(
     if not reqs or len(tests) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
     all_acts = _activations(tests, net)
-    outs = [output_vector(a, net, semantics) for a in all_acts]
+    outs = [output_vector(a, net) for a in all_acts]
     best: Optional[RankedCandidate] = None
     for r in sorted(reqs, key=lambda r: r.tag.order_key()):
         tag: LipTag = r.tag
@@ -120,8 +113,8 @@ def rank_lipschitz(
         else:
             pairs = [(i, j) for i in inside for j in inside if i != j]
         for i, j in pairs:
-            margin = vector_norm(outs[i] - outs[j], norm) - tag.threshold * vector_norm(
-                np.ravel(tests[i]) - np.ravel(tests[j]), norm
+            margin = vector_norm(outs[i] - outs[j], "linf") - tag.threshold * vector_norm(
+                np.ravel(tests[i]) - np.ravel(tests[j]), "linf"
             )
             if best is None or margin > best.score:
                 best = RankedCandidate(r, (i, j), margin)

@@ -47,24 +47,14 @@ def brute_eval(e, binding, net, memo=None):
         return bool(np.all(x >= np.array(e.lower)) and np.all(x <= np.array(e.upper)))
     if isinstance(e, logic.LipschitzAtom):
         a, b = np.ravel(binding[e.a]), np.ravel(binding[e.b])
-        oa = _out(a, net, e.semantics, memo)
-        ob = _out(b, net, e.semantics, memo)
-        return _nrm(oa - ob, e.norm) - e.threshold * _nrm(a - b, e.norm) > 0.0
+        oa = _fwd(a, net, memo).v_flat(net.num_layers)
+        ob = _fwd(b, net, memo).v_flat(net.num_layers)
+        return _linf(oa - ob) - e.threshold * _linf(a - b) > 0.0
     raise AssertionError(f"unexpected node {type(e).__name__}")
 
 
-def _out(x, net, semantics, memo):
-    acts = _fwd(x, net, memo)
-    layer = net.num_layers if semantics == "logits" else 1
-    return acts.v_flat(layer)
-
-
-def _nrm(v, norm):
-    if norm == "linf":
-        return float(np.max(np.abs(v)))
-    if norm == "l2":
-        return float(np.linalg.norm(v))
-    return float(np.sum(np.abs(v)))
+def _linf(v):
+    return float(np.max(np.abs(v)))
 
 
 def _sign(x, layer, neuron, net, memo):

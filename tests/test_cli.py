@@ -119,6 +119,19 @@ class TestRunCommand:
         assert csv[0] == "seed,method,best_ratio,satisfied,forward_evals"
         assert len(csv) > 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--lip-c", "0"], ["--lip-c", "-1"], ["--lip-c", "nan"], ["--lip-c", "inf"],
+         ["--lip-delta", "0"], ["--lip-delta", "nan"], ["--lip-delta", "inf"]],
+    )
+    def test_bad_lipschitz_numbers_exit_code(self, workspace, extra, capsys):
+        out = workspace["dir"] / "out_bad_lip"
+        args = base_args(workspace, out, extra=extra)
+        args[args.index("nc")] = "lipschitz"
+        assert main(args) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_timeout_exit_code(self, workspace):
         out = workspace["dir"] / "out7"
         args = base_args(workspace, out, extra=["--timeout", "0.000001"])

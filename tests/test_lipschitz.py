@@ -11,8 +11,6 @@ from concolic_dnn.lipschitz import (
     domain_box,
     lip_ratio,
     random_baseline,
-    stage_one,
-    stage_two_loop,
 )
 from concolic_dnn.network import Dense, Network
 
@@ -104,54 +102,62 @@ class TestCompassMinimize:
 
 
 class TestStageOne:
+    """max_executions=1: the one compass run anchored at the seed."""
+
     def test_identity_net_beats_small_constant(self):
         net = identity_net(3)
-        cfg = LipConfig(c=0.5, delta=0.1)
-        result = stage_one(net, np.full(3, 0.5), cfg)
-        assert result.witness.satisfied
-        assert result.witness.ratio > 0.5
+        cfg = LipConfig(c=0.5, delta=0.1, max_executions=1)
+        out = alternating_search(net, np.full(3, 0.5), cfg)
+        assert out.witness.satisfied
+        assert out.witness.ratio > 0.5
+        assert out.executions == 1
 
-    def test_huge_constant_returns_converged_point(self, mid_net):
-        cfg = LipConfig(c=1e6, delta=0.1, compass_iters=40)
+    def test_huge_constant_keeps_best_pair_in_box(self, mid_net):
+        cfg = LipConfig(c=1e6, delta=0.1, compass_iters=40, max_executions=1)
         seed = np.full(4, 0.5)
-        result = stage_one(mid_net, seed, cfg)
-        assert not result.witness.satisfied
+        out = alternating_search(mid_net, seed, cfg)
+        assert not out.witness.satisfied
+        assert out.witness.ratio > 0.0
+        assert np.array_equal(out.witness.t1, seed)  # the first run is anchored at the seed
         lower, upper = domain_box(seed, 0.1)
-        assert np.all(result.t1_star >= lower) and np.all(result.t1_star <= upper)
+        assert np.all(out.witness.t2 >= lower) and np.all(out.witness.t2 <= upper)
 
     def test_witness_pair_respects_box(self, mid_net):
-        cfg = LipConfig(c=0.01, delta=0.05)
+        cfg = LipConfig(c=0.01, delta=0.05, max_executions=1)
         seed = np.full(4, 0.5)
-        result = stage_one(mid_net, seed, cfg)
+        out = alternating_search(mid_net, seed, cfg)
         lower, upper = domain_box(seed, 0.05)
-        for point in (result.witness.t1, result.witness.t2):
+        for point in (out.witness.t1, out.witness.t2):
             assert np.all(point >= lower - 1e-12) and np.all(point <= upper + 1e-12)
 
 
 class TestStageTwo:
-    def test_satisfaction_in_first_run(self):
-        net = identity_net(2)
-        cfg = LipConfig(c=0.5, delta=0.1)
-        seed = np.full(2, 0.5)
-        t1_star = np.array([0.6, 0.5])
-        witness, runs = stage_two_loop(net, seed, t1_star, cfg)
-        assert witness.satisfied
-        assert runs == 1
+    """The runs after the first, each anchored at the previous run's converged point."""
+
+    def test_satisfaction_ends_a_later_run(self):
+        # on this net the first run tops out near 1.02 and the second beats 1.5
+        net = dense_net([4, 8, 6, 3], seed=2)
+        seed = np.full(4, 0.5)
+        first = alternating_search(net, seed, LipConfig(c=1.5, compass_iters=40, max_executions=1))
+        out = alternating_search(net, seed, LipConfig(c=1.5, compass_iters=40))
+        assert not first.witness.satisfied
+        assert out.witness.satisfied and out.witness.ratio > 1.5
+        assert out.executions == 2
+        assert not np.array_equal(out.witness.t1, seed)  # re-anchored off the seed
 
     def test_constant_net_reports_zero_ratio(self):
+        # the first run never stops on progress; the second gains nothing and stops
         net = constant_net()
         cfg = LipConfig(c=1.0, delta=0.1, compass_iters=20)
-        seed = np.full(2, 0.5)
-        witness, runs = stage_two_loop(net, seed, seed.copy(), cfg)
-        assert not witness.satisfied
-        assert witness.ratio == 0.0
-        assert runs <= cfg.max_executions
+        out = alternating_search(net, np.full(2, 0.5), cfg)
+        assert not out.witness.satisfied
+        assert out.witness.ratio == 0.0
+        assert out.executions == 2
 
     def test_run_budget_honored(self, mid_net):
-        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10, max_executions=30)
-        seed = np.full(4, 0.5)
-        _, runs = stage_two_loop(mid_net, seed, seed.copy(), cfg, max_runs=29)
-        assert runs <= 29
+        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10, max_executions=3)
+        out = alternating_search(mid_net, np.full(4, 0.5), cfg)
+        assert out.executions <= 3
 
 
 class TestAlternatingSearch:
@@ -164,6 +170,16 @@ class TestAlternatingSearch:
         cfg = LipConfig(c=1e9, delta=0.1, compass_iters=5, max_executions=4)
         out = alternating_search(mid_net, np.full(4, 0.5), cfg)
         assert out.executions <= 4
+
+    def test_executions_count_the_interrupted_run(self):
+        net = dense_net([4, 8, 6, 3], seed=1)
+        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10)
+        seed = np.full(4, 0.5)
+        full = alternating_search(net, seed, cfg)
+        assert full.executions > 1
+        cut = alternating_search(net, seed, cfg, eval_budget=full.evals - 1)
+        assert cut.evals == full.evals - 1
+        assert cut.executions == full.executions
 
     def test_points_in_box(self, mid_net):
         cfg = LipConfig(c=2.0, delta=0.08)
@@ -219,12 +235,13 @@ class TestBudgetParity:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LipConfig(c=0.0)
-    with pytest.raises(ValueError):
-        LipConfig(c=1.0, delta=-0.1)
-    with pytest.raises(ValueError):
-        LipConfig(c=1.0, shrink=1.5)
+    nan, inf = float("nan"), float("inf")
+    for kwargs in ({"c": 0.0}, {"c": -1.0}, {"c": nan}, {"c": inf},
+                   {"c": 1.0, "delta": 0.0}, {"c": 1.0, "delta": -0.1},
+                   {"c": 1.0, "delta": nan}, {"c": 1.0, "delta": inf},
+                   {"c": 1.0, "max_executions": 0}):
+        with pytest.raises(ValueError):
+            LipConfig(**kwargs)
 
 
 def test_eval_counter_limit():

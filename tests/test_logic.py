@@ -453,4 +453,5 @@ def test_requirements_serialize_to_json(mid_net):
     parsed = json.loads(blob)
     assert parsed[0]["tag"].startswith("nc:")
     assert parsed[-1]["tag"].startswith("lip:")
+    assert parsed[-1]["body"][1] == ["lip-margin", "x1", "x2", 1.0]
     assert parsed[0]["quantifier"] == "exists"

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -241,6 +244,26 @@ class TestModelIO:
             assert np.array_equal(orig.weights, back.weights)
             assert np.array_equal(orig.bias, back.bias)
             assert orig.relu == back.relu
+
+    @given(st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]),
+        ),
+        min_size=14, max_size=14,
+    ))
+    def test_round_trip_bits_under_hypothesis(self, values):
+        # 3-2-2 net: 6 + 2 hidden and 4 + 2 output weights and biases
+        v = np.array(values)
+        net = Network((3,), [Dense(v[:6].reshape(3, 2), v[6:8]),
+                             Dense(v[8:12].reshape(2, 2), v[12:], relu=False)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.json")
+            save_model(net, path)
+            loaded = load_model(path)
+        for orig, back in zip(net.layers, loaded.layers):
+            assert np.array_equal(orig.weights.view(np.int64), back.weights.view(np.int64))
+            assert np.array_equal(orig.bias.view(np.int64), back.bias.view(np.int64))
 
     def test_fixture_file_layer_count(self, tmp_path):
         net = dense_net([3, 5, 4, 2], seed=9)
