@@ -42,6 +42,7 @@ from .lp import (
     ssc_target_pattern,
     symbolic_lp,
 )
+from . import network
 from .network import ActivationCache, Network
 from .oracle import (
     CoverageReport,
@@ -165,10 +166,8 @@ class RunConfig:
     l0_budget: int = 100
     lip: Optional[LipConfig] = None
     sample_count: int = 1000
-    nbc_widen: float = 0.05
     quantize: Optional[int] = None  # e.g. 255: snap synthesized inputs to the 1/255 grid
     ssc_pairs: Optional[list[tuple[int, int, int]]] = None
-    lip_eval_budget: Optional[int] = None
     lip_random_attempts: int = 1000  # baseline rows in lipschitz.csv; 0 disables
 
     def validate(self) -> None:
@@ -207,8 +206,7 @@ def nbc_bounds_from_samples(
 ) -> tuple[dict, dict]:
     """Per-neuron high/low activation bounds: sample min/max widened by a
     fraction of the observed range."""
-    cache = ActivationCache(net)
-    acts = [cache.get(s) for s in samples]
+    acts = [network.forward(net, s) for s in samples]
     high: dict[tuple[int, int], float] = {}
     low: dict[tuple[int, int], float] = {}
     for k in net.hidden_relu_layers if acts else ():
@@ -234,6 +232,7 @@ class _Loop:
     net: Network
     refs: ReferenceSet
     cfg: RunConfig
+    cache: ActivationCache  # the run's one cache: satisfaction, ranking, report
     rng: np.random.Generator
     deadline: float
     factors: LayerFactors
@@ -261,6 +260,8 @@ def run(
     cfg.validate()
     if not seeds:
         raise ConfigError("at least one seed input is required")
+    if refs.norm != cfg.norm:
+        raise ConfigError(f"the reference set uses the {refs.norm} norm, the run the {cfg.norm} norm")
     if refs.inputs.shape[1] != net.input_dim:
         raise ConfigError(
             f"reference inputs have {refs.inputs.shape[1]} entries, the model takes {net.input_dim}"
@@ -297,7 +298,7 @@ def run(
             fh.write(lp_text(problem))
         dump_count += 1
 
-    loop = _Loop(net, refs, cfg, rng, deadline, factors, boxes, suite,
+    loop = _Loop(net, refs, cfg, cache, rng, deadline, factors, boxes, suite,
                  dump_hook if dump_lp_dir else None)
     checked = 0  # suite length at the last satisfaction pass
 
@@ -338,7 +339,7 @@ def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
     admitted; the requirement fails when its attempts run out first."""
     cfg = loop.cfg
     tried = loop.tried.setdefault(id(r), set())
-    for cand in ranked_tests(loop.suite.vectors, r, loop.net, loop.factors):
+    for cand in ranked_tests(loop.suite.vectors, r, loop.cache, loop.factors):
         if len(tried) >= cfg.max_attempts:
             break
         source_idx = cand.tests[0]
@@ -371,7 +372,7 @@ def _lip_row(box: int, method: str, outcome) -> dict:
 
 
 def _rank_lipschitz(loop: _Loop, reqs: list[Requirement]) -> RankedCandidate:
-    top = rank_lipschitz(loop.suite.vectors, reqs, loop.net, loop.boxes)
+    top = rank_lipschitz(loop.suite.vectors, reqs, loop.cache, loop.boxes)
     # no box holds a test yet: take the first open requirement
     return top or RankedCandidate(reqs[0], (0,), float("-inf"))
 
@@ -386,7 +387,7 @@ def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
         return
     loop.tried[id(r)] = set()
     center = np.asarray(loop.boxes[r.tag.box].center, dtype=np.float64)
-    outcome = alternating_search(loop.net, center, cfg.lip, eval_budget=cfg.lip_eval_budget)
+    outcome = alternating_search(loop.net, center, cfg.lip)
     loop.lip_rows.append(_lip_row(r.tag.box, "concolic", outcome))
     parent = next((i for i, c in enumerate(suite.cases) if np.array_equal(c.vector, center)), None)
     appended = False
@@ -412,7 +413,7 @@ def _random_baselines(loop: _Loop) -> None:
 
 
 def _generate_nbc(net, seeds, cfg, sample_set):
-    high, low = nbc_bounds_from_samples(net, sample_set, cfg.nbc_widen)
+    high, low = nbc_bounds_from_samples(net, sample_set)
     return gen_nbc(net, high, low), {}
 
 
@@ -460,20 +461,20 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "nc": Family(
         generate=lambda net, seeds, cfg, sample_set: (gen_nc(net), {}),
-        rank=lambda loop, reqs: rank_nc(loop.suite.vectors, reqs, loop.net, loop.factors),
+        rank=lambda loop, reqs: rank_nc(loop.suite.vectors, reqs, loop.cache, loop.factors),
         synthesize=_synthesize_ranked,
         lp_target=_nc_lp_target,
     ),
     "ssc": Family(
         generate=lambda net, seeds, cfg, sample_set: (gen_ssc(net, cfg.ssc_pairs), {}),
-        rank=lambda loop, reqs: rank_ssc(loop.suite.vectors, reqs, loop.net, loop.factors),
+        rank=lambda loop, reqs: rank_ssc(loop.suite.vectors, reqs, loop.cache, loop.factors),
         synthesize=_synthesize_ranked,
         norms=("linf",),
         lp_target=_ssc_lp_target,
     ),
     "nbc": Family(
         generate=_generate_nbc,
-        rank=lambda loop, reqs: rank_nbc(loop.suite.vectors, reqs, loop.net, loop.factors),
+        rank=lambda loop, reqs: rank_nbc(loop.suite.vectors, reqs, loop.cache, loop.factors),
         synthesize=_synthesize_ranked,
         lp_target=_nbc_lp_target,
     ),

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .network import Network, forward
-from .logic import output_vector, vector_norm
+from .logic import vector_norm
 
 EPS = 1e-9  # added to the input distance of a ratio
 SHRINK = 0.5  # compass step factor after a poll with no improvement
@@ -78,7 +78,6 @@ class LipWitness:
 class CompassResult:
     point: np.ndarray
     value: float
-    trace: list[np.ndarray]
     iterations: int
 
 
@@ -94,9 +93,7 @@ def _ratio(out_gap: float, t1: np.ndarray, t2: np.ndarray) -> float:
 
 def lip_ratio(net: Network, t1: np.ndarray, t2: np.ndarray) -> float:
     """||out(t1) - out(t2)|| / (||t1 - t2|| + EPS); zero for identical inputs."""
-    o1 = output_vector(forward(net, t1), net)
-    o2 = output_vector(forward(net, t2), net)
-    return _ratio(vector_norm(o1 - o2, "linf"), t1, t2)
+    return _ratio(vector_norm(forward(net, t1).out - forward(net, t2).out, "linf"), t1, t2)
 
 
 def compass_minimize(
@@ -120,9 +117,8 @@ def compass_minimize(
     """
     cur = np.clip(np.ravel(np.asarray(start, dtype=np.float64)), lower, upper)
     value = f(cur)
-    trace = [cur.copy()]
     if early_stop is not None and early_stop(cur):
-        return CompassResult(cur, value, trace, 0)
+        return CompassResult(cur, value, 0)
     sigma = sigma0
     iters = 0
     while iters < max_iters and sigma >= sigma_min:
@@ -138,7 +134,6 @@ def compass_minimize(
                 cand_value = f(cand)
                 if cand_value < value:
                     cur, value = cand, cand_value
-                    trace.append(cur.copy())
                     moved = True
                     break
             if moved:
@@ -148,7 +143,7 @@ def compass_minimize(
                 break
         else:
             sigma *= SHRINK
-    return CompassResult(cur, value, trace, iters)
+    return CompassResult(cur, value, iters)
 
 
 class _BestPair:
@@ -169,7 +164,7 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker) -> CompassResult:
 
     def out(x: np.ndarray) -> np.ndarray:
         counter.tick()
-        return output_vector(forward(net, x), net)
+        return forward(net, x).out
 
     out_anchor = out(anchor)
     gaps: dict[bytes, float] = {}
@@ -256,9 +251,9 @@ def random_baseline(
             t1 = rng.uniform(lower, upper)
             t2 = rng.uniform(lower, upper)
             counter.tick()
-            o1 = output_vector(forward(net, t1), net)
+            o1 = forward(net, t1).out
             counter.tick()
-            o2 = output_vector(forward(net, t2), net)
+            o2 = forward(net, t2).out
             used += 1
             if tracker.offer(t1, t2, _ratio(vector_norm(o1 - o2, "linf"), t1, t2), c):
                 break

@@ -7,12 +7,15 @@ with +/- and constants, and compared against 0. Boolean structure adds
 conjunction, negation and counting. Three sugar forms (same-sign, differing
 sign, box membership) expand into the core grammar; a fourth atom, the
 Lipschitz margin ||out(x1) - out(x2)|| - c * ||x1 - x2|| > 0 (L-infinity
-norms, "out" the output layer), is evaluated natively because norms have no
-core encoding.
+norms, "out" the output layer; ``lip_margin``), is evaluated natively because
+norms have no core encoding.
 
-A requirement set for each of the four supported families (NC, SSC, NBC,
-Lipschitz) is produced by the gen_* functions; ``satisfies`` and ``coverage``
-give finite-suite semantics.
+A formula is evaluated under a binding of its input variables to the
+activations of concrete inputs, so an input variable stands for one forward
+pass. A requirement set for each of the four supported families (NC, SSC,
+NBC, Lipschitz) is produced by the gen_* functions; ``satisfies`` and
+``coverage`` give finite-suite semantics, looking each test up in an
+activation cache once per call.
 """
 
 from __future__ import annotations
@@ -87,8 +90,9 @@ class Atom:
 
 @dataclass(frozen=True)
 class And:
-    left: "BoolExpr"
-    right: "BoolExpr"
+    """All members hold; evaluated left to right, stopping at the first false one."""
+
+    members: tuple["BoolExpr", ...]
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ class InBox:
 
 @dataclass(frozen=True)
 class LipschitzAtom:
-    """||out(a) - out(b)||_inf - threshold * ||a - b||_inf > 0, "out" the output layer."""
+    """``lip_margin`` of the two bound inputs at ``threshold`` is positive."""
 
     a: str
     b: str
@@ -298,27 +302,28 @@ def _compare(value: float, rel: str, rhs: float) -> bool:
     raise EvalError(f"unknown relation {rel!r}")
 
 
-def _acts_for(var: str, binding: dict[str, np.ndarray], cache: ActivationCache) -> Activations:
-    if var not in binding:
+class _Binding(dict):
+    """Input variable -> the ``Activations`` of the input bound to it."""
+
+    def __missing__(self, var: str) -> Activations:
         raise EvalError(f"unbound input variable {var!r}")
-    return cache.get(binding[var])
 
 
-def _eval_arith(a: ArithExpr, binding, cache: ActivationCache) -> float:
+def _eval_arith(a: ArithExpr, binding: _Binding) -> float:
     if isinstance(a, Const):
         return float(a.value)
     if isinstance(a, Var):
-        acts = _acts_for(a.input_var, binding, cache)
+        acts = binding[a.input_var]
         values = acts.u_flat(a.layer) if a.kind == "u" else acts.v_flat(a.layer)
         if not 0 <= a.neuron < values.size:
             raise EvalError(f"neuron index {a.neuron} out of range for layer {a.layer}")
         return float(values[a.neuron])
     if isinstance(a, Scaled):
-        return float(a.coeff) * _eval_arith(a.var, binding, cache)
+        return float(a.coeff) * _eval_arith(a.var, binding)
     if isinstance(a, Add):
-        return _eval_arith(a.left, binding, cache) + _eval_arith(a.right, binding, cache)
+        return _eval_arith(a.left, binding) + _eval_arith(a.right, binding)
     if isinstance(a, Sub):
-        return _eval_arith(a.left, binding, cache) - _eval_arith(a.right, binding, cache)
+        return _eval_arith(a.left, binding) - _eval_arith(a.right, binding)
     raise EvalError(f"unknown arithmetic node {type(a).__name__}")
 
 
@@ -340,9 +345,11 @@ def vector_norm(vec: np.ndarray, norm: str) -> float:
     raise EvalError(f"unknown norm {norm!r}")
 
 
-def output_vector(acts: Activations, net: Network) -> np.ndarray:
-    """The "out" vector compared by Lipschitz requirements: the output layer."""
-    return acts.v_flat(net.num_layers)
+def lip_margin(a: Activations, b: Activations, c: float) -> float:
+    """||out(a) - out(b)||_inf - c * ||in(a) - in(b)||_inf, "in" the input layer
+    and "out" the output layer: positive when the pair beats the constant c."""
+    out_gap = vector_norm(a.out - b.out, "linf")
+    return out_gap - c * vector_norm(a.u_flat(1) - b.u_flat(1), "linf")
 
 
 def eval_bool(
@@ -354,41 +361,31 @@ def eval_bool(
     """Evaluate a formula under a binding of input variables to concrete inputs."""
     if cache is None:
         cache = ActivationCache(net)
-    return _eval_bool(e, binding, net, cache)
+    return _eval_bool(e, _Binding({var: cache.get(x) for var, x in binding.items()}))
 
 
-def _eval_bool(e, binding, net, cache: ActivationCache) -> bool:
+def _eval_bool(e: BoolExpr, binding: _Binding) -> bool:
     if isinstance(e, Atom):
-        return _compare(_eval_arith(e.expr, binding, cache), e.rel, 0.0)
+        return _compare(_eval_arith(e.expr, binding), e.rel, 0.0)
     if isinstance(e, And):
-        for c in _conjuncts(e):
-            if not _eval_bool(c, binding, net, cache):
+        for m in e.members:
+            if not _eval_bool(m, binding):
                 return False
         return True
     if isinstance(e, Not):
-        return not _eval_bool(e.inner, binding, net, cache)
+        return not _eval_bool(e.inner, binding)
     if isinstance(e, CountCmp):
-        count = sum(1 for m in e.members if _eval_bool(m, binding, net, cache))
+        count = sum(1 for m in e.members if _eval_bool(m, binding))
         return _compare(float(count), e.rel, float(e.count))
     if isinstance(e, SignEq):
-        return _bit(_acts_for(e.a, binding, cache), e.layer, e.neuron) == _bit(
-            _acts_for(e.b, binding, cache), e.layer, e.neuron
-        )
+        return _bit(binding[e.a], e.layer, e.neuron) == _bit(binding[e.b], e.layer, e.neuron)
     if isinstance(e, SignNeq):
-        return _bit(_acts_for(e.a, binding, cache), e.layer, e.neuron) != _bit(
-            _acts_for(e.b, binding, cache), e.layer, e.neuron
-        )
+        return _bit(binding[e.a], e.layer, e.neuron) != _bit(binding[e.b], e.layer, e.neuron)
     if isinstance(e, InBox):
-        if e.var not in binding:
-            raise EvalError(f"unbound input variable {e.var!r}")
-        x = np.ravel(binding[e.var])
+        x = binding[e.var].u_flat(1)
         return bool(np.all(x >= np.asarray(e.lower)) and np.all(x <= np.asarray(e.upper)))
     if isinstance(e, LipschitzAtom):
-        a = _acts_for(e.a, binding, cache)
-        b = _acts_for(e.b, binding, cache)
-        out_gap = vector_norm(output_vector(a, net) - output_vector(b, net), "linf")
-        in_gap = vector_norm(np.ravel(binding[e.a]) - np.ravel(binding[e.b]), "linf")
-        return out_gap - e.threshold * in_gap > 0.0
+        return lip_margin(binding[e.a], binding[e.b], e.threshold) > 0.0
     raise EvalError(f"unknown boolean node {type(e).__name__}")
 
 
@@ -397,31 +394,8 @@ def _eval_bool(e, binding, net, cache: ActivationCache) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _conjuncts(e: BoolExpr) -> list[BoolExpr]:
-    """Operands of the left-nested ``And`` chain ``e``, left to right ([e] if no And).
-
-    The left spine is walked iteratively: gen_ssc nests one And per neuron of
-    the condition layer, deeper than the recursion limit on wide layers.
-    """
-    spine = []
-    while isinstance(e, And):
-        spine.append(e.right)
-        e = e.left
-    spine.append(e)
-    spine.reverse()
-    return spine
-
-
-def _all_of(conjuncts: Sequence[BoolExpr]) -> BoolExpr:
-    """The left-nested ``And`` chain of the conjuncts, in order."""
-    body = conjuncts[0]
-    for c in conjuncts[1:]:
-        body = And(body, c)
-    return body
-
-
 def _or(a: BoolExpr, b: BoolExpr) -> BoolExpr:
-    return Not(And(Not(a), Not(b)))
+    return Not(And((Not(a), Not(b))))
 
 
 def expand(e: BoolExpr) -> BoolExpr:
@@ -432,7 +406,7 @@ def expand(e: BoolExpr) -> BoolExpr:
     if isinstance(e, (Atom, LipschitzAtom)):
         return e
     if isinstance(e, And):
-        return _all_of([expand(c) for c in _conjuncts(e)])
+        return And(tuple(expand(m) for m in e.members))
     if isinstance(e, Not):
         return Not(expand(e.inner))
     if isinstance(e, CountCmp):
@@ -442,7 +416,7 @@ def expand(e: BoolExpr) -> BoolExpr:
         on_b = Atom(Var("u", e.layer, e.neuron, e.b), ">=")
         off_a = Atom(Var("u", e.layer, e.neuron, e.a), "<")
         off_b = Atom(Var("u", e.layer, e.neuron, e.b), "<")
-        return _or(And(on_a, on_b), And(off_a, off_b))
+        return _or(And((on_a, on_b)), And((off_a, off_b)))
     if isinstance(e, SignNeq):
         return Not(expand(SignEq(e.a, e.b, e.layer, e.neuron)))
     if isinstance(e, InBox):
@@ -451,7 +425,7 @@ def expand(e: BoolExpr) -> BoolExpr:
             coord = Var("v", 1, i, e.var)
             conjuncts.append(Atom(Sub(coord, Const(hi)), "<="))
             conjuncts.append(Atom(Sub(coord, Const(lo)), ">="))
-        return _all_of(conjuncts)
+        return And(tuple(conjuncts))
     raise EvalError(f"unknown boolean node {type(e).__name__}")
 
 
@@ -460,15 +434,20 @@ def expand(e: BoolExpr) -> BoolExpr:
 # ---------------------------------------------------------------------------
 
 
-def _bindings(r: Requirement, suite: Sequence[np.ndarray], start: int = 0):
+def _holds(r: Requirement, acts: Sequence[Activations], start: int = 0) -> bool:
+    """Whether the tests with activations ``acts`` satisfy ``r``, over the
+    bindings that use a test at an index >= ``start``."""
     if r.arity == 1:
-        for t in suite[start:]:
-            yield {"x": t}
+        bindings = (_Binding(x=a) for a in acts[start:])
     else:
-        tail = suite[start:]
-        for i, t1 in enumerate(suite):
-            for t2 in suite if i >= start else tail:
-                yield {"x1": t1, "x2": t2}
+        tail = acts[start:]
+        bindings = (_Binding(x1=a1, x2=a2) for i, a1 in enumerate(acts)
+                    for a2 in (acts if i >= start else tail))
+    if r.quantifier == "exists":
+        return any(_eval_bool(r.body, b) for b in bindings)
+    if r.quantifier == "forall":
+        return all(_eval_bool(r.body, b) for b in bindings)
+    raise EvalError(f"unknown quantifier {r.quantifier!r}")
 
 
 def satisfies(
@@ -490,16 +469,16 @@ def satisfies(
     is satisfied by ``suite`` exactly when ``satisfies(..., start=start)``
     holds. With ``start >= len(suite)`` no binding is left, so an existential
     requirement is unsatisfied and a universal one holds vacuously.
+
+    Each test a binding uses is looked up in ``cache`` once.
     """
     if len(suite) == 0:
         raise EvalError("satisfaction is undefined for an empty suite")
     if cache is None:
         cache = ActivationCache(net)
-    if r.quantifier == "exists":
-        return any(_eval_bool(r.body, b, net, cache) for b in _bindings(r, suite, start))
-    if r.quantifier == "forall":
-        return all(_eval_bool(r.body, b, net, cache) for b in _bindings(r, suite, start))
-    raise EvalError(f"unknown quantifier {r.quantifier!r}")
+    if r.arity == 1 or start >= len(suite):
+        suite, start = suite[start:], 0
+    return _holds(r, [cache.get(t) for t in suite], start)
 
 
 def coverage(
@@ -511,10 +490,12 @@ def coverage(
     """Fraction of requirements satisfied by the suite."""
     if not reqs:
         raise EvalError("coverage is undefined for an empty requirement set")
+    if len(suite) == 0:
+        raise EvalError("satisfaction is undefined for an empty suite")
     if cache is None:
         cache = ActivationCache(net)
-    hit = sum(1 for r in reqs if satisfies(suite, r, net, cache))
-    return hit / len(reqs)
+    acts = [cache.get(t) for t in suite]
+    return sum(1 for r in reqs if _holds(r, acts)) / len(reqs)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +513,8 @@ def gen_nc(net: Network) -> list[Requirement]:
 
 
 def _ssc_body(net: Network, k: int, i: int, j: int) -> BoolExpr:
-    conjuncts: list[BoolExpr] = [SignNeq("x1", "x2", k, i), SignNeq("x1", "x2", k + 1, j)]
-    conjuncts += [SignEq("x1", "x2", k, l) for l in range(net.width(k)) if l != i]
-    return _all_of(conjuncts)
+    flips = (SignNeq("x1", "x2", k, i), SignNeq("x1", "x2", k + 1, j))
+    return And(flips + tuple(SignEq("x1", "x2", k, l) for l in range(net.width(k)) if l != i))
 
 
 def ssc_pairs(net: Network) -> list[tuple[int, int, int]]:
@@ -614,10 +594,8 @@ def gen_lipschitz(partition: SubspacePartition, c: float) -> list[Requirement]:
     for idx, box in enumerate(partition.boxes):
         lower = tuple(float(v) for v in box.lower)
         upper = tuple(float(v) for v in box.upper)
-        body = And(
-            LipschitzAtom("x1", "x2", float(c)),
-            And(InBox("x1", lower, upper), InBox("x2", lower, upper)),
-        )
+        body = And((LipschitzAtom("x1", "x2", float(c)),
+                    InBox("x1", lower, upper), InBox("x2", lower, upper)))
         reqs.append(Requirement("exists", 2, body, LipTag(idx, float(c))))
     return reqs
 
@@ -645,7 +623,7 @@ def body_sexp(e: BoolExpr):
     if isinstance(e, Atom):
         return [e.rel, _sexp_arith(e.expr), 0]
     if isinstance(e, And):
-        return ["and", *(body_sexp(c) for c in _conjuncts(e))]
+        return ["and", *(body_sexp(m) for m in e.members)]
     if isinstance(e, Not):
         return ["not", body_sexp(e.inner)]
     if isinstance(e, CountCmp):

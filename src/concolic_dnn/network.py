@@ -182,6 +182,14 @@ class Network:
             for j, layer in enumerate(self.layers)
             if isinstance(layer, (Conv2D, MaxPool))
         }
+        # layer indices whose neurons carry ReLU activation bits; the output
+        # layer K is left out of the hidden ones
+        self.relu_layers: tuple[int, ...] = tuple(
+            j + 2 for j, layer in enumerate(self.layers) if getattr(layer, "relu", False)
+        )
+        self.hidden_relu_layers: tuple[int, ...] = tuple(
+            k for k in self.relu_layers if k < self.num_layers
+        )
 
     @property
     def num_layers(self) -> int:
@@ -202,19 +210,6 @@ class Network:
     @property
     def input_dim(self) -> int:
         return int(np.prod(self.input_shape))
-
-    @property
-    def relu_layers(self) -> tuple[int, ...]:
-        """Layer indices whose neurons carry ReLU activation bits."""
-        return tuple(
-            k
-            for k in range(2, self.num_layers + 1)
-            if getattr(self.layer(k), "relu", False)
-        )
-
-    @property
-    def hidden_relu_layers(self) -> tuple[int, ...]:
-        return tuple(k for k in self.relu_layers if k < self.num_layers)
 
     def relu_neurons(self) -> list[tuple[int, int]]:
         """All (layer, neuron) positions of hidden ReLU neurons, in index order."""
@@ -243,6 +238,11 @@ class Activations:
 
     def v_flat(self, k: int) -> np.ndarray:
         return self.v[k].reshape(-1)
+
+    @property
+    def out(self) -> np.ndarray:
+        """The output layer K, flat; ``v`` holds layers 1..K."""
+        return self.v_flat(len(self.v))
 
 
 @dataclass(frozen=True)

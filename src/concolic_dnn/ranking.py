@@ -5,7 +5,8 @@ analysis.
 Scores use a per-layer factor c_k = 1 / mean |u| (estimated on a sample set)
 so that values from layers of different magnitude are comparable. Tie-breaking
 is deterministic: lowest tag ``order_key`` (layer first, then neuron), then
-earliest test.
+earliest test. The ranking functions read the tests' activations from the
+run's ``ActivationCache``, so a test is forwarded once per run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .logic import LipTag, Requirement, output_vector, vector_norm
+from . import network
+from .logic import LipTag, Requirement, lip_margin
 from .network import ActivationCache, Activations, Network
 
 FACTOR_FLOOR = 1e-12
@@ -42,21 +44,15 @@ def estimate_layer_factors(net: Network, samples: Sequence[np.ndarray]) -> Layer
     """c_k = 1 / max(mean |u_k| over samples and neurons, 1e-12)."""
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
-    cache = ActivationCache(net)
+    # one forward per sample, looked up at call time so a traced forward counts
+    acts = [network.forward(net, s) for s in samples]
     factors = {}
     for k in range(2, net.num_layers):
-        total, count = 0.0, 0
-        for s in samples:
-            u = cache.get(s).u_flat(k)
-            total += float(np.sum(np.abs(u)))
-            count += u.size
-        factors[k] = 1.0 / max(total / count, FACTOR_FLOOR)
+        total = 0.0
+        for a in acts:
+            total += float(np.sum(np.abs(a.u_flat(k))))
+        factors[k] = 1.0 / max(total / (len(acts) * net.width(k)), FACTOR_FLOOR)
     return LayerFactors(factors)
-
-
-def _activations(tests, net):
-    cache = ActivationCache(net)
-    return [cache.get(t) for t in tests]
 
 
 def score(acts: Activations, r: Requirement, factors: LayerFactors) -> float:
@@ -64,11 +60,11 @@ def score(acts: Activations, r: Requirement, factors: LayerFactors) -> float:
     return factors[r.tag.layer] * r.tag.gap(acts)
 
 
-def rank(tests, reqs, net, factors) -> RankedCandidate:
+def rank(tests, reqs, cache: ActivationCache, factors) -> RankedCandidate:
     """The (test, requirement) pair with the highest ``score`` (NC, SSC, NBC)."""
     if not reqs or len(tests) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
-    all_acts = _activations(tests, net)
+    all_acts = [cache.get(t) for t in tests]
     best: Optional[RankedCandidate] = None
     for r in sorted(reqs, key=lambda r: r.tag.order_key()):
         for ti, a in enumerate(all_acts):
@@ -82,24 +78,22 @@ def rank(tests, reqs, net, factors) -> RankedCandidate:
 rank_nc = rank_ssc = rank_nbc = rank
 
 
-def ranked_tests(tests, r: Requirement, net, factors) -> list[RankedCandidate]:
+def ranked_tests(tests, r: Requirement, cache: ActivationCache, factors) -> list[RankedCandidate]:
     """All tests scored for one requirement, best first (stable on ties)."""
-    all_acts = _activations(tests, net)
-    cands = [RankedCandidate(r, (ti,), score(a, r, factors)) for ti, a in enumerate(all_acts)]
+    cands = [RankedCandidate(r, (ti,), score(cache.get(t), r, factors)) for ti, t in enumerate(tests)]
     cands.sort(key=lambda c: -c.score)
     return cands
 
 
-def rank_lipschitz(tests, reqs, net, boxes) -> Optional[RankedCandidate]:
-    """Best in-box pair by margin ||out(t1) - out(t2)|| - c * ||t1 - t2||.
+def rank_lipschitz(tests, reqs, cache: ActivationCache, boxes) -> Optional[RankedCandidate]:
+    """Best in-box pair by ``lip_margin`` at the requirement's constant.
 
     ``boxes`` maps each requirement's box index to its Box. Requirements whose
     box contains no test are skipped; returns None when every box is empty.
     """
     if not reqs or len(tests) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
-    all_acts = _activations(tests, net)
-    outs = [output_vector(a, net) for a in all_acts]
+    all_acts = [cache.get(t) for t in tests]
     best: Optional[RankedCandidate] = None
     for r in sorted(reqs, key=lambda r: r.tag.order_key()):
         tag: LipTag = r.tag
@@ -113,9 +107,7 @@ def rank_lipschitz(tests, reqs, net, boxes) -> Optional[RankedCandidate]:
         else:
             pairs = [(i, j) for i in inside for j in inside if i != j]
         for i, j in pairs:
-            margin = vector_norm(outs[i] - outs[j], "linf") - tag.threshold * vector_norm(
-                np.ravel(tests[i]) - np.ravel(tests[j]), "linf"
-            )
+            margin = lip_margin(all_acts[i], all_acts[j], tag.threshold)
             if best is None or margin > best.score:
                 best = RankedCandidate(r, (i, j), margin)
     return best

@@ -28,7 +28,7 @@ def brute_eval(e, binding, net, memo=None):
     if isinstance(e, logic.Atom):
         return _cmp(_brute_arith(e.expr, binding, net, memo), e.rel, 0.0)
     if isinstance(e, logic.And):
-        return brute_eval(e.left, binding, net, memo) and brute_eval(e.right, binding, net, memo)
+        return all(brute_eval(m, binding, net, memo) for m in e.members)
     if isinstance(e, logic.Not):
         return not brute_eval(e.inner, binding, net, memo)
     if isinstance(e, logic.CountCmp):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from concolic_dnn.engine import (
 )
 from concolic_dnn.lipschitz import LipConfig
 from concolic_dnn.lp import LpError
-from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward
+from concolic_dnn.network import ActivationCache, Conv2D, Dense, Flatten, MaxPool, Network, forward
 from concolic_dnn.oracle import ReferenceSet
 
 from conftest import DEAD_NEURONS, dense_net, saturation_net
@@ -157,6 +158,16 @@ class TestConfig:
         monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
         with pytest.raises(ConfigError, match="seed 1 has 3 entries"):
             run(net, refs, [np.zeros(4), np.zeros(3)], RunConfig(criterion="nc"))
+
+    def test_reference_norm_mismatch_rejected_before_work(self, monkeypatch):
+        net = dense_net([4, 4, 2], seed=0)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run() started work on a bad configuration")
+
+        monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
+        with pytest.raises(ConfigError, match="l0 norm"):
+            run(net, make_refs(net, norm="l0"), [np.zeros(4)], RunConfig(criterion="nc"))
 
     def test_ineligible_ssc_pair_rejected_before_work(self, monkeypatch):
         net = dense_net([3, 4, 3, 2], seed=11)
@@ -366,6 +377,28 @@ class TestGoldenRuns:
         save_run(result, cfg, str(tmp_path))
         digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest == json.loads(GOLDEN_RUNS_PATH.read_text())[name]
+
+
+class TestOneActivationCache:
+    """Satisfaction, ranking and the report share the run's activation cache."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_suite_vector_misses_once(self, monkeypatch, name):
+        misses = Counter()
+        real_get = ActivationCache.get
+
+        def counting_get(cache, x):
+            size = len(cache)
+            acts = real_get(cache, x)
+            if len(cache) > size:
+                misses[np.asarray(x, dtype=np.float64).tobytes()] += 1
+            return acts
+
+        monkeypatch.setattr(ActivationCache, "get", counting_get)
+        net, refs, seeds, cfg = GOLDEN_RUNS[name]()
+        result = run(net, refs, seeds, cfg)
+        assert len(result.suite) > len(seeds)  # synthesized tests were ranked again
+        assert all(misses[case.vector.tobytes()] == 1 for case in result.suite)
 
 
 class TestIncrementalCheck:

@@ -84,7 +84,7 @@ class TestEvalBool:
             a = Atom(Var("u", 2, int(rng.integers(0, 8)), "x"), ">=")
             b = Atom(Var("u", 3, int(rng.integers(0, 8)), "x"), "<")
             binding = {"x": x}
-            lhs = eval_bool(Not(And(a, b)), binding, mid_net)
+            lhs = eval_bool(Not(And((a, b))), binding, mid_net)
             rhs = not (eval_bool(a, binding, mid_net) and eval_bool(b, binding, mid_net))
             assert lhs == rhs
 
@@ -215,22 +215,15 @@ class TestWideLayers:
         (doc,) = json.loads(json.dumps(requirements_to_json([r])))
         assert doc["body"][0] == "and" and len(doc["body"]) == 1 + 2 + (net.width(2) - 1)
 
-    def test_left_nested_and_short_circuits_left_to_right(self, tiny_net):
+    def test_wide_and_short_circuits_left_to_right(self, tiny_net):
         unbound = Atom(Var("u", 2, 0, "x"), ">=")  # raises EvalError when evaluated
-        chain = And(TRUE_ATOM, FALSE_ATOM)
-        for _ in range(3000):
-            chain = And(chain, unbound)
-        assert not eval_bool(chain, {}, tiny_net)
-        chain = And(TRUE_ATOM, unbound)
-        for _ in range(3000):
-            chain = And(chain, FALSE_ATOM)
+        assert not eval_bool(And((TRUE_ATOM, FALSE_ATOM) + (unbound,) * 3000), {}, tiny_net)
         with pytest.raises(EvalError):
-            eval_bool(chain, {}, tiny_net)
-        chain = TRUE_ATOM
-        for _ in range(3000):
-            chain = And(chain, And(TRUE_ATOM, TRUE_ATOM))
-        assert eval_bool(chain, {}, tiny_net)
-        assert not eval_bool(And(chain, FALSE_ATOM), {}, tiny_net)
+            eval_bool(And((TRUE_ATOM, unbound) + (FALSE_ATOM,) * 3000), {}, tiny_net)
+        wide = And((TRUE_ATOM,) * 3000)
+        assert eval_bool(wide, {}, tiny_net)
+        assert not eval_bool(And(wide.members + (FALSE_ATOM,)), {}, tiny_net)
+        assert eval_bool(And(()), {}, tiny_net)  # the empty conjunction holds
 
 
 class TestCoverage:
@@ -288,7 +281,7 @@ class TestGenerators:
             if isinstance(node, kind):
                 return 1
             if isinstance(node, And):
-                return count(node.left, kind) + count(node.right, kind)
+                return sum(count(m, kind) for m in node.members)
             return 0
 
         assert count(r.body, SignEq) == 2  # s_k - 1
@@ -393,14 +386,11 @@ class TestSugar:
 
         def check(node):
             assert isinstance(node, core), type(node)
-            if isinstance(node, And):
-                check(node.left)
-                check(node.right)
-            elif isinstance(node, Not):
-                check(node.inner)
-            elif isinstance(node, CountCmp):
+            if isinstance(node, (And, CountCmp)):
                 for m in node.members:
                     check(m)
+            elif isinstance(node, Not):
+                check(node.inner)
 
         check(expand(SignEq("x1", "x2", 2, 0)))
         check(expand(InBox("x", (0.0, 0.0), (1.0, 1.0))))
@@ -431,7 +421,7 @@ def test_de_morgan_property(xs1, xs2, i, j):
     binding = {"x": np.array(xs1), "y": np.array(xs2)}
     a = Atom(Var("u", 2, i, "x"), ">=")
     b = Atom(Var("u", 3, j, "x"), "<")
-    assert eval_bool(Not(And(a, b)), binding, net) == (
+    assert eval_bool(Not(And((a, b))), binding, net) == (
         not (eval_bool(a, binding, net) and eval_bool(b, binding, net))
     )
 
@@ -454,4 +444,7 @@ def test_requirements_serialize_to_json(mid_net):
     assert parsed[0]["tag"].startswith("nc:")
     assert parsed[-1]["tag"].startswith("lip:")
     assert parsed[-1]["body"][1] == ["lip-margin", "x1", "x2", 1.0]
+    # one flat conjunction: the margin, then both box memberships
+    op, *members = parsed[-1]["body"]
+    assert op == "and" and [m[0] for m in members] == ["lip-margin", "in-box", "in-box"]
     assert parsed[0]["quantifier"] == "exists"

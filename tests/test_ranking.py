@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from concolic_dnn.logic import SubspacePartition, gen_lipschitz, gen_nbc, gen_nc, gen_ssc
-from concolic_dnn.network import Dense, Network, forward
+from concolic_dnn.network import ActivationCache, Dense, Network, forward
 from concolic_dnn.ranking import (
     LayerFactors,
     estimate_layer_factors,
@@ -61,14 +61,14 @@ class TestRankNC:
         net = passthrough_net()
         reqs = gen_nc(net)
         factors = LayerFactors({2: 1.0})
-        best = rank_nc([np.array([-5.0]), np.array([-1.0])], reqs, net, factors)
+        best = rank_nc([np.array([-5.0]), np.array([-1.0])], reqs, ActivationCache(net), factors)
         assert best.tests == (1,)
         assert best.score == pytest.approx(-1.0)
 
     def test_single_pair(self, tiny_net):
         reqs = gen_nc(tiny_net)[:1]
         factors = estimate_layer_factors(tiny_net, [np.array([0.5, 0.5])])
-        best = rank_nc([np.array([0.2, 0.9])], reqs, tiny_net, factors)
+        best = rank_nc([np.array([0.2, 0.9])], reqs, ActivationCache(tiny_net), factors)
         assert best.requirement is reqs[0]
         assert best.tests == (0,)
 
@@ -77,7 +77,7 @@ class TestRankNC:
         reqs = gen_nc(mid_net)
         tests = [rng.uniform(0, 1, 4) for _ in range(10)]
         factors = estimate_layer_factors(mid_net, tests)
-        best = rank_nc(tests, reqs, mid_net, factors)
+        best = rank_nc(tests, reqs, ActivationCache(mid_net), factors)
         brute = max(
             (score(forward(mid_net, t), r, factors) for t in tests for r in reqs)
         )
@@ -93,9 +93,9 @@ class TestRankNC:
     def test_empty_arguments_rejected(self, tiny_net):
         factors = LayerFactors({2: 1.0})
         with pytest.raises(ValueError):
-            rank_nc([], gen_nc(tiny_net), tiny_net, factors)
+            rank_nc([], gen_nc(tiny_net), ActivationCache(tiny_net), factors)
         with pytest.raises(ValueError):
-            rank_nc([np.zeros(2)], [], tiny_net, factors)
+            rank_nc([np.zeros(2)], [], ActivationCache(tiny_net), factors)
 
 
 class TestRankSSC:
@@ -106,7 +106,7 @@ class TestRankSSC:
         factors = LayerFactors({2: 1.0, 3: 1.0})
         rng = np.random.default_rng(2)
         tests = [rng.uniform(0, 1, 2) for _ in range(6)]
-        best = rank_ssc(tests, reqs, net, factors)
+        best = rank_ssc(tests, reqs, ActivationCache(net), factors)
         mags = [abs(forward(net, t).u_flat(tag.layer)[tag.cond]) for t in tests]
         assert best.tests[0] == int(np.argmin(mags))
 
@@ -116,7 +116,7 @@ class TestRankSSC:
 
         r = Requirement("exists", 2, Atom(Const(0.0), ">="), SSCTag(2, 0, 0))
         factors = LayerFactors({2: 1.0})
-        best = rank_ssc([np.array([3.0]), np.array([0.0])], [r], net, factors)
+        best = rank_ssc([np.array([3.0]), np.array([0.0])], [r], ActivationCache(net), factors)
         assert best.tests == (1,)
         assert best.score == 0.0
 
@@ -125,7 +125,7 @@ class TestRankSSC:
         reqs = gen_ssc(mid_net)[:40]
         tests = [rng.uniform(0, 1, 4) for _ in range(8)]
         factors = estimate_layer_factors(mid_net, tests)
-        best = rank_ssc(tests, reqs, mid_net, factors)
+        best = rank_ssc(tests, reqs, ActivationCache(mid_net), factors)
         brute = max(
             score(forward(mid_net, t), r, factors) for t in tests for r in reqs
         )
@@ -137,7 +137,7 @@ class TestRankNBC:
         net = passthrough_net()
         reqs = gen_nbc(net, {(2, 0): 1.0}, {(2, 0): -1.0})
         factors = LayerFactors({2: 1.0})
-        best = rank_nbc([np.array([0.9])], reqs, net, factors)
+        best = rank_nbc([np.array([0.9])], reqs, ActivationCache(net), factors)
         assert best.requirement.tag.side == "hi"
         assert best.score == pytest.approx(-0.1)
 
@@ -145,7 +145,7 @@ class TestRankNBC:
         net = passthrough_net()
         reqs = [r for r in gen_nbc(net, {(2, 0): 1.0}, {(2, 0): -1.0}) if r.tag.side == "hi"]
         factors = LayerFactors({2: 1.0})
-        best = rank_nbc([np.array([1.0])], reqs, net, factors)
+        best = rank_nbc([np.array([1.0])], reqs, ActivationCache(net), factors)
         assert best.score == 0.0
 
     def test_matches_exhaustive(self, mid_net):
@@ -156,7 +156,7 @@ class TestRankNBC:
         reqs = gen_nbc(mid_net, high, low)
         tests = [rng.uniform(0, 1, 4) for _ in range(7)]
         factors = estimate_layer_factors(mid_net, tests)
-        best = rank_nbc(tests, reqs, mid_net, factors)
+        best = rank_nbc(tests, reqs, ActivationCache(mid_net), factors)
         brute = max(
             score(forward(mid_net, t), r, factors) for t in tests for r in reqs
         )
@@ -169,7 +169,7 @@ class TestRankLipschitz:
         seed = np.array([0.5, 0.5])
         part = SubspacePartition.from_seeds([seed], 0.1)
         reqs = gen_lipschitz(part, 1.0)
-        best = rank_lipschitz([seed], reqs, net, dict(enumerate(part.boxes)))
+        best = rank_lipschitz([seed], reqs, ActivationCache(net), dict(enumerate(part.boxes)))
         assert best.tests == (0, 0)
         assert best.score == 0.0
 
@@ -179,7 +179,7 @@ class TestRankLipschitz:
         part = SubspacePartition.from_seeds([seed], 0.2)
         reqs = gen_lipschitz(part, 2.0)
         t1, t2 = np.array([0.45, 0.5]), np.array([0.6, 0.5])
-        best = rank_lipschitz([t1, t2], reqs, net, dict(enumerate(part.boxes)))
+        best = rank_lipschitz([t1, t2], reqs, ActivationCache(net), dict(enumerate(part.boxes)))
         assert best.score == pytest.approx(-abs(0.6 - 0.45))
 
     def test_matches_brute_force_pairs(self, mid_net):
@@ -188,7 +188,7 @@ class TestRankLipschitz:
         part = SubspacePartition.from_seeds([seed], 0.4)
         reqs = gen_lipschitz(part, 1.0)
         tests = [np.clip(seed + rng.uniform(-0.3, 0.3, 4), 0, 1) for _ in range(6)]
-        best = rank_lipschitz(tests, reqs, mid_net, dict(enumerate(part.boxes)))
+        best = rank_lipschitz(tests, reqs, ActivationCache(mid_net), dict(enumerate(part.boxes)))
         box = part.boxes[0]
 
         def out(t):
@@ -206,7 +206,7 @@ class TestRankLipschitz:
         net = identity_net(2)
         part = SubspacePartition.from_seeds([np.array([0.1, 0.1])], 0.05)
         reqs = gen_lipschitz(part, 1.0)
-        best = rank_lipschitz([np.array([0.9, 0.9])], reqs, net, dict(enumerate(part.boxes)))
+        best = rank_lipschitz([np.array([0.9, 0.9])], reqs, ActivationCache(net), dict(enumerate(part.boxes)))
         assert best is None
 
 
@@ -216,8 +216,8 @@ class TestOrderingInvariance:
         reqs = gen_nc(mid_net)
         tests = [rng.uniform(0, 1, 4) for _ in range(6)]
         factors = estimate_layer_factors(mid_net, tests)
-        forward_best = rank_nc(tests, reqs, mid_net, factors)
-        reversed_best = rank_nc(tests[::-1], reqs, mid_net, factors)
+        forward_best = rank_nc(tests, reqs, ActivationCache(mid_net), factors)
+        reversed_best = rank_nc(tests[::-1], reqs, ActivationCache(mid_net), factors)
         assert forward_best.score == pytest.approx(reversed_best.score)
 
     def test_ranked_tests_sorted_descending(self, mid_net):
@@ -225,7 +225,7 @@ class TestOrderingInvariance:
         reqs = gen_nc(mid_net)
         tests = [rng.uniform(0, 1, 4) for _ in range(5)]
         factors = estimate_layer_factors(mid_net, tests)
-        cands = ranked_tests(tests, reqs[0], mid_net, factors)
+        cands = ranked_tests(tests, reqs[0], ActivationCache(mid_net), factors)
         scores = [c.score for c in cands]
         assert scores == sorted(scores, reverse=True)
         assert len(cands) == 5
