@@ -201,12 +201,11 @@ class RunResult:
     lipschitz_rows: list[dict] = field(default_factory=list)
 
 
-def nbc_bounds_from_samples(
-    net: Network, samples: Sequence[np.ndarray], widen: float = 0.05
-) -> tuple[dict, dict]:
+def nbc_bounds_from_samples(net: Network, samples: Sequence, widen: float = 0.05) -> tuple[dict, dict]:
     """Per-neuron high/low activation bounds: sample min/max widened by a
-    fraction of the observed range."""
-    acts = [network.forward(net, s) for s in samples]
+    fraction of the observed range. ``samples`` are input vectors or their
+    ``Activations``."""
+    acts = network.forward_samples(net, samples)
     high: dict[tuple[int, int], float] = {}
     low: dict[tuple[int, int], float] = {}
     for k in net.hidden_relu_layers if acts else ():
@@ -281,8 +280,10 @@ def run(
 
     samples = list(rng.uniform(0.0, 1.0, size=(cfg.sample_count, net.input_dim)))
     sample_set = samples + [np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds]
-    factors = estimate_layer_factors(net, sample_set)
-    reqs, boxes = family.generate(net, seeds, cfg, sample_set)
+    # forwarded once for the layer factors and the NBC bounds
+    sample_acts = network.forward_samples(net, sample_set)
+    factors = estimate_layer_factors(net, sample_acts)
+    reqs, boxes = family.generate(net, seeds, cfg, sample_acts)
 
     suite = TestSuite(dim=net.input_dim)
     for s in seeds:
@@ -351,7 +352,8 @@ def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
         source = loop.suite.cases[source_idx].vector
         if cfg.norm == "linf":
             try:
-                t_new = symbolic_lp(loop.net, source, r, dump_hook=loop.dump_hook)
+                t_new = symbolic_lp(loop.net, source, r, dump_hook=loop.dump_hook,
+                                    deadline=loop.deadline)
             except LpError:
                 continue  # the solver's answer failed its residual check
         else:
@@ -412,12 +414,12 @@ def _random_baselines(loop: _Loop) -> None:
         loop.lip_rows.append(_lip_row(i, "random", base))
 
 
-def _generate_nbc(net, seeds, cfg, sample_set):
-    high, low = nbc_bounds_from_samples(net, sample_set)
+def _generate_nbc(net, seeds, cfg, sample_acts):
+    high, low = nbc_bounds_from_samples(net, sample_acts)
     return gen_nbc(net, high, low), {}
 
 
-def _generate_lipschitz(net, seeds, cfg, sample_set):
+def _generate_lipschitz(net, seeds, cfg, sample_acts):
     partition = SubspacePartition.from_seeds(seeds, cfg.lip.delta)
     reqs = gen_lipschitz(partition, cfg.lip.c)
     return reqs, dict(enumerate(partition.boxes))
@@ -440,9 +442,10 @@ def _nbc_lp_target(net, acts, source, tag):
 class Family:
     """What the engine knows about one requirement family (criterion).
 
-    ``generate(net, seeds, cfg, sample_set)`` returns the requirements and a
-    box index -> Box map; ``rank(loop, open_reqs)`` picks the requirement to
-    work on; ``synthesize(loop, r)`` is one loop iteration's synthesis;
+    ``generate(net, seeds, cfg, sample_acts)`` returns the requirements and a
+    box index -> Box map, given the ``Activations`` of the run's sample set;
+    ``rank(loop, open_reqs)`` picks the requirement to work on;
+    ``synthesize(loop, r)`` is one loop iteration's synthesis;
     ``lp_target(net, acts, source_pattern, tag)`` gives ``symbolic_lp`` the
     target pattern, top layer and NBC branch (or None); ``finish(loop)`` runs
     after the loop; ``save(result, outdir)`` writes extra run artifacts.
@@ -460,13 +463,13 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "nc": Family(
-        generate=lambda net, seeds, cfg, sample_set: (gen_nc(net), {}),
+        generate=lambda net, seeds, cfg, sample_acts: (gen_nc(net), {}),
         rank=lambda loop, reqs: rank_nc(loop.suite.vectors, reqs, loop.cache, loop.factors),
         synthesize=_synthesize_ranked,
         lp_target=_nc_lp_target,
     ),
     "ssc": Family(
-        generate=lambda net, seeds, cfg, sample_set: (gen_ssc(net, cfg.ssc_pairs), {}),
+        generate=lambda net, seeds, cfg, sample_acts: (gen_ssc(net, cfg.ssc_pairs), {}),
         rank=lambda loop, reqs: rank_ssc(loop.suite.vectors, reqs, loop.cache, loop.factors),
         synthesize=_synthesize_ranked,
         norms=("linf",),

@@ -80,7 +80,7 @@ class LpProblem:
 
 @dataclass
 class LpOutcome:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration-limit"
+    status: str  # a SimplexResult status
     values: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int  # pivots the solver made, whatever the status
@@ -234,14 +234,20 @@ def apply_nbc_branch(p: LpProblem, branch: NbcBranch) -> None:
     p.b_ub = np.append(p.b_ub, sign * (branch.threshold - c))
 
 
-def solve(p: LpProblem, solver: Optional[Callable[..., SimplexResult]] = None) -> LpOutcome:
+def solve(
+    p: LpProblem,
+    solver: Optional[Callable[..., SimplexResult]] = None,
+    deadline: Optional[float] = None,
+) -> LpOutcome:
     """Solve the problem with the embedded simplex (or a drop-in replacement).
 
     An "optimal" outcome is verified against the residual contract: every
-    constraint holds within TOL_LP, otherwise LpError is raised.
+    constraint holds within TOL_LP, otherwise LpError is raised. ``deadline``
+    (a ``time.monotonic()`` value) is passed to the solver, which stops with
+    status "time-limit" once it has passed.
     """
     solver = solver or solve_lp
-    res = solver(p.c, A_ub=p.A_ub, b_ub=p.b_ub, bounds=p.bounds)
+    res = solver(p.c, A_ub=p.A_ub, b_ub=p.b_ub, bounds=p.bounds, deadline=deadline)
     if res.status != "optimal":
         return LpOutcome(res.status, None, None, res.iterations)
     x = res.x
@@ -258,12 +264,13 @@ def symbolic_lp(
     r: Requirement,
     dump_hook: Optional[Callable[[LpProblem, Requirement], None]] = None,
     solver=None,
+    deadline: Optional[float] = None,
 ) -> Optional[np.ndarray]:
     """Synthesize an input satisfying the requirement's target pattern, close to ``t``.
 
     The requirement's family (its row in ``engine.FAMILIES``) picks the target
     pattern. Returns the new input on success, None when the pattern is
-    infeasible or the solver gave up.
+    infeasible or the solver gave up (iteration limit, or ``deadline`` passed).
     """
     from .engine import FAMILIES  # imported here: engine imports this module
 
@@ -279,7 +286,7 @@ def symbolic_lp(
     add_chebyshev_objective(p, t)
     if dump_hook is not None:
         dump_hook(p, r)
-    outcome = solve(p, solver=solver)
+    outcome = solve(p, solver=solver, deadline=deadline)
     if outcome.status != "optimal":
         return None
     return outcome.values[: p.n_in].copy()

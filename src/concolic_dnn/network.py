@@ -319,6 +319,12 @@ def pattern_of(acts: Activations) -> ActivationPattern:
     return ActivationPattern(bits)
 
 
+def forward_samples(net: Network, samples) -> list[Activations]:
+    """``forward`` of each sample; an entry that is an ``Activations`` already is kept,
+    so a sample set forwarded once can feed several estimators."""
+    return [s if isinstance(s, Activations) else forward(net, s) for s in samples]
+
+
 class ActivationCache:
     """Memoizes forward passes by exact input bytes.
 

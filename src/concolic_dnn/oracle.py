@@ -104,7 +104,8 @@ def robustness_check(
     cache: Optional[ActivationCache] = None,
 ) -> tuple[bool, Optional[AdversarialRecord]]:
     """Compare the network's label on ``t`` with its label on the nearest reference."""
-    cache = cache or ActivationCache(net)
+    if cache is None:
+        cache = ActivationCache(net)
     idx, dist = nearest(refs, t)
     record = _adversarial_record(refs, t, idx, dist, test_index, cache)
     return record is None, record
@@ -166,7 +167,8 @@ def suite_report(
     """
     if bound <= 0:
         raise ValueError("validity bound must be positive")
-    cache = cache or ActivationCache(net)
+    if cache is None:
+        cache = ActivationCache(net)
     for r in reqs:
         if satisfies(suite, r, net, cache):
             r.status = "satisfied"

@@ -40,12 +40,14 @@ class RankedCandidate:
     score: float
 
 
-def estimate_layer_factors(net: Network, samples: Sequence[np.ndarray]) -> LayerFactors:
-    """c_k = 1 / max(mean |u_k| over samples and neurons, 1e-12)."""
+def estimate_layer_factors(net: Network, samples: Sequence) -> LayerFactors:
+    """c_k = 1 / max(mean |u_k| over samples and neurons, 1e-12).
+
+    ``samples`` are input vectors or their ``Activations``.
+    """
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
-    # one forward per sample, looked up at call time so a traced forward counts
-    acts = [network.forward(net, s) for s in samples]
+    acts = network.forward_samples(net, samples)
     factors = {}
     for k in range(2, net.num_layers):
         total = 0.0

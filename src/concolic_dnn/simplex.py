@@ -1,19 +1,32 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense two-phase simplex: slack-basis start, Dantzig pricing, Bland fallback.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lo <= x <= hi
-where bounds may be infinite. Bland's smallest-index pivoting rule is used for
-both the entering and the leaving variable, which excludes cycling and makes
-every run deterministic. The solver is dimensioned for the small problems this
-package produces (a few hundred variables); swap in another implementation via
-the ``solver`` argument of ``lp.solve`` if that stops being true.
+where bounds may be infinite. The solver is dimensioned for the small problems
+this package produces (a few hundred variables); swap in another
+implementation via the ``solver`` argument of ``lp.solve`` if that stops being
+true.
 
-The pivot sequence is part of the contract: the entering column, the leaving
-row, the pivot count and the bytes of the solution must not change, because
-the synthesized inputs, and so every report, follow from them.
-``tests/test_simplex.py::TestPivotPathGolden`` pins them on two fixed-seed LP
-families. Speed-ups therefore keep the arithmetic: the ratio test scans Python
-floats in row order, and a pivot updates only the columns where the pivot row
-is nonzero (elsewhere it would subtract zero).
+- **Start.** After standardization every inequality row with rhs >= 0 starts
+  with its slack basic. Only the rows with a negative rhs and the equality
+  rows get an artificial column, and the phase-1 cost row sums those rows
+  only. An LP that is feasible at the shifted origin skips phase 1.
+- **Entering column.** Dantzig's rule: the most negative reduced cost, first
+  index on ties. After ``DEGENERATE_LIMIT`` consecutive degenerate pivots
+  (zero step) the solver takes Bland's smallest-index entering rule until the
+  next nondegenerate pivot, which excludes cycling (Bland 1977, "New finite
+  pivoting rules for the simplex method").
+- **Leaving row.** The minimum ratio, smallest basis index on ties (Bland's
+  leaving rule). The ratio test scans Python floats in row order, and a pivot
+  updates only the columns where the pivot row is nonzero.
+- **Limits.** ``max_iters`` pivots over both phases; an optional ``deadline``
+  (a ``time.monotonic()`` value) is checked every ``DEADLINE_EVERY`` pivots
+  and stops the solve with status "time-limit".
+
+Every run is deterministic, and the pivot sequence is part of the contract:
+the entering column, the leaving row, the pivot count and the bytes of the
+solution must not change, because the synthesized inputs, and so every
+report, follow from them. ``tests/test_simplex.py::TestPivotPathGolden`` pins
+them on two fixed-seed LP families, re-recorded for this pivot rule.
 
 No scipy (HiGHS) backend is used. On a 2-vCPU x86 virtual machine (Python
 3.11, scipy 1.17.1), importing ``scipy.optimize`` after this package took
@@ -24,6 +37,7 @@ changes the reports.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,11 +45,13 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 10_000
+DEGENERATE_LIMIT = 10  # consecutive degenerate pivots before Bland's entering rule
+DEADLINE_EVERY = 50  # pivots between two looks at the deadline
 
 
 @dataclass
 class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration-limit"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration-limit" | "time-limit"
     x: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int
@@ -114,40 +130,49 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_enter(cost_row: np.ndarray, allowed: int) -> Optional[int]:
-    neg = np.nonzero(cost_row[:allowed] < -PIVOT_TOL)[0]
-    return int(neg[0]) if neg.size else None
+def _enter(cost_row: np.ndarray, bland: bool) -> Optional[int]:
+    """Dantzig: the most negative reduced cost, first index on ties.
+    Bland: the first negative reduced cost. None when no cost is negative."""
+    if bland:
+        neg = np.flatnonzero(cost_row < -PIVOT_TOL)
+        return int(neg[0]) if neg.size else None
+    col = int(np.argmin(cost_row))
+    return col if cost_row[col] < -PIVOT_TOL else None
 
 
-def _bland_leave(T: np.ndarray, basis: np.ndarray, col: int, m: int) -> Optional[int]:
+def _leave(T: np.ndarray, basis: np.ndarray, col: int, m: int) -> tuple[Optional[int], float]:
+    """Minimum-ratio row, smallest basis index on ties, and its ratio."""
     # One conversion to Python numbers per pivot; indexing numpy scalars row
     # by row costs more than the scan itself.
     column, rhs, basis = T[:m, col].tolist(), T[:m, -1].tolist(), basis.tolist()
-    best_row, best_ratio = None, None
+    best_row, best_ratio = None, 0.0
     for i, a in enumerate(column):
         if a > PIVOT_TOL:
             ratio = rhs[i] / a
             if (
-                best_ratio is None
+                best_row is None
                 or ratio < best_ratio - PIVOT_TOL
                 or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best_row])
             ):
                 best_row, best_ratio = i, ratio
-    return best_row
+    return best_row, best_ratio
 
 
-def _run_phase(T, basis, m, allowed, obj_row, max_iters, start_iter):
-    """Pivot until optimal / unbounded / iteration limit. Returns (status, iters)."""
-    iters = start_iter
+def _run_phase(T, basis, m, allowed, obj_row, max_iters, iters, deadline):
+    """Pivot until optimal / unbounded / iteration or time limit. Returns (status, iters)."""
+    degenerate = 0  # consecutive pivots that left the point where it was
     while True:
         if iters >= max_iters:
             return "iteration-limit", iters
-        col = _bland_enter(T[obj_row], allowed)
+        if deadline is not None and iters % DEADLINE_EVERY == 0 and time.monotonic() > deadline:
+            return "time-limit", iters
+        col = _enter(T[obj_row, :allowed], bland=degenerate >= DEGENERATE_LIMIT)
         if col is None:
             return "optimal", iters
-        row = _bland_leave(T, basis, col, m)
+        row, ratio = _leave(T, basis, col, m)
         if row is None:
             return "unbounded", iters
+        degenerate = degenerate + 1 if ratio <= PIVOT_TOL else 0
         _pivot(T, basis, row, col)
         iters += 1
 
@@ -160,8 +185,14 @@ def solve_lp(
     b_eq=None,
     bounds=None,
     max_iters: int = DEFAULT_MAX_ITERS,
+    deadline: Optional[float] = None,
 ) -> SimplexResult:
-    """Minimize c.x subject to inequality/equality rows and variable bounds."""
+    """Minimize c.x subject to inequality/equality rows and variable bounds.
+
+    ``deadline`` is a ``time.monotonic()`` value; once it has passed, the
+    solve stops with status "time-limit" (checked every ``DEADLINE_EVERY``
+    pivots).
+    """
     c_std, A_ub_s, b_ub_s, A_eq_s, b_eq_s, M, offset = _standardize(
         c, A_ub, b_ub, A_eq, b_eq, bounds
     )
@@ -178,21 +209,29 @@ def solve_lp(
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
+    # An inequality row with rhs >= 0 starts with its slack basic; the others
+    # (negated inequality rows and equality rows) get an artificial column.
+    slack_start = np.zeros(m, dtype=bool)
+    slack_start[:n_slack] = ~neg[:n_slack]
+    art_rows = np.flatnonzero(~slack_start)
+    n_art = art_rows.size
 
-    # Tableau: structural columns, one artificial per row, rhs; below the
-    # constraints sit the phase-2 cost row and the phase-1 cost row.
-    T = np.zeros((m + 2, n_struct + m + 1))
+    # Tableau: structural columns, the artificials, rhs; below the constraints
+    # sit the phase-2 cost row and the phase-1 cost row (summing the
+    # artificial rows only).
+    T = np.zeros((m + 2, n_struct + n_art + 1))
     T[:m, :n_struct] = A
-    T[:m, n_struct : n_struct + m] = np.eye(m)
+    T[art_rows, n_struct + np.arange(n_art)] = 1.0
     T[:m, -1] = b
     T[m, :n_std] = c_std
-    T[m + 1, :n_struct] = -A.sum(axis=0)
-    T[m + 1, -1] = -b.sum()
-    basis = np.arange(n_struct, n_struct + m)
+    T[m + 1, :n_struct] = -A[art_rows].sum(axis=0)
+    T[m + 1, -1] = -b[art_rows].sum()
+    basis = np.arange(n_std, n_std + m)
+    basis[art_rows] = n_struct + np.arange(n_art)
 
-    status, iters = _run_phase(T, basis, m, n_struct + m, m + 1, max_iters, 0)
-    if status == "iteration-limit":
-        return SimplexResult("iteration-limit", None, None, iters)
+    status, iters = _run_phase(T, basis, m, n_struct + n_art, m + 1, max_iters, 0, deadline)
+    if status != "optimal":
+        return SimplexResult(status, None, None, iters)
     if -T[m + 1, -1] > 1e-7:
         return SimplexResult("infeasible", None, None, iters)
 
@@ -213,7 +252,7 @@ def solve_lp(
     T = np.delete(T, np.s_[n_struct : T.shape[1] - 1], axis=1)  # artificial columns
     T = T[: m + 1]  # drop the phase-1 cost row
 
-    status, iters = _run_phase(T, basis, m, n_struct, m, max_iters, iters)
+    status, iters = _run_phase(T, basis, m, n_struct, m, max_iters, iters, deadline)
     if status != "optimal":
         return SimplexResult(status, None, None, iters)
 

@@ -2,13 +2,14 @@ import functools
 import hashlib
 import json
 import os
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from concolic_dnn import engine
+from concolic_dnn import engine, lp, network, simplex
 from concolic_dnn.engine import (
     ConfigError,
     RunConfig,
@@ -211,6 +212,23 @@ class TestNbcBounds:
         for pos in tight_h:
             assert wide_h[pos] >= tight_h[pos]
             assert wide_l[pos] <= tight_l[pos]
+
+
+class TestSampleSetForwardedOnce:
+    def test_nbc_run_forwards_each_sample_once(self, monkeypatch):
+        # the layer factors and the NBC bounds read one forward of the sample set
+        forwards = Counter()
+        real_forward = network.forward
+
+        def counting_forward(net, x):
+            forwards[np.asarray(x, dtype=np.float64).tobytes()] += 1
+            return real_forward(net, x)
+
+        monkeypatch.setattr(network, "forward", counting_forward)
+        net, refs, seeds, cfg = _small_run("nbc")
+        run(net, refs, seeds, cfg)
+        samples = np.random.default_rng(cfg.rng_seed).uniform(0.0, 1.0, (cfg.sample_count, net.input_dim))
+        assert [forwards[s.tobytes()] for s in samples] == [1] * cfg.sample_count
 
 
 class TestRunNC:
@@ -460,6 +478,36 @@ class TestDeterminismAndArtifacts:
         cfg = RunConfig(criterion="ssc", sample_count=30, rng_seed=27, timeout=1e-6)
         result = run(mid_net, refs, [np.full(4, 0.5)], cfg)
         assert result.timed_out
+
+    def test_deadline_reached_inside_lp_solve(self, monkeypatch):
+        # the clock jumps past the run's deadline once the first LP solve has
+        # started: the solver stops, the attempt fails and the run times out
+        real_clock = time.monotonic
+        statuses = []  # one per LP solve; None while that solve runs
+
+        def jumping_clock():
+            return real_clock() + (1e6 if statuses else 0.0)
+
+        def spy_solver(*args, **kwargs):
+            statuses.append(None)
+            res = simplex.solve_lp(*args, **kwargs)
+            statuses[-1] = res.status
+            return res
+
+        monkeypatch.setattr(time, "monotonic", jumping_clock)
+        monkeypatch.setattr(lp, "solve_lp", spy_solver)
+        net, refs, seeds, cfg = _small_run("nc")
+        result = run(net, refs, seeds, cfg)
+        assert statuses == ["time-limit"]
+        assert result.timed_out
+        assert len(result.suite) == len(seeds)
+
+    def test_tiny_timeout_returns_without_raising(self):
+        net, refs, seeds, cfg = _small_run("ssc")
+        cfg.timeout = 1e-9
+        result = run(net, refs, seeds, cfg)
+        assert result.timed_out
+        assert result.report.suite_size == len(seeds)
 
     def test_timeout_before_loop_writes_no_random_rows(self):
         net, refs, seeds, cfg = _small_run("lipschitz")

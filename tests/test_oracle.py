@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from concolic_dnn import oracle
 from concolic_dnn.logic import Atom, Const, Requirement, coverage, gen_nc
-from concolic_dnn.network import Dense, Network, forward
+from concolic_dnn.network import ActivationCache, Dense, Network, forward
 from concolic_dnn.oracle import (
     ReferenceSet,
     _dist,
@@ -153,6 +153,23 @@ class TestRobustness:
         # record re-verifies from scratch
         assert forward(net, record.input).label == record.label
         assert forward(net, rs.inputs[record.nearest_index]).label == record.nearest_label
+
+
+class TestCallerCache:
+    """An empty cache is falsy (it has ``__len__``) but is still the caller's."""
+
+    def test_suite_report_fills_an_empty_cache(self, refs):
+        net = boundary_net()
+        cache = ActivationCache(net)
+        suite_report(net, refs, [np.array([0.4, 0.4])], gen_nc(net), bound=0.5, cache=cache)
+        assert len(cache) > 0
+
+    def test_robustness_check_fills_an_empty_cache(self):
+        net = boundary_net()
+        rs = ReferenceSet(np.array([[0.6, 0.5]]), np.array([0]))
+        cache = ActivationCache(net)
+        robustness_check(net, rs, np.array([0.45, 0.5]), cache=cache)
+        assert len(cache) == 2
 
 
 class TestSuiteReport:

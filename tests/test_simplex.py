@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from concolic_dnn.lp import add_chebyshev_objective, encode_pattern, nc_target_pattern
 from concolic_dnn.network import forward, pattern_of
+from concolic_dnn import simplex
 from concolic_dnn.simplex import solve_lp
 
 from conftest import dense_net
@@ -145,12 +147,76 @@ class TestIterationLimit:
         assert res.status == "iteration-limit"
 
 
+class TestDeadline:
+    def test_past_deadline_reports_time_limit(self):
+        rng = np.random.default_rng(1)
+        c = rng.normal(size=6)
+        A = rng.normal(size=(10, 6))
+        b = rng.uniform(1, 2, 10)
+        res = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6, deadline=time.monotonic() - 1.0)
+        assert res.status == "time-limit"
+        assert res.x is None
+        assert res.iterations == 0
+
+    def test_future_deadline_changes_nothing(self):
+        rng = np.random.default_rng(1)
+        c = rng.normal(size=6)
+        A = rng.normal(size=(10, 6))
+        b = rng.uniform(1, 2, 10)
+        free = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6)
+        timed = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6, deadline=time.monotonic() + 600)
+        assert timed.status == free.status == "optimal"
+        assert timed.iterations == free.iterations
+        assert np.array_equal(timed.x, free.x)
+
+
+class TestPivotRule:
+    def test_beale_cycling_example_terminates(self):
+        # Beale (1955): Dantzig's rule with a smallest-index leaving rule
+        # cycles here through six degenerate bases; Bland's entering rule
+        # after DEGENERATE_LIMIT degenerate pivots breaks the cycle.
+        c = np.array([-0.75, 150.0, -0.02, 6.0])
+        A = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        res = solve_lp(c, A_ub=A, b_ub=b, bounds=[(0, None)] * 4, max_iters=100)
+        assert res.status == "optimal"
+        assert res.iterations <= 2 * simplex.DEGENERATE_LIMIT
+        assert res.objective == pytest.approx(-0.05)
+        assert res.x == pytest.approx([0.04, 0.0, 1.0, 0.0])
+
+    def test_feasible_origin_needs_no_pivot(self):
+        # every row starts with its slack basic, so there is no phase 1 and,
+        # with c = 0, no phase 2 either
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(8, 5))
+        b = rng.uniform(0.0, 1.0, 8)
+        b[:2] = 0.0
+        res = solve_lp(np.zeros(5), A_ub=A, b_ub=b, bounds=[(0, None)] * 5)
+        assert res.status == "optimal"
+        assert res.iterations == 0
+        assert np.array_equal(res.x, np.zeros(5))
+
+    def test_entering_column_is_most_negative_reduced_cost(self):
+        # from the slack basis the first pivot enters x1 (cost -3), not x0
+        # (cost -1, Bland's choice); the optimum follows in that one pivot
+        res = solve_lp(
+            np.array([-1.0, -3.0]),
+            A_ub=np.array([[1.0, 1.0]]),
+            b_ub=np.array([1.0]),
+            bounds=[(0, None), (0, None)],
+        )
+        assert res.status == "optimal"
+        assert res.iterations == 1
+        assert res.x == pytest.approx([0.0, 1.0])
+
+
 def _nc_lps():
     """NC synthesis LPs on a small seeded dense net: every ReLU neuron flipped
     from three source points, as ``symbolic_lp`` builds them (input-space
-    sign rows, then the Chebyshev rows). The Chebyshev rows make these
-    tableaux degenerate: 478 of the 1,784 ratio tests (27%) have tied
-    minimum ratios."""
+    sign rows, then the Chebyshev rows). Under the Bland rule and an
+    artificial per row, the Chebyshev rows made these tableaux degenerate:
+    478 of 1,784 ratio tests had tied minimum ratios. From the slack basis
+    with Dantzig pricing, 1 of 727 does."""
     net = dense_net([6, 8, 8, 3], seed=7)
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -182,8 +248,8 @@ def pivot_fingerprint(lp) -> list:
 
 class TestPivotPathGolden:
     """The pivot sequence is part of the solver's contract. The fingerprints
-    were recorded with the row-by-row Bland scan and full-tableau update; a
-    solver change that alters the pivot path on these LPs fails here."""
+    were recorded with the slack-basis start and Dantzig pricing; a solver
+    change that alters the pivot path on these LPs fails here."""
 
     @pytest.mark.parametrize("family", sorted(GOLDEN_FAMILIES))
     def test_fingerprints_unchanged(self, family):
