@@ -280,10 +280,11 @@ def run(
 
     samples = list(rng.uniform(0.0, 1.0, size=(cfg.sample_count, net.input_dim)))
     sample_set = samples + [np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds]
-    # forwarded once for the layer factors and the NBC bounds
+    # forwarded once for the layer factors and the NBC bounds, then let go
     sample_acts = network.forward_samples(net, sample_set)
     factors = estimate_layer_factors(net, sample_acts)
     reqs, boxes = family.generate(net, seeds, cfg, sample_acts)
+    del sample_acts
 
     suite = TestSuite(dim=net.input_dim)
     for s in seeds:

@@ -211,9 +211,7 @@ def solve_lp(
     b[neg] *= -1.0
     # An inequality row with rhs >= 0 starts with its slack basic; the others
     # (negated inequality rows and equality rows) get an artificial column.
-    slack_start = np.zeros(m, dtype=bool)
-    slack_start[:n_slack] = ~neg[:n_slack]
-    art_rows = np.flatnonzero(~slack_start)
+    art_rows = np.flatnonzero(neg | (np.arange(m) >= n_slack))
     n_art = art_rows.size
 
     # Tableau: structural columns, the artificials, rhs; below the constraints
