@@ -145,7 +145,7 @@ class TestConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("run() started work on a bad configuration")
 
-        monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
+        monkeypatch.setattr(network, "forward_samples", no_work)  # the first work run() does
         with pytest.raises(ConfigError, match="reference inputs have 2 entries"):
             run(net, refs, [np.zeros(3)], RunConfig(criterion="nc"))
 
@@ -156,7 +156,7 @@ class TestConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("run() started work on a bad configuration")
 
-        monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
+        monkeypatch.setattr(network, "forward_samples", no_work)  # the first work run() does
         with pytest.raises(ConfigError, match="seed 1 has 3 entries"):
             run(net, refs, [np.zeros(4), np.zeros(3)], RunConfig(criterion="nc"))
 
@@ -166,7 +166,7 @@ class TestConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("run() started work on a bad configuration")
 
-        monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
+        monkeypatch.setattr(network, "forward_samples", no_work)  # the first work run() does
         with pytest.raises(ConfigError, match="l0 norm"):
             run(net, make_refs(net, norm="l0"), [np.zeros(4)], RunConfig(criterion="nc"))
 
@@ -176,7 +176,7 @@ class TestConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("run() started work on a bad configuration")
 
-        monkeypatch.setattr(engine, "estimate_layer_factors", no_work)
+        monkeypatch.setattr(network, "forward_samples", no_work)  # the first work run() does
         cfg = RunConfig(criterion="ssc", ssc_pairs=[(2, 0, 0), (3, 0, 0)])
         with pytest.raises(ConfigError, match=r"\(3, 0, 0\)"):
             run(net, make_refs(net), [np.zeros(3)], cfg)
