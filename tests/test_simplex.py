@@ -148,23 +148,21 @@ class TestIterationLimit:
 
 
 class TestDeadline:
-    def test_past_deadline_reports_time_limit(self):
+    @staticmethod
+    def box_lp():
         rng = np.random.default_rng(1)
-        c = rng.normal(size=6)
-        A = rng.normal(size=(10, 6))
-        b = rng.uniform(1, 2, 10)
-        res = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6, deadline=time.monotonic() - 1.0)
+        return dict(c=rng.normal(size=6), A_ub=rng.normal(size=(10, 6)),
+                    b_ub=rng.uniform(1, 2, 10), bounds=[(-4, 4)] * 6)
+
+    def test_past_deadline_reports_time_limit(self):
+        res = solve_lp(**self.box_lp(), deadline=time.monotonic() - 1.0)
         assert res.status == "time-limit"
         assert res.x is None
         assert res.iterations == 0
 
     def test_future_deadline_changes_nothing(self):
-        rng = np.random.default_rng(1)
-        c = rng.normal(size=6)
-        A = rng.normal(size=(10, 6))
-        b = rng.uniform(1, 2, 10)
-        free = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6)
-        timed = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6, deadline=time.monotonic() + 600)
+        free = solve_lp(**self.box_lp())
+        timed = solve_lp(**self.box_lp(), deadline=time.monotonic() + 600)
         assert timed.status == free.status == "optimal"
         assert timed.iterations == free.iterations
         assert np.array_equal(timed.x, free.x)
