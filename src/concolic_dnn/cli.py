@@ -126,7 +126,6 @@ def _cmd_run(args) -> int:
         lip=lip,
         quantize=args.quantize,
     )
-    cfg.validate()
     dump_dir = os.path.join(args.out, "lp") if args.dump_lp else None
     result = run(net, refs, seeds, cfg, dump_lp_dir=dump_dir)
     save_run(result, cfg, args.out)

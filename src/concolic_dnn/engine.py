@@ -7,7 +7,8 @@ compass scheme for Lipschitz requirements). Each synthesized input is admitted
 only if it stays within the validity bound of the reference set. A requirement
 whose ranked candidates all fail lands in the failure set; the loop ends when
 every requirement is satisfied or failed, or the wall clock runs out. The
-finished suite goes to the oracle for the coverage report.
+loop alone settles requirement status; the oracle reports on the finished
+suite.
 """
 
 from __future__ import annotations
@@ -304,20 +305,19 @@ def run(
                  dump_hook if dump_lp_dir else None)
     checked = 0  # suite length at the last satisfaction pass
 
-    while not loop.expired():
-        # an open existential requirement has no witness in suite[:checked],
-        # so only the bindings that use a newer test can satisfy it
+    while True:
+        # Every family generates existential requirements: one that is not
+        # satisfied has no witness in suite[:checked], so only the bindings
+        # that use a newer test can satisfy it, a failed one included.
+        vectors = suite.vectors
         open_reqs = []
         for r in reqs:
-            if r.status != "open":
-                continue
-            start = checked if r.quantifier == "exists" else 0
-            if satisfies(suite.vectors, r, net, cache, start):
+            if r.status != "satisfied" and satisfies(vectors, r, net, cache, checked):
                 r.status = "satisfied"
-            else:
+            elif r.status == "open":
                 open_reqs.append(r)
         checked = len(suite)
-        if not open_reqs:
+        if loop.expired() or not open_reqs:
             break
         family.synthesize(loop, family.rank(loop, open_reqs).requirement)
 
@@ -358,7 +358,8 @@ def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
             except LpError:
                 continue  # the solver's answer failed its residual check
         else:
-            t_new = symbolic_l0(loop.net, source, r, L0Budget(cfg.l0_budget))
+            t_new = symbolic_l0(loop.net, source, r, L0Budget(cfg.l0_budget),
+                                deadline=loop.deadline)
         if t_new is None:
             continue
         t_new = _quantize(t_new, cfg.quantize)
@@ -390,7 +391,7 @@ def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
         return
     loop.tried[id(r)] = set()
     center = np.asarray(loop.boxes[r.tag.box].center, dtype=np.float64)
-    outcome = alternating_search(loop.net, center, cfg.lip)
+    outcome = alternating_search(loop.net, center, cfg.lip, deadline=loop.deadline)
     loop.lip_rows.append(_lip_row(r.tag.box, "concolic", outcome))
     parent = next((i for i, c in enumerate(suite.cases) if np.array_equal(c.vector, center)), None)
     appended = False
@@ -400,8 +401,8 @@ def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
             if not any(np.array_equal(c.vector, point) for c in suite.cases):
                 suite.append(point, r.tag.label(), parent)
                 appended = True
-    if not (appended and outcome.witness.satisfied):
-        r.status = "failed"
+    if not (appended and outcome.witness.satisfied or loop.expired()):
+        r.status = "failed"  # a search cut by the deadline leaves it open
 
 
 def _random_baselines(loop: _Loop) -> None:

@@ -5,12 +5,13 @@ requirements are attacked by changing one pixel at a time: every step
 evaluates the requirement's gap (``tag.gap``) for each not-yet-modified pixel
 set to each extreme value, 0 and 1, that differs from its source value, and
 applies the single best strictly-improving change. The search stops as soon as
-the requirement holds, or fails when the pixel budget is exhausted or no change
-improves the gap.
+the requirement holds, or fails when the pixel budget is exhausted, no change
+improves the gap, or the deadline passes.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,13 +40,16 @@ def l0_distance(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def symbolic_l0(
-    net: Network, t: np.ndarray, r: Requirement, budget: L0Budget = L0Budget()
+    net: Network, t: np.ndarray, r: Requirement, budget: L0Budget = L0Budget(),
+    deadline: Optional[float] = None,
 ) -> Optional[np.ndarray]:
     """Greedy coordinate search for an input satisfying ``r`` within the pixel budget.
 
     Returns a new input differing from ``t`` in at most ``budget.max_pixels``
     coordinates, or None on failure. Every accepted step strictly increases the
     requirement's objective, so the loop runs at most ``max_pixels`` steps.
+    ``deadline`` is a ``time.monotonic()`` value, checked before each step; once
+    it has passed, the search fails.
     """
     tag = r.tag
     if not hasattr(tag, "reached"):
@@ -60,6 +64,8 @@ def symbolic_l0(
         return cur
     modified: set[int] = set()
     while len(modified) < budget.max_pixels:
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         best: Optional[tuple[int, float, float]] = None  # pixel, candidate value, objective
         for pix in range(cur.size):
             if pix in modified:

@@ -19,6 +19,7 @@ equal budgets.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -191,7 +192,8 @@ class SearchOutcome:
 
 
 def alternating_search(
-    net: Network, t0: np.ndarray, cfg: LipConfig, eval_budget: Optional[int] = None
+    net: Network, t0: np.ndarray, cfg: LipConfig, eval_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> SearchOutcome:
     """Alternating compass runs in the seed's box, best pair kept across runs.
 
@@ -199,8 +201,10 @@ def alternating_search(
     run's converged point. Stops on satisfaction, after ``cfg.max_executions``
     runs, or when a run after the first raises the best ratio by
     ``PROGRESS_TOL`` or less. ``eval_budget`` caps total forward evaluations;
-    on exhaustion the best witness so far is returned. ``executions`` counts
-    every run started, the interrupted one included.
+    on exhaustion the best witness so far is returned. ``deadline`` is a
+    ``time.monotonic()`` value, checked before each run; once it has passed, no
+    run starts. ``executions`` counts every run started, the interrupted one
+    included.
     """
     t0 = np.ravel(np.asarray(t0, dtype=np.float64))
     counter = EvalCounter(eval_budget)
@@ -208,7 +212,7 @@ def alternating_search(
     anchor = t0
     executions = 0
     try:
-        while executions < cfg.max_executions:
+        while executions < cfg.max_executions and (deadline is None or time.monotonic() <= deadline):
             before = tracker.witness.ratio
             executions += 1
             res = _anchored_run(net, anchor, t0, cfg, counter, tracker)

@@ -1,15 +1,17 @@
 """Dense two-phase simplex: slack-basis start, Dantzig pricing, Bland fallback.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lo <= x <= hi
+Solves  min c.x  s.t.  A_ub x <= b_ub,  lo <= x <= hi
 where bounds may be infinite. The solver is dimensioned for the small problems
 this package produces (a few hundred variables); swap in another
 implementation via the ``solver`` argument of ``lp.solve`` if that stops being
 true.
 
-- **Start.** After standardization every inequality row with rhs >= 0 starts
-  with its slack basic. Only the rows with a negative rhs and the equality
-  rows get an artificial column, and the phase-1 cost row sums those rows
-  only. An LP that is feasible at the shifted origin skips phase 1.
+- **Start.** After standardization every row with rhs >= 0 starts with its
+  slack basic. Only the rows with a negative rhs get an artificial column,
+  and the phase-1 cost row sums those rows only. An LP that is feasible at
+  the shifted origin skips phase 1. The slack block gives the constraint
+  matrix full row rank, so every artificial left basic after phase 1 can
+  pivot on a structural column.
 - **Entering column.** Dantzig's rule: the most negative reduced cost, first
   index on ties. After ``DEGENERATE_LIMIT`` consecutive degenerate pivots
   (zero step) the solver takes Bland's smallest-index entering rule until the
@@ -66,8 +68,8 @@ def _as_2d(a, ncols: int) -> np.ndarray:
     return arr
 
 
-def _standardize(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """Rewrite into  min c_std.y  s.t.  A y = b, y >= 0  (after adding slacks).
+def _standardize(c, A_ub, b_ub, bounds):
+    """Rewrite into  min c_std.y  s.t.  A y <= b, y >= 0.
 
     Returns the standard-form pieces plus the affine map x = offset + M y that
     recovers the original variables.
@@ -76,8 +78,6 @@ def _standardize(c, A_ub, b_ub, A_eq, b_eq, bounds):
     n = c.size
     A_ub = _as_2d(A_ub, n)
     b_ub = np.asarray(b_ub, dtype=np.float64) if b_ub is not None else np.zeros(0)
-    A_eq = _as_2d(A_eq, n)
-    b_eq = np.asarray(b_eq, dtype=np.float64) if b_eq is not None else np.zeros(0)
     if bounds is None:
         bounds = [(None, None)] * n
 
@@ -107,8 +107,6 @@ def _standardize(c, A_ub, b_ub, A_eq, b_eq, bounds):
     c_std = c @ M
     A_ub_std = A_ub @ M
     b_ub_std = b_ub - A_ub @ offset
-    A_eq_std = A_eq @ M
-    b_eq_std = b_eq - A_eq @ offset
     if extra_rows:
         rows = np.zeros((len(extra_rows), n_std))
         rhs = np.zeros(len(extra_rows))
@@ -117,7 +115,7 @@ def _standardize(c, A_ub, b_ub, A_eq, b_eq, bounds):
             rhs[r] = bound
         A_ub_std = np.vstack([A_ub_std, rows])
         b_ub_std = np.concatenate([b_ub_std, rhs])
-    return c_std, A_ub_std, b_ub_std, A_eq_std, b_eq_std, M, offset
+    return c_std, A_ub_std, b_ub_std, M, offset
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -181,37 +179,26 @@ def solve_lp(
     c,
     A_ub=None,
     b_ub=None,
-    A_eq=None,
-    b_eq=None,
     bounds=None,
     max_iters: int = DEFAULT_MAX_ITERS,
     deadline: Optional[float] = None,
 ) -> SimplexResult:
-    """Minimize c.x subject to inequality/equality rows and variable bounds.
+    """Minimize c.x subject to inequality rows and variable bounds.
 
     ``deadline`` is a ``time.monotonic()`` value; once it has passed, the
     solve stops with status "time-limit" (checked every ``DEADLINE_EVERY``
     pivots).
     """
-    c_std, A_ub_s, b_ub_s, A_eq_s, b_eq_s, M, offset = _standardize(
-        c, A_ub, b_ub, A_eq, b_eq, bounds
-    )
+    c_std, A_ub_s, b, M, offset = _standardize(c, A_ub, b_ub, bounds)
     n_std = c_std.size
-    n_slack = A_ub_s.shape[0]
-    A = np.vstack(
-        [
-            np.hstack([A_ub_s, np.eye(n_slack)]),
-            np.hstack([A_eq_s, np.zeros((A_eq_s.shape[0], n_slack))]),
-        ]
-    )
-    b = np.concatenate([b_ub_s, b_eq_s])
+    A = np.hstack([A_ub_s, np.eye(b.size)])
     m, n_struct = A.shape
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
-    # An inequality row with rhs >= 0 starts with its slack basic; the others
-    # (negated inequality rows and equality rows) get an artificial column.
-    art_rows = np.flatnonzero(neg | (np.arange(m) >= n_slack))
+    # A row with rhs >= 0 starts with its slack basic; a negated row gets an
+    # artificial column.
+    art_rows = np.flatnonzero(neg)
     n_art = art_rows.size
 
     # Tableau: structural columns, the artificials, rhs; below the constraints
@@ -233,20 +220,10 @@ def solve_lp(
     if -T[m + 1, -1] > 1e-7:
         return SimplexResult("infeasible", None, None, iters)
 
-    # Drive leftover artificials out of the basis; rows that cannot pivot on a
-    # structural column are redundant and get dropped.
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n_struct:
-            piv_cols = np.nonzero(np.abs(T[i, :n_struct]) > PIVOT_TOL)[0]
-            if piv_cols.size:
-                _pivot(T, basis, i, int(piv_cols[0]))
-            else:
-                keep[i] = False
-    if not keep.all():
-        T = np.vstack([T[:m][keep], T[m : m + 2]])
-        basis = basis[keep]
-        m = int(keep.sum())
+    # Drive leftover (zero-valued) artificials out of the basis.
+    for i in np.flatnonzero(basis >= n_struct):
+        piv_cols = np.flatnonzero(np.abs(T[i, :n_struct]) > PIVOT_TOL)
+        _pivot(T, basis, i, int(piv_cols[0]))
     T = np.delete(T, np.s_[n_struct : T.shape[1] - 1], axis=1)  # artificial columns
     T = T[: m + 1]  # drop the phase-1 cost row
 

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from collections import Counter
@@ -8,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from concolic_dnn import engine, lp, network, simplex
+from concolic_dnn import engine, l0search, lipschitz, lp, network, simplex
 from concolic_dnn.engine import (
     ConfigError,
     RunConfig,
@@ -22,9 +26,11 @@ from concolic_dnn.engine import (
     save_run,
 )
 from concolic_dnn.lipschitz import LipConfig
+from concolic_dnn.logic import coverage, satisfies
 from concolic_dnn.lp import LpError
 from concolic_dnn.network import ActivationCache, Conv2D, Dense, Flatten, MaxPool, Network, forward
 from concolic_dnn.oracle import ReferenceSet
+from concolic_dnn.ranking import RankedCandidate
 
 from conftest import DEAD_NEURONS, dense_net, saturation_net
 
@@ -193,6 +199,34 @@ class TestConfig:
         report = (tmp_path / "report.json").read_text()
         assert report.count('"ssc:2:0:3:0"') == 1
         assert report.count('"ssc:2:1:3:2"') == 1
+
+
+def _bad_positive_float():
+    return st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])
+
+
+BAD_SETTINGS = st.one_of(
+    st.fixed_dictionaries({"bound": _bad_positive_float()}),
+    st.fixed_dictionaries({"timeout": _bad_positive_float()}),
+    *(st.fixed_dictionaries({name: st.integers(max_value=0)})
+      for name in ("max_attempts", "l0_budget", "quantize")),
+)
+
+
+class TestConfigProperties:
+    net = dense_net([2, 3, 2], seed=0)
+
+    @given(BAD_SETTINGS, st.sampled_from(["linf", "l0"]))
+    def test_bad_setting_rejected_before_forwarding(self, setting, norm):
+        def no_forwarding(*args):
+            raise AssertionError("the run forwarded its samples")
+
+        refs = ReferenceSet(np.zeros((1, 2)), np.zeros(1, dtype=int), norm=norm)
+        cfg = RunConfig("nc", norm=norm, **setting)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "forward_samples", no_forwarding)
+            with pytest.raises(ConfigError):
+                run(self.net, refs, [np.zeros(2)], cfg)
 
 
 class TestNbcBounds:
@@ -445,6 +479,54 @@ class TestIncrementalCheck:
         assert any(0 < start < size for start, size in starts)
 
 
+class TestStatusOwner:
+    """The loop's satisfaction pass settles every requirement's status; the
+    report counts the statuses as given."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_status_matches_full_suite(self, name):
+        net, refs, seeds, cfg = GOLDEN_RUNS[name]()
+        result = run(net, refs, seeds, cfg)
+        vectors = result.suite.vectors
+        for r in result.requirements:
+            assert (r.status == "satisfied") == satisfies(vectors, r, net), r.tag.label()
+        assert result.report.coverage == coverage(vectors, result.requirements, net)
+
+    def test_failed_requirement_satisfied_by_later_test(self, monkeypatch):
+        # two NC requirements, picked in order: synthesis fails for the first,
+        # and the test admitted for the second activates both neurons
+        net = Network((2,), [Dense(np.eye(2), np.full(2, -0.5), relu=True),
+                             Dense(np.eye(2), np.zeros(2), relu=False)])
+        seed, both = np.full(2, 0.1), np.full(2, 0.9)
+        refs = ReferenceSet(np.stack([seed, both]), np.zeros(2, dtype=int))
+        real_generate = engine.FAMILIES["nc"].generate
+        reqs = []
+        statuses_at_admission = []
+
+        def generate(*args):
+            generated, boxes = real_generate(*args)
+            reqs.extend(generated)
+            return generated, boxes
+
+        def first_open(loop, open_reqs):
+            return RankedCandidate(open_reqs[0], (0,), 0.0)
+
+        def scripted_lp(net, source, r, **kwargs):
+            if r.tag.neuron == 0:
+                return None
+            statuses_at_admission.extend(q.status for q in reqs)
+            return both.copy()
+
+        monkeypatch.setattr(engine, "symbolic_lp", scripted_lp)
+        monkeypatch.setitem(engine.FAMILIES, "nc", dataclasses.replace(
+            engine.FAMILIES["nc"], generate=generate, rank=first_open))
+        result = run(net, refs, [seed], RunConfig("nc", sample_count=10))
+        assert statuses_at_admission == ["failed", "open"]
+        assert [case.provenance for case in result.suite] == ["seed", "nc:2:1"]
+        assert [r.status for r in result.requirements] == ["satisfied", "satisfied"]
+        assert (result.report.satisfied, result.report.failed) == (2, 0)
+
+
 class TestDeterminismAndArtifacts:
     def test_identical_configs_identical_reports(self, tmp_path, mid_net):
         refs = make_refs(mid_net, seed=22)
@@ -479,14 +561,16 @@ class TestDeterminismAndArtifacts:
         result = run(mid_net, refs, [np.full(4, 0.5)], cfg)
         assert result.timed_out
 
+    @staticmethod
+    def jump_clock(monkeypatch, started):
+        """The clock jumps past the run's deadline once ``started`` is non-empty."""
+        real_clock = time.monotonic
+        monkeypatch.setattr(time, "monotonic", lambda: real_clock() + (1e6 if started else 0.0))
+
     def test_deadline_reached_inside_lp_solve(self, monkeypatch):
         # the clock jumps past the run's deadline once the first LP solve has
         # started: the solver stops, the attempt fails and the run times out
-        real_clock = time.monotonic
         statuses = []  # one per LP solve; None while that solve runs
-
-        def jumping_clock():
-            return real_clock() + (1e6 if statuses else 0.0)
 
         def spy_solver(*args, **kwargs):
             statuses.append(None)
@@ -494,13 +578,71 @@ class TestDeterminismAndArtifacts:
             statuses[-1] = res.status
             return res
 
-        monkeypatch.setattr(time, "monotonic", jumping_clock)
+        self.jump_clock(monkeypatch, statuses)
         monkeypatch.setattr(lp, "solve_lp", spy_solver)
         net, refs, seeds, cfg = _small_run("nc")
         result = run(net, refs, seeds, cfg)
         assert statuses == ["time-limit"]
         assert result.timed_out
         assert len(result.suite) == len(seeds)
+
+    def test_input_admitted_at_the_deadline_is_checked(self, monkeypatch):
+        # the clock jumps once the first synthesized test is admitted: the
+        # loop's last pass still checks it, and the run times out
+        admitted = []
+        real_validity = engine.validity_check
+
+        def spy_validity(*args):
+            ok = real_validity(*args)
+            if ok:
+                admitted.append(args[1])
+            return ok
+
+        self.jump_clock(monkeypatch, admitted)
+        monkeypatch.setattr(engine, "validity_check", spy_validity)
+        net, refs, seeds, cfg = _small_run("nc")
+        result = run(net, refs, seeds, cfg)
+        assert result.timed_out
+        assert len(result.suite) == len(seeds) + 1
+        status = {r.tag.label(): r.status for r in result.requirements}
+        assert status[result.suite.cases[-1].provenance] == "satisfied"
+
+    def test_deadline_reached_inside_l0_search(self, monkeypatch):
+        # the clock jumps once the first L0 search has started: the search
+        # fails before its first pixel step and the run times out
+        found = []  # one per search; "running" while that search runs
+
+        def spy_search(*args, **kwargs):
+            found.append("running")
+            found[-1] = l0search.symbolic_l0(*args, **kwargs)
+            return found[-1]
+
+        self.jump_clock(monkeypatch, found)
+        monkeypatch.setattr(engine, "symbolic_l0", spy_search)
+        net, refs, seeds, cfg = _small_l0_run("nc")
+        result = run(net, refs, seeds, cfg)
+        assert found == [None]
+        assert result.timed_out
+        assert len(result.suite) == len(seeds)
+
+    def test_deadline_reached_inside_compass_search(self, monkeypatch):
+        # the clock jumps once the first compass search has started: no
+        # compass run starts, the requirement stays open and the run times out
+        outcomes = []
+
+        def spy_search(*args, **kwargs):
+            outcomes.append(None)
+            outcomes[-1] = lipschitz.alternating_search(*args, **kwargs)
+            return outcomes[-1]
+
+        self.jump_clock(monkeypatch, outcomes)
+        monkeypatch.setattr(engine, "alternating_search", spy_search)
+        net, refs, seeds, cfg = _small_run("lipschitz")
+        result = run(net, refs, seeds, cfg)
+        assert [o.executions for o in outcomes] == [0]
+        assert result.timed_out
+        assert len(result.suite) == len(seeds)
+        assert {r.status for r in result.requirements} == {"open"}
 
     def test_timeout_before_loop_writes_no_random_rows(self):
         net, refs, seeds, cfg = _small_run("lipschitz")

@@ -42,17 +42,6 @@ class TestAnalyticCases:
         res = solve_lp(np.array([1.0]), bounds=[(None, None)])
         assert res.status == "unbounded"
 
-    def test_equality_rows(self):
-        # min x + y s.t. x + y = 1, x - y = 0
-        res = solve_lp(
-            np.array([1.0, 1.0]),
-            A_eq=np.array([[1.0, 1.0], [1.0, -1.0]]),
-            b_eq=np.array([1.0, 0.0]),
-            bounds=[(None, None), (None, None)],
-        )
-        assert res.status == "optimal"
-        assert res.x == pytest.approx([0.5, 0.5], abs=1e-9)
-
     def test_two_sided_bounds(self):
         res = solve_lp(np.array([-1.0]), bounds=[(0.25, 0.75)])
         assert res.status == "optimal"
