@@ -1,6 +1,7 @@
 """Coverage-guided concolic test-suite generation for feedforward ReLU networks."""
 
 from .network import (
+    ActivationBatch,
     ActivationCache,
     ActivationPattern,
     Activations,
@@ -10,6 +11,7 @@ from .network import (
     MaxPool,
     Network,
     forward,
+    forward_batch,
     load_model,
     pattern_of,
     save_model,

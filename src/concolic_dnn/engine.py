@@ -44,7 +44,7 @@ from .lp import (
     symbolic_lp,
 )
 from . import network
-from .network import ActivationCache, Network
+from .network import ActivationBatch, ActivationCache, Network
 from .oracle import (
     CoverageReport,
     ReferenceSet,
@@ -187,6 +187,8 @@ class RunConfig:
             raise ConfigError("timeout must be finite")
         if self.max_attempts < 1 or self.timeout <= 0 or self.l0_budget < 1:
             raise ConfigError("budgets must be positive")
+        if self.sample_count < 0:
+            raise ConfigError("sample count must not be negative")
         if self.quantize is not None and self.quantize <= 0:
             raise ConfigError("quantization grid must be positive")
         if family.needs_lip and self.lip is None:
@@ -204,13 +206,15 @@ class RunResult:
 
 def nbc_bounds_from_samples(net: Network, samples: Sequence, widen: float = 0.05) -> tuple[dict, dict]:
     """Per-neuron high/low activation bounds: sample min/max widened by a
-    fraction of the observed range. ``samples`` are input vectors or their
-    ``Activations``."""
-    acts = network.forward_samples(net, samples)
+    fraction of the observed range. ``samples`` are input vectors, one per row,
+    or their ``ActivationBatch``; an empty sample set gives no bounds."""
     high: dict[tuple[int, int], float] = {}
     low: dict[tuple[int, int], float] = {}
-    for k in net.hidden_relu_layers if acts else ():
-        u = np.stack([a.u_flat(k) for a in acts])
+    if len(samples) == 0:
+        return high, low
+    acts = samples if isinstance(samples, ActivationBatch) else network.forward_batch(net, samples)
+    for k in net.hidden_relu_layers:
+        u = acts.u_flat(k)
         lo, hi = u.min(axis=0), u.max(axis=0)
         span = hi - lo
         for i in range(lo.size):
@@ -279,10 +283,10 @@ def run(
     deadline = time.monotonic() + cfg.timeout
     cache = ActivationCache(net)
 
-    samples = list(rng.uniform(0.0, 1.0, size=(cfg.sample_count, net.input_dim)))
-    sample_set = samples + [np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds]
-    # forwarded once for the layer factors and the NBC bounds, then let go
-    sample_acts = network.forward_samples(net, sample_set)
+    samples = rng.uniform(0.0, 1.0, size=(cfg.sample_count, net.input_dim))
+    sample_set = np.vstack([samples, *(np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds)])
+    # forwarded once, as one batch, for the layer factors and the NBC bounds, then let go
+    sample_acts = network.forward_batch(net, sample_set)
     factors = estimate_layer_factors(net, sample_acts)
     reqs, boxes = family.generate(net, seeds, cfg, sample_acts)
     del sample_acts
@@ -445,7 +449,7 @@ class Family:
     """What the engine knows about one requirement family (criterion).
 
     ``generate(net, seeds, cfg, sample_acts)`` returns the requirements and a
-    box index -> Box map, given the ``Activations`` of the run's sample set;
+    box index -> Box map, given the ``ActivationBatch`` of the run's sample set;
     ``rank(loop, open_reqs)`` picks the requirement to work on;
     ``synthesize(loop, r)`` is one loop iteration's synthesis;
     ``lp_target(net, acts, source_pattern, tag)`` gives ``symbolic_lp`` the

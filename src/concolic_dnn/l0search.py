@@ -3,10 +3,11 @@
 Instead of an LP (which needs a linear distance metric), NC and NBC
 requirements are attacked by changing one pixel at a time: every step
 evaluates the requirement's gap (``tag.gap``) for each not-yet-modified pixel
-set to each extreme value, 0 and 1, that differs from its source value, and
-applies the single best strictly-improving change. The search stops as soon as
-the requirement holds, or fails when the pixel budget is exhausted, no change
-improves the gap, or the deadline passes.
+set to each extreme value, 0 and 1, that differs from its source value (in
+``forward_batch`` calls of up to ``net.batch_rows`` candidates), and applies the
+single best strictly-improving change (the first one on ties). The search
+stops as soon as the requirement holds, or fails when the pixel budget is
+exhausted, no change improves the gap, or the deadline passes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .logic import Requirement, vector_norm
-from .network import Network, forward
+from .network import Network, forward, forward_batch
 
 
 @dataclass(frozen=True)
@@ -55,35 +56,33 @@ def symbolic_l0(
     if not hasattr(tag, "reached"):
         raise ValueError(f"L0 search needs a one-neuron requirement, not {type(tag).__name__}")
 
-    def obj(x):
-        return tag.gap(forward(net, x))
-
     cur = np.ravel(np.asarray(t, dtype=np.float64)).copy()
-    value = obj(cur)
+    value = tag.gap(forward(net, cur))
     if tag.reached(value):
         return cur
-    modified: set[int] = set()
-    while len(modified) < budget.max_pixels:
+    free = np.ones(cur.size, dtype=bool)  # pixels not modified yet
+    for _ in range(budget.max_pixels):
         if deadline is not None and time.monotonic() > deadline:
             return None
-        best: Optional[tuple[int, float, float]] = None  # pixel, candidate value, objective
-        for pix in range(cur.size):
-            if pix in modified:
-                continue
-            original = cur[pix]
-            for cand in (0.0, 1.0):
-                if cand == original:
-                    continue
-                cur[pix] = cand
-                trial = obj(cur)
-                if trial > value and (best is None or trial > best[2]):
-                    best = (pix, cand, trial)
-            cur[pix] = original
-        if best is None:
+        # one candidate per free pixel and differing extreme: pixel order, 0 before 1
+        pixels = np.repeat(np.flatnonzero(free), 2)
+        extremes = np.tile([0.0, 1.0], pixels.size // 2)
+        differs = cur[pixels] != extremes
+        pixels, extremes = pixels[differs], extremes[differs]
+        if pixels.size == 0:
             return None
-        pix, cand, value = best
-        cur[pix] = cand
-        modified.add(pix)
+        gaps = np.empty(pixels.size)
+        for lo in range(0, pixels.size, net.batch_rows):
+            hi = min(lo + net.batch_rows, pixels.size)
+            cands = np.repeat(cur[None, :], hi - lo, axis=0)
+            cands[np.arange(hi - lo), pixels[lo:hi]] = extremes[lo:hi]
+            gaps[lo:hi] = tag.gap(forward_batch(net, cands))
+        best = int(np.argmax(gaps))  # the first maximum: lowest pixel, then 0 before 1
+        if not gaps[best] > value:
+            return None
+        cur[pixels[best]] = extremes[best]
+        free[pixels[best]] = False
+        value = gaps[best]
         if tag.reached(value):
             return cur
     return None

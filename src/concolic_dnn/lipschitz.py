@@ -11,9 +11,9 @@ until the ratio beats the constant, the best ratio stops improving, or the
 run budget is spent; then the best pair found is reported.
 
 A uniform-sampling baseline with the same box constraint is provided for
-comparison. All points stay inside the box intersected with the [0, 1] input
-domain, and forward evaluations can be capped so the two methods compete on
-equal budgets.
+comparison; it draws and forwards its pairs in batches. All points stay
+inside the box intersected with the [0, 1] input domain, and forward
+evaluations can be capped so the two methods compete on equal budgets.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .network import Network, forward
+from .network import Network, forward, forward_batch
 from .logic import vector_norm
 
 EPS = 1e-9  # added to the input distance of a ratio
@@ -242,25 +242,44 @@ def random_baseline(
     rng: np.random.Generator,
     eval_budget: Optional[int] = None,
 ) -> BaselineOutcome:
-    """Uniform random pairs in the seed's box until one beats ``c`` or attempts run out."""
+    """Uniform random pairs in the seed's box until one beats ``c`` or attempts run out.
+
+    The outcome is that of a loop which draws a pair (t1, then t2), forwards
+    both, and stops at the first ratio above ``c``; a loop stopped by
+    ``eval_budget`` has drawn the pair it could not finish, and an odd budget's
+    last forward counts. Here the pairs are drawn and forwarded in chunks of
+    ``net.batch_rows // 2``, so a pair that beats ``c`` stops the search at the
+    end of its chunk, and ``rng`` is left where that loop would leave it.
+    """
     if attempts < 1:
         raise ValueError("at least one attempt is required")
     t0 = np.ravel(np.asarray(t0, dtype=np.float64))
     lower, upper = domain_box(t0, delta)
-    counter = EvalCounter(eval_budget)
-    tracker = _BestPair(t0)
-    used = 0
-    try:
-        for _ in range(attempts):
-            t1 = rng.uniform(lower, upper)
-            t2 = rng.uniform(lower, upper)
-            counter.tick()
-            o1 = forward(net, t1).out
-            counter.tick()
-            o2 = forward(net, t2).out
-            used += 1
-            if tracker.offer(t1, t2, _ratio(vector_norm(o1 - o2, "linf"), t1, t2), c):
-                break
-    except BudgetExhausted:
-        pass
-    return BaselineOutcome(tracker.witness, used, counter.count)
+    evals = 2 * attempts if eval_budget is None else min(2 * attempts, max(eval_budget, 0))
+    used = evals // 2  # pairs whose two forwards fit the budget
+    drawn = min(attempts, used + 1)  # a loop stopped by the budget drew one pair more
+    chunk = max(1, net.batch_rows // 2)
+    witness = LipWitness(t0.copy(), t0.copy(), 0.0, False)
+    for start in range(0, drawn, chunk):
+        state = rng.bit_generator.state
+        pairs = rng.uniform(lower, upper, size=(min(chunk, drawn - start), 2, t0.size))
+        pairs = pairs[:used - start]
+        if len(pairs) == 0:
+            break
+        rows = pairs.reshape(2 * len(pairs), t0.size)  # two rows a pair: split where batch_rows is 1
+        out = np.concatenate([forward_batch(net, rows[lo:lo + net.batch_rows]).out
+                              for lo in range(0, len(rows), net.batch_rows)])
+        ratios = np.abs(out[0::2] - out[1::2]).max(axis=1) / (np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) + EPS)
+        hits = np.flatnonzero(ratios > c)
+        if hits.size:
+            ratios = ratios[:hits[0] + 1]
+            used, evals = start + len(ratios), 2 * (start + len(ratios))
+            rng.bit_generator.state = state
+            rng.uniform(lower, upper, size=(len(ratios), 2, t0.size))  # the draws the loop made
+        best = int(np.argmax(ratios))  # the first pair with the best ratio, as the loop kept it
+        if ratios[best] > witness.ratio:
+            ratio = float(ratios[best])
+            witness = LipWitness(pairs[best, 0].copy(), pairs[best, 1].copy(), ratio, ratio > c)
+        if hits.size:
+            break
+    return BaselineOutcome(witness, used, evals)

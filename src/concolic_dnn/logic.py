@@ -159,8 +159,12 @@ BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom
 # deterministic ranking order) and, for the one-test families, ``gap(acts)``:
 # how close a test is to satisfying the requirement, higher is closer (NC: u;
 # SSC: -|u| at the condition neuron; NBC: u - high or low - u). The gap is the
-# ranking score before layer scaling and the L0 search objective. ``reached``
-# (NC and NBC, the L0 families) says whether a gap satisfies the requirement.
+# ranking score before layer scaling and the L0 search objective. Given an
+# ``ActivationBatch`` instead of one ``Activations``, it returns one gap per
+# row, which is how the L0 search scores a step's candidates. Indexing
+# ``u_flat(layer).T`` gives one input a numpy scalar, not the 0-d array of
+# ``[..., neuron]``, which made ranking slower. ``reached`` (NC and NBC, the
+# L0 families) says whether a gap satisfies the requirement.
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ class NCTag:
         return (self.layer, self.neuron)
 
     def gap(self, acts: Activations) -> float:
-        return float(acts.u_flat(self.layer)[self.neuron])
+        return acts.u_flat(self.layer).T[self.neuron]
 
     def reached(self, gap: float) -> bool:
         return gap >= 0.0
@@ -200,7 +204,7 @@ class SSCTag:
         return (self.layer, self.cond, self.decision)
 
     def gap(self, acts: Activations) -> float:
-        return -abs(float(acts.u_flat(self.layer)[self.cond]))
+        return -abs(acts.u_flat(self.layer).T[self.cond])
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ class NBCTag:
         return (self.layer, self.neuron, 0 if self.side == "hi" else 1)
 
     def gap(self, acts: Activations) -> float:
-        u = float(acts.u_flat(self.layer)[self.neuron])
+        u = acts.u_flat(self.layer).T[self.neuron]
         return (u - self.high) if self.side == "hi" else (self.low - u)
 
     def reached(self, gap: float) -> bool:

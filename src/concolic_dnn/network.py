@@ -6,9 +6,17 @@ values for every layer, activation-pattern extraction, and a bit-exact JSON
 model file format.
 
 The window geometry of conv2d and maxpool layers is defined once, as the
-gather index ``Network.gather``: ``forward`` runs conv as one gather plus one
-matrix product (im2col; Chellapilla, Puri & Simard 2006) and maxpool as one
-gather plus a row-wise argmax, and the LP encoder reads the same index.
+gather index ``Network.gather``: the forward pass runs conv as one gather plus
+one matrix product (im2col; Chellapilla, Puri & Simard 2006) and maxpool as
+one gather plus a row-wise argmax, and the LP encoder reads the same index.
+
+``forward_batch`` is the one forward pass: it runs a batch of inputs stacked
+along a leading axis, and ``forward`` is a batch of one. A row of a batch
+equals the forward of that input alone bit for bit, because every product is
+stacked (``X[:, None, :] @ W`` for dense layers, one im2col product per input,
+gathered C-contiguously, for conv layers), so BLAS runs the same per-item gemv
+or gemm at the same shapes whatever the batch size; a plain 2-D ``X @ W``
+differs from the gemv in the last bit on some rows.
 
 Layers are indexed the way the rest of the package expects: the input layer
 is layer 1, the output layer is layer K, and hidden layers are 2..K-1.
@@ -22,6 +30,20 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+
+# ``Network.batch_rows`` is BATCH_ROWS, or fewer when a row's widest array (a
+# layer, or a conv or pool gather) holds so many floats that a batch's would
+# pass BATCH_FLOATS. ``forward_batch`` runs its layers on at most that many
+# rows at a time, so the gathers and products it makes on the way stay that
+# small; the search loops (the L0 sweep, the random baseline) also give it at
+# most that many rows per call, since a result holds u and v of every layer
+# for every row. Peak memory so stays bounded whatever the net, except for the
+# set-up's sample set, whose result its estimators read whole. Larger arrays
+# were slower too: an L0 step on a 14x14 conv net ran fastest at 8-16 rows
+# (arrays up to about 128 KB) and slower at 32 or more, and on a 28x28 conv
+# net batches of 16 or more rows were slower than one input at a time.
+BATCH_ROWS = 128
+BATCH_FLOATS = 1 << 14
 
 
 class ModelError(ValueError):
@@ -175,13 +197,16 @@ class Network:
         self.layer_shapes: list[tuple[int, ...]] = [self.input_shape]
         for layer in self.layers:
             self.layer_shapes.append(_layer_out_shape(layer, self.layer_shapes[-1]))
-        if int(np.prod(self.layer_shapes[-1])) < 2:
+        self._widths = tuple(math.prod(shape) for shape in self.layer_shapes)
+        if self._widths[-1] < 2:
             raise ModelError("output layer must have at least 2 neurons")
         self.gather: dict[int, np.ndarray] = {
             j + 2: _gather_index(layer, self.layer_shapes[j], self.layer_shapes[j + 1])
             for j, layer in enumerate(self.layers)
             if isinstance(layer, (Conv2D, MaxPool))
         }
+        widest = max(self._widths + tuple(idx.size for idx in self.gather.values()))
+        self.batch_rows = max(1, min(BATCH_ROWS, BATCH_FLOATS // widest))
         # layer indices whose neurons carry ReLU activation bits; the output
         # layer K is left out of the hidden ones
         self.relu_layers: tuple[int, ...] = tuple(
@@ -205,11 +230,11 @@ class Network:
 
     def width(self, k: int) -> int:
         """Neuron count of layer k."""
-        return int(np.prod(self.layer_shapes[k - 1]))
+        return self._widths[k - 1]
 
     @property
     def input_dim(self) -> int:
-        return int(np.prod(self.input_shape))
+        return self._widths[0]
 
     def relu_neurons(self) -> list[tuple[int, int]]:
         """All (layer, neuron) positions of hidden ReLU neurons, in index order."""
@@ -245,6 +270,44 @@ class Activations:
         return self.v_flat(len(self.v))
 
 
+def _flat_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with the axes after the first flattened; a batch may have no rows."""
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))
+
+
+@dataclass
+class ActivationBatch:
+    """Per-layer values of n forward passes, stacked along a leading axis.
+
+    ``u[k]`` and ``v[k]`` have shape (n, *shape(k)) and ``pool_winners[k]``
+    shape (n, positions); ``row(i)`` is the ``Activations`` of input i.
+    """
+
+    u: dict[int, np.ndarray]
+    v: dict[int, np.ndarray]
+    relu_layers: tuple[int, ...]
+    pool_winners: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return self.u[1].shape[0]
+
+    def u_flat(self, k: int) -> np.ndarray:
+        return _flat_rows(self.u[k])
+
+    @property
+    def out(self) -> np.ndarray:
+        """The output layer K, one flat row per input."""
+        return _flat_rows(self.v[len(self.v)])
+
+    def row(self, i: int) -> Activations:
+        out = self.v[len(self.v)][i]
+        return Activations(
+            u={k: a[i] for k, a in self.u.items()}, v={k: a[i] for k, a in self.v.items()},
+            label=int(out.argmax()), relu_layers=self.relu_layers,
+            pool_winners={k: w[i] for k, w in self.pool_winners.items()},
+        )
+
+
 @dataclass(frozen=True)
 class ActivationPattern:
     """Boolean map (layer, neuron) -> ReLU activated.
@@ -267,46 +330,98 @@ class ActivationPattern:
         return len(self.bits)
 
 
-def forward(net: Network, x: np.ndarray) -> Activations:
-    """Deterministic forward pass exposing all pre-/post-ReLU values.
+def forward_batch(net: Network, X: np.ndarray) -> ActivationBatch:
+    """Forward passes of the inputs stacked along ``X``'s first axis.
 
-    ``x`` is a flat vector of length prod(input_shape) (an array of the input
-    shape itself is also accepted). Raises InputShapeError on a size mismatch
-    and DomainError on non-finite entries.
+    Each row of ``X`` is one input: a flat vector of length prod(input_shape),
+    or an array of the input shape itself. Raises InputShapeError on a size
+    mismatch and DomainError on non-finite entries anywhere in the batch.
+    Row i of every result equals ``forward(net, X[i])`` bit for bit. A batch
+    of more than ``net.batch_rows`` rows is forwarded that many rows at a
+    time into arrays for the whole batch, so the layers' temporaries (the
+    gathers and products) stay the size of one chunk.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != net.input_dim:
-        raise InputShapeError(f"input has {x.size} entries, network expects {net.input_dim}")
-    if not np.all(np.isfinite(x)):
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim == 0 or math.prod(X.shape[1:]) != net.input_dim:
+        raise InputShapeError(f"input rows of shape {X.shape[1:]}, network expects {net.input_dim} entries")
+    # a finite sum proves every entry finite; only a sum that is not needs the full scan
+    if not (math.isfinite(X.sum()) or np.isfinite(X).all()):
         raise DomainError("input contains non-finite entries")
-    value = x.reshape(net.input_shape)
+    n, rows = X.shape[0], net.batch_rows
+    X = X.reshape(n, *net.input_shape)
+    if n <= rows:
+        return _forward_rows(net, X)
+    first = _forward_rows(net, X[:rows])
+
+    def whole(a: np.ndarray) -> np.ndarray:
+        out = np.empty((n, *a.shape[1:]), dtype=a.dtype)
+        out[:rows] = a
+        return out
+
+    # the arrays the layer loop shares (u is v without a ReLU, a flatten is a
+    # view of the layer before, layer 1 is X) stay shared
+    u: dict[int, np.ndarray] = {1: X}
+    v: dict[int, np.ndarray] = {1: X}
+    for k in range(2, net.num_layers + 1):
+        if isinstance(net.layer(k), Flatten):
+            u[k] = v[k] = v[k - 1].reshape(n, net.width(k))
+        else:
+            u[k] = whole(first.u[k])
+            v[k] = u[k] if first.v[k] is first.u[k] else whole(first.v[k])
+    winners = {k: whole(w) for k, w in first.pool_winners.items()}
+    for lo in range(rows, n, rows):
+        part = _forward_rows(net, X[lo:lo + rows])
+        for k in range(2, net.num_layers + 1):
+            u[k][lo:lo + rows] = part.u[k]
+            if v[k] is not u[k]:
+                v[k][lo:lo + rows] = part.v[k]
+        for k in winners:
+            winners[k][lo:lo + rows] = part.pool_winners[k]
+    return ActivationBatch(u=u, v=v, relu_layers=net.relu_layers, pool_winners=winners)
+
+
+def _forward_rows(net: Network, value: np.ndarray) -> ActivationBatch:
+    """The layer loop over a checked batch ``value`` of shape (n, *input_shape)."""
+    n = value.shape[0]
     u: dict[int, np.ndarray] = {1: value}
     v: dict[int, np.ndarray] = {1: value}
     winners: dict[int, np.ndarray] = {}
     for k in range(2, net.num_layers + 1):
         layer = net.layer(k)
         if isinstance(layer, Dense):
-            pre = value @ layer.weights + layer.bias
+            pre = (value[:, None, :] @ layer.weights)[:, 0, :] + layer.bias
             value = np.maximum(pre, 0.0) if layer.relu else pre
         elif isinstance(layer, Conv2D):
             idx = net.gather[k]
-            pre = np.append(value, 0.0)[idx] @ layer.kernels.reshape(idx.shape[1], -1) + layer.bias
-            pre = pre.reshape(net.shape(k))
+            padded = np.zeros((n, net.width(k - 1) + 1))
+            padded[:, :-1] = value.reshape(n, net.width(k - 1))
+            # take, unlike padded[:, idx], lays the gathered batch out C-contiguously,
+            # so every input's product is the BLAS gemm of a batch of one
+            pre = np.take(padded, idx, axis=1) @ layer.kernels.reshape(idx.shape[1], -1) + layer.bias
+            pre = pre.reshape(n, *net.shape(k))
             value = np.maximum(pre, 0.0) if layer.relu else pre
         elif isinstance(layer, MaxPool):
-            idx, flat = net.gather[k], value.reshape(-1)
+            idx, flat = net.gather[k], value.reshape(n, net.width(k - 1))
             # argmax takes the first maximum: deterministic tie-breaking
-            winners[k] = idx[np.arange(idx.shape[0]), flat[idx].argmax(axis=1)]
-            pre = value = flat[winners[k]].reshape(net.shape(k))
+            winners[k] = idx[np.arange(idx.shape[0]), np.take(flat, idx, axis=1).argmax(axis=2)]
+            pre = value = flat[np.arange(n)[:, None], winners[k]].reshape(n, *net.shape(k))
         elif isinstance(layer, Flatten):
-            pre = value.reshape(-1)
-            value = pre
+            pre = value = value.reshape(n, net.width(k))
         else:  # pragma: no cover - construction already rejects unknown layers
             raise ModelError(f"unknown layer type {type(layer).__name__}")
         u[k] = pre
         v[k] = value
-    label = int(np.argmax(v[net.num_layers].reshape(-1)))
-    return Activations(u=u, v=v, label=label, relu_layers=net.relu_layers, pool_winners=winners)
+    return ActivationBatch(u=u, v=v, relu_layers=net.relu_layers, pool_winners=winners)
+
+
+def forward(net: Network, x: np.ndarray) -> Activations:
+    """Deterministic forward pass exposing all pre-/post-ReLU values.
+
+    ``x`` is a flat vector of length prod(input_shape) (an array of the input
+    shape itself is also accepted). This is ``forward_batch`` of a batch of
+    one, with its errors.
+    """
+    return forward_batch(net, np.asarray(x, dtype=np.float64).reshape(1, -1)).row(0)
 
 
 def pattern_of(acts: Activations) -> ActivationPattern:
@@ -317,12 +432,6 @@ def pattern_of(acts: Activations) -> ActivationPattern:
         for i in range(flat.size):
             bits[(k, i)] = bool(flat[i] >= 0.0)
     return ActivationPattern(bits)
-
-
-def forward_samples(net: Network, samples) -> list[Activations]:
-    """``forward`` of each sample; an entry that is an ``Activations`` already is kept,
-    so a sample set forwarded once can feed several estimators."""
-    return [s if isinstance(s, Activations) else forward(net, s) for s in samples]
 
 
 class ActivationCache:

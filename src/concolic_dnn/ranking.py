@@ -18,7 +18,7 @@ import numpy as np
 
 from . import network
 from .logic import LipTag, Requirement, lip_margin
-from .network import ActivationCache, Activations, Network
+from .network import ActivationBatch, ActivationCache, Activations, Network
 
 FACTOR_FLOOR = 1e-12
 
@@ -43,16 +43,19 @@ class RankedCandidate:
 def estimate_layer_factors(net: Network, samples: Sequence) -> LayerFactors:
     """c_k = 1 / max(mean |u_k| over samples and neurons, 1e-12).
 
-    ``samples`` are input vectors or their ``Activations``.
+    ``samples`` are input vectors, one per row, or their ``ActivationBatch``.
+    Each sample's |u_k| sum is added to the total in sample order.
     """
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
-    acts = network.forward_samples(net, samples)
+    acts = samples if isinstance(samples, ActivationBatch) else network.forward_batch(net, samples)
     factors = {}
     for k in range(2, net.num_layers):
         total = 0.0
-        for a in acts:
-            total += float(np.sum(np.abs(a.u_flat(k))))
+        u = acts.u_flat(k)
+        for lo in range(0, len(u), net.batch_rows):  # |u| of one chunk at a time, not of the whole set
+            for row_sum in np.abs(u[lo:lo + net.batch_rows]).sum(axis=1):
+                total += float(row_sum)
         factors[k] = 1.0 / max(total / (len(acts) * net.width(k)), FACTOR_FLOOR)
     return LayerFactors(factors)
 

@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from concolic_dnn import logic
+from concolic_dnn.lipschitz import EPS, BaselineOutcome, LipWitness
 from concolic_dnn.network import Conv2D, forward
 
 
@@ -122,6 +123,63 @@ def vertex_enum_lp(c, A_ub, b_ub, tol=1e-9):
             if best is None or val < best[0]:
                 best = (val, x)
     return best
+
+
+def sequential_random_baseline(net, t0, c, delta, attempts, rng, eval_budget=None):
+    """The random baseline as a loop: draw t1 then t2 in the seed's box, forward
+    each while the budget allows, stop at the first ratio above c."""
+    t0 = np.ravel(np.asarray(t0, dtype=np.float64))
+    lower, upper = np.clip(t0 - delta, 0.0, 1.0), np.clip(t0 + delta, 0.0, 1.0)
+    witness = LipWitness(t0.copy(), t0.copy(), 0.0, False)
+    used = evals = 0
+    for _ in range(attempts):
+        t1 = rng.uniform(lower, upper)
+        t2 = rng.uniform(lower, upper)
+        outs = []
+        for t in (t1, t2):
+            if eval_budget is not None and evals >= eval_budget:
+                return BaselineOutcome(witness, used, evals)
+            evals += 1
+            outs.append(forward(net, t).out)
+        used += 1
+        ratio = _linf(outs[0] - outs[1]) / (_linf(t1 - t2) + EPS)
+        if ratio > witness.ratio:
+            witness = LipWitness(t1.copy(), t2.copy(), ratio, ratio > c)
+        if ratio > c:
+            break
+    return BaselineOutcome(witness, used, evals)
+
+
+def sequential_symbolic_l0(net, t, r, max_pixels):
+    """The L0 sweep as a loop: one forward per pixel and differing extreme,
+    keeping the first strictly best improvement of each step."""
+    cur = np.ravel(np.asarray(t, dtype=np.float64)).copy()
+    value = r.tag.gap(forward(net, cur))
+    if r.tag.reached(value):
+        return cur
+    modified = set()
+    while len(modified) < max_pixels:
+        best = None
+        for pix in range(cur.size):
+            if pix in modified:
+                continue
+            original = cur[pix]
+            for cand in (0.0, 1.0):
+                if cand == original:
+                    continue
+                cur[pix] = cand
+                trial = r.tag.gap(forward(net, cur))
+                if trial > value and (best is None or trial > best[2]):
+                    best = (pix, cand, trial)
+            cur[pix] = original
+        if best is None:
+            return None
+        pix, cand, value = best
+        cur[pix] = cand
+        modified.add(pix)
+        if r.tag.reached(value):
+            return cur
+    return None
 
 
 def conv_forward_reference(layer, x):

@@ -151,7 +151,7 @@ class TestConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("run() started work on a bad configuration")
 
-        monkeypatch.setattr(network, "forward_samples", no_work)  # the first work run() does
+        monkeypatch.setattr(network, "forward_batch", no_work)  # the first work run() does
         with pytest.raises(ConfigError, match="reference inputs have 2 entries"):
             run(net, refs, [np.zeros(3)], RunConfig(criterion="nc"))
 
@@ -162,30 +162,32 @@ class TestConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("run() started work on a bad configuration")
 
-        monkeypatch.setattr(network, "forward_samples", no_work)  # the first work run() does
+        monkeypatch.setattr(network, "forward_batch", no_work)  # the first work run() does
         with pytest.raises(ConfigError, match="seed 1 has 3 entries"):
             run(net, refs, [np.zeros(4), np.zeros(3)], RunConfig(criterion="nc"))
 
     def test_reference_norm_mismatch_rejected_before_work(self, monkeypatch):
         net = dense_net([4, 4, 2], seed=0)
+        refs = make_refs(net, norm="l0")
 
         def no_work(*args, **kwargs):
             raise AssertionError("run() started work on a bad configuration")
 
-        monkeypatch.setattr(network, "forward_samples", no_work)  # the first work run() does
+        monkeypatch.setattr(network, "forward_batch", no_work)  # the first work run() does
         with pytest.raises(ConfigError, match="l0 norm"):
-            run(net, make_refs(net, norm="l0"), [np.zeros(4)], RunConfig(criterion="nc"))
+            run(net, refs, [np.zeros(4)], RunConfig(criterion="nc"))
 
     def test_ineligible_ssc_pair_rejected_before_work(self, monkeypatch):
         net = dense_net([3, 4, 3, 2], seed=11)
+        refs = make_refs(net)
 
         def no_work(*args, **kwargs):
             raise AssertionError("run() started work on a bad configuration")
 
-        monkeypatch.setattr(network, "forward_samples", no_work)  # the first work run() does
+        monkeypatch.setattr(network, "forward_batch", no_work)  # the first work run() does
         cfg = RunConfig(criterion="ssc", ssc_pairs=[(2, 0, 0), (3, 0, 0)])
         with pytest.raises(ConfigError, match=r"\(3, 0, 0\)"):
-            run(net, make_refs(net), [np.zeros(3)], cfg)
+            run(net, refs, [np.zeros(3)], cfg)
 
     def test_repeated_ssc_pair_reported_once(self, tmp_path):
         net = dense_net([3, 4, 3, 2], seed=11)
@@ -210,6 +212,7 @@ BAD_SETTINGS = st.one_of(
     st.fixed_dictionaries({"timeout": _bad_positive_float()}),
     *(st.fixed_dictionaries({name: st.integers(max_value=0)})
       for name in ("max_attempts", "l0_budget", "quantize")),
+    st.fixed_dictionaries({"sample_count": st.integers(max_value=-1)}),
 )
 
 
@@ -224,7 +227,7 @@ class TestConfigProperties:
         refs = ReferenceSet(np.zeros((1, 2)), np.zeros(1, dtype=int), norm=norm)
         cfg = RunConfig("nc", norm=norm, **setting)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "forward_samples", no_forwarding)
+            mp.setattr(network, "forward_batch", no_forwarding)
             with pytest.raises(ConfigError):
                 run(self.net, refs, [np.zeros(2)], cfg)
 
@@ -250,19 +253,29 @@ class TestNbcBounds:
 
 class TestSampleSetForwardedOnce:
     def test_nbc_run_forwards_each_sample_once(self, monkeypatch):
-        # the layer factors and the NBC bounds read one forward of the sample set
-        forwards = Counter()
-        real_forward = network.forward
+        # the layer factors and the NBC bounds read one batched forward of the
+        # sample set; every forward, a single one too, goes through forward_batch
+        batches = []
+        real_forward_batch = network.forward_batch
 
-        def counting_forward(net, x):
-            forwards[np.asarray(x, dtype=np.float64).tobytes()] += 1
-            return real_forward(net, x)
+        def recording_forward_batch(net, X):
+            batches.append([row.tobytes() for row in np.asarray(X, dtype=np.float64).reshape(len(X), -1)])
+            return real_forward_batch(net, X)
 
-        monkeypatch.setattr(network, "forward", counting_forward)
+        monkeypatch.setattr(network, "forward_batch", recording_forward_batch)
         net, refs, seeds, cfg = _small_run("nbc")
         run(net, refs, seeds, cfg)
         samples = np.random.default_rng(cfg.rng_seed).uniform(0.0, 1.0, (cfg.sample_count, net.input_dim))
-        assert [forwards[s.tobytes()] for s in samples] == [1] * cfg.sample_count
+        keys = {s.tobytes() for s in samples}
+        rows = Counter(row for batch in batches for row in batch)
+        assert [rows[s.tobytes()] for s in samples] == [1] * cfg.sample_count
+        assert sum(1 for batch in batches if keys & set(batch)) == 1
+
+    def test_seeds_alone_are_a_sample_set(self):
+        net, refs, seeds, cfg = _small_run("nbc")
+        cfg.sample_count = 0
+        result = run(net, refs, seeds, cfg)
+        assert len(result.suite) >= len(seeds)
 
 
 class TestRunNC:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from concolic_dnn import lipschitz
 from concolic_dnn.lipschitz import (
     EvalCounter,
     LipConfig,
@@ -12,9 +13,10 @@ from concolic_dnn.lipschitz import (
     lip_ratio,
     random_baseline,
 )
-from concolic_dnn.network import Dense, Network
+from concolic_dnn.network import Dense, Network, forward_batch
 
 from conftest import dense_net, identity_net
+from helpers import sequential_random_baseline
 
 
 def constant_net(dim=2):
@@ -211,6 +213,59 @@ class TestRandomBaseline:
         rng = np.random.default_rng(3)
         out = random_baseline(mid_net, np.full(4, 0.5), 1e9, 0.1, 10_000, rng, eval_budget=50)
         assert out.evals <= 50
+
+    @pytest.mark.parametrize("c, attempts, budget", [
+        (0.0, 1000, None),  # success at the first pair
+        (0.5, 1000, None),  # success at pair 185
+        (0.5, 1000, 301),  # the budget ends the loop first
+        (1e9, 300, None),  # exhaustion
+        (1e9, 10_000, 50),
+        (1e9, 10_000, 51),  # the odd forward counts, its pair is not scored
+        (0.0, 10_000, 51),
+        (1e9, 1, None),
+        (0.0, 1, 1),
+        (0.0, 5, -3),
+        (1e9, 64, None),  # one chunk of pairs exactly
+        (1e9, 65, None),
+        (1e9, 10_000, 128),  # the pair the budget cuts starts a chunk of its own
+        (1e9, 10_000, 129),
+    ])
+    def test_matches_sequential_loop(self, mid_net, c, attempts, budget):
+        t0 = np.array([0.5, 0.05, 0.95, 0.3])
+        batched_rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = random_baseline(mid_net, t0, c, 0.1, attempts, batched_rng, eval_budget=budget)
+        want = sequential_random_baseline(mid_net, t0, c, 0.1, attempts, loop_rng, eval_budget=budget)
+        assert (got.attempts, got.evals) == (want.attempts, want.evals)
+        assert got.witness.t1.tobytes() == want.witness.t1.tobytes()
+        assert got.witness.t2.tobytes() == want.witness.t2.tobytes()
+        assert (got.witness.ratio, got.witness.satisfied) == (want.witness.ratio, want.witness.satisfied)
+        assert batched_rng.random() == loop_rng.random()  # the stream ends where the loop's did
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("c, attempts, budget", [(0.5, 1000, None), (1e9, 300, None), (1e9, 10_000, 51)])
+    def test_matches_sequential_loop_in_small_batches(self, mid_net, monkeypatch, rows, c, attempts, budget):
+        monkeypatch.setattr(mid_net, "batch_rows", rows)  # as on a net with wide rows
+        t0 = np.array([0.5, 0.05, 0.95, 0.3])
+        batched_rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = random_baseline(mid_net, t0, c, 0.1, attempts, batched_rng, eval_budget=budget)
+        want = sequential_random_baseline(mid_net, t0, c, 0.1, attempts, loop_rng, eval_budget=budget)
+        assert (got.attempts, got.evals, got.witness.ratio) == (want.attempts, want.evals, want.witness.ratio)
+        assert got.witness.t1.tobytes() == want.witness.t1.tobytes()
+        assert batched_rng.random() == loop_rng.random()
+
+    def test_batches_bounded_and_stop_at_a_hit(self, mid_net, monkeypatch):
+        sizes = []
+
+        def recording_forward_batch(net, X):
+            sizes.append(len(X))
+            return forward_batch(net, X)
+
+        monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
+        random_baseline(mid_net, np.full(4, 0.5), 1e9, 0.1, 1000, np.random.default_rng(0))
+        assert max(sizes) <= mid_net.batch_rows and sum(sizes) == 2000
+        sizes.clear()
+        random_baseline(mid_net, np.full(4, 0.5), 0.0, 0.1, 1000, np.random.default_rng(0))
+        assert sizes == [mid_net.batch_rows]  # a hit at the first pair forwards one chunk
 
     def test_needs_positive_attempts(self, mid_net):
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from concolic_dnn.lp import layer_affine
 from concolic_dnn.network import (
+    BATCH_FLOATS,
+    BATCH_ROWS,
     ActivationCache,
     Conv2D,
     Dense,
@@ -18,6 +20,7 @@ from concolic_dnn.network import (
     ModelError,
     Network,
     forward,
+    forward_batch,
     load_model,
     pattern_of,
     save_model,
@@ -307,6 +310,114 @@ class TestModelIO:
         )
         with pytest.raises(ModelError):
             load_model(str(path))
+
+
+def _row_exact_nets():
+    rng = np.random.default_rng(21)
+
+    def draw(*shape):
+        return rng.normal(size=shape)
+
+    return {
+        "dense-24-16-16-10": dense_net([24, 16, 16, 10], seed=0),
+        "dense-odd-widths": dense_net([33, 67, 129, 3], seed=4),
+        "dense-one-wide": dense_net([7, 1, 2], seed=6),
+        "conv-valid-maxpool": Network((6, 6, 1), [
+            Conv2D(draw(3, 3, 1, 2), draw(2)), MaxPool((2, 2)), Flatten(),
+            Dense(draw(8, 5), draw(5)), Dense(draw(5, 3), draw(3), relu=False)]),
+        "conv-same-stride2": Network((7, 9, 2), [
+            Conv2D(draw(3, 3, 2, 3), draw(3), stride=(2, 2), padding="same"), Flatten(),
+            Dense(draw(60, 4), draw(4), relu=False)]),
+        "conv-same-maxpool-conv": Network((8, 8, 3), [
+            Conv2D(draw(3, 3, 3, 4), draw(4), padding="same"), MaxPool((2, 2)),
+            Conv2D(draw(2, 2, 4, 5), draw(5)), Flatten(),
+            Dense(draw(45, 7), draw(7)), Dense(draw(7, 3), draw(3), relu=False)]),
+    }
+
+
+ROW_EXACT_NETS = _row_exact_nets()
+
+
+class TestForwardBatch:
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 300])  # 300 rows pass every net's batch_rows
+    @pytest.mark.parametrize("name", sorted(ROW_EXACT_NETS))
+    def test_rows_equal_forward_bytes(self, name, chunk):
+        net = ROW_EXACT_NETS[name]
+        X = np.random.default_rng(9).uniform(0.0, 1.0, (300, net.input_dim))
+        for start in range(0, len(X), chunk):
+            batch = forward_batch(net, X[start:start + chunk])
+            for i, x in enumerate(X[start:start + chunk]):
+                one, row = forward(net, x), batch.row(i)
+                for k in range(1, net.num_layers + 1):
+                    assert row.u[k].tobytes() == one.u[k].tobytes()
+                    assert row.v[k].tobytes() == one.v[k].tobytes()
+                assert sorted(row.pool_winners) == sorted(one.pool_winners)
+                for k in one.pool_winners:
+                    assert row.pool_winners[k].tobytes() == one.pool_winners[k].tobytes()
+                assert row.label == one.label
+
+    @pytest.mark.parametrize("name", sorted(ROW_EXACT_NETS))
+    def test_one_input_matches_the_unbatched_products(self, name):
+        # forward of one input gives the bits of the plain one-input products:
+        # x @ W (gemv) for dense layers, im2col @ kernels (gemm) for conv layers
+        net = ROW_EXACT_NETS[name]
+        for x in np.random.default_rng(10).uniform(0.0, 1.0, (20, net.input_dim)):
+            acts = forward(net, x)
+            for k in range(2, net.num_layers + 1):
+                layer, prev = net.layer(k), acts.v[k - 1].reshape(-1)
+                if isinstance(layer, Dense):
+                    want = prev @ layer.weights + layer.bias
+                elif isinstance(layer, Conv2D):
+                    idx = net.gather[k]
+                    want = np.append(prev, 0.0)[idx] @ layer.kernels.reshape(idx.shape[1], -1) + layer.bias
+                else:
+                    continue
+                assert acts.u[k].tobytes() == want.reshape(net.shape(k)).tobytes()
+
+    def test_batch_rows_shrink_for_wide_rows(self):
+        assert ROW_EXACT_NETS["dense-24-16-16-10"].batch_rows == BATCH_ROWS
+        # the widest array is a layer: 18 * 18 * 16 floats per row (its gather has 18 * 18 * 9)
+        wide_layer = Network((20, 20, 1), [Conv2D(np.zeros((3, 3, 1, 16)), np.zeros(16)), Flatten(),
+                                           Dense(np.zeros((18 * 18 * 16, 2)), np.zeros(2), relu=False)])
+        assert wide_layer.batch_rows == BATCH_FLOATS // (18 * 18 * 16) > 1
+        # the widest array is the conv gather: 6 * 6 positions of a 3 * 3 * 16 window
+        wide_gather = Network((8, 8, 16), [Conv2D(np.zeros((3, 3, 16, 2)), np.zeros(2)), Flatten(),
+                                           Dense(np.zeros((6 * 6 * 2, 2)), np.zeros(2), relu=False)])
+        assert wide_gather.batch_rows == BATCH_FLOATS // (6 * 6 * 144) > 1
+        wide_input = Network((BATCH_FLOATS + 1,), [Dense(np.zeros((BATCH_FLOATS + 1, 2)), np.zeros(2)),
+                                                   Dense(np.zeros((2, 2)), np.zeros(2), relu=False)])
+        assert wide_input.batch_rows == 1
+
+    def test_stacked_shapes(self):
+        net = ROW_EXACT_NETS["conv-valid-maxpool"]
+        batch = forward_batch(net, np.zeros((3, 6, 6, 1)))
+        assert len(batch) == 3
+        assert batch.u[2].shape == (3, 4, 4, 2)
+        assert batch.u_flat(2).shape == (3, 32)
+        assert batch.pool_winners[3].shape == (3, 8)
+        assert batch.out.shape == (3, 3)
+
+    @pytest.mark.parametrize("name", sorted(ROW_EXACT_NETS))
+    def test_empty_batch(self, name):
+        net = ROW_EXACT_NETS[name]
+        batch = forward_batch(net, np.zeros((0, net.input_dim)))
+        assert len(batch) == 0 and batch.out.shape == (0, net.width(net.num_layers))
+
+    @pytest.mark.parametrize("shape", [(3, 5), (0, 5), (4,), ()])
+    def test_shape_mismatch(self, mid_net, shape):
+        with pytest.raises(InputShapeError):
+            forward_batch(mid_net, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_anywhere(self, mid_net, bad):
+        X = np.full((5, 4), 0.5)
+        X[3, 2] = bad
+        with pytest.raises(DomainError):
+            forward_batch(mid_net, X)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_sum_is_not_a_domain_error(self, mid_net):
+        forward_batch(mid_net, np.full((2, 4), 1e308))  # every entry finite
 
 
 class TestActivationCache:
