@@ -1,4 +1,5 @@
-"""Dense two-phase simplex: slack-basis start, Dantzig pricing, Bland fallback.
+"""Dense two-phase bounded-variable simplex: slack-basis start, Dantzig
+pricing, Bland fallback.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  lo <= x <= hi
 where bounds may be infinite. The solver is dimensioned for the small problems
@@ -6,29 +7,47 @@ this package produces (a few hundred variables); swap in another
 implementation via the ``solver`` argument of ``lp.solve`` if that stops being
 true.
 
+- **Standard form.** Each variable becomes standard columns 0 <= y <= u: a
+  finite lower bound is shifted to 0 and keeps the width hi - lo as u; a
+  variable with only an upper bound is mirrored; a free variable is split
+  into two unbounded columns. A column of width 0 is fixed at its lower
+  bound and left out of the tableau, so it never enters.
+- **Bounded variables** (Dantzig 1955, "Upper bounds, secondary constraints
+  and block triangularity in linear programming"; Chvátal 1983, *Linear
+  Programming*, ch. 8). A finite u is no tableau row. A variable at its upper
+  bound is held there by complementing its column: it is replaced by
+  y' = u - y, which is 0 there, so every column the tableau holds lies in
+  [0, u] and the rhs column holds the basic values.
 - **Start.** After standardization every row with rhs >= 0 starts with its
   slack basic. Only the rows with a negative rhs get an artificial column,
-  and the phase-1 cost row sums those rows only. An LP that is feasible at
-  the shifted origin skips phase 1. The slack block gives the constraint
-  matrix full row rank, so every artificial left basic after phase 1 can
-  pivot on a structural column.
+  and the phase-1 cost row sums those rows only. An LP that is feasible with
+  every column at its lower bound skips phase 1. The slack block gives the
+  constraint matrix full row rank, so every artificial left basic after
+  phase 1 can pivot on a structural column.
 - **Entering column.** Dantzig's rule: the most negative reduced cost, first
-  index on ties. After ``DEGENERATE_LIMIT`` consecutive degenerate pivots
+  index on ties. After ``DEGENERATE_LIMIT`` consecutive degenerate steps
   (zero step) the solver takes Bland's smallest-index entering rule until the
-  next nondegenerate pivot, which excludes cycling (Bland 1977, "New finite
+  next nondegenerate step, which excludes cycling (Bland 1977, "New finite
   pivoting rules for the simplex method").
 - **Leaving row.** The minimum ratio, smallest basis index on ties (Bland's
-  leaving rule). The ratio test scans Python floats in row order, and a pivot
-  updates only the columns where the pivot row is nonzero.
-- **Limits.** ``max_iters`` pivots over both phases; an optional ``deadline``
-  (a ``time.monotonic()`` value) is checked every ``DEADLINE_EVERY`` pivots
-  and stops the solve with status "time-limit".
+  leaving rule). A basic variable limits the step where it falls to 0 or,
+  if it has a finite u, where it rises to u; in the second case its row is
+  complemented and it leaves at its upper bound. The entering column's own
+  u limits the step too: when it is the tightest limit (ties included), the
+  step is a bound flip, which complements the column and makes no pivot.
+  The ratio test scans Python floats in row order, and a pivot updates only
+  the columns where the pivot row is nonzero.
+- **Iterations and limits.** ``SimplexResult.iterations`` counts pivots and
+  bound flips over both phases; ``max_iters`` caps that count, and an
+  optional ``deadline`` (a ``time.monotonic()`` value) is checked every
+  ``DEADLINE_EVERY`` iterations and stops the solve with status
+  "time-limit".
 
 Every run is deterministic, and the pivot sequence is part of the contract:
-the entering column, the leaving row, the pivot count and the bytes of the
-solution must not change, because the synthesized inputs, and so every
+the entering column, the leaving row, the flips, the iteration count and
+the bytes of the solution must not change, because the synthesized inputs, and so every
 report, follow from them. ``tests/test_simplex.py::TestPivotPathGolden`` pins
-them on two fixed-seed LP families, re-recorded for this pivot rule.
+them on two fixed-seed LP families.
 
 No scipy (HiGHS) backend is used. On a 2-vCPU x86 virtual machine (Python
 3.11, scipy 1.17.1), importing ``scipy.optimize`` after this package took
@@ -39,6 +58,7 @@ changes the reports.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -47,8 +67,8 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 10_000
-DEGENERATE_LIMIT = 10  # consecutive degenerate pivots before Bland's entering rule
-DEADLINE_EVERY = 50  # pivots between two looks at the deadline
+DEGENERATE_LIMIT = 10  # consecutive degenerate steps before Bland's entering rule
+DEADLINE_EVERY = 50  # iterations between two looks at the deadline
 
 
 @dataclass
@@ -56,7 +76,7 @@ class SimplexResult:
     status: str  # "optimal" | "infeasible" | "unbounded" | "iteration-limit" | "time-limit"
     x: Optional[np.ndarray]
     objective: Optional[float]
-    iterations: int
+    iterations: int  # pivots plus bound flips
 
 
 def _as_2d(a, ncols: int) -> np.ndarray:
@@ -69,9 +89,10 @@ def _as_2d(a, ncols: int) -> np.ndarray:
 
 
 def _standardize(c, A_ub, b_ub, bounds):
-    """Rewrite into  min c_std.y  s.t.  A y <= b, y >= 0.
+    """Rewrite into  min c_std.y  s.t.  A y <= b,  0 <= y <= upper.
 
-    Returns the standard-form pieces plus the affine map x = offset + M y that
+    Returns the standard-form pieces, each standard column's upper bound
+    (``inf`` where it has none), and the affine map x = offset + M y that
     recovers the original variables.
     """
     c = np.asarray(c, dtype=np.float64)
@@ -81,41 +102,26 @@ def _standardize(c, A_ub, b_ub, bounds):
     if bounds is None:
         bounds = [(None, None)] * n
 
-    cols: list[tuple[int, float]] = []  # (original var, sign) per standard column
+    cols: list[tuple[int, float, float]] = []  # (original var, sign, upper bound) per standard column
     offset = np.zeros(n)
-    extra_rows: list[tuple[int, float]] = []  # (std col, rhs) for y <= rhs rows
     for j, (lo, hi) in enumerate(bounds):
         lo_f = -np.inf if lo is None else float(lo)
         hi_f = np.inf if hi is None else float(hi)
         if np.isfinite(lo_f):
             offset[j] = lo_f
-            cols.append((j, 1.0))
-            if np.isfinite(hi_f):
-                extra_rows.append((len(cols) - 1, hi_f - lo_f))
+            cols.append((j, 1.0, hi_f - lo_f))
         elif np.isfinite(hi_f):
             offset[j] = hi_f
-            cols.append((j, -1.0))
+            cols.append((j, -1.0, np.inf))
         else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
+            cols.append((j, 1.0, np.inf))
+            cols.append((j, -1.0, np.inf))
 
-    n_std = len(cols)
-    M = np.zeros((n, n_std))
-    for col, (j, sign) in enumerate(cols):
+    M = np.zeros((n, len(cols)))
+    for col, (j, sign, _) in enumerate(cols):
         M[j, col] = sign
-
-    c_std = c @ M
-    A_ub_std = A_ub @ M
-    b_ub_std = b_ub - A_ub @ offset
-    if extra_rows:
-        rows = np.zeros((len(extra_rows), n_std))
-        rhs = np.zeros(len(extra_rows))
-        for r, (col, bound) in enumerate(extra_rows):
-            rows[r, col] = 1.0
-            rhs[r] = bound
-        A_ub_std = np.vstack([A_ub_std, rows])
-        b_ub_std = np.concatenate([b_ub_std, rhs])
-    return c_std, A_ub_std, b_ub_std, M, offset
+    upper = np.array([u for _, _, u in cols])
+    return c @ M, A_ub @ M, b_ub - A_ub @ offset, upper, M, offset
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -138,27 +144,55 @@ def _enter(cost_row: np.ndarray, bland: bool) -> Optional[int]:
     return col if cost_row[col] < -PIVOT_TOL else None
 
 
-def _leave(T: np.ndarray, basis: np.ndarray, col: int, m: int) -> tuple[Optional[int], float]:
-    """Minimum-ratio row, smallest basis index on ties, and its ratio."""
+def _leave(
+    T: np.ndarray, basis: np.ndarray, upper: np.ndarray, col: int, m: int
+) -> tuple[Optional[int], float, bool]:
+    """The row whose basic variable first reaches a bound as the entering
+    column rises: minimum ratio, smallest basis index on ties. Returns the
+    row, its ratio, and whether the basic variable reaches its upper bound
+    (a negative entry) rather than 0 (a positive one)."""
     # One conversion to Python numbers per pivot; indexing numpy scalars row
     # by row costs more than the scan itself.
-    column, rhs, basis = T[:m, col].tolist(), T[:m, -1].tolist(), basis.tolist()
-    best_row, best_ratio = None, 0.0
+    column, rhs = T[:m, col].tolist(), T[:m, -1].tolist()
+    caps, basis = upper[basis].tolist(), basis.tolist()
+    best_row, best_ratio, best_up = None, 0.0, False
     for i, a in enumerate(column):
         if a > PIVOT_TOL:
-            ratio = rhs[i] / a
-            if (
-                best_row is None
-                or ratio < best_ratio - PIVOT_TOL
-                or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best_row])
-            ):
-                best_row, best_ratio = i, ratio
-    return best_row, best_ratio
+            ratio, up = rhs[i] / a, False
+        elif a < -PIVOT_TOL and caps[i] != math.inf:
+            ratio, up = (caps[i] - rhs[i]) / -a, True
+        else:
+            continue
+        if (
+            best_row is None
+            or ratio < best_ratio - PIVOT_TOL
+            or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best_row])
+        ):
+            best_row, best_ratio, best_up = i, ratio, up
+    return best_row, best_ratio, best_up
 
 
-def _run_phase(T, basis, m, allowed, obj_row, max_iters, iters, deadline):
-    """Pivot until optimal / unbounded / iteration or time limit. Returns (status, iters)."""
-    degenerate = 0  # consecutive pivots that left the point where it was
+def _complement(T: np.ndarray, flipped: np.ndarray, col: int, width: float) -> None:
+    """Move nonbasic column ``col`` to its other bound: substitute y = width - y'
+    in every row, the cost rows included."""
+    T[:, -1] -= width * T[:, col]
+    T[:, col] *= -1.0
+    flipped[col] = not flipped[col]
+
+
+def _complement_basic(T: np.ndarray, flipped: np.ndarray, row: int, col: int, width: float) -> None:
+    """Substitute y = width - y' for the variable basic in ``row`` (column
+    ``col``): its row is negated and reads y' - ... = width - value. The
+    variable's column is zero in every other row, so no other row changes."""
+    T[row] *= -1.0
+    T[row, col] = 1.0
+    T[row, -1] += width
+    flipped[col] = not flipped[col]
+
+
+def _run_phase(T, basis, upper, flipped, m, allowed, obj_row, max_iters, iters, deadline):
+    """Step until optimal / unbounded / iteration or time limit. Returns (status, iters)."""
+    degenerate = 0  # consecutive steps that left the point where it was
     while True:
         if iters >= max_iters:
             return "iteration-limit", iters
@@ -167,11 +201,18 @@ def _run_phase(T, basis, m, allowed, obj_row, max_iters, iters, deadline):
         col = _enter(T[obj_row, :allowed], bland=degenerate >= DEGENERATE_LIMIT)
         if col is None:
             return "optimal", iters
-        row, ratio = _leave(T, basis, col, m)
-        if row is None:
-            return "unbounded", iters
-        degenerate = degenerate + 1 if ratio <= PIVOT_TOL else 0
-        _pivot(T, basis, row, col)
+        row, step, at_upper = _leave(T, basis, upper, col, m)
+        if row is None or upper[col] <= step:
+            if upper[col] == math.inf:
+                return "unbounded", iters
+            # the entering variable's own bound is the tightest limit: a bound flip
+            step = upper[col]
+            _complement(T, flipped, col, step)
+        else:
+            if at_upper:
+                _complement_basic(T, flipped, row, basis[row], upper[basis[row]])
+            _pivot(T, basis, row, col)
+        degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
         iters += 1
 
 
@@ -187,11 +228,16 @@ def solve_lp(
 
     ``deadline`` is a ``time.monotonic()`` value; once it has passed, the
     solve stops with status "time-limit" (checked every ``DEADLINE_EVERY``
-    pivots).
+    iterations).
     """
-    c_std, A_ub_s, b, M, offset = _standardize(c, A_ub, b_ub, bounds)
-    n_std = c_std.size
-    A = np.hstack([A_ub_s, np.eye(b.size)])
+    c_std, A_ub_s, b, upper, M, offset = _standardize(c, A_ub, b_ub, bounds)
+    if np.any(upper < 0):  # a lower bound above its upper bound
+        return SimplexResult("infeasible", None, None, 0)
+    # A zero-width column is fixed at its lower bound; it never enters, so the
+    # tableau leaves it out.
+    live = np.flatnonzero(upper > 0)
+    n_live = live.size
+    A = np.hstack([A_ub_s[:, live], np.eye(b.size)])
     m, n_struct = A.shape
     neg = b < 0
     A[neg] *= -1.0
@@ -203,18 +249,20 @@ def solve_lp(
 
     # Tableau: structural columns, the artificials, rhs; below the constraints
     # sit the phase-2 cost row and the phase-1 cost row (summing the
-    # artificial rows only).
+    # artificial rows only). Every variable starts at its lower bound 0.
     T = np.zeros((m + 2, n_struct + n_art + 1))
     T[:m, :n_struct] = A
     T[art_rows, n_struct + np.arange(n_art)] = 1.0
     T[:m, -1] = b
-    T[m, :n_std] = c_std
+    T[m, :n_live] = c_std[live]
     T[m + 1, :n_struct] = -A[art_rows].sum(axis=0)
     T[m + 1, -1] = -b[art_rows].sum()
-    basis = np.arange(n_std, n_std + m)
+    basis = np.arange(n_live, n_live + m)
     basis[art_rows] = n_struct + np.arange(n_art)
+    cap = np.concatenate([upper[live], np.full(m + n_art, np.inf)])
+    flipped = np.zeros(cap.size, dtype=bool)  # column holds y' = cap - y
 
-    status, iters = _run_phase(T, basis, m, n_struct + n_art, m + 1, max_iters, 0, deadline)
+    status, iters = _run_phase(T, basis, cap, flipped, m, n_struct + n_art, m + 1, max_iters, 0, deadline)
     if status != "optimal":
         return SimplexResult(status, None, None, iters)
     if -T[m + 1, -1] > 1e-7:
@@ -227,12 +275,15 @@ def solve_lp(
     T = np.delete(T, np.s_[n_struct : T.shape[1] - 1], axis=1)  # artificial columns
     T = T[: m + 1]  # drop the phase-1 cost row
 
-    status, iters = _run_phase(T, basis, m, n_struct, m, max_iters, iters, deadline)
+    status, iters = _run_phase(T, basis, cap, flipped, m, n_struct, m, max_iters, iters, deadline)
     if status != "optimal":
         return SimplexResult(status, None, None, iters)
 
     y = np.zeros(n_struct)
     y[basis] = T[:m, -1]
-    x = offset + M @ y[:n_std]
+    y = np.where(flipped[:n_struct], cap[:n_struct] - y, y)
+    y_std = np.zeros(upper.size)
+    y_std[live] = y[:n_live]
+    x = offset + M @ y_std
     objective = float(np.asarray(c, dtype=np.float64) @ x)
     return SimplexResult("optimal", x, objective, iters)

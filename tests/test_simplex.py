@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +125,126 @@ class TestAgainstVertexEnumeration:
             else:
                 assert res.status == "optimal"
                 assert res.objective == pytest.approx(oracle[0], abs=1e-6)
+
+
+class TestBoundedVariables:
+    """Finite upper bounds stay out of the tableau: a nonbasic variable may sit
+    at its upper bound (a bound flip puts it there), and a basic variable may
+    leave at its upper bound."""
+
+    @staticmethod
+    def spy_steps(monkeypatch):
+        steps = {"flips": 0, "upper_leaves": 0}
+        flip, leave_upper = simplex._complement, simplex._complement_basic
+
+        def count_flip(*args):
+            steps["flips"] += 1
+            return flip(*args)
+
+        def count_upper_leave(*args):
+            steps["upper_leaves"] += 1
+            return leave_upper(*args)
+
+        monkeypatch.setattr(simplex, "_complement", count_flip)
+        monkeypatch.setattr(simplex, "_complement_basic", count_upper_leave)
+        return steps
+
+    def test_optima_at_upper_bounds_match_vertex_enumeration(self, monkeypatch):
+        # maximizing over boxes with rows that cut only some of them: the
+        # optimum holds boxed variables at their upper bounds
+        steps = self.spy_steps(monkeypatch)
+        rng = np.random.default_rng(31)
+        at_upper = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            lo = rng.uniform(-1, 0.5, n)
+            hi = lo + rng.uniform(0.2, 1.5, n)
+            c = -rng.uniform(0.1, 2.0, n) * np.where(rng.uniform(size=n) < 0.8, 1.0, -1.0)
+            A = rng.uniform(-0.5, 1.5, size=(int(rng.integers(1, 4)), n))
+            b = A @ (lo + rng.uniform(0.3, 0.9, n) * (hi - lo))
+            res = solve_lp(c, A_ub=A, b_ub=b, bounds=list(zip(lo, hi)))
+            oracle = vertex_enum_lp(c, np.vstack([A, np.eye(n), -np.eye(n)]),
+                                    np.concatenate([b, hi, -lo]))
+            assert oracle is not None  # lo + a fraction of the width is feasible
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(oracle[0], abs=1e-6)
+            assert np.all(res.x >= lo - 1e-9) and np.all(res.x <= hi + 1e-9)
+            assert np.max(A @ res.x - b) <= 1e-9
+            at_upper += int(np.sum(np.abs(res.x - hi) <= 1e-12))
+        assert at_upper >= 40
+        assert steps["flips"] > 0 and steps["upper_leaves"] > 0
+
+    def test_fixed_column_matches_vertex_enumeration(self):
+        # x0 is fixed at 0.5: its column is left out of the tableau, so the
+        # most attractive cost cannot make it enter
+        c = np.array([-5.0, -1.0, 1.0])
+        A = np.array([[1.0, 1.0, -1.0], [-1.0, 2.0, 1.0]])
+        b = np.array([1.2, 1.0])
+        bounds = [(0.5, 0.5), (0.0, 1.0), (0.0, 2.0)]
+        res = solve_lp(c, A_ub=A, b_ub=b, bounds=bounds)
+        lo, hi = np.array([0.5, 0.0, 0.0]), np.array([0.5, 1.0, 2.0])
+        oracle = vertex_enum_lp(c, np.vstack([A, np.eye(3), -np.eye(3)]), np.concatenate([b, hi, -lo]))
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(oracle[0], abs=1e-9)
+        assert res.x[0] == 0.5
+
+    def test_fixed_columns_stay_out_of_the_tableau(self, monkeypatch):
+        widths = []
+        pivot = simplex._pivot
+
+        def spy(T, basis, row, col):
+            widths.append(T.shape[1])
+            return pivot(T, basis, row, col)
+
+        monkeypatch.setattr(simplex, "_pivot", spy)
+        A = np.array([[1.0, 1.0, 1.0, 1.0]])
+        res = solve_lp(np.array([-1.0, -2.0, -1.0, -3.0]), A_ub=A, b_ub=np.array([1.5]),
+                       bounds=[(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 1.0)])
+        assert res.status == "optimal"
+        assert res.x == pytest.approx([0.0, 0.0, 1.0, 0.5])
+        # two live columns, one slack, the rhs
+        assert widths and set(widths) == {4}
+
+    def test_lower_bound_above_upper_bound_infeasible(self):
+        res = solve_lp(np.array([1.0, 0.0]), bounds=[(0.0, 1.0), (0.6, 0.4)])
+        assert res.status == "infeasible"
+        assert res.iterations == 0
+
+
+class TestBoundFlips:
+    """Bound flips count as iterations, so ``max_iters`` and the deadline
+    limit a run of flips."""
+
+    @staticmethod
+    def box_only(n):
+        # no rows: from the lower bounds every step is a flip to the upper bound
+        return dict(c=-np.arange(1.0, n + 1.0), bounds=[(0.0, 1.0)] * n)
+
+    def test_flips_reach_the_optimum(self):
+        res = solve_lp(**self.box_only(3))
+        assert res.status == "optimal"
+        assert res.iterations == 3
+        assert np.array_equal(res.x, np.ones(3))
+
+    def test_first_flip_hits_iteration_limit(self):
+        res = solve_lp(**self.box_only(2), max_iters=1)
+        assert res.status == "iteration-limit"
+        assert res.iterations == 1
+
+    def test_past_deadline_reports_time_limit(self):
+        res = solve_lp(**self.box_only(2), deadline=time.monotonic() - 1.0)
+        assert res.status == "time-limit"
+        assert res.iterations == 0
+
+    def test_deadline_checked_between_flips(self, monkeypatch):
+        # a clock that passes the deadline after the looks at the start of
+        # phase 1 and phase 2 (no rows: phase 1 ends at once); the next look,
+        # DEADLINE_EVERY flips later, stops the solve
+        readings = iter([0.0, 0.0] + [10.0] * 10)
+        monkeypatch.setattr(simplex, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+        res = solve_lp(**self.box_only(3 * simplex.DEADLINE_EVERY), deadline=5.0)
+        assert res.status == "time-limit"
+        assert res.iterations == simplex.DEADLINE_EVERY
 
 
 class TestIterationLimit:
