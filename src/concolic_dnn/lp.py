@@ -9,9 +9,16 @@ layer's matrix is its kernel scattered through ``Network.gather``); a ReLU
 layer adds one sign row per constrained neuron (activated: u >= eps_strict,
 deactivated: u <= -eps_strict) and zeroes the columns of its inactive
 neurons; a maxpool layer adds a loser <= winner row per member of each
-window in ``Network.gather`` and keeps the winners' columns. The [0, 1] input
-box is the variable bounds. Minimizing the Chebyshev distance to the source
-test turns feasibility into synthesis of a nearby input.
+window in ``Network.gather`` and keeps the winners' columns.
+
+Minimizing the Chebyshev distance d = |x - t|_inf to the source test t turns
+feasibility into synthesis of a nearby input. The solver sees that LP
+anchored at t: x = t + p - q with p in [0, 1 - t] and q in [0, t], so the
+[0, 1] input box is the bounds of p and q (the solver keeps them out of its
+tableau), the pattern rows A x <= b read A p - A q <= b - A t, and
+|x - t|_inf <= d is one row p_i + q_i <= d per input. At p = q = d = 0,
+which is x = t, only the rows that t violates (the flipped target bits) are
+violated, so the solver's phase 1 has only those to repair.
 
 Strict inequalities are realized with the margin ``EPS_STRICT``: an LP cannot
 express strictness, and the margin (applied on both sides of the sign split)
@@ -55,33 +62,51 @@ class LpError(RuntimeError):
 
 @dataclass
 class LpProblem:
-    """min c.z subject to A_ub z <= b_ub, as plain arrays.
-
-    The columns of z are the input x in [0, 1]^n_in, then the Chebyshev
-    distance d >= 0 once ``add_chebyshev_objective`` has added it. ``pre``
-    maps each constrained neuron (k, l) to its pre-activation as an affine
-    map of the input, u = a.x + c, given as the pair (a, c).
+    """The pattern rows A_ub x <= b_ub over the input x in [0, 1]^n_in, as
+    plain arrays, and the anchor t of the Chebyshev objective once
+    ``add_chebyshev_objective`` has set it. ``pre`` maps each constrained
+    neuron (k, l) to its pre-activation as an affine map of the input,
+    u = a.x + c, given as the pair (a, c).
     """
 
     n_in: int
     A_ub: np.ndarray
     b_ub: np.ndarray
-    c: np.ndarray
     pre: dict[tuple[int, int], tuple[np.ndarray, float]]
+    anchor: Optional[np.ndarray] = None
 
     @property
     def x_vars(self) -> range:
         return range(self.n_in)
 
-    @property
-    def bounds(self) -> list[tuple[float, Optional[float]]]:
-        return [(0.0, 1.0)] * self.n_in + [(0.0, None)] * (self.c.size - self.n_in)
+    def anchored(self) -> dict:
+        """The problem the solver receives, as ``solve_lp`` arguments: columns
+        p, q (n_in each) and d, with x = t + p - q; min d subject to
+        A p - A q <= b - A t and p_i + q_i <= d.
+
+        p and q take the positive and negative parts of x - t over the box:
+        [0, 1 - t] and [0, t] for an anchor in the box. An anchor outside it
+        (a seed may be one) gets the positive part of each bound, which keeps
+        x in [0, 1] all the same.
+        """
+        if self.anchor is None:
+            raise EncodingError("the problem has no anchor; call add_chebyshev_objective")
+        t, n, m = self.anchor, self.n_in, self.A_ub.shape[0]
+        A = np.block([
+            [self.A_ub, -self.A_ub, np.zeros((m, 1))],
+            [np.eye(n), np.eye(n), -np.ones((n, 1))],
+        ])
+        b = np.concatenate([self.b_ub - self.A_ub @ t, np.zeros(n)])
+        p_hi, q_lo, q_hi = np.maximum(1.0 - t, 0.0), np.maximum(t - 1.0, 0.0), np.maximum(t, 0.0)
+        bounds = [*zip(np.maximum(-t, 0.0).tolist(), p_hi.tolist()),
+                  *zip(q_lo.tolist(), q_hi.tolist()), (0.0, None)]
+        return dict(c=np.append(np.zeros(2 * n), 1.0), A_ub=A, b_ub=b, bounds=bounds)
 
 
 @dataclass
 class LpOutcome:
     status: str  # a SimplexResult status
-    values: Optional[np.ndarray]
+    values: Optional[np.ndarray]  # x, then d
     objective: Optional[float]
     iterations: int  # pivots the solver made, whatever the status
 
@@ -152,23 +177,17 @@ def encode_pattern(
             J, c = J[:, winners], c[winners]
         elif not isinstance(layer, Flatten):  # flatten: flat order already matches
             raise EncodingError(f"cannot encode layer type {type(layer).__name__}")
-    return LpProblem(n_in, np.vstack(rows), np.concatenate(rhs), np.zeros(n_in), pre)
+    return LpProblem(n_in, np.vstack(rows), np.concatenate(rhs), pre)
 
 
 def add_chebyshev_objective(p: LpProblem, anchor: np.ndarray) -> LpProblem:
-    """Add the column d, the |x - anchor|_inf <= d rows and the objective min d."""
+    """Anchor the problem at ``anchor``: the objective is min |x - anchor|_inf."""
     anchor = np.ravel(np.asarray(anchor, dtype=np.float64))
     if anchor.size != p.n_in:
         raise EncodingError(
             f"anchor has {anchor.size} entries, problem has {p.n_in} input variables"
         )
-    eye = np.eye(p.n_in)
-    p.A_ub = np.block([
-        [p.A_ub, np.zeros((p.A_ub.shape[0], 1))],
-        [np.vstack([eye, -eye]), -np.ones((2 * p.n_in, 1))],
-    ])
-    p.b_ub = np.concatenate([p.b_ub, anchor, -anchor])
-    p.c = np.append(np.zeros(p.n_in), 1.0)
+    p.anchor = anchor
     return p
 
 
@@ -228,9 +247,7 @@ def apply_nbc_branch(p: LpProblem, branch: NbcBranch) -> None:
         raise EncodingError(f"neuron {branch.neuron} is not encoded in this problem")
     a, c = p.pre[branch.neuron]
     sign = -1.0 if branch.side == "hi" else 1.0  # hi: u >= threshold, lo: u <= threshold
-    row = np.zeros(p.A_ub.shape[1])
-    row[: p.n_in] = sign * a
-    p.A_ub = np.vstack([p.A_ub, row])
+    p.A_ub = np.vstack([p.A_ub, sign * a])
     p.b_ub = np.append(p.b_ub, sign * (branch.threshold - c))
 
 
@@ -241,21 +258,27 @@ def solve(
 ) -> LpOutcome:
     """Solve the problem with the embedded simplex (or a drop-in replacement).
 
-    An "optimal" outcome is verified against the residual contract: every
-    constraint holds within TOL_LP, otherwise LpError is raised. ``deadline``
-    (a ``time.monotonic()`` value) is passed to the solver, which stops with
-    status "time-limit" once it has passed.
+    The solver gets the anchored problem (``LpProblem.anchored``); an
+    "optimal" solution is mapped back to x = t + p - q and verified against
+    the x-space contract: the pattern rows, the [0, 1] box and
+    |x - t|_inf <= d each hold within TOL_LP, otherwise LpError is raised.
+    ``deadline`` (a ``time.monotonic()`` value) is passed to the solver,
+    which stops with status "time-limit" once it has passed.
     """
     solver = solver or solve_lp
-    res = solver(p.c, A_ub=p.A_ub, b_ub=p.b_ub, bounds=p.bounds, deadline=deadline)
+    lp = p.anchored()
+    res = solver(lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], bounds=lp["bounds"], deadline=deadline)
     if res.status != "optimal":
         return LpOutcome(res.status, None, None, res.iterations)
-    x = res.x
+    n = p.n_in
+    x, d = p.anchor + res.x[:n] - res.x[n : 2 * n], res.x[-1]
     if p.A_ub.shape[0] and np.max(p.A_ub @ x - p.b_ub) > TOL_LP:
         raise LpError("inequality residual exceeds tolerance")
-    if np.min(x) < -TOL_LP or np.max(x[: p.n_in]) > 1.0 + TOL_LP:
+    if np.min(x) < -TOL_LP or np.max(x) > 1.0 + TOL_LP:
         raise LpError("variable bound violated")
-    return LpOutcome("optimal", x, res.objective, res.iterations)
+    if np.max(np.abs(x - p.anchor)) > d + TOL_LP:
+        raise LpError("distance residual exceeds tolerance")
+    return LpOutcome("optimal", np.append(x, d), res.objective, res.iterations)
 
 
 def symbolic_lp(
@@ -293,18 +316,21 @@ def symbolic_lp(
 
 
 def lp_text(p: LpProblem) -> str:
-    """Plain-text dump of a problem (CPLEX-LP-style rows) for debugging."""
-    names = [f"x{i}" for i in p.x_vars] + ["d"] * (p.c.size - p.n_in)
+    """Plain-text dump (CPLEX-LP-style rows) of the anchored problem the solver
+    receives: columns p, q and d, with x = t + p - q for the anchor t, which
+    the bounds of p and q encode."""
+    lp = p.anchored()
+    names = [f"p{i}" for i in p.x_vars] + [f"q{i}" for i in p.x_vars] + ["d"]
 
     def row(coeffs: np.ndarray) -> str:
         terms = [f"{'-' if a < 0 else '+'} {abs(a):.12g} {names[j]}"
                  for j, a in enumerate(coeffs) if a != 0.0]
         return " ".join(terms).lstrip("+ ") or "0"
 
-    lines = ["Minimize", f" obj: {row(p.c)}", "Subject To"]
-    lines += [f" ub{i}: {row(a)} <= {b:.12g}" for i, (a, b) in enumerate(zip(p.A_ub, p.b_ub))]
-    lines.append("Bounds")
-    for name, (lo, hi) in zip(names, p.bounds):
+    lines = ["Minimize", f" obj: {row(lp['c'])}", "Subject To"]
+    lines += [f" ub{i}: {row(a)} <= {b:.12g}" for i, (a, b) in enumerate(zip(lp["A_ub"], lp["b_ub"]))]
+    lines += ["Bounds", r"\ x = t + p - q for the anchor t; these bounds keep x in [0, 1]"]
+    for name, (lo, hi) in zip(names, lp["bounds"]):
         lines.append(f" {lo:.12g} <= {name}" + ("" if hi is None else f" <= {hi:.12g}"))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -105,17 +105,17 @@ def _standardize(c, A_ub, b_ub, bounds):
     cols: list[tuple[int, float, float]] = []  # (original var, sign, upper bound) per standard column
     offset = np.zeros(n)
     for j, (lo, hi) in enumerate(bounds):
-        lo_f = -np.inf if lo is None else float(lo)
-        hi_f = np.inf if hi is None else float(hi)
-        if np.isfinite(lo_f):
+        lo_f = -math.inf if lo is None else float(lo)
+        hi_f = math.inf if hi is None else float(hi)
+        if math.isfinite(lo_f):
             offset[j] = lo_f
             cols.append((j, 1.0, hi_f - lo_f))
-        elif np.isfinite(hi_f):
+        elif math.isfinite(hi_f):
             offset[j] = hi_f
-            cols.append((j, -1.0, np.inf))
+            cols.append((j, -1.0, math.inf))
         else:
-            cols.append((j, 1.0, np.inf))
-            cols.append((j, -1.0, np.inf))
+            cols.append((j, 1.0, math.inf))
+            cols.append((j, -1.0, math.inf))
 
     M = np.zeros((n, len(cols)))
     for col, (j, sign, _) in enumerate(cols):

@@ -28,6 +28,7 @@ from concolic_dnn.network import (
 from concolic_dnn.simplex import solve_lp
 
 from conftest import dense_net, identity_net
+from helpers import vertex_enum_lp
 
 
 def check_bits(net, pattern, x, margin=EPS_STRICT / 2):
@@ -45,10 +46,11 @@ class TestEncodePattern:
         net = identity_net(2)
         pattern = ActivationPattern({(2, 0): True, (2, 1): False})
         p = encode_pattern(net, pattern, 2)
-        # x0 >= eps (activated), x1 <= -eps (deactivated); the box is the bounds
+        # x0 >= eps (activated), x1 <= -eps (deactivated); the box enters
+        # with the anchor, as the bounds of the anchored columns
         np.testing.assert_array_equal(p.A_ub, [[-1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_array_equal(p.b_ub, [-EPS_STRICT, -EPS_STRICT])
-        assert p.bounds == [(0.0, 1.0), (0.0, 1.0)]
+        assert p.anchor is None
         assert list(p.x_vars) == [0, 1]
 
     def test_rows_per_layer_of_a_deeper_net(self):
@@ -193,16 +195,42 @@ class TestChebyshevObjective:
         assert out.objective == pytest.approx(0.2, abs=1e-5)
         assert out.values[p.x_vars[0]] == pytest.approx(0.5, abs=1e-5)
 
-    def test_distance_row_count(self):
+    def test_anchored_layout(self):
+        # columns p, q, d with x = t + p - q: the pattern rows become
+        # A p - A q <= b - A t, then one row p_i + q_i <= d per input
         net = dense_net([4, 5, 2], seed=4)
-        src = pattern_of(forward(net, np.full(4, 0.5)))
-        p = encode_pattern(net, src, 2)
-        before = p.A_ub.shape[0]
-        add_chebyshev_objective(p, np.full(4, 0.5))
-        assert p.A_ub.shape == (before + 2 * 4, 4 + 1)
-        assert p.b_ub.shape == (before + 2 * 4,)
-        np.testing.assert_array_equal(p.c, [0, 0, 0, 0, 1])
-        assert p.bounds[-1] == (0.0, None)
+        t = np.array([0.5, 0.0, 1.0, 0.25])
+        p = encode_pattern(net, pattern_of(forward(net, t)), 2)
+        A, b = p.A_ub.copy(), p.b_ub.copy()
+        add_chebyshev_objective(p, t)
+        np.testing.assert_array_equal(p.A_ub, A)  # the x-space rows stay as they are
+        lp = p.anchored()
+        assert lp["A_ub"].shape == (A.shape[0] + 4, 2 * 4 + 1)
+        np.testing.assert_array_equal(lp["A_ub"][: A.shape[0]], np.hstack([A, -A, np.zeros((A.shape[0], 1))]))
+        np.testing.assert_array_equal(lp["A_ub"][A.shape[0]:], np.hstack([np.eye(4), np.eye(4), -np.ones((4, 1))]))
+        np.testing.assert_array_equal(lp["b_ub"], np.concatenate([b - A @ t, np.zeros(4)]))
+        np.testing.assert_array_equal(lp["c"], [0] * 8 + [1])
+        assert lp["bounds"] == [(0.0, 0.5), (0.0, 1.0), (0.0, 0.0), (0.0, 0.75),
+                                (0.0, 0.5), (0.0, 0.0), (0.0, 1.0), (0.0, 0.25), (0.0, None)]
+
+    def test_only_flipped_rows_violated_at_the_anchor(self, mid_net):
+        # at p = q = d = 0 (x = t) the source satisfies every frozen bit, so
+        # only the target row has a negative rhs
+        x = np.random.default_rng(20).uniform(0, 1, 4)
+        acts = forward(mid_net, x)
+        src = pattern_of(acts)
+        assert min(abs(acts.u_flat(k)[l]) for k, l in src.bits) > EPS_STRICT
+        target, k_star = nc_target_pattern(src, (3, 1))
+        p = add_chebyshev_objective(encode_pattern(mid_net, target, k_star), x)
+        b = p.anchored()["b_ub"]
+        target_row = sorted(target.bits).index((3, 1))
+        assert np.flatnonzero(b < 0).tolist() == [target_row]
+
+    def test_unanchored_problem_rejected(self):
+        net = dense_net([4, 5, 2], seed=4)
+        p = encode_pattern(net, pattern_of(forward(net, np.full(4, 0.5))), 2)
+        with pytest.raises(EncodingError):
+            solve(p)
 
     def test_anchor_dimension_checked(self):
         net = dense_net([4, 5, 2], seed=4)
@@ -493,12 +521,67 @@ class TestConvEncoding:
 
 
 def test_lp_text_dump_is_readable(mid_net):
-    x = np.full(4, 0.5)
+    x = np.array([0.5, 0.25, 0.0, 1.0])
     src = pattern_of(forward(mid_net, x))
     p = encode_pattern(mid_net, src, 2)
     add_chebyshev_objective(p, x)
     text = lp_text(p)
     assert text.startswith("Minimize\n obj: 1 d\n")
     assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
-    assert sum(line.startswith(" ub") for line in text.splitlines()) == p.A_ub.shape[0]
-    assert " 0 <= x3 <= 1\n 0 <= d\nEnd" in text
+    # the dump shows the anchored problem: pattern rows, then one distance row per input
+    assert sum(line.startswith(" ub") for line in text.splitlines()) == p.A_ub.shape[0] + 4
+    assert " ub%d: 1 p0 + 1 q0 - 1 d <= 0\n" % p.A_ub.shape[0] in text
+    assert "\\ x = t + p - q" in text
+    assert " 0 <= p0 <= 0.5\n 0 <= p1 <= 0.75\n 0 <= p2 <= 1\n 0 <= p3 <= 0\n" in text
+    assert " 0 <= q0 <= 0.5\n 0 <= q1 <= 0.25\n 0 <= q2 <= 0\n 0 <= q3 <= 1\n 0 <= d\nEnd" in text
+
+
+class TestAnchoredSolve:
+    """Anchored solves against a vertex enumeration of the x-space LP:
+    variables (x, d), the pattern rows, |x - t|_inf <= d and the box."""
+
+    @staticmethod
+    def x_space_optimum(p, t):
+        n = p.n_in
+        A = np.block([
+            [p.A_ub, np.zeros((p.A_ub.shape[0], 1))],
+            [np.eye(n), -np.ones((n, 1))], [-np.eye(n), -np.ones((n, 1))],
+            [np.eye(n), np.zeros((n, 1))], [-np.eye(n), np.zeros((n, 1))],
+        ])
+        b = np.concatenate([p.b_ub, t, -t, np.ones(n), np.zeros(n)])
+        return vertex_enum_lp(np.append(np.zeros(n), 1.0), A, b)
+
+    def check(self, net, t):
+        """Every NC flip from t; returns how many were optimal."""
+        acts = forward(net, t)
+        optimal = 0
+        for neuron in net.relu_neurons():
+            target, k_star = nc_target_pattern(pattern_of(acts), neuron)
+            p = add_chebyshev_objective(encode_pattern(net, target, k_star), t)
+            out = solve(p)
+            oracle = self.x_space_optimum(p, np.ravel(t))
+            if oracle is None:
+                assert out.status == "infeasible"
+                continue
+            assert out.status == "optimal"
+            assert out.objective == pytest.approx(oracle[0], abs=1e-7)
+            x = out.values[: p.n_in]
+            assert np.max(np.abs(x - t)) == pytest.approx(out.objective, abs=1e-7)
+            check_bits(net, target, x)
+            optimal += 1
+        return optimal
+
+    @pytest.mark.parametrize("corner", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    def test_anchor_at_a_box_corner(self, corner):
+        # every p_i or q_i has width 0 here: the fixed columns never enter
+        net = dense_net([2, 4, 3, 2], seed=21)
+        assert self.check(net, np.array(corner)) >= 2
+
+    def test_anchor_on_a_box_face(self):
+        net = dense_net([2, 4, 3, 2], seed=22)
+        assert self.check(net, np.array([0.0, 0.6])) + self.check(net, np.array([0.3, 1.0])) >= 4
+
+    def test_anchor_outside_the_box(self):
+        # a seed may lie outside [0, 1]; the solution still lies inside it
+        net = dense_net([2, 4, 3, 2], seed=23)
+        assert self.check(net, np.array([1.25, -0.5])) >= 1

@@ -320,11 +320,8 @@ class TestPivotRule:
 
 def _nc_lps():
     """NC synthesis LPs on a small seeded dense net: every ReLU neuron flipped
-    from three source points, as ``symbolic_lp`` builds them (input-space
-    sign rows, then the Chebyshev rows). Under the Bland rule and an
-    artificial per row, the Chebyshev rows made these tableaux degenerate:
-    478 of 1,784 ratio tests had tied minimum ratios. From the slack basis
-    with Dantzig pricing, 1 of 727 does."""
+    from three source points, as ``lp.solve`` hands them to the solver
+    (anchored at the source point, with boxed columns p and q)."""
     net = dense_net([6, 8, 8, 3], seed=7)
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -333,8 +330,7 @@ def _nc_lps():
         for neuron in net.relu_neurons():
             target, k_star = nc_target_pattern(source, neuron)
             p = encode_pattern(net, target, k_star)
-            add_chebyshev_objective(p, t)
-            yield dict(c=p.c, A_ub=p.A_ub, b_ub=p.b_ub, bounds=p.bounds)
+            yield add_chebyshev_objective(p, t).anchored()
 
 
 def _vertex_enum_lps():
