@@ -92,15 +92,18 @@ class LpProblem:
         if self.anchor is None:
             raise EncodingError("the problem has no anchor; call add_chebyshev_objective")
         t, n, m = self.anchor, self.n_in, self.A_ub.shape[0]
-        A = np.block([
-            [self.A_ub, -self.A_ub, np.zeros((m, 1))],
-            [np.eye(n), np.eye(n), -np.ones((n, 1))],
-        ])
-        b = np.concatenate([self.b_ub - self.A_ub @ t, np.zeros(n)])
-        p_hi, q_lo, q_hi = np.maximum(1.0 - t, 0.0), np.maximum(t - 1.0, 0.0), np.maximum(t, 0.0)
-        bounds = [*zip(np.maximum(-t, 0.0).tolist(), p_hi.tolist()),
-                  *zip(q_lo.tolist(), q_hi.tolist()), (0.0, None)]
-        return dict(c=np.append(np.zeros(2 * n), 1.0), A_ub=A, b_ub=b, bounds=bounds)
+        A = np.zeros((m + n, 2 * n + 1))
+        A[:m, :n], A[:m, n : 2 * n] = self.A_ub, -self.A_ub
+        rows = m + np.arange(n)
+        A[rows, rows - m] = A[rows, rows - m + n] = 1.0
+        A[m:, -1] = -1.0
+        b = np.zeros(m + n)
+        b[:m] = self.b_ub - self.A_ub @ t
+        c = np.zeros(2 * n + 1)
+        c[-1] = 1.0
+        lo = np.maximum(np.concatenate([-t, t - 1.0]), 0.0).tolist()
+        hi = np.maximum(np.concatenate([1.0 - t, t]), 0.0).tolist()
+        return dict(c=c, A_ub=A, b_ub=b, bounds=[*zip(lo, hi), (0.0, None)])
 
 
 @dataclass
@@ -267,6 +270,8 @@ def solve(
     """
     solver = solver or solve_lp
     lp = p.anchored()
+    # c goes by position and the rest by keyword: the bench's trace wrapper
+    # reads the problem shape that way
     res = solver(lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], bounds=lp["bounds"], deadline=deadline)
     if res.status != "optimal":
         return LpOutcome(res.status, None, None, res.iterations)

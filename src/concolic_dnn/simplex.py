@@ -10,8 +10,8 @@ true.
 - **Standard form.** Each variable becomes standard columns 0 <= y <= u: a
   finite lower bound is shifted to 0 and keeps the width hi - lo as u; a
   variable with only an upper bound is mirrored; a free variable is split
-  into two unbounded columns. A column of width 0 is fixed at its lower
-  bound and left out of the tableau, so it never enters.
+  into two unbounded columns. A variable with lo == hi gets no column, so it
+  never enters.
 - **Bounded variables** (Dantzig 1955, "Upper bounds, secondary constraints
   and block triangularity in linear programming"; Chvátal 1983, *Linear
   Programming*, ch. 8). A finite u is no tableau row. A variable at its upper
@@ -93,7 +93,8 @@ def _standardize(c, A_ub, b_ub, bounds):
 
     Returns the standard-form pieces, each standard column's upper bound
     (``inf`` where it has none), and the affine map x = offset + M y that
-    recovers the original variables.
+    recovers the original variables. A variable with lo == hi is fixed: it
+    gets no column, only its offset.
     """
     c = np.asarray(c, dtype=np.float64)
     n = c.size
@@ -109,7 +110,8 @@ def _standardize(c, A_ub, b_ub, bounds):
         hi_f = math.inf if hi is None else float(hi)
         if math.isfinite(lo_f):
             offset[j] = lo_f
-            cols.append((j, 1.0, hi_f - lo_f))
+            if hi_f != lo_f:
+                cols.append((j, 1.0, hi_f - lo_f))
         elif math.isfinite(hi_f):
             offset[j] = hi_f
             cols.append((j, -1.0, math.inf))
@@ -233,11 +235,8 @@ def solve_lp(
     c_std, A_ub_s, b, upper, M, offset = _standardize(c, A_ub, b_ub, bounds)
     if np.any(upper < 0):  # a lower bound above its upper bound
         return SimplexResult("infeasible", None, None, 0)
-    # A zero-width column is fixed at its lower bound; it never enters, so the
-    # tableau leaves it out.
-    live = np.flatnonzero(upper > 0)
-    n_live = live.size
-    A = np.hstack([A_ub_s[:, live], np.eye(b.size)])
+    n_std = upper.size
+    A = np.hstack([A_ub_s, np.eye(b.size)])
     m, n_struct = A.shape
     neg = b < 0
     A[neg] *= -1.0
@@ -254,12 +253,12 @@ def solve_lp(
     T[:m, :n_struct] = A
     T[art_rows, n_struct + np.arange(n_art)] = 1.0
     T[:m, -1] = b
-    T[m, :n_live] = c_std[live]
+    T[m, :n_std] = c_std
     T[m + 1, :n_struct] = -A[art_rows].sum(axis=0)
     T[m + 1, -1] = -b[art_rows].sum()
-    basis = np.arange(n_live, n_live + m)
+    basis = np.arange(n_std, n_std + m)
     basis[art_rows] = n_struct + np.arange(n_art)
-    cap = np.concatenate([upper[live], np.full(m + n_art, np.inf)])
+    cap = np.concatenate([upper, np.full(m + n_art, np.inf)])
     flipped = np.zeros(cap.size, dtype=bool)  # column holds y' = cap - y
 
     status, iters = _run_phase(T, basis, cap, flipped, m, n_struct + n_art, m + 1, max_iters, 0, deadline)
@@ -282,8 +281,6 @@ def solve_lp(
     y = np.zeros(n_struct)
     y[basis] = T[:m, -1]
     y = np.where(flipped[:n_struct], cap[:n_struct] - y, y)
-    y_std = np.zeros(upper.size)
-    y_std[live] = y[:n_live]
-    x = offset + M @ y_std
+    x = offset + M @ y[:n_std]
     objective = float(np.asarray(c, dtype=np.float64) @ x)
     return SimplexResult("optimal", x, objective, iters)

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from concolic_dnn import engine, l0search, lipschitz, lp, network, simplex
+from concolic_dnn.cli import main
 from concolic_dnn.engine import (
     ConfigError,
     RunConfig,
@@ -28,7 +29,9 @@ from concolic_dnn.engine import (
 from concolic_dnn.lipschitz import LipConfig
 from concolic_dnn.logic import coverage, satisfies
 from concolic_dnn.lp import LpError
-from concolic_dnn.network import ActivationCache, Conv2D, Dense, Flatten, MaxPool, Network, forward
+from concolic_dnn.network import (
+    ActivationCache, Conv2D, Dense, Flatten, MaxPool, Network, forward, save_model,
+)
 from concolic_dnn.oracle import ReferenceSet
 from concolic_dnn.ranking import RankedCandidate
 
@@ -216,20 +219,68 @@ BAD_SETTINGS = st.one_of(
 )
 
 
+SSC_NET = dense_net([2, 3, 3, 2], seed=0)
+ELIGIBLE_SSC = [(2, i, j) for i in range(3) for j in range(3)]  # SSC_NET's eligible triples
+_bad_triple = st.tuples(*[st.integers(-3, 6)] * 3).filter(lambda t: t not in ELIGIBLE_SSC)
+BAD_CHOICES = st.one_of(
+    st.fixed_dictionaries({"criterion": st.text(max_size=8).filter(lambda s: s not in engine.FAMILIES)}),
+    st.fixed_dictionaries({"criterion": st.sampled_from(sorted(engine.FAMILIES)),
+                           "norm": st.text(max_size=8).filter(lambda s: s not in engine.NORMS)}),
+    # eligible triples around one that is not
+    st.fixed_dictionaries({"criterion": st.just("ssc"), "ssc_pairs": st.tuples(
+        st.lists(st.sampled_from(ELIGIBLE_SSC), max_size=3), _bad_triple,
+        st.lists(st.sampled_from(ELIGIBLE_SSC), max_size=3),
+    ).map(lambda parts: [*parts[0], parts[1], *parts[2]])}),
+)
+
+
+@pytest.fixture(scope="class")
+def cli_workspace(tmp_path_factory):
+    """A model, labelled references and a seed for CLI runs of SSC_NET."""
+    root = tmp_path_factory.mktemp("cli")
+    save_model(SSC_NET, str(root / "model.json"))
+    (root / "refs").mkdir()
+    np.save(root / "refs" / "inputs.npy", np.zeros((1, 2)))
+    np.save(root / "refs" / "labels.npy", np.zeros(1, dtype=int))
+    np.save(root / "seeds.npy", np.zeros(2))
+    return root
+
+
 class TestConfigProperties:
     net = dense_net([2, 3, 2], seed=0)
 
+    @staticmethod
+    def no_forwarding(*args):
+        raise AssertionError("the run forwarded its samples")
+
     @given(BAD_SETTINGS, st.sampled_from(["linf", "l0"]))
     def test_bad_setting_rejected_before_forwarding(self, setting, norm):
-        def no_forwarding(*args):
-            raise AssertionError("the run forwarded its samples")
-
         refs = ReferenceSet(np.zeros((1, 2)), np.zeros(1, dtype=int), norm=norm)
         cfg = RunConfig("nc", norm=norm, **setting)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "forward_batch", no_forwarding)
+            mp.setattr(network, "forward_batch", self.no_forwarding)
             with pytest.raises(ConfigError):
                 run(self.net, refs, [np.zeros(2)], cfg)
+
+    @given(BAD_CHOICES)
+    def test_bad_choice_rejected_before_forwarding(self, setting):
+        refs = ReferenceSet(np.zeros((1, 2)), np.zeros(1, dtype=int), norm="linf")
+        cfg = RunConfig(**{"criterion": "nc", **setting})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "forward_batch", self.no_forwarding)
+            with pytest.raises(ConfigError):
+                run(SSC_NET, refs, [np.zeros(2)], cfg)
+
+    @given(st.sampled_from(["--lip-c", "--lip-delta"]), _bad_positive_float())
+    def test_bad_lipschitz_flag_exits_2_before_forwarding(self, cli_workspace, flag, value):
+        out = cli_workspace / "out"
+        args = ["--model", str(cli_workspace / "model.json"), "--criterion", "lipschitz",
+                "--seeds", str(cli_workspace / "seeds.npy"), "--refs", str(cli_workspace / "refs"),
+                "--out", str(out), f"{flag}={value!r}"]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "forward_batch", self.no_forwarding)
+            assert main(args) == 2
+        assert not out.exists()
 
 
 class TestNbcBounds:

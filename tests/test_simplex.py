@@ -226,6 +226,19 @@ class TestBoundFlips:
         assert res.iterations == 3
         assert np.array_equal(res.x, np.ones(3))
 
+    @pytest.mark.parametrize("rhs", [1.0, 1.0005])
+    def test_own_bound_wins_ties_and_near_ties(self, monkeypatch, rhs):
+        # the row x <= rhs limits the step at rhs, the bound at 1: a flip,
+        # not a pivot, and x never passes its bound
+        pivots = []
+        pivot = simplex._pivot
+        monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
+        res = solve_lp(np.array([-1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([rhs]),
+                       bounds=[(0.0, 1.0)])
+        assert res.status == "optimal"
+        assert res.iterations == 1 and not pivots
+        assert res.x[0] == 1.0
+
     def test_first_flip_hits_iteration_limit(self):
         res = solve_lp(**self.box_only(2), max_iters=1)
         assert res.status == "iteration-limit"
