@@ -357,7 +357,8 @@ GOLDEN_FAMILIES = {"vertex_enum": _vertex_enum_lps, "nc_dense": _nc_lps}
 
 
 def pivot_fingerprint(lp) -> list:
-    """Status, pivot count and SHA-256 of the solution bytes of one solve."""
+    """Status, iteration count (pivots and bound flips) and SHA-256 of the
+    solution bytes of one solve."""
     res = solve_lp(**lp)
     digest = None if res.x is None else hashlib.sha256(res.x.tobytes()).hexdigest()
     return [res.status, res.iterations, digest]
@@ -365,8 +366,9 @@ def pivot_fingerprint(lp) -> list:
 
 class TestPivotPathGolden:
     """The pivot sequence is part of the solver's contract. The fingerprints
-    were recorded with the slack-basis start and Dantzig pricing; a solver
-    change that alters the pivot path on these LPs fails here."""
+    were recorded with the slack-basis start, Dantzig pricing and bounds
+    kept out of the tableau; a solver change that alters the pivot path or
+    the bound flips on these LPs fails here."""
 
     @pytest.mark.parametrize("family", sorted(GOLDEN_FAMILIES))
     def test_fingerprints_unchanged(self, family):
