@@ -39,8 +39,8 @@ print(f"source test {t}: neuron ({k},{i}) is off (u = {acts.u_flat(k)[i]:.4f})")
 target, k_star = nc_target_pattern(source, (k, i))
 problem = encode_pattern(net, target, k_star)
 add_chebyshev_objective(problem, t)
-rows, cols = problem.A_ub.shape
-print(f"\nLP over the input: {cols} columns (x0..x{problem.n_in - 1}, then d), {rows} rows")
+rows, cols = problem.anchored()["A_ub"].shape
+print(f"\nLP anchored at the source test: {cols} columns (p, q, then d; x = t + p - q), {rows} rows")
 print("\n" + lp_text(problem))
 
 outcome = solve(problem)
