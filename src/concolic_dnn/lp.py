@@ -94,8 +94,8 @@ class LpProblem:
         t, n, m = self.anchor, self.n_in, self.A_ub.shape[0]
         A = np.zeros((m + n, 2 * n + 1))
         A[:m, :n], A[:m, n : 2 * n] = self.A_ub, -self.A_ub
-        rows = m + np.arange(n)
-        A[rows, rows - m] = A[rows, rows - m + n] = 1.0
+        i = np.arange(n)
+        A[m + i, i] = A[m + i, n + i] = 1.0  # p_i + q_i - d <= 0
         A[m:, -1] = -1.0
         b = np.zeros(m + n)
         b[:m] = self.b_ub - self.A_ub @ t
