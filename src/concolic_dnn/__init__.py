@@ -20,6 +20,7 @@ from .logic import (
     Box,
     Requirement,
     SubspacePartition,
+    SuiteState,
     coverage,
     eval_bool,
     gen_lipschitz,
@@ -27,6 +28,7 @@ from .logic import (
     gen_nc,
     gen_ssc,
     satisfies,
+    suite_satisfies,
 )
 from .ranking import (
     LayerFactors,

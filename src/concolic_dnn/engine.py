@@ -28,12 +28,14 @@ from .logic import (
     GenerationError,
     Requirement,
     SubspacePartition,
+    SuiteState,
     gen_lipschitz,
     gen_nbc,
     gen_nc,
     gen_ssc,
     satisfies,
     select_ssc_pairs,
+    suite_satisfies,
 )
 from .lp import (
     LpError,
@@ -237,6 +239,7 @@ class _Loop:
     refs: ReferenceSet
     cfg: RunConfig
     cache: ActivationCache  # the run's one cache: satisfaction, ranking, report
+    state: SuiteState  # the suite's activations as of the last satisfaction pass (NC, SSC, NBC)
     rng: np.random.Generator
     deadline: float
     factors: LayerFactors
@@ -305,21 +308,22 @@ def run(
             fh.write(lp_text(problem))
         dump_count += 1
 
-    loop = _Loop(net, refs, cfg, cache, rng, deadline, factors, boxes, suite,
-                 dump_hook if dump_lp_dir else None)
+    loop = _Loop(net, refs, cfg, cache, SuiteState(net), rng, deadline, factors, boxes,
+                 suite, dump_hook if dump_lp_dir else None)
     checked = 0  # suite length at the last satisfaction pass
 
     while True:
         # Every family generates existential requirements: one that is not
         # satisfied has no witness in suite[:checked], so only the bindings
-        # that use a newer test can satisfy it, a failed one included.
-        vectors = suite.vectors
-        open_reqs = []
-        for r in reqs:
-            if r.status != "satisfied" and satisfies(vectors, r, net, cache, checked):
+        # that use a newer test can satisfy it, a failed one included. The
+        # family's settle step checks them: NC, SSC and NBC with array
+        # reductions on the suite state, to which it appends the new tests'
+        # rows; Lipschitz with ``satisfies``.
+        unsettled = [r for r in reqs if r.status != "satisfied"]
+        for r, hit in zip(unsettled, family.settle(loop, unsettled, checked)):
+            if hit:
                 r.status = "satisfied"
-            elif r.status == "open":
-                open_reqs.append(r)
+        open_reqs = [r for r in reqs if r.status == "open"]
         checked = len(suite)
         if loop.expired() or not open_reqs:
             break
@@ -336,8 +340,16 @@ def run(
 # ---------------------------------------------------------------------------
 
 # The family steps call the package functions (gen_*, rank_*, ranked_tests,
-# symbolic_lp, alternating_search, ...) through this module's globals at call
-# time, so a replaced module attribute (a tracer, a test's monkeypatch) runs.
+# suite_satisfies, satisfies, symbolic_lp, alternating_search, ...) through
+# this module's globals at call time, so a replaced module attribute (a
+# tracer, a test's monkeypatch) runs.
+
+
+def _settle_on_state(loop: _Loop, reqs: list[Requirement], start: int) -> list[bool]:
+    """Append the rows of the tests from ``start`` on to the suite state, once
+    each, then settle ``reqs`` on it (NC, SSC, NBC)."""
+    loop.state.extend([loop.cache.get(t) for t in loop.suite.vectors[start:]])
+    return suite_satisfies(loop.state, reqs, start)
 
 
 def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
@@ -345,7 +357,7 @@ def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
     admitted; the requirement fails when its attempts run out first."""
     cfg = loop.cfg
     tried = loop.tried.setdefault(id(r), set())
-    for cand in ranked_tests(loop.suite.vectors, r, loop.cache, loop.factors):
+    for cand in ranked_tests(loop.state, r, loop.factors):
         if len(tried) >= cfg.max_attempts:
             break
         source_idx = cand.tests[0]
@@ -377,6 +389,11 @@ def _lip_row(box: int, method: str, outcome) -> dict:
     witness = outcome.witness
     return {"seed": box, "method": method, "best_ratio": witness.ratio,
             "satisfied": witness.satisfied, "forward_evals": outcome.evals}
+
+
+def _settle_each(loop: _Loop, reqs: list[Requirement], start: int) -> list[bool]:
+    vectors = loop.suite.vectors
+    return [satisfies(vectors, r, loop.net, loop.cache, start) for r in reqs]
 
 
 def _rank_lipschitz(loop: _Loop, reqs: list[Requirement]) -> RankedCandidate:
@@ -450,6 +467,8 @@ class Family:
 
     ``generate(net, seeds, cfg, sample_acts)`` returns the requirements and a
     box index -> Box map, given the ``ActivationBatch`` of the run's sample set;
+    ``settle(loop, reqs, start)`` says which of ``reqs`` the suite satisfies
+    over the bindings that use a test at an index >= ``start``;
     ``rank(loop, open_reqs)`` picks the requirement to work on;
     ``synthesize(loop, r)`` is one loop iteration's synthesis;
     ``lp_target(net, acts, source_pattern, tag)`` gives ``symbolic_lp`` the
@@ -460,6 +479,7 @@ class Family:
     generate: Callable
     rank: Callable
     synthesize: Callable
+    settle: Callable = _settle_on_state
     norms: tuple[str, ...] = NORMS
     lp_target: Optional[Callable] = None
     finish: Optional[Callable] = None
@@ -470,26 +490,27 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "nc": Family(
         generate=lambda net, seeds, cfg, sample_acts: (gen_nc(net), {}),
-        rank=lambda loop, reqs: rank_nc(loop.suite.vectors, reqs, loop.cache, loop.factors),
+        rank=lambda loop, reqs: rank_nc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
         lp_target=_nc_lp_target,
     ),
     "ssc": Family(
         generate=lambda net, seeds, cfg, sample_acts: (gen_ssc(net, cfg.ssc_pairs), {}),
-        rank=lambda loop, reqs: rank_ssc(loop.suite.vectors, reqs, loop.cache, loop.factors),
+        rank=lambda loop, reqs: rank_ssc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
         norms=("linf",),
         lp_target=_ssc_lp_target,
     ),
     "nbc": Family(
         generate=_generate_nbc,
-        rank=lambda loop, reqs: rank_nbc(loop.suite.vectors, reqs, loop.cache, loop.factors),
+        rank=lambda loop, reqs: rank_nbc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
         lp_target=_nbc_lp_target,
     ),
     "lipschitz": Family(
         generate=_generate_lipschitz,
         rank=_rank_lipschitz,
+        settle=_settle_each,
         synthesize=_synthesize_compass,
         finish=_random_baselines,
         save=lambda result, outdir: write_lipschitz_csv(

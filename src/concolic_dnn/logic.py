@@ -14,8 +14,14 @@ A formula is evaluated under a binding of its input variables to the
 activations of concrete inputs, so an input variable stands for one forward
 pass. A requirement set for each of the four supported families (NC, SSC,
 NBC, Lipschitz) is produced by the gen_* functions; ``satisfies`` and
-``coverage`` give finite-suite semantics, looking each test up in an
-activation cache once per call.
+``coverage`` are the reference finite-suite semantics, looking each test up
+in an activation cache once per call and walking each formula.
+
+The concolic loop settles NC, NBC and SSC requirements without walking
+formulas: a ``SuiteState`` stacks each hidden ReLU layer's pre-activations
+over the suite's tests, and ``suite_satisfies`` reduces those arrays (NC and
+NBC: any new test's gap reached; SSC: the XOR of sign rows, Sun et al.,
+arXiv 1803.04792). Lipschitz requirements keep ``satisfies``.
 """
 
 from __future__ import annotations
@@ -160,11 +166,16 @@ BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom
 # how close a test is to satisfying the requirement, higher is closer (NC: u;
 # SSC: -|u| at the condition neuron; NBC: u - high or low - u). The gap is the
 # ranking score before layer scaling and the L0 search objective. Given an
-# ``ActivationBatch`` instead of one ``Activations``, it returns one gap per
-# row, which is how the L0 search scores a step's candidates. Indexing
+# ``ActivationBatch`` or a ``SuiteState`` instead of one ``Activations``, it
+# returns one gap per row, which is how the L0 search scores a step's
+# candidates and the ranking scores a suite. Indexing
 # ``u_flat(layer).T`` gives one input a numpy scalar, not the 0-d array of
-# ``[..., neuron]``, which made ranking slower. ``reached`` (NC and NBC, the
-# L0 families) says whether a gap satisfies the requirement.
+# ``[..., neuron]``, which made scoring one test slower. ``reached`` (NC and
+# NBC, the L0 families) says whether a gap satisfies the requirement.
+# ``satisfied_since(state, start)`` (NC, SSC, NBC) says whether the suite
+# whose ``SuiteState`` is ``state`` satisfies it with a test at an index >=
+# ``start`` (a pair that uses one, for SSC); the loop's satisfaction pass
+# calls it through ``suite_satisfies``.
 
 
 @dataclass(frozen=True)
@@ -187,6 +198,9 @@ class NCTag:
     def reached(self, gap: float) -> bool:
         return gap >= 0.0
 
+    def satisfied_since(self, state: SuiteState, start: int) -> bool:
+        return bool(self.reached(self.gap(state)[start:]).any())
+
 
 @dataclass(frozen=True)
 class SSCTag:
@@ -205,6 +219,9 @@ class SSCTag:
 
     def gap(self, acts: Activations) -> float:
         return -abs(acts.u_flat(self.layer).T[self.cond])
+
+    def satisfied_since(self, state: SuiteState, start: int) -> bool:
+        return bool(state.ssc_hits(self.layer, start)[self.cond, self.decision])
 
 
 @dataclass(frozen=True)
@@ -230,6 +247,9 @@ class NBCTag:
 
     def reached(self, gap: float) -> bool:
         return gap > 0.0
+
+    def satisfied_since(self, state: SuiteState, start: int) -> bool:
+        return bool(self.reached(self.gap(state)[start:]).any())
 
 
 @dataclass(frozen=True)
@@ -474,7 +494,10 @@ def satisfies(
     holds. With ``start >= len(suite)`` no binding is left, so an existential
     requirement is unsatisfied and a universal one holds vacuously.
 
-    Each test a binding uses is looked up in ``cache`` once.
+    Each test a binding uses is looked up in ``cache`` once. This is the
+    reference semantics, for any formula; the concolic loop settles the
+    requirements of the one-network families with ``suite_satisfies``
+    instead, and Lipschitz requirements with this function.
     """
     if len(suite) == 0:
         raise EvalError("satisfaction is undefined for an empty suite")
@@ -500,6 +523,77 @@ def coverage(
         cache = ActivationCache(net)
     acts = [cache.get(t) for t in suite]
     return sum(1 for r in reqs if _holds(r, acts)) / len(reqs)
+
+
+class SuiteState:
+    """Each hidden ReLU layer's pre-activations for every test of a suite.
+
+    ``u_flat(k)`` is a (tests x neurons) array whose row i is test i's
+    ``u_flat(k)``, so a one-test family's ``tag.gap(state)`` gives one gap per
+    test. ``extend`` appends the rows of new tests; the arrays grow by
+    doubling, so each row is copied O(1) times on average.
+    """
+
+    def __init__(self, net: Network):
+        self._u = {k: np.empty((0, net.width(k))) for k in net.hidden_relu_layers}
+        self._size = 0
+        self._ssc_hits: dict[tuple[int, int], np.ndarray] = {}  # (k, start) -> ssc_hits
+
+    def __len__(self) -> int:
+        return self._size
+
+    def extend(self, acts: Sequence[Activations]) -> None:
+        n = self._size + len(acts)
+        for k, u in self._u.items():
+            if n > len(u):
+                grown = np.empty((max(n, 2 * len(u)), u.shape[1]))
+                grown[:self._size] = u[:self._size]
+                self._u[k] = u = grown
+            for row, a in enumerate(acts, self._size):
+                u[row] = a.u_flat(k)
+        self._size = n
+        self._ssc_hits.clear()
+
+    def u_flat(self, k: int) -> np.ndarray:
+        return self._u[k][:self._size]
+
+    def ssc_hits(self, k: int, start: int) -> np.ndarray:
+        """(width(k) x width(k + 1)) bools: entry (i, j) is whether some pair
+        of tests, one at an index >= ``start``, differs in the sign of
+        condition neuron (k, i) alone among layer k and in the sign of
+        decision neuron (k + 1, j). Computed once per suite size.
+
+        The SSC body is symmetric in its two inputs, so pairing each new test
+        with every test covers every ordered pair that uses a new one.
+        """
+        hits = self._ssc_hits.get((k, start))
+        if hits is None:
+            signs, decisions = self.u_flat(k) >= 0.0, self.u_flat(k + 1) >= 0.0
+            on = signs.astype(np.float64)
+            # differing condition bits of each (new, any) pair: popcount of the
+            # XOR of the sign rows, exact as a product of 0/1 floats
+            distance = on[start:] @ (1.0 - on).T + (1.0 - on[start:]) @ on.T
+            new, other = np.nonzero(distance == 1.0)
+            new += start
+            cond = signs[new] ^ signs[other]  # one set bit per row: the condition neuron
+            flips = decisions[new] ^ decisions[other]
+            hits = self._ssc_hits[(k, start)] = cond.T.astype(np.float64) @ flips > 0.0
+        return hits
+
+
+def suite_satisfies(state: SuiteState, reqs: Sequence[Requirement], start: int = 0) -> list[bool]:
+    """For each requirement that ``gen_nc``, ``gen_ssc`` or ``gen_nbc`` makes,
+    whether the suite whose state is ``state`` satisfies it, over the
+    bindings that use a test at an index >= ``start``.
+
+    This equals ``satisfies(suite, r, net, cache, start)`` for each ``r``
+    (``satisfies`` is the reference) but reads each requirement's tag, not
+    its body: ``tag.satisfied_since(state, start)``. A Lipschitz tag has no
+    such method.
+    """
+    if len(state) == 0:
+        raise EvalError("satisfaction is undefined for an empty suite")
+    return [r.tag.satisfied_since(state, start) for r in reqs]
 
 
 # ---------------------------------------------------------------------------

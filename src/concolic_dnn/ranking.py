@@ -5,8 +5,10 @@ analysis.
 Scores use a per-layer factor c_k = 1 / mean |u| (estimated on a sample set)
 so that values from layers of different magnitude are comparable. Tie-breaking
 is deterministic: lowest tag ``order_key`` (layer first, then neuron), then
-earliest test. The ranking functions read the tests' activations from the
-run's ``ActivationCache``, so a test is forwarded once per run.
+earliest test. The one-test families (NC, SSC, NBC) are ranked over the
+suite's ``SuiteState``: one score matrix, requirements by tests, and its
+first maximum. The Lipschitz ranking reads pairs of tests' activations from
+the run's ``ActivationCache``, so a test is forwarded once per run.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import network
-from .logic import LipTag, Requirement, lip_margin
-from .network import ActivationBatch, ActivationCache, Activations, Network
+from .logic import LipTag, Requirement, SuiteState, lip_margin
+from .network import ActivationBatch, ActivationCache, Network
 
 FACTOR_FLOOR = 1e-12
 
@@ -60,34 +62,39 @@ def estimate_layer_factors(net: Network, samples: Sequence) -> LayerFactors:
     return LayerFactors(factors)
 
 
-def score(acts: Activations, r: Requirement, factors: LayerFactors) -> float:
-    """c_k times the requirement's gap at layer k: higher is closer to satisfied."""
+def score(acts, r: Requirement, factors: LayerFactors):
+    """c_k times the requirement's gap at layer k: higher is closer to satisfied.
+
+    ``acts`` is one test's ``Activations`` (one score) or a ``SuiteState`` or
+    ``ActivationBatch`` (one score per test).
+    """
     return factors[r.tag.layer] * r.tag.gap(acts)
 
 
-def rank(tests, reqs, cache: ActivationCache, factors) -> RankedCandidate:
-    """The (test, requirement) pair with the highest ``score`` (NC, SSC, NBC)."""
-    if not reqs or len(tests) == 0:
+def rank(state: SuiteState, reqs, factors) -> RankedCandidate:
+    """The (test, requirement) pair with the highest ``score`` (NC, SSC, NBC).
+
+    Rows of the score matrix are the requirements in ``order_key`` order,
+    columns the tests; ``argmax`` takes the first maximum in that row-major
+    order, so a tie goes to the lowest ``order_key``, then the earliest test.
+    """
+    if not reqs or len(state) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
-    all_acts = [cache.get(t) for t in tests]
-    best: Optional[RankedCandidate] = None
-    for r in sorted(reqs, key=lambda r: r.tag.order_key()):
-        for ti, a in enumerate(all_acts):
-            s = score(a, r, factors)
-            if best is None or s > best.score:
-                best = RankedCandidate(r, (ti,), s)
-    return best
+    ordered = sorted(reqs, key=lambda r: r.tag.order_key())
+    scores = np.array([score(state, r, factors) for r in ordered])
+    ri, ti = divmod(int(scores.argmax()), scores.shape[1])
+    return RankedCandidate(ordered[ri], (ti,), float(scores[ri, ti]))
 
 
 # one name per family, as the engine's family table calls them
 rank_nc = rank_ssc = rank_nbc = rank
 
 
-def ranked_tests(tests, r: Requirement, cache: ActivationCache, factors) -> list[RankedCandidate]:
+def ranked_tests(state: SuiteState, r: Requirement, factors) -> list[RankedCandidate]:
     """All tests scored for one requirement, best first (stable on ties)."""
-    cands = [RankedCandidate(r, (ti,), score(cache.get(t), r, factors)) for ti, t in enumerate(tests)]
-    cands.sort(key=lambda c: -c.score)
-    return cands
+    scores = score(state, r, factors)
+    return [RankedCandidate(r, (int(ti),), float(scores[ti]))
+            for ti in np.argsort(-scores, kind="stable")]
 
 
 def rank_lipschitz(tests, reqs, cache: ActivationCache, boxes) -> Optional[RankedCandidate]:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from concolic_dnn.network import Dense, Network
+from concolic_dnn.logic import SuiteState
+from concolic_dnn.network import Dense, Network, forward
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
@@ -32,6 +33,13 @@ def identity_net(dim=2):
     eye = np.eye(dim)
     return Network((dim,), [Dense(eye, np.zeros(dim), relu=True),
                             Dense(eye, np.zeros(dim), relu=False)])
+
+
+def suite_state(net, tests):
+    """The ``SuiteState`` of the suite ``tests``, one forward pass per test."""
+    state = SuiteState(net)
+    state.extend([forward(net, t) for t in tests])
+    return state
 
 
 @pytest.fixture

@@ -518,21 +518,36 @@ class TestOneActivationCache:
 
 
 class TestIncrementalCheck:
+    """The loop checks a grown suite against only its new tests: NC, NBC and
+    SSC through ``suite_satisfies`` on the suite state, Lipschitz through
+    ``satisfies``. Checking every binding each pass gives the same report."""
+
+    @staticmethod
+    def _checks(criterion, real, starts):
+        if criterion == "lipschitz":
+            def spy(suite, r, net, cache=None, start=0):
+                starts.append((start, len(suite)))
+                return real(suite, r, net, cache, start)
+
+            def full_recheck(suite, r, net, cache=None, start=0):
+                return real(suite, r, net, cache)
+        else:
+            def spy(state, reqs, start=0):
+                starts.append((start, len(state)))
+                return real(state, reqs, start)
+
+            def full_recheck(state, reqs, start=0):
+                return real(state, reqs)
+        return (("incremental", spy), ("full", full_recheck))
+
     @pytest.mark.parametrize("criterion", ["nc", "ssc", "nbc", "lipschitz"])
     def test_report_equals_full_recheck(self, monkeypatch, tmp_path, criterion):
-        real = engine.satisfies
+        entry = "satisfies" if criterion == "lipschitz" else "suite_satisfies"
+        real = getattr(engine, entry)
         starts = []
-
-        def spy(suite, r, net, cache=None, start=0):
-            starts.append((start, len(suite)))
-            return real(suite, r, net, cache, start)
-
-        def full_recheck(suite, r, net, cache=None, start=0):
-            return real(suite, r, net, cache)
-
         reports = []
-        for name, check in (("incremental", spy), ("full", full_recheck)):
-            monkeypatch.setattr(engine, "satisfies", check)
+        for name, check in self._checks(criterion, real, starts):
+            monkeypatch.setattr(engine, entry, check)
             net, refs, seeds, cfg = _small_run(criterion)
             result = run(net, refs, seeds, cfg)
             assert not result.timed_out

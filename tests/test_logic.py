@@ -19,6 +19,7 @@ from concolic_dnn.logic import (
     SignNeq,
     Sub,
     SubspacePartition,
+    SuiteState,
     Var,
     coverage,
     eval_bool,
@@ -29,8 +30,10 @@ from concolic_dnn.logic import (
     gen_ssc,
     requirements_to_json,
     satisfies,
+    ssc_pairs,
+    suite_satisfies,
 )
-from concolic_dnn.network import Dense, Network, forward
+from concolic_dnn.network import ActivationCache, Conv2D, Dense, Flatten, Network, forward
 
 from conftest import dense_net, identity_net
 from helpers import brute_coverage, brute_satisfies
@@ -448,3 +451,136 @@ def test_requirements_serialize_to_json(mid_net):
     op, *members = parsed[-1]["body"]
     assert op == "and" and [m[0] for m in members] == ["lip-margin", "in-box", "in-box"]
     assert parsed[0]["quantifier"] == "exists"
+
+
+# ---------------------------------------------------------------------------
+# The suite state against the reference ``satisfies``
+# ---------------------------------------------------------------------------
+
+QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def grid_net(sizes, seed):
+    """Dense net with weights in {-1, 0, 1} and biases in {-1, -0.5, 0, 0.5}:
+    on inputs from the quarter grid every pre-activation is exact, and many
+    are exactly 0."""
+    rng = np.random.default_rng(seed)
+    last = len(sizes) - 2
+    return Network((sizes[0],), [
+        Dense(rng.integers(-1, 2, size=(a, b)).astype(float), rng.integers(-2, 2, size=b) / 2.0,
+              relu=i < last)
+        for i, (a, b) in enumerate(zip(sizes, sizes[1:]))
+    ])
+
+
+def conv_relu_net():
+    """3x3x1 -> conv 2x2 (2 channels) -> conv 2x2 (2 channels) -> dense 2,
+    with quarter-grid weights: two adjacent conv ReLU layers, so SSC pairs
+    span conv neurons."""
+    rng = np.random.default_rng(5)
+    return Network((3, 3, 1), [
+        Conv2D(rng.integers(-1, 2, size=(2, 2, 1, 2)).astype(float), np.array([-0.5, 0.0])),
+        Conv2D(rng.integers(-1, 2, size=(2, 2, 2, 2)).astype(float), np.array([0.0, -0.5])),
+        Flatten(),
+        Dense(np.ones((2, 2)), np.zeros(2), relu=False),
+    ])
+
+
+def family_requirements(net, data):
+    """NC, NBC (quarter-grid bounds) and SSC on all pairs, then SSC on a
+    drawn, shuffled subset of the pairs."""
+    high = {pos: data.draw(st.sampled_from((0.0, 0.5, 1.0))) for pos in net.relu_neurons()}
+    low = {pos: h - data.draw(st.sampled_from((0.0, 0.5, 1.0))) for pos, h in high.items()}
+    pairs = ssc_pairs(net)
+    subset = data.draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    return gen_nc(net) + gen_nbc(net, high, low) + gen_ssc(net) + gen_ssc(net, subset)
+
+
+def assert_state_matches_reference(net, rows, data):
+    """Grow the suite in drawn steps; after each, settle the requirements on
+    the state from the step's start, from 0, from a drawn start and from
+    len(suite), and compare each answer with ``satisfies``."""
+    reqs = family_requirements(net, data)
+    suite = [np.array(t) for t in rows]
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, len(suite)), max_size=3))) | {len(suite)})
+    state, cache = SuiteState(net), ActivationCache(net)
+    size = 0
+    for cut in cuts:
+        state.extend([cache.get(t) for t in suite[size:cut]])
+        grown = suite[:cut]
+        for start in (size, 0, data.draw(st.integers(0, cut)), cut):
+            expected = [satisfies(grown, r, net, cache, start) for r in reqs]
+            assert suite_satisfies(state, reqs, start) == expected, (cut, start)
+        size = cut
+
+
+@st.composite
+def quarter_rows(draw, dim):
+    """Quarter-grid tests, then repeats of some (duplicate tests: an all-zero
+    sign XOR) and copies with one coordinate moved (often one sign flip)."""
+    rows = draw(st.lists(st.lists(st.sampled_from(QUARTERS), min_size=dim, max_size=dim),
+                         min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        row = list(draw(st.sampled_from(rows)))
+        if draw(st.booleans()):
+            row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(QUARTERS))
+        rows.append(row)
+    return rows
+
+
+class TestSuiteState:
+    @given(st.integers(0, 50), st.sampled_from([[2, 3, 3, 2], [3, 4, 2, 2], [2, 1, 3, 2]]), st.data())
+    def test_dense_nets_match_satisfies(self, seed, sizes, data):
+        net = grid_net(sizes, seed)
+        assert_state_matches_reference(net, data.draw(quarter_rows(sizes[0])), data)
+
+    @given(st.data())
+    def test_conv_relu_net_matches_satisfies(self, data):
+        net = conv_relu_net()
+        assert_state_matches_reference(net, data.draw(quarter_rows(net.input_dim)), data)
+
+    def sign_net(self):
+        """u_2 = x - 0.5 (two neurons) and u_3 = v_2,0 + v_2,1 - 0.25."""
+        return Network((2,), [Dense(np.eye(2), np.full(2, -0.5)),
+                              Dense(np.ones((2, 1)), np.array([-0.25])),
+                              Dense(np.ones((1, 2)), np.zeros(2), relu=False)])
+
+    def settle(self, net, reqs, suite, start=0):
+        state = SuiteState(net)
+        state.extend([forward(net, t) for t in suite])
+        got = suite_satisfies(state, reqs, start)
+        assert got == [satisfies(suite, r, net, start=start) for r in reqs]
+        return got
+
+    def test_zero_preactivation(self):
+        # u_2 = (0, 0) exactly: both bits are on (u >= 0); a bound at u is not passed
+        net, mid = self.sign_net(), np.array([0.5, 0.5])
+        assert self.settle(net, gen_nc(net)[:2], [mid]) == [True, True]
+        nbc = gen_nbc(net, {(2, 0): 0.0, (2, 1): 0.0, (3, 0): 0.0}, {(2, 0): 0.0, (2, 1): 0.0, (3, 0): -1.0})
+        assert self.settle(net, nbc[:4], [mid]) == [False, False, False, False]
+
+    def test_duplicate_tests_flip_nothing(self):
+        net = self.sign_net()
+        reqs = gen_ssc(net)
+        t = np.array([1.0, 0.0])
+        assert self.settle(net, reqs, [t, t]) == [False, False]
+        assert self.settle(net, reqs, [t, t, t], start=2) == [False, False]
+
+    def test_two_condition_flips_satisfy_nothing(self):
+        # (0, 0) against (1, 1) flips both condition neurons and the decision
+        net = self.sign_net()
+        (r0, r1) = gen_ssc(net)
+        low, high, one = np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0])
+        assert self.settle(net, [r0, r1], [low, high]) == [False, False]
+        # (0, 0) against (1, 0) flips condition (2, 0) alone, and the decision
+        assert self.settle(net, [r0, r1], [low, high, one], start=2) == [True, False]
+        assert self.settle(net, [r0, r1], [low, high, one], start=3) == [False, False]
+
+    def test_lipschitz_and_empty_suites_rejected(self, mid_net):
+        state = SuiteState(mid_net)
+        with pytest.raises(EvalError):
+            suite_satisfies(state, gen_nc(mid_net))
+        state.extend([forward(mid_net, np.zeros(4))])
+        part = SubspacePartition.from_seeds([np.zeros(4)], 0.1)
+        with pytest.raises(AttributeError):
+            suite_satisfies(state, gen_lipschitz(part, 1.0))

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from concolic_dnn.logic import SubspacePartition, gen_lipschitz, gen_nbc, gen_nc, gen_ssc
-from concolic_dnn.network import ActivationCache, Dense, Network, forward
+from concolic_dnn.logic import (
+    Atom,
+    Const,
+    Requirement,
+    SSCTag,
+    SubspacePartition,
+    SuiteState,
+    gen_lipschitz,
+    gen_nbc,
+    gen_nc,
+    gen_ssc,
+)
+from concolic_dnn.network import ActivationCache, Activations, Dense, Network, forward
 from concolic_dnn.ranking import (
     LayerFactors,
     estimate_layer_factors,
@@ -14,7 +25,7 @@ from concolic_dnn.ranking import (
     score,
 )
 
-from conftest import dense_net, identity_net
+from conftest import dense_net, identity_net, suite_state
 
 
 def passthrough_net():
@@ -61,14 +72,14 @@ class TestRankNC:
         net = passthrough_net()
         reqs = gen_nc(net)
         factors = LayerFactors({2: 1.0})
-        best = rank_nc([np.array([-5.0]), np.array([-1.0])], reqs, ActivationCache(net), factors)
+        best = rank_nc(suite_state(net, [np.array([-5.0]), np.array([-1.0])]), reqs, factors)
         assert best.tests == (1,)
         assert best.score == pytest.approx(-1.0)
 
     def test_single_pair(self, tiny_net):
         reqs = gen_nc(tiny_net)[:1]
         factors = estimate_layer_factors(tiny_net, [np.array([0.5, 0.5])])
-        best = rank_nc([np.array([0.2, 0.9])], reqs, ActivationCache(tiny_net), factors)
+        best = rank_nc(suite_state(tiny_net, [np.array([0.2, 0.9])]), reqs, factors)
         assert best.requirement is reqs[0]
         assert best.tests == (0,)
 
@@ -77,7 +88,7 @@ class TestRankNC:
         reqs = gen_nc(mid_net)
         tests = [rng.uniform(0, 1, 4) for _ in range(10)]
         factors = estimate_layer_factors(mid_net, tests)
-        best = rank_nc(tests, reqs, ActivationCache(mid_net), factors)
+        best = rank_nc(suite_state(mid_net, tests), reqs, factors)
         brute = max(
             (score(forward(mid_net, t), r, factors) for t in tests for r in reqs)
         )
@@ -93,9 +104,9 @@ class TestRankNC:
     def test_empty_arguments_rejected(self, tiny_net):
         factors = LayerFactors({2: 1.0})
         with pytest.raises(ValueError):
-            rank_nc([], gen_nc(tiny_net), ActivationCache(tiny_net), factors)
+            rank_nc(suite_state(tiny_net, []), gen_nc(tiny_net), factors)
         with pytest.raises(ValueError):
-            rank_nc([np.zeros(2)], [], ActivationCache(tiny_net), factors)
+            rank_nc(suite_state(tiny_net, [np.zeros(2)]), [], factors)
 
 
 class TestRankSSC:
@@ -106,17 +117,15 @@ class TestRankSSC:
         factors = LayerFactors({2: 1.0, 3: 1.0})
         rng = np.random.default_rng(2)
         tests = [rng.uniform(0, 1, 2) for _ in range(6)]
-        best = rank_ssc(tests, reqs, ActivationCache(net), factors)
+        best = rank_ssc(suite_state(net, tests), reqs, factors)
         mags = [abs(forward(net, t).u_flat(tag.layer)[tag.cond]) for t in tests]
         assert best.tests[0] == int(np.argmin(mags))
 
     def test_zero_activation_is_maximal(self):
         net = passthrough_net()
-        from concolic_dnn.logic import Requirement, SSCTag, Atom, Const
-
         r = Requirement("exists", 2, Atom(Const(0.0), ">="), SSCTag(2, 0, 0))
         factors = LayerFactors({2: 1.0})
-        best = rank_ssc([np.array([3.0]), np.array([0.0])], [r], ActivationCache(net), factors)
+        best = rank_ssc(suite_state(net, [np.array([3.0]), np.array([0.0])]), [r], factors)
         assert best.tests == (1,)
         assert best.score == 0.0
 
@@ -125,7 +134,7 @@ class TestRankSSC:
         reqs = gen_ssc(mid_net)[:40]
         tests = [rng.uniform(0, 1, 4) for _ in range(8)]
         factors = estimate_layer_factors(mid_net, tests)
-        best = rank_ssc(tests, reqs, ActivationCache(mid_net), factors)
+        best = rank_ssc(suite_state(mid_net, tests), reqs, factors)
         brute = max(
             score(forward(mid_net, t), r, factors) for t in tests for r in reqs
         )
@@ -137,7 +146,7 @@ class TestRankNBC:
         net = passthrough_net()
         reqs = gen_nbc(net, {(2, 0): 1.0}, {(2, 0): -1.0})
         factors = LayerFactors({2: 1.0})
-        best = rank_nbc([np.array([0.9])], reqs, ActivationCache(net), factors)
+        best = rank_nbc(suite_state(net, [np.array([0.9])]), reqs, factors)
         assert best.requirement.tag.side == "hi"
         assert best.score == pytest.approx(-0.1)
 
@@ -145,7 +154,7 @@ class TestRankNBC:
         net = passthrough_net()
         reqs = [r for r in gen_nbc(net, {(2, 0): 1.0}, {(2, 0): -1.0}) if r.tag.side == "hi"]
         factors = LayerFactors({2: 1.0})
-        best = rank_nbc([np.array([1.0])], reqs, ActivationCache(net), factors)
+        best = rank_nbc(suite_state(net, [np.array([1.0])]), reqs, factors)
         assert best.score == 0.0
 
     def test_matches_exhaustive(self, mid_net):
@@ -156,7 +165,7 @@ class TestRankNBC:
         reqs = gen_nbc(mid_net, high, low)
         tests = [rng.uniform(0, 1, 4) for _ in range(7)]
         factors = estimate_layer_factors(mid_net, tests)
-        best = rank_nbc(tests, reqs, ActivationCache(mid_net), factors)
+        best = rank_nbc(suite_state(mid_net, tests), reqs, factors)
         brute = max(
             score(forward(mid_net, t), r, factors) for t in tests for r in reqs
         )
@@ -216,8 +225,8 @@ class TestOrderingInvariance:
         reqs = gen_nc(mid_net)
         tests = [rng.uniform(0, 1, 4) for _ in range(6)]
         factors = estimate_layer_factors(mid_net, tests)
-        forward_best = rank_nc(tests, reqs, ActivationCache(mid_net), factors)
-        reversed_best = rank_nc(tests[::-1], reqs, ActivationCache(mid_net), factors)
+        forward_best = rank_nc(suite_state(mid_net, tests), reqs, factors)
+        reversed_best = rank_nc(suite_state(mid_net, tests[::-1]), reqs, factors)
         assert forward_best.score == pytest.approx(reversed_best.score)
 
     def test_ranked_tests_sorted_descending(self, mid_net):
@@ -225,7 +234,74 @@ class TestOrderingInvariance:
         reqs = gen_nc(mid_net)
         tests = [rng.uniform(0, 1, 4) for _ in range(5)]
         factors = estimate_layer_factors(mid_net, tests)
-        cands = ranked_tests(tests, reqs[0], ActivationCache(mid_net), factors)
+        cands = ranked_tests(suite_state(mid_net, tests), reqs[0], factors)
         scores = [c.score for c in cands]
         assert scores == sorted(scores, reverse=True)
         assert len(cands) == 5
+
+
+def preactivation_state(net, rows):
+    """A ``SuiteState`` whose layer-2 pre-activations are ``rows`` as given,
+    signed zeros included (a forward pass never yields u = -0.0)."""
+    state = SuiteState(net)
+    state.extend([Activations(u={2: np.array(row)}, v={}, label=0, relu_layers=(2,))
+                  for row in rows])
+    return state
+
+
+class TestTies:
+    """``rank`` keeps the strict-> rule of a loop over requirements in
+    ``order_key`` order and then tests: the first maximum wins."""
+
+    def twin_net(self):
+        """Two hidden neurons with the same pre-activation u = x."""
+        return Network((1,), [Dense(np.array([[1.0, 1.0]]), np.zeros(2)),
+                              Dense(np.eye(2), np.zeros(2), relu=False)])
+
+    def test_equal_requirements_lower_order_key_wins(self):
+        net = self.twin_net()
+        reqs = gen_nc(net)
+        factors = LayerFactors({2: 1.0})
+        state = suite_state(net, [np.array([-0.5]), np.array([-0.2])])
+        for given in (reqs, reqs[::-1]):
+            best = rank_nc(state, given, factors)
+            assert best.requirement is reqs[0]
+            assert best.tests == (1,)
+
+    def test_equal_tests_earlier_index_wins(self):
+        # -|u| at u = 0.3 and u = -0.3: the SSC gap ties
+        net = passthrough_net()
+        r = Requirement("exists", 2, Atom(Const(0.0), ">="), SSCTag(2, 0, 0))
+        factors = LayerFactors({2: 1.0})
+        for tests in ([np.array([0.3]), np.array([-0.3])], [np.array([-0.3]), np.array([0.3])]):
+            best = rank_ssc(suite_state(net, tests), [r], factors)
+            assert best.tests == (0,)
+            assert best.score == -0.3
+
+    def test_duplicate_tests_first_copy_wins(self):
+        net = passthrough_net()
+        reqs = gen_nc(net)
+        factors = LayerFactors({2: 1.0})
+        t, worse = np.array([-0.1]), np.array([-0.4])
+        best = rank_nc(suite_state(net, [worse, t, t, worse, t]), reqs, factors)
+        assert best.tests == (1,)
+
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_zero_gap_of_either_sign_ties(self, zeros):
+        net = passthrough_net()
+        reqs = gen_nc(net)
+        factors = LayerFactors({2: 1.0})
+        state = preactivation_state(net, [[-1.0], [zeros[0]], [zeros[1]]])
+        best = rank_nc(state, reqs, factors)
+        assert best.tests == (1,)
+        assert np.signbit(best.score) == np.signbit(zeros[0])
+        assert [c.tests[0] for c in ranked_tests(state, reqs[0], factors)] == [1, 2, 0]
+
+    def test_ranked_tests_stable_on_equal_scores(self):
+        net = passthrough_net()
+        (r,) = gen_nc(net)
+        factors = LayerFactors({2: 1.0})
+        a, b, c = np.array([-0.2]), np.array([-0.1]), np.array([-0.7])
+        cands = ranked_tests(suite_state(net, [a, c, b, a, c, b, a]), r, factors)
+        assert [cand.tests[0] for cand in cands] == [2, 5, 0, 3, 6, 1, 4]
+        assert [cand.score for cand in cands] == [-0.1, -0.1, -0.2, -0.2, -0.2, -0.7, -0.7]
