@@ -2,14 +2,14 @@
 
 Builds a small dense ReLU network, runs a few inputs through it, and shows the
 pre-/post-ReLU values, the label, and the activation pattern that makes the
-network piecewise-linear. Ends with a bit-exact model file round trip.
+network piecewise-linear: one sign array per ReLU layer, +1 where u >= 0. Ends with a bit-exact model file round trip.
 """
 
 import tempfile
 
 import numpy as np
 
-from concolic_dnn import Dense, Network, forward, load_model, pattern_of, save_model
+from concolic_dnn import Dense, Network, forward, load_model, save_model
 
 rng = np.random.default_rng(0)
 net = Network(
@@ -32,19 +32,16 @@ for k in range(2, net.num_layers + 1):
     print(f"           v = {np.round(acts.v[k], 3)}")
 print(f"  label = {acts.label}")
 
-pattern = pattern_of(acts)
-on = sorted(pos for pos, bit in pattern.bits.items() if bit)
-print(f"\nactivation pattern: {len(pattern)} ReLU bits, {len(on)} activated")
-print("  activated neurons:", on)
+print("\nactivation pattern (signs of u; the tie u = 0 counts as +1):")
+for k in net.hidden_relu_layers:
+    print(f"  layer {k}: {acts.signs(k)}")
 
-# nudging the input can flip bits: that is what the LP synthesis exploits
-x2 = x + np.array([0.0, -0.3, 0.0])
-flips = [
-    pos
-    for pos, bit in pattern.bits.items()
-    if pattern_of(forward(net, x2)).bits[pos] != bit
-]
-print(f"\nperturbing the input to {x2} flips bits at: {flips}")
+# nudging the input can flip signs: that is what the LP synthesis exploits
+x2 = x + np.array([0.0, -0.6, 0.0])
+acts2 = forward(net, x2)
+flips = [(k, int(i)) for k in net.hidden_relu_layers
+         for i in np.flatnonzero(acts2.signs(k) != acts.signs(k))]
+print(f"\nperturbing the input to {x2} flips signs at: {flips}")
 
 with tempfile.NamedTemporaryFile(suffix=".json") as fh:
     save_model(net, fh.name)

@@ -9,14 +9,8 @@ flip end to end and prints the problem in its plain-text dump format.
 
 import numpy as np
 
-from concolic_dnn import Dense, Network, forward, gen_nc, pattern_of, symbolic_lp
-from concolic_dnn.lp import (
-    add_chebyshev_objective,
-    encode_pattern,
-    lp_text,
-    nc_target_pattern,
-    solve,
-)
+from concolic_dnn import Dense, Network, forward, gen_nc, symbolic_lp
+from concolic_dnn.lp import add_chebyshev_objective, encode_pattern, lp_text, solve
 
 rng = np.random.default_rng(2)
 net = Network(
@@ -29,14 +23,16 @@ net = Network(
 
 t = np.array([0.4, 0.6])
 acts = forward(net, t)
-source = pattern_of(acts)
-target_req = next(
-    r for r in gen_nc(net) if not source[(r.tag.layer, r.tag.neuron)]
-)
+target_req = next(r for r in gen_nc(net) if acts.signs(r.tag.layer)[r.tag.neuron] < 0)
 k, i = target_req.tag.layer, target_req.tag.neuron
 print(f"source test {t}: neuron ({k},{i}) is off (u = {acts.u_flat(k)[i]:.4f})")
+print(f"source signs of layer {k}: {acts.signs(k)}")
 
-target, k_star = nc_target_pattern(source, (k, i))
+# the tag builds the target: +1 asks for u >= eps, -1 for u <= -eps, 0 leaves
+# the neuron open (allowed only at the top layer k_star)
+target, k_star, _ = target_req.tag.lp_target(acts)
+for layer, signs in target.items():
+    print(f"target signs of layer {layer}: {signs}")
 problem = encode_pattern(net, target, k_star)
 add_chebyshev_objective(problem, t)
 rows, cols = problem.anchored()["A_ub"].shape

@@ -3,7 +3,6 @@
 from .network import (
     ActivationBatch,
     ActivationCache,
-    ActivationPattern,
     Activations,
     Conv2D,
     Dense,
@@ -13,7 +12,6 @@ from .network import (
     forward,
     forward_batch,
     load_model,
-    pattern_of,
     save_model,
 )
 from .logic import (
@@ -44,10 +42,7 @@ from .lp import (
     LpProblem,
     add_chebyshev_objective,
     encode_pattern,
-    nbc_constraint,
-    nc_target_pattern,
     solve,
-    ssc_target_pattern,
     symbolic_lp,
 )
 from .l0search import L0Budget, l0_distance, symbolic_l0

@@ -37,14 +37,7 @@ from .logic import (
     select_ssc_pairs,
     suite_satisfies,
 )
-from .lp import (
-    LpError,
-    lp_text,
-    nbc_constraint,
-    nc_target_pattern,
-    ssc_target_pattern,
-    symbolic_lp,
-)
+from .lp import LpError, lp_text, symbolic_lp
 from . import network
 from .network import ActivationBatch, ActivationCache, Network
 from .oracle import (
@@ -448,19 +441,6 @@ def _generate_lipschitz(net, seeds, cfg, sample_acts):
     return reqs, dict(enumerate(partition.boxes))
 
 
-def _nc_lp_target(net, acts, source, tag):
-    return (*nc_target_pattern(source, (tag.layer, tag.neuron)), None)
-
-
-def _ssc_lp_target(net, acts, source, tag):
-    return (*ssc_target_pattern(source, (tag.layer, tag.cond), (tag.layer + 1, tag.decision)), None)
-
-
-def _nbc_lp_target(net, acts, source, tag):
-    branch = nbc_constraint(acts, (tag.layer, tag.neuron), tag.high, tag.low)
-    return source, net.num_layers - 1, branch
-
-
 @dataclass(frozen=True)
 class Family:
     """What the engine knows about one requirement family (criterion).
@@ -470,10 +450,10 @@ class Family:
     ``settle(loop, reqs, start)`` says which of ``reqs`` the suite satisfies
     over the bindings that use a test at an index >= ``start``;
     ``rank(loop, open_reqs)`` picks the requirement to work on;
-    ``synthesize(loop, r)`` is one loop iteration's synthesis;
-    ``lp_target(net, acts, source_pattern, tag)`` gives ``symbolic_lp`` the
-    target pattern, top layer and NBC branch (or None); ``finish(loop)`` runs
-    after the loop; ``save(result, outdir)`` writes extra run artifacts.
+    ``synthesize(loop, r)`` is one loop iteration's synthesis; ``finish(loop)``
+    runs after the loop; ``save(result, outdir)`` writes extra run artifacts.
+    A requirement's LP target is its tag's (``tag.lp_target``), not the
+    family's.
     """
 
     generate: Callable
@@ -481,7 +461,6 @@ class Family:
     synthesize: Callable
     settle: Callable = _settle_on_state
     norms: tuple[str, ...] = NORMS
-    lp_target: Optional[Callable] = None
     finish: Optional[Callable] = None
     save: Optional[Callable] = None
     needs_lip: bool = False  # RunConfig.lip must be set
@@ -492,20 +471,17 @@ FAMILIES: dict[str, Family] = {
         generate=lambda net, seeds, cfg, sample_acts: (gen_nc(net), {}),
         rank=lambda loop, reqs: rank_nc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
-        lp_target=_nc_lp_target,
     ),
     "ssc": Family(
         generate=lambda net, seeds, cfg, sample_acts: (gen_ssc(net, cfg.ssc_pairs), {}),
         rank=lambda loop, reqs: rank_ssc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
         norms=("linf",),
-        lp_target=_ssc_lp_target,
     ),
     "nbc": Family(
         generate=_generate_nbc,
         rank=lambda loop, reqs: rank_nbc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
-        lp_target=_nbc_lp_target,
     ),
     "lipschitz": Family(
         generate=_generate_lipschitz,

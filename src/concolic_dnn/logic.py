@@ -35,6 +35,7 @@ from .network import ActivationCache, Activations, Network
 
 RELATIONS = ("<=", "<", "=", ">", ">=")
 QUANT_TOL = 1.0 / 510.0  # half of one 8-bit quantization step
+EPS_STRICT = 1e-6  # margin standing in for strict inequalities in LP targets
 
 
 class EvalError(ValueError):
@@ -175,7 +176,26 @@ BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom
 # ``satisfied_since(state, start)`` (NC, SSC, NBC) says whether the suite
 # whose ``SuiteState`` is ``state`` satisfies it with a test at an index >=
 # ``start`` (a pair that uses one, for SSC); the loop's satisfaction pass
-# calls it through ``suite_satisfies``.
+# calls it through ``suite_satisfies``. ``lp_target(acts)`` (NC, SSC, NBC)
+# is the LP synthesis target from the source test with activations ``acts``:
+# ``(signs, k_star, bound)``. ``signs[k]`` is a sign array over layer k's
+# neurons for each ReLU layer up to the top layer ``k_star``: +1 asks for
+# u >= EPS_STRICT, -1 for u <= -EPS_STRICT, and 0, allowed only at
+# ``k_star``, leaves the neuron open. ``bound`` is the NBC row's threshold
+# (None for NC and SSC).
+
+
+def _frozen_below(acts: Activations, k: int) -> dict[int, np.ndarray]:
+    """The source's signs on every ReLU layer below layer k."""
+    return {j: acts.signs(j) for j in acts.relu_layers if j < k}
+
+
+def _flip_one(acts: Activations, k: int, i: int) -> np.ndarray:
+    """Layer k's signs with only neuron i constrained, to the opposite of its
+    source sign."""
+    signs = np.zeros(acts.u_flat(k).size, dtype=np.int8)
+    signs[i] = -acts.signs(k)[i]
+    return signs
 
 
 @dataclass(frozen=True)
@@ -201,6 +221,12 @@ class NCTag:
     def satisfied_since(self, state: SuiteState, start: int) -> bool:
         return bool(self.reached(self.gap(state)[start:]).any())
 
+    def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, None]:
+        """Freeze the layers below, flip this neuron, leave the rest of its layer open."""
+        signs = _frozen_below(acts, self.layer)
+        signs[self.layer] = _flip_one(acts, self.layer, self.neuron)
+        return signs, self.layer, None
+
 
 @dataclass(frozen=True)
 class SSCTag:
@@ -222,6 +248,15 @@ class SSCTag:
 
     def satisfied_since(self, state: SuiteState, start: int) -> bool:
         return bool(state.ssc_hits(self.layer, start)[self.cond, self.decision])
+
+    def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, None]:
+        """Flip the condition and decision neurons; freeze the layers below and
+        the rest of the condition layer; leave the decision layer's other
+        neurons open."""
+        signs = _frozen_below(acts, self.layer + 1)
+        signs[self.layer][self.cond] *= -1
+        signs[self.layer + 1] = _flip_one(acts, self.layer + 1, self.decision)
+        return signs, self.layer + 1, None
 
 
 @dataclass(frozen=True)
@@ -250,6 +285,14 @@ class NBCTag:
 
     def satisfied_since(self, state: SuiteState, start: int) -> bool:
         return bool(self.reached(self.gap(state)[start:]).any())
+
+    def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, float]:
+        """Freeze every hidden layer and cross the bound the source is closer to."""
+        top = len(acts.u) - 1  # the last hidden layer
+        u = float(acts.u_flat(self.layer)[self.neuron])
+        if u - self.high > self.low - u:
+            return _frozen_below(acts, top + 1), top, self.high + EPS_STRICT
+        return _frozen_below(acts, top + 1), top, self.low - EPS_STRICT
 
 
 @dataclass(frozen=True)

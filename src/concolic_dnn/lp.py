@@ -34,21 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .logic import Requirement
-from .network import (
-    ActivationPattern,
-    Activations,
-    Conv2D,
-    Dense,
-    Flatten,
-    MaxPool,
-    Network,
-    forward,
-    pattern_of,
-)
+from .logic import EPS_STRICT, NBCTag, Requirement
+from .network import Conv2D, Dense, Flatten, MaxPool, Network, forward
 from .simplex import SimplexResult, solve_lp
 
-EPS_STRICT = 1e-6  # margin standing in for strict inequalities
 TOL_LP = 1e-7  # residual tolerance an optimal solution must meet
 
 
@@ -134,21 +123,25 @@ def layer_affine(net: Network, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def encode_pattern(
     net: Network,
-    pattern: ActivationPattern,
+    signs: dict[int, np.ndarray],
     k_star: int,
     pool_winners: Optional[dict[int, np.ndarray]] = None,
 ) -> LpProblem:
-    """Encode all layers up to ``k_star`` under the given (possibly partial) pattern.
+    """Encode all layers up to ``k_star`` under the per-layer sign arrays ``signs``.
 
-    Every ReLU neuron strictly below ``k_star`` must appear in the pattern; at
-    the top layer only the constrained neurons are encoded (the rest cannot
-    influence them). Maxpool layers need the winner indices recorded during the
-    source test's forward pass.
+    ``signs[k]`` has one entry per neuron of ReLU layer k: +1 for u >= eps,
+    -1 for u <= -eps, 0 for unconstrained. Every ReLU layer up to ``k_star``
+    needs one, and a 0 is allowed only at ``k_star`` (the neurons left open
+    there cannot influence the constrained ones). Maxpool layers need the
+    winner indices recorded during the source test's forward pass.
     """
     n_in = net.input_dim
     J, c = np.eye(n_in), np.zeros(n_in)  # the current layer's values are x @ J + c
     rows, rhs = [np.zeros((0, n_in))], [np.zeros(0)]
     pre = {}
+    stray = sorted(set(signs).difference(k for k in net.relu_layers if k <= k_star))
+    if stray:
+        raise EncodingError(f"layer {stray[0]} is not a ReLU layer at or below the top layer {k_star}")
     for k in range(2, k_star + 1):
         layer = net.layer(k)
         if isinstance(layer, (Dense, Conv2D)):
@@ -156,14 +149,16 @@ def encode_pattern(
             J, c = J @ A, c @ A + b
             if not layer.relu:
                 continue
-            on = [l for l in range(c.size) if (k, l) in pattern]
-            if k < k_star and len(on) < c.size:
-                missing = next(l for l in range(c.size) if (k, l) not in pattern)
-                raise EncodingError(f"pattern is missing neuron ({k}, {missing})")
-            sign = np.array([1.0 if pattern[(k, l)] else -1.0 for l in on])
+            s = np.asarray(signs.get(k, ()))
+            if s.shape != (c.size,):
+                raise EncodingError(f"layer {k} needs a sign array of {c.size} entries, got shape {s.shape}")
+            on = np.flatnonzero(s)
+            if k < k_star and on.size < c.size:
+                raise EncodingError(f"neuron ({k}, {np.flatnonzero(s == 0)[0]}) is open below the top layer")
+            sign = s[on].astype(np.float64)
             rows.append(-sign[:, None] * J[:, on].T)  # sign * (x @ J + c) >= eps
             rhs.append(sign * c[on] - EPS_STRICT)
-            pre.update(((k, l), (J[:, l], float(c[l]))) for l in on)
+            pre.update(((k, int(l)), (J[:, l], float(c[l]))) for l in on)
             active = np.zeros(c.size)
             active[on] = sign > 0
             J, c = J * active, c * active
@@ -194,64 +189,16 @@ def add_chebyshev_objective(p: LpProblem, anchor: np.ndarray) -> LpProblem:
     return p
 
 
-def nc_target_pattern(
-    source: ActivationPattern, neuron: tuple[int, int]
-) -> tuple[ActivationPattern, int]:
-    """Freeze all layers below the target neuron's layer, negate the target bit."""
-    k, i = neuron
-    if (k, i) not in source:
-        raise EncodingError(f"({k}, {i}) is not a ReLU neuron of the source pattern")
-    bits = {pos: val for pos, val in source.bits.items() if pos[0] < k}
-    bits[(k, i)] = not source[(k, i)]
-    return ActivationPattern(bits), k
-
-
-def ssc_target_pattern(
-    source: ActivationPattern, cond: tuple[int, int], decision: tuple[int, int]
-) -> tuple[ActivationPattern, int]:
-    """Negate condition and decision bits; freeze earlier layers and the rest of
-    the condition layer; leave the decision layer's other neurons open."""
-    (k, i), (k1, j) = cond, decision
-    if k1 != k + 1:
-        raise EncodingError(f"decision neuron must sit one layer above the condition: {cond} {decision}")
-    bits = {pos: val for pos, val in source.bits.items() if pos[0] < k}
-    for pos, val in source.bits.items():
-        if pos[0] == k:
-            bits[pos] = val
-    bits[(k, i)] = not source[(k, i)]
-    bits[(k1, j)] = not source[(k1, j)]
-    return ActivationPattern(bits), k1
-
-
-@dataclass(frozen=True)
-class NbcBranch:
-    """One side of a neuron-boundary constraint, already margin-adjusted."""
-
-    neuron: tuple[int, int]
-    side: str  # "hi" | "lo"
-    threshold: float  # hi: u >= threshold, lo: u <= threshold
-
-
-def nbc_constraint(
-    source: Activations, neuron: tuple[int, int], high: float, low: float
-) -> NbcBranch:
-    """Pick the bound the source test is closer to and build its crossing constraint."""
-    k, i = neuron
-    if high < low:
-        raise EncodingError(f"inverted bounds for neuron {neuron}: high {high} < low {low}")
-    u = float(source.u_flat(k)[i])
-    if u - high > low - u:
-        return NbcBranch(neuron, "hi", high + EPS_STRICT)
-    return NbcBranch(neuron, "lo", low - EPS_STRICT)
-
-
-def apply_nbc_branch(p: LpProblem, branch: NbcBranch) -> None:
-    if branch.neuron not in p.pre:
-        raise EncodingError(f"neuron {branch.neuron} is not encoded in this problem")
-    a, c = p.pre[branch.neuron]
-    sign = -1.0 if branch.side == "hi" else 1.0  # hi: u >= threshold, lo: u <= threshold
+def apply_nbc_branch(p: LpProblem, tag: NBCTag, bound: float) -> None:
+    """Add the NBC row: the tag's neuron crosses ``bound``, upwards when
+    ``bound`` lies above the tag's high bound, downwards otherwise."""
+    neuron = (tag.layer, tag.neuron)
+    if neuron not in p.pre:
+        raise EncodingError(f"neuron {neuron} is not encoded in this problem")
+    a, c = p.pre[neuron]
+    sign = -1.0 if bound > tag.high else 1.0  # u >= bound, or u <= bound
     p.A_ub = np.vstack([p.A_ub, sign * a])
-    p.b_ub = np.append(p.b_ub, sign * (branch.threshold - c))
+    p.b_ub = np.append(p.b_ub, sign * (bound - c))
 
 
 def solve(
@@ -294,23 +241,22 @@ def symbolic_lp(
     solver=None,
     deadline: Optional[float] = None,
 ) -> Optional[np.ndarray]:
-    """Synthesize an input satisfying the requirement's target pattern, close to ``t``.
+    """Synthesize an input satisfying the requirement's target, close to ``t``.
 
-    The requirement's family (its row in ``engine.FAMILIES``) picks the target
-    pattern. Returns the new input on success, None when the pattern is
-    infeasible or the solver gave up (iteration limit, or ``deadline`` passed).
+    The requirement's tag builds the target from ``t``'s activations
+    (``tag.lp_target``). Returns the new input on success, None when the
+    target is infeasible or the solver gave up (iteration limit, or
+    ``deadline`` passed).
     """
-    from .engine import FAMILIES  # imported here: engine imports this module
-
-    lp_target = FAMILIES[r.tag.criterion].lp_target
+    lp_target = getattr(r.tag, "lp_target", None)
     if lp_target is None:
         raise EncodingError(f"no LP synthesis for requirement family {type(r.tag).__name__}")
     t = np.ravel(np.asarray(t, dtype=np.float64))
     acts = forward(net, t)
-    target, k_star, branch = lp_target(net, acts, pattern_of(acts), r.tag)
-    p = encode_pattern(net, target, k_star, acts.pool_winners)
-    if branch is not None:
-        apply_nbc_branch(p, branch)
+    signs, k_star, bound = lp_target(acts)
+    p = encode_pattern(net, signs, k_star, acts.pool_winners)
+    if bound is not None:
+        apply_nbc_branch(p, r.tag, bound)
     add_chebyshev_objective(p, t)
     if dump_hook is not None:
         dump_hook(p, r)

@@ -2,7 +2,7 @@
 
 Model representation (dense / conv2d / maxpool / flatten layers with optional
 ReLU markers), a deterministic forward pass that exposes pre- and post-ReLU
-values for every layer, activation-pattern extraction, and a bit-exact JSON
+values for every layer, activation patterns as sign arrays, and a bit-exact JSON
 model file format.
 
 The window geometry of conv2d and maxpool layers is defined once, as the
@@ -264,6 +264,12 @@ class Activations:
     def v_flat(self, k: int) -> np.ndarray:
         return self.v[k].reshape(-1)
 
+    def signs(self, k: int) -> np.ndarray:
+        """Layer k's activation pattern, flat: +1 where u >= 0 and -1 elsewhere
+        (the tie u = 0 counts as activated, since there u equals the post-ReLU
+        value)."""
+        return np.where(self.u_flat(k) >= 0.0, np.int8(1), np.int8(-1))
+
     @property
     def out(self) -> np.ndarray:
         """The output layer K, flat; ``v`` holds layers 1..K."""
@@ -306,28 +312,6 @@ class ActivationBatch:
             label=int(out.argmax()), relu_layers=self.relu_layers,
             pool_winners={k: w[i] for k, w in self.pool_winners.items()},
         )
-
-
-@dataclass(frozen=True)
-class ActivationPattern:
-    """Boolean map (layer, neuron) -> ReLU activated.
-
-    A bit is true iff the neuron's pre-ReLU value is >= 0 (the tie u = 0 is
-    classified as activated, since there u equals the post-ReLU value).
-    A pattern may be partial: only the positions present in ``bits`` are
-    constrained.
-    """
-
-    bits: dict[tuple[int, int], bool]
-
-    def __getitem__(self, pos: tuple[int, int]) -> bool:
-        return self.bits[pos]
-
-    def __contains__(self, pos: tuple[int, int]) -> bool:
-        return pos in self.bits
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 def forward_batch(net: Network, X: np.ndarray) -> ActivationBatch:
@@ -422,16 +406,6 @@ def forward(net: Network, x: np.ndarray) -> Activations:
     one, with its errors.
     """
     return forward_batch(net, np.asarray(x, dtype=np.float64).reshape(1, -1)).row(0)
-
-
-def pattern_of(acts: Activations) -> ActivationPattern:
-    """Extract the total activation pattern of a forward pass (bit = u >= 0)."""
-    bits: dict[tuple[int, int], bool] = {}
-    for k in acts.relu_layers:
-        flat = acts.u_flat(k)
-        for i in range(flat.size):
-            bits[(k, i)] = bool(flat[i] >= 0.0)
-    return ActivationPattern(bits)
 
 
 class ActivationCache:

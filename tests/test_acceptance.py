@@ -14,7 +14,9 @@ from concolic_dnn.lipschitz import LipConfig, alternating_search, compass_minimi
 from concolic_dnn.logic import (
     Atom,
     CountCmp,
+    NBCTag,
     NCTag,
+    SSCTag,
     Not,
     Requirement,
     Scaled,
@@ -32,12 +34,9 @@ from concolic_dnn.lp import (
     add_chebyshev_objective,
     apply_nbc_branch,
     encode_pattern,
-    nbc_constraint,
-    nc_target_pattern,
     solve,
-    ssc_target_pattern,
 )
-from concolic_dnn.network import Dense, Network, forward, pattern_of, save_model
+from concolic_dnn.network import Dense, Network, forward, save_model
 from concolic_dnn.oracle import ReferenceSet
 from concolic_dnn.simplex import solve_lp
 
@@ -72,28 +71,24 @@ def test_criterion_1_lp_pattern_faithfulness():
             net = nets[draws % 2]
             x = rng.uniform(0, 1, net.input_dim)
             acts = forward(net, x)
-            src = pattern_of(acts)
             family = ("nc", "ssc", "nbc")[int(rng.integers(0, 3))]
-            branch = None
             if family == "nc":
                 k = int(rng.integers(2, net.num_layers))
-                target, k_star = nc_target_pattern(src, (k, int(rng.integers(0, net.width(k)))))
+                tag = NCTag(k, int(rng.integers(0, net.width(k))))
             elif family == "ssc":
                 k = int(rng.integers(2, net.num_layers - 1))
-                cond = (k, int(rng.integers(0, net.width(k))))
-                decision = (k + 1, int(rng.integers(0, net.width(k + 1))))
-                target, k_star = ssc_target_pattern(src, cond, decision)
+                cond = int(rng.integers(0, net.width(k)))
+                tag = SSCTag(k, cond, int(rng.integers(0, net.width(k + 1))))
             else:
                 k = int(rng.integers(2, net.num_layers))
                 i = int(rng.integers(0, net.width(k)))
                 u = acts.u_flat(k)[i]
-                branch = nbc_constraint(
-                    acts, (k, i), u + float(rng.uniform(0.02, 0.4)), u - float(rng.uniform(0.02, 0.4))
-                )
-                target, k_star = src, net.num_layers - 1
+                high, low = u + float(rng.uniform(0.02, 0.4)), u - float(rng.uniform(0.02, 0.4))
+                tag = NBCTag(k, i, "hi" if u - high > low - u else "lo", high, low)
+            target, k_star, bound = tag.lp_target(acts)
             problem = encode_pattern(net, target, k_star, acts.pool_winners)
-            if branch is not None:
-                apply_nbc_branch(problem, branch)
+            if bound is not None:
+                apply_nbc_branch(problem, tag, bound)
             add_chebyshev_objective(problem, x)
             outcome = solve(problem)
             if outcome.status != "optimal":
@@ -101,10 +96,11 @@ def test_criterion_1_lp_pattern_faithfulness():
             optimal += 1
             solution = np.array([outcome.values[q] for q in problem.x_vars])
             rerun = forward(net, solution)
-            for (kk, ii), bit in target.bits.items():
-                u_val = rerun.u_flat(kk)[ii]
-                assert (u_val >= 0) == bit, f"bit ({kk},{ii}) not reproduced"
-                assert abs(u_val) >= EPS_STRICT / 2, f"margin too small at ({kk},{ii}): {u_val}"
+            for kk, signs in target.items():
+                for ii in np.flatnonzero(signs):
+                    u_val = rerun.u_flat(kk)[ii]
+                    assert np.sign(u_val) == signs[ii], f"sign ({kk},{ii}) not reproduced"
+                    assert abs(u_val) >= EPS_STRICT / 2, f"margin too small at ({kk},{ii}): {u_val}"
         assert optimal >= 100, f"only {optimal} optimal syntheses in {draws} draws"
 
 

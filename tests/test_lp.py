@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from concolic_dnn.logic import gen_nbc, gen_nc, gen_ssc
+from concolic_dnn.logic import NBCTag, NCTag, SSCTag, gen_nbc, gen_nc, gen_ssc
 from concolic_dnn.lp import (
     EPS_STRICT,
     EncodingError,
@@ -9,43 +9,41 @@ from concolic_dnn.lp import (
     apply_nbc_branch,
     encode_pattern,
     lp_text,
-    nbc_constraint,
-    nc_target_pattern,
     solve,
-    ssc_target_pattern,
     symbolic_lp,
 )
-from concolic_dnn.network import (
-    ActivationPattern,
-    Conv2D,
-    Dense,
-    Flatten,
-    MaxPool,
-    Network,
-    forward,
-    pattern_of,
-)
+from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward
 from concolic_dnn.simplex import solve_lp
 
 from conftest import dense_net, identity_net
 from helpers import vertex_enum_lp
 
 
-def check_bits(net, pattern, x, margin=EPS_STRICT / 2):
-    """Re-run the LP solution concretely and check every constrained bit holds
+def source_signs(acts, k_star):
+    """The source's full pattern: its signs on every ReLU layer up to k_star."""
+    return {k: acts.signs(k) for k in acts.relu_layers if k <= k_star}
+
+
+def nc_target(acts, neuron):
+    signs, k_star, _ = NCTag(*neuron).lp_target(acts)
+    return signs, k_star
+
+
+def check_bits(net, signs, x, margin=EPS_STRICT / 2):
+    """Re-run the LP solution concretely and check every constrained sign holds
     with the expected margin."""
     acts = forward(net, x)
-    for (k, i), bit in pattern.bits.items():
-        u = acts.u_flat(k)[i]
-        assert (u >= 0) == bit, f"bit ({k},{i}) flipped: u={u} expected {bit}"
-        assert abs(u) >= margin, f"bit ({k},{i}) margin too small: {u}"
+    for k, s in signs.items():
+        for i in np.flatnonzero(s):
+            u = acts.u_flat(k)[i]
+            assert np.sign(u) == s[i], f"sign ({k},{i}) not reproduced: u={u} expected {s[i]}"
+            assert abs(u) >= margin, f"sign ({k},{i}) margin too small: {u}"
 
 
 class TestEncodePattern:
     def test_row_counts_single_hidden_layer(self):
         net = identity_net(2)
-        pattern = ActivationPattern({(2, 0): True, (2, 1): False})
-        p = encode_pattern(net, pattern, 2)
+        p = encode_pattern(net, {2: np.array([1, -1])}, 2)
         # x0 >= eps (activated), x1 <= -eps (deactivated); the box enters
         # with the anchor, as the bounds of the anchored columns
         np.testing.assert_array_equal(p.A_ub, [[-1.0, 0.0], [0.0, 1.0]])
@@ -55,16 +53,14 @@ class TestEncodePattern:
 
     def test_rows_per_layer_of_a_deeper_net(self):
         net = dense_net([3, 5, 4, 2], seed=2)
-        src = pattern_of(forward(net, np.full(3, 0.5)))
-        target, k_star = nc_target_pattern(src, (3, 1))
+        target, k_star = nc_target(forward(net, np.full(3, 0.5)), (3, 1))
         p = encode_pattern(net, target, k_star)
         assert p.A_ub.shape == (5 + 1, 3)
-        assert sorted(p.pre) == sorted(target.bits)
+        assert sorted(p.pre) == [(2, i) for i in range(5)] + [(3, 1)]
 
     def test_all_true_identity_layer_feasible_region(self):
         net = identity_net(2)
-        pattern = ActivationPattern({(2, 0): True, (2, 1): True})
-        p = encode_pattern(net, pattern, 2)
+        p = encode_pattern(net, {2: np.array([1, 1])}, 2)
         add_chebyshev_objective(p, np.zeros(2))
         out = solve(p)
         assert out.status == "optimal"
@@ -73,16 +69,17 @@ class TestEncodePattern:
 
     def test_missing_neuron_below_top_rejected(self):
         net = dense_net([2, 3, 3, 2], seed=0)
-        pattern = ActivationPattern({(2, 0): True, (2, 1): True, (3, 0): True})
-        with pytest.raises(EncodingError):
-            encode_pattern(net, pattern, 3)  # (2, 2) missing below the top layer
+        signs = {2: np.array([1, 1, 0]), 3: np.array([1, 0, 0])}
+        with pytest.raises(EncodingError, match=r"\(2, 2\) is open"):
+            encode_pattern(net, signs, 3)  # (2, 2) open below the top layer
+        with pytest.raises(EncodingError, match="needs a sign array"):
+            encode_pattern(net, {3: np.array([1, 0, 0])}, 3)  # layer 2 missing
 
     def test_partial_top_layer_allowed(self):
         net = dense_net([2, 3, 3, 2], seed=0)
-        src = pattern_of(forward(net, np.array([0.4, 0.6])))
-        bits = {pos: val for pos, val in src.bits.items() if pos[0] == 2}
-        bits[(3, 1)] = True
-        p = encode_pattern(net, ActivationPattern(bits), 3)
+        signs = source_signs(forward(net, np.array([0.4, 0.6])), 2)
+        signs[3] = np.array([0, 1, 0])
+        p = encode_pattern(net, signs, 3)
         assert sorted(pos for pos in p.pre if pos[0] == 3) == [(3, 1)]
         assert p.A_ub.shape[0] == 3 + 1
 
@@ -92,8 +89,7 @@ class TestEncodePattern:
         checked = 0
         for _ in range(40):
             x = rng.uniform(0, 1, 3)
-            src = pattern_of(forward(net, x))
-            target, k_star = nc_target_pattern(src, (3, int(rng.integers(0, 4))))
+            target, k_star = nc_target(forward(net, x), (3, int(rng.integers(0, 4))))
             p = encode_pattern(net, target, k_star)
             add_chebyshev_objective(p, x)
             out = solve(p)
@@ -132,12 +128,12 @@ class TestEncodingDifferential:
 
     def check(self, net, x):
         acts = forward(net, x)
-        pattern = pattern_of(acts)
-        if min(abs(acts.u_flat(k)[l]) for k, l in pattern.bits) < 10 * EPS_STRICT:
+        k_star = net.hidden_relu_layers[-1]
+        signs = source_signs(acts, k_star)
+        if min(np.abs(acts.u_flat(k)).min() for k in signs) < 10 * EPS_STRICT:
             return False  # too close to a sign change for the strict margin
-        k_star = max(k for k, _ in pattern.bits)
-        p = encode_pattern(net, pattern, k_star, acts.pool_winners)
-        assert sorted(p.pre) == sorted(pattern.bits)
+        p = encode_pattern(net, signs, k_star, acts.pool_winners)
+        assert sorted(p.pre) == net.relu_neurons()
         for (k, l), (a, c) in p.pre.items():
             assert a @ x + c == pytest.approx(acts.u_flat(k)[l], abs=1e-12)
         pool_rows = sum(
@@ -145,7 +141,7 @@ class TestEncodingDifferential:
             for k in range(2, k_star + 1)
             if isinstance(net.layer(k), MaxPool)
         )
-        assert p.A_ub.shape == (len(pattern) + pool_rows, net.input_dim)
+        assert p.A_ub.shape == (len(net.relu_neurons()) + pool_rows, net.input_dim)
         assert np.max(p.A_ub @ x - p.b_ub) <= 1e-12
         return True
 
@@ -169,10 +165,9 @@ class TestChebyshevObjective:
     def test_anchor_inside_region_costs_zero(self):
         net = dense_net([2, 4, 2], seed=3)
         x = np.array([0.3, 0.8])
-        src = pattern_of(forward(net, x))
         # margins at the anchor must clear the strictness slack for d = 0
         assert all(abs(u) > EPS_STRICT for u in forward(net, x).u_flat(2))
-        p = encode_pattern(net, src, 2)
+        p = encode_pattern(net, source_signs(forward(net, x), 2), 2)
         add_chebyshev_objective(p, x)
         out = solve(p)
         assert out.status == "optimal"
@@ -187,8 +182,7 @@ class TestChebyshevObjective:
                 Dense(np.array([[1.0, -1.0]]), np.zeros(2), relu=False),
             ],
         )
-        pattern = ActivationPattern({(2, 0): True})
-        p = encode_pattern(net, pattern, 2)
+        p = encode_pattern(net, {2: np.array([1])}, 2)
         add_chebyshev_objective(p, np.array([0.3]))
         out = solve(p)
         assert out.status == "optimal"
@@ -200,7 +194,7 @@ class TestChebyshevObjective:
         # A p - A q <= b - A t, then one row p_i + q_i <= d per input
         net = dense_net([4, 5, 2], seed=4)
         t = np.array([0.5, 0.0, 1.0, 0.25])
-        p = encode_pattern(net, pattern_of(forward(net, t)), 2)
+        p = encode_pattern(net, source_signs(forward(net, t), 2), 2)
         A, b = p.A_ub.copy(), p.b_ub.copy()
         add_chebyshev_objective(p, t)
         np.testing.assert_array_equal(p.A_ub, A)  # the x-space rows stay as they are
@@ -218,57 +212,54 @@ class TestChebyshevObjective:
         # only the target row has a negative rhs
         x = np.random.default_rng(20).uniform(0, 1, 4)
         acts = forward(mid_net, x)
-        src = pattern_of(acts)
-        assert min(abs(acts.u_flat(k)[l]) for k, l in src.bits) > EPS_STRICT
-        target, k_star = nc_target_pattern(src, (3, 1))
+        assert min(np.abs(acts.u_flat(k)).min() for k in mid_net.hidden_relu_layers) > EPS_STRICT
+        target, k_star = nc_target(acts, (3, 1))
         p = add_chebyshev_objective(encode_pattern(mid_net, target, k_star), x)
         b = p.anchored()["b_ub"]
-        target_row = sorted(target.bits).index((3, 1))
-        assert np.flatnonzero(b < 0).tolist() == [target_row]
+        assert np.flatnonzero(b < 0).tolist() == [mid_net.width(2)]  # the one row of layer 3
 
     def test_unanchored_problem_rejected(self):
         net = dense_net([4, 5, 2], seed=4)
-        p = encode_pattern(net, pattern_of(forward(net, np.full(4, 0.5))), 2)
+        p = encode_pattern(net, source_signs(forward(net, np.full(4, 0.5)), 2), 2)
         with pytest.raises(EncodingError):
             solve(p)
 
     def test_anchor_dimension_checked(self):
         net = dense_net([4, 5, 2], seed=4)
-        src = pattern_of(forward(net, np.full(4, 0.5)))
-        p = encode_pattern(net, src, 2)
+        p = encode_pattern(net, source_signs(forward(net, np.full(4, 0.5)), 2), 2)
         with pytest.raises(EncodingError):
             add_chebyshev_objective(p, np.zeros(3))
 
 
 class TestTargetPatterns:
     def test_nc_negates_target_and_freezes_below(self, mid_net):
-        x = np.random.default_rng(5).uniform(0, 1, 4)
-        src = pattern_of(forward(mid_net, x))
-        target, k_star = nc_target_pattern(src, (3, 2))
-        assert k_star == 3
-        assert target[(3, 2)] == (not src[(3, 2)])
-        for (k, i), val in target.bits.items():
-            if (k, i) != (3, 2):
-                assert k < 3 and val == src[(k, i)]
-        assert all(pos[0] <= 3 for pos in target.bits)
-        assert (3, 0) not in target
+        acts = forward(mid_net, np.random.default_rng(5).uniform(0, 1, 4))
+        target, k_star, bound = NCTag(3, 2).lp_target(acts)
+        assert k_star == 3 and bound is None
+        assert sorted(target) == [2, 3]
+        np.testing.assert_array_equal(target[2], acts.signs(2))
+        expected = np.zeros(8, dtype=np.int8)
+        expected[2] = -acts.signs(3)[2]
+        np.testing.assert_array_equal(target[3], expected)
 
     def test_ssc_negates_pair_freezes_rest(self, mid_net):
-        x = np.random.default_rng(6).uniform(0, 1, 4)
-        src = pattern_of(forward(mid_net, x))
-        target, k_star = ssc_target_pattern(src, (2, 1), (3, 0))
-        assert k_star == 3
-        assert target[(2, 1)] == (not src[(2, 1)])
-        assert target[(3, 0)] == (not src[(3, 0)])
-        frozen = [i for i in range(8) if i != 1]
-        for i in frozen:
-            assert target[(2, i)] == src[(2, i)]
-        assert all(pos == (3, 0) for pos in target.bits if pos[0] == 3)
+        acts = forward(mid_net, np.random.default_rng(6).uniform(0, 1, 4))
+        target, k_star, bound = SSCTag(2, 1, 0).lp_target(acts)
+        assert k_star == 3 and bound is None
+        assert sorted(target) == [2, 3]
+        flipped = acts.signs(2).copy()
+        flipped[1] *= -1
+        np.testing.assert_array_equal(target[2], flipped)
+        assert np.flatnonzero(target[3]).tolist() == [0]
+        assert target[3][0] == -acts.signs(3)[0]
 
     def test_ssc_pair_must_be_adjacent(self, mid_net):
-        src = pattern_of(forward(mid_net, np.full(4, 0.5)))
-        with pytest.raises(EncodingError):
-            ssc_target_pattern(src, (2, 0), (4, 0))
+        # a decision neuron in the linear output layer is not a pair of
+        # adjacent hidden ReLU layers: the encoder has no sign rows there
+        r = gen_ssc(mid_net)[0]
+        r.tag = SSCTag(3, 0, 0)
+        with pytest.raises(EncodingError, match="layer 4 is not a ReLU layer"):
+            symbolic_lp(mid_net, np.full(4, 0.5), r)
 
 
 class TestNbcBranch:
@@ -284,23 +275,22 @@ class TestNbcBranch:
     def test_unencoded_neuron_rejected(self):
         net = dense_net([2, 3, 3, 2], seed=0)
         acts = forward(net, np.array([0.4, 0.6]))
-        target, k_star = nc_target_pattern(pattern_of(acts), (2, 0))
+        target, k_star = nc_target(acts, (2, 0))
         p = encode_pattern(net, target, k_star)
         with pytest.raises(EncodingError):
-            apply_nbc_branch(p, nbc_constraint(acts, (3, 0), 1.0, -1.0))
+            apply_nbc_branch(p, NBCTag(3, 0, "hi", 1.0, -1.0), 1.0 + EPS_STRICT)
 
     def test_closer_to_high_bound(self):
         net = self.one_dim_net()
         acts = forward(net, np.array([0.9]))
-        branch = nbc_constraint(acts, (2, 0), 1.0, -1.0)
-        assert branch.side == "hi"
-        assert branch.threshold == pytest.approx(1.0 + EPS_STRICT)
+        _, _, bound = NBCTag(2, 0, "lo", 1.0, -1.0).lp_target(acts)
+        assert bound == pytest.approx(1.0 + EPS_STRICT)
 
     def test_equidistant_takes_low_branch(self):
         net = self.one_dim_net()
         acts = forward(net, np.array([0.0]))  # u = 0 = (h + l) / 2
-        branch = nbc_constraint(acts, (2, 0), 1.0, -1.0)
-        assert branch.side == "lo"
+        _, _, bound = NBCTag(2, 0, "hi", 1.0, -1.0).lp_target(acts)
+        assert bound == pytest.approx(-1.0 - EPS_STRICT)
 
     def test_solution_crosses_bound(self):
         net = dense_net([3, 6, 2], seed=7)
@@ -310,10 +300,10 @@ class TestNbcBranch:
         k, i = 2, 1
         u = acts.u_flat(2)[i]
         high, low = u + 0.05, u - 5.0  # high bound close above the current value
-        branch = nbc_constraint(acts, (k, i), high, low)
-        assert branch.side == "hi"
-        p = encode_pattern(net, pattern_of(acts), net.num_layers - 1)
-        apply_nbc_branch(p, branch)
+        tag = NBCTag(k, i, "hi", high, low)
+        signs, k_star, bound = tag.lp_target(acts)
+        p = encode_pattern(net, signs, k_star)
+        apply_nbc_branch(p, tag, bound)
         add_chebyshev_objective(p, x)
         out = solve(p)
         assert out.status == "optimal"
@@ -325,10 +315,10 @@ class TestSymbolicLp:
     def test_nc_flip_verified_by_forward(self, mid_net):
         rng = np.random.default_rng(9)
         x = rng.uniform(0, 1, 4)
-        src = pattern_of(forward(mid_net, x))
+        acts = forward(mid_net, x)
         flipped = 0
         for r in gen_nc(mid_net):
-            if src[(r.tag.layer, r.tag.neuron)]:
+            if acts.signs(r.tag.layer)[r.tag.neuron] > 0:
                 continue  # already activated
             t_new = symbolic_lp(mid_net, x, r)
             if t_new is None:
@@ -353,9 +343,9 @@ class TestSymbolicLp:
     def test_distance_equals_objective(self, mid_net):
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 1, 4)
-        src = pattern_of(forward(mid_net, x))
-        r = next(q for q in gen_nc(mid_net) if not src[(q.tag.layer, q.tag.neuron)])
-        target, k_star = nc_target_pattern(src, (r.tag.layer, r.tag.neuron))
+        acts = forward(mid_net, x)
+        r = next(q for q in gen_nc(mid_net) if acts.signs(q.tag.layer)[q.tag.neuron] < 0)
+        target, k_star, _ = r.tag.lp_target(acts)
         p = encode_pattern(mid_net, target, k_star)
         add_chebyshev_objective(p, x)
         out = solve(p)
@@ -366,19 +356,16 @@ class TestSymbolicLp:
     def test_ssc_flips_exactly_the_pair(self, mid_net):
         rng = np.random.default_rng(11)
         x = rng.uniform(0, 1, 4)
-        src = pattern_of(forward(mid_net, x))
+        src = forward(mid_net, x)
         done = 0
         for r in gen_ssc(mid_net)[:40]:
             t_new = symbolic_lp(mid_net, x, r)
             if t_new is None:
                 continue
-            new_pat = pattern_of(forward(mid_net, t_new))
+            new = forward(mid_net, t_new)
             k, i, j = r.tag.layer, r.tag.cond, r.tag.decision
-            assert new_pat[(k, i)] != src[(k, i)]
-            assert new_pat[(k + 1, j)] != src[(k + 1, j)]
-            for l in range(mid_net.width(k)):
-                if l != i:
-                    assert new_pat[(k, l)] == src[(k, l)]
+            assert np.flatnonzero(new.signs(k) != src.signs(k)).tolist() == [i]
+            assert new.signs(k + 1)[j] != src.signs(k + 1)[j]
             done += 1
         assert done >= 3
 
@@ -424,7 +411,7 @@ class TestSymbolicLp:
             return results[-1]
 
         x = np.random.default_rng(source_seed).uniform(0, 1, 4)
-        target, k_star = nc_target_pattern(pattern_of(forward(mid_net, x)), (2, source_seed))
+        target, k_star = nc_target(forward(mid_net, x), (2, source_seed))
         p = add_chebyshev_objective(encode_pattern(mid_net, target, k_star), x)
         outcome = solve(p, solver=spy_solver)
         assert outcome.status == results[0].status
@@ -451,9 +438,7 @@ class TestConvEncoding:
         for _ in range(10):
             x = rng.uniform(0, 1, 16)
             acts = forward(net, x)
-            src = pattern_of(acts)
-            neuron = (2, int(rng.integers(0, 18)))
-            target, k_star = nc_target_pattern(src, neuron)
+            target, k_star = nc_target(acts, (2, int(rng.integers(0, 18))))
             p = encode_pattern(net, target, k_star, acts.pool_winners)
             add_chebyshev_objective(p, x)
             out = solve(p)
@@ -468,9 +453,8 @@ class TestConvEncoding:
         net = self.conv_net()
         x = np.random.default_rng(16).uniform(0, 1, 16)
         acts = forward(net, x)
-        full = pattern_of(acts)
-        with pytest.raises(EncodingError):
-            encode_pattern(net, full, 4, pool_winners=None)
+        with pytest.raises(EncodingError, match="winner indices"):
+            encode_pattern(net, source_signs(acts, 4), 4, pool_winners=None)
 
     def deep_conv_net(self):
         """ReLU conv, pool, flatten, ReLU dense, linear out: the pool sits
@@ -491,9 +475,8 @@ class TestConvEncoding:
         net = self.deep_conv_net()
         x = np.random.default_rng(18).uniform(0, 1, 16)
         acts = forward(net, x)
-        src = pattern_of(acts)
-        target, k_star = nc_target_pattern(src, (5, 0))
-        base_rows = encode_pattern(net, target, 2).A_ub.shape[0]
+        target, k_star = nc_target(acts, (5, 0))
+        base_rows = encode_pattern(net, source_signs(acts, 2), 2).A_ub.shape[0]
         assert base_rows == 18  # one row per conv neuron (3x3 positions, 2 channels)
         p = encode_pattern(net, target, k_star, acts.pool_winners)
         # window - 1 = 8 loser rows per pool output (one window, 2 channels),
@@ -507,8 +490,7 @@ class TestConvEncoding:
         for _ in range(30):
             x = rng.uniform(0, 1, 16)
             acts = forward(net, x)
-            src = pattern_of(acts)
-            target, k_star = nc_target_pattern(src, (5, int(rng.integers(0, 4))))
+            target, k_star = nc_target(acts, (5, int(rng.integers(0, 4))))
             p = encode_pattern(net, target, k_star, acts.pool_winners)
             add_chebyshev_objective(p, x)
             out = solve(p)
@@ -522,8 +504,7 @@ class TestConvEncoding:
 
 def test_lp_text_dump_is_readable(mid_net):
     x = np.array([0.5, 0.25, 0.0, 1.0])
-    src = pattern_of(forward(mid_net, x))
-    p = encode_pattern(mid_net, src, 2)
+    p = encode_pattern(mid_net, source_signs(forward(mid_net, x), 2), 2)
     add_chebyshev_objective(p, x)
     text = lp_text(p)
     assert text.startswith("Minimize\n obj: 1 d\n")
@@ -556,7 +537,7 @@ class TestAnchoredSolve:
         acts = forward(net, t)
         optimal = 0
         for neuron in net.relu_neurons():
-            target, k_star = nc_target_pattern(pattern_of(acts), neuron)
+            target, k_star = nc_target(acts, neuron)
             p = add_chebyshev_objective(encode_pattern(net, target, k_star), t)
             out = solve(p)
             oracle = self.x_space_optimum(p, np.ravel(t))

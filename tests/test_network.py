@@ -22,7 +22,6 @@ from concolic_dnn.network import (
     forward,
     forward_batch,
     load_model,
-    pattern_of,
     save_model,
 )
 
@@ -93,13 +92,12 @@ class TestPattern:
     def test_bit_is_sign_of_u(self):
         net = two_layer([[1.0, 1.0], [1.0, -1.0]], [0.0, 0.0])
         acts = forward(net, np.array([1.0, 2.0]))  # u = [3, -1]
-        pat = pattern_of(acts)
-        assert pat[(2, 0)] is True and pat[(2, 1)] is False
+        np.testing.assert_array_equal(acts.signs(2), [1, -1])
 
     def test_zero_u_counts_as_activated(self):
         net = two_layer([[1.0], [1.0]], [0.0])
         acts = forward(net, np.array([0.0, 0.0]))
-        assert pattern_of(acts)[(2, 0)] is True
+        assert acts.u_flat(2)[0] == 0.0 and acts.signs(2)[0] == 1
 
     def test_agrees_with_sign_recheck_on_random_net(self):
         net = dense_net([4, 8, 2], seed=5)
@@ -107,9 +105,9 @@ class TestPattern:
         for _ in range(100):
             x = rng.uniform(0, 1, 4)
             acts = forward(net, x)
-            pat = pattern_of(acts)
-            for (k, i), bit in pat.bits.items():
-                assert bit == (acts.u[k].reshape(-1)[i] >= 0)
+            for k in net.hidden_relu_layers:
+                for i, sign in enumerate(acts.signs(k)):
+                    assert (sign == 1) == (acts.u[k].reshape(-1)[i] >= 0) and sign in (1, -1)
 
 
 class TestConstruction:

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from concolic_dnn.lp import add_chebyshev_objective, encode_pattern, nc_target_pattern
-from concolic_dnn.network import forward, pattern_of
+from concolic_dnn.logic import NCTag
+from concolic_dnn.lp import add_chebyshev_objective, encode_pattern
+from concolic_dnn.network import forward
 from concolic_dnn import simplex
 from concolic_dnn.simplex import solve_lp
 
@@ -339,9 +340,9 @@ def _nc_lps():
     rng = np.random.default_rng(11)
     for _ in range(3):
         t = rng.uniform(0, 1, net.input_dim)
-        source = pattern_of(forward(net, t))
+        source = forward(net, t)
         for neuron in net.relu_neurons():
-            target, k_star = nc_target_pattern(source, neuron)
+            target, k_star, _ = NCTag(*neuron).lp_target(source)
             p = encode_pattern(net, target, k_star)
             yield add_chebyshev_objective(p, t).anchored()
 
