@@ -287,12 +287,12 @@ class NBCTag:
         return bool(self.reached(self.gap(state)[start:]).any())
 
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, float]:
-        """Freeze every hidden layer and cross the bound the source is closer to."""
-        top = len(acts.u) - 1  # the last hidden layer
-        u = float(acts.u_flat(self.layer)[self.neuron])
-        if u - self.high > self.low - u:
-            return _frozen_below(acts, top + 1), top, self.high + EPS_STRICT
-        return _frozen_below(acts, top + 1), top, self.low - EPS_STRICT
+        """Freeze the layers below, leave this neuron's layer open, and cross
+        this tag's own bound: u >= high + eps, or u <= low - eps."""
+        signs = _frozen_below(acts, self.layer)
+        signs[self.layer] = np.zeros(acts.u_flat(self.layer).size, dtype=np.int8)
+        bound = self.high + EPS_STRICT if self.side == "hi" else self.low - EPS_STRICT
+        return signs, self.layer, bound
 
 
 @dataclass(frozen=True)

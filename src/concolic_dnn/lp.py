@@ -53,15 +53,16 @@ class LpError(RuntimeError):
 class LpProblem:
     """The pattern rows A_ub x <= b_ub over the input x in [0, 1]^n_in, as
     plain arrays, and the anchor t of the Chebyshev objective once
-    ``add_chebyshev_objective`` has set it. ``pre`` maps each constrained
-    neuron (k, l) to its pre-activation as an affine map of the input,
-    u = a.x + c, given as the pair (a, c).
+    ``add_chebyshev_objective`` has set it. ``top`` is the pre-activation map
+    of the top layer ``k_star``, u = x @ J + c, as the pair (J, c) with one
+    column of J per neuron; None when ``k_star`` is not a ReLU layer.
     """
 
     n_in: int
     A_ub: np.ndarray
     b_ub: np.ndarray
-    pre: dict[tuple[int, int], tuple[np.ndarray, float]]
+    k_star: int
+    top: Optional[tuple[np.ndarray, np.ndarray]]
     anchor: Optional[np.ndarray] = None
 
     @property
@@ -138,7 +139,7 @@ def encode_pattern(
     n_in = net.input_dim
     J, c = np.eye(n_in), np.zeros(n_in)  # the current layer's values are x @ J + c
     rows, rhs = [np.zeros((0, n_in))], [np.zeros(0)]
-    pre = {}
+    top = None
     stray = sorted(set(signs).difference(k for k in net.relu_layers if k <= k_star))
     if stray:
         raise EncodingError(f"layer {stray[0]} is not a ReLU layer at or below the top layer {k_star}")
@@ -158,7 +159,8 @@ def encode_pattern(
             sign = s[on].astype(np.float64)
             rows.append(-sign[:, None] * J[:, on].T)  # sign * (x @ J + c) >= eps
             rhs.append(sign * c[on] - EPS_STRICT)
-            pre.update(((k, int(l)), (J[:, l], float(c[l]))) for l in on)
+            if k == k_star:
+                top = (J, c)
             active = np.zeros(c.size)
             active[on] = sign > 0
             J, c = J * active, c * active
@@ -175,7 +177,7 @@ def encode_pattern(
             J, c = J[:, winners], c[winners]
         elif not isinstance(layer, Flatten):  # flatten: flat order already matches
             raise EncodingError(f"cannot encode layer type {type(layer).__name__}")
-    return LpProblem(n_in, np.vstack(rows), np.concatenate(rhs), pre)
+    return LpProblem(n_in, np.vstack(rows), np.concatenate(rhs), k_star, top)
 
 
 def add_chebyshev_objective(p: LpProblem, anchor: np.ndarray) -> LpProblem:
@@ -190,15 +192,14 @@ def add_chebyshev_objective(p: LpProblem, anchor: np.ndarray) -> LpProblem:
 
 
 def apply_nbc_branch(p: LpProblem, tag: NBCTag, bound: float) -> None:
-    """Add the NBC row: the tag's neuron crosses ``bound``, upwards when
-    ``bound`` lies above the tag's high bound, downwards otherwise."""
-    neuron = (tag.layer, tag.neuron)
-    if neuron not in p.pre:
-        raise EncodingError(f"neuron {neuron} is not encoded in this problem")
-    a, c = p.pre[neuron]
-    sign = -1.0 if bound > tag.high else 1.0  # u >= bound, or u <= bound
-    p.A_ub = np.vstack([p.A_ub, sign * a])
-    p.b_ub = np.append(p.b_ub, sign * (bound - c))
+    """Add the NBC row for the tag's neuron, which must sit in the top layer:
+    u >= bound on the "hi" side, u <= bound on the "lo" side."""
+    if p.top is None or tag.layer != p.k_star:
+        raise EncodingError(f"neuron ({tag.layer}, {tag.neuron}) is not in the top layer of this problem")
+    J, c = p.top
+    sign = -1.0 if tag.side == "hi" else 1.0
+    p.A_ub = np.vstack([p.A_ub, sign * J[:, tag.neuron]])
+    p.b_ub = np.append(p.b_ub, sign * (bound - c[tag.neuron]))
 
 
 def solve(

@@ -397,6 +397,27 @@ class TestRunOtherCriteria:
             result.requirements
         )
 
+    def test_nbc_syntheses_reach_their_requirement(self, monkeypatch):
+        # every optimal NBC LP of a run crosses the bound of the requirement
+        # it was made for, on the side that requirement names
+        net = dense_net([8, 12, 10, 3], seed=5)
+        rng = np.random.default_rng(7)
+        seeds = [rng.uniform(0, 1, 8) for _ in range(3)]
+        real_lp = engine.symbolic_lp
+        solved = []
+
+        def recording_lp(net, source, r, **kwargs):
+            x = real_lp(net, source, r, **kwargs)
+            if x is not None:
+                solved.append((r.tag, x))
+            return x
+
+        monkeypatch.setattr(engine, "symbolic_lp", recording_lp)
+        run(net, make_refs(net, seed=6), seeds, RunConfig("nbc", sample_count=200, rng_seed=3))
+        assert len(solved) >= 10
+        missed = [tag.label() for tag, x in solved if not tag.reached(tag.gap(forward(net, x)))]
+        assert missed == []
+
     def test_ssc_run_on_small_net(self):
         net = dense_net([3, 4, 3, 2], seed=11)
         refs = make_refs(net, seed=12)

@@ -56,7 +56,7 @@ class TestEncodePattern:
         target, k_star = nc_target(forward(net, np.full(3, 0.5)), (3, 1))
         p = encode_pattern(net, target, k_star)
         assert p.A_ub.shape == (5 + 1, 3)
-        assert sorted(p.pre) == [(2, i) for i in range(5)] + [(3, 1)]
+        assert p.k_star == 3 and p.top[0].shape == (3, 4) and p.top[1].shape == (4,)
 
     def test_all_true_identity_layer_feasible_region(self):
         net = identity_net(2)
@@ -80,8 +80,8 @@ class TestEncodePattern:
         signs = source_signs(forward(net, np.array([0.4, 0.6])), 2)
         signs[3] = np.array([0, 1, 0])
         p = encode_pattern(net, signs, 3)
-        assert sorted(pos for pos in p.pre if pos[0] == 3) == [(3, 1)]
         assert p.A_ub.shape[0] == 3 + 1
+        np.testing.assert_array_equal(p.A_ub[-1], -p.top[0][:, 1])  # u_31 >= eps
 
     def test_solution_reproduces_bits(self):
         net = dense_net([3, 6, 4, 2], seed=1)
@@ -132,10 +132,10 @@ class TestEncodingDifferential:
         signs = source_signs(acts, k_star)
         if min(np.abs(acts.u_flat(k)).min() for k in signs) < 10 * EPS_STRICT:
             return False  # too close to a sign change for the strict margin
+        for k in net.hidden_relu_layers:
+            J, c = encode_pattern(net, source_signs(acts, k), k, acts.pool_winners).top
+            np.testing.assert_allclose(x @ J + c, acts.u_flat(k), rtol=0, atol=1e-12)
         p = encode_pattern(net, signs, k_star, acts.pool_winners)
-        assert sorted(p.pre) == net.relu_neurons()
-        for (k, l), (a, c) in p.pre.items():
-            assert a @ x + c == pytest.approx(acts.u_flat(k)[l], abs=1e-12)
         pool_rows = sum(
             net.width(k) * (np.prod(net.layer(k).window) - 1)
             for k in range(2, k_star + 1)
@@ -280,17 +280,30 @@ class TestNbcBranch:
         with pytest.raises(EncodingError):
             apply_nbc_branch(p, NBCTag(3, 0, "hi", 1.0, -1.0), 1.0 + EPS_STRICT)
 
-    def test_closer_to_high_bound(self):
-        net = self.one_dim_net()
-        acts = forward(net, np.array([0.9]))
-        _, _, bound = NBCTag(2, 0, "lo", 1.0, -1.0).lp_target(acts)
-        assert bound == pytest.approx(1.0 + EPS_STRICT)
+    def test_hi_side_crosses_high_bound(self):
+        # the tag's own side, even from a source closer to the other bound
+        acts = forward(self.one_dim_net(), np.array([0.0]))
+        signs, k_star, bound = NBCTag(2, 0, "hi", 1.0, -0.5).lp_target(acts)
+        assert bound == 1.0 + EPS_STRICT and k_star == 2
+        np.testing.assert_array_equal(signs[2], [0])  # the neuron's own sign is open
 
-    def test_equidistant_takes_low_branch(self):
-        net = self.one_dim_net()
-        acts = forward(net, np.array([0.0]))  # u = 0 = (h + l) / 2
-        _, _, bound = NBCTag(2, 0, "hi", 1.0, -1.0).lp_target(acts)
-        assert bound == pytest.approx(-1.0 - EPS_STRICT)
+    def test_lo_side_crosses_low_bound(self):
+        acts = forward(self.one_dim_net(), np.array([0.9]))
+        signs, k_star, bound = NBCTag(2, 0, "lo", 1.0, -0.5).lp_target(acts)
+        assert bound == -0.5 - EPS_STRICT and k_star == 2
+        np.testing.assert_array_equal(signs[2], [0])
+
+    def test_lo_side_below_zero_from_an_active_source(self):
+        # u = x - 0.5 is on at the source; a low bound below 0 needs it off,
+        # so the target must leave the neuron's own sign open
+        net = Network((1,), [Dense(np.array([[1.0]]), np.array([-0.5]), relu=True),
+                             Dense(np.array([[1.0, -1.0]]), np.zeros(2), relu=False)])
+        r = gen_nbc(net, {(2, 0): 2.0}, {(2, 0): -0.2})[1]
+        assert r.tag.side == "lo"
+        x = symbolic_lp(net, np.array([0.9]), r)
+        assert x is not None
+        assert r.tag.reached(r.tag.gap(forward(net, x)))
+        assert x[0] == pytest.approx(0.3 - EPS_STRICT, abs=1e-9)
 
     def test_solution_crosses_bound(self):
         net = dense_net([3, 6, 2], seed=7)
@@ -303,6 +316,7 @@ class TestNbcBranch:
         tag = NBCTag(k, i, "hi", high, low)
         signs, k_star, bound = tag.lp_target(acts)
         p = encode_pattern(net, signs, k_star)
+        assert p.A_ub.shape[0] == 0  # layer 2 is the first: only the NBC row
         apply_nbc_branch(p, tag, bound)
         add_chebyshev_objective(p, x)
         out = solve(p)
@@ -381,11 +395,8 @@ class TestSymbolicLp:
             t_new = symbolic_lp(mid_net, x, r)
             if t_new is None:
                 continue
-            u = forward(mid_net, t_new).u_flat(r.tag.layer)[r.tag.neuron]
-            # the branch picks the nearer side for the source test, which may
-            # not be the side this requirement asks for; crossing either bound
-            # is a correct synthesis outcome
-            assert u >= r.tag.high or u <= r.tag.low
+            # the target crosses the requirement's own bound
+            assert r.tag.reached(r.tag.gap(forward(mid_net, t_new))), r.tag.label()
             done += 1
         assert done >= 1
 
