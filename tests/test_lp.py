@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from concolic_dnn.logic import NBCTag, NCTag, SSCTag, gen_nbc, gen_nc, gen_ssc
+from concolic_dnn.logic import NBCTag, NCTag, SSCTag, gen_nbc, gen_nc, gen_ssc, ssc_pairs
 from concolic_dnn.lp import (
     EPS_STRICT,
     EncodingError,
     add_chebyshev_objective,
     apply_nbc_branch,
     encode_pattern,
+    layer_affine,
     lp_text,
     solve,
     symbolic_lp,
@@ -121,44 +124,173 @@ def random_conv_pool_net(seed):
     )
 
 
-class TestEncodingDifferential:
-    """The encoding against the forward pass: every pre-activation map, taken
-    at the source input, is the forward pass's pre-activation value, and the
-    source input satisfies every row of its own full pattern."""
+def expected_flips(tag):
+    """The (layer, neuron) positions whose source sign a tag's target negates."""
+    if isinstance(tag, NCTag):
+        return [(tag.layer, tag.neuron)]
+    if isinstance(tag, SSCTag):
+        return [(tag.layer, tag.cond), (tag.layer + 1, tag.decision)]
+    return []
 
-    def check(self, net, x):
-        acts = forward(net, x)
-        k_star = net.hidden_relu_layers[-1]
-        signs = source_signs(acts, k_star)
-        if min(np.abs(acts.u_flat(k)).min() for k in signs) < 10 * EPS_STRICT:
-            return False  # too close to a sign change for the strict margin
-        for k in net.hidden_relu_layers:
-            J, c = encode_pattern(net, source_signs(acts, k), k, acts.pool_winners).top
-            np.testing.assert_allclose(x @ J + c, acts.u_flat(k), rtol=0, atol=1e-12)
-        p = encode_pattern(net, signs, k_star, acts.pool_winners)
-        pool_rows = sum(
-            net.width(k) * (np.prod(net.layer(k).window) - 1)
-            for k in range(2, k_star + 1)
-            if isinstance(net.layer(k), MaxPool)
-        )
-        assert p.A_ub.shape == (len(net.relu_neurons()) + pool_rows, net.input_dim)
-        assert np.max(p.A_ub @ x - p.b_ub) <= 1e-12
-        return True
+
+def pattern_values(net, acts, signs, k_star):
+    """Each ReLU layer's pre-activations at the source when the layers below
+    follow the target's signs (+1 passes u, -1 passes 0), layer by layer as
+    the encoder reads them. Up to the first layer with a flipped sign they
+    are the forward pass's."""
+    v, us = acts.u_flat(1), {}
+    for k in range(2, k_star + 1):
+        layer = net.layer(k)
+        if isinstance(layer, MaxPool):
+            v = v[acts.pool_winners[k]]
+        elif isinstance(layer, (Dense, Conv2D)):
+            A, b = layer_affine(net, k)
+            v = v @ A + b
+            if layer.relu:
+                us[k] = v
+                v = np.where(signs[k] > 0, v, 0.0)
+    return us
+
+
+def check_target(net, t, tag):
+    """Encode the tag's target from source t and read every row at x = t.
+
+    With u the pre-activation at t, a kept sign row reads eps - |u| and a
+    flipped one eps + |u| (the tie u = 0 is kept as activated); u is the
+    forward pass's up to the first flipped layer, and above it (SSC's
+    decision layer) the value under the target's signs. A maxpool row
+    (loser - winner) reads at most 0, and the NBC row eps - gap, so it is
+    violated exactly when the source has not reached its bound. The top
+    layer's map at t gives u. Returns the flipped positions.
+    """
+    acts = forward(net, t)
+    signs, k_star, bound = tag.lp_target(acts)
+    assert sorted(signs) == [k for k in net.relu_layers if k <= k_star]
+    for k, s in signs.items():
+        assert s.shape == (net.width(k),) and set(s.tolist()) <= {-1, 0, 1}
+        assert k == k_star or s.all()
+    us = pattern_values(net, acts, signs, k_star)
+    first_flip = min((k for k, s in signs.items() if (s * acts.signs(k) < 0).any()), default=k_star)
+    for k in us:
+        if k <= first_flip:
+            np.testing.assert_allclose(us[k], acts.u_flat(k), rtol=0, atol=1e-12)
+    p = encode_pattern(net, signs, k_star, acts.pool_winners)
+    J, c = p.top
+    np.testing.assert_allclose(t @ J + c, us[k_star], rtol=0, atol=1e-12)
+    if bound is not None:
+        apply_nbc_branch(p, tag, bound)
+    values = p.A_ub @ t - p.b_ub
+    row, flipped = 0, []
+    for k in range(2, k_star + 1):
+        if isinstance(net.layer(k), MaxPool):
+            n = net.gather[k].size - net.width(k)  # members but the winner, per window
+            assert np.all(values[row:row + n] <= 1e-12)
+            row += n
+        elif k in signs:
+            on = np.flatnonzero(signs[k])
+            u = us[k][on]
+            kept = signs[k][on] == acts.signs(k)[on]
+            np.testing.assert_allclose(values[row:row + on.size], EPS_STRICT - signs[k][on] * u,
+                                       rtol=0, atol=1e-12)
+            if k <= first_flip:
+                np.testing.assert_allclose(values[row:row + on.size],
+                                           np.where(kept, EPS_STRICT - abs(u), EPS_STRICT + abs(u)),
+                                           rtol=0, atol=1e-12)
+            flipped += [(k, int(i)) for i in on[~kept]]
+            row += on.size
+    if bound is not None:
+        gap = tag.gap(acts)
+        assert values[row] == pytest.approx(EPS_STRICT - gap, abs=1e-12)
+        if abs(gap) > 2 * EPS_STRICT:
+            assert (values[row] > 0) == (not tag.reached(gap))
+        row += 1
+    assert row == values.size
+    return flipped
+
+
+FAMILIES = ("nc", "ssc", "nbc")
+
+
+@st.composite
+def sources_and_tags(draw, family):
+    """A random net, a source in the box, and a tag of the family on one of
+    the net's hidden ReLU neurons. The net is dense, or for NC and NBC also a
+    conv-maxpool net (which has no SSC pair)."""
+    if family != "ssc" and draw(st.booleans()):
+        net = random_conv_pool_net(draw(st.integers(0, 1000)))
+    else:
+        sizes = draw(st.lists(st.integers(1, 6), min_size=3, max_size=5))
+        net = dense_net(sizes + [3], seed=draw(st.integers(0, 1000)))
+    t = np.array(draw(st.lists(st.floats(0, 1), min_size=net.input_dim, max_size=net.input_dim)))
+    if family == "ssc":
+        return net, t, SSCTag(*draw(st.sampled_from(ssc_pairs(net))))
+    k, i = draw(st.sampled_from(net.relu_neurons()))
+    if family == "nc":
+        return net, t, NCTag(k, i)
+    low, high = sorted((draw(st.floats(-2, 2)), draw(st.floats(-2, 2))))
+    return net, t, NBCTag(k, i, draw(st.sampled_from(("hi", "lo"))), high, low)
+
+
+class TestEncodingDifferential:
+    """Each tag's target against the forward pass (``check_target``), on
+    seeded nets and on nets, sources and tags that Hypothesis draws."""
+
+    def check_families(self, net, rng):
+        pairs = ssc_pairs(net)
+        for _ in range(5):
+            t = rng.uniform(0, 1, net.input_dim)
+            neurons = net.relu_neurons()
+            k, i = neurons[int(rng.integers(len(neurons)))]
+            tags = [NCTag(k, i), NBCTag(k, i, "hi", 0.5, -0.5), NBCTag(k, i, "lo", 0.5, -0.5)]
+            if pairs:
+                tags.append(SSCTag(*pairs[int(rng.integers(len(pairs)))]))
+            for tag in tags:
+                assert check_target(net, t, tag) == expected_flips(tag)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_dense(self, seed):
         rng = np.random.default_rng(seed)
         sizes = [int(rng.integers(2, 7)) for _ in range(4)]
-        net = dense_net(sizes + [3], seed=seed)
-        checked = sum(self.check(net, rng.uniform(0, 1, sizes[0])) for _ in range(5))
-        assert checked >= 3
+        self.check_families(dense_net(sizes + [3], seed=seed), rng)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_conv_pool(self, seed):
-        net = random_conv_pool_net(seed)
-        rng = np.random.default_rng(100 + seed)
-        checked = sum(self.check(net, rng.uniform(0, 1, net.input_dim)) for _ in range(5))
-        assert checked >= 3
+        self.check_families(random_conv_pool_net(seed), np.random.default_rng(100 + seed))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @given(data=st.data())
+    def test_targets_against_forward(self, family, data):
+        net, t, tag = data.draw(sources_and_tags(family))
+        assert check_target(net, t, tag) == expected_flips(tag)
+
+    def test_zero_u_kept_as_activated(self):
+        # at t = 0 every layer-2 neuron of this net has u = 0 exactly: the
+        # frozen layer keeps it as activated, and flipping it costs eps
+        eye = np.eye(2)
+        net = Network((2,), [Dense(eye, np.zeros(2)), Dense(eye, np.full(2, -0.5)),
+                             Dense(eye, np.zeros(2), relu=False)])
+        t = np.zeros(2)
+        assert check_target(net, t, NCTag(3, 0)) == [(3, 0)]
+        np.testing.assert_array_equal(NCTag(3, 0).lp_target(forward(net, t))[0][2], [1, 1])
+        assert check_target(net, t, NCTag(2, 1)) == [(2, 1)]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @given(data=st.data())
+    def test_bad_sign_arrays_rejected(self, family, data):
+        net, t, tag = data.draw(sources_and_tags(family))
+        acts = forward(net, t)
+        signs, k_star, _ = tag.lp_target(acts)
+        k = data.draw(st.sampled_from(sorted(signs)))
+        resized = {**signs, k: np.append(signs[k], 1) if data.draw(st.booleans()) else signs[k][:-1]}
+        with pytest.raises(EncodingError, match="needs a sign array"):
+            encode_pattern(net, resized, k_star, acts.pool_winners)
+        below = [j for j in signs if j < k_star]
+        if below:
+            j = data.draw(st.sampled_from(below))
+            opened = {**signs, j: signs[j].copy()}
+            opened[j][data.draw(st.integers(0, net.width(j) - 1))] = 0
+            with pytest.raises(EncodingError, match="is open below the top layer"):
+                encode_pattern(net, opened, k_star, acts.pool_winners)
 
 
 class TestChebyshevObjective:
