@@ -452,8 +452,7 @@ class Family:
     ``rank(loop, open_reqs)`` picks the requirement to work on;
     ``synthesize(loop, r)`` is one loop iteration's synthesis; ``finish(loop)``
     runs after the loop; ``save(result, outdir)`` writes extra run artifacts.
-    A requirement's LP target is its tag's (``tag.lp_target``), not the
-    family's.
+    The LP synthesis target comes from the tag (``tag.lp_target``).
     """
 
     generate: Callable

@@ -181,20 +181,19 @@ BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom
 # ``(signs, k_star, bound)``. ``signs[k]`` is a sign array over layer k's
 # neurons for each ReLU layer up to the top layer ``k_star``: +1 asks for
 # u >= EPS_STRICT, -1 for u <= -EPS_STRICT, and 0, allowed only at
-# ``k_star``, leaves the neuron open. ``bound`` is the NBC row's threshold
+# ``k_star``, leaves the neuron open. ``bound`` is the threshold of the NBC
+# row on the top layer, the tag's own high + EPS_STRICT or low - EPS_STRICT
 # (None for NC and SSC).
 
 
-def _frozen_below(acts: Activations, k: int) -> dict[int, np.ndarray]:
-    """The source's signs on every ReLU layer below layer k."""
-    return {j: acts.signs(j) for j in acts.relu_layers if j < k}
-
-
-def _flip_one(acts: Activations, k: int, i: int) -> np.ndarray:
-    """Layer k's signs with only neuron i constrained, to the opposite of its
-    source sign."""
-    signs = np.zeros(acts.u_flat(k).size, dtype=np.int8)
-    signs[i] = -acts.signs(k)[i]
+def _target_signs(acts: Activations, k_star: int, flips=()) -> dict[int, np.ndarray]:
+    """The source's signs on every ReLU layer below ``k_star``, layer
+    ``k_star`` open, then each neuron (k, i) of ``flips`` given the opposite
+    of its source sign."""
+    signs = {k: acts.signs(k) for k in acts.relu_layers if k < k_star}
+    signs[k_star] = np.zeros(acts.u_flat(k_star).size, dtype=np.int8)
+    for k, i in flips:
+        signs[k][i] = -acts.signs(k)[i]
     return signs
 
 
@@ -223,9 +222,7 @@ class NCTag:
 
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, None]:
         """Freeze the layers below, flip this neuron, leave the rest of its layer open."""
-        signs = _frozen_below(acts, self.layer)
-        signs[self.layer] = _flip_one(acts, self.layer, self.neuron)
-        return signs, self.layer, None
+        return _target_signs(acts, self.layer, [(self.layer, self.neuron)]), self.layer, None
 
 
 @dataclass(frozen=True)
@@ -253,10 +250,8 @@ class SSCTag:
         """Flip the condition and decision neurons; freeze the layers below and
         the rest of the condition layer; leave the decision layer's other
         neurons open."""
-        signs = _frozen_below(acts, self.layer + 1)
-        signs[self.layer][self.cond] *= -1
-        signs[self.layer + 1] = _flip_one(acts, self.layer + 1, self.decision)
-        return signs, self.layer + 1, None
+        k = self.layer
+        return _target_signs(acts, k + 1, [(k, self.cond), (k + 1, self.decision)]), k + 1, None
 
 
 @dataclass(frozen=True)
@@ -289,10 +284,8 @@ class NBCTag:
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, float]:
         """Freeze the layers below, leave this neuron's layer open, and cross
         this tag's own bound: u >= high + eps, or u <= low - eps."""
-        signs = _frozen_below(acts, self.layer)
-        signs[self.layer] = np.zeros(acts.u_flat(self.layer).size, dtype=np.int8)
         bound = self.high + EPS_STRICT if self.side == "hi" else self.low - EPS_STRICT
-        return signs, self.layer, bound
+        return _target_signs(acts, self.layer), self.layer, bound
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,17 @@
 
 Under a fixed activation pattern a ReLU network is affine in its input
 (Ehlers, "Planet", arXiv 1705.01320, section 3), so "find an input exhibiting
-pattern P" is a linear feasibility problem in the input alone. The encoder
+pattern P" is a linear feasibility problem in the input alone. A pattern is
+a dict of per-layer sign arrays, which each requirement's tag builds from
+the source test (``tag.lp_target`` in ``logic``): +1 for activated, -1 for
+deactivated, 0 for open, allowed only at the top layer k_star. The encoder
 carries the current layer's values as one affine map of the input,
 ``x @ J + c``: a dense or conv layer multiplies the map through (a conv
 layer's matrix is its kernel scattered through ``Network.gather``); a ReLU
-layer adds one sign row per constrained neuron (activated: u >= eps_strict,
-deactivated: u <= -eps_strict) and zeroes the columns of its inactive
-neurons; a maxpool layer adds a loser <= winner row per member of each
-window in ``Network.gather`` and keeps the winners' columns.
+layer adds one sign row per nonzero sign, in neuron order (activated:
+u >= eps_strict, deactivated: u <= -eps_strict), and zeroes the columns of
+its inactive neurons; a maxpool layer adds a loser <= winner row per member
+of each window in ``Network.gather`` and keeps the winners' columns.
 
 Minimizing the Chebyshev distance d = |x - t|_inf to the source test t turns
 feasibility into synthesis of a nearby input. The solver sees that LP
@@ -23,8 +26,10 @@ violated, so the solver's phase 1 has only those to repair.
 Strict inequalities are realized with the margin ``EPS_STRICT``: an LP cannot
 express strictness, and the margin (applied on both sides of the sign split)
 guarantees that re-running the solution concretely reproduces every
-constrained activation bit with slack to spare. Layers above the target layer
-are never encoded; their neurons cannot influence the constrained ones.
+constrained activation bit with slack to spare. Layers above the top layer
+are never encoded; their neurons cannot influence the constrained ones. An
+NBC target adds one row on the top layer's map: u >= high + eps or
+u <= low - eps.
 """
 
 from __future__ import annotations
