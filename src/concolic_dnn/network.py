@@ -2,8 +2,8 @@
 
 Model representation (dense / conv2d / maxpool / flatten layers with optional
 ReLU markers), a deterministic forward pass that exposes pre- and post-ReLU
-values for every layer, activation patterns as sign arrays, and a bit-exact JSON
-model file format.
+values for every layer, activation patterns as sign arrays, and a bit-exact
+JSON model file format.
 
 The window geometry of conv2d and maxpool layers is defined once, as the
 gather index ``Network.gather``: the forward pass runs conv as one gather plus
