@@ -5,7 +5,9 @@ seed whose output-to-input distance ratio exceeds a target constant; both
 distances are L-infinity and "out" is the output layer. The search alternates
 derivative-free compass runs (Kolda, Lewis & Torczon 2003, "Optimization by
 direct search"): each run maximizes the output distance to an anchor within
-the box, checking the ratio after every accepted step. The first run is
+the box, checking the ratio after every accepted step. Each poll's candidates
+are forwarded in batches, and the run visits and counts the points of a
+sequential poll that stops at the first improvement. The first run is
 anchored at the seed, each later run at the previous run's converged point,
 until the ratio beats the constant, the best ratio stops improving, or the
 run budget is spent; then the best pair found is reported.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,20 +38,23 @@ PROGRESS_TOL = 1e-6  # a later run must raise the best ratio by more than this
 
 
 class BudgetExhausted(Exception):
-    """Raised internally when the forward-evaluation budget is used up."""
+    """Raised internally when the forward-evaluation budget or the deadline is used up."""
 
 
 class EvalCounter:
-    """Counts forward evaluations, enforcing an optional hard limit."""
+    """Counts forward evaluations, enforcing an optional hard limit; a batched
+    poll is charged the sequential poll's, up to and including the accepted one."""
 
     def __init__(self, limit: Optional[int] = None):
         self.limit = limit
         self.count = 0
 
-    def tick(self) -> None:
-        if self.limit is not None and self.count >= self.limit:
+    def tick(self, n: int = 1) -> None:
+        """Charge ``n`` evaluations; if fewer remain, use them up and raise."""
+        if self.limit is not None and self.count + n > self.limit:
+            self.count = self.limit
             raise BudgetExhausted()
-        self.count += 1
+        self.count += n
 
 
 @dataclass
@@ -106,6 +112,7 @@ def compass_minimize(
     sigma_min: float = SIGMA_MIN,
     max_iters: int = 150,
     early_stop: Optional[Callable[[np.ndarray], bool]] = None,
+    poll: Optional[Callable] = None,
 ) -> CompassResult:
     """Coordinate-poll descent with a shrinking step.
 
@@ -114,37 +121,42 @@ def compass_minimize(
     when no poll improves, sigma is multiplied by ``SHRINK``. Stops at
     ``max_iters`` iterations, when sigma drops below ``sigma_min``, or when
     ``early_stop`` accepts the current point (it is also consulted on the
-    start point).
+    start point). ``f`` gives the start value. ``poll(cur, coords, steps,
+    value)`` gets the moves "set coordinate coords[j] to steps[j]" in poll
+    order and returns the first improving (point, value), or None; by default
+    it calls ``f`` on one candidate at a time.
     """
     cur = np.clip(np.ravel(np.asarray(start, dtype=np.float64)), lower, upper)
     value = f(cur)
     if early_stop is not None and early_stop(cur):
         return CompassResult(cur, value, 0)
+    poll = poll or partial(_first_improving, f)
+    lo, hi = np.asarray(lower)[:, None], np.asarray(upper)[:, None]
+    coords = np.arange(cur.size).repeat(2)
     sigma = sigma0
     iters = 0
     while iters < max_iters and sigma >= sigma_min:
         iters += 1
-        moved = False
-        for i in range(cur.size):
-            for sign in (1.0, -1.0):
-                stepped = min(max(cur[i] + sign * sigma, lower[i]), upper[i])
-                if stepped == cur[i]:
-                    continue
-                cand = cur.copy()
-                cand[i] = stepped
-                cand_value = f(cand)
-                if cand_value < value:
-                    cur, value = cand, cand_value
-                    moved = True
-                    break
-            if moved:
-                break
-        if moved:
-            if early_stop is not None and early_stop(cur):
-                break
-        else:
+        steps = np.clip(cur[:, None] + [sigma, -sigma], lo, hi).ravel()
+        moves = np.flatnonzero(steps != cur[coords])
+        hit = poll(cur, coords[moves], steps[moves], value)
+        if hit is None:
             sigma *= SHRINK
+            continue
+        cur, value = hit
+        if early_stop is not None and early_stop(cur):
+            break
     return CompassResult(cur, value, iters)
+
+
+def _first_improving(f, cur, coords, steps, value):
+    """The sequential poll: ``f`` on one candidate at a time."""
+    for i, step in zip(coords, steps):
+        cand = cur.copy()
+        cand[i] = step
+        if (cand_value := f(cand)) < value:
+            return cand, cand_value
+    return None
 
 
 class _BestPair:
@@ -159,8 +171,9 @@ class _BestPair:
         return ratio > c
 
 
-def _anchored_run(net, anchor, t0, cfg, counter, tracker) -> CompassResult:
-    """One compass run maximizing output distance to ``anchor`` inside t0's box."""
+def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassResult:
+    """One compass run maximizing output distance to ``anchor`` inside t0's box;
+    a poll forwards ``net.batch_rows`` candidates at a time and first checks ``deadline``."""
     lower, upper = domain_box(t0, cfg.delta)
 
     def out(x: np.ndarray) -> np.ndarray:
@@ -175,12 +188,28 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker) -> CompassResult:
         gaps[x.tobytes()] = gap
         return -gap
 
+    def poll(cur, coords, steps, value):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExhausted()
+        for first in range(0, steps.size, net.batch_rows):
+            part = slice(first, first + net.batch_rows)
+            rows = np.tile(cur, (len(steps[part]), 1))
+            rows[np.arange(len(rows)), coords[part]] = steps[part]
+            chunk = np.abs(forward_batch(net, rows).out - out_anchor).max(axis=1)
+            better = np.flatnonzero(-chunk < value)
+            hit = int(better[0]) if better.size else None
+            counter.tick(len(rows) if hit is None else hit + 1)
+            if hit is not None:
+                gap = gaps[rows[hit].tobytes()] = float(chunk[hit])
+                return rows[hit].copy(), -gap
+        return None
+
     def early(x: np.ndarray) -> bool:
         return tracker.offer(anchor, x, _ratio(gaps[x.tobytes()], x, anchor), cfg.c)
 
     return compass_minimize(
         objective, start=anchor, lower=lower, upper=upper, sigma0=cfg.delta / 4.0,
-        max_iters=cfg.compass_iters, early_stop=early,
+        max_iters=cfg.compass_iters, early_stop=early, poll=poll,
     )
 
 
@@ -188,7 +217,7 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker) -> CompassResult:
 class SearchOutcome:
     witness: LipWitness
     executions: int
-    evals: int
+    evals: int  # the sequential search's forwards, not the rows a batched poll forwarded
 
 
 def alternating_search(
@@ -201,10 +230,10 @@ def alternating_search(
     run's converged point. Stops on satisfaction, after ``cfg.max_executions``
     runs, or when a run after the first raises the best ratio by
     ``PROGRESS_TOL`` or less. ``eval_budget`` caps total forward evaluations;
-    on exhaustion the best witness so far is returned. ``deadline`` is a
-    ``time.monotonic()`` value, checked before each run; once it has passed, no
-    run starts. ``executions`` counts every run started, the interrupted one
-    included.
+    on exhaustion the best witness so far is returned, and ``evals`` counts as
+    ``EvalCounter`` does. ``deadline`` is a ``time.monotonic()`` value checked
+    before each run and poll; a passed one ends the search as exhaustion does.
+    ``executions`` counts every run started, the interrupted one included.
     """
     t0 = np.ravel(np.asarray(t0, dtype=np.float64))
     counter = EvalCounter(eval_budget)
@@ -215,7 +244,7 @@ def alternating_search(
         while executions < cfg.max_executions and (deadline is None or time.monotonic() <= deadline):
             before = tracker.witness.ratio
             executions += 1
-            res = _anchored_run(net, anchor, t0, cfg, counter, tracker)
+            res = _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline)
             if tracker.witness.satisfied:
                 break
             if executions > 1 and tracker.witness.ratio - before <= PROGRESS_TOL:

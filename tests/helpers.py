@@ -11,7 +11,15 @@ from itertools import combinations
 import numpy as np
 
 from concolic_dnn import logic
-from concolic_dnn.lipschitz import EPS, BaselineOutcome, LipWitness
+from concolic_dnn.lipschitz import (
+    EPS,
+    PROGRESS_TOL,
+    SHRINK,
+    SIGMA_MIN,
+    BaselineOutcome,
+    LipWitness,
+    SearchOutcome,
+)
 from concolic_dnn.network import Conv2D, forward
 
 
@@ -148,6 +156,97 @@ def sequential_random_baseline(net, t0, c, delta, attempts, rng, eval_budget=Non
         if ratio > c:
             break
     return BaselineOutcome(witness, used, evals)
+
+
+def sequential_compass_minimize(f, start, lower, upper, sigma0, sigma_min=SIGMA_MIN, max_iters=150,
+                                early_stop=None):
+    """Compass search as a loop: poll +/- sigma along each coordinate in turn,
+    calling f on one candidate at a time, and move to the first improvement."""
+    cur = np.clip(np.ravel(np.asarray(start, dtype=np.float64)), lower, upper)
+    value = f(cur)
+    if early_stop is not None and early_stop(cur):
+        return cur, value, 0
+    sigma = sigma0
+    iters = 0
+    while iters < max_iters and sigma >= sigma_min:
+        iters += 1
+        moved = False
+        for i in range(cur.size):
+            for sign in (1.0, -1.0):
+                stepped = min(max(cur[i] + sign * sigma, lower[i]), upper[i])
+                if stepped == cur[i]:
+                    continue
+                cand = cur.copy()
+                cand[i] = stepped
+                cand_value = f(cand)
+                if cand_value < value:
+                    cur, value = cand, cand_value
+                    moved = True
+                    break
+            if moved:
+                break
+        if moved:
+            if early_stop is not None and early_stop(cur):
+                break
+        else:
+            sigma *= SHRINK
+    return cur, value, iters
+
+
+class _Exhausted(Exception):
+    pass
+
+
+def sequential_alternating_search(net, t0, cfg, eval_budget=None):
+    """The alternating search with one forward per compass candidate: each run
+    is anchored at the seed or the previous run's point, and the best pair is
+    kept until the ratio beats c, a later run gains PROGRESS_TOL or less, the
+    runs are spent or the forwards reach ``eval_budget``."""
+    t0 = np.ravel(np.asarray(t0, dtype=np.float64))
+    lower, upper = np.clip(t0 - cfg.delta, 0.0, 1.0), np.clip(t0 + cfg.delta, 0.0, 1.0)
+    evals = 0
+    best = LipWitness(t0.copy(), t0.copy(), 0.0, False)
+
+    def out(x):
+        nonlocal evals
+        if eval_budget is not None and evals >= eval_budget:
+            raise _Exhausted()
+        evals += 1
+        return forward(net, x).out
+
+    def run(anchor):
+        out_anchor = out(anchor)
+        gaps = {}
+
+        def objective(x):
+            gaps[x.tobytes()] = _linf(out(x) - out_anchor)
+            return -gaps[x.tobytes()]
+
+        def early(x):
+            nonlocal best
+            ratio = gaps[x.tobytes()] / (_linf(x - anchor) + EPS)
+            if ratio > best.ratio:
+                best = LipWitness(anchor.copy(), x.copy(), ratio, ratio > cfg.c)
+            return ratio > cfg.c
+
+        return sequential_compass_minimize(objective, anchor, lower, upper, cfg.delta / 4.0,
+                                           max_iters=cfg.compass_iters, early_stop=early)[0]
+
+    anchor = t0
+    executions = 0
+    try:
+        while executions < cfg.max_executions:
+            before = best.ratio
+            executions += 1
+            point = run(anchor)
+            if best.satisfied:
+                break
+            if executions > 1 and best.ratio - before <= PROGRESS_TOL:
+                break
+            anchor = point
+    except _Exhausted:
+        pass
+    return SearchOutcome(best, executions, evals)
 
 
 def sequential_symbolic_l0(net, t, r, max_pixels):

@@ -744,6 +744,36 @@ class TestDeterminismAndArtifacts:
         assert len(result.suite) == len(seeds)
         assert {r.status for r in result.requirements} == {"open"}
 
+    def test_deadline_reached_inside_a_compass_run(self, monkeypatch):
+        # the clock jumps once the first run's first poll is forwarded: the run
+        # stops at its next poll with its best pair kept, the requirement stays
+        # open and the run times out
+        polls, calls, outcomes = [], [], []
+
+        def spy_forward_batch(*args):
+            polls.append(len(args[1]))
+            return network.forward_batch(*args)
+
+        def spy_search(*args, **kwargs):
+            calls.append(args)
+            outcomes.append(lipschitz.alternating_search(*args, **kwargs))
+            return outcomes[-1]
+
+        self.jump_clock(monkeypatch, polls)
+        monkeypatch.setattr(lipschitz, "forward_batch", spy_forward_batch)
+        monkeypatch.setattr(engine, "alternating_search", spy_search)
+        net, refs, seeds, cfg = _small_run("lipschitz")
+        cfg.lip = dataclasses.replace(cfg.lip, c=1e9)  # no step satisfies: only the deadline ends the run
+        result = run(net, refs, seeds, cfg)
+        assert len(polls) == 1 and len(outcomes) == 1
+        untimed = lipschitz.alternating_search(*calls[0])
+        assert outcomes[0].executions == 1
+        assert outcomes[0].evals < untimed.evals
+        lower, upper = lipschitz.domain_box(calls[0][1], cfg.lip.delta)
+        assert np.all(outcomes[0].witness.t2 >= lower) and np.all(outcomes[0].witness.t2 <= upper)
+        assert result.timed_out
+        assert {r.status for r in result.requirements} == {"open"}
+
     def test_timeout_before_loop_writes_no_random_rows(self):
         net, refs, seeds, cfg = _small_run("lipschitz")
         cfg.timeout = 1e-6

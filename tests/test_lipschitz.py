@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from concolic_dnn import lipschitz
 from concolic_dnn.lipschitz import (
@@ -16,7 +17,7 @@ from concolic_dnn.lipschitz import (
 from concolic_dnn.network import Dense, Network, forward_batch
 
 from conftest import dense_net, identity_net
-from helpers import sequential_random_baseline
+from helpers import sequential_alternating_search, sequential_compass_minimize, sequential_random_baseline
 
 
 def constant_net(dim=2):
@@ -195,6 +196,80 @@ class TestAlternatingSearch:
             assert np.all(point >= lower - 1e-12) and np.all(point <= upper + 1e-12)
 
 
+def assert_same_search(got, want):
+    assert got.witness.t1.tobytes() == want.witness.t1.tobytes()
+    assert got.witness.t2.tobytes() == want.witness.t2.tobytes()
+    assert (got.witness.ratio, got.witness.satisfied) == (want.witness.ratio, want.witness.satisfied)
+    assert (got.executions, got.evals) == (want.executions, want.evals)
+
+
+class TestBatchedPolls:
+    """Batched polls against the search that forwards one candidate at a time."""
+
+    @given(
+        st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**16), st.sampled_from([None, 1, 2, 3]),
+        st.floats(0.05, 4.0), st.floats(0.01, 0.4), st.integers(1, 40), st.integers(1, 5), st.data(),
+    )
+    def test_matches_sequential_search(self, n, hidden, net_seed, rows, c, delta, iters, runs, data):
+        net = dense_net([n, hidden, 3], seed=net_seed, scale=2.0)
+        if rows is not None:
+            net.batch_rows = rows  # as on a net with wide rows: several chunks a poll
+        t0 = data.draw(arrays(np.float64, n, elements=st.floats(0, 1)))
+        cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
+        full = sequential_alternating_search(net, t0, cfg)
+        budget = data.draw(st.none() | st.integers(1, full.evals))
+        got = alternating_search(net, t0, cfg, eval_budget=budget)
+        assert_same_search(got, sequential_alternating_search(net, t0, cfg, eval_budget=budget))
+
+    def test_a_hit_past_the_first_chunk(self, monkeypatch):
+        hits, sizes = [], []
+        real_minimize = lipschitz.compass_minimize
+
+        def recording_minimize(*args, poll, **kwargs):
+            def spy(cur, coords, steps, value):
+                hit = poll(cur, coords, steps, value)
+                if hit is not None:  # the accepted move's place in poll order
+                    i = np.flatnonzero(hit[0] != cur)[0]
+                    hits.append(np.flatnonzero((coords == i) & (steps == hit[0][i]))[0])
+                return hit
+
+            return real_minimize(*args, poll=spy, **kwargs)
+
+        def recording_forward_batch(net, X):
+            sizes.append(len(X))
+            return forward_batch(net, X)
+
+        monkeypatch.setattr(lipschitz, "compass_minimize", recording_minimize)
+        monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
+        net = dense_net([4, 8, 6, 3], seed=2)
+        net.batch_rows = 3  # eight moves a poll: chunks of 3, 3 and 2
+        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10)
+        seed = np.full(4, 0.5)
+        for budget in (None, 50, 51, 52):
+            got = alternating_search(net, seed, cfg, eval_budget=budget)
+            assert_same_search(got, sequential_alternating_search(net, seed, cfg, eval_budget=budget))
+        assert any(3 <= j < 6 for j in hits)  # a hit in the second chunk
+        assert max(sizes) == 3
+
+    def test_plain_callable_sees_the_sequential_points(self):
+        # the minimum (0.7, 0.6, 0.1) lies on two faces of the box: clipped polls drop out
+        lower, upper, start = np.array([0.0, 0.2, 0.1]), np.array([1.0, 0.6, 0.9]), np.full(3, 0.5)
+
+        def recording(seen):
+            def f(v):
+                seen.append(v.copy())
+                return float(np.sum((v - np.array([0.7, 0.9, -0.2])) ** 2))
+
+            return f
+
+        got, want = [], []
+        res = compass_minimize(recording(got), start, lower, upper, sigma0=0.3)
+        point, value, iterations = sequential_compass_minimize(recording(want), start, lower, upper, sigma0=0.3)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+        assert (res.point.tobytes(), res.value, res.iterations) == (point.tobytes(), value, iterations)
+        assert res.point == pytest.approx([0.7, 0.6, 0.1], abs=1e-4)
+
+
 class TestRandomBaseline:
     def test_zero_constant_satisfied_quickly(self, mid_net):
         rng = np.random.default_rng(1)
@@ -311,3 +386,16 @@ def test_eval_counter_limit():
     with pytest.raises(BudgetExhausted):
         counter.tick()
     assert counter.count == 2
+
+
+def test_eval_counter_charges_at_most_the_limit():
+    from concolic_dnn.lipschitz import BudgetExhausted
+
+    counter = EvalCounter(limit=5)
+    counter.tick(3)
+    with pytest.raises(BudgetExhausted):
+        counter.tick(3)  # the sequential search stops at its fifth forward
+    assert counter.count == 5
+    unlimited = EvalCounter()
+    unlimited.tick(1000)
+    assert unlimited.count == 1000
