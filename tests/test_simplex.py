@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from concolic_dnn.logic import NCTag
-from concolic_dnn.lp import add_chebyshev_objective, encode_pattern
-from concolic_dnn.network import forward
+from concolic_dnn.engine import nbc_bounds_from_samples
+from concolic_dnn.logic import NBCTag, NCTag, SSCTag, ssc_pairs
+from concolic_dnn.lp import add_chebyshev_objective, apply_nbc_branch, encode_pattern
+from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward
 from concolic_dnn import simplex
 from concolic_dnn.simplex import solve_lp
 
@@ -332,19 +333,66 @@ class TestPivotRule:
         assert res.x == pytest.approx([0.0, 1.0])
 
 
+def _tag_lp(net, t, source, tag):
+    """The synthesis LP of ``tag`` from the source test t, as ``lp.solve``
+    hands it to the solver (anchored at t, with boxed columns p and q)."""
+    target, k_star, bound = tag.lp_target(source)
+    p = encode_pattern(net, target, k_star, source.pool_winners)
+    if bound is not None:
+        apply_nbc_branch(p, tag, bound)
+    return add_chebyshev_objective(p, t).anchored()
+
+
 def _nc_lps():
     """NC synthesis LPs on a small seeded dense net: every ReLU neuron flipped
-    from three source points, as ``lp.solve`` hands them to the solver
-    (anchored at the source point, with boxed columns p and q)."""
+    from three source points."""
     net = dense_net([6, 8, 8, 3], seed=7)
     rng = np.random.default_rng(11)
     for _ in range(3):
         t = rng.uniform(0, 1, net.input_dim)
         source = forward(net, t)
         for neuron in net.relu_neurons():
-            target, k_star, _ = NCTag(*neuron).lp_target(source)
-            p = encode_pattern(net, target, k_star)
-            yield add_chebyshev_objective(p, t).anchored()
+            yield _tag_lp(net, t, source, NCTag(*neuron))
+
+
+def _ssc_nbc_lps():
+    """SSC and NBC synthesis LPs on a small seeded dense net, from two source
+    points: every fifth SSC pair, and both NBC sides of every ReLU neuron with
+    bounds from a sample set (so each NBC LP carries its bound row)."""
+    net = dense_net([6, 8, 8, 3], seed=13)
+    rng = np.random.default_rng(17)
+    high, low = nbc_bounds_from_samples(net, rng.uniform(0, 1, (50, net.input_dim)))
+    tags = [SSCTag(*pair) for pair in ssc_pairs(net)[::5]]
+    tags += [NBCTag(k, i, side, high[(k, i)], low[(k, i)])
+             for k, i in net.relu_neurons() for side in ("hi", "lo")]
+    for _ in range(2):
+        t = rng.uniform(0, 1, net.input_dim)
+        source = forward(net, t)
+        for tag in tags:
+            yield _tag_lp(net, t, source, tag)
+
+
+def _nc_conv_lps():
+    """NC synthesis LPs on a small seeded conv-maxpool-dense net, from three
+    source points: every dense ReLU neuron, whose LP carries the conv sign
+    rows and the maxpool rows (sparse pivot rows), and every fourth conv
+    neuron."""
+    rng = np.random.default_rng(19)
+    net = Network((6, 6, 1), [
+        Conv2D(rng.normal(size=(3, 3, 1, 2)) * 0.6, rng.normal(size=2) * 0.1, padding="same"),
+        MaxPool((2, 2)),
+        Flatten(),
+        Dense(rng.normal(size=(18, 6)) / np.sqrt(18), rng.normal(size=6) * 0.1),
+        Dense(rng.normal(size=(6, 3)), np.zeros(3), relu=False),
+    ])
+    conv, dense = net.hidden_relu_layers
+    neurons = [(conv, i) for i in range(0, net.width(conv), 4)]
+    neurons += [(dense, i) for i in range(net.width(dense))]
+    for _ in range(3):
+        t = rng.uniform(0, 1, net.input_dim)
+        source = forward(net, t)
+        for neuron in neurons:
+            yield _tag_lp(net, t, source, NCTag(*neuron))
 
 
 def _vertex_enum_lps():
@@ -354,7 +402,8 @@ def _vertex_enum_lps():
         yield dict(c=c, A_ub=A, b_ub=b, bounds=[(None, None)] * c.size)
 
 
-GOLDEN_FAMILIES = {"vertex_enum": _vertex_enum_lps, "nc_dense": _nc_lps}
+GOLDEN_FAMILIES = {"vertex_enum": _vertex_enum_lps, "nc_dense": _nc_lps,
+                   "ssc_nbc_dense": _ssc_nbc_lps, "nc_conv": _nc_conv_lps}
 
 
 def pivot_fingerprint(lp) -> list:
