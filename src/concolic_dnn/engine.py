@@ -363,7 +363,7 @@ def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
         if cfg.norm == "linf":
             try:
                 t_new = symbolic_lp(loop.net, source, r, dump_hook=loop.dump_hook,
-                                    deadline=loop.deadline)
+                                    deadline=loop.deadline, acts=loop.cache.get(source))
             except LpError:
                 continue  # the solver's answer failed its residual check
         else:

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .logic import EPS_STRICT, NBCTag, Requirement
-from .network import Conv2D, Dense, Flatten, MaxPool, Network, forward
+from .network import Activations, Conv2D, Dense, Flatten, MaxPool, Network, forward
 from .simplex import SimplexResult, solve_lp
 
 TOL_LP = 1e-7  # residual tolerance an optimal solution must meet
@@ -246,19 +246,22 @@ def symbolic_lp(
     dump_hook: Optional[Callable[[LpProblem, Requirement], None]] = None,
     solver=None,
     deadline: Optional[float] = None,
+    acts: Optional[Activations] = None,
 ) -> Optional[np.ndarray]:
     """Synthesize an input satisfying the requirement's target, close to ``t``.
 
     The requirement's tag builds the target from ``t``'s activations
-    (``tag.lp_target``). Returns the new input on success, None when the
-    target is infeasible or the solver gave up (iteration limit, or
-    ``deadline`` passed).
+    (``tag.lp_target``): ``acts`` when the caller has them, else one forward
+    pass of ``t``. Returns the new input on success, None when the target is
+    infeasible or the solver gave up (iteration limit, or ``deadline``
+    passed).
     """
     lp_target = getattr(r.tag, "lp_target", None)
     if lp_target is None:
         raise EncodingError(f"no LP synthesis for requirement family {type(r.tag).__name__}")
     t = np.ravel(np.asarray(t, dtype=np.float64))
-    acts = forward(net, t)
+    if acts is None:
+        acts = forward(net, t)
     signs, k_star, bound = lp_target(acts)
     p = encode_pattern(net, signs, k_star, acts.pool_winners)
     if bound is not None:

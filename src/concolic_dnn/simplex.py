@@ -35,8 +35,12 @@ true.
   complemented and it leaves at its upper bound. The entering column's own
   u limits the step too: when it is the tightest limit (ties included), the
   step is a bound flip, which complements the column and makes no pivot.
-  The ratio test scans Python floats in row order, and a pivot updates only
-  the columns where the pivot row is nonzero.
+  The ratio test scans Python floats in row order: a tie chain's outcome
+  depends on that order, and on these small tableaux (a few dozen rows) the
+  scan beat a numpy ratio test. A pivot is one dense rank-one update of the
+  whole tableau; where the pivot row holds +-0 it subtracts +-0, which can
+  flip the sign of a zero and nothing else, and no comparison here sees
+  that sign.
 - **Iterations and limits.** ``SimplexResult.iterations`` counts pivots and
   bound flips over both phases; ``max_iters`` caps that count, and an
   optional ``deadline`` (a ``time.monotonic()`` value) is checked every
@@ -47,7 +51,8 @@ Every run is deterministic, and the pivot sequence is part of the contract:
 the entering column, the leaving row, the flips, the iteration count and
 the bytes of the solution must not change, because the synthesized inputs, and so every
 report, follow from them. ``tests/test_simplex.py::TestPivotPathGolden`` pins
-them on two fixed-seed LP families.
+them on four fixed-seed LP families: random small LPs, and the NC, SSC/NBC
+and conv-maxpool synthesis LPs of small nets.
 
 No scipy (HiGHS) backend is used. On a 2-vCPU x86 virtual machine (Python
 3.11, scipy 1.17.1), importing ``scipy.optimize`` after this package took
@@ -128,11 +133,10 @@ def _standardize(c, A_ub, b_ub, bounds):
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    # Columns where the pivot row is zero would only have zero subtracted.
-    cols = np.flatnonzero(T[row])
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T[:, cols] -= factors[:, None] * T[row, cols]
+    # Where the pivot row holds +-0 this subtracts +-0: only a zero's sign can change.
+    T -= factors[:, None] * T[row]
     basis[row] = col
 
 
@@ -140,9 +144,9 @@ def _enter(cost_row: np.ndarray, bland: bool) -> Optional[int]:
     """Dantzig: the most negative reduced cost, first index on ties.
     Bland: the first negative reduced cost. None when no cost is negative."""
     if bland:
-        neg = np.flatnonzero(cost_row < -PIVOT_TOL)
+        neg = (cost_row < -PIVOT_TOL).nonzero()[0]
         return int(neg[0]) if neg.size else None
-    col = int(np.argmin(cost_row))
+    col = int(cost_row.argmin())
     return col if cost_row[col] < -PIVOT_TOL else None
 
 
@@ -157,20 +161,23 @@ def _leave(
     # by row costs more than the scan itself.
     column, rhs = T[:m, col].tolist(), T[:m, -1].tolist()
     caps, basis = upper[basis].tolist(), basis.tolist()
+    tol, inf = PIVOT_TOL, math.inf
     best_row, best_ratio, best_up = None, 0.0, False
+    beats = 0.0  # best_ratio - tol: a ratio below it beats the best row outright
     for i, a in enumerate(column):
-        if a > PIVOT_TOL:
+        if a > tol:
             ratio, up = rhs[i] / a, False
-        elif a < -PIVOT_TOL and caps[i] != math.inf:
+        elif a < -tol and caps[i] != inf:
             ratio, up = (caps[i] - rhs[i]) / -a, True
         else:
             continue
         if (
             best_row is None
-            or ratio < best_ratio - PIVOT_TOL
-            or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best_row])
+            or ratio < beats
+            or (basis[i] < basis[best_row] and abs(ratio - best_ratio) <= tol)
         ):
             best_row, best_ratio, best_up = i, ratio, up
+            beats = ratio - tol
     return best_row, best_ratio, best_up
 
 

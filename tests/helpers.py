@@ -1,6 +1,7 @@
 """Independent oracles used by the tests: a from-scratch formula evaluator,
-exhaustive suite enumeration, a vertex-enumeration LP solver, and
-per-position conv and maxpool kernels with the conv matrix built from them.
+exhaustive suite enumeration, a vertex-enumeration LP solver, the simplex's
+column-gather pivot and ratio scan, and per-position conv and maxpool kernels
+with the conv matrix built from them.
 These stay
 deliberately naive so they share no code path with the implementations they
 check (forward passes are memoized for speed, nothing else is)."""
@@ -21,6 +22,7 @@ from concolic_dnn.lipschitz import (
     SearchOutcome,
 )
 from concolic_dnn.network import Conv2D, forward
+from concolic_dnn.simplex import PIVOT_TOL
 
 
 def _fwd(x, net, memo):
@@ -131,6 +133,39 @@ def vertex_enum_lp(c, A_ub, b_ub, tol=1e-9):
             if best is None or val < best[0]:
                 best = (val, x)
     return best
+
+
+def column_gather_pivot(T, basis, row, col):
+    """The simplex pivot as a column gather: only the columns where the
+    normalized pivot row is nonzero are updated."""
+    T[row] /= T[row, col]
+    cols = np.flatnonzero(T[row])
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T[:, cols] -= factors[:, None] * T[row, cols]
+    basis[row] = col
+
+
+def ratio_scan_leave(T, basis, upper, col, m):
+    """The simplex's leaving row by a plain row-order scan: minimum ratio,
+    ties within PIVOT_TOL to the smallest basis index. Returns (row, ratio,
+    whether the basic variable leaves at its upper bound)."""
+    best_row, best_ratio, best_up = None, 0.0, False
+    for i in range(m):
+        a, rhs, cap = float(T[i, col]), float(T[i, -1]), float(upper[basis[i]])
+        if a > PIVOT_TOL:
+            ratio, up = rhs / a, False
+        elif a < -PIVOT_TOL and cap != math.inf:
+            ratio, up = (cap - rhs) / -a, True
+        else:
+            continue
+        if (
+            best_row is None
+            or ratio < best_ratio - PIVOT_TOL
+            or (abs(ratio - best_ratio) <= PIVOT_TOL and basis[i] < basis[best_row])
+        ):
+            best_row, best_ratio, best_up = i, ratio, up
+    return best_row, best_ratio, best_up
 
 
 def sequential_random_baseline(net, t0, c, delta, attempts, rng, eval_budget=None):

@@ -537,6 +537,22 @@ class TestOneActivationCache:
         assert len(result.suite) > len(seeds)  # synthesized tests were ranked again
         assert all(misses[case.vector.tobytes()] == 1 for case in result.suite)
 
+    @pytest.mark.parametrize("name", ["nc-linf", "ssc-linf", "nbc-linf", "nc-linf-conv"])
+    def test_lp_synthesis_reads_the_source_from_the_cache(self, monkeypatch, name):
+        # symbolic_lp gets the source's cached activations and forwards nothing
+        lp_forwards, syntheses = [], []
+        real_lp, real_forward = engine.symbolic_lp, lp.forward
+
+        def recording_lp(*args, **kwargs):
+            syntheses.append(1)
+            return real_lp(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "symbolic_lp", recording_lp)
+        monkeypatch.setattr(lp, "forward", lambda *args: lp_forwards.append(1) or real_forward(*args))
+        net, refs, seeds, cfg = GOLDEN_RUNS[name]()
+        run(net, refs, seeds, cfg)
+        assert syntheses and not lp_forwards
+
 
 class TestIncrementalCheck:
     """The loop checks a grown suite against only its new tests: NC, NBC and

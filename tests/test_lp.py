@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from concolic_dnn import lp as lp_module
 from concolic_dnn.logic import NBCTag, NCTag, SSCTag, gen_nbc, gen_nc, gen_ssc, ssc_pairs
 from concolic_dnn.lp import (
     EPS_STRICT,
@@ -531,6 +532,21 @@ class TestSymbolicLp:
             assert r.tag.reached(r.tag.gap(forward(mid_net, t_new))), r.tag.label()
             done += 1
         assert done >= 1
+
+    def test_given_activations_replace_the_forward(self, mid_net, monkeypatch):
+        x = np.random.default_rng(14).uniform(0, 1, 4)
+        acts = forward(mid_net, x)
+        reqs = gen_nc(mid_net)
+        expected = [symbolic_lp(mid_net, x, r) for r in reqs]
+
+        def no_forward(*args):
+            raise AssertionError("symbolic_lp forwarded the source again")
+
+        monkeypatch.setattr(lp_module, "forward", no_forward)
+        got = [symbolic_lp(mid_net, x, r, acts=acts) for r in reqs]
+        assert any(t is not None for t in got)
+        for t_exp, t_got in zip(expected, got):
+            assert (t_exp is None and t_got is None) or np.array_equal(t_exp, t_got)
 
     def test_custom_solver_hook(self, mid_net):
         calls = []

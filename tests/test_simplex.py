@@ -6,16 +6,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concolic_dnn.engine import nbc_bounds_from_samples
 from concolic_dnn.logic import NBCTag, NCTag, SSCTag, ssc_pairs
 from concolic_dnn.lp import add_chebyshev_objective, apply_nbc_branch, encode_pattern
 from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward
 from concolic_dnn import simplex
-from concolic_dnn.simplex import solve_lp
+from concolic_dnn.simplex import PIVOT_TOL, solve_lp
 
 from conftest import dense_net
-from helpers import vertex_enum_lp
+from helpers import column_gather_pivot, ratio_scan_leave, vertex_enum_lp
 
 GOLDEN_PATH = Path(__file__).with_name("simplex_golden.json")
 
@@ -331,6 +333,106 @@ class TestPivotRule:
         assert res.status == "optimal"
         assert res.iterations == 1
         assert res.x == pytest.approx([0.0, 1.0])
+
+
+# Tableau entries that probe the tolerances: exact zeros of both signs,
+# entries on and inside +-PIVOT_TOL, and ordinary values.
+EDGE_ENTRIES = [0.0, -0.0, PIVOT_TOL, -PIVOT_TOL, PIVOT_TOL / 3, -PIVOT_TOL / 3]
+ENTRY = st.one_of(st.sampled_from(EDGE_ENTRIES), st.floats(-4.0, 4.0, allow_subnormal=False))
+PIVOT_ENTRY = st.floats(2 * PIVOT_TOL, 4.0).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@st.composite
+def pivot_cases(draw):
+    """A tableau (m constraint rows, two cost rows, rhs column), a basis, and
+    a pivot position whose entry clears PIVOT_TOL."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    T = np.array(draw(st.lists(st.lists(ENTRY, min_size=n + 1, max_size=n + 1),
+                               min_size=m + 2, max_size=m + 2)))
+    row, col = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+    T[row, col] = draw(PIVOT_ENTRY)
+    return T, np.arange(n, n + m), row, col
+
+
+@st.composite
+def leave_cases(draw):
+    """An entering column, rhs, basis and upper bounds for the ratio test.
+    Most rows aim at ratios one base value plus a few fractions of PIVOT_TOL,
+    so near-ties and chains of them, whose outcome depends on the scan order,
+    are common; some columns are capped, some entries are zero or within
+    +-PIVOT_TOL."""
+    m = draw(st.integers(1, 8))
+    n = m + draw(st.integers(0, 4))
+    basis = np.array(draw(st.permutations(range(n)))[:m])
+    upper = np.full(n, np.inf)
+    base = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    near = st.tuples(st.integers(-3, 3), st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5]))
+    near = near.map(lambda kf: base + kf[0] * kf[1] * PIVOT_TOL)
+    T = np.zeros((m + 2, 3))
+    T[m:] = 7.0  # the cost rows are not scanned
+    for i in range(m):
+        kind = draw(st.sampled_from(["rise", "rise", "fall", "fall", "edge"]))
+        if kind == "edge":
+            a = draw(st.sampled_from(EDGE_ENTRIES))
+        else:  # a unit entry makes the ratio exact, so a tie can sit at exactly PIVOT_TOL
+            a = draw(st.one_of(st.just(1.0), st.floats(2 * PIVOT_TOL, 4.0)))
+            a = -a if kind == "fall" else a
+        cap = draw(st.sampled_from([np.inf, 5.0]) if kind != "rise" else st.just(np.inf))
+        upper[basis[i]] = cap
+        ratio = draw(st.one_of(near, near, near, st.floats(0.0, 5.0)))
+        if a > 0:
+            T[i, -1] = ratio * a
+        elif a < 0 and cap != np.inf:
+            T[i, -1] = cap + ratio * a
+        else:  # not a limit; the rhs may sit at either bound
+            T[i, -1] = draw(st.one_of(st.sampled_from([0.0, 5.0]), st.floats(0.0, 5.0)))
+        T[i, 0] = a
+    return T, basis, upper, m
+
+
+class TestAgainstReferenceSteps:
+    """The pivot's dense rank-one update and the leaner ratio scan against
+    the column-gather pivot and the plain scan in ``tests/helpers.py``."""
+
+    @settings(max_examples=100)
+    @given(pivot_cases())
+    def test_pivot_matches_column_gather(self, case):
+        T, basis, row, col = case
+        T_ref, basis_ref = T.copy(), basis.copy()
+        simplex._pivot(T, basis, row, col)
+        column_gather_pivot(T_ref, basis_ref, row, col)
+        # equal values; only the sign of a zero may differ (-0.0 == 0.0)
+        assert np.array_equal(T, T_ref)
+        assert np.array_equal(basis, basis_ref)
+
+    @settings(max_examples=100)
+    @given(leave_cases())
+    def test_leave_matches_row_scan(self, case):
+        T, basis, upper, m = case
+        assert simplex._leave(T, basis, upper, 0, m) == ratio_scan_leave(T, basis, upper, 0, m)
+
+    def test_entries_within_tolerance_never_limit(self):
+        # each basic variable sits at the bound the entry would push it
+        # through, so any of these rows would give a zero step if it counted
+        T = np.zeros((6, 2))
+        T[:4, 0] = [PIVOT_TOL, PIVOT_TOL / 3, -PIVOT_TOL, -PIVOT_TOL / 3]
+        T[:4, -1] = [0.0, 0.0, 5.0, 5.0]
+        basis, upper = np.arange(4), np.full(4, 5.0)
+        assert simplex._leave(T, basis, upper, 0, 4) == (None, 0.0, False)
+        assert ratio_scan_leave(T, basis, upper, 0, 4) == (None, 0.0, False)
+
+    @pytest.mark.parametrize("spacing", [0.6, 1.0])
+    def test_tie_chain_follows_row_order(self, spacing):
+        # ratios 0, s, 2s (s up to PIVOT_TOL) with falling basis indices: each
+        # row ties the best so far, so the last one wins although it may be
+        # more than PIVOT_TOL above the first
+        T = np.zeros((5, 2))
+        T[:3, 0] = 1.0
+        T[:3, -1] = [0.0, spacing * PIVOT_TOL, 2 * spacing * PIVOT_TOL]
+        basis, upper = np.array([5, 3, 1]), np.full(6, np.inf)
+        expected = (2, 2 * spacing * PIVOT_TOL, False)
+        assert simplex._leave(T, basis, upper, 0, 3) == expected
+        assert ratio_scan_leave(T, basis, upper, 0, 3) == expected
 
 
 def _tag_lp(net, t, source, tag):
