@@ -7,7 +7,8 @@ compass scheme for Lipschitz requirements). Each synthesized input is admitted
 only if it stays within the validity bound of the reference set. A requirement
 whose ranked candidates all fail lands in the failure set; the loop ends when
 every requirement is satisfied or failed, or the wall clock runs out. The
-loop alone settles requirement status; the oracle reports on the finished
+loop alone settles requirement status, for every family on the arrays of the
+suite state (``logic.suite_satisfies``); the oracle reports on the finished
 suite.
 """
 
@@ -33,7 +34,7 @@ from .logic import (
     gen_nbc,
     gen_nc,
     gen_ssc,
-    satisfies,
+    satisfies,  # noqa: F401  (bench/spans.py traces engine.satisfies by name)
     select_ssc_pairs,
     suite_satisfies,
 )
@@ -182,8 +183,8 @@ class RunConfig:
             raise ConfigError("timeout must be finite")
         if self.max_attempts < 1 or self.timeout <= 0 or self.l0_budget < 1:
             raise ConfigError("budgets must be positive")
-        if self.sample_count < 0:
-            raise ConfigError("sample count must not be negative")
+        if self.sample_count < 0 or self.rng_seed < 0:
+            raise ConfigError("sample count and rng seed must not be negative")
         if self.quantize is not None and self.quantize <= 0:
             raise ConfigError("quantization grid must be positive")
         if family.needs_lip and self.lip is None:
@@ -231,12 +232,11 @@ class _Loop:
     net: Network
     refs: ReferenceSet
     cfg: RunConfig
-    cache: ActivationCache  # the run's one cache: satisfaction, ranking, report
-    state: SuiteState  # the suite's activations as of the last satisfaction pass (NC, SSC, NBC)
+    cache: ActivationCache  # the run's one cache: the suite state's rows, LP sources, report
+    state: SuiteState  # the suite's activations as of the last satisfaction pass
     rng: np.random.Generator
     deadline: float
     factors: LayerFactors
-    boxes: dict  # box index -> Box, for Lipschitz requirements
     suite: TestSuite
     dump_hook: Optional[Callable]
     tried: dict = field(default_factory=dict)  # id(requirement) -> source tests attempted
@@ -269,6 +269,8 @@ def run(
     for i, s in enumerate(seeds):
         if np.size(s) != net.input_dim:
             raise ConfigError(f"seed {i} has {np.size(s)} entries, the model takes {net.input_dim}")
+        if not np.isfinite(s).all():
+            raise ConfigError(f"seed {i} has non-finite entries")
     if cfg.ssc_pairs is not None:
         try:
             select_ssc_pairs(net, cfg.ssc_pairs)
@@ -284,7 +286,7 @@ def run(
     # forwarded once, as one batch, for the layer factors and the NBC bounds, then let go
     sample_acts = network.forward_batch(net, sample_set)
     factors = estimate_layer_factors(net, sample_acts)
-    reqs, boxes = family.generate(net, seeds, cfg, sample_acts)
+    reqs = family.generate(net, seeds, cfg, sample_acts)
     del sample_acts
 
     suite = TestSuite(dim=net.input_dim)
@@ -301,7 +303,7 @@ def run(
             fh.write(lp_text(problem))
         dump_count += 1
 
-    loop = _Loop(net, refs, cfg, cache, SuiteState(net), rng, deadline, factors, boxes,
+    loop = _Loop(net, refs, cfg, cache, SuiteState(net), rng, deadline, factors,
                  suite, dump_hook if dump_lp_dir else None)
     checked = 0  # suite length at the last satisfaction pass
 
@@ -309,11 +311,11 @@ def run(
         # Every family generates existential requirements: one that is not
         # satisfied has no witness in suite[:checked], so only the bindings
         # that use a newer test can satisfy it, a failed one included. The
-        # family's settle step checks them: NC, SSC and NBC with array
-        # reductions on the suite state, to which it appends the new tests'
-        # rows; Lipschitz with ``satisfies``.
+        # new tests' rows join the suite state, once each, and array
+        # reductions on it check them.
+        loop.state.extend([cache.get(t) for t in suite.vectors[checked:]])
         unsettled = [r for r in reqs if r.status != "satisfied"]
-        for r, hit in zip(unsettled, family.settle(loop, unsettled, checked)):
+        for r, hit in zip(unsettled, suite_satisfies(loop.state, unsettled, checked)):
             if hit:
                 r.status = "satisfied"
         open_reqs = [r for r in reqs if r.status == "open"]
@@ -323,7 +325,7 @@ def run(
         family.synthesize(loop, family.rank(loop, open_reqs).requirement)
 
     if family.finish is not None:
-        family.finish(loop)
+        family.finish(loop, reqs)
     report = suite_report(net, refs, suite.vectors, reqs, cfg.bound, cache)
     return RunResult(suite, report, reqs, loop.timed_out, loop.lip_rows)
 
@@ -332,17 +334,10 @@ def run(
 # Requirement families
 # ---------------------------------------------------------------------------
 
-# The family steps call the package functions (gen_*, rank_*, ranked_tests,
-# suite_satisfies, satisfies, symbolic_lp, alternating_search, ...) through
-# this module's globals at call time, so a replaced module attribute (a
-# tracer, a test's monkeypatch) runs.
-
-
-def _settle_on_state(loop: _Loop, reqs: list[Requirement], start: int) -> list[bool]:
-    """Append the rows of the tests from ``start`` on to the suite state, once
-    each, then settle ``reqs`` on it (NC, SSC, NBC)."""
-    loop.state.extend([loop.cache.get(t) for t in loop.suite.vectors[start:]])
-    return suite_satisfies(loop.state, reqs, start)
+# The loop and the family steps call the package functions (gen_*, rank_*,
+# ranked_tests, suite_satisfies, symbolic_lp, alternating_search, ...)
+# through this module's globals at call time, so a replaced module attribute
+# (a tracer, a test's monkeypatch) runs.
 
 
 def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
@@ -384,17 +379,6 @@ def _lip_row(box: int, method: str, outcome) -> dict:
             "satisfied": witness.satisfied, "forward_evals": outcome.evals}
 
 
-def _settle_each(loop: _Loop, reqs: list[Requirement], start: int) -> list[bool]:
-    vectors = loop.suite.vectors
-    return [satisfies(vectors, r, loop.net, loop.cache, start) for r in reqs]
-
-
-def _rank_lipschitz(loop: _Loop, reqs: list[Requirement]) -> RankedCandidate:
-    top = rank_lipschitz(loop.suite.vectors, reqs, loop.cache, loop.boxes)
-    # no box holds a test yet: take the first open requirement
-    return top or RankedCandidate(reqs[0], (0,), float("-inf"))
-
-
 def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
     """One alternating compass search in the requirement's box; both points of
     the best pair are offered to the suite."""
@@ -404,7 +388,7 @@ def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
         r.status = "failed"
         return
     loop.tried[id(r)] = set()
-    center = np.asarray(loop.boxes[r.tag.box].center, dtype=np.float64)
+    center = np.asarray(r.tag.region.center, dtype=np.float64)
     outcome = alternating_search(loop.net, center, cfg.lip, deadline=loop.deadline)
     loop.lip_rows.append(_lip_row(r.tag.box, "concolic", outcome))
     parent = next((i for i, c in enumerate(suite.cases) if np.array_equal(c.vector, center)), None)
@@ -419,46 +403,38 @@ def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
         r.status = "failed"  # a search cut by the deadline leaves it open
 
 
-def _random_baselines(loop: _Loop) -> None:
-    """The uniform-sampling baseline in each box, for lipschitz.csv."""
+def _random_baselines(loop: _Loop, reqs: list[Requirement]) -> None:
+    """The uniform-sampling baseline in each requirement's box, for lipschitz.csv."""
     cfg, lip = loop.cfg, loop.cfg.lip
-    for i, box in loop.boxes.items():
+    for r in reqs:
         if cfg.lip_random_attempts <= 0 or loop.expired():
             break  # no baseline box starts once the budget is spent
-        center = np.asarray(box.center, dtype=np.float64)
+        center = np.asarray(r.tag.region.center, dtype=np.float64)
         base = random_baseline(loop.net, center, lip.c, lip.delta, cfg.lip_random_attempts, loop.rng)
-        loop.lip_rows.append(_lip_row(i, "random", base))
+        loop.lip_rows.append(_lip_row(r.tag.box, "random", base))
 
 
 def _generate_nbc(net, seeds, cfg, sample_acts):
     high, low = nbc_bounds_from_samples(net, sample_acts)
-    return gen_nbc(net, high, low), {}
-
-
-def _generate_lipschitz(net, seeds, cfg, sample_acts):
-    partition = SubspacePartition.from_seeds(seeds, cfg.lip.delta)
-    reqs = gen_lipschitz(partition, cfg.lip.c)
-    return reqs, dict(enumerate(partition.boxes))
+    return gen_nbc(net, high, low)
 
 
 @dataclass(frozen=True)
 class Family:
     """What the engine knows about one requirement family (criterion).
 
-    ``generate(net, seeds, cfg, sample_acts)`` returns the requirements and a
-    box index -> Box map, given the ``ActivationBatch`` of the run's sample set;
-    ``settle(loop, reqs, start)`` says which of ``reqs`` the suite satisfies
-    over the bindings that use a test at an index >= ``start``;
+    ``generate(net, seeds, cfg, sample_acts)`` returns the requirements,
+    given the ``ActivationBatch`` of the run's sample set;
     ``rank(loop, open_reqs)`` picks the requirement to work on;
-    ``synthesize(loop, r)`` is one loop iteration's synthesis; ``finish(loop)``
-    runs after the loop; ``save(result, outdir)`` writes extra run artifacts.
-    The LP synthesis target comes from the tag (``tag.lp_target``).
+    ``synthesize(loop, r)`` is one loop iteration's synthesis;
+    ``finish(loop, reqs)`` runs after the loop; ``save(result, outdir)``
+    writes extra run artifacts. Satisfaction and the LP synthesis target come
+    from the tag (``tag.satisfied_since``, ``tag.lp_target``).
     """
 
     generate: Callable
     rank: Callable
     synthesize: Callable
-    settle: Callable = _settle_on_state
     norms: tuple[str, ...] = NORMS
     finish: Optional[Callable] = None
     save: Optional[Callable] = None
@@ -467,12 +443,12 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "nc": Family(
-        generate=lambda net, seeds, cfg, sample_acts: (gen_nc(net), {}),
+        generate=lambda net, seeds, cfg, sample_acts: gen_nc(net),
         rank=lambda loop, reqs: rank_nc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
     ),
     "ssc": Family(
-        generate=lambda net, seeds, cfg, sample_acts: (gen_ssc(net, cfg.ssc_pairs), {}),
+        generate=lambda net, seeds, cfg, sample_acts: gen_ssc(net, cfg.ssc_pairs),
         rank=lambda loop, reqs: rank_ssc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
         norms=("linf",),
@@ -483,9 +459,11 @@ FAMILIES: dict[str, Family] = {
         synthesize=_synthesize_ranked,
     ),
     "lipschitz": Family(
-        generate=_generate_lipschitz,
-        rank=_rank_lipschitz,
-        settle=_settle_each,
+        generate=lambda net, seeds, cfg, sample_acts: gen_lipschitz(
+            SubspacePartition.from_seeds(seeds, cfg.lip.delta), cfg.lip.c),
+        # when no box holds a test yet, the first open requirement
+        rank=lambda loop, reqs: (rank_lipschitz(loop.state, reqs)
+                                 or RankedCandidate(reqs[0], (0,), float("-inf"))),
         synthesize=_synthesize_compass,
         finish=_random_baselines,
         save=lambda result, outdir: write_lipschitz_csv(

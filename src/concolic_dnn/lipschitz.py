@@ -111,7 +111,7 @@ def compass_minimize(
     sigma0: float,
     sigma_min: float = SIGMA_MIN,
     max_iters: int = 150,
-    early_stop: Optional[Callable[[np.ndarray], bool]] = None,
+    early_stop: Optional[Callable[[np.ndarray, float], bool]] = None,
     poll: Optional[Callable] = None,
 ) -> CompassResult:
     """Coordinate-poll descent with a shrinking step.
@@ -120,15 +120,15 @@ def compass_minimize(
     projected into the box, and moves to the first strictly improving poll;
     when no poll improves, sigma is multiplied by ``SHRINK``. Stops at
     ``max_iters`` iterations, when sigma drops below ``sigma_min``, or when
-    ``early_stop`` accepts the current point (it is also consulted on the
-    start point). ``f`` gives the start value. ``poll(cur, coords, steps,
-    value)`` gets the moves "set coordinate coords[j] to steps[j]" in poll
-    order and returns the first improving (point, value), or None; by default
-    it calls ``f`` on one candidate at a time.
+    ``early_stop(point, value)`` accepts the current point and its value
+    (also at the start point). ``f`` gives the start value. ``poll(cur,
+    coords, steps, value)`` gets the moves "set coordinate coords[j] to
+    steps[j]" in poll order and returns the first improving (point, value),
+    or None; by default it calls ``f`` on one candidate at a time.
     """
     cur = np.clip(np.ravel(np.asarray(start, dtype=np.float64)), lower, upper)
     value = f(cur)
-    if early_stop is not None and early_stop(cur):
+    if early_stop is not None and early_stop(cur, value):
         return CompassResult(cur, value, 0)
     poll = poll or partial(_first_improving, f)
     lo, hi = np.asarray(lower)[:, None], np.asarray(upper)[:, None]
@@ -144,7 +144,7 @@ def compass_minimize(
             sigma *= SHRINK
             continue
         cur, value = hit
-        if early_stop is not None and early_stop(cur):
+        if early_stop is not None and early_stop(cur, value):
             break
     return CompassResult(cur, value, iters)
 
@@ -181,12 +181,9 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
         return forward(net, x).out
 
     out_anchor = out(anchor)
-    gaps: dict[bytes, float] = {}
 
     def objective(x: np.ndarray) -> float:
-        gap = vector_norm(out(x) - out_anchor, "linf")
-        gaps[x.tobytes()] = gap
-        return -gap
+        return -vector_norm(out(x) - out_anchor, "linf")
 
     def poll(cur, coords, steps, value):
         if deadline is not None and time.monotonic() > deadline:
@@ -200,12 +197,12 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
             hit = int(better[0]) if better.size else None
             counter.tick(len(rows) if hit is None else hit + 1)
             if hit is not None:
-                gap = gaps[rows[hit].tobytes()] = float(chunk[hit])
-                return rows[hit].copy(), -gap
+                return rows[hit].copy(), -float(chunk[hit])
         return None
 
-    def early(x: np.ndarray) -> bool:
-        return tracker.offer(anchor, x, _ratio(gaps[x.tobytes()], x, anchor), cfg.c)
+    def early(x: np.ndarray, value: float) -> bool:
+        # the objective is the negated output gap, so -value is the gap itself
+        return tracker.offer(anchor, x, _ratio(-value, x, anchor), cfg.c)
 
     return compass_minimize(
         objective, start=anchor, lower=lower, upper=upper, sigma0=cfg.delta / 4.0,

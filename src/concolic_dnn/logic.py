@@ -17,11 +17,12 @@ NBC, Lipschitz) is produced by the gen_* functions; ``satisfies`` and
 ``coverage`` are the reference finite-suite semantics, looking each test up
 in an activation cache once per call and walking each formula.
 
-The concolic loop settles NC, NBC and SSC requirements without walking
-formulas: a ``SuiteState`` stacks each hidden ReLU layer's pre-activations
-over the suite's tests, and ``suite_satisfies`` reduces those arrays (NC and
-NBC: any new test's gap reached; SSC: the XOR of sign rows, Sun et al.,
-arXiv 1803.04792). Lipschitz requirements keep ``satisfies``.
+The concolic loop settles requirements without walking formulas: a
+``SuiteState`` stacks each test's input row, hidden ReLU pre-activations and
+output row over the suite, and ``suite_satisfies`` reduces those arrays (NC
+and NBC: any new test's gap reached; SSC: the XOR of sign rows, Sun et al.,
+arXiv 1803.04792; Lipschitz: a positive ``lip_margin`` between two in-box
+tests, one of them new).
 """
 
 from __future__ import annotations
@@ -161,6 +162,23 @@ BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom
 # Requirement families
 # ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class Box:
+    """L-infinity hypercube of given radius around a center, clipped to [0, 1]."""
+
+    center: tuple[float, ...]
+    radius: float
+
+    @property
+    def lower(self) -> np.ndarray:
+        return np.clip(np.asarray(self.center) - self.radius, 0.0, 1.0)
+
+    @property
+    def upper(self) -> np.ndarray:
+        return np.clip(np.asarray(self.center) + self.radius, 0.0, 1.0)
+
+
 # A tag names one requirement and carries its family's per-requirement facts:
 # ``criterion`` (its row in ``engine.FAMILIES``), ``label``, ``order_key`` (the
 # deterministic ranking order) and, for the one-test families, ``gap(acts)``:
@@ -173,17 +191,17 @@ BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom
 # ``u_flat(layer).T`` gives one input a numpy scalar, not the 0-d array of
 # ``[..., neuron]``, which made scoring one test slower. ``reached`` (NC and
 # NBC, the L0 families) says whether a gap satisfies the requirement.
-# ``satisfied_since(state, start)`` (NC, SSC, NBC) says whether the suite
-# whose ``SuiteState`` is ``state`` satisfies it with a test at an index >=
-# ``start`` (a pair that uses one, for SSC); the loop's satisfaction pass
-# calls it through ``suite_satisfies``. ``lp_target(acts)`` (NC, SSC, NBC)
-# is the LP synthesis target from the source test with activations ``acts``:
-# ``(signs, k_star, bound)``. ``signs[k]`` is a sign array over layer k's
-# neurons for each ReLU layer up to the top layer ``k_star``: +1 asks for
-# u >= EPS_STRICT, -1 for u <= -EPS_STRICT, and 0, allowed only at
-# ``k_star``, leaves the neuron open. ``bound`` is the threshold of the NBC
-# row on the top layer, the tag's own high + EPS_STRICT or low - EPS_STRICT
-# (None for NC and SSC).
+# ``satisfied_since(state, start)`` says whether the suite whose
+# ``SuiteState`` is ``state`` satisfies it with a test at an index >=
+# ``start`` (a pair that uses one, for SSC and Lipschitz); the loop's
+# satisfaction pass calls it through ``suite_satisfies``. ``lp_target(acts)``
+# (NC, SSC, NBC) is the LP synthesis target from the source test with
+# activations ``acts``: ``(signs, k_star, bound)``. ``signs[k]`` is a sign
+# array over layer k's neurons for each ReLU layer up to the top layer
+# ``k_star``: +1 asks for u >= EPS_STRICT, -1 for u <= -EPS_STRICT, and 0,
+# allowed only at ``k_star``, leaves the neuron open. ``bound`` is the
+# threshold of the NBC row on the top layer, the tag's own high + EPS_STRICT
+# or low - EPS_STRICT (None for NC and SSC).
 
 
 def _target_signs(acts: Activations, k_star: int, flips=()) -> dict[int, np.ndarray]:
@@ -288,19 +306,41 @@ class NBCTag:
         return _target_signs(acts, self.layer), self.layer, bound
 
 
+def _linf_distances(rows: np.ndarray) -> np.ndarray:
+    """The (n x n) matrix of ``vector_norm(rows[i] - rows[j], "linf")``, one
+    row at a time, so no (n x n x width) array is made."""
+    return np.array([np.abs(rows - row).max(axis=1) for row in rows]).reshape(len(rows), len(rows))
+
+
 @dataclass(frozen=True)
 class LipTag:
-    """Lipschitz coverage for one input subspace box."""
+    """Lipschitz coverage for ``region``, the partition's box number ``box``."""
 
     criterion = "lipschitz"
     box: int
     threshold: float
+    region: Box
 
     def label(self) -> str:
         return f"lip:{self.box}"
 
     def order_key(self) -> tuple:
         return (self.box,)
+
+    def margins(self, state: SuiteState) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending suite indices of the tests inside the box, and the
+        ``lip_margin`` at ``threshold`` of tests inside[a] and inside[b] as
+        entry (a, b), bit for bit (the same float64 operations)."""
+        x = state.u_flat(1)
+        inside = np.flatnonzero(((x >= self.region.lower) & (x <= self.region.upper)).all(axis=1))
+        out_gap = _linf_distances(state.out[inside])
+        return inside, out_gap - self.threshold * _linf_distances(x[inside])
+
+    def satisfied_since(self, state: SuiteState, start: int) -> bool:
+        # the margin matrix is symmetric, so the rows of the tests from
+        # ``start`` on hold every pair that uses one of them
+        inside, margins = self.margins(state)
+        return bool((margins[inside >= start] > 0.0).any())
 
 
 Tag = Union[NCTag, SSCTag, NBCTag, LipTag]
@@ -313,25 +353,6 @@ class Requirement:
     body: BoolExpr
     tag: Tag
     status: str = "open"  # "open" | "satisfied" | "failed"
-
-
-@dataclass(frozen=True)
-class Box:
-    """L-infinity hypercube of given radius around a center, clipped to [0, 1]."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.clip(np.asarray(self.center) - self.radius, 0.0, 1.0)
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.clip(np.asarray(self.center) + self.radius, 0.0, 1.0)
-
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
 @dataclass(frozen=True)
@@ -532,8 +553,7 @@ def satisfies(
 
     Each test a binding uses is looked up in ``cache`` once. This is the
     reference semantics, for any formula; the concolic loop settles the
-    requirements of the one-network families with ``suite_satisfies``
-    instead, and Lipschitz requirements with this function.
+    requirements of every family with ``suite_satisfies`` instead.
     """
     if len(suite) == 0:
         raise EvalError("satisfaction is undefined for an empty suite")
@@ -562,16 +582,21 @@ def coverage(
 
 
 class SuiteState:
-    """Each hidden ReLU layer's pre-activations for every test of a suite.
+    """The input, each hidden ReLU layer's pre-activations and the output for
+    every test of a suite.
 
-    ``u_flat(k)`` is a (tests x neurons) array whose row i is test i's
-    ``u_flat(k)``, so a one-test family's ``tag.gap(state)`` gives one gap per
-    test. ``extend`` appends the rows of new tests; the arrays grow by
-    doubling, so each row is copied O(1) times on average.
+    ``u_flat(k)`` (input layer 1 or a hidden ReLU layer k) and ``out`` are
+    (tests x neurons) arrays whose row i is test i's, so a one-test family's
+    ``tag.gap(state)`` gives one gap per test. ``extend`` appends the rows of
+    new tests; the arrays grow by doubling, so each row is copied O(1) times
+    on average.
     """
 
     def __init__(self, net: Network):
-        self._u = {k: np.empty((0, net.width(k))) for k in net.hidden_relu_layers}
+        # "out" holds the output rows, every other key a layer's u rows
+        widths = {k: net.width(k) for k in (1, *net.hidden_relu_layers)}
+        widths["out"] = net.width(net.num_layers)
+        self._rows = {key: np.empty((0, width)) for key, width in widths.items()}
         self._size = 0
         self._ssc_hits: dict[tuple[int, int], np.ndarray] = {}  # (k, start) -> ssc_hits
 
@@ -580,18 +605,22 @@ class SuiteState:
 
     def extend(self, acts: Sequence[Activations]) -> None:
         n = self._size + len(acts)
-        for k, u in self._u.items():
-            if n > len(u):
-                grown = np.empty((max(n, 2 * len(u)), u.shape[1]))
-                grown[:self._size] = u[:self._size]
-                self._u[k] = u = grown
+        for key, rows in self._rows.items():
+            if n > len(rows):
+                grown = np.empty((max(n, 2 * len(rows)), rows.shape[1]))
+                grown[:self._size] = rows[:self._size]
+                self._rows[key] = rows = grown
             for row, a in enumerate(acts, self._size):
-                u[row] = a.u_flat(k)
+                rows[row] = a.out if key == "out" else a.u_flat(key)
         self._size = n
         self._ssc_hits.clear()
 
     def u_flat(self, k: int) -> np.ndarray:
-        return self._u[k][:self._size]
+        return self._rows[k][:self._size]
+
+    @property
+    def out(self) -> np.ndarray:
+        return self._rows["out"][:self._size]
 
     def ssc_hits(self, k: int, start: int) -> np.ndarray:
         """(width(k) x width(k + 1)) bools: entry (i, j) is whether some pair
@@ -618,14 +647,13 @@ class SuiteState:
 
 
 def suite_satisfies(state: SuiteState, reqs: Sequence[Requirement], start: int = 0) -> list[bool]:
-    """For each requirement that ``gen_nc``, ``gen_ssc`` or ``gen_nbc`` makes,
-    whether the suite whose state is ``state`` satisfies it, over the
-    bindings that use a test at an index >= ``start``.
+    """For each requirement that a ``gen_*`` function makes, whether the
+    suite whose state is ``state`` satisfies it, over the bindings that use a
+    test at an index >= ``start``.
 
     This equals ``satisfies(suite, r, net, cache, start)`` for each ``r``
     (``satisfies`` is the reference) but reads each requirement's tag, not
-    its body: ``tag.satisfied_since(state, start)``. A Lipschitz tag has no
-    such method.
+    its body: ``tag.satisfied_since(state, start)``.
     """
     if len(state) == 0:
         raise EvalError("satisfaction is undefined for an empty suite")
@@ -730,7 +758,7 @@ def gen_lipschitz(partition: SubspacePartition, c: float) -> list[Requirement]:
         upper = tuple(float(v) for v in box.upper)
         body = And((LipschitzAtom("x1", "x2", float(c)),
                     InBox("x1", lower, upper), InBox("x2", lower, upper)))
-        reqs.append(Requirement("exists", 2, body, LipTag(idx, float(c))))
+        reqs.append(Requirement("exists", 2, body, LipTag(idx, float(c), box)))
     return reqs
 
 

@@ -5,10 +5,9 @@ analysis.
 Scores use a per-layer factor c_k = 1 / mean |u| (estimated on a sample set)
 so that values from layers of different magnitude are comparable. Tie-breaking
 is deterministic: lowest tag ``order_key`` (layer first, then neuron), then
-earliest test. The one-test families (NC, SSC, NBC) are ranked over the
-suite's ``SuiteState``: one score matrix, requirements by tests, and its
-first maximum. The Lipschitz ranking reads pairs of tests' activations from
-the run's ``ActivationCache``, so a test is forwarded once per run.
+earliest test. Every family is ranked over the suite's ``SuiteState``: the
+one-test families (NC, SSC, NBC) by one score matrix, requirements by tests,
+and its first maximum; Lipschitz requirements by each box's margin matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import network
-from .logic import LipTag, Requirement, SuiteState, lip_margin
-from .network import ActivationBatch, ActivationCache, Network
+from .logic import Requirement, SuiteState
+from .network import ActivationBatch, Network
 
 FACTOR_FLOOR = 1e-12
 
@@ -97,29 +96,22 @@ def ranked_tests(state: SuiteState, r: Requirement, factors) -> list[RankedCandi
             for ti in np.argsort(-scores, kind="stable")]
 
 
-def rank_lipschitz(tests, reqs, cache: ActivationCache, boxes) -> Optional[RankedCandidate]:
-    """Best in-box pair by ``lip_margin`` at the requirement's constant.
-
-    ``boxes`` maps each requirement's box index to its Box. Requirements whose
-    box contains no test are skipped; returns None when every box is empty.
-    """
-    if not reqs or len(tests) == 0:
+def rank_lipschitz(state: SuiteState, reqs) -> Optional[RankedCandidate]:
+    """Best in-box pair by ``lip_margin`` at the requirement's constant: the
+    first maximum of each requirement's ``margins`` over pairs of distinct
+    tests (the pair (i, i) when its box holds one test), requirements in
+    ``order_key`` order, a later one winning only by a strictly higher
+    margin. Returns None when every box is empty."""
+    if not reqs or len(state) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
-    all_acts = [cache.get(t) for t in tests]
     best: Optional[RankedCandidate] = None
     for r in sorted(reqs, key=lambda r: r.tag.order_key()):
-        tag: LipTag = r.tag
-        box = boxes[tag.box]
-        inside = [i for i, t in enumerate(tests) if box.contains(np.ravel(t))]
-        if not inside:
+        inside, margins = r.tag.margins(state)
+        if inside.size == 0:
             continue
-        if len(inside) == 1:
-            # degenerate pair: the box only holds one test so far
-            pairs = [(inside[0], inside[0])]
-        else:
-            pairs = [(i, j) for i in inside for j in inside if i != j]
-        for i, j in pairs:
-            margin = lip_margin(all_acts[i], all_acts[j], tag.threshold)
-            if best is None or margin > best.score:
-                best = RankedCandidate(r, (i, j), margin)
+        if inside.size > 1:
+            np.fill_diagonal(margins, -np.inf)  # distinct tests only
+        a, b = divmod(int(margins.argmax()), len(inside))
+        if best is None or margins[a, b] > best.score:
+            best = RankedCandidate(r, (int(inside[a]), int(inside[b])), float(margins[a, b]))
     return best

@@ -1,10 +1,10 @@
 """Independent oracles used by the tests: a from-scratch formula evaluator,
-exhaustive suite enumeration, a vertex-enumeration LP solver, the simplex's
-column-gather pivot and ratio scan, and per-position conv and maxpool kernels
-with the conv matrix built from them.
-These stay
-deliberately naive so they share no code path with the implementations they
-check (forward passes are memoized for speed, nothing else is)."""
+exhaustive suite enumeration, the Lipschitz ranking's pair loop, a
+vertex-enumeration LP solver, the simplex's column-gather pivot and ratio
+scan, and per-position conv and maxpool kernels with the conv matrix built
+from them. These stay deliberately naive so they share no code path with the
+implementations they check (forward passes are memoized for speed, nothing
+else is)."""
 
 import math
 from itertools import combinations
@@ -166,6 +166,32 @@ def ratio_scan_leave(T, basis, upper, col, m):
         ):
             best_row, best_ratio, best_up = i, ratio, up
     return best_row, best_ratio, best_up
+
+
+def pair_loop_rank_lipschitz(tests, reqs, net, memo=None):
+    """The Lipschitz ranking as a loop: requirements in ``order_key`` order,
+    then the ordered pairs of distinct tests inside the box (the degenerate
+    pair (i, i) when the box holds one test), keeping the first margin that
+    beats the best so far strictly. Returns (requirement, tests, score), or
+    None when every box is empty."""
+    best = None
+    for r in sorted(reqs, key=lambda r: r.tag.order_key()):
+        lower, upper = r.tag.region.lower, r.tag.region.upper
+        inside = [i for i, t in enumerate(tests)
+                  if np.all(np.ravel(t) >= lower) and np.all(np.ravel(t) <= upper)]
+        if not inside:
+            continue
+        if len(inside) == 1:
+            pairs = [(inside[0], inside[0])]
+        else:
+            pairs = [(i, j) for i in inside for j in inside if i != j]
+        for i, j in pairs:
+            a, b = np.ravel(tests[i]), np.ravel(tests[j])
+            out_gap = _linf(_fwd(a, net, memo).out - _fwd(b, net, memo).out)
+            margin = out_gap - r.tag.threshold * _linf(a - b)
+            if best is None or margin > best[2]:
+                best = (r, (i, j), margin)
+    return best
 
 
 def sequential_random_baseline(net, t0, c, delta, attempts, rng, eval_budget=None):

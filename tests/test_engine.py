@@ -216,6 +216,7 @@ BAD_SETTINGS = st.one_of(
     *(st.fixed_dictionaries({name: st.integers(max_value=0)})
       for name in ("max_attempts", "l0_budget", "quantize")),
     st.fixed_dictionaries({"sample_count": st.integers(max_value=-1)}),
+    st.fixed_dictionaries({"rng_seed": st.integers(max_value=-1)}),
 )
 
 
@@ -270,6 +271,23 @@ class TestConfigProperties:
             mp.setattr(network, "forward_batch", self.no_forwarding)
             with pytest.raises(ConfigError):
                 run(SSC_NET, refs, [np.zeros(2)], cfg)
+
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 1))
+    def test_non_finite_seed_rejected_before_forwarding(self, cli_workspace, value, entry):
+        refs = ReferenceSet(np.zeros((1, 2)), np.zeros(1, dtype=int), norm="linf")
+        seed = np.zeros(2)
+        seed[entry] = value
+        bad_seeds = cli_workspace / "bad_seeds.npy"
+        np.save(bad_seeds, seed)
+        out = cli_workspace / "out"
+        args = ["--model", str(cli_workspace / "model.json"), "--criterion", "nc",
+                "--seeds", str(bad_seeds), "--refs", str(cli_workspace / "refs"), "--out", str(out)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "forward_batch", self.no_forwarding)
+            with pytest.raises(ConfigError):
+                run(SSC_NET, refs, [np.zeros(2), seed], RunConfig("nc"))
+            assert main(args) == 2
+        assert not out.exists()
 
     @given(st.sampled_from(["--lip-c", "--lip-delta"]), _bad_positive_float())
     def test_bad_lipschitz_flag_exits_2_before_forwarding(self, cli_workspace, flag, value):
@@ -555,36 +573,27 @@ class TestOneActivationCache:
 
 
 class TestIncrementalCheck:
-    """The loop checks a grown suite against only its new tests: NC, NBC and
-    SSC through ``suite_satisfies`` on the suite state, Lipschitz through
-    ``satisfies``. Checking every binding each pass gives the same report."""
+    """The loop checks a grown suite against only its new tests, through
+    ``suite_satisfies`` on the suite state, for every criterion. Checking
+    every binding each pass gives the same report."""
 
     @staticmethod
-    def _checks(criterion, real, starts):
-        if criterion == "lipschitz":
-            def spy(suite, r, net, cache=None, start=0):
-                starts.append((start, len(suite)))
-                return real(suite, r, net, cache, start)
+    def _checks(real, starts):
+        def spy(state, reqs, start=0):
+            starts.append((start, len(state)))
+            return real(state, reqs, start)
 
-            def full_recheck(suite, r, net, cache=None, start=0):
-                return real(suite, r, net, cache)
-        else:
-            def spy(state, reqs, start=0):
-                starts.append((start, len(state)))
-                return real(state, reqs, start)
-
-            def full_recheck(state, reqs, start=0):
-                return real(state, reqs)
+        def full_recheck(state, reqs, start=0):
+            return real(state, reqs)
         return (("incremental", spy), ("full", full_recheck))
 
     @pytest.mark.parametrize("criterion", ["nc", "ssc", "nbc", "lipschitz"])
     def test_report_equals_full_recheck(self, monkeypatch, tmp_path, criterion):
-        entry = "satisfies" if criterion == "lipschitz" else "suite_satisfies"
-        real = getattr(engine, entry)
+        real = engine.suite_satisfies
         starts = []
         reports = []
-        for name, check in self._checks(criterion, real, starts):
-            monkeypatch.setattr(engine, entry, check)
+        for name, check in self._checks(real, starts):
+            monkeypatch.setattr(engine, "suite_satisfies", check)
             net, refs, seeds, cfg = _small_run(criterion)
             result = run(net, refs, seeds, cfg)
             assert not result.timed_out
@@ -593,6 +602,16 @@ class TestIncrementalCheck:
         assert reports[0] == reports[1]
         # the loop checked a grown suite against only its new tests
         assert any(0 < start < size for start, size in starts)
+
+    @pytest.mark.parametrize("criterion", ["nc", "ssc", "nbc", "lipschitz"])
+    def test_loop_never_walks_formulas(self, monkeypatch, criterion):
+        def walked(*args, **kwargs):
+            raise AssertionError("the loop called satisfies")
+
+        monkeypatch.setattr(engine, "satisfies", walked)
+        net, refs, seeds, cfg = _small_run(criterion)
+        result = run(net, refs, seeds, cfg)
+        assert len(result.suite) > len(seeds)
 
 
 class TestStatusOwner:
@@ -620,9 +639,9 @@ class TestStatusOwner:
         statuses_at_admission = []
 
         def generate(*args):
-            generated, boxes = real_generate(*args)
+            generated = real_generate(*args)
             reqs.extend(generated)
-            return generated, boxes
+            return generated
 
         def first_open(loop, open_reqs):
             return RankedCandidate(open_reqs[0], (0,), 0.0)

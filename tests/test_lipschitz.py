@@ -85,7 +85,7 @@ class TestCompassMinimize:
 
         res = compass_minimize(
             f, np.array([0.5]), np.array([0.0]), np.array([1.0]),
-            sigma0=0.25, early_stop=lambda p: True,
+            sigma0=0.25, early_stop=lambda p, value: True,
         )
         assert res.point[0] == 0.5
         assert res.iterations == 0

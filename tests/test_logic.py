@@ -487,13 +487,21 @@ def conv_relu_net():
 
 
 def family_requirements(net, data):
-    """NC, NBC (quarter-grid bounds) and SSC on all pairs, then SSC on a
-    drawn, shuffled subset of the pairs."""
+    """NC, NBC (quarter-grid bounds) and SSC on all pairs, SSC on a drawn,
+    shuffled subset of the pairs, then Lipschitz on drawn quarter-grid boxes
+    (a zero radius makes a one-point box) at drawn thresholds."""
     high = {pos: data.draw(st.sampled_from((0.0, 0.5, 1.0))) for pos in net.relu_neurons()}
     low = {pos: h - data.draw(st.sampled_from((0.0, 0.5, 1.0))) for pos, h in high.items()}
     pairs = ssc_pairs(net)
     subset = data.draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
-    return gen_nc(net) + gen_nbc(net, high, low) + gen_ssc(net) + gen_ssc(net, subset)
+    lipschitz = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        center = np.array(data.draw(st.lists(st.sampled_from(QUARTERS), min_size=net.input_dim,
+                                             max_size=net.input_dim)))
+        radius = data.draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)))
+        c = data.draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))
+        lipschitz += gen_lipschitz(SubspacePartition.from_seeds([center], radius), c)
+    return gen_nc(net) + gen_nbc(net, high, low) + gen_ssc(net) + gen_ssc(net, subset) + lipschitz
 
 
 def assert_state_matches_reference(net, rows, data):
@@ -576,11 +584,8 @@ class TestSuiteState:
         assert self.settle(net, [r0, r1], [low, high, one], start=2) == [True, False]
         assert self.settle(net, [r0, r1], [low, high, one], start=3) == [False, False]
 
-    def test_lipschitz_and_empty_suites_rejected(self, mid_net):
-        state = SuiteState(mid_net)
-        with pytest.raises(EvalError):
-            suite_satisfies(state, gen_nc(mid_net))
-        state.extend([forward(mid_net, np.zeros(4))])
+    def test_empty_suite_rejected(self, mid_net):
         part = SubspacePartition.from_seeds([np.zeros(4)], 0.1)
-        with pytest.raises(AttributeError):
-            suite_satisfies(state, gen_lipschitz(part, 1.0))
+        for reqs in (gen_nc(mid_net), gen_lipschitz(part, 1.0)):
+            with pytest.raises(EvalError):
+                suite_satisfies(SuiteState(mid_net), reqs)

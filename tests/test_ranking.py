@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from concolic_dnn.logic import (
     Atom,
+    Box,
     Const,
     Requirement,
     SSCTag,
@@ -13,7 +16,7 @@ from concolic_dnn.logic import (
     gen_nc,
     gen_ssc,
 )
-from concolic_dnn.network import ActivationCache, Activations, Dense, Network, forward
+from concolic_dnn.network import Activations, Dense, Network, forward
 from concolic_dnn.ranking import (
     LayerFactors,
     estimate_layer_factors,
@@ -26,6 +29,7 @@ from concolic_dnn.ranking import (
 )
 
 from conftest import dense_net, identity_net, suite_state
+from helpers import pair_loop_rank_lipschitz
 
 
 def passthrough_net():
@@ -172,13 +176,31 @@ class TestRankNBC:
         assert best.score == pytest.approx(brute)
 
 
+@st.composite
+def lipschitz_cases(draw):
+    """A small dense net, a suite drawn from a few points (so tests repeat)
+    and Lipschitz requirements on boxes around suite points or drawn points,
+    some of them repeated; radius 0 makes one-test and empty boxes."""
+    dim = draw(st.integers(1, 3))
+    coordinate = st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0, 1)
+    point = st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    tests = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    boxes = draw(st.lists(st.tuples(st.sampled_from(pool) | point,
+                                    st.sampled_from((0.0, 0.1, 0.25, 1.0))), min_size=1, max_size=4))
+    part = SubspacePartition(tuple(Box(tuple(float(v) for v in center), r) for center, r in boxes))
+    reqs = gen_lipschitz(part, draw(st.sampled_from((0.1, 0.5, 1.0, 3.0))))
+    net = dense_net([dim, 4, 2], seed=draw(st.integers(0, 20)))
+    return net, tests, draw(st.permutations(reqs))
+
+
 class TestRankLipschitz:
     def test_single_seed_degenerate_pair(self):
         net = identity_net(2)
         seed = np.array([0.5, 0.5])
         part = SubspacePartition.from_seeds([seed], 0.1)
         reqs = gen_lipschitz(part, 1.0)
-        best = rank_lipschitz([seed], reqs, ActivationCache(net), dict(enumerate(part.boxes)))
+        best = rank_lipschitz(suite_state(net, [seed]), reqs)
         assert best.tests == (0, 0)
         assert best.score == 0.0
 
@@ -188,7 +210,7 @@ class TestRankLipschitz:
         part = SubspacePartition.from_seeds([seed], 0.2)
         reqs = gen_lipschitz(part, 2.0)
         t1, t2 = np.array([0.45, 0.5]), np.array([0.6, 0.5])
-        best = rank_lipschitz([t1, t2], reqs, ActivationCache(net), dict(enumerate(part.boxes)))
+        best = rank_lipschitz(suite_state(net, [t1, t2]), reqs)
         assert best.score == pytest.approx(-abs(0.6 - 0.45))
 
     def test_matches_brute_force_pairs(self, mid_net):
@@ -197,17 +219,20 @@ class TestRankLipschitz:
         part = SubspacePartition.from_seeds([seed], 0.4)
         reqs = gen_lipschitz(part, 1.0)
         tests = [np.clip(seed + rng.uniform(-0.3, 0.3, 4), 0, 1) for _ in range(6)]
-        best = rank_lipschitz(tests, reqs, ActivationCache(mid_net), dict(enumerate(part.boxes)))
+        best = rank_lipschitz(suite_state(mid_net, tests), reqs)
         box = part.boxes[0]
 
         def out(t):
             return forward(mid_net, t).v_flat(mid_net.num_layers)
 
+        def inside(t):
+            return np.all(t >= box.lower) and np.all(t <= box.upper)
+
         margins = [
             float(np.max(np.abs(out(a) - out(b)))) - 1.0 * float(np.max(np.abs(a - b)))
             for a in tests
             for b in tests
-            if a is not b and box.contains(a) and box.contains(b)
+            if a is not b and inside(a) and inside(b)
         ]
         assert best.score == pytest.approx(max(margins))
 
@@ -215,8 +240,22 @@ class TestRankLipschitz:
         net = identity_net(2)
         part = SubspacePartition.from_seeds([np.array([0.1, 0.1])], 0.05)
         reqs = gen_lipschitz(part, 1.0)
-        best = rank_lipschitz([np.array([0.9, 0.9])], reqs, ActivationCache(net), dict(enumerate(part.boxes)))
+        best = rank_lipschitz(suite_state(net, [np.array([0.9, 0.9])]), reqs)
         assert best is None
+
+    @given(lipschitz_cases())
+    def test_same_choice_as_the_pair_loop(self, case):
+        net, tests, reqs = case
+        best = rank_lipschitz(suite_state(net, tests), reqs)
+        expected = pair_loop_rank_lipschitz(tests, reqs, net, memo={})
+        if expected is None:
+            assert best is None
+            return
+        r, pair, margin = expected
+        assert best.requirement is r
+        assert best.tests == pair
+        assert type(best.score) is float
+        assert best.score == margin and np.signbit(best.score) == np.signbit(margin)
 
 
 class TestOrderingInvariance:
@@ -242,9 +281,11 @@ class TestOrderingInvariance:
 
 def preactivation_state(net, rows):
     """A ``SuiteState`` whose layer-2 pre-activations are ``rows`` as given,
-    signed zeros included (a forward pass never yields u = -0.0)."""
+    signed zeros included (a forward pass never yields u = -0.0); the input
+    and output rows are zeros."""
     state = SuiteState(net)
-    state.extend([Activations(u={2: np.array(row)}, v={}, label=0, relu_layers=(2,))
+    v = {k: np.zeros(net.width(k)) for k in range(1, net.num_layers + 1)}
+    state.extend([Activations(u={1: v[1], 2: np.array(row)}, v=v, label=0, relu_layers=(2,))
                   for row in rows])
     return state
 
