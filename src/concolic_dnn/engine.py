@@ -363,7 +363,7 @@ def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
                 continue  # the solver's answer failed its residual check
         else:
             t_new = symbolic_l0(loop.net, source, r, L0Budget(cfg.l0_budget),
-                                deadline=loop.deadline)
+                                deadline=loop.deadline, acts=loop.cache.get(source))
         if t_new is None:
             continue
         t_new = _quantize(t_new, cfg.quantize)
@@ -410,8 +410,10 @@ def _random_baselines(loop: _Loop, reqs: list[Requirement]) -> None:
         if cfg.lip_random_attempts <= 0 or loop.expired():
             break  # no baseline box starts once the budget is spent
         center = np.asarray(r.tag.region.center, dtype=np.float64)
-        base = random_baseline(loop.net, center, lip.c, lip.delta, cfg.lip_random_attempts, loop.rng)
+        base = random_baseline(loop.net, center, lip.c, lip.delta, cfg.lip_random_attempts, loop.rng,
+                               deadline=loop.deadline)
         loop.lip_rows.append(_lip_row(r.tag.box, "random", base))
+    loop.expired()  # a box the deadline cut short marks the run timed out
 
 
 def _generate_nbc(net, seeds, cfg, sample_acts):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .logic import Requirement, vector_norm
-from .network import Network, forward, forward_batch
+from .network import Activations, Network, forward, forward_batch
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,24 @@ def l0_distance(a: np.ndarray, b: np.ndarray) -> int:
 
 def symbolic_l0(
     net: Network, t: np.ndarray, r: Requirement, budget: L0Budget = L0Budget(),
-    deadline: Optional[float] = None,
+    deadline: Optional[float] = None, acts: Optional[Activations] = None,
 ) -> Optional[np.ndarray]:
     """Greedy coordinate search for an input satisfying ``r`` within the pixel budget.
 
     Returns a new input differing from ``t`` in at most ``budget.max_pixels``
     coordinates, or None on failure. Every accepted step strictly increases the
     requirement's objective, so the loop runs at most ``max_pixels`` steps.
-    ``deadline`` is a ``time.monotonic()`` value, checked before each step; once
-    it has passed, the search fails.
+    The start gap comes from ``t``'s activations: ``acts`` when the caller has
+    them, else one forward pass of ``t``. ``deadline`` is a
+    ``time.monotonic()`` value, checked before each step; once it has passed,
+    the search fails.
     """
     tag = r.tag
     if not hasattr(tag, "reached"):
         raise ValueError(f"L0 search needs a one-neuron requirement, not {type(tag).__name__}")
 
     cur = np.ravel(np.asarray(t, dtype=np.float64)).copy()
-    value = tag.gap(forward(net, cur))
+    value = tag.gap(forward(net, cur) if acts is None else acts)
     if tag.reached(value):
         return cur
     free = np.ones(cur.size, dtype=bool)  # pixels not modified yet

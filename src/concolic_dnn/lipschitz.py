@@ -6,16 +6,18 @@ distances are L-infinity and "out" is the output layer. The search alternates
 derivative-free compass runs (Kolda, Lewis & Torczon 2003, "Optimization by
 direct search"): each run maximizes the output distance to an anchor within
 the box, checking the ratio after every accepted step. Each poll's candidates
-are forwarded in batches, and the run visits and counts the points of a
-sequential poll that stops at the first improvement. The first run is
-anchored at the seed, each later run at the previous run's converged point,
-until the ratio beats the constant, the best ratio stops improving, or the
-run budget is spent; then the best pair found is reported.
+are written into one row buffer per run and forwarded in batches, and the run
+visits and counts the points of a sequential poll that stops at the first
+improvement. The first run is anchored at the seed, each later run at the
+previous run's converged point, until the ratio beats the constant, the best
+ratio stops improving, or the run budget is spent; then the best pair found
+is reported.
 
 A uniform-sampling baseline with the same box constraint is provided for
-comparison; it draws and forwards its pairs in batches. All points stay
-inside the box intersected with the [0, 1] input domain, and forward
-evaluations can be capped so the two methods compete on equal budgets.
+comparison; it draws all of a box's pairs in one call and forwards them in
+chunks, checking a deadline before each. All points stay inside the box
+intersected with the [0, 1] input domain, and forward evaluations can be
+capped so the two methods compete on equal budgets.
 """
 
 from __future__ import annotations
@@ -94,13 +96,10 @@ def domain_box(t0: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(t0 - delta, 0.0, 1.0), np.clip(t0 + delta, 0.0, 1.0)
 
 
-def _ratio(out_gap: float, t1: np.ndarray, t2: np.ndarray) -> float:
-    return out_gap / (vector_norm(np.ravel(t1) - np.ravel(t2), "linf") + EPS)
-
-
 def lip_ratio(net: Network, t1: np.ndarray, t2: np.ndarray) -> float:
     """||out(t1) - out(t2)|| / (||t1 - t2|| + EPS); zero for identical inputs."""
-    return _ratio(vector_norm(forward(net, t1).out - forward(net, t2).out, "linf"), t1, t2)
+    out_gap = vector_norm(forward(net, t1).out - forward(net, t2).out, "linf")
+    return out_gap / (vector_norm(np.ravel(t1) - np.ravel(t2), "linf") + EPS)
 
 
 def compass_minimize(
@@ -131,17 +130,21 @@ def compass_minimize(
     if early_stop is not None and early_stop(cur, value):
         return CompassResult(cur, value, 0)
     poll = poll or partial(_first_improving, f)
-    lo, hi = np.asarray(lower)[:, None], np.asarray(upper)[:, None]
-    coords = np.arange(cur.size).repeat(2)
+    coords = np.arange(cur.size).repeat(2)  # +sigma, then -sigma, along each coordinate
+    lo, hi = np.asarray(lower)[coords], np.asarray(upper)[coords]
+    signs = np.tile([1.0, -1.0], cur.size)
     sigma = sigma0
+    offs = signs * sigma  # x + (-sigma) is x - sigma exactly
     iters = 0
     while iters < max_iters and sigma >= sigma_min:
         iters += 1
-        steps = np.clip(cur[:, None] + [sigma, -sigma], lo, hi).ravel()
-        moves = np.flatnonzero(steps != cur[coords])
+        base = cur[coords]
+        steps = np.minimum(np.maximum(base + offs, lo), hi)  # np.clip's arithmetic
+        moves = (steps != base).nonzero()[0]
         hit = poll(cur, coords[moves], steps[moves], value)
         if hit is None:
             sigma *= SHRINK
+            offs = signs * sigma
             continue
         cur, value = hit
         if early_stop is not None and early_stop(cur, value):
@@ -185,24 +188,28 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
     def objective(x: np.ndarray) -> float:
         return -vector_norm(out(x) - out_anchor, "linf")
 
+    buffer = np.empty((net.batch_rows, anchor.size))  # one poll chunk's candidates
+    order = np.arange(net.batch_rows)
+
     def poll(cur, coords, steps, value):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExhausted()
         for first in range(0, steps.size, net.batch_rows):
             part = slice(first, first + net.batch_rows)
-            rows = np.tile(cur, (len(steps[part]), 1))
-            rows[np.arange(len(rows)), coords[part]] = steps[part]
-            chunk = np.abs(forward_batch(net, rows).out - out_anchor).max(axis=1)
-            better = np.flatnonzero(-chunk < value)
-            hit = int(better[0]) if better.size else None
-            counter.tick(len(rows) if hit is None else hit + 1)
-            if hit is not None:
-                return rows[hit].copy(), -float(chunk[hit])
+            rows = buffer[:len(steps[part])]
+            rows[:] = cur
+            rows[order[:len(rows)], coords[part]] = steps[part]
+            gaps = np.abs(forward_batch(net, rows).out - out_anchor).max(axis=1)
+            better = gaps > -value  # the objective -gap below value
+            hit = int(better.argmax())
+            counter.tick(hit + 1 if better[hit] else len(rows))
+            if better[hit]:
+                return rows[hit].copy(), -float(gaps[hit])
         return None
 
     def early(x: np.ndarray, value: float) -> bool:
         # the objective is the negated output gap, so -value is the gap itself
-        return tracker.offer(anchor, x, _ratio(-value, x, anchor), cfg.c)
+        return tracker.offer(anchor, x, -value / (float(np.abs(x - anchor).max()) + EPS), cfg.c)
 
     return compass_minimize(
         objective, start=anchor, lower=lower, upper=upper, sigma0=cfg.delta / 4.0,
@@ -267,15 +274,19 @@ def random_baseline(
     attempts: int,
     rng: np.random.Generator,
     eval_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
 ) -> BaselineOutcome:
     """Uniform random pairs in the seed's box until one beats ``c`` or attempts run out.
 
     The outcome is that of a loop which draws a pair (t1, then t2), forwards
     both, and stops at the first ratio above ``c``; a loop stopped by
     ``eval_budget`` has drawn the pair it could not finish, and an odd budget's
-    last forward counts. Here the pairs are drawn and forwarded in chunks of
-    ``net.batch_rows // 2``, so a pair that beats ``c`` stops the search at the
-    end of its chunk, and ``rng`` is left where that loop would leave it.
+    last forward counts. Here the pairs are drawn at once and forwarded in
+    chunks of ``net.batch_rows // 2`` pairs, so a pair that beats ``c`` stops
+    the search at the end of its chunk, and ``rng`` is left where that loop
+    would leave it. ``deadline`` is a ``time.monotonic()`` value checked
+    before each chunk; a passed one ends the box as a budget of the forwards
+    made so far would.
     """
     if attempts < 1:
         raise ValueError("at least one attempt is required")
@@ -284,28 +295,33 @@ def random_baseline(
     evals = 2 * attempts if eval_budget is None else min(2 * attempts, max(eval_budget, 0))
     used = evals // 2  # pairs whose two forwards fit the budget
     drawn = min(attempts, used + 1)  # a loop stopped by the budget drew one pair more
+    state = rng.bit_generator.state
+    pairs = rng.uniform(lower, upper, size=(drawn, 2, t0.size))
+    rows = pairs.reshape(2 * drawn, t0.size)  # t1 and t2 of each pair in turn
+    in_gaps = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) + EPS
+    ratios = np.empty(used)
     chunk = max(1, net.batch_rows // 2)
-    witness = LipWitness(t0.copy(), t0.copy(), 0.0, False)
-    for start in range(0, drawn, chunk):
-        state = rng.bit_generator.state
-        pairs = rng.uniform(lower, upper, size=(min(chunk, drawn - start), 2, t0.size))
-        pairs = pairs[:used - start]
-        if len(pairs) == 0:
+    for start in range(0, used, chunk):
+        if deadline is not None and time.monotonic() > deadline:
+            used, evals, drawn = start, 2 * start, start + 1  # as a budget of the forwards made
             break
-        rows = pairs.reshape(2 * len(pairs), t0.size)  # two rows a pair: split where batch_rows is 1
-        out = np.concatenate([forward_batch(net, rows[lo:lo + net.batch_rows]).out
-                              for lo in range(0, len(rows), net.batch_rows)])
-        ratios = np.abs(out[0::2] - out[1::2]).max(axis=1) / (np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) + EPS)
-        hits = np.flatnonzero(ratios > c)
+        end = min(start + chunk, used)
+        block = rows[2 * start:2 * end]  # two rows a pair: split where batch_rows is 1
+        out = np.concatenate([forward_batch(net, block[lo:lo + net.batch_rows]).out
+                              for lo in range(0, len(block), net.batch_rows)])
+        ratios[start:end] = np.abs(out[0::2] - out[1::2]).max(axis=1) / in_gaps[start:end]
+        hits = np.flatnonzero(ratios[start:end] > c)
         if hits.size:
-            ratios = ratios[:hits[0] + 1]
-            used, evals = start + len(ratios), 2 * (start + len(ratios))
-            rng.bit_generator.state = state
-            rng.uniform(lower, upper, size=(len(ratios), 2, t0.size))  # the draws the loop made
-        best = int(np.argmax(ratios))  # the first pair with the best ratio, as the loop kept it
+            used = drawn = start + int(hits[0]) + 1
+            evals = 2 * used
+            break
+    if drawn < len(pairs):
+        rng.bit_generator.state = state
+        rng.uniform(lower, upper, size=(drawn, 2, t0.size))  # the draws the loop made
+    witness = LipWitness(t0.copy(), t0.copy(), 0.0, False)
+    if used:
+        best = int(np.argmax(ratios[:used]))  # the first pair with the best ratio, as the loop kept it
         if ratios[best] > witness.ratio:
             ratio = float(ratios[best])
             witness = LipWitness(pairs[best, 0].copy(), pairs[best, 1].copy(), ratio, ratio > c)
-        if hits.size:
-            break
     return BaselineOutcome(witness, used, evals)

@@ -45,18 +45,19 @@ def estimate_layer_factors(net: Network, samples: Sequence) -> LayerFactors:
     """c_k = 1 / max(mean |u_k| over samples and neurons, 1e-12).
 
     ``samples`` are input vectors, one per row, or their ``ActivationBatch``.
-    Each sample's |u_k| sum is added to the total in sample order.
+    Each sample's |u_k| sum is added to the total in sample order (a strict
+    left fold, ``np.add.accumulate``).
     """
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
     acts = samples if isinstance(samples, ActivationBatch) else network.forward_batch(net, samples)
     factors = {}
     for k in range(2, net.num_layers):
-        total = 0.0
         u = acts.u_flat(k)
-        for lo in range(0, len(u), net.batch_rows):  # |u| of one chunk at a time, not of the whole set
-            for row_sum in np.abs(u[lo:lo + net.batch_rows]).sum(axis=1):
-                total += float(row_sum)
+        # |u| of one chunk at a time, not of the whole set
+        row_sums = np.concatenate([np.abs(u[lo:lo + net.batch_rows]).sum(axis=1)
+                                   for lo in range(0, len(u), net.batch_rows)])
+        total = float(np.add.accumulate(row_sums)[-1])
         factors[k] = 1.0 / max(total / (len(acts) * net.width(k)), FACTOR_FLOOR)
     return LayerFactors(factors)
 

@@ -1,10 +1,10 @@
 """Independent oracles used by the tests: a from-scratch formula evaluator,
-exhaustive suite enumeration, the Lipschitz ranking's pair loop, a
-vertex-enumeration LP solver, the simplex's column-gather pivot and ratio
-scan, and per-position conv and maxpool kernels with the conv matrix built
-from them. These stay deliberately naive so they share no code path with the
-implementations they check (forward passes are memoized for speed, nothing
-else is)."""
+exhaustive suite enumeration, the Lipschitz ranking's pair loop, the layer
+factors' Python fold, a vertex-enumeration LP solver, the simplex's
+column-gather pivot and ratio scan, and per-position conv and maxpool
+kernels with the conv matrix built from them. These stay deliberately naive
+so they share no code path with the implementations they check (forward
+passes are memoized for speed, nothing else is)."""
 
 import math
 from itertools import combinations
@@ -192,6 +192,21 @@ def pair_loop_rank_lipschitz(tests, reqs, net, memo=None):
             if best is None or margin > best[2]:
                 best = (r, (i, j), margin)
     return best
+
+
+def loop_layer_factors(net, acts):
+    """The layer factors with a Python fold: each sample's |u_k| row sum, taken
+    chunk by chunk as ``estimate_layer_factors`` takes them, added to a float
+    in sample order."""
+    factors = {}
+    for k in range(2, net.num_layers):
+        total = 0.0
+        u = acts.u_flat(k)
+        for lo in range(0, len(u), net.batch_rows):
+            for row_sum in np.abs(u[lo:lo + net.batch_rows]).sum(axis=1):
+                total += float(row_sum)
+        factors[k] = 1.0 / max(total / (len(acts) * net.width(k)), 1e-12)
+    return factors
 
 
 def sequential_random_baseline(net, t0, c, delta, attempts, rng, eval_budget=None):

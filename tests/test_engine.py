@@ -809,6 +809,31 @@ class TestDeterminismAndArtifacts:
         assert result.timed_out
         assert {r.status for r in result.requirements} == {"open"}
 
+    def test_deadline_reached_inside_a_baseline_box(self, monkeypatch):
+        # the clock jumps once the first baseline box forwards its first chunk:
+        # the box ends there, no other box starts and the run times out
+        chunks = []
+        real_forward_batch = lipschitz.forward_batch
+
+        def spy_baseline(*args, **kwargs):
+            def spy_forward_batch(*fargs):
+                chunks.append(len(fargs[1]))
+                return real_forward_batch(*fargs)
+
+            monkeypatch.setattr(lipschitz, "forward_batch", spy_forward_batch)
+            return lipschitz.random_baseline(*args, **kwargs)
+
+        self.jump_clock(monkeypatch, chunks)
+        monkeypatch.setattr(engine, "random_baseline", spy_baseline)
+        net, refs, seeds, cfg = _small_run("lipschitz")
+        net.batch_rows = 4  # two pairs a chunk
+        cfg.lip = dataclasses.replace(cfg.lip, c=1e9)  # no pair beats c: only the deadline ends the box
+        result = run(net, refs, seeds, cfg)
+        assert chunks == [4]
+        assert result.timed_out
+        random_rows = [row for row in result.lipschitz_rows if row["method"] == "random"]
+        assert [row["forward_evals"] for row in random_rows] == [4]
+
     def test_timeout_before_loop_writes_no_random_rows(self):
         net, refs, seeds, cfg = _small_run("lipschitz")
         cfg.timeout = 1e-6

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from concolic_dnn import l0search
 from concolic_dnn.l0search import L0Budget, l0_distance, symbolic_l0
@@ -160,6 +161,41 @@ class TestSymbolicL0:
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(0, 2**16), st.booleans(), st.data())
+    def test_given_activations_replace_the_start_forward(self, seed, conv, data):
+        rng = np.random.default_rng(seed)
+        if conv:
+            net = Network((4, 4, 1), [
+                Conv2D(rng.normal(size=(2, 2, 1, 2)), rng.normal(size=2) * 0.1), MaxPool((3, 3)), Flatten(),
+                Dense(rng.normal(size=(2, 4)), rng.normal(size=4) * 0.1),
+                Dense(rng.normal(size=(4, 2)), np.zeros(2), relu=False),
+            ])
+        else:
+            net = dense_net([5, 4, 4, 2], seed=seed)
+        reqs = gen_nc(net) + gen_nbc(net, *(dict.fromkeys(net.relu_neurons(), bound) for bound in (0.5, -0.5)))
+        t = data.draw(arrays(np.float64, net.input_dim, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+        acts = forward(net, t)
+        for r in reqs:
+            want = symbolic_l0(net, t, r, L0Budget(3))
+            got = symbolic_l0(net, t, r, L0Budget(3), acts=acts)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+
+    def test_given_activations_forward_nothing_alone(self, monkeypatch):
+        calls = []
+
+        def recording_forward(net, x):
+            calls.append(x)
+            return forward(net, x)
+
+        monkeypatch.setattr(l0search, "forward", recording_forward)
+        net = dense_net([6, 5, 4, 2], seed=1)
+        t = np.full(6, 0.5)
+        for r in gen_nc(net):
+            symbolic_l0(net, t, r, L0Budget(2), acts=forward(net, t))
+        assert calls == []
 
     def test_batches_bounded(self, monkeypatch):
         sizes = []

@@ -1,3 +1,7 @@
+import itertools
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -251,23 +255,29 @@ class TestBatchedPolls:
         assert any(3 <= j < 6 for j in hits)  # a hit in the second chunk
         assert max(sizes) == 3
 
-    def test_plain_callable_sees_the_sequential_points(self):
-        # the minimum (0.7, 0.6, 0.1) lies on two faces of the box: clipped polls drop out
-        lower, upper, start = np.array([0.0, 0.2, 0.1]), np.array([1.0, 0.6, 0.9]), np.full(3, 0.5)
+    @given(st.integers(1, 4), st.floats(0.01, 0.5), st.floats(1e-6, 1e-2), st.integers(1, 60), st.data())
+    def test_plain_callable_sees_the_sequential_points(self, n, sigma0, sigma_min, max_iters, data):
+        # starts on the box's faces and thin boxes: polls clipped to the start drop out
+        coord = st.floats(0, 1)
+        lower, upper = (np.array(v) for v in zip(*(sorted(data.draw(st.tuples(coord, coord)))
+                                                     for _ in range(n))))
+        start = np.array([data.draw(st.sampled_from([lo, hi, (lo + hi) / 2])) for lo, hi in zip(lower, upper)])
+        target = data.draw(arrays(np.float64, n, elements=st.floats(-0.5, 1.5)))
 
         def recording(seen):
             def f(v):
                 seen.append(v.copy())
-                return float(np.sum((v - np.array([0.7, 0.9, -0.2])) ** 2))
+                return float(np.sum((v - target) ** 2))
 
             return f
 
         got, want = [], []
-        res = compass_minimize(recording(got), start, lower, upper, sigma0=0.3)
-        point, value, iterations = sequential_compass_minimize(recording(want), start, lower, upper, sigma0=0.3)
+        res = compass_minimize(recording(got), start, lower, upper, sigma0=sigma0, sigma_min=sigma_min,
+                               max_iters=max_iters)
+        point, value, iterations = sequential_compass_minimize(
+            recording(want), start, lower, upper, sigma0=sigma0, sigma_min=sigma_min, max_iters=max_iters)
         assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
         assert (res.point.tobytes(), res.value, res.iterations) == (point.tobytes(), value, iterations)
-        assert res.point == pytest.approx([0.7, 0.6, 0.1], abs=1e-4)
 
 
 class TestRandomBaseline:
@@ -328,7 +338,10 @@ class TestRandomBaseline:
         assert got.witness.t1.tobytes() == want.witness.t1.tobytes()
         assert batched_rng.random() == loop_rng.random()
 
-    def test_batches_bounded_and_stop_at_a_hit(self, mid_net, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_batches_bounded_and_stop_at_a_hit(self, mid_net, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr(mid_net, "batch_rows", rows)
         sizes = []
 
         def recording_forward_batch(net, X):
@@ -340,7 +353,35 @@ class TestRandomBaseline:
         assert max(sizes) <= mid_net.batch_rows and sum(sizes) == 2000
         sizes.clear()
         random_baseline(mid_net, np.full(4, 0.5), 0.0, 0.1, 1000, np.random.default_rng(0))
-        assert sizes == [mid_net.batch_rows]  # a hit at the first pair forwards one chunk
+        # a hit at the first pair forwards its chunk of batch_rows // 2 pairs, one row a call at one row
+        assert sizes == ([1, 1] if mid_net.batch_rows == 1 else [mid_net.batch_rows // 2 * 2])
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("c", [1e9, 0.5])
+    def test_a_passed_deadline_ends_the_box_as_a_budget_does(self, mid_net, monkeypatch, rows, c):
+        # the clock passes the deadline after the first chunk is forwarded
+        if rows is not None:
+            monkeypatch.setattr(mid_net, "batch_rows", rows)
+        readings = itertools.chain([0.0], itertools.repeat(10.0))
+        monkeypatch.setattr(lipschitz, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+        t0 = np.array([0.5, 0.05, 0.95, 0.3])
+        cut_rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = random_baseline(mid_net, t0, c, 0.1, 1000, cut_rng, deadline=5.0)
+        pairs = max(1, mid_net.batch_rows // 2)
+        want = sequential_random_baseline(mid_net, t0, c, 0.1, 1000, loop_rng, eval_budget=2 * pairs)
+        assert (got.attempts, got.evals) == (want.attempts, want.evals) == (pairs, 2 * pairs)
+        assert got.witness.t1.tobytes() == want.witness.t1.tobytes()
+        assert got.witness.t2.tobytes() == want.witness.t2.tobytes()
+        assert (got.witness.ratio, got.witness.satisfied) == (want.witness.ratio, want.witness.satisfied)
+        assert cut_rng.random() == loop_rng.random()
+
+    def test_a_deadline_passed_at_the_start_scores_no_pair(self, mid_net):
+        rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = random_baseline(mid_net, np.full(4, 0.5), 0.0, 0.1, 1000, rng, deadline=time.monotonic() - 1.0)
+        want = sequential_random_baseline(mid_net, np.full(4, 0.5), 0.0, 0.1, 1000, loop_rng, eval_budget=0)
+        assert (got.attempts, got.evals, got.witness.ratio) == (want.attempts, want.evals, want.witness.ratio)
+        assert got.evals == 0
+        assert rng.random() == loop_rng.random()
 
     def test_needs_positive_attempts(self, mid_net):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from concolic_dnn.logic import (
     gen_nc,
     gen_ssc,
 )
-from concolic_dnn.network import Activations, Dense, Network, forward
+from concolic_dnn.network import Activations, Dense, Network, forward, forward_batch
 from concolic_dnn.ranking import (
     LayerFactors,
     estimate_layer_factors,
@@ -29,7 +29,7 @@ from concolic_dnn.ranking import (
 )
 
 from conftest import dense_net, identity_net, suite_state
-from helpers import pair_loop_rank_lipschitz
+from helpers import loop_layer_factors, pair_loop_rank_lipschitz
 
 
 def passthrough_net():
@@ -69,6 +69,16 @@ class TestLayerFactors:
     def test_needs_samples(self):
         with pytest.raises(ValueError):
             estimate_layer_factors(passthrough_net(), [])
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @given(st.integers(0, 2**16), st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           st.integers(1, 40), st.floats(0.1, 100.0))
+    def test_matches_the_python_fold(self, rows, seed, hidden, count, scale):
+        net = dense_net([3, *hidden, 2], seed=seed, scale=scale)
+        if rows is not None:
+            net.batch_rows = rows  # as on a net with wide rows: several chunks a layer
+        acts = forward_batch(net, np.random.default_rng(seed).uniform(0, 1, (count, 3)))
+        assert estimate_layer_factors(net, acts).factors == loop_layer_factors(net, acts)
 
 
 class TestRankNC:
