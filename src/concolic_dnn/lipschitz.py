@@ -200,7 +200,7 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
             rows[:] = cur
             rows[order[:len(rows)], coords[part]] = steps[part]
             gaps = np.abs(forward_batch(net, rows).out - out_anchor).max(axis=1)
-            better = gaps > -value  # the objective -gap below value
+            better = gaps > -value  # -gap < value: the objective improves
             hit = int(better.argmax())
             counter.tick(hit + 1 if better[hit] else len(rows))
             if better[hit]:
