@@ -431,7 +431,7 @@ class Family:
     ``synthesize(loop, r)`` is one loop iteration's synthesis;
     ``finish(loop, reqs)`` runs after the loop; ``save(result, outdir)``
     writes extra run artifacts. Satisfaction and the LP synthesis target come
-    from the tag (``tag.satisfied_since``, ``tag.lp_target``).
+    from the tag (its class's ``settle``, ``tag.lp_target``).
     """
 
     generate: Callable

@@ -3,9 +3,10 @@
 Instead of an LP (which needs a linear distance metric), NC and NBC
 requirements are attacked by changing one pixel at a time: every step
 evaluates the requirement's gap (``tag.gap``) for each not-yet-modified pixel
-set to each extreme value, 0 and 1, that differs from its source value (in
-``forward_batch`` calls of up to ``net.batch_rows`` candidates), and applies the
-single best strictly-improving change (the first one on ties). The search
+set to each extreme value, 0 and 1, that differs from its source value, and
+applies the single best strictly-improving change (the first one on ties).
+The candidates go in ``forward_batch`` calls of up to ``net.batch_rows`` rows
+that stop at the requirement's layer, the last one the gap reads. The search
 stops as soon as the requirement holds, or fails when the pixel budget is
 exhausted, no change improves the gap, or the deadline passes.
 """
@@ -78,7 +79,7 @@ def symbolic_l0(
             hi = min(lo + net.batch_rows, pixels.size)
             cands = np.repeat(cur[None, :], hi - lo, axis=0)
             cands[np.arange(hi - lo), pixels[lo:hi]] = extremes[lo:hi]
-            gaps[lo:hi] = tag.gap(forward_batch(net, cands))
+            gaps[lo:hi] = tag.gap(forward_batch(net, cands, last=tag.layer))
         best = int(np.argmax(gaps))  # the first maximum: lowest pixel, then 0 before 1
         if not gaps[best] > value:
             return None

@@ -282,11 +282,12 @@ def random_baseline(
     both, and stops at the first ratio above ``c``; a loop stopped by
     ``eval_budget`` has drawn the pair it could not finish, and an odd budget's
     last forward counts. Here the pairs are drawn at once and forwarded in
-    chunks of ``net.batch_rows // 2`` pairs, so a pair that beats ``c`` stops
-    the search at the end of its chunk, and ``rng`` is left where that loop
-    would leave it. ``deadline`` is a ``time.monotonic()`` value checked
-    before each chunk; a passed one ends the box as a budget of the forwards
-    made so far would.
+    chunks of ``net.batch_rows // 2`` pairs, or of ``net.batch_rows`` pairs
+    when that is odd, so each chunk's rows fill whole calls of
+    ``net.batch_rows`` rows. A pair that beats ``c`` stops the search at the
+    end of its chunk, and ``rng`` is left where that loop would leave it.
+    ``deadline`` is a ``time.monotonic()`` value checked before each chunk; a
+    passed one ends the box as a budget of the forwards made so far would.
     """
     if attempts < 1:
         raise ValueError("at least one attempt is required")
@@ -300,13 +301,13 @@ def random_baseline(
     rows = pairs.reshape(2 * drawn, t0.size)  # t1 and t2 of each pair in turn
     in_gaps = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) + EPS
     ratios = np.empty(used)
-    chunk = max(1, net.batch_rows // 2)
+    chunk = net.batch_rows if net.batch_rows % 2 else net.batch_rows // 2  # pairs filling whole calls
     for start in range(0, used, chunk):
         if deadline is not None and time.monotonic() > deadline:
             used, evals, drawn = start, 2 * start, start + 1  # as a budget of the forwards made
             break
         end = min(start + chunk, used)
-        block = rows[2 * start:2 * end]  # two rows a pair: split where batch_rows is 1
+        block = rows[2 * start:2 * end]  # two rows a pair: split where batch_rows is odd
         out = np.concatenate([forward_batch(net, block[lo:lo + net.batch_rows]).out
                               for lo in range(0, len(block), net.batch_rows)])
         ratios[start:end] = np.abs(out[0::2] - out[1::2]).max(axis=1) / in_gaps[start:end]

@@ -19,10 +19,12 @@ in an activation cache once per call and walking each formula.
 
 The concolic loop settles requirements without walking formulas: a
 ``SuiteState`` stacks each test's input row, hidden ReLU pre-activations and
-output row over the suite, and ``suite_satisfies`` reduces those arrays (NC
-and NBC: any new test's gap reached; SSC: the XOR of sign rows, Sun et al.,
-arXiv 1803.04792; Lipschitz: a positive ``lip_margin`` between two in-box
-tests, one of them new).
+output row over the suite, and ``suite_satisfies`` reduces those arrays one
+(family, layer) group of requirements at a time (NC and NBC: any new test's
+gap reached, one slice of the layer's rows; SSC: the XOR of sign rows, Sun et
+al., arXiv 1803.04792, one index into the layer's hit table; Lipschitz: a
+positive ``lip_margin`` between two in-box tests, one of them new, one box at
+a time).
 """
 
 from __future__ import annotations
@@ -187,11 +189,15 @@ class Box:
 # ranking score before layer scaling and the L0 search objective. Given an
 # ``ActivationBatch`` or a ``SuiteState`` instead of one ``Activations``, it
 # returns one gap per row, which is how the L0 search scores a step's
-# candidates and the ranking scores a suite. Indexing
+# candidates and ``ranked_tests`` scores a suite. Indexing
 # ``u_flat(layer).T`` gives one input a numpy scalar, not the 0-d array of
-# ``[..., neuron]``, which made scoring one test slower. ``reached`` (NC and
-# NBC, the L0 families) says whether a gap satisfies the requirement.
-# ``satisfied_since(state, start)`` says whether the suite whose
+# ``[..., neuron]``, which made scoring one test slower. ``gaps(u, tags)``
+# (NC, SSC, NBC) is ``gap`` for many tags of one layer at once: given that
+# layer's (rows x neurons) pre-activations, one row of gaps per tag, with the
+# same float64 operations, so ``rank`` scores a layer's requirements with one
+# slice. ``reached`` (NC and NBC, the L0 families) says whether a gap
+# satisfies the requirement. ``settle(state, tags, start)`` says, for each of
+# ``tags`` (of one layer, for the one-test families), whether the suite whose
 # ``SuiteState`` is ``state`` satisfies it with a test at an index >=
 # ``start`` (a pair that uses one, for SSC and Lipschitz); the loop's
 # satisfaction pass calls it through ``suite_satisfies``. ``lp_target(acts)``
@@ -232,11 +238,17 @@ class NCTag:
     def gap(self, acts: Activations) -> float:
         return acts.u_flat(self.layer).T[self.neuron]
 
-    def reached(self, gap: float) -> bool:
+    @staticmethod
+    def gaps(u: np.ndarray, tags: Sequence[NCTag]) -> np.ndarray:
+        return np.ascontiguousarray(u.T)[[t.neuron for t in tags]]
+
+    @staticmethod
+    def reached(gap):
         return gap >= 0.0
 
-    def satisfied_since(self, state: SuiteState, start: int) -> bool:
-        return bool(self.reached(self.gap(state)[start:]).any())
+    @classmethod
+    def settle(cls, state: SuiteState, tags: Sequence[NCTag], start: int) -> np.ndarray:
+        return cls.reached(cls.gaps(state.u_flat(tags[0].layer)[start:], tags)).any(axis=1)
 
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, None]:
         """Freeze the layers below, flip this neuron, leave the rest of its layer open."""
@@ -261,8 +273,15 @@ class SSCTag:
     def gap(self, acts: Activations) -> float:
         return -abs(acts.u_flat(self.layer).T[self.cond])
 
-    def satisfied_since(self, state: SuiteState, start: int) -> bool:
-        return bool(state.ssc_hits(self.layer, start)[self.cond, self.decision])
+    @staticmethod
+    def gaps(u: np.ndarray, tags: Sequence[SSCTag]) -> np.ndarray:
+        # -|u| of each condition neuron once, then one row per tag
+        return np.ascontiguousarray(-np.abs(u.T))[[t.cond for t in tags]]
+
+    @staticmethod
+    def settle(state: SuiteState, tags: Sequence[SSCTag], start: int) -> np.ndarray:
+        hits = state.ssc_hits(tags[0].layer, start)
+        return hits[[t.cond for t in tags], [t.decision for t in tags]]
 
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, None]:
         """Flip the condition and decision neurons; freeze the layers below and
@@ -293,11 +312,21 @@ class NBCTag:
         u = acts.u_flat(self.layer).T[self.neuron]
         return (u - self.high) if self.side == "hi" else (self.low - u)
 
-    def reached(self, gap: float) -> bool:
+    @staticmethod
+    def gaps(u: np.ndarray, tags: Sequence[NBCTag]) -> np.ndarray:
+        u = np.ascontiguousarray(u.T)[[t.neuron for t in tags]]
+        hi = np.array([t.side == "hi" for t in tags])[:, None]
+        high = np.array([t.high for t in tags])[:, None]
+        low = np.array([t.low for t in tags])[:, None]
+        return np.where(hi, u - high, low - u)
+
+    @staticmethod
+    def reached(gap):
         return gap > 0.0
 
-    def satisfied_since(self, state: SuiteState, start: int) -> bool:
-        return bool(self.reached(self.gap(state)[start:]).any())
+    @classmethod
+    def settle(cls, state: SuiteState, tags: Sequence[NBCTag], start: int) -> np.ndarray:
+        return cls.reached(cls.gaps(state.u_flat(tags[0].layer)[start:], tags)).any(axis=1)
 
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, float]:
         """Freeze the layers below, leave this neuron's layer open, and cross
@@ -336,11 +365,15 @@ class LipTag:
         out_gap = _linf_distances(state.out[inside])
         return inside, out_gap - self.threshold * _linf_distances(x[inside])
 
-    def satisfied_since(self, state: SuiteState, start: int) -> bool:
+    @staticmethod
+    def settle(state: SuiteState, tags: Sequence[LipTag], start: int) -> list[bool]:
         # the margin matrix is symmetric, so the rows of the tests from
         # ``start`` on hold every pair that uses one of them
-        inside, margins = self.margins(state)
-        return bool((margins[inside >= start] > 0.0).any())
+        hits = []
+        for tag in tags:
+            inside, margins = tag.margins(state)
+            hits.append(bool((margins[inside >= start] > 0.0).any()))
+        return hits
 
 
 Tag = Union[NCTag, SSCTag, NBCTag, LipTag]
@@ -646,6 +679,28 @@ class SuiteState:
         return hits
 
 
+def layer_groups(reqs: Sequence[Requirement]) -> dict[tuple, tuple[list[int], list[Tag]]]:
+    """The requirements by (tag class, layer), the layer None for Lipschitz
+    tags: each group's positions in ``reqs``, ascending, and its tags.
+
+    A group's tags mostly come in long runs (a generator's layer, or a layer
+    of a list sorted by ``order_key``), so each run is added whole.
+    """
+    tags = [r.tag for r in reqs]
+    groups: dict[tuple, tuple[list[int], list[Tag]]] = {}
+    lo = 0
+    while lo < len(tags):
+        cls, layer = type(tags[lo]), getattr(tags[lo], "layer", None)
+        hi = lo + 1
+        while hi < len(tags) and type(tags[hi]) is cls and getattr(tags[hi], "layer", None) == layer:
+            hi += 1
+        at, members = groups.setdefault((cls, layer), ([], []))
+        at.extend(range(lo, hi))
+        members.extend(tags[lo:hi])
+        lo = hi
+    return groups
+
+
 def suite_satisfies(state: SuiteState, reqs: Sequence[Requirement], start: int = 0) -> list[bool]:
     """For each requirement that a ``gen_*`` function makes, whether the
     suite whose state is ``state`` satisfies it, over the bindings that use a
@@ -653,11 +708,15 @@ def suite_satisfies(state: SuiteState, reqs: Sequence[Requirement], start: int =
 
     This equals ``satisfies(suite, r, net, cache, start)`` for each ``r``
     (``satisfies`` is the reference) but reads each requirement's tag, not
-    its body: ``tag.satisfied_since(state, start)``.
+    its body: one ``settle(state, tags, start)`` of the tag class per
+    (family, layer) group of ``reqs``.
     """
     if len(state) == 0:
         raise EvalError("satisfaction is undefined for an empty suite")
-    return [r.tag.satisfied_since(state, start) for r in reqs]
+    hits = np.zeros(len(reqs), dtype=bool)
+    for (cls, _), (at, tags) in layer_groups(reqs).items():
+        hits[at] = cls.settle(state, tags, start)
+    return hits.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -286,12 +286,16 @@ class ActivationBatch:
     """Per-layer values of n forward passes, stacked along a leading axis.
 
     ``u[k]`` and ``v[k]`` have shape (n, *shape(k)) and ``pool_winners[k]``
-    shape (n, positions); ``row(i)`` is the ``Activations`` of input i.
+    shape (n, positions), for every layer k the passes reached: all K
+    (``num_layers``), or those up to ``forward_batch``'s ``last``. ``out`` and
+    ``row(i)``, the ``Activations`` of input i, read the output layer, so on a
+    batch that stops before it they raise ``ValueError``.
     """
 
     u: dict[int, np.ndarray]
     v: dict[int, np.ndarray]
     relu_layers: tuple[int, ...]
+    num_layers: int
     pool_winners: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -300,13 +304,18 @@ class ActivationBatch:
     def u_flat(self, k: int) -> np.ndarray:
         return _flat_rows(self.u[k])
 
+    def _output(self) -> np.ndarray:
+        if self.num_layers not in self.v:
+            raise ValueError(f"the batch stops at layer {len(self.v)}, before the output layer")
+        return self.v[self.num_layers]
+
     @property
     def out(self) -> np.ndarray:
         """The output layer K, one flat row per input."""
-        return _flat_rows(self.v[len(self.v)])
+        return _flat_rows(self._output())
 
     def row(self, i: int) -> Activations:
-        out = self.v[len(self.v)][i]
+        out = self._output()[i]
         return Activations(
             u={k: a[i] for k, a in self.u.items()}, v={k: a[i] for k, a in self.v.items()},
             label=int(out.argmax()), relu_layers=self.relu_layers,
@@ -314,7 +323,7 @@ class ActivationBatch:
         )
 
 
-def forward_batch(net: Network, X: np.ndarray) -> ActivationBatch:
+def forward_batch(net: Network, X: np.ndarray, last: Optional[int] = None) -> ActivationBatch:
     """Forward passes of the inputs stacked along ``X``'s first axis.
 
     Each row of ``X`` is one input: a flat vector of length prod(input_shape),
@@ -323,8 +332,13 @@ def forward_batch(net: Network, X: np.ndarray) -> ActivationBatch:
     Row i of every result equals ``forward(net, X[i])`` bit for bit. A batch
     of more than ``net.batch_rows`` rows is forwarded that many rows at a
     time into arrays for the whole batch, so the layers' temporaries (the
-    gathers and products) stay the size of one chunk.
+    gathers and products) stay the size of one chunk. With ``last`` set the
+    passes stop after that layer (1..K): the result holds layers 1..``last``
+    only, each the same as in a full pass.
     """
+    top = net.num_layers if last is None else last
+    if not 1 <= top <= net.num_layers:
+        raise ValueError(f"last layer {last} is not one of the layers 1..{net.num_layers}")
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim == 0 or math.prod(X.shape[1:]) != net.input_dim:
         raise InputShapeError(f"input rows of shape {X.shape[1:]}, network expects {net.input_dim} entries")
@@ -334,8 +348,8 @@ def forward_batch(net: Network, X: np.ndarray) -> ActivationBatch:
     n, rows = X.shape[0], net.batch_rows
     X = X.reshape(n, *net.input_shape)
     if n <= rows:
-        return _forward_rows(net, X)
-    first = _forward_rows(net, X[:rows])
+        return _forward_rows(net, X, top)
+    first = _forward_rows(net, X[:rows], top)
 
     def whole(a: np.ndarray) -> np.ndarray:
         out = np.empty((n, *a.shape[1:]), dtype=a.dtype)
@@ -346,7 +360,7 @@ def forward_batch(net: Network, X: np.ndarray) -> ActivationBatch:
     # view of the layer before, layer 1 is X) stay shared
     u: dict[int, np.ndarray] = {1: X}
     v: dict[int, np.ndarray] = {1: X}
-    for k in range(2, net.num_layers + 1):
+    for k in range(2, top + 1):
         if isinstance(net.layer(k), Flatten):
             u[k] = v[k] = v[k - 1].reshape(n, net.width(k))
         else:
@@ -354,23 +368,25 @@ def forward_batch(net: Network, X: np.ndarray) -> ActivationBatch:
             v[k] = u[k] if first.v[k] is first.u[k] else whole(first.v[k])
     winners = {k: whole(w) for k, w in first.pool_winners.items()}
     for lo in range(rows, n, rows):
-        part = _forward_rows(net, X[lo:lo + rows])
-        for k in range(2, net.num_layers + 1):
+        part = _forward_rows(net, X[lo:lo + rows], top)
+        for k in range(2, top + 1):
             u[k][lo:lo + rows] = part.u[k]
             if v[k] is not u[k]:
                 v[k][lo:lo + rows] = part.v[k]
         for k in winners:
             winners[k][lo:lo + rows] = part.pool_winners[k]
-    return ActivationBatch(u=u, v=v, relu_layers=net.relu_layers, pool_winners=winners)
+    return ActivationBatch(u=u, v=v, relu_layers=net.relu_layers, num_layers=net.num_layers,
+                           pool_winners=winners)
 
 
-def _forward_rows(net: Network, value: np.ndarray) -> ActivationBatch:
-    """The layer loop over a checked batch ``value`` of shape (n, *input_shape)."""
+def _forward_rows(net: Network, value: np.ndarray, top: int) -> ActivationBatch:
+    """The layer loop, layers 2..``top``, over a checked batch ``value`` of
+    shape (n, *input_shape)."""
     n = value.shape[0]
     u: dict[int, np.ndarray] = {1: value}
     v: dict[int, np.ndarray] = {1: value}
     winners: dict[int, np.ndarray] = {}
-    for k in range(2, net.num_layers + 1):
+    for k in range(2, top + 1):
         layer = net.layer(k)
         if isinstance(layer, Dense):
             pre = (value[:, None, :] @ layer.weights)[:, 0, :] + layer.bias
@@ -395,7 +411,8 @@ def _forward_rows(net: Network, value: np.ndarray) -> ActivationBatch:
             raise ModelError(f"unknown layer type {type(layer).__name__}")
         u[k] = pre
         v[k] = value
-    return ActivationBatch(u=u, v=v, relu_layers=net.relu_layers, pool_winners=winners)
+    return ActivationBatch(u=u, v=v, relu_layers=net.relu_layers, num_layers=net.num_layers,
+                           pool_winners=winners)
 
 
 def forward(net: Network, x: np.ndarray) -> Activations:

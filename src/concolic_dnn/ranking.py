@@ -7,7 +7,8 @@ so that values from layers of different magnitude are comparable. Tie-breaking
 is deterministic: lowest tag ``order_key`` (layer first, then neuron), then
 earliest test. Every family is ranked over the suite's ``SuiteState``: the
 one-test families (NC, SSC, NBC) by one score matrix, requirements by tests,
-and its first maximum; Lipschitz requirements by each box's margin matrix.
+built from one slice of the suite's rows per (family, layer), and its first
+maximum; Lipschitz requirements by each box's margin matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import network
-from .logic import Requirement, SuiteState
+from .logic import Requirement, SuiteState, layer_groups
 from .network import ActivationBatch, Network
 
 FACTOR_FLOOR = 1e-12
@@ -77,11 +78,16 @@ def rank(state: SuiteState, reqs, factors) -> RankedCandidate:
     Rows of the score matrix are the requirements in ``order_key`` order,
     columns the tests; ``argmax`` takes the first maximum in that row-major
     order, so a tie goes to the lowest ``order_key``, then the earliest test.
+    The rows of one (family, layer) group are filled at once, ``factors[k]``
+    times the tag class's ``gaps`` of layer k: the elementwise operations of
+    ``score``, so each entry is its ``score`` bit for bit.
     """
     if not reqs or len(state) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
     ordered = sorted(reqs, key=lambda r: r.tag.order_key())
-    scores = np.array([score(state, r, factors) for r in ordered])
+    scores = np.empty((len(ordered), len(state)))
+    for (cls, k), (at, tags) in layer_groups(ordered).items():
+        scores[at] = factors[k] * cls.gaps(state.u_flat(k), tags)
     ri, ti = divmod(int(scores.argmax()), scores.shape[1])
     return RankedCandidate(ordered[ri], (ti,), float(scores[ri, ti]))
 

@@ -1,10 +1,10 @@
 """Independent oracles used by the tests: a from-scratch formula evaluator,
-exhaustive suite enumeration, the Lipschitz ranking's pair loop, the layer
-factors' Python fold, a vertex-enumeration LP solver, the simplex's
-column-gather pivot and ratio scan, and per-position conv and maxpool
-kernels with the conv matrix built from them. These stay deliberately naive
-so they share no code path with the implementations they check (forward
-passes are memoized for speed, nothing else is)."""
+exhaustive suite enumeration, the loops of the one-test and Lipschitz
+rankings, the layer factors' Python fold, a vertex-enumeration LP solver,
+the simplex's column-gather pivot and ratio scan, and per-position conv and
+maxpool kernels with the conv matrix built from them. These stay
+deliberately naive so they share no code path with the implementations they
+check (forward passes are memoized for speed, nothing else is)."""
 
 import math
 from itertools import combinations
@@ -191,6 +191,20 @@ def pair_loop_rank_lipschitz(tests, reqs, net, memo=None):
             margin = out_gap - r.tag.threshold * _linf(a - b)
             if best is None or margin > best[2]:
                 best = (r, (i, j), margin)
+    return best
+
+
+def loop_rank(tests, reqs, factors, net, memo=None):
+    """The one-test ranking as a loop: requirements in ``order_key`` order,
+    then tests, each pair scored ``factors[layer] * tag.gap`` of the test's
+    forward pass alone, keeping the first score that beats the best so far
+    strictly. Returns (requirement, test, score)."""
+    best = None
+    for r in sorted(reqs, key=lambda r: r.tag.order_key()):
+        for i, t in enumerate(tests):
+            value = factors[r.tag.layer] * r.tag.gap(_fwd(t, net, memo))
+            if best is None or value > best[2]:
+                best = (r, i, value)
     return best
 
 

@@ -200,9 +200,9 @@ class TestSymbolicL0:
     def test_batches_bounded(self, monkeypatch):
         sizes = []
 
-        def recording_forward_batch(net, X):
+        def recording_forward_batch(net, X, last=None):
             sizes.append(len(X))
-            return forward_batch(net, X)
+            return forward_batch(net, X, last=last)
 
         monkeypatch.setattr(l0search, "forward_batch", recording_forward_batch)
         net = single_neuron_net([-1.0] * 150, -1.0)  # two improving steps, never reached

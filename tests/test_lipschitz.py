@@ -350,11 +350,13 @@ class TestRandomBaseline:
 
         monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
         random_baseline(mid_net, np.full(4, 0.5), 1e9, 0.1, 1000, np.random.default_rng(0))
-        assert max(sizes) <= mid_net.batch_rows and sum(sizes) == 2000
+        rows = mid_net.batch_rows
+        assert max(sizes) <= rows and sum(sizes) == 2000 and len(sizes) == -(-2000 // rows)
         sizes.clear()
         random_baseline(mid_net, np.full(4, 0.5), 0.0, 0.1, 1000, np.random.default_rng(0))
-        # a hit at the first pair forwards its chunk of batch_rows // 2 pairs, one row a call at one row
-        assert sizes == ([1, 1] if mid_net.batch_rows == 1 else [mid_net.batch_rows // 2 * 2])
+        # a hit at the first pair forwards its chunk: batch_rows // 2 pairs in one call,
+        # or batch_rows pairs in two calls when batch_rows is odd
+        assert sizes == ([rows, rows] if rows % 2 else [rows])
 
     @pytest.mark.parametrize("rows", [1, 3, None])
     @pytest.mark.parametrize("c", [1e9, 0.5])
@@ -367,7 +369,7 @@ class TestRandomBaseline:
         t0 = np.array([0.5, 0.05, 0.95, 0.3])
         cut_rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = random_baseline(mid_net, t0, c, 0.1, 1000, cut_rng, deadline=5.0)
-        pairs = max(1, mid_net.batch_rows // 2)
+        pairs = mid_net.batch_rows if mid_net.batch_rows % 2 else mid_net.batch_rows // 2
         want = sequential_random_baseline(mid_net, t0, c, 0.1, 1000, loop_rng, eval_budget=2 * pairs)
         assert (got.attempts, got.evals) == (want.attempts, want.evals) == (pairs, 2 * pairs)
         assert got.witness.t1.tobytes() == want.witness.t1.tobytes()

@@ -372,6 +372,35 @@ class TestForwardBatch:
                     continue
                 assert acts.u[k].tobytes() == want.reshape(net.shape(k)).tobytes()
 
+    @pytest.mark.parametrize("chunk", [7, 300])  # under and over every net's batch_rows
+    @pytest.mark.parametrize("name", sorted(ROW_EXACT_NETS))
+    def test_a_pass_to_a_last_layer_equals_the_full_pass(self, name, chunk):
+        net = ROW_EXACT_NETS[name]
+        X = np.random.default_rng(11).uniform(0.0, 1.0, (chunk, net.input_dim))
+        full = forward_batch(net, X)
+        for last in range(1, net.num_layers + 1):
+            part = forward_batch(net, X, last=last)
+            assert sorted(part.u) == sorted(part.v) == list(range(1, last + 1))
+            for k in part.u:
+                assert part.u[k].tobytes() == full.u[k].tobytes()
+                assert part.v[k].tobytes() == full.v[k].tobytes()
+            assert sorted(part.pool_winners) == [k for k in sorted(full.pool_winners) if k <= last]
+            for k in part.pool_winners:
+                assert part.pool_winners[k].tobytes() == full.pool_winners[k].tobytes()
+            if last < net.num_layers:  # no output layer: neither ``out`` nor a row's label
+                with pytest.raises(ValueError):
+                    part.out
+                with pytest.raises(ValueError):
+                    part.row(0)
+            else:
+                assert part.out.tobytes() == full.out.tobytes()
+
+    @pytest.mark.parametrize("last", [0, -1, 7])
+    def test_a_last_layer_outside_the_net_rejected(self, last):
+        net = ROW_EXACT_NETS["conv-valid-maxpool"]  # layers 1..6
+        with pytest.raises(ValueError):
+            forward_batch(net, np.zeros((2, net.input_dim)), last=last)
+
     def test_batch_rows_shrink_for_wide_rows(self):
         assert ROW_EXACT_NETS["dense-24-16-16-10"].batch_rows == BATCH_ROWS
         # the widest array is a layer: 18 * 18 * 16 floats per row (its gather has 18 * 18 * 9)

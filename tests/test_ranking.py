@@ -15,6 +15,7 @@ from concolic_dnn.logic import (
     gen_nbc,
     gen_nc,
     gen_ssc,
+    ssc_pairs,
 )
 from concolic_dnn.network import Activations, Dense, Network, forward, forward_batch
 from concolic_dnn.ranking import (
@@ -29,7 +30,8 @@ from concolic_dnn.ranking import (
 )
 
 from conftest import dense_net, identity_net, suite_state
-from helpers import loop_layer_factors, pair_loop_rank_lipschitz
+from helpers import loop_layer_factors, loop_rank, pair_loop_rank_lipschitz
+from test_logic import QUARTERS, conv_relu_net, grid_net
 
 
 def passthrough_net():
@@ -184,6 +186,43 @@ class TestRankNBC:
             score(forward(mid_net, t), r, factors) for t in tests for r in reqs
         )
         assert best.score == pytest.approx(brute)
+
+
+@st.composite
+def one_test_cases(draw):
+    """A dense or conv net with exact pre-activations on the quarter grid (many
+    exact zeros and ties between neurons), a suite drawn from a few points (so
+    tests repeat and tie exactly), per-layer factors, and a subset of the
+    net's NC, NBC and SSC requirements in any order, the SSC ones made from
+    user pairs in any order, repeats included."""
+    if draw(st.booleans()):
+        net = conv_relu_net()
+    else:
+        net = grid_net(draw(st.sampled_from([[2, 3, 3, 2], [3, 4, 2, 2], [2, 1, 3, 2]])),
+                       draw(st.integers(0, 50)))
+    point = st.lists(st.sampled_from(QUARTERS), min_size=net.input_dim, max_size=net.input_dim)
+    pool = draw(st.lists(point.map(np.array), min_size=1, max_size=4))
+    tests = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    factors = LayerFactors({k: draw(st.sampled_from([0.5, 1.0, 2.0])) for k in range(2, net.num_layers)})
+    neurons = net.relu_neurons()
+    high = {pos: draw(st.sampled_from([0.0, 0.5, 1.0])) for pos in neurons}
+    low = {pos: draw(st.sampled_from([-1.0, -0.5, 0.0])) for pos in neurons}
+    reqs = gen_nc(net) + gen_nbc(net, high, low)
+    if ssc_pairs(net):
+        reqs += gen_ssc(net, draw(st.lists(st.sampled_from(ssc_pairs(net)), min_size=1, max_size=12)))
+    return net, tests, factors, draw(st.lists(st.sampled_from(reqs), min_size=1, unique_by=id))
+
+
+class TestRankTable:
+    @given(one_test_cases())
+    def test_same_choice_as_the_requirement_loop(self, case):
+        net, tests, factors, reqs = case
+        best = rank_nc(suite_state(net, tests), reqs, factors)
+        r, i, value = loop_rank(tests, reqs, factors, net, memo={})
+        assert best.requirement is r
+        assert best.tests == (i,)
+        assert type(best.score) is float
+        assert best.score == value and np.signbit(best.score) == np.signbit(value)
 
 
 @st.composite
