@@ -45,7 +45,7 @@ from .lp import (
     solve,
     symbolic_lp,
 )
-from .l0search import L0Budget, l0_distance, symbolic_l0
+from .l0search import L0Budget, symbolic_l0
 from .lipschitz import (
     LipConfig,
     LipWitness,

@@ -27,6 +27,21 @@ from .lipschitz import LipConfig
 from .network import ActivationCache, load_model
 from .oracle import ReferenceSet, nearest
 
+UNREADABLE = (OSError, EOFError, ValueError)  # a missing file, or one numpy or the model reader rejects
+
+
+def _read(load, path: str):
+    """``load(path)``, with an unreadable file reported as a configuration error."""
+    try:
+        return load(path)
+    except UNREADABLE as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
 
 def load_refs(directory: str, norm: str, net=None) -> ReferenceSet:
     """Reference set layout: DIR/inputs.npy (N x d) and optional DIR/labels.npy.
@@ -34,10 +49,7 @@ def load_refs(directory: str, norm: str, net=None) -> ReferenceSet:
     Without a labels file the network's own labels on the reference inputs are
     recorded (the robustness rule compares network labels anyway).
     """
-    inputs_path = os.path.join(directory, "inputs.npy")
-    if not os.path.exists(inputs_path):
-        raise ConfigError(f"reference set needs {inputs_path}")
-    inputs = np.load(inputs_path)
+    inputs = _read(np.load, os.path.join(directory, "inputs.npy"))
     if inputs.ndim == 1:
         inputs = inputs.reshape(1, -1)
     if net is not None and inputs.shape[-1] != net.input_dim:
@@ -46,7 +58,7 @@ def load_refs(directory: str, norm: str, net=None) -> ReferenceSet:
         )
     labels_path = os.path.join(directory, "labels.npy")
     if os.path.exists(labels_path):
-        labels = np.load(labels_path)
+        labels = _read(np.load, labels_path)
     elif net is not None:
         cache = ActivationCache(net)
         labels = np.array([cache.get(row).label for row in inputs])
@@ -64,10 +76,8 @@ def load_seeds(path: str) -> list[np.ndarray]:
         files = sorted(f for f in os.listdir(path) if f.endswith(".npy"))
         if not files:
             raise ConfigError(f"no .npy seed files in {path}")
-        return [np.ravel(np.load(os.path.join(path, f))) for f in files]
-    if not os.path.exists(path):
-        raise ConfigError(f"seed path {path} does not exist")
-    arr = np.load(path)
+        return [np.ravel(_read(np.load, os.path.join(path, f))) for f in files]
+    arr = _read(np.load, path)
     if arr.ndim == 1:
         return [arr]
     return [np.ravel(row) for row in arr]
@@ -106,7 +116,7 @@ def _verify_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    net = load_model(args.model)
+    net = _read(load_model, args.model)
     refs = load_refs(args.refs, args.norm, net)
     seeds = load_seeds(args.seeds)
     lip = None
@@ -143,22 +153,26 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     report_path = os.path.join(args.out, "report.json")
+    report = _read(_load_json, report_path)
     try:
-        with open(report_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read {report_path}: {exc}", file=sys.stderr)
-        return 2
-    net = load_model(args.model)
-    refs = load_refs(args.refs, report["config"]["norm"], net)
-    bound = args.bound if args.bound is not None else report["config"]["bound"]
+        norm = report["config"]["norm"]
+        bound = report["config"]["bound"] if args.bound is None else args.bound
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{report_path}: malformed config ({exc!r})") from exc
+    net = _read(load_model, args.model)
+    refs = load_refs(args.refs, norm, net)
     load_suite(os.path.join(args.out, "suite"))  # fails loudly on corruption
     cache = ActivationCache(net)
     ok = True
     for entry in report.get("adversarial", []):
         path = os.path.join(args.out, "adversarial", entry["file"])
-        vec = np.load(path)
-        idx, dist = nearest(refs, vec)
+        try:
+            vec = np.load(path)
+            idx, dist = nearest(refs, vec)
+        except UNREADABLE as exc:
+            print(f"{entry['file']}: cannot check ({exc}) -> FAIL")
+            ok = False
+            continue
         label = cache.get(vec).label
         ref_label = cache.get(refs.inputs[idx]).label
         good = label != ref_label and dist <= bound

@@ -26,6 +26,7 @@ import numpy as np
 from .l0search import L0Budget, symbolic_l0
 from .lipschitz import LipConfig, alternating_search, random_baseline
 from .logic import (
+    NORMS,
     GenerationError,
     Requirement,
     SubspacePartition,
@@ -60,7 +61,7 @@ from .ranking import (
     ranked_tests,
 )
 
-NORMS = ("linf", "l0")
+NBC_WIDEN = 0.05  # NBC bounds: the sample min/max widened by this fraction of their range
 
 
 class ConfigError(ValueError):
@@ -200,10 +201,11 @@ class RunResult:
     lipschitz_rows: list[dict] = field(default_factory=list)
 
 
-def nbc_bounds_from_samples(net: Network, samples: Sequence, widen: float = 0.05) -> tuple[dict, dict]:
-    """Per-neuron high/low activation bounds: sample min/max widened by a
-    fraction of the observed range. ``samples`` are input vectors, one per row,
-    or their ``ActivationBatch``; an empty sample set gives no bounds."""
+def nbc_bounds_from_samples(net: Network, samples: Sequence) -> tuple[dict, dict]:
+    """Per-neuron high/low activation bounds: sample min/max widened by
+    ``NBC_WIDEN`` of the observed range. ``samples`` are input vectors, one
+    per row, or their ``ActivationBatch``; an empty sample set gives no
+    bounds."""
     high: dict[tuple[int, int], float] = {}
     low: dict[tuple[int, int], float] = {}
     if len(samples) == 0:
@@ -214,8 +216,8 @@ def nbc_bounds_from_samples(net: Network, samples: Sequence, widen: float = 0.05
         lo, hi = u.min(axis=0), u.max(axis=0)
         span = hi - lo
         for i in range(lo.size):
-            high[(k, i)] = float(hi[i] + widen * span[i])
-            low[(k, i)] = float(lo[i] - widen * span[i])
+            high[(k, i)] = float(hi[i] + NBC_WIDEN * span[i])
+            low[(k, i)] = float(lo[i] - NBC_WIDEN * span[i])
     return high, low
 
 

@@ -8,7 +8,9 @@ applies the single best strictly-improving change (the first one on ties).
 The candidates go in ``forward_batch`` calls of up to ``net.batch_rows`` rows
 that stop at the requirement's layer, the last one the gap reads. The search
 stops as soon as the requirement holds, or fails when the pixel budget is
-exhausted, no change improves the gap, or the deadline passes.
+exhausted, no change improves the gap, or the deadline passes. A result
+differs from its source in at most ``max_pixels`` pixels, so its L0 distance
+(``logic.distance``) is within the budget.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .logic import Requirement, vector_norm
+from .logic import Requirement
 from .network import Activations, Network, forward, forward_batch
 
 
@@ -30,15 +32,6 @@ class L0Budget:
     def __post_init__(self):
         if self.max_pixels < 1:
             raise ValueError("pixel budget must be at least 1")
-
-
-def l0_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of coordinates differing by more than the quantization tolerance."""
-    a = np.ravel(np.asarray(a, dtype=np.float64))
-    b = np.ravel(np.asarray(b, dtype=np.float64))
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    return int(vector_norm(a - b, "l0"))
 
 
 def symbolic_l0(

@@ -1,11 +1,12 @@
 """Lipschitz test-pair generation.
 
 A Lipschitz requirement asks for two inputs inside a small hypercube around a
-seed whose output-to-input distance ratio exceeds a target constant; both
-distances are L-infinity and "out" is the output layer. The search alternates
-derivative-free compass runs (Kolda, Lewis & Torczon 2003, "Optimization by
-direct search"): each run maximizes the output distance to an anchor within
-the box, checking the ratio after every accepted step. Each poll's candidates
+seed (a ``logic.Box``) whose output-to-input distance ratio exceeds a target
+constant; both distances are L-infinity, measured by ``logic.distance``, and
+"out" is the output layer. The search alternates derivative-free compass runs
+(Kolda, Lewis & Torczon 2003, "Optimization by direct search"): each run
+maximizes the output distance to an anchor within the box, checking the ratio
+after every accepted step. Each poll's candidates
 are written into one row buffer per run and forwarded in batches, and the run
 visits and counts the points of a sequential poll that stops at the first
 improvement. The first run is anchored at the seed, each later run at the
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .network import Network, forward, forward_batch
-from .logic import vector_norm
+from .logic import Box, distance
 
 EPS = 1e-9  # added to the input distance of a ratio
 SHRINK = 0.5  # compass step factor after a poll with no improvement
@@ -90,16 +91,10 @@ class CompassResult:
     iterations: int
 
 
-def domain_box(t0: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The delta-hypercube around the seed, clipped to the [0, 1] input domain."""
-    t0 = np.ravel(t0)
-    return np.clip(t0 - delta, 0.0, 1.0), np.clip(t0 + delta, 0.0, 1.0)
-
-
 def lip_ratio(net: Network, t1: np.ndarray, t2: np.ndarray) -> float:
     """||out(t1) - out(t2)|| / (||t1 - t2|| + EPS); zero for identical inputs."""
-    out_gap = vector_norm(forward(net, t1).out - forward(net, t2).out, "linf")
-    return out_gap / (vector_norm(np.ravel(t1) - np.ravel(t2), "linf") + EPS)
+    out_gap = distance(forward(net, t1).out, forward(net, t2).out, "linf")
+    return float(out_gap / (distance(np.ravel(t1), np.ravel(t2), "linf") + EPS))
 
 
 def compass_minimize(
@@ -177,7 +172,7 @@ class _BestPair:
 def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassResult:
     """One compass run maximizing output distance to ``anchor`` inside t0's box;
     a poll forwards ``net.batch_rows`` candidates at a time and first checks ``deadline``."""
-    lower, upper = domain_box(t0, cfg.delta)
+    box = Box(tuple(t0), cfg.delta)
 
     def out(x: np.ndarray) -> np.ndarray:
         counter.tick()
@@ -186,7 +181,7 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
     out_anchor = out(anchor)
 
     def objective(x: np.ndarray) -> float:
-        return -vector_norm(out(x) - out_anchor, "linf")
+        return -float(distance(out(x), out_anchor, "linf"))
 
     buffer = np.empty((net.batch_rows, anchor.size))  # one poll chunk's candidates
     order = np.arange(net.batch_rows)
@@ -199,7 +194,7 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
             rows = buffer[:len(steps[part])]
             rows[:] = cur
             rows[order[:len(rows)], coords[part]] = steps[part]
-            gaps = np.abs(forward_batch(net, rows).out - out_anchor).max(axis=1)
+            gaps = distance(forward_batch(net, rows).out, out_anchor, "linf")
             better = gaps > -value  # -gap < value: the objective improves
             hit = int(better.argmax())
             counter.tick(hit + 1 if better[hit] else len(rows))
@@ -209,10 +204,10 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
 
     def early(x: np.ndarray, value: float) -> bool:
         # the objective is the negated output gap, so -value is the gap itself
-        return tracker.offer(anchor, x, -value / (float(np.abs(x - anchor).max()) + EPS), cfg.c)
+        return tracker.offer(anchor, x, -value / (float(distance(x, anchor, "linf")) + EPS), cfg.c)
 
     return compass_minimize(
-        objective, start=anchor, lower=lower, upper=upper, sigma0=cfg.delta / 4.0,
+        objective, start=anchor, lower=box.lower, upper=box.upper, sigma0=cfg.delta / 4.0,
         max_iters=cfg.compass_iters, early_stop=early, poll=poll,
     )
 
@@ -292,14 +287,14 @@ def random_baseline(
     if attempts < 1:
         raise ValueError("at least one attempt is required")
     t0 = np.ravel(np.asarray(t0, dtype=np.float64))
-    lower, upper = domain_box(t0, delta)
+    box = Box(tuple(t0), delta)
     evals = 2 * attempts if eval_budget is None else min(2 * attempts, max(eval_budget, 0))
     used = evals // 2  # pairs whose two forwards fit the budget
     drawn = min(attempts, used + 1)  # a loop stopped by the budget drew one pair more
     state = rng.bit_generator.state
-    pairs = rng.uniform(lower, upper, size=(drawn, 2, t0.size))
+    pairs = rng.uniform(box.lower, box.upper, size=(drawn, 2, t0.size))
     rows = pairs.reshape(2 * drawn, t0.size)  # t1 and t2 of each pair in turn
-    in_gaps = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1) + EPS
+    in_gaps = distance(pairs[:, 0], pairs[:, 1], "linf") + EPS
     ratios = np.empty(used)
     chunk = net.batch_rows if net.batch_rows % 2 else net.batch_rows // 2  # pairs filling whole calls
     for start in range(0, used, chunk):
@@ -310,7 +305,7 @@ def random_baseline(
         block = rows[2 * start:2 * end]  # two rows a pair: split where batch_rows is odd
         out = np.concatenate([forward_batch(net, block[lo:lo + net.batch_rows]).out
                               for lo in range(0, len(block), net.batch_rows)])
-        ratios[start:end] = np.abs(out[0::2] - out[1::2]).max(axis=1) / in_gaps[start:end]
+        ratios[start:end] = distance(out[0::2], out[1::2], "linf") / in_gaps[start:end]
         hits = np.flatnonzero(ratios[start:end] > c)
         if hits.size:
             used = drawn = start + int(hits[0]) + 1
@@ -318,7 +313,7 @@ def random_baseline(
             break
     if drawn < len(pairs):
         rng.bit_generator.state = state
-        rng.uniform(lower, upper, size=(drawn, 2, t0.size))  # the draws the loop made
+        rng.uniform(box.lower, box.upper, size=(drawn, 2, t0.size))  # the draws the loop made
     witness = LipWitness(t0.copy(), t0.copy(), 0.0, False)
     if used:
         best = int(np.argmax(ratios[:used]))  # the first pair with the best ratio, as the loop kept it

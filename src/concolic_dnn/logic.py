@@ -8,7 +8,8 @@ conjunction, negation and counting. Three sugar forms (same-sign, differing
 sign, box membership) expand into the core grammar; a fourth atom, the
 Lipschitz margin ||out(x1) - out(x2)|| - c * ||x1 - x2|| > 0 (L-infinity
 norms, "out" the output layer; ``lip_margin``), is evaluated natively because
-norms have no core encoding.
+norms have no core encoding. ``distance`` is the package's one norm helper:
+L-infinity or L0 (``NORMS``), one value per row of stacked rows.
 
 A formula is evaluated under a binding of its input variables to the
 activations of concrete inputs, so an input variable stands for one forward
@@ -37,6 +38,7 @@ import numpy as np
 from .network import ActivationCache, Activations, Network
 
 RELATIONS = ("<=", "<", "=", ">", ">=")
+NORMS = ("linf", "l0")
 QUANT_TOL = 1.0 / 510.0  # half of one 8-bit quantization step
 EPS_STRICT = 1e-6  # margin standing in for strict inequalities in LP targets
 
@@ -335,12 +337,6 @@ class NBCTag:
         return _target_signs(acts, self.layer), self.layer, bound
 
 
-def _linf_distances(rows: np.ndarray) -> np.ndarray:
-    """The (n x n) matrix of ``vector_norm(rows[i] - rows[j], "linf")``, one
-    row at a time, so no (n x n x width) array is made."""
-    return np.array([np.abs(rows - row).max(axis=1) for row in rows]).reshape(len(rows), len(rows))
-
-
 @dataclass(frozen=True)
 class LipTag:
     """Lipschitz coverage for ``region``, the partition's box number ``box``."""
@@ -362,8 +358,11 @@ class LipTag:
         entry (a, b), bit for bit (the same float64 operations)."""
         x = state.u_flat(1)
         inside = np.flatnonzero(((x >= self.region.lower) & (x <= self.region.upper)).all(axis=1))
-        out_gap = _linf_distances(state.out[inside])
-        return inside, out_gap - self.threshold * _linf_distances(x[inside])
+        out, x = state.out[inside], x[inside]
+        # one row at a time, so no (n x n x width) array is made
+        rows = [distance(out, out[a], "linf") - self.threshold * distance(x, x[a], "linf")
+                for a in range(len(inside))]
+        return inside, np.array(rows).reshape(len(inside), len(inside))
 
     @staticmethod
     def settle(state: SuiteState, tags: Sequence[LipTag], start: int) -> list[bool]:
@@ -445,25 +444,24 @@ def _bit(acts: Activations, layer: int, neuron: int) -> bool:
     return bool(acts.u_flat(layer)[neuron] >= 0.0)
 
 
-def vector_norm(vec: np.ndarray, norm: str) -> float:
-    """The linf, l2, l1 or l0 norm of a vector; l0 counts the entries whose
-    magnitude exceeds ``QUANT_TOL``."""
+def distance(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
+    """The ``norm`` of ``a - b`` along the last axis, one value per row of
+    stacked rows (a float64 scalar for two vectors). linf is the largest
+    magnitude, 0.0 for an empty vector; l0 counts the entries whose magnitude
+    exceeds ``QUANT_TOL``. A maximum and a count are exact in any order, so a
+    stacked row's distance equals that row's own, bit for bit."""
+    diff = np.abs(np.subtract(a, b))
     if norm == "linf":
-        return float(np.max(np.abs(vec))) if vec.size else 0.0
-    if norm == "l2":
-        return float(np.linalg.norm(vec))
-    if norm == "l1":
-        return float(np.sum(np.abs(vec)))
+        return diff.max(axis=-1, initial=0.0)
     if norm == "l0":
-        return float(np.count_nonzero(np.abs(vec) > QUANT_TOL))
+        return np.count_nonzero(diff > QUANT_TOL, axis=-1).astype(np.float64)
     raise EvalError(f"unknown norm {norm!r}")
 
 
 def lip_margin(a: Activations, b: Activations, c: float) -> float:
     """||out(a) - out(b)||_inf - c * ||in(a) - in(b)||_inf, "in" the input layer
     and "out" the output layer: positive when the pair beats the constant c."""
-    out_gap = vector_norm(a.out - b.out, "linf")
-    return out_gap - c * vector_norm(a.u_flat(1) - b.u_flat(1), "linf")
+    return float(distance(a.out, b.out, "linf") - c * distance(a.u_flat(1), b.u_flat(1), "linf"))
 
 
 def eval_bool(

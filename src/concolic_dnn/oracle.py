@@ -5,7 +5,8 @@ trusted reference input (validity); a valid input is adversarial when the
 network labels it differently from its nearest reference. The oracle runs
 over a finished suite and never steers generation. It evaluates no
 requirement: the concolic loop settles each requirement's status, and the
-report counts the statuses as given.
+report counts the statuses as given. Distances are ``logic.distance`` under
+the reference set's norm, L-infinity or L0.
 """
 
 from __future__ import annotations
@@ -18,23 +19,22 @@ import numpy as np
 
 # bench/spans.py traces ``oracle.satisfies`` and ``oracle.coverage`` by name,
 # so both stay importable here
-from .logic import QUANT_TOL, Requirement, coverage, satisfies, vector_norm  # noqa: F401
+from .logic import NORMS, Requirement, coverage, distance, satisfies  # noqa: F401
 from .network import ActivationCache, Network
-
-
-def _dist(a: np.ndarray, b: np.ndarray, norm: str) -> float:
-    return vector_norm(np.ravel(a) - np.ravel(b), norm)
 
 
 @dataclass
 class ReferenceSet:
-    """Inputs with trusted labels, queried for nearest neighbours under ``norm``."""
+    """Inputs with trusted labels, queried for nearest neighbours under
+    ``norm``, one of ``logic.NORMS``."""
 
     inputs: np.ndarray  # (N, d)
     labels: np.ndarray  # (N,)
     norm: str = "linf"
 
     def __post_init__(self):
+        if self.norm not in NORMS:
+            raise ValueError(f"unknown norm {self.norm!r}; expected one of {', '.join(NORMS)}")
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] == 0:
             raise ValueError("reference set must be a non-empty (N, d) array")
@@ -48,27 +48,13 @@ class ReferenceSet:
         return self.inputs.shape[0]
 
 
-def _distances(inputs: np.ndarray, t: np.ndarray, norm: str) -> np.ndarray:
-    """``_dist`` from every row of ``inputs`` to ``t``, equal to it bit for bit.
-
-    A maximum and a count do not depend on the order of their terms, so linf
-    and l0 are one row-wise reduction. l1 and l2 keep the per-row scan: a
-    row-wise sum may add in another order than the 1-d sum (the order follows
-    the array's memory layout), and the 1-d l2 norm is a dot product.
-    """
-    if norm == "linf":
-        return np.max(np.abs(inputs - t), axis=1)
-    if norm == "l0":
-        return np.count_nonzero(np.abs(inputs - t) > QUANT_TOL, axis=1).astype(np.float64)
-    return np.array([_dist(row, t, norm) for row in inputs])
-
-
 def nearest(refs: ReferenceSet, t: np.ndarray) -> tuple[int, float]:
-    """Nearest reference to ``t``; ties go to the earliest index."""
+    """Nearest reference to ``t``, one ``distance`` call over all references;
+    ties go to the earliest index."""
     t = np.ravel(np.asarray(t, dtype=np.float64))
     if t.size != refs.inputs.shape[1]:
         raise ValueError(f"input has {t.size} entries, references have {refs.inputs.shape[1]}")
-    dists = _distances(refs.inputs, t, refs.norm)
+    dists = distance(refs.inputs, t, refs.norm)
     idx = int(np.argmin(dists))
     return idx, float(dists[idx])
 

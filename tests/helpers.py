@@ -1,10 +1,11 @@
 """Independent oracles used by the tests: a from-scratch formula evaluator,
-exhaustive suite enumeration, the loops of the one-test and Lipschitz
-rankings, the layer factors' Python fold, a vertex-enumeration LP solver,
-the simplex's column-gather pivot and ratio scan, and per-position conv and
-maxpool kernels with the conv matrix built from them. These stay
-deliberately naive so they share no code path with the implementations they
-check (forward passes are memoized for speed, nothing else is)."""
+exhaustive suite enumeration, the nearest-reference scan under its own 1-d
+norms, the loops of the one-test and Lipschitz rankings, the layer factors'
+Python fold, a vertex-enumeration LP solver, the simplex's column-gather
+pivot and ratio scan, and per-position conv and maxpool kernels with the
+conv matrix built from them. These stay deliberately naive so they share no
+code path with the implementations they check (forward passes are memoized
+for speed, nothing else is)."""
 
 import math
 from itertools import combinations
@@ -66,6 +67,24 @@ def brute_eval(e, binding, net, memo=None):
 
 def _linf(v):
     return float(np.max(np.abs(v)))
+
+
+def _norm_1d(diff, norm):
+    """The linf or l0 norm of a list of floats, one entry at a time."""
+    if norm == "linf":
+        return max((abs(d) for d in diff), default=0.0)
+    return float(sum(1 for d in diff if abs(d) > logic.QUANT_TOL))
+
+
+def loop_nearest(refs, t):
+    """The per-reference scan with a strict ``<``, under ``_norm_1d``."""
+    t = [float(v) for v in np.ravel(t)]
+    best_idx, best_dist = 0, None
+    for i, row in enumerate(refs.inputs):
+        d = _norm_1d([float(r) - v for r, v in zip(row, t)], refs.norm)
+        if best_dist is None or d < best_dist:
+            best_idx, best_dist = i, d
+    return best_idx, best_dist
 
 
 def _sign(x, layer, neuron, net, memo):

@@ -137,6 +137,34 @@ class TestRunCommand:
         args = base_args(workspace, out, extra=["--timeout", "0.000001"])
         assert main(args) == 3
 
+    @pytest.mark.parametrize("content", [None, "{not json", '{"input_shape": [4]}'])
+    def test_unreadable_model_exit_code(self, workspace, content, capsys):
+        model = workspace["dir"] / "bad_model.json"
+        if content is not None:  # None: the file does not exist
+            model.write_text(content)
+        out = workspace["dir"] / "out_bad_model"
+        args = base_args(workspace, out)
+        args[args.index(str(workspace["model"]))] = str(model)
+        assert main(args) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["seeds", "refs"])
+    def test_unreadable_npy_exit_code(self, workspace, which, capsys):
+        bad = workspace["dir"] / "bad.npy"
+        bad.write_text("not an npy file")
+        if which == "refs":
+            refs = workspace["dir"] / "bad_refs"
+            refs.mkdir()
+            (refs / "inputs.npy").write_bytes(bad.read_bytes())
+            bad = refs
+        out = workspace["dir"] / "out_bad_npy"
+        args = base_args(workspace, out)
+        args[args.index(str(workspace[which]))] = str(bad)
+        assert main(args) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_directory_input(self, workspace):
         seed_dir = workspace["dir"] / "seed_dir"
         seed_dir.mkdir()
@@ -220,3 +248,41 @@ class TestVerifyCommand:
             "--refs", str(workspace["refs"]),
         ])
         assert code == 1
+
+    def verify_args(self, workspace, out, model=None):
+        return ["verify", "--out", str(out), "--model", str(model or workspace["model"]),
+                "--refs", str(workspace["refs"])]
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_verify_unreadable_model_exit_code(self, workspace, content, capsys):
+        out = workspace["dir"] / "vout3"
+        self.run_first(workspace, out)
+        model = workspace["dir"] / "bad_model.json"
+        if content is not None:  # None: the file does not exist
+            model.write_text(content)
+        assert main(self.verify_args(workspace, out, model)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_verify_report_without_config_exit_code(self, workspace, capsys):
+        out = workspace["dir"] / "vout4"
+        self.run_first(workspace, out)
+        report = json.loads((out / "report.json").read_text())
+        del report["config"]
+        (out / "report.json").write_text(json.dumps(report))
+        assert main(self.verify_args(workspace, out)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, b"not an npy file"])
+    def test_verify_unreadable_record_fails(self, workspace, content, capsys):
+        out = workspace["dir"] / "vout5"
+        self.run_first(workspace, out)
+        report = json.loads((out / "report.json").read_text())
+        report["adversarial"].append({"file": "adv99999.npy"})
+        (out / "report.json").write_text(json.dumps(report))
+        if content is not None:  # None: the record's file does not exist
+            (out / "adversarial").mkdir(exist_ok=True)
+            (out / "adversarial" / "adv99999.npy").write_bytes(content)
+        capsys.readouterr()
+        assert main(self.verify_args(workspace, out)) == 1
+        printed = capsys.readouterr().out
+        assert "adv99999.npy: cannot check" in printed and "-> FAIL" in printed

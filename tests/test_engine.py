@@ -27,7 +27,7 @@ from concolic_dnn.engine import (
     save_run,
 )
 from concolic_dnn.lipschitz import LipConfig
-from concolic_dnn.logic import coverage, satisfies
+from concolic_dnn.logic import Box, coverage, satisfies
 from concolic_dnn.lp import LpError
 from concolic_dnn.network import (
     ActivationCache, Conv2D, Dense, Flatten, MaxPool, Network, forward, save_model,
@@ -313,11 +313,13 @@ class TestNbcBounds:
     def test_widening_expands_range(self, mid_net):
         rng = np.random.default_rng(3)
         samples = [rng.uniform(0, 1, 4) for _ in range(50)]
-        tight_h, tight_l = nbc_bounds_from_samples(mid_net, samples, widen=0.0)
-        wide_h, wide_l = nbc_bounds_from_samples(mid_net, samples, widen=0.1)
-        for pos in tight_h:
-            assert wide_h[pos] >= tight_h[pos]
-            assert wide_l[pos] <= tight_l[pos]
+        high, low = nbc_bounds_from_samples(mid_net, samples)
+        acts = network.forward_batch(mid_net, samples)
+        for (k, i) in high:
+            u = acts.u_flat(k)[:, i]
+            span = u.max() - u.min()
+            assert high[(k, i)] == u.max() + engine.NBC_WIDEN * span
+            assert low[(k, i)] == u.min() - engine.NBC_WIDEN * span
 
 
 class TestSampleSetForwardedOnce:
@@ -804,8 +806,8 @@ class TestDeterminismAndArtifacts:
         untimed = lipschitz.alternating_search(*calls[0])
         assert outcomes[0].executions == 1
         assert outcomes[0].evals < untimed.evals
-        lower, upper = lipschitz.domain_box(calls[0][1], cfg.lip.delta)
-        assert np.all(outcomes[0].witness.t2 >= lower) and np.all(outcomes[0].witness.t2 <= upper)
+        box = Box(tuple(calls[0][1]), cfg.lip.delta)
+        assert np.all(outcomes[0].witness.t2 >= box.lower) and np.all(outcomes[0].witness.t2 <= box.upper)
         assert result.timed_out
         assert {r.status for r in result.requirements} == {"open"}
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from concolic_dnn import l0search
-from concolic_dnn.l0search import L0Budget, l0_distance, symbolic_l0
-from concolic_dnn.logic import gen_nbc, gen_nc, gen_ssc
+from concolic_dnn.l0search import L0Budget, symbolic_l0
+from concolic_dnn.logic import distance, gen_nbc, gen_nc, gen_ssc
 from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward, forward_batch
 
 from conftest import dense_net
@@ -24,39 +24,6 @@ def single_neuron_net(weights, bias):
     )
 
 
-class TestL0Distance:
-    def test_identical_inputs(self):
-        x = np.full(5, 0.4)
-        assert l0_distance(x, x) == 0
-
-    def test_one_pixel_changed(self):
-        a = np.full(5, 0.4)
-        b = a.copy()
-        b[2] = 1.0
-        assert l0_distance(a, b) == 1
-
-    def test_sub_quantization_changes_ignored(self):
-        a = np.full(5, 0.4)
-        b = a + 1.0 / 1000.0  # below the 1/510 tolerance
-        assert l0_distance(a, b) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            l0_distance(np.zeros(3), np.zeros(4))
-
-    @given(
-        st.lists(st.floats(0, 1, width=32), min_size=1, max_size=12),
-        st.lists(st.floats(0, 1, width=32), min_size=1, max_size=12),
-    )
-    def test_symmetric_and_bounded(self, xs, ys):
-        n = min(len(xs), len(ys))
-        a, b = np.array(xs[:n]), np.array(ys[:n])
-        d = l0_distance(a, b)
-        assert d == l0_distance(b, a)
-        assert 0 <= d <= n
-        assert l0_distance(a, a) == 0
-
-
 class TestSymbolicL0:
     def test_single_pixel_activates_target(self):
         # u = 5 * x3 - 2.5: only pixel 3 at value 1 activates the neuron
@@ -65,7 +32,7 @@ class TestSymbolicL0:
         t = np.array([0.5, 0.5, 0.5, 0.3])
         result = symbolic_l0(net, t, r)
         assert result is not None
-        assert l0_distance(t, result) == 1
+        assert distance(t, result, "l0") == 1
         assert result[3] == 1.0
         assert forward(net, result).u_flat(2)[0] >= 0
 
@@ -84,7 +51,7 @@ class TestSymbolicL0:
                     best = cand
         assert best is not None  # one-pixel fix exists
         assert result is not None
-        assert l0_distance(t, result) == 1
+        assert distance(t, result, "l0") == 1
         assert forward(net, result).u_flat(2)[0] >= 0
 
     def test_already_satisfied_returns_input_unchanged(self):
@@ -93,7 +60,7 @@ class TestSymbolicL0:
         t = np.array([0.5, 0.5])
         result = symbolic_l0(net, t, r)
         assert np.array_equal(result, t)
-        assert l0_distance(t, result) == 0
+        assert distance(t, result, "l0") == 0
 
     def test_dead_neuron_fails_within_budget(self):
         net = single_neuron_net([0.5, -0.5], -2.0)  # max u over [0,1]^2 is -1.5
@@ -108,7 +75,7 @@ class TestSymbolicL0:
             t = rng.uniform(0, 1, 6)
             result = symbolic_l0(net, t, r, budget)
             if result is not None:
-                assert l0_distance(t, result) <= 3
+                assert distance(t, result, "l0") <= 3
 
     def test_nbc_objective_side(self):
         net = single_neuron_net([2.0, 0.0], 0.0)

@@ -14,10 +14,10 @@ from concolic_dnn.lipschitz import (
     LipConfig,
     alternating_search,
     compass_minimize,
-    domain_box,
     lip_ratio,
     random_baseline,
 )
+from concolic_dnn.logic import Box
 from concolic_dnn.network import Dense, Network, forward_batch
 
 from conftest import dense_net, identity_net
@@ -129,16 +129,16 @@ class TestStageOne:
         assert not out.witness.satisfied
         assert out.witness.ratio > 0.0
         assert np.array_equal(out.witness.t1, seed)  # the first run is anchored at the seed
-        lower, upper = domain_box(seed, 0.1)
-        assert np.all(out.witness.t2 >= lower) and np.all(out.witness.t2 <= upper)
+        box = Box(tuple(seed), 0.1)
+        assert np.all(out.witness.t2 >= box.lower) and np.all(out.witness.t2 <= box.upper)
 
     def test_witness_pair_respects_box(self, mid_net):
         cfg = LipConfig(c=0.01, delta=0.05, max_executions=1)
         seed = np.full(4, 0.5)
         out = alternating_search(mid_net, seed, cfg)
-        lower, upper = domain_box(seed, 0.05)
+        box = Box(tuple(seed), 0.05)
         for point in (out.witness.t1, out.witness.t2):
-            assert np.all(point >= lower - 1e-12) and np.all(point <= upper + 1e-12)
+            assert np.all(point >= box.lower - 1e-12) and np.all(point <= box.upper + 1e-12)
 
 
 class TestStageTwo:
@@ -195,9 +195,9 @@ class TestAlternatingSearch:
         cfg = LipConfig(c=2.0, delta=0.08)
         seed = np.full(4, 0.5)
         out = alternating_search(mid_net, seed, cfg)
-        lower, upper = domain_box(seed, 0.08)
+        box = Box(tuple(seed), 0.08)
         for point in (out.witness.t1, out.witness.t2):
-            assert np.all(point >= lower - 1e-12) and np.all(point <= upper + 1e-12)
+            assert np.all(point >= box.lower - 1e-12) and np.all(point <= box.upper + 1e-12)
 
 
 def assert_same_search(got, want):

@@ -13,6 +13,8 @@ from concolic_dnn.logic import (
     EvalError,
     GenerationError,
     InBox,
+    NORMS,
+    QUANT_TOL,
     Not,
     Requirement,
     SignEq,
@@ -22,6 +24,7 @@ from concolic_dnn.logic import (
     SuiteState,
     Var,
     coverage,
+    distance,
     eval_bool,
     expand,
     gen_lipschitz,
@@ -339,7 +342,7 @@ class TestGenerators:
 
         rng = np.random.default_rng(7)
         samples = [rng.uniform(0, 1, 4) for _ in range(200)]
-        high, low = nbc_bounds_from_samples(mid_net, samples, widen=0.0)
+        high, low = nbc_bounds_from_samples(mid_net, samples)
         reqs = gen_nbc(mid_net, high, low)
         for s in samples[::20]:
             for r in reqs:
@@ -589,3 +592,73 @@ class TestSuiteState:
         for reqs in (gen_nc(mid_net), gen_lipschitz(part, 1.0)):
             with pytest.raises(EvalError):
                 suite_satisfies(SuiteState(mid_net), reqs)
+
+
+# signed zeros, the entries within one ulp of +-QUANT_TOL, and arbitrary values
+NEAR_TOL = [QUANT_TOL, np.nextafter(QUANT_TOL, 0.0), np.nextafter(QUANT_TOL, 1.0)]
+entry = st.one_of(st.sampled_from([0.0, -0.0, *NEAR_TOL, *(-v for v in NEAR_TOL)]),
+                  st.floats(-2.0, 2.0))
+
+
+@st.composite
+def stacked_pairs(draw):
+    """Two stacks of rows of one width (width 1 included), with repeated rows."""
+    row = st.lists(entry, min_size=(width := draw(st.integers(1, 5))), max_size=width)
+    a = draw(st.lists(row, min_size=1, max_size=6))
+    a += [a[i] for i in draw(st.lists(st.integers(0, len(a) - 1), max_size=3))]
+    b = draw(st.lists(row, min_size=len(a), max_size=len(a)))
+    return np.array(a), np.array(b)
+
+
+class TestDistance:
+    @pytest.mark.parametrize("norm", NORMS)
+    @given(case=stacked_pairs())
+    def test_stacked_rows_match_each_row_bit_for_bit(self, norm, case):
+        a, b = case
+        for other in (b, b[0]):  # row i against row i, and every row against one
+            stacked = distance(a, other, norm)
+            assert stacked.dtype == np.float64 and stacked.shape == (len(a),)
+            for i, row in enumerate(a):
+                own = distance(row, other if other.ndim == 1 else other[i], norm)
+                assert stacked[i].tobytes() == own.tobytes()
+
+    def test_identical_inputs(self):
+        x = np.full(5, 0.4)
+        assert distance(x, x, "l0") == 0 and distance(x, x, "linf") == 0
+
+    def test_one_pixel_changed(self):
+        a = np.full(5, 0.4)
+        b = a.copy()
+        b[2] = 1.0
+        assert distance(a, b, "l0") == 1
+        assert distance(a, b, "linf") == 0.6
+
+    def test_sub_quantization_changes_ignored(self):
+        a = np.full(5, 0.4)
+        b = a + 1.0 / 1000.0  # below the 1/510 tolerance
+        assert distance(a, b, "l0") == 0
+
+    def test_empty_vector_is_zero(self):
+        assert distance(np.empty(0), np.empty(0), "linf") == 0.0
+        assert distance(np.empty((3, 0)), np.empty(0), "linf").tolist() == [0.0] * 3
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            distance(np.zeros(3), np.zeros(4), "l0")
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "foo"])
+    def test_unknown_norm(self, norm):
+        with pytest.raises(EvalError):
+            distance(np.zeros(3), np.ones(3), norm)
+
+    @given(
+        st.lists(st.floats(0, 1, width=32), min_size=1, max_size=12),
+        st.lists(st.floats(0, 1, width=32), min_size=1, max_size=12),
+    )
+    def test_symmetric_and_bounded(self, xs, ys):
+        n = min(len(xs), len(ys))
+        a, b = np.array(xs[:n]), np.array(ys[:n])
+        d = distance(a, b, "l0")
+        assert d == distance(b, a, "l0")
+        assert 0 <= d <= n
+        assert distance(a, a, "l0") == 0

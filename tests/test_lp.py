@@ -521,7 +521,7 @@ class TestSymbolicLp:
 
         rng = np.random.default_rng(12)
         samples = [rng.uniform(0, 1, 4) for _ in range(100)]
-        high, low = nbc_bounds_from_samples(mid_net, samples, widen=0.0)
+        high, low = nbc_bounds_from_samples(mid_net, samples)
         x = samples[0]
         done = 0
         for r in gen_nbc(mid_net, high, low)[:24]:

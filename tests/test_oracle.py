@@ -6,11 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from concolic_dnn import logic, oracle
-from concolic_dnn.logic import gen_nc
+from concolic_dnn.logic import NORMS, gen_nc
 from concolic_dnn.network import ActivationCache, Dense, Network, forward
 from concolic_dnn.oracle import (
     ReferenceSet,
-    _dist,
     nearest,
     report_to_dict,
     robustness_check,
@@ -20,6 +19,7 @@ from concolic_dnn.oracle import (
 )
 
 from conftest import dense_net
+from helpers import loop_nearest
 
 
 def boundary_net():
@@ -56,19 +56,8 @@ class TestNearest:
         assert idx == 0
 
 
-NORMS = ("linf", "l0", "l1", "l2")
 # A coarse grid next to arbitrary values makes equal distances common.
 coordinate = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-2.0, 2.0))
-
-
-def loop_nearest(refs, t):
-    """The per-reference scan over ``_dist`` with a strict ``<``."""
-    best_idx, best_dist = 0, _dist(refs.inputs[0], t, refs.norm)
-    for i in range(1, len(refs)):
-        d = _dist(refs.inputs[i], t, refs.norm)
-        if d < best_dist:
-            best_idx, best_dist = i, d
-    return best_idx, best_dist
 
 
 @st.composite
@@ -108,6 +97,11 @@ class TestNearestAgainstLoop:
     def test_non_finite_references_rejected(self):
         with pytest.raises(ValueError):
             ReferenceSet(np.array([[0.0, np.nan]]), np.zeros(1))
+
+    @pytest.mark.parametrize("norm", ["l1", "l2", "foo"])
+    def test_unknown_norm_rejected(self, norm):
+        with pytest.raises(ValueError, match="unknown norm"):
+            ReferenceSet(np.zeros((2, 2)), np.zeros(2), norm=norm)
 
 
 class TestValidity:
