@@ -29,7 +29,6 @@ from .logic import (
     suite_satisfies,
 )
 from .ranking import (
-    LayerFactors,
     RankedCandidate,
     estimate_layer_factors,
     rank_lipschitz,
@@ -59,7 +58,6 @@ from .oracle import (
     CoverageReport,
     ReferenceSet,
     nearest,
-    robustness_check,
     suite_report,
     validity_check,
 )

@@ -161,7 +161,7 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"{report_path}: malformed config ({exc!r})") from exc
     net = _read(load_model, args.model)
     refs = load_refs(args.refs, norm, net)
-    load_suite(os.path.join(args.out, "suite"))  # fails loudly on corruption
+    _read(load_suite, os.path.join(args.out, "suite"))  # a corrupt suite is a configuration error
     cache = ActivationCache(net)
     ok = True
     for entry in report.get("adversarial", []):

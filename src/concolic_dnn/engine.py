@@ -51,7 +51,6 @@ from .oracle import (
     validity_check,
 )
 from .ranking import (
-    LayerFactors,
     RankedCandidate,
     estimate_layer_factors,
     rank_lipschitz,
@@ -238,7 +237,7 @@ class _Loop:
     state: SuiteState  # the suite's activations as of the last satisfaction pass
     rng: np.random.Generator
     deadline: float
-    factors: LayerFactors
+    factors: dict[int, float]  # the layer factors, by hidden layer
     suite: TestSuite
     dump_hook: Optional[Callable]
     tried: dict = field(default_factory=dict)  # id(requirement) -> source tests attempted

@@ -2,9 +2,10 @@
 
 Instead of an LP (which needs a linear distance metric), NC and NBC
 requirements are attacked by changing one pixel at a time: every step
-evaluates the requirement's gap (``tag.gap``) for each not-yet-modified pixel
-set to each extreme value, 0 and 1, that differs from its source value, and
-applies the single best strictly-improving change (the first one on ties).
+evaluates the requirement's gap (its tag class's ``gaps``, the ranking's
+formula) for each not-yet-modified pixel set to each extreme value, 0 and 1,
+that differs from its source value, and applies the single best
+strictly-improving change (the first one on ties).
 The candidates go in ``forward_batch`` calls of up to ``net.batch_rows`` rows
 that stop at the requirement's layer, the last one the gap reads. The search
 stops as soon as the requirement holds, or fails when the pixel budget is
@@ -51,9 +52,10 @@ def symbolic_l0(
     tag = r.tag
     if not hasattr(tag, "reached"):
         raise ValueError(f"L0 search needs a one-neuron requirement, not {type(tag).__name__}")
+    k = tag.layer
 
     cur = np.ravel(np.asarray(t, dtype=np.float64)).copy()
-    value = tag.gap(forward(net, cur) if acts is None else acts)
+    value = tag.gaps((forward(net, cur) if acts is None else acts).u_flat(k)[None], [tag])[0, 0]
     if tag.reached(value):
         return cur
     free = np.ones(cur.size, dtype=bool)  # pixels not modified yet
@@ -72,7 +74,7 @@ def symbolic_l0(
             hi = min(lo + net.batch_rows, pixels.size)
             cands = np.repeat(cur[None, :], hi - lo, axis=0)
             cands[np.arange(hi - lo), pixels[lo:hi]] = extremes[lo:hi]
-            gaps[lo:hi] = tag.gap(forward_batch(net, cands, last=tag.layer))
+            gaps[lo:hi] = tag.gaps(forward_batch(net, cands, last=k).u_flat(k), [tag])[0]
         best = int(np.argmax(gaps))  # the first maximum: lowest pixel, then 0 before 1
         if not gaps[best] > value:
             return None

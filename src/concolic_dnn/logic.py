@@ -184,32 +184,27 @@ class Box:
 
 
 # A tag names one requirement and carries its family's per-requirement facts:
-# ``criterion`` (its row in ``engine.FAMILIES``), ``label``, ``order_key`` (the
-# deterministic ranking order) and, for the one-test families, ``gap(acts)``:
-# how close a test is to satisfying the requirement, higher is closer (NC: u;
-# SSC: -|u| at the condition neuron; NBC: u - high or low - u). The gap is the
-# ranking score before layer scaling and the L0 search objective. Given an
-# ``ActivationBatch`` or a ``SuiteState`` instead of one ``Activations``, it
-# returns one gap per row, which is how the L0 search scores a step's
-# candidates and ``ranked_tests`` scores a suite. Indexing
-# ``u_flat(layer).T`` gives one input a numpy scalar, not the 0-d array of
-# ``[..., neuron]``, which made scoring one test slower. ``gaps(u, tags)``
-# (NC, SSC, NBC) is ``gap`` for many tags of one layer at once: given that
-# layer's (rows x neurons) pre-activations, one row of gaps per tag, with the
-# same float64 operations, so ``rank`` scores a layer's requirements with one
-# slice. ``reached`` (NC and NBC, the L0 families) says whether a gap
-# satisfies the requirement. ``settle(state, tags, start)`` says, for each of
-# ``tags`` (of one layer, for the one-test families), whether the suite whose
-# ``SuiteState`` is ``state`` satisfies it with a test at an index >=
-# ``start`` (a pair that uses one, for SSC and Lipschitz); the loop's
-# satisfaction pass calls it through ``suite_satisfies``. ``lp_target(acts)``
-# (NC, SSC, NBC) is the LP synthesis target from the source test with
-# activations ``acts``: ``(signs, k_star, bound)``. ``signs[k]`` is a sign
-# array over layer k's neurons for each ReLU layer up to the top layer
-# ``k_star``: +1 asks for u >= EPS_STRICT, -1 for u <= -EPS_STRICT, and 0,
-# allowed only at ``k_star``, leaves the neuron open. ``bound`` is the
-# threshold of the NBC row on the top layer, the tag's own high + EPS_STRICT
-# or low - EPS_STRICT (None for NC and SSC).
+# ``label``, ``order_key`` (the deterministic ranking order) and, for the
+# one-test families, the class's ``gaps(u, tags)``: how close each test is to
+# satisfying each of ``tags`` (of one layer), higher is closer (NC: u; SSC:
+# -|u| at the condition neuron; NBC: u - high or low - u). Given that layer's
+# (rows x neurons) pre-activations, it returns one row of gaps per tag. It is
+# the family's one gap formula: the ranking score before layer scaling (a
+# layer's requirements in one slice for ``rank``, one tag's row for
+# ``ranked_tests``) and the L0 search objective (one row for the source
+# test, one per step's batch of candidates). ``reached`` (NC and NBC, the L0
+# families) says whether a gap satisfies the requirement. ``settle(state,
+# tags, start)`` says, for each of ``tags`` (of one layer, for the one-test
+# families), whether the suite whose ``SuiteState`` is ``state`` satisfies it
+# with a test at an index >= ``start`` (a pair that uses one, for SSC and
+# Lipschitz); the loop's satisfaction pass calls it through
+# ``suite_satisfies``. ``lp_target(acts)`` (NC, SSC, NBC) is the LP synthesis
+# target from the source test with activations ``acts``: ``(signs, k_star,
+# bound)``. ``signs[k]`` is a sign array over layer k's neurons for each ReLU
+# layer up to the top layer ``k_star``: +1 asks for u >= EPS_STRICT, -1 for
+# u <= -EPS_STRICT, and 0, allowed only at ``k_star``, leaves the neuron
+# open. ``bound`` is the threshold of the NBC row on the top layer, the tag's
+# own high + EPS_STRICT or low - EPS_STRICT (None for NC and SSC).
 
 
 def _target_signs(acts: Activations, k_star: int, flips=()) -> dict[int, np.ndarray]:
@@ -227,7 +222,6 @@ def _target_signs(acts: Activations, k_star: int, flips=()) -> dict[int, np.ndar
 class NCTag:
     """Neuron coverage: activate neuron (layer, neuron)."""
 
-    criterion = "nc"
     layer: int
     neuron: int
 
@@ -236,9 +230,6 @@ class NCTag:
 
     def order_key(self) -> tuple:
         return (self.layer, self.neuron)
-
-    def gap(self, acts: Activations) -> float:
-        return acts.u_flat(self.layer).T[self.neuron]
 
     @staticmethod
     def gaps(u: np.ndarray, tags: Sequence[NCTag]) -> np.ndarray:
@@ -261,7 +252,6 @@ class NCTag:
 class SSCTag:
     """Sign-sign coverage: condition (layer, cond) flips decision (layer+1, decision)."""
 
-    criterion = "ssc"
     layer: int
     cond: int
     decision: int
@@ -272,9 +262,6 @@ class SSCTag:
     def order_key(self) -> tuple:
         return (self.layer, self.cond, self.decision)
 
-    def gap(self, acts: Activations) -> float:
-        return -abs(acts.u_flat(self.layer).T[self.cond])
-
     @staticmethod
     def gaps(u: np.ndarray, tags: Sequence[SSCTag]) -> np.ndarray:
         # -|u| of each condition neuron once, then one row per tag
@@ -282,7 +269,23 @@ class SSCTag:
 
     @staticmethod
     def settle(state: SuiteState, tags: Sequence[SSCTag], start: int) -> np.ndarray:
-        hits = state.ssc_hits(tags[0].layer, start)
+        """Looks each tag up in layer k's hit table, whose entry (i, j) is
+        whether some pair of tests, one at an index >= ``start``, differs in
+        the sign of condition neuron (k, i) alone among layer k and in the
+        sign of decision neuron (k + 1, j). The SSC body is symmetric in its
+        two inputs, so pairing each new test with every test covers every
+        ordered pair that uses a new one."""
+        k = tags[0].layer
+        signs, decisions = state.u_flat(k) >= 0.0, state.u_flat(k + 1) >= 0.0
+        on = signs.astype(np.float64)
+        # differing condition bits of each (new, any) pair: popcount of the
+        # XOR of the sign rows, exact as a product of 0/1 floats
+        differ = on[start:] @ (1.0 - on).T + (1.0 - on[start:]) @ on.T
+        new, other = np.nonzero(differ == 1.0)
+        new += start
+        cond = signs[new] ^ signs[other]  # one set bit per row: the condition neuron
+        flips = decisions[new] ^ decisions[other]
+        hits = cond.T.astype(np.float64) @ flips > 0.0
         return hits[[t.cond for t in tags], [t.decision for t in tags]]
 
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, None]:
@@ -297,7 +300,6 @@ class SSCTag:
 class NBCTag:
     """Neuron boundary coverage, one side of neuron (layer, neuron)."""
 
-    criterion = "nbc"
     layer: int
     neuron: int
     side: str  # "hi" | "lo"
@@ -309,10 +311,6 @@ class NBCTag:
 
     def order_key(self) -> tuple:
         return (self.layer, self.neuron, 0 if self.side == "hi" else 1)
-
-    def gap(self, acts: Activations) -> float:
-        u = acts.u_flat(self.layer).T[self.neuron]
-        return (u - self.high) if self.side == "hi" else (self.low - u)
 
     @staticmethod
     def gaps(u: np.ndarray, tags: Sequence[NBCTag]) -> np.ndarray:
@@ -341,7 +339,6 @@ class NBCTag:
 class LipTag:
     """Lipschitz coverage for ``region``, the partition's box number ``box``."""
 
-    criterion = "lipschitz"
     box: int
     threshold: float
     region: Box
@@ -618,9 +615,9 @@ class SuiteState:
 
     ``u_flat(k)`` (input layer 1 or a hidden ReLU layer k) and ``out`` are
     (tests x neurons) arrays whose row i is test i's, so a one-test family's
-    ``tag.gap(state)`` gives one gap per test. ``extend`` appends the rows of
-    new tests; the arrays grow by doubling, so each row is copied O(1) times
-    on average.
+    ``gaps(state.u_flat(k), tags)`` gives one gap per tag and test.
+    ``extend`` appends the rows of new tests; the arrays grow by doubling, so
+    each row is copied O(1) times on average.
     """
 
     def __init__(self, net: Network):
@@ -629,7 +626,6 @@ class SuiteState:
         widths["out"] = net.width(net.num_layers)
         self._rows = {key: np.empty((0, width)) for key, width in widths.items()}
         self._size = 0
-        self._ssc_hits: dict[tuple[int, int], np.ndarray] = {}  # (k, start) -> ssc_hits
 
     def __len__(self) -> int:
         return self._size
@@ -644,7 +640,6 @@ class SuiteState:
             for row, a in enumerate(acts, self._size):
                 rows[row] = a.out if key == "out" else a.u_flat(key)
         self._size = n
-        self._ssc_hits.clear()
 
     def u_flat(self, k: int) -> np.ndarray:
         return self._rows[k][:self._size]
@@ -652,29 +647,6 @@ class SuiteState:
     @property
     def out(self) -> np.ndarray:
         return self._rows["out"][:self._size]
-
-    def ssc_hits(self, k: int, start: int) -> np.ndarray:
-        """(width(k) x width(k + 1)) bools: entry (i, j) is whether some pair
-        of tests, one at an index >= ``start``, differs in the sign of
-        condition neuron (k, i) alone among layer k and in the sign of
-        decision neuron (k + 1, j). Computed once per suite size.
-
-        The SSC body is symmetric in its two inputs, so pairing each new test
-        with every test covers every ordered pair that uses a new one.
-        """
-        hits = self._ssc_hits.get((k, start))
-        if hits is None:
-            signs, decisions = self.u_flat(k) >= 0.0, self.u_flat(k + 1) >= 0.0
-            on = signs.astype(np.float64)
-            # differing condition bits of each (new, any) pair: popcount of the
-            # XOR of the sign rows, exact as a product of 0/1 floats
-            distance = on[start:] @ (1.0 - on).T + (1.0 - on[start:]) @ on.T
-            new, other = np.nonzero(distance == 1.0)
-            new += start
-            cond = signs[new] ^ signs[other]  # one set bit per row: the condition neuron
-            flips = decisions[new] ^ decisions[other]
-            hits = self._ssc_hits[(k, start)] = cond.T.astype(np.float64) @ flips > 0.0
-        return hits
 
 
 def layer_groups(reqs: Sequence[Requirement]) -> dict[tuple, tuple[list[int], list[Tag]]]:

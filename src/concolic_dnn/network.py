@@ -512,6 +512,13 @@ def _parse_float_array(raw, what: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _parse_ints(raw, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(d) for d in raw)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{what}: not a list of integers ({exc})") from exc
+
+
 def _layer_from_json(raw: dict, idx: int) -> Layer:
     _require(isinstance(raw, dict) and "kind" in raw, f"layer {idx}: missing 'kind'")
     kind = raw["kind"]
@@ -526,14 +533,14 @@ def _layer_from_json(raw: dict, idx: int) -> Layer:
     if kind == "conv2d":
         kernels = _parse_float_array(raw.get("kernels"), f"layer {idx}: kernels", 4)
         bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias", 1)
-        stride = tuple(int(s) for s in raw.get("stride", [1, 1]))
+        stride = _parse_ints(raw.get("stride", [1, 1]), f"layer {idx}: stride")
         _require(len(stride) == 2 and all(s >= 1 for s in stride), f"layer {idx}: bad stride")
         padding = raw.get("padding", "valid")
         _require(padding in ("valid", "same"), f"layer {idx}: bad padding {padding!r}")
         return Conv2D(kernels=kernels, bias=bias, stride=stride, padding=padding,
                       relu=bool(raw.get("relu", False)))
     if kind == "maxpool":
-        window = tuple(int(w) for w in raw.get("window", ()))
+        window = _parse_ints(raw.get("window", ()), f"layer {idx}: window")
         _require(len(window) == 2 and all(w >= 1 for w in window), f"layer {idx}: bad window")
         return MaxPool(window=window)
     if kind == "flatten":
@@ -549,6 +556,7 @@ def load_model(path: str) -> Network:
             raise ModelError(f"{path}: invalid JSON ({exc})") from exc
     _require(isinstance(doc, dict), f"{path}: top-level object expected")
     _require("input_shape" in doc and "layers" in doc, f"{path}: missing input_shape or layers")
-    input_shape = tuple(int(d) for d in doc["input_shape"])
+    input_shape = _parse_ints(doc["input_shape"], f"{path}: input_shape")
+    _require(isinstance(doc["layers"], list), f"{path}: layers must be a list")
     layers = [_layer_from_json(raw, i) for i, raw in enumerate(doc["layers"])]
     return Network(input_shape=input_shape, layers=layers)

@@ -1,12 +1,13 @@
 """Post-hoc test oracle.
 
 A generated input only counts if it stays within a distance bound of some
-trusted reference input (validity); a valid input is adversarial when the
-network labels it differently from its nearest reference. The oracle runs
-over a finished suite and never steers generation. It evaluates no
-requirement: the concolic loop settles each requirement's status, and the
-report counts the statuses as given. Distances are ``logic.distance`` under
-the reference set's norm, L-infinity or L0.
+trusted reference input (validity, checked as each input is admitted); a
+valid input is adversarial when the network labels it differently from its
+nearest reference, which the report on a finished suite records. The oracle
+never steers generation. It evaluates no requirement: the concolic loop
+settles each requirement's status, and the report counts the statuses as
+given. Distances are ``logic.distance`` under the reference set's norm,
+L-infinity or L0.
 """
 
 from __future__ import annotations
@@ -83,21 +84,6 @@ class AdversarialRecord:
     nearest_label: int
     trusted_label: int
     norm: str
-
-
-def robustness_check(
-    net: Network,
-    refs: ReferenceSet,
-    t: np.ndarray,
-    test_index: int = -1,
-    cache: Optional[ActivationCache] = None,
-) -> tuple[bool, Optional[AdversarialRecord]]:
-    """Compare the network's label on ``t`` with its label on the nearest reference."""
-    if cache is None:
-        cache = ActivationCache(net)
-    idx, dist = nearest(refs, t)
-    record = _adversarial_record(refs, t, idx, dist, test_index, cache)
-    return record is None, record
 
 
 def _adversarial_record(

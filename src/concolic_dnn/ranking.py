@@ -2,8 +2,9 @@
 suite and pick the most promising (test, requirement) pair for symbolic
 analysis.
 
-Scores use a per-layer factor c_k = 1 / mean |u| (estimated on a sample set)
-so that values from layers of different magnitude are comparable. Tie-breaking
+A one-test requirement's score is c_k times its tag class's ``gaps`` at layer
+k, with a per-layer factor c_k = 1 / mean |u| (estimated on a sample set) so
+that values from layers of different magnitude are comparable. Tie-breaking
 is deterministic: lowest tag ``order_key`` (layer first, then neuron), then
 earliest test. Every family is ranked over the suite's ``SuiteState``: the
 one-test families (NC, SSC, NBC) by one score matrix, requirements by tests,
@@ -26,24 +27,14 @@ FACTOR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class LayerFactors:
-    """Positive normalisation constant per hidden layer."""
-
-    factors: dict[int, float]
-
-    def __getitem__(self, k: int) -> float:
-        return self.factors[k]
-
-
-@dataclass(frozen=True)
 class RankedCandidate:
     requirement: Requirement
     tests: tuple[int, ...]  # indices into the suite
     score: float
 
 
-def estimate_layer_factors(net: Network, samples: Sequence) -> LayerFactors:
-    """c_k = 1 / max(mean |u_k| over samples and neurons, 1e-12).
+def estimate_layer_factors(net: Network, samples: Sequence) -> dict[int, float]:
+    """c_k = 1 / max(mean |u_k| over samples and neurons, 1e-12), by hidden layer k.
 
     ``samples`` are input vectors, one per row, or their ``ActivationBatch``.
     Each sample's |u_k| sum is added to the total in sample order (a strict
@@ -60,27 +51,18 @@ def estimate_layer_factors(net: Network, samples: Sequence) -> LayerFactors:
                                    for lo in range(0, len(u), net.batch_rows)])
         total = float(np.add.accumulate(row_sums)[-1])
         factors[k] = 1.0 / max(total / (len(acts) * net.width(k)), FACTOR_FLOOR)
-    return LayerFactors(factors)
-
-
-def score(acts, r: Requirement, factors: LayerFactors):
-    """c_k times the requirement's gap at layer k: higher is closer to satisfied.
-
-    ``acts`` is one test's ``Activations`` (one score) or a ``SuiteState`` or
-    ``ActivationBatch`` (one score per test).
-    """
-    return factors[r.tag.layer] * r.tag.gap(acts)
+    return factors
 
 
 def rank(state: SuiteState, reqs, factors) -> RankedCandidate:
-    """The (test, requirement) pair with the highest ``score`` (NC, SSC, NBC).
+    """The (test, requirement) pair with the highest score (NC, SSC, NBC).
 
     Rows of the score matrix are the requirements in ``order_key`` order,
     columns the tests; ``argmax`` takes the first maximum in that row-major
     order, so a tie goes to the lowest ``order_key``, then the earliest test.
     The rows of one (family, layer) group are filled at once, ``factors[k]``
-    times the tag class's ``gaps`` of layer k: the elementwise operations of
-    ``score``, so each entry is its ``score`` bit for bit.
+    times the tag class's ``gaps`` of layer k, elementwise, so each entry is
+    its ``ranked_tests`` score bit for bit.
     """
     if not reqs or len(state) == 0:
         raise ValueError("ranking needs at least one open requirement and one test")
@@ -98,7 +80,8 @@ rank_nc = rank_ssc = rank_nbc = rank
 
 def ranked_tests(state: SuiteState, r: Requirement, factors) -> list[RankedCandidate]:
     """All tests scored for one requirement, best first (stable on ties)."""
-    scores = score(state, r, factors)
+    tag = r.tag
+    scores = factors[tag.layer] * type(tag).gaps(state.u_flat(tag.layer), [tag])[0]
     return [RankedCandidate(r, (int(ti),), float(scores[ti]))
             for ti in np.argsort(-scores, kind="stable")]
 

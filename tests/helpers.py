@@ -1,7 +1,7 @@
 """Independent oracles used by the tests: a from-scratch formula evaluator,
 exhaustive suite enumeration, the nearest-reference scan under its own 1-d
-norms, the loops of the one-test and Lipschitz rankings, the layer factors'
-Python fold, a vertex-enumeration LP solver, the simplex's column-gather
+norms, each one-test family's gap, the loops of the one-test and Lipschitz
+rankings, the layer factors' Python fold, a vertex-enumeration LP solver, the simplex's column-gather
 pivot and ratio scan, and per-position conv and maxpool kernels with the
 conv matrix built from them. These stay deliberately naive so they share no
 code path with the implementations they check (forward passes are memoized
@@ -213,15 +213,29 @@ def pair_loop_rank_lipschitz(tests, reqs, net, memo=None):
     return best
 
 
+def ref_gap(tag, acts):
+    """A one-test requirement's gap at one test with activations ``acts``,
+    higher is closer: NC u, SSC -|u| at the condition neuron, NBC u - high or
+    low - u."""
+    if isinstance(tag, logic.NCTag):
+        return acts.u_flat(tag.layer)[tag.neuron]
+    if isinstance(tag, logic.SSCTag):
+        return -abs(acts.u_flat(tag.layer)[tag.cond])
+    if isinstance(tag, logic.NBCTag):
+        u = acts.u_flat(tag.layer)[tag.neuron]
+        return u - tag.high if tag.side == "hi" else tag.low - u
+    raise AssertionError(f"unexpected tag {type(tag).__name__}")
+
+
 def loop_rank(tests, reqs, factors, net, memo=None):
     """The one-test ranking as a loop: requirements in ``order_key`` order,
-    then tests, each pair scored ``factors[layer] * tag.gap`` of the test's
+    then tests, each pair scored ``factors[layer] * ref_gap`` of the test's
     forward pass alone, keeping the first score that beats the best so far
     strictly. Returns (requirement, test, score)."""
     best = None
     for r in sorted(reqs, key=lambda r: r.tag.order_key()):
         for i, t in enumerate(tests):
-            value = factors[r.tag.layer] * r.tag.gap(_fwd(t, net, memo))
+            value = factors[r.tag.layer] * ref_gap(r.tag, _fwd(t, net, memo))
             if best is None or value > best[2]:
                 best = (r, i, value)
     return best
@@ -362,7 +376,7 @@ def sequential_symbolic_l0(net, t, r, max_pixels):
     """The L0 sweep as a loop: one forward per pixel and differing extreme,
     keeping the first strictly best improvement of each step."""
     cur = np.ravel(np.asarray(t, dtype=np.float64)).copy()
-    value = r.tag.gap(forward(net, cur))
+    value = ref_gap(r.tag, forward(net, cur))
     if r.tag.reached(value):
         return cur
     modified = set()
@@ -376,7 +390,7 @@ def sequential_symbolic_l0(net, t, r, max_pixels):
                 if cand == original:
                     continue
                 cur[pix] = cand
-                trial = r.tag.gap(forward(net, cur))
+                trial = ref_gap(r.tag, forward(net, cur))
                 if trial > value and (best is None or trial > best[2]):
                     best = (pix, cand, trial)
             cur[pix] = original

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -137,7 +138,8 @@ class TestRunCommand:
         args = base_args(workspace, out, extra=["--timeout", "0.000001"])
         assert main(args) == 3
 
-    @pytest.mark.parametrize("content", [None, "{not json", '{"input_shape": [4]}'])
+    @pytest.mark.parametrize("content", [None, "{not json", '{"input_shape": [4]}',
+                                         '{"input_shape": [null], "layers": []}'])
     def test_unreadable_model_exit_code(self, workspace, content, capsys):
         model = workspace["dir"] / "bad_model.json"
         if content is not None:  # None: the file does not exist
@@ -271,6 +273,15 @@ class TestVerifyCommand:
         (out / "report.json").write_text(json.dumps(report))
         assert main(self.verify_args(workspace, out)) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_verify_missing_suite_exit_code(self, workspace, capsys):
+        out = workspace["dir"] / "vout6"
+        self.run_first(workspace, out)
+        shutil.rmtree(out / "suite")
+        capsys.readouterr()
+        assert main(self.verify_args(workspace, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read") and err.count("\n") == 1
 
     @pytest.mark.parametrize("content", [None, b"not an npy file"])
     def test_verify_unreadable_record_fails(self, workspace, content, capsys):

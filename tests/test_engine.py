@@ -36,6 +36,7 @@ from concolic_dnn.oracle import ReferenceSet
 from concolic_dnn.ranking import RankedCandidate
 
 from conftest import DEAD_NEURONS, dense_net, saturation_net
+from helpers import ref_gap
 
 
 def make_refs(net, n=400, seed=0, norm="linf"):
@@ -435,7 +436,7 @@ class TestRunOtherCriteria:
         monkeypatch.setattr(engine, "symbolic_lp", recording_lp)
         run(net, make_refs(net, seed=6), seeds, RunConfig("nbc", sample_count=200, rng_seed=3))
         assert len(solved) >= 10
-        missed = [tag.label() for tag, x in solved if not tag.reached(tag.gap(forward(net, x)))]
+        missed = [tag.label() for tag, x in solved if not tag.reached(ref_gap(tag, forward(net, x)))]
         assert missed == []
 
     def test_ssc_run_on_small_net(self):

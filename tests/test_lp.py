@@ -20,7 +20,7 @@ from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forwa
 from concolic_dnn.simplex import solve_lp
 
 from conftest import dense_net, identity_net
-from helpers import vertex_enum_lp
+from helpers import ref_gap, vertex_enum_lp
 
 
 def source_signs(acts, k_star):
@@ -200,7 +200,7 @@ def check_target(net, t, tag):
             flipped += [(k, int(i)) for i in on[~kept]]
             row += on.size
     if bound is not None:
-        gap = tag.gap(acts)
+        gap = ref_gap(tag, acts)
         assert values[row] == pytest.approx(EPS_STRICT - gap, abs=1e-12)
         if abs(gap) > 2 * EPS_STRICT:
             assert (values[row] > 0) == (not tag.reached(gap))
@@ -435,7 +435,7 @@ class TestNbcBranch:
         assert r.tag.side == "lo"
         x = symbolic_lp(net, np.array([0.9]), r)
         assert x is not None
-        assert r.tag.reached(r.tag.gap(forward(net, x)))
+        assert r.tag.reached(ref_gap(r.tag, forward(net, x)))
         assert x[0] == pytest.approx(0.3 - EPS_STRICT, abs=1e-9)
 
     def test_solution_crosses_bound(self):
@@ -529,7 +529,7 @@ class TestSymbolicLp:
             if t_new is None:
                 continue
             # the target crosses the requirement's own bound
-            assert r.tag.reached(r.tag.gap(forward(mid_net, t_new))), r.tag.label()
+            assert r.tag.reached(ref_gap(r.tag, forward(mid_net, t_new))), r.tag.label()
             done += 1
         assert done >= 1
 

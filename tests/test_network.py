@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -297,6 +298,24 @@ class TestModelIO:
             '{"kind": "dense", "weights": [[1, 0], [0]], "bias": [0, 0], "relu": true}]}'
         )
         with pytest.raises(ModelError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_shape", [None]),
+        ("input_shape", 5),
+        ("layers", 5),
+        ("stride", [None, 1]),
+        ("window", ["a", 2]),
+    ])
+    def test_malformed_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "malformed.json"
+        save_model(TestConvAndPool().net(), str(path))
+        doc = json.loads(path.read_text())
+        # stride is the conv layer's (layer 0), window the maxpool's (layer 1)
+        owner = {"stride": doc["layers"][0], "window": doc["layers"][1]}.get(field, doc)
+        owner[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=field):
             load_model(str(path))
 
     def test_non_finite_weight_rejected(self, tmp_path):

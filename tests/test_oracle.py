@@ -12,7 +12,6 @@ from concolic_dnn.oracle import (
     ReferenceSet,
     nearest,
     report_to_dict,
-    robustness_check,
     save_adversarial,
     suite_report,
     validity_check,
@@ -132,15 +131,15 @@ class TestRobustness:
     def test_reference_point_passes(self):
         net = boundary_net()
         rs = ReferenceSet(np.array([[0.6, 0.5]]), np.array([0]))
-        ok, record = robustness_check(net, rs, np.array([0.6, 0.5]))
-        assert ok and record is None
+        report = suite_report(net, rs, [np.array([0.6, 0.5])], gen_nc(net), bound=0.5)
+        assert report.adversarial == []
 
     def test_boundary_crossing_fails_with_record(self):
         net = boundary_net()
         rs = ReferenceSet(np.array([[0.55, 0.5]]), np.array([0]))
         t = np.array([0.45, 0.5])  # other side of the decision boundary
-        ok, record = robustness_check(net, rs, t, test_index=3)
-        assert not ok
+        report = suite_report(net, rs, [rs.inputs[0]] * 3 + [t], gen_nc(net), bound=0.5)
+        (record,) = report.adversarial
         assert record.label != record.nearest_label
         assert record.distance == pytest.approx(0.1)
         assert record.test_index == 3
@@ -157,13 +156,6 @@ class TestCallerCache:
         cache = ActivationCache(net)
         suite_report(net, refs, [np.array([0.4, 0.4])], gen_nc(net), bound=0.5, cache=cache)
         assert len(cache) > 0
-
-    def test_robustness_check_fills_an_empty_cache(self):
-        net = boundary_net()
-        rs = ReferenceSet(np.array([[0.6, 0.5]]), np.array([0]))
-        cache = ActivationCache(net)
-        robustness_check(net, rs, np.array([0.45, 0.5]), cache=cache)
-        assert len(cache) == 2
 
 
 class TestSuiteReport:
@@ -236,10 +228,10 @@ class TestSuiteReport:
         valid = [validity_check(rs, t, 0.2) for t in suite]
         expected = []
         for i, t in enumerate(suite):
-            if valid[i]:
-                ok, record = robustness_check(net, rs, t, test_index=i)
-                if not ok:
-                    expected.append(record)
+            idx, dist = loop_nearest(rs, t)
+            label, ref_label = forward(net, t).label, forward(net, rs.inputs[idx]).label
+            if dist <= 0.2 and label != ref_label:
+                expected.append((i, t.tobytes(), idx, dist, label, ref_label, 0, "linf"))
         assert 0 < len(expected) < sum(valid) < len(suite)
 
         calls = []
@@ -254,7 +246,7 @@ class TestSuiteReport:
         assert len(calls) == len(suite)
         view = lambda r: (r.test_index, r.input.tobytes(), r.nearest_index, r.distance,
                           r.label, r.nearest_label, r.trusted_label, r.norm)
-        assert [view(r) for r in report.adversarial] == [view(r) for r in expected]
+        assert [view(r) for r in report.adversarial] == expected
 
     def test_report_bound_must_be_positive(self, refs):
         net = boundary_net()
@@ -276,7 +268,8 @@ class TestSerialization:
     def test_save_adversarial_writes_vectors(self, tmp_path, refs):
         net = boundary_net()
         rs = ReferenceSet(np.array([[0.55, 0.5]]), np.array([0]))
-        _, record = robustness_check(net, rs, np.array([0.45, 0.5]), test_index=7)
+        suite = [rs.inputs[0]] * 7 + [np.array([0.45, 0.5])]
+        (record,) = suite_report(net, rs, suite, gen_nc(net), bound=0.5).adversarial
         save_adversarial([record], tmp_path)
         stored = np.load(tmp_path / "adv00007.npy")
         assert np.array_equal(stored, record.input)

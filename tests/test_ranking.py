@@ -7,6 +7,8 @@ from concolic_dnn.logic import (
     Atom,
     Box,
     Const,
+    NBCTag,
+    NCTag,
     Requirement,
     SSCTag,
     SubspacePartition,
@@ -19,18 +21,16 @@ from concolic_dnn.logic import (
 )
 from concolic_dnn.network import Activations, Dense, Network, forward, forward_batch
 from concolic_dnn.ranking import (
-    LayerFactors,
     estimate_layer_factors,
     rank_lipschitz,
     rank_nbc,
     rank_nc,
     rank_ssc,
     ranked_tests,
-    score,
 )
 
 from conftest import dense_net, identity_net, suite_state
-from helpers import loop_layer_factors, loop_rank, pair_loop_rank_lipschitz
+from helpers import loop_layer_factors, loop_rank, pair_loop_rank_lipschitz, ref_gap
 from test_logic import QUARTERS, conv_relu_net, grid_net
 
 
@@ -80,14 +80,14 @@ class TestLayerFactors:
         if rows is not None:
             net.batch_rows = rows  # as on a net with wide rows: several chunks a layer
         acts = forward_batch(net, np.random.default_rng(seed).uniform(0, 1, (count, 3)))
-        assert estimate_layer_factors(net, acts).factors == loop_layer_factors(net, acts)
+        assert estimate_layer_factors(net, acts) == loop_layer_factors(net, acts)
 
 
 class TestRankNC:
     def test_prefers_value_closer_to_activation(self):
         net = passthrough_net()
         reqs = gen_nc(net)
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         best = rank_nc(suite_state(net, [np.array([-5.0]), np.array([-1.0])]), reqs, factors)
         assert best.tests == (1,)
         assert best.score == pytest.approx(-1.0)
@@ -106,19 +106,20 @@ class TestRankNC:
         factors = estimate_layer_factors(mid_net, tests)
         best = rank_nc(suite_state(mid_net, tests), reqs, factors)
         brute = max(
-            (score(forward(mid_net, t), r, factors) for t in tests for r in reqs)
+            (factors[r.tag.layer] * ref_gap(r.tag, forward(mid_net, t)) for t in tests for r in reqs)
         )
         assert best.score == pytest.approx(brute)
 
     def test_score_strictly_increases_with_u(self):
         net = passthrough_net()
         r = gen_nc(net)[0]
-        factors = LayerFactors({2: 0.7})
-        values = [score(forward(net, np.array([u])), r, factors) for u in (-2.0, -1.0, 0.5)]
+        factors = {2: 0.7}
+        values = [ranked_tests(suite_state(net, [np.array([u])]), r, factors)[0].score
+                  for u in (-2.0, -1.0, 0.5)]
         assert values[0] < values[1] < values[2]
 
     def test_empty_arguments_rejected(self, tiny_net):
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         with pytest.raises(ValueError):
             rank_nc(suite_state(tiny_net, []), gen_nc(tiny_net), factors)
         with pytest.raises(ValueError):
@@ -130,7 +131,7 @@ class TestRankSSC:
         net = dense_net([2, 3, 2, 2], seed=1)
         reqs = gen_ssc(net)[:1]
         tag = reqs[0].tag
-        factors = LayerFactors({2: 1.0, 3: 1.0})
+        factors = {2: 1.0, 3: 1.0}
         rng = np.random.default_rng(2)
         tests = [rng.uniform(0, 1, 2) for _ in range(6)]
         best = rank_ssc(suite_state(net, tests), reqs, factors)
@@ -140,7 +141,7 @@ class TestRankSSC:
     def test_zero_activation_is_maximal(self):
         net = passthrough_net()
         r = Requirement("exists", 2, Atom(Const(0.0), ">="), SSCTag(2, 0, 0))
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         best = rank_ssc(suite_state(net, [np.array([3.0]), np.array([0.0])]), [r], factors)
         assert best.tests == (1,)
         assert best.score == 0.0
@@ -152,7 +153,7 @@ class TestRankSSC:
         factors = estimate_layer_factors(mid_net, tests)
         best = rank_ssc(suite_state(mid_net, tests), reqs, factors)
         brute = max(
-            score(forward(mid_net, t), r, factors) for t in tests for r in reqs
+            factors[r.tag.layer] * ref_gap(r.tag, forward(mid_net, t)) for t in tests for r in reqs
         )
         assert best.score == pytest.approx(brute)
 
@@ -161,7 +162,7 @@ class TestRankNBC:
     def test_hi_side_wins_when_closer(self):
         net = passthrough_net()
         reqs = gen_nbc(net, {(2, 0): 1.0}, {(2, 0): -1.0})
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         best = rank_nbc(suite_state(net, [np.array([0.9])]), reqs, factors)
         assert best.requirement.tag.side == "hi"
         assert best.score == pytest.approx(-0.1)
@@ -169,7 +170,7 @@ class TestRankNBC:
     def test_at_bound_scores_zero(self):
         net = passthrough_net()
         reqs = [r for r in gen_nbc(net, {(2, 0): 1.0}, {(2, 0): -1.0}) if r.tag.side == "hi"]
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         best = rank_nbc(suite_state(net, [np.array([1.0])]), reqs, factors)
         assert best.score == 0.0
 
@@ -183,7 +184,7 @@ class TestRankNBC:
         factors = estimate_layer_factors(mid_net, tests)
         best = rank_nbc(suite_state(mid_net, tests), reqs, factors)
         brute = max(
-            score(forward(mid_net, t), r, factors) for t in tests for r in reqs
+            factors[r.tag.layer] * ref_gap(r.tag, forward(mid_net, t)) for t in tests for r in reqs
         )
         assert best.score == pytest.approx(brute)
 
@@ -203,7 +204,7 @@ def one_test_cases(draw):
     point = st.lists(st.sampled_from(QUARTERS), min_size=net.input_dim, max_size=net.input_dim)
     pool = draw(st.lists(point.map(np.array), min_size=1, max_size=4))
     tests = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-    factors = LayerFactors({k: draw(st.sampled_from([0.5, 1.0, 2.0])) for k in range(2, net.num_layers)})
+    factors = {k: draw(st.sampled_from([0.5, 1.0, 2.0])) for k in range(2, net.num_layers)}
     neurons = net.relu_neurons()
     high = {pos: draw(st.sampled_from([0.0, 0.5, 1.0])) for pos in neurons}
     low = {pos: draw(st.sampled_from([-1.0, -0.5, 0.0])) for pos in neurons}
@@ -328,14 +329,19 @@ class TestOrderingInvariance:
         assert len(cands) == 5
 
 
-def preactivation_state(net, rows):
-    """A ``SuiteState`` whose layer-2 pre-activations are ``rows`` as given,
-    signed zeros included (a forward pass never yields u = -0.0); the input
-    and output rows are zeros."""
-    state = SuiteState(net)
+def preactivations(net, rows):
+    """One ``Activations`` per row of ``rows``, its layer-2 pre-activations the
+    row as given, signed zeros included (a forward pass never yields
+    u = -0.0); the input and output rows are zeros."""
     v = {k: np.zeros(net.width(k)) for k in range(1, net.num_layers + 1)}
-    state.extend([Activations(u={1: v[1], 2: np.array(row)}, v=v, label=0, relu_layers=(2,))
-                  for row in rows])
+    return [Activations(u={1: v[1], 2: np.array(row)}, v=v, label=0, relu_layers=(2,))
+            for row in rows]
+
+
+def preactivation_state(net, rows):
+    """The ``SuiteState`` of ``preactivations(net, rows)``."""
+    state = SuiteState(net)
+    state.extend(preactivations(net, rows))
     return state
 
 
@@ -351,7 +357,7 @@ class TestTies:
     def test_equal_requirements_lower_order_key_wins(self):
         net = self.twin_net()
         reqs = gen_nc(net)
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         state = suite_state(net, [np.array([-0.5]), np.array([-0.2])])
         for given in (reqs, reqs[::-1]):
             best = rank_nc(state, given, factors)
@@ -362,7 +368,7 @@ class TestTies:
         # -|u| at u = 0.3 and u = -0.3: the SSC gap ties
         net = passthrough_net()
         r = Requirement("exists", 2, Atom(Const(0.0), ">="), SSCTag(2, 0, 0))
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         for tests in ([np.array([0.3]), np.array([-0.3])], [np.array([-0.3]), np.array([0.3])]):
             best = rank_ssc(suite_state(net, tests), [r], factors)
             assert best.tests == (0,)
@@ -371,7 +377,7 @@ class TestTies:
     def test_duplicate_tests_first_copy_wins(self):
         net = passthrough_net()
         reqs = gen_nc(net)
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         t, worse = np.array([-0.1]), np.array([-0.4])
         best = rank_nc(suite_state(net, [worse, t, t, worse, t]), reqs, factors)
         assert best.tests == (1,)
@@ -380,7 +386,7 @@ class TestTies:
     def test_zero_gap_of_either_sign_ties(self, zeros):
         net = passthrough_net()
         reqs = gen_nc(net)
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         state = preactivation_state(net, [[-1.0], [zeros[0]], [zeros[1]]])
         best = rank_nc(state, reqs, factors)
         assert best.tests == (1,)
@@ -390,8 +396,57 @@ class TestTies:
     def test_ranked_tests_stable_on_equal_scores(self):
         net = passthrough_net()
         (r,) = gen_nc(net)
-        factors = LayerFactors({2: 1.0})
+        factors = {2: 1.0}
         a, b, c = np.array([-0.2]), np.array([-0.1]), np.array([-0.7])
         cands = ranked_tests(suite_state(net, [a, c, b, a, c, b, a]), r, factors)
         assert [cand.tests[0] for cand in cands] == [2, 5, 0, 3, 6, 1, 4]
         assert [cand.score for cand in cands] == [-0.1, -0.1, -0.2, -0.2, -0.2, -0.7, -0.7]
+
+
+SIGNED = (-0.0, 0.0, -0.25, 0.25, -0.5, 0.5, 1.0)
+
+
+@st.composite
+def signed_zero_cases(draw):
+    """A net with one hidden layer of 1-3 neurons, layer-2 pre-activation rows
+    drawn from ``SIGNED`` (signed zeros, exact ties and repeated rows), a
+    layer factor, and one NC, SSC or NBC tag on layer 2, its NBC bounds zeros
+    of either sign among them."""
+    width = draw(st.integers(1, 3))
+    net = Network((1,), [Dense(np.ones((1, width)), np.zeros(width)),
+                         Dense(np.ones((width, 2)), np.zeros(2), relu=False)])
+    row = st.lists(st.sampled_from(SIGNED), min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    neuron, bound = st.integers(0, width - 1), st.sampled_from((-0.0, 0.0, -0.5, 0.5))
+    tag = draw(st.builds(NCTag, st.just(2), neuron)
+               | st.builds(SSCTag, st.just(2), neuron, st.just(0))
+               | st.builds(NBCTag, st.just(2), neuron, st.sampled_from(("hi", "lo")), bound, bound))
+    return net, rows, {2: draw(st.sampled_from([0.5, 1.0, 2.0]))}, tag
+
+
+class TestRankedTestsScores:
+    """``ranked_tests`` scores each test ``factors[k] * ref_gap`` of that test's
+    activations alone, bit for bit, sign of zero included, best first."""
+
+    @staticmethod
+    def check(state, acts, r, factors):
+        expected = [factors[r.tag.layer] * ref_gap(r.tag, a) for a in acts]
+        cands = ranked_tests(state, r, factors)
+        assert [c.tests[0] for c in cands] == sorted(range(len(acts)), key=lambda i: -expected[i])
+        for c in cands:
+            want = expected[c.tests[0]]
+            assert type(c.score) is float
+            assert c.score == want and np.signbit(c.score) == np.signbit(want)
+
+    @given(signed_zero_cases())
+    def test_signed_zeros_and_ties(self, case):
+        net, rows, factors, tag = case
+        r = Requirement("exists", 1, Atom(Const(0.0), ">="), tag)
+        self.check(preactivation_state(net, rows), preactivations(net, rows), r, factors)
+
+    @given(one_test_cases())
+    def test_forward_passes(self, case):
+        net, tests, factors, reqs = case
+        state = suite_state(net, tests)
+        for r in reqs:
+            self.check(state, [forward(net, t) for t in tests], r, factors)
