@@ -233,7 +233,7 @@ class NCTag:
 
     @staticmethod
     def gaps(u: np.ndarray, tags: Sequence[NCTag]) -> np.ndarray:
-        return np.ascontiguousarray(u.T)[[t.neuron for t in tags]]
+        return u[:, [t.neuron for t in tags]].T
 
     @staticmethod
     def reached(gap):
@@ -265,7 +265,7 @@ class SSCTag:
     @staticmethod
     def gaps(u: np.ndarray, tags: Sequence[SSCTag]) -> np.ndarray:
         # -|u| of each condition neuron once, then one row per tag
-        return np.ascontiguousarray(-np.abs(u.T))[[t.cond for t in tags]]
+        return (-np.abs(u))[:, [t.cond for t in tags]].T
 
     @staticmethod
     def settle(state: SuiteState, tags: Sequence[SSCTag], start: int) -> np.ndarray:
@@ -314,7 +314,7 @@ class NBCTag:
 
     @staticmethod
     def gaps(u: np.ndarray, tags: Sequence[NBCTag]) -> np.ndarray:
-        u = np.ascontiguousarray(u.T)[[t.neuron for t in tags]]
+        u = u[:, [t.neuron for t in tags]].T
         hi = np.array([t.side == "hi" for t in tags])[:, None]
         high = np.array([t.high for t in tags])[:, None]
         low = np.array([t.low for t in tags])[:, None]

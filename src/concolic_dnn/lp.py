@@ -7,8 +7,10 @@ a dict of per-layer sign arrays, which each requirement's tag builds from
 the source test (``tag.lp_target`` in ``logic``): +1 for activated, -1 for
 deactivated, 0 for open, allowed only at the top layer k_star. The encoder
 carries the current layer's values as one affine map of the input,
-``x @ J + c``: a dense or conv layer multiplies the map through (a conv
-layer's matrix is its kernel scattered through ``Network.gather``); a ReLU
+``x @ J + c``: the first dense or conv layer's own map starts it (a maxpool
+ahead of it starts from the identity), and every later one multiplies the
+map through (a conv layer's matrix is its kernel scattered through
+``Network.gather``); a ReLU
 layer adds one sign row per nonzero sign, in neuron order (activated:
 u >= eps_strict, deactivated: u <= -eps_strict), and zeroes the columns of
 its inactive neurons; a maxpool layer adds a loser <= winner row per member
@@ -79,10 +81,12 @@ class LpProblem:
         p, q (n_in each) and d, with x = t + p - q; min d subject to
         A p - A q <= b - A t and p_i + q_i <= d.
 
-        p and q take the positive and negative parts of x - t over the box:
-        [0, 1 - t] and [0, t] for an anchor in the box. An anchor outside it
-        (a seed may be one) gets the positive part of each bound, which keeps
-        x in [0, 1] all the same.
+        ``bounds`` is a (2 n_in + 1, 2) float array of (lo, hi) per column, in
+        the column order p, q, d; d has no upper bound (``inf``). p and q take
+        the positive and negative parts of x - t over the box: [0, 1 - t] and
+        [0, t] for an anchor in the box. An anchor outside it (a seed may be
+        one) gets the positive part of each bound, which keeps x in [0, 1]
+        all the same.
         """
         if self.anchor is None:
             raise EncodingError("the problem has no anchor; call add_chebyshev_objective")
@@ -96,9 +100,8 @@ class LpProblem:
         b[:m] = self.b_ub - self.A_ub @ t
         c = np.zeros(2 * n + 1)
         c[-1] = 1.0
-        lo = np.maximum(np.concatenate([-t, t - 1.0]), 0.0).tolist()
-        hi = np.maximum(np.concatenate([1.0 - t, t]), 0.0).tolist()
-        return dict(c=c, A_ub=A, b_ub=b, bounds=[*zip(lo, hi), (0.0, None)])
+        lo, hi = np.concatenate([-t, t - 1.0, [0.0]]), np.concatenate([1.0 - t, t, [np.inf]])
+        return dict(c=c, A_ub=A, b_ub=b, bounds=np.maximum(np.stack([lo, hi], axis=1), 0.0))
 
 
 @dataclass
@@ -117,7 +120,7 @@ def layer_affine(net: Network, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     layer = net.layer(k)
     if isinstance(layer, Dense):
-        return layer.weights, layer.bias
+        return np.asarray(layer.weights, dtype=np.float64), np.asarray(layer.bias, dtype=np.float64)
     if isinstance(layer, Conv2D):
         idx = net.gather[k]
         positions, out_ch = idx.shape[0], layer.bias.size
@@ -142,7 +145,7 @@ def encode_pattern(
     winner indices recorded during the source test's forward pass.
     """
     n_in = net.input_dim
-    J, c = np.eye(n_in), np.zeros(n_in)  # the current layer's values are x @ J + c
+    J = c = None  # the current layer's values are x @ J + c; None while they are x itself
     rows, rhs = [np.zeros((0, n_in))], [np.zeros(0)]
     top = None
     stray = sorted(set(signs).difference(k for k in net.relu_layers if k <= k_star))
@@ -152,7 +155,7 @@ def encode_pattern(
         layer = net.layer(k)
         if isinstance(layer, (Dense, Conv2D)):
             A, b = layer_affine(net, k)
-            J, c = J @ A, c @ A + b
+            J, c = (A, b) if J is None else (J @ A, c @ A + b)
             if not layer.relu:
                 continue
             s = np.asarray(signs.get(k, ()))
@@ -164,14 +167,17 @@ def encode_pattern(
             sign = s[on].astype(np.float64)
             rows.append(-sign[:, None] * J[:, on].T)  # sign * (x @ J + c) >= eps
             rhs.append(sign * c[on] - EPS_STRICT)
-            if k == k_star:
+            if k == k_star:  # the last layer encoded: no mask for the layers above
                 top = (J, c)
+                break
             active = np.zeros(c.size)
             active[on] = sign > 0
             J, c = J * active, c * active
         elif isinstance(layer, MaxPool):
             if pool_winners is None or k not in pool_winners:
                 raise EncodingError(f"maxpool layer {k} needs winner indices from a source run")
+            if J is None:  # a maxpool ahead of every affine layer pools x itself
+                J, c = np.eye(n_in), np.zeros(n_in)
             winners = np.asarray(pool_winners[k])
             members = net.gather[k]
             loses = members != winners[:, None]
@@ -290,7 +296,7 @@ def lp_text(p: LpProblem) -> str:
     lines = ["Minimize", f" obj: {row(lp['c'])}", "Subject To"]
     lines += [f" ub{i}: {row(a)} <= {b:.12g}" for i, (a, b) in enumerate(zip(lp["A_ub"], lp["b_ub"]))]
     lines += ["Bounds", r"\ x = t + p - q for the anchor t; these bounds keep x in [0, 1]"]
-    for name, (lo, hi) in zip(names, lp["bounds"]):
-        lines.append(f" {lo:.12g} <= {name}" + ("" if hi is None else f" <= {hi:.12g}"))
+    for name, (lo, hi) in zip(names, lp["bounds"].tolist()):
+        lines.append(f" {lo:.12g} <= {name}" + ("" if hi == np.inf else f" <= {hi:.12g}"))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -7,11 +7,14 @@ this package produces (a few hundred variables); swap in another
 implementation via the ``solver`` argument of ``lp.solve`` if that stops being
 true.
 
-- **Standard form.** Each variable becomes standard columns 0 <= y <= u: a
-  finite lower bound is shifted to 0 and keeps the width hi - lo as u; a
-  variable with only an upper bound is mirrored; a free variable is split
-  into two unbounded columns. A variable with lo == hi gets no column, so it
-  never enters.
+- **Standard form.** The bounds, (lo, hi) pairs with None or an (n, 2)
+  float array with -inf/inf, become ``lo`` and ``hi`` arrays. Each variable
+  becomes standard columns 0 <= y <= u: a finite lower bound is shifted to 0
+  and keeps the width hi - lo as u; a variable with only an upper bound is
+  mirrored; a free variable is split into two unbounded columns. A variable
+  with lo == hi gets no column, so it never enters. Each column is a pick of
+  its variable's column of ``A_ub``, negated when mirrored or the second of
+  a split, written once into the tableau.
 - **Bounded variables** (Dantzig 1955, "Upper bounds, secondary constraints
   and block triangularity in linear programming"; Chvátal 1983, *Linear
   Programming*, ch. 8). A finite u is no tableau row. A variable at its upper
@@ -23,7 +26,9 @@ true.
   and the phase-1 cost row sums those rows only. An LP that is feasible with
   every column at its lower bound skips phase 1. The slack block gives the
   constraint matrix full row rank, so every artificial left basic after
-  phase 1 can pivot on a structural column.
+  phase 1 can pivot on a structural column. Phase 2 works on the same
+  tableau without its phase-1 cost row and prices the structural columns
+  only, so the artificial columns stay in place and never enter.
 - **Entering column.** Dantzig's rule: the most negative reduced cost, first
   index on ties. After ``DEGENERATE_LIMIT`` consecutive degenerate steps
   (zero step) the solver takes Bland's smallest-index entering rule until the
@@ -37,7 +42,9 @@ true.
   step is a bound flip, which complements the column and makes no pivot.
   The ratio test scans Python floats in row order: a tie chain's outcome
   depends on that order, and on these small tableaux (a few dozen rows) the
-  scan beat a numpy ratio test. A pivot is one dense rank-one update of the
+  scan beat a numpy ratio test. The basis and each row's basic upper bound
+  are Python lists that every pivot updates, so the scan converts only the
+  entering column and the rhs. A pivot is one dense rank-one update of the
   whole tableau; where the pivot row holds +-0 it subtracts +-0, which can
   flip the sign of a zero and nothing else, and no comparison here sees
   that sign.
@@ -97,41 +104,37 @@ def _standardize(c, A_ub, b_ub, bounds):
     """Rewrite into  min c_std.y  s.t.  A y <= b,  0 <= y <= upper.
 
     Returns the standard-form pieces, each standard column's upper bound
-    (``inf`` where it has none), and the affine map x = offset + M y that
-    recovers the original variables. A variable with lo == hi is fixed: it
-    gets no column, only its offset.
+    (``inf`` where it has none), original variable and negation, and the
+    offsets: x is the offset plus each column's signed y, summed per
+    variable. A variable with lo == hi is fixed: it gets no column, only its
+    offset.
     """
     c = np.asarray(c, dtype=np.float64)
     n = c.size
     A_ub = _as_2d(A_ub, n)
     b_ub = np.asarray(b_ub, dtype=np.float64) if b_ub is not None else np.zeros(0)
-    if bounds is None:
-        bounds = [(None, None)] * n
-
-    cols: list[tuple[int, float, float]] = []  # (original var, sign, upper bound) per standard column
-    offset = np.zeros(n)
-    for j, (lo, hi) in enumerate(bounds):
-        lo_f = -math.inf if lo is None else float(lo)
-        hi_f = math.inf if hi is None else float(hi)
-        if math.isfinite(lo_f):
-            offset[j] = lo_f
-            if hi_f != lo_f:
-                cols.append((j, 1.0, hi_f - lo_f))
-        elif math.isfinite(hi_f):
-            offset[j] = hi_f
-            cols.append((j, -1.0, math.inf))
-        else:
-            cols.append((j, 1.0, math.inf))
-            cols.append((j, -1.0, math.inf))
-
-    M = np.zeros((n, len(cols)))
-    for col, (j, sign, _) in enumerate(cols):
-        M[j, col] = sign
-    upper = np.array([u for _, _, u in cols])
-    return c @ M, A_ub @ M, b_ub - A_ub @ offset, upper, M, offset
+    # either bounds form as one (n, 2) array; None reads as nan: no bound
+    pairs = np.array([(None, None)] * n if bounds is None else bounds, dtype=np.float64).reshape(n, 2)
+    np.copyto(pairs, (-math.inf, math.inf), where=np.isnan(pairs))
+    lo, hi = pairs.T
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    free = ~has_lo & ~has_hi
+    # columns per variable: boxed or lower-bounded 1 (0 when fixed),
+    # upper-only 1 (mirrored), free 2 (split)
+    counts = np.where(has_lo, hi != lo, 1 + free)
+    var = np.repeat(np.arange(n), counts)
+    negate = ~has_lo[var]
+    negate[(np.cumsum(counts) - counts)[free]] = False  # the free split's first column
+    upper = np.where(has_lo, hi - lo, math.inf)[var]
+    A = A_ub[:, var]
+    np.negative(A, out=A, where=negate)
+    c_std = c[var]
+    np.negative(c_std, out=c_std, where=negate)
+    return c_std, A, b_ub - A_ub @ offset, upper, var, negate, offset
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
@@ -142,8 +145,9 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 def _enter(cost_row: np.ndarray, bland: bool) -> Optional[int]:
     """Dantzig: the most negative reduced cost, first index on ties.
-    Bland: the first negative reduced cost. None when no cost is negative."""
-    if bland:
+    Bland: the first negative reduced cost. None when no cost is negative
+    (or there is no column at all: every variable fixed and no row)."""
+    if bland or not cost_row.size:
         neg = (cost_row < -PIVOT_TOL).nonzero()[0]
         return int(neg[0]) if neg.size else None
     col = int(cost_row.argmin())
@@ -151,16 +155,16 @@ def _enter(cost_row: np.ndarray, bland: bool) -> Optional[int]:
 
 
 def _leave(
-    T: np.ndarray, basis: np.ndarray, upper: np.ndarray, col: int, m: int
+    T: np.ndarray, basis: list[int], caps: list[float], col: int, m: int
 ) -> tuple[Optional[int], float, bool]:
     """The row whose basic variable first reaches a bound as the entering
-    column rises: minimum ratio, smallest basis index on ties. Returns the
-    row, its ratio, and whether the basic variable reaches its upper bound
-    (a negative entry) rather than 0 (a positive one)."""
+    column rises: minimum ratio, smallest basis index on ties. ``caps`` holds
+    each row's basic upper bound. Returns the row, its ratio, and whether the
+    basic variable reaches its upper bound (a negative entry) rather than 0
+    (a positive one)."""
     # One conversion to Python numbers per pivot; indexing numpy scalars row
     # by row costs more than the scan itself.
     column, rhs = T[:m, col].tolist(), T[:m, -1].tolist()
-    caps, basis = upper[basis].tolist(), basis.tolist()
     tol, inf = PIVOT_TOL, math.inf
     best_row, best_ratio, best_up = None, 0.0, False
     beats = 0.0  # best_ratio - tol: a ratio below it beats the best row outright
@@ -199,18 +203,21 @@ def _complement_basic(T: np.ndarray, flipped: np.ndarray, row: int, col: int, wi
     flipped[col] = not flipped[col]
 
 
-def _run_phase(T, basis, upper, flipped, m, allowed, obj_row, max_iters, iters, deadline):
-    """Step until optimal / unbounded / iteration or time limit. Returns (status, iters)."""
+def _run_phase(T, basis, caps, upper, flipped, m, allowed, obj_row, max_iters, iters, deadline):
+    """Step until optimal / unbounded / iteration or time limit. ``basis``,
+    ``caps`` (each row's basic upper bound) and ``upper`` (each column's)
+    are lists; each pivot updates the first two. Returns (status, iters)."""
     degenerate = 0  # consecutive steps that left the point where it was
+    cost_row = T[obj_row, :allowed]  # a view: every step updates T in place
     while True:
         if iters >= max_iters:
             return "iteration-limit", iters
         if deadline is not None and iters % DEADLINE_EVERY == 0 and time.monotonic() > deadline:
             return "time-limit", iters
-        col = _enter(T[obj_row, :allowed], bland=degenerate >= DEGENERATE_LIMIT)
+        col = _enter(cost_row, bland=degenerate >= DEGENERATE_LIMIT)
         if col is None:
             return "optimal", iters
-        row, step, at_upper = _leave(T, basis, upper, col, m)
+        row, step, at_upper = _leave(T, basis, caps, col, m)
         if row is None or upper[col] <= step:
             if upper[col] == math.inf:
                 return "unbounded", iters
@@ -219,8 +226,9 @@ def _run_phase(T, basis, upper, flipped, m, allowed, obj_row, max_iters, iters, 
             _complement(T, flipped, col, step)
         else:
             if at_upper:
-                _complement_basic(T, flipped, row, basis[row], upper[basis[row]])
+                _complement_basic(T, flipped, row, basis[row], caps[row])
             _pivot(T, basis, row, col)
+            caps[row] = upper[col]
         degenerate = degenerate + 1 if step <= PIVOT_TOL else 0
         iters += 1
 
@@ -235,59 +243,62 @@ def solve_lp(
 ) -> SimplexResult:
     """Minimize c.x subject to inequality rows and variable bounds.
 
-    ``deadline`` is a ``time.monotonic()`` value; once it has passed, the
-    solve stops with status "time-limit" (checked every ``DEADLINE_EVERY``
-    iterations).
+    ``bounds`` are (lo, hi) pairs, None for no bound, or an (n, 2) float
+    array with -inf/inf; None leaves every variable free. ``deadline`` is a
+    ``time.monotonic()`` value; once it has passed, the solve stops with
+    status "time-limit" (checked every ``DEADLINE_EVERY`` iterations).
     """
-    c_std, A_ub_s, b, upper, M, offset = _standardize(c, A_ub, b_ub, bounds)
+    c_std, A_std, b, upper, var, negate, offset = _standardize(c, A_ub, b_ub, bounds)
     if np.any(upper < 0):  # a lower bound above its upper bound
         return SimplexResult("infeasible", None, None, 0)
-    n_std = upper.size
-    A = np.hstack([A_ub_s, np.eye(b.size)])
-    m, n_struct = A.shape
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    # A row with rhs >= 0 starts with its slack basic; a negated row gets an
-    # artificial column.
-    art_rows = np.flatnonzero(neg)
+    m, n_std = A_std.shape
+    n_struct = n_std + m  # the standard columns, then one slack per row
+    # A row with rhs >= 0 starts with its slack basic; a row with a negative
+    # rhs is negated and gets an artificial column.
+    art_rows = np.flatnonzero(b < 0)
     n_art = art_rows.size
 
     # Tableau: structural columns, the artificials, rhs; below the constraints
     # sit the phase-2 cost row and the phase-1 cost row (summing the
     # artificial rows only). Every variable starts at its lower bound 0.
     T = np.zeros((m + 2, n_struct + n_art + 1))
-    T[:m, :n_struct] = A
-    T[art_rows, n_struct + np.arange(n_art)] = 1.0
+    T[:m, :n_std] = A_std
+    T[np.arange(m), n_std + np.arange(m)] = 1.0
     T[:m, -1] = b
+    T[art_rows] *= -1.0
+    T[art_rows, n_struct + np.arange(n_art)] = 1.0
     T[m, :n_std] = c_std
-    T[m + 1, :n_struct] = -A[art_rows].sum(axis=0)
-    T[m + 1, -1] = -b[art_rows].sum()
-    basis = np.arange(n_std, n_std + m)
-    basis[art_rows] = n_struct + np.arange(n_art)
-    cap = np.concatenate([upper, np.full(m + n_art, np.inf)])
-    flipped = np.zeros(cap.size, dtype=bool)  # column holds y' = cap - y
+    T[m + 1, :n_struct] = -T[art_rows, :n_struct].sum(axis=0)
+    T[m + 1, -1] = -T[art_rows, -1].sum()
+    basis = list(range(n_std, n_std + m))
+    for k, i in enumerate(art_rows.tolist()):
+        basis[i] = n_struct + k
+    cap = upper.tolist() + [math.inf] * (m + n_art)
+    caps = [math.inf] * m  # every slack and artificial is unbounded above
+    flipped = np.zeros(len(cap), dtype=bool)  # column holds y' = cap - y
 
-    status, iters = _run_phase(T, basis, cap, flipped, m, n_struct + n_art, m + 1, max_iters, 0, deadline)
+    status, iters = _run_phase(T, basis, caps, cap, flipped, m, n_struct + n_art, m + 1, max_iters, 0, deadline)
     if status != "optimal":
         return SimplexResult(status, None, None, iters)
     if -T[m + 1, -1] > 1e-7:
         return SimplexResult("infeasible", None, None, iters)
 
     # Drive leftover (zero-valued) artificials out of the basis.
-    for i in np.flatnonzero(basis >= n_struct):
-        piv_cols = np.flatnonzero(np.abs(T[i, :n_struct]) > PIVOT_TOL)
-        _pivot(T, basis, i, int(piv_cols[0]))
-    T = np.delete(T, np.s_[n_struct : T.shape[1] - 1], axis=1)  # artificial columns
-    T = T[: m + 1]  # drop the phase-1 cost row
+    for i in [i for i, j in enumerate(basis) if j >= n_struct]:
+        col = int(np.flatnonzero(np.abs(T[i, :n_struct]) > PIVOT_TOL)[0])
+        _pivot(T, basis, i, col)
+        caps[i] = cap[col]
+    # Phase 2 prices the structural columns only and leaves the phase-1 cost
+    # row behind; the artificial columns stay in place, never to enter.
+    T = T[: m + 1]
 
-    status, iters = _run_phase(T, basis, cap, flipped, m, n_struct, m, max_iters, iters, deadline)
+    status, iters = _run_phase(T, basis, caps, cap, flipped, m, n_struct, m, max_iters, iters, deadline)
     if status != "optimal":
         return SimplexResult(status, None, None, iters)
 
     y = np.zeros(n_struct)
     y[basis] = T[:m, -1]
-    y = np.where(flipped[:n_struct], cap[:n_struct] - y, y)
-    x = offset + M @ y[:n_std]
+    y = np.where(flipped[:n_std], upper - y[:n_std], y[:n_std])
+    x = offset + np.bincount(var, weights=np.where(negate, -y, y), minlength=offset.size)
     objective = float(np.asarray(c, dtype=np.float64) @ x)
     return SimplexResult("optimal", x, objective, iters)

@@ -2,7 +2,7 @@
 exhaustive suite enumeration, the nearest-reference scan under its own 1-d
 norms, each one-test family's gap, the loops of the one-test and Lipschitz
 rankings, the layer factors' Python fold, a vertex-enumeration LP solver, the simplex's column-gather
-pivot and ratio scan, and per-position conv and maxpool kernels with the
+pivot, ratio scan and per-variable standard-form loop, and per-position conv and maxpool kernels with the
 conv matrix built from them. These stay deliberately naive so they share no
 code path with the implementations they check (forward passes are memoized
 for speed, nothing else is)."""
@@ -163,6 +163,31 @@ def column_gather_pivot(T, basis, row, col):
     factors[row] = 0.0
     T[:, cols] -= factors[:, None] * T[row, cols]
     basis[row] = col
+
+
+def loop_standardize(c, A_ub, b_ub, bounds):
+    """The simplex's standard form by a loop over (lo, hi) pairs (None for a
+    missing bound): per variable, its standard columns as (sign, upper
+    bound) in order, and its offset. Returns c_std, A_std, b_std, the upper
+    bounds, and the (variables x columns) sign matrix M with x = offset + M y."""
+    cols, offset = [], np.zeros(len(bounds))
+    for j, (lo, hi) in enumerate(bounds):
+        lo = -math.inf if lo is None else float(lo)
+        hi = math.inf if hi is None else float(hi)
+        if math.isfinite(lo):
+            offset[j] = lo
+            if hi != lo:
+                cols.append((j, 1.0, hi - lo))
+        elif math.isfinite(hi):
+            offset[j] = hi
+            cols.append((j, -1.0, math.inf))
+        else:
+            cols += [(j, 1.0, math.inf), (j, -1.0, math.inf)]
+    M = np.zeros((len(bounds), len(cols)))
+    for k, (j, sign, _) in enumerate(cols):
+        M[j, k] = sign
+    upper = np.array([u for _, _, u in cols])
+    return c @ M, A_ub @ M, b_ub - A_ub @ offset, upper, M, offset
 
 
 def ratio_scan_leave(T, basis, upper, col, m):

@@ -104,6 +104,44 @@ class TestEncodePattern:
             checked += 1
         assert checked >= 10
 
+    @pytest.mark.parametrize("make_net", [lambda: dense_net([4, 6, 3], seed=5),
+                                          lambda: random_conv_pool_net(1)], ids=["dense", "conv"])
+    def test_first_affine_layer_map_taken_as_it_is(self, make_net):
+        # a layer-2 target's top map is that layer's own (A, b), bit for bit:
+        # the encoder starts from it, not from a product with the identity
+        net = make_net()
+        t = np.random.default_rng(0).uniform(0, 1, net.input_dim)
+        acts = forward(net, t)
+        signs, k_star, _ = NCTag(2, 0).lp_target(acts)
+        p = encode_pattern(net, signs, k_star, acts.pool_winners)
+        A, b = layer_affine(net, 2)
+        assert p.top[0].tobytes() == A.tobytes()
+        assert p.top[1].tobytes() == b.tobytes()
+
+    def test_maxpool_ahead_of_every_affine_layer(self):
+        # the maxpool pools x itself: one x_loser - x_winner <= 0 row per
+        # loser, then the dense layer reads its weights at the winners' inputs
+        rng = np.random.default_rng(3)
+        net = Network((4, 4, 1), [
+            MaxPool((2, 2)),
+            Flatten(),
+            Dense(rng.normal(size=(4, 3)), rng.normal(size=3) * 0.1),
+            Dense(rng.normal(size=(3, 2)), np.zeros(2), relu=False),
+        ])
+        acts = forward(net, rng.uniform(0, 1, 16))
+        signs = source_signs(acts, 4)
+        p = encode_pattern(net, signs, 4, acts.pool_winners)
+        eye, winners = np.eye(16), acts.pool_winners[2]
+        pool_rows = [eye[i] - eye[w] for w, window in zip(winners, net.gather[2]) for i in window if i != w]
+        W, b = layer_affine(net, 4)
+        J = np.zeros((16, 3))
+        J[winners] = W
+        s = signs[4].astype(np.float64)
+        np.testing.assert_array_equal(p.A_ub, np.vstack([*pool_rows, -s[:, None] * J.T]))
+        np.testing.assert_array_equal(p.b_ub, np.concatenate([np.zeros(len(pool_rows)), s * b - EPS_STRICT]))
+        np.testing.assert_array_equal(p.top[0], J)
+        np.testing.assert_array_equal(p.top[1], b)
+
 
 def random_conv_pool_net(seed):
     """ReLU conv (valid or same padding), 2x2 maxpool, flatten, ReLU dense, linear out."""
@@ -337,8 +375,9 @@ class TestChebyshevObjective:
         np.testing.assert_array_equal(lp["A_ub"][A.shape[0]:], np.hstack([np.eye(4), np.eye(4), -np.ones((4, 1))]))
         np.testing.assert_array_equal(lp["b_ub"], np.concatenate([b - A @ t, np.zeros(4)]))
         np.testing.assert_array_equal(lp["c"], [0] * 8 + [1])
-        assert lp["bounds"] == [(0.0, 0.5), (0.0, 1.0), (0.0, 0.0), (0.0, 0.75),
-                                (0.0, 0.5), (0.0, 0.0), (0.0, 1.0), (0.0, 0.25), (0.0, None)]
+        np.testing.assert_array_equal(lp["bounds"], [(0.0, 0.5), (0.0, 1.0), (0.0, 0.0), (0.0, 0.75),
+                                                     (0.0, 0.5), (0.0, 0.0), (0.0, 1.0), (0.0, 0.25),
+                                                     (0.0, np.inf)])
 
     def test_only_flipped_rows_violated_at_the_anchor(self, mid_net):
         # at p = q = d = 0 (x = t) the source satisfies every frozen bit, so

@@ -17,7 +17,7 @@ from concolic_dnn import simplex
 from concolic_dnn.simplex import PIVOT_TOL, solve_lp
 
 from conftest import dense_net
-from helpers import column_gather_pivot, ratio_scan_leave, vertex_enum_lp
+from helpers import column_gather_pivot, loop_standardize, ratio_scan_leave, vertex_enum_lp
 
 GOLDEN_PATH = Path(__file__).with_name("simplex_golden.json")
 
@@ -264,6 +264,60 @@ class TestBoundFlips:
         assert res.iterations == simplex.DEADLINE_EVERY
 
 
+BOUND_VALUE = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def bound_form_cases(draw):
+    """A random LP whose variables mix boxed, fixed (lo == hi), lower-only,
+    upper-only and free bounds, with its bounds as (lo, hi) pairs (None for
+    a missing bound) and as the equivalent float array (-inf/inf)."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 5))
+    c = np.array(draw(st.lists(ENTRY, min_size=n, max_size=n)))
+    A = np.array(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=m, max_size=m)))
+    b = np.array(draw(st.lists(BOUND_VALUE, min_size=m, max_size=m)))
+    pairs = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["boxed", "fixed", "lower", "upper", "free"]))
+        lo, width = draw(BOUND_VALUE), draw(st.floats(0.0, 3.0))
+        pairs.append({"boxed": (lo, lo + width), "fixed": (lo, lo), "lower": (lo, None),
+                      "upper": (None, lo), "free": (None, None)}[kind])
+    array = np.array([(-np.inf if lo is None else lo, np.inf if hi is None else hi) for lo, hi in pairs])
+    return dict(c=c, A_ub=A.reshape(m, n), b_ub=b), pairs, array
+
+
+class TestBoundForms:
+    @settings(max_examples=100)
+    @given(bound_form_cases())
+    def test_standard_form_matches_loop_reference(self, case):
+        # the column picks equal the loop's selection-matrix products (a
+        # pick may differ only in the sign of a zero, which == ignores)
+        lp, pairs, array = case
+        c_ref, A_ref, b_ref, upper_ref, M, offset_ref = loop_standardize(lp["c"], lp["A_ub"], lp["b_ub"], pairs)
+        c_std, A_std, b_std, upper, var, negate, offset = simplex._standardize(**lp, bounds=array)
+        np.testing.assert_array_equal(c_std, c_ref)
+        np.testing.assert_array_equal(A_std, A_ref)
+        assert b_std.tobytes() == b_ref.tobytes()
+        np.testing.assert_array_equal(upper, upper_ref)
+        assert offset.tobytes() == offset_ref.tobytes()
+        sign_matrix = np.zeros_like(M)
+        sign_matrix[var, np.arange(var.size)] = np.where(negate, -1.0, 1.0)
+        np.testing.assert_array_equal(sign_matrix, M)
+
+    @settings(max_examples=200)
+    @given(bound_form_cases())
+    def test_pairs_and_array_solve_alike(self, case):
+        lp, pairs, array = case
+        by_pairs, by_array = solve_lp(**lp, bounds=pairs), solve_lp(**lp, bounds=array)
+        assert by_pairs.status == by_array.status
+        assert by_pairs.iterations == by_array.iterations
+        assert by_pairs.objective == by_array.objective
+        if by_pairs.x is None:
+            assert by_array.x is None
+        else:
+            assert by_pairs.x.tobytes() == by_array.x.tobytes()
+
+
 class TestIterationLimit:
     def test_limit_reported(self):
         rng = np.random.default_rng(1)
@@ -390,6 +444,12 @@ def leave_cases(draw):
     return T, basis, upper, m
 
 
+def solver_leave(T, basis, upper, col, m):
+    """``simplex._leave`` on a basis array and per-column bounds: the solver
+    hands it the basis and each row's basic upper bound as lists."""
+    return simplex._leave(T, basis.tolist(), upper[basis].tolist(), col, m)
+
+
 class TestAgainstReferenceSteps:
     """The pivot's dense rank-one update and the leaner ratio scan against
     the column-gather pivot and the plain scan in ``tests/helpers.py``."""
@@ -409,7 +469,7 @@ class TestAgainstReferenceSteps:
     @given(leave_cases())
     def test_leave_matches_row_scan(self, case):
         T, basis, upper, m = case
-        assert simplex._leave(T, basis, upper, 0, m) == ratio_scan_leave(T, basis, upper, 0, m)
+        assert solver_leave(T, basis, upper, 0, m) == ratio_scan_leave(T, basis, upper, 0, m)
 
     def test_entries_within_tolerance_never_limit(self):
         # each basic variable sits at the bound the entry would push it
@@ -418,7 +478,7 @@ class TestAgainstReferenceSteps:
         T[:4, 0] = [PIVOT_TOL, PIVOT_TOL / 3, -PIVOT_TOL, -PIVOT_TOL / 3]
         T[:4, -1] = [0.0, 0.0, 5.0, 5.0]
         basis, upper = np.arange(4), np.full(4, 5.0)
-        assert simplex._leave(T, basis, upper, 0, 4) == (None, 0.0, False)
+        assert solver_leave(T, basis, upper, 0, 4) == (None, 0.0, False)
         assert ratio_scan_leave(T, basis, upper, 0, 4) == (None, 0.0, False)
 
     @pytest.mark.parametrize("spacing", [0.6, 1.0])
@@ -431,7 +491,7 @@ class TestAgainstReferenceSteps:
         T[:3, -1] = [0.0, spacing * PIVOT_TOL, 2 * spacing * PIVOT_TOL]
         basis, upper = np.array([5, 3, 1]), np.full(6, np.inf)
         expected = (2, 2 * spacing * PIVOT_TOL, False)
-        assert simplex._leave(T, basis, upper, 0, 3) == expected
+        assert solver_leave(T, basis, upper, 0, 3) == expected
         assert ratio_scan_leave(T, basis, upper, 0, 3) == expected
 
 
