@@ -5,14 +5,14 @@ seed (a ``logic.Box``) whose output-to-input distance ratio exceeds a target
 constant; both distances are L-infinity, measured by ``logic.distance``, and
 "out" is the output layer. The search alternates derivative-free compass runs
 (Kolda, Lewis & Torczon 2003, "Optimization by direct search"): each run
-maximizes the output distance to an anchor within the box, checking the ratio
-after every accepted step. Each poll's candidates
-are written into one row buffer per run and forwarded in batches, and the run
-visits and counts the points of a sequential poll that stops at the first
-improvement. The first run is anchored at the seed, each later run at the
-previous run's converged point, until the ratio beats the constant, the best
-ratio stops improving, or the run budget is spent; then the best pair found
-is reported.
+minimizes the paper's Stage One objective, the negated ratio to an anchor in
+the box, checked against the constant at each accepted step; the anchor's own
+ratio, 0, costs no forward. Each poll's candidates are written into one row
+buffer per run and forwarded in batches, and the run visits and counts the
+points of a sequential poll that stops at the first improvement. The first run
+is anchored at the seed, each later run at the previous run's converged point,
+until the ratio beats the constant, the best ratio stops improving, or the run
+budget is spent; then the best pair found is reported.
 
 A uniform-sampling baseline with the same box constraint is provided for
 comparison; it draws all of a box's pairs in one call and forwards them in
@@ -170,7 +170,7 @@ class _BestPair:
 
 
 def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassResult:
-    """One compass run maximizing output distance to ``anchor`` inside t0's box;
+    """One compass run minimizing the negated ratio to ``anchor`` inside t0's box;
     a poll forwards ``net.batch_rows`` candidates at a time and first checks ``deadline``."""
     box = Box(tuple(t0), cfg.delta)
 
@@ -180,8 +180,9 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
 
     out_anchor = out(anchor)
 
-    def objective(x: np.ndarray) -> float:
-        return -float(distance(out(x), out_anchor, "linf"))
+    def objective(x: np.ndarray) -> float:  # the anchor's ratio to itself is 0, with no forward
+        gap_in = float(distance(x, anchor, "linf"))
+        return -float(distance(out(x), out_anchor, "linf") / (gap_in + EPS)) if gap_in else 0.0
 
     buffer = np.empty((net.batch_rows, anchor.size))  # one poll chunk's candidates
     order = np.arange(net.batch_rows)
@@ -194,21 +195,19 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
             rows = buffer[:len(steps[part])]
             rows[:] = cur
             rows[order[:len(rows)], coords[part]] = steps[part]
-            gaps = distance(forward_batch(net, rows).out, out_anchor, "linf")
-            better = gaps > -value  # -gap < value: the objective improves
+            ratios = (distance(forward_batch(net, rows).out, out_anchor, "linf")
+                      / (distance(rows, anchor, "linf") + EPS))
+            better = ratios > -value  # -ratio < value: the objective improves
             hit = int(better.argmax())
             counter.tick(hit + 1 if better[hit] else len(rows))
             if better[hit]:
-                return rows[hit].copy(), -float(gaps[hit])
+                return rows[hit].copy(), -float(ratios[hit])
         return None
-
-    def early(x: np.ndarray, value: float) -> bool:
-        # the objective is the negated output gap, so -value is the gap itself
-        return tracker.offer(anchor, x, -value / (float(distance(x, anchor, "linf")) + EPS), cfg.c)
 
     return compass_minimize(
         objective, start=anchor, lower=box.lower, upper=box.upper, sigma0=cfg.delta / 4.0,
-        max_iters=cfg.compass_iters, early_stop=early, poll=poll,
+        max_iters=cfg.compass_iters, poll=poll,
+        early_stop=lambda x, value: tracker.offer(anchor, x, -value, cfg.c),  # value: the negated ratio
     )
 
 

@@ -309,10 +309,11 @@ def sequential_random_baseline(net, t0, c, delta, attempts, rng, eval_budget=Non
 def sequential_compass_minimize(f, start, lower, upper, sigma0, sigma_min=SIGMA_MIN, max_iters=150,
                                 early_stop=None):
     """Compass search as a loop: poll +/- sigma along each coordinate in turn,
-    calling f on one candidate at a time, and move to the first improvement."""
+    calling f on one candidate at a time, and move to the first improvement;
+    ``early_stop(point, value)`` is asked at the start and after each move."""
     cur = np.clip(np.ravel(np.asarray(start, dtype=np.float64)), lower, upper)
     value = f(cur)
-    if early_stop is not None and early_stop(cur):
+    if early_stop is not None and early_stop(cur, value):
         return cur, value, 0
     sigma = sigma0
     iters = 0
@@ -334,7 +335,7 @@ def sequential_compass_minimize(f, start, lower, upper, sigma0, sigma_min=SIGMA_
             if moved:
                 break
         if moved:
-            if early_stop is not None and early_stop(cur):
+            if early_stop is not None and early_stop(cur, value):
                 break
         else:
             sigma *= SHRINK
@@ -347,9 +348,11 @@ class _Exhausted(Exception):
 
 def sequential_alternating_search(net, t0, cfg, eval_budget=None):
     """The alternating search with one forward per compass candidate: each run
-    is anchored at the seed or the previous run's point, and the best pair is
-    kept until the ratio beats c, a later run gains PROGRESS_TOL or less, the
-    runs are spent or the forwards reach ``eval_budget``."""
+    minimizes the negated ratio to its anchor, the seed or the previous run's
+    point, and its start value (the anchor's ratio to itself, 0) costs no
+    forward. The best pair is kept until the ratio beats c, a later run gains
+    PROGRESS_TOL or less, the runs are spent or the forwards reach
+    ``eval_budget``."""
     t0 = np.ravel(np.asarray(t0, dtype=np.float64))
     lower, upper = np.clip(t0 - cfg.delta, 0.0, 1.0), np.clip(t0 + cfg.delta, 0.0, 1.0)
     evals = 0
@@ -364,18 +367,21 @@ def sequential_alternating_search(net, t0, cfg, eval_budget=None):
 
     def run(anchor):
         out_anchor = out(anchor)
-        gaps = {}
+        calls = 0
 
         def objective(x):
-            gaps[x.tobytes()] = _linf(out(x) - out_anchor)
-            return -gaps[x.tobytes()]
+            nonlocal calls
+            calls += 1
+            gap_in = _linf(x - anchor)
+            if calls == 1 and gap_in == 0.0:  # the start value, the anchor against itself
+                return 0.0
+            return -(_linf(out(x) - out_anchor) / (gap_in + EPS))
 
-        def early(x):
+        def early(x, value):
             nonlocal best
-            ratio = gaps[x.tobytes()] / (_linf(x - anchor) + EPS)
-            if ratio > best.ratio:
-                best = LipWitness(anchor.copy(), x.copy(), ratio, ratio > cfg.c)
-            return ratio > cfg.c
+            if -value > best.ratio:
+                best = LipWitness(anchor.copy(), x.copy(), -value, -value > cfg.c)
+            return -value > cfg.c
 
         return sequential_compass_minimize(objective, anchor, lower, upper, cfg.delta / 4.0,
                                            max_iters=cfg.compass_iters, early_stop=early)[0]

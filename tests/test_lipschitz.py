@@ -145,13 +145,13 @@ class TestStageTwo:
     """The runs after the first, each anchored at the previous run's converged point."""
 
     def test_satisfaction_ends_a_later_run(self):
-        # on this net the first run tops out near 1.02 and the second beats 1.5
+        # on this net the first run tops out near 2.46 and the second beats 2.5
         net = dense_net([4, 8, 6, 3], seed=2)
         seed = np.full(4, 0.5)
-        first = alternating_search(net, seed, LipConfig(c=1.5, compass_iters=40, max_executions=1))
-        out = alternating_search(net, seed, LipConfig(c=1.5, compass_iters=40))
+        first = alternating_search(net, seed, LipConfig(c=2.5, compass_iters=40, max_executions=1))
+        out = alternating_search(net, seed, LipConfig(c=2.5, compass_iters=40))
         assert not first.witness.satisfied
-        assert out.witness.satisfied and out.witness.ratio > 1.5
+        assert out.witness.satisfied and out.witness.ratio > 2.5
         assert out.executions == 2
         assert not np.array_equal(out.witness.t1, seed)  # re-anchored off the seed
 
@@ -168,6 +168,49 @@ class TestStageTwo:
         cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10, max_executions=3)
         out = alternating_search(mid_net, np.full(4, 0.5), cfg)
         assert out.executions <= 3
+
+
+class TestRatioObjective:
+    """Each compass run minimizes the paper's Stage One objective: the negated
+    ratio of a point to the run's anchor."""
+
+    def test_the_first_run_satisfies(self):
+        # the ratio beats 1.5 at the first run's eleventh evaluation (1.72)
+        net = dense_net([4, 8, 6, 3], seed=2)
+        out = alternating_search(net, np.full(4, 0.5), LipConfig(c=1.5, compass_iters=40))
+        assert out.witness.satisfied and out.witness.ratio > 1.5
+        assert (out.executions, out.evals) == (1, 11)  # the anchor is forwarded once
+
+    @given(
+        st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**16), st.floats(0.05, 4.0),
+        st.floats(0.01, 0.4), st.integers(1, 40), st.integers(1, 5), st.data(),
+    )
+    def test_accepted_steps_raise_the_ratio(self, n, hidden, net_seed, c, delta, iters, runs, data):
+        net = dense_net([n, hidden, 3], seed=net_seed, scale=2.0)
+        t0 = data.draw(arrays(np.float64, n, elements=st.floats(0, 1)))
+        cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
+        real_minimize = lipschitz.compass_minimize
+        visits = []  # per run: its anchor, and the ratio at its start and at each accepted step
+
+        def recording_minimize(f, *, start, early_stop, **kwargs):
+            seen = []
+            visits.append((start, seen))
+
+            def spy(point, value):
+                seen.append((point.copy(), -value))
+                return early_stop(point, value)
+
+            return real_minimize(f, start=start, early_stop=spy, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lipschitz, "compass_minimize", recording_minimize)
+            out = alternating_search(net, t0, cfg)
+        assert out.witness.ratio == lip_ratio(net, out.witness.t1, out.witness.t2)
+        for anchor, seen in visits:
+            ratios = [ratio for _, ratio in seen]
+            assert ratios[0] == 0.0  # the anchor against itself
+            assert all(a < b for a, b in zip(ratios, ratios[1:]))
+            assert all(ratio == lip_ratio(net, anchor, point) for point, ratio in seen)
 
 
 class TestAlternatingSearch:
