@@ -44,7 +44,7 @@ from .lp import (
     solve,
     symbolic_lp,
 )
-from .l0search import L0Budget, symbolic_l0
+from .l0search import symbolic_l0
 from .lipschitz import (
     LipConfig,
     LipWitness,

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .l0search import L0Budget, symbolic_l0
+from .l0search import symbolic_l0
 from .lipschitz import LipConfig, alternating_search, random_baseline
 from .logic import (
     NORMS,
@@ -363,7 +363,7 @@ def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
             except LpError:
                 continue  # the solver's answer failed its residual check
         else:
-            t_new = symbolic_l0(loop.net, source, r, L0Budget(cfg.l0_budget),
+            t_new = symbolic_l0(loop.net, source, r, cfg.l0_budget,
                                 deadline=loop.deadline, acts=loop.cache.get(source))
         if t_new is None:
             continue

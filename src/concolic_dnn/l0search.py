@@ -17,7 +17,6 @@ differs from its source in at most ``max_pixels`` pixels, so its L0 distance
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,29 +25,22 @@ from .logic import Requirement
 from .network import Activations, Network, forward, forward_batch
 
 
-@dataclass(frozen=True)
-class L0Budget:
-    max_pixels: int = 100
-
-    def __post_init__(self):
-        if self.max_pixels < 1:
-            raise ValueError("pixel budget must be at least 1")
-
-
 def symbolic_l0(
-    net: Network, t: np.ndarray, r: Requirement, budget: L0Budget = L0Budget(),
+    net: Network, t: np.ndarray, r: Requirement, max_pixels: int = 100,
     deadline: Optional[float] = None, acts: Optional[Activations] = None,
 ) -> Optional[np.ndarray]:
     """Greedy coordinate search for an input satisfying ``r`` within the pixel budget.
 
-    Returns a new input differing from ``t`` in at most ``budget.max_pixels``
-    coordinates, or None on failure. Every accepted step strictly increases the
-    requirement's objective, so the loop runs at most ``max_pixels`` steps.
+    Returns a new input differing from ``t`` in at most ``max_pixels`` (>= 1)
+    coordinates, or None on failure. Every accepted step strictly increases
+    the requirement's objective, so the loop runs at most ``max_pixels`` steps.
     The start gap comes from ``t``'s activations: ``acts`` when the caller has
     them, else one forward pass of ``t``. ``deadline`` is a
     ``time.monotonic()`` value, checked before each step; once it has passed,
     the search fails.
     """
+    if max_pixels < 1:
+        raise ValueError("pixel budget must be at least 1")
     tag = r.tag
     if not hasattr(tag, "reached"):
         raise ValueError(f"L0 search needs a one-neuron requirement, not {type(tag).__name__}")
@@ -59,7 +51,7 @@ def symbolic_l0(
     if tag.reached(value):
         return cur
     free = np.ones(cur.size, dtype=bool)  # pixels not modified yet
-    for _ in range(budget.max_pixels):
+    for _ in range(max_pixels):
         if deadline is not None and time.monotonic() > deadline:
             return None
         # one candidate per free pixel and differing extreme: pixel order, 0 before 1

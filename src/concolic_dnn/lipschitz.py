@@ -9,10 +9,12 @@ minimizes the paper's Stage One objective, the negated ratio to an anchor in
 the box, checked against the constant at each accepted step; the anchor's own
 ratio, 0, costs no forward. Each poll's candidates are written into one row
 buffer per run and forwarded in batches, and the run visits and counts the
-points of a sequential poll that stops at the first improvement. The first run
-is anchored at the seed, each later run at the previous run's converged point,
-until the ratio beats the constant, the best ratio stops improving, or the run
-budget is spent; then the best pair found is reported.
+points of a sequential poll that stops at the first improvement. A run stops
+once its step falls below the input resolution ``logic.QUANT_TOL``, or, in a
+box whose first step is smaller still, once that step no longer improves. The
+first run is anchored at the seed, each later run at the previous run's
+converged point, until the ratio beats the constant, the best ratio stops
+improving, or the run budget is spent; then the best pair found is reported.
 
 A uniform-sampling baseline with the same box constraint is provided for
 comparison; it draws all of a box's pairs in one call and forwards them in
@@ -32,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .network import Network, forward, forward_batch
-from .logic import Box, distance
+from .logic import QUANT_TOL, Box, distance
 
 EPS = 1e-9  # added to the input distance of a ratio
 SHRINK = 0.5  # compass step factor after a poll with no improvement
@@ -170,7 +172,8 @@ class _BestPair:
 
 
 def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassResult:
-    """One compass run minimizing the negated ratio to ``anchor`` inside t0's box;
+    """One compass run minimizing the negated ratio to ``anchor`` inside t0's box,
+    down to a step of ``QUANT_TOL`` (or the first step, delta / 4, if smaller);
     a poll forwards ``net.batch_rows`` candidates at a time and first checks ``deadline``."""
     box = Box(tuple(t0), cfg.delta)
 
@@ -206,7 +209,7 @@ def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassRe
 
     return compass_minimize(
         objective, start=anchor, lower=box.lower, upper=box.upper, sigma0=cfg.delta / 4.0,
-        max_iters=cfg.compass_iters, poll=poll,
+        sigma_min=min(QUANT_TOL, cfg.delta / 4.0), max_iters=cfg.compass_iters, poll=poll,
         early_stop=lambda x, value: tracker.offer(anchor, x, -value, cfg.c),  # value: the negated ratio
     )
 

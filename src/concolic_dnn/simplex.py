@@ -118,6 +118,9 @@ def _standardize(c, A_ub, b_ub, bounds):
     np.copyto(pairs, (-math.inf, math.inf), where=np.isnan(pairs))
     lo, hi = pairs.T
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    if has_lo.all():  # no column mirrored or split: pick the unfixed ones
+        var = np.flatnonzero(hi != lo)
+        return c[var], A_ub[:, var], b_ub - A_ub @ lo, (hi - lo)[var], var, np.zeros(var.size, bool), lo
     offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
     free = ~has_lo & ~has_hi
     # columns per variable: boxed or lower-bounded 1 (0 when fixed),

@@ -349,10 +349,10 @@ class _Exhausted(Exception):
 def sequential_alternating_search(net, t0, cfg, eval_budget=None):
     """The alternating search with one forward per compass candidate: each run
     minimizes the negated ratio to its anchor, the seed or the previous run's
-    point, and its start value (the anchor's ratio to itself, 0) costs no
-    forward. The best pair is kept until the ratio beats c, a later run gains
-    PROGRESS_TOL or less, the runs are spent or the forwards reach
-    ``eval_budget``."""
+    point, down to a step of min(QUANT_TOL, delta / 4), and its start value
+    (the anchor's ratio to itself, 0) costs no forward. The best pair is kept
+    until the ratio beats c, a later run gains PROGRESS_TOL or less, the runs
+    are spent or the forwards reach ``eval_budget``."""
     t0 = np.ravel(np.asarray(t0, dtype=np.float64))
     lower, upper = np.clip(t0 - cfg.delta, 0.0, 1.0), np.clip(t0 + cfg.delta, 0.0, 1.0)
     evals = 0
@@ -384,6 +384,7 @@ def sequential_alternating_search(net, t0, cfg, eval_budget=None):
             return -value > cfg.c
 
         return sequential_compass_minimize(objective, anchor, lower, upper, cfg.delta / 4.0,
+                                           sigma_min=min(logic.QUANT_TOL, cfg.delta / 4.0),
                                            max_iters=cfg.compass_iters, early_stop=early)[0]
 
     anchor = t0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from concolic_dnn import l0search
-from concolic_dnn.l0search import L0Budget, symbolic_l0
+from concolic_dnn.l0search import symbolic_l0
 from concolic_dnn.logic import distance, gen_nbc, gen_nc, gen_ssc
 from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward, forward_batch
 
@@ -40,7 +40,7 @@ class TestSymbolicL0:
         net = single_neuron_net([1.0, -2.0], -0.1)
         r = gen_nc(net)[0]
         t = np.array([0.2, 0.4])
-        result = symbolic_l0(net, t, r, L0Budget(max_pixels=2))
+        result = symbolic_l0(net, t, r, 2)
         # exhaustive: try every pixel at every extreme
         best = None
         for pix in range(2):
@@ -65,12 +65,12 @@ class TestSymbolicL0:
     def test_dead_neuron_fails_within_budget(self):
         net = single_neuron_net([0.5, -0.5], -2.0)  # max u over [0,1]^2 is -1.5
         r = gen_nc(net)[0]
-        assert symbolic_l0(net, np.array([0.1, 0.9]), r, L0Budget(max_pixels=2)) is None
+        assert symbolic_l0(net, np.array([0.1, 0.9]), r, 2) is None
 
     def test_budget_respected(self):
         net = dense_net([6, 8, 2], seed=1)
         rng = np.random.default_rng(2)
-        budget = L0Budget(max_pixels=3)
+        budget = 3
         for r in gen_nc(net)[:8]:
             t = rng.uniform(0, 1, 6)
             result = symbolic_l0(net, t, r, budget)
@@ -82,7 +82,7 @@ class TestSymbolicL0:
         reqs = gen_nbc(net, {(2, 0): 1.5}, {(2, 0): -0.5})
         hi = next(r for r in reqs if r.tag.side == "hi")
         t = np.array([0.5, 0.5])  # u = 1.0, below the high bound
-        result = symbolic_l0(net, t, hi, L0Budget(max_pixels=1))
+        result = symbolic_l0(net, t, hi, 1)
         assert result is not None
         assert forward(net, result).u_flat(2)[0] > 1.5
 
@@ -124,7 +124,7 @@ class TestSymbolicL0:
         for r in reqs:
             t = rng.uniform(0, 1, net.input_dim)
             t[rng.random(t.size) < 0.3] = 1.0  # pixels already at an extreme get one candidate
-            got, want = symbolic_l0(net, t, r, L0Budget(3)), sequential_symbolic_l0(net, t, r, 3)
+            got, want = symbolic_l0(net, t, r, 3), sequential_symbolic_l0(net, t, r, 3)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.tobytes() == want.tobytes()
@@ -144,8 +144,8 @@ class TestSymbolicL0:
         t = data.draw(arrays(np.float64, net.input_dim, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
         acts = forward(net, t)
         for r in reqs:
-            want = symbolic_l0(net, t, r, L0Budget(3))
-            got = symbolic_l0(net, t, r, L0Budget(3), acts=acts)
+            want = symbolic_l0(net, t, r, 3)
+            got = symbolic_l0(net, t, r, 3, acts=acts)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.tobytes() == want.tobytes()
@@ -161,7 +161,7 @@ class TestSymbolicL0:
         net = dense_net([6, 5, 4, 2], seed=1)
         t = np.full(6, 0.5)
         for r in gen_nc(net):
-            symbolic_l0(net, t, r, L0Budget(2), acts=forward(net, t))
+            symbolic_l0(net, t, r, 2, acts=forward(net, t))
         assert calls == []
 
     def test_batches_bounded(self, monkeypatch):
@@ -173,7 +173,7 @@ class TestSymbolicL0:
 
         monkeypatch.setattr(l0search, "forward_batch", recording_forward_batch)
         net = single_neuron_net([-1.0] * 150, -1.0)  # two improving steps, never reached
-        assert symbolic_l0(net, np.full(150, 0.5), gen_nc(net)[0], L0Budget(2)) is None
+        assert symbolic_l0(net, np.full(150, 0.5), gen_nc(net)[0], 2) is None
         assert max(sizes) <= net.batch_rows and sum(sizes) == 300 + 298
 
     def test_ssc_rejected(self):
@@ -183,5 +183,6 @@ class TestSymbolicL0:
             symbolic_l0(net, np.zeros(2), r)
 
     def test_bad_budget_rejected(self):
+        net = single_neuron_net([1.0, -2.0], -0.1)
         with pytest.raises(ValueError):
-            L0Budget(max_pixels=0)
+            symbolic_l0(net, np.array([0.2, 0.4]), gen_nc(net)[0], 0)

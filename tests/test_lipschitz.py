@@ -17,7 +17,7 @@ from concolic_dnn.lipschitz import (
     lip_ratio,
     random_baseline,
 )
-from concolic_dnn.logic import Box
+from concolic_dnn.logic import QUANT_TOL, Box
 from concolic_dnn.network import Dense, Network, forward_batch
 
 from conftest import dense_net, identity_net
@@ -321,6 +321,45 @@ class TestBatchedPolls:
             recording(want), start, lower, upper, sigma0=sigma0, sigma_min=sigma_min, max_iters=max_iters)
         assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
         assert (res.point.tobytes(), res.value, res.iterations) == (point.tobytes(), value, iterations)
+
+
+class TestResolutionFloor:
+    """Each run stops below a step of QUANT_TOL, or of delta / 4 in a smaller box."""
+
+    @given(
+        st.integers(1, 6), st.integers(2, 8), st.integers(0, 2**16), st.floats(0.05, 4.0),
+        st.floats(0.001, 0.4), st.integers(1, 40), st.integers(1, 5), st.data(),
+    )
+    def test_polls_move_at_least_the_floor(self, n, hidden, net_seed, c, delta, iters, runs, data):
+        net = dense_net([n, hidden, 3], seed=net_seed, scale=2.0)
+        t0 = data.draw(arrays(np.float64, n, elements=st.floats(0, 1)))
+        cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
+        box = Box(tuple(t0), delta)
+        floor = min(QUANT_TOL, delta / 4.0)
+        real_minimize = lipschitz.compass_minimize
+        polled = []  # per poll: its moves' coordinates, their values before and after
+
+        def recording_minimize(*args, poll, **kwargs):
+            def spy(cur, coords, steps, value):
+                polled.append((coords, cur[coords], steps))
+                return poll(cur, coords, steps, value)
+
+            return real_minimize(*args, poll=spy, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lipschitz, "compass_minimize", recording_minimize)
+            got = alternating_search(net, t0, cfg)
+        for coords, before, steps in polled:  # every forwarded row is one of these moves
+            on_face = (steps == box.lower[coords]) | (steps == box.upper[coords])
+            assert np.all(on_face | (np.abs(steps - before) >= floor * (1 - 1e-9)))  # the step, up to rounding
+        assert_same_search(got, sequential_alternating_search(net, t0, cfg))
+
+    @pytest.mark.parametrize("delta, evals, executions, ratio", [(0.1, 167, 3, 3.3918), (0.004, 65, 2, 3.4532)])
+    def test_pinned_counts(self, delta, evals, executions, ratio):
+        # a stop at step 1e-5 took 383 and 161 evaluations, to ratios 3.4273 and 3.4532
+        net = dense_net([4, 8, 6, 3], seed=2)
+        out = alternating_search(net, np.full(4, 0.5), LipConfig(c=1e9, delta=delta))
+        assert (out.evals, out.executions, round(out.witness.ratio, 4)) == (evals, executions, ratio)
 
 
 class TestRandomBaseline:
