@@ -237,11 +237,12 @@ class _Loop:
     state: SuiteState  # the suite's activations as of the last satisfaction pass
     rng: np.random.Generator
     deadline: float
-    factors: dict[int, float]  # the layer factors, by hidden layer
+    factors: dict[int, float]  # the layer factors, by hidden layer; empty for Lipschitz
     suite: TestSuite
     dump_hook: Optional[Callable]
     tried: dict = field(default_factory=dict)  # id(requirement) -> source tests attempted
     lip_rows: list = field(default_factory=list)
+    nearest: dict = field(default_factory=dict)  # the admission checks' nearest references
     timed_out: bool = False
 
     def expired(self) -> bool:
@@ -282,11 +283,14 @@ def run(
     deadline = time.monotonic() + cfg.timeout
     cache = ActivationCache(net)
 
+    # drawn for every family: the random baseline's draws follow in the stream
     samples = rng.uniform(0.0, 1.0, size=(cfg.sample_count, net.input_dim))
-    sample_set = np.vstack([samples, *(np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds)])
-    # forwarded once, as one batch, for the layer factors and the NBC bounds, then let go
-    sample_acts = network.forward_batch(net, sample_set)
-    factors = estimate_layer_factors(net, sample_acts)
+    sample_acts, factors = None, {}
+    if family.reads_samples:
+        sample_set = np.vstack([samples, *(np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds)])
+        # forwarded once, as one batch, for the layer factors and the NBC bounds, then let go
+        sample_acts = network.forward_batch(net, sample_set)
+        factors = estimate_layer_factors(net, sample_acts)
     reqs = family.generate(net, seeds, cfg, sample_acts)
     del sample_acts
 
@@ -327,7 +331,7 @@ def run(
 
     if family.finish is not None:
         family.finish(loop, reqs)
-    report = suite_report(net, refs, suite.vectors, reqs, cfg.bound, cache)
+    report = suite_report(net, refs, suite.vectors, reqs, cfg.bound, cache, loop.nearest)
     return RunResult(suite, report, reqs, loop.timed_out, loop.lip_rows)
 
 
@@ -368,7 +372,7 @@ def _synthesize_ranked(loop: _Loop, r: Requirement) -> None:
         if t_new is None:
             continue
         t_new = _quantize(t_new, cfg.quantize)
-        if validity_check(loop.refs, t_new, cfg.bound):
+        if validity_check(loop.refs, t_new, cfg.bound, loop.nearest):
             loop.suite.append(t_new, r.tag.label(), source_idx)
             return
     r.status = "failed"  # attempt budget exhausted or no untried candidate left
@@ -396,7 +400,7 @@ def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
     appended = False
     for point in (outcome.witness.t1, outcome.witness.t2):
         point = _quantize(point, cfg.quantize)
-        if validity_check(loop.refs, point, cfg.bound):
+        if validity_check(loop.refs, point, cfg.bound, loop.nearest):
             if not any(np.array_equal(c.vector, point) for c in suite.cases):
                 suite.append(point, r.tag.label(), parent)
                 appended = True
@@ -427,7 +431,9 @@ class Family:
     """What the engine knows about one requirement family (criterion).
 
     ``generate(net, seeds, cfg, sample_acts)`` returns the requirements,
-    given the ``ActivationBatch`` of the run's sample set;
+    given the ``ActivationBatch`` of the run's sample set, or None for a
+    family that does not ``reads_samples`` (its ranking reads no layer
+    factors either, so the sample set is drawn but never forwarded);
     ``rank(loop, open_reqs)`` picks the requirement to work on;
     ``synthesize(loop, r)`` is one loop iteration's synthesis;
     ``finish(loop, reqs)`` runs after the loop; ``save(result, outdir)``
@@ -442,6 +448,7 @@ class Family:
     finish: Optional[Callable] = None
     save: Optional[Callable] = None
     needs_lip: bool = False  # RunConfig.lip must be set
+    reads_samples: bool = True  # generate or rank reads the sample set's activations
 
 
 FAMILIES: dict[str, Family] = {
@@ -472,6 +479,7 @@ FAMILIES: dict[str, Family] = {
         save=lambda result, outdir: write_lipschitz_csv(
             result.lipschitz_rows, os.path.join(outdir, "lipschitz.csv")),
         needs_lip=True,
+        reads_samples=False,
     ),
 }
 

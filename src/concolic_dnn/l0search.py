@@ -5,7 +5,11 @@ requirements are attacked by changing one pixel at a time: every step
 evaluates the requirement's gap (its tag class's ``gaps``, the ranking's
 formula) for each not-yet-modified pixel set to each extreme value, 0 and 1,
 that differs from its source value, and applies the single best
-strictly-improving change (the first one on ties).
+strictly-improving change (the first one on ties). Only the pixels in the
+target neuron's receptive field (``Network.receptive_field``) are swept: any
+other pixel leaves the gap bit for bit as it is, so it could never be the
+strict improvement the step takes, and a conv neuron's sweep shrinks to its
+window.
 The candidates go in ``forward_batch`` calls of up to ``net.batch_rows`` rows
 that stop at the requirement's layer, the last one the gap reads. The search
 stops as soon as the requirement holds, or fails when the pixel budget is
@@ -50,7 +54,10 @@ def symbolic_l0(
     value = tag.gaps((forward(net, cur) if acts is None else acts).u_flat(k)[None], [tag])[0, 0]
     if tag.reached(value):
         return cur
-    free = np.ones(cur.size, dtype=bool)  # pixels not modified yet
+    # pixels not modified yet, in the neuron's receptive field: a pixel outside
+    # it leaves the gap as it is, so it never strictly improves on the step
+    free = np.zeros(cur.size, dtype=bool)
+    free[net.receptive_field(k, tag.neuron)] = True
     for _ in range(max_pixels):
         if deadline is not None and time.monotonic() > deadline:
             return None

@@ -352,14 +352,29 @@ class LipTag:
     def margins(self, state: SuiteState) -> tuple[np.ndarray, np.ndarray]:
         """The ascending suite indices of the tests inside the box, and the
         ``lip_margin`` at ``threshold`` of tests inside[a] and inside[b] as
-        entry (a, b), bit for bit (the same float64 operations)."""
-        x = state.u_flat(1)
-        inside = np.flatnonzero(((x >= self.region.lower) & (x <= self.region.upper)).all(axis=1))
-        out, x = state.out[inside], x[inside]
-        # one row at a time, so no (n x n x width) array is made
-        rows = [distance(out, out[a], "linf") - self.threshold * distance(x, x[a], "linf")
-                for a in range(len(inside))]
-        return inside, np.array(rows).reshape(len(inside), len(inside))
+        entry (a, b), bit for bit (the same float64 operations).
+
+        The table is kept in ``state`` for the whole run and grows by the
+        rows of the tests added since the last call, so callers must not
+        write to it. It is symmetric exactly: |a - b| equals |b - a| in IEEE
+        arithmetic, so each new row is also written as its column."""
+        seen, inside, table = state.kept.get(self, (0, np.empty(0, dtype=np.intp), np.empty((0, 0))))
+        if seen < len(state):
+            x = state.u_flat(1)[seen:]
+            new = seen + np.flatnonzero(((x >= self.region.lower) & (x <= self.region.upper)).all(axis=1))
+            if new.size:
+                old = len(inside)
+                inside = np.concatenate([inside, new])
+                out, x = state.out[inside], state.u_flat(1)[inside]
+                grown = np.empty((len(inside), len(inside)))
+                grown[:old, :old] = table
+                # one row at a time, so no (n x n x width) array is made
+                for a in range(old, len(inside)):
+                    grown[a] = distance(out, out[a], "linf") - self.threshold * distance(x, x[a], "linf")
+                    grown[:old, a] = grown[a, :old]
+                table = grown
+            state.kept[self] = (len(state), inside, table)
+        return inside, table
 
     @staticmethod
     def settle(state: SuiteState, tags: Sequence[LipTag], start: int) -> list[bool]:
@@ -617,7 +632,9 @@ class SuiteState:
     (tests x neurons) arrays whose row i is test i's, so a one-test family's
     ``gaps(state.u_flat(k), tags)`` gives one gap per tag and test.
     ``extend`` appends the rows of new tests; the arrays grow by doubling, so
-    each row is copied O(1) times on average.
+    each row is copied O(1) times on average. ``kept`` holds what a tag
+    derives from the rows and extends as the suite grows (a Lipschitz box's
+    margin table), keyed by the tag.
     """
 
     def __init__(self, net: Network):
@@ -626,6 +643,7 @@ class SuiteState:
         widths["out"] = net.width(net.num_layers)
         self._rows = {key: np.empty((0, width)) for key, width in widths.items()}
         self._size = 0
+        self.kept: dict = {}
 
     def __len__(self) -> int:
         return self._size

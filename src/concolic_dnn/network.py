@@ -16,7 +16,9 @@ equals the forward of that input alone bit for bit, because every product is
 stacked (``X[:, None, :] @ W`` for dense layers, one im2col product per input,
 gathered C-contiguously, for conv layers), so BLAS runs the same per-item gemv
 or gemm at the same shapes whatever the batch size; a plain 2-D ``X @ W``
-differs from the gemv in the last bit on some rows.
+differs from the gemv in the last bit on some rows. A call's rows are capped
+by floats alone (``Network.batch_rows``). ``Network.receptive_field`` follows
+the gather index down from one neuron to the inputs it reads.
 
 Layers are indexed the way the rest of the package expects: the input layer
 is layer 1, the output layer is layer K, and hidden layers are 2..K-1.
@@ -31,18 +33,19 @@ from typing import Optional, Union
 
 import numpy as np
 
-# ``Network.batch_rows`` is BATCH_ROWS, or fewer when a row's widest array (a
-# layer, or a conv or pool gather) holds so many floats that a batch's would
-# pass BATCH_FLOATS. ``forward_batch`` runs its layers on at most that many
-# rows at a time, so the gathers and products it makes on the way stay that
-# small; the search loops (the L0 sweep, the random baseline) also give it at
-# most that many rows per call, since a result holds u and v of every layer
-# for every row. Peak memory so stays bounded whatever the net, except for the
+# ``Network.batch_rows`` is BATCH_FLOATS // widest, at least 1, where the
+# widest is a row's largest array (a layer, or a conv or pool gather): so many
+# rows that a batch's largest array holds at most BATCH_FLOATS floats, 128 KB.
+# ``forward_batch`` runs its layers on at most that many rows at a time, so the
+# gathers and products it makes on the way stay that small; the search loops
+# (the L0 sweep, the compass polls, the random baseline) also give it at most
+# that many rows per call, since a result holds u and v of every layer for
+# every row. Peak memory so stays bounded whatever the net, except for the
 # set-up's sample set, whose result its estimators read whole. Larger arrays
 # were slower too: an L0 step on a 14x14 conv net ran fastest at 8-16 rows
 # (arrays up to about 128 KB) and slower at 32 or more, and on a 28x28 conv
-# net batches of 16 or more rows were slower than one input at a time.
-BATCH_ROWS = 128
+# net batches of 16 or more rows were slower than one input at a time. A
+# narrow dense net takes hundreds of rows a call: 1,638 on a 10-wide one.
 BATCH_FLOATS = 1 << 14
 
 
@@ -206,7 +209,7 @@ class Network:
             if isinstance(layer, (Conv2D, MaxPool))
         }
         widest = max(self._widths + tuple(idx.size for idx in self.gather.values()))
-        self.batch_rows = max(1, min(BATCH_ROWS, BATCH_FLOATS // widest))
+        self.batch_rows = max(1, BATCH_FLOATS // widest)
         # layer indices whose neurons carry ReLU activation bits; the output
         # layer K is left out of the hidden ones
         self.relu_layers: tuple[int, ...] = tuple(
@@ -239,6 +242,30 @@ class Network:
     def relu_neurons(self) -> list[tuple[int, int]]:
         """All (layer, neuron) positions of hidden ReLU neurons, in index order."""
         return [(k, i) for k in self.hidden_relu_layers for i in range(self.width(k))]
+
+    def receptive_field(self, k: int, neuron: int) -> np.ndarray:
+        """The flat input indices that neuron ``neuron`` of layer k reads, ascending.
+
+        The neuron's set is carried down one layer at a time: through the
+        ``gather`` rows of a conv2d or maxpool layer, unchanged through a
+        flatten, and to the whole layer below through a dense layer. An input
+        outside the set leaves the neuron's u and v bit for bit as they were.
+        """
+        reads = np.zeros(self.width(k), dtype=bool)
+        reads[neuron] = True
+        for j in range(k, 1, -1):
+            layer = self.layer(j)
+            below = np.zeros(self.width(j - 1) + 1, dtype=bool)  # the last: a "same"-padding zero
+            if isinstance(layer, Dense):
+                below[:] = True
+            elif isinstance(layer, Conv2D):  # one gather row per position, all its channels
+                below[self.gather[j][np.flatnonzero(reads) // self.shape(j)[2]]] = True
+            elif isinstance(layer, MaxPool):
+                below[self.gather[j][reads]] = True
+            else:
+                below[:-1] = reads
+            reads = below[:-1]
+        return np.flatnonzero(reads)
 
 
 @dataclass

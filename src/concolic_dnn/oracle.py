@@ -60,11 +60,22 @@ def nearest(refs: ReferenceSet, t: np.ndarray) -> tuple[int, float]:
     return idx, float(dists[idx])
 
 
-def validity_check(refs: ReferenceSet, t: np.ndarray, bound: float) -> bool:
-    """A test is valid when some reference input lies within ``bound`` of it."""
+def _key(t: np.ndarray) -> bytes:
+    return np.ravel(np.asarray(t, dtype=np.float64)).tobytes()
+
+
+def validity_check(refs: ReferenceSet, t: np.ndarray, bound: float,
+                   found: Optional[dict] = None) -> bool:
+    """A test is valid when some reference input lies within ``bound`` of it.
+
+    ``found``, when given, records ``t``'s nearest reference (index,
+    distance) under its float64 bytes, for ``suite_report`` to reuse; a run
+    keeps one, since a reference set may serve several runs."""
     if bound <= 0:
         raise ValueError("validity bound must be positive")
-    _, dist = nearest(refs, t)
+    idx, dist = nearest(refs, t)
+    if found is not None:
+        found[_key(t)] = idx, dist
     return dist <= bound
 
 
@@ -133,12 +144,14 @@ def suite_report(
     reqs: Sequence[Requirement],
     bound: float,
     cache: Optional[ActivationCache] = None,
+    found: Optional[dict] = None,
 ) -> CoverageReport:
     """Report on a finished suite: coverage, per-requirement status, adversarial records.
 
     Requirement statuses are reported as given (``engine.run`` settles them),
     so satisfied / open / failed partition the requirement set and coverage is
-    the satisfied fraction.
+    the satisfied fraction. A test's nearest reference is read from
+    ``found`` (as ``validity_check`` records it) when it holds the test.
     """
     if bound <= 0:
         raise ValueError("validity bound must be positive")
@@ -149,7 +162,7 @@ def suite_report(
     n_failed = sum(1 for r in reqs if r.status == "failed")
     records: list[AdversarialRecord] = []
     for i, t in enumerate(suite):
-        idx, dist = nearest(refs, t)
+        idx, dist = (found or {}).get(_key(t)) or nearest(refs, t)
         if dist <= bound:  # only a valid test can be adversarial
             record = _adversarial_record(refs, t, idx, dist, i, cache)
             if record is not None:

@@ -9,7 +9,8 @@ is deterministic: lowest tag ``order_key`` (layer first, then neuron), then
 earliest test. Every family is ranked over the suite's ``SuiteState``: the
 one-test families (NC, SSC, NBC) by one score matrix, requirements by tests,
 built from one slice of the suite's rows per (family, layer), and its first
-maximum; Lipschitz requirements by each box's margin matrix.
+maximum; Lipschitz requirements by each box's margin matrix, kept in the
+suite state.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ def rank_lipschitz(state: SuiteState, reqs) -> Optional[RankedCandidate]:
         if inside.size == 0:
             continue
         if inside.size > 1:
+            margins = margins.copy()  # the state keeps the table for the run
             np.fill_diagonal(margins, -np.inf)  # distinct tests only
         a, b = divmod(int(margins.argmax()), len(inside))
         if best is None or margins[a, b] > best.score:

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from concolic_dnn.logic import SuiteState
-from concolic_dnn.network import Dense, Network, forward
+from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward
 
 settings.register_profile(
     "ci", derandomize=True, max_examples=60, suppress_health_check=[HealthCheck.too_slow]
@@ -26,6 +29,35 @@ def dense_net(layer_sizes, seed=0, scale=1.0, out_relu=False):
             )
         )
     return Network((layer_sizes[0],), layers)
+
+
+@st.composite
+def conv_nets(draw):
+    """A random conv net on an input of up to 5x5x2: one or two conv ReLU
+    layers (kernels up to 3x3, strides 1-2, valid or same padding, 1-3
+    channels), each maybe followed by a maxpool, then a flatten, a dense ReLU
+    layer of 3 and a linear output of 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w, c = draw(st.integers(2, 5)), draw(st.integers(2, 5)), draw(st.integers(1, 2))
+    input_shape, layers = (h, w, c), []
+    for _ in range(draw(st.integers(1, 2))):
+        padding = draw(st.sampled_from(["valid", "same"]))
+        kh, kw = draw(st.integers(1, min(3, h))), draw(st.integers(1, min(3, w)))
+        sh, sw = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        out_ch = draw(st.integers(1, 3))
+        layers.append(Conv2D(rng.normal(size=(kh, kw, c, out_ch)), rng.normal(size=out_ch) * 0.3,
+                             (sh, sw), padding))
+        h, w, c = ((math.ceil(h / sh), math.ceil(w / sw)) if padding == "same"
+                   else ((h - kh) // sh + 1, (w - kw) // sw + 1)) + (out_ch,)
+        if draw(st.booleans()):
+            ph = draw(st.sampled_from([d for d in range(1, h + 1) if h % d == 0]))
+            pw = draw(st.sampled_from([d for d in range(1, w + 1) if w % d == 0]))
+            layers.append(MaxPool((ph, pw)))
+            h, w = h // ph, w // pw
+    width = h * w * c
+    layers += [Flatten(), Dense(rng.normal(size=(width, 3)) / np.sqrt(width), rng.normal(size=3) * 0.1),
+               Dense(rng.normal(size=(3, 2)), np.zeros(2), relu=False)]
+    return Network(input_shape, layers)
 
 
 def identity_net(dim=2):

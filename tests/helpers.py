@@ -2,8 +2,8 @@
 exhaustive suite enumeration, the nearest-reference scan under its own 1-d
 norms, each one-test family's gap, the loops of the one-test and Lipschitz
 rankings, the layer factors' Python fold, a vertex-enumeration LP solver, the simplex's column-gather
-pivot, ratio scan and per-variable standard-form loop, and per-position conv and maxpool kernels with the
-conv matrix built from them. These stay deliberately naive so they share no
+pivot, ratio scan and per-variable standard-form loop, per-position conv and maxpool kernels with the
+conv matrix built from them, and the receptive field from each layer's dependency matrix. These stay deliberately naive so they share no
 code path with the implementations they check (forward passes are memoized
 for speed, nothing else is)."""
 
@@ -22,7 +22,7 @@ from concolic_dnn.lipschitz import (
     LipWitness,
     SearchOutcome,
 )
-from concolic_dnn.network import Conv2D, forward
+from concolic_dnn.network import Conv2D, Dense, MaxPool, forward
 from concolic_dnn.simplex import PIVOT_TOL
 
 
@@ -472,6 +472,35 @@ def pool_forward_reference(layer, x):
                 winners[(i * ow + j) * c + ch] = (i * ph + li) * (w * c) + (j * pw + lj) * c + ch
                 out[i, j, ch] = x[i * ph + li, j * pw + lj, ch]
     return out, winners
+
+
+def loop_receptive_field(net, k, neuron):
+    """The inputs neuron (k, neuron) depends on, carried down by each layer's
+    dependency matrix (input x output): a conv layer's is where its reference
+    affine map with all-ones kernels is nonzero, a maxpool layer's marks each
+    window's members, window by window, and a dense layer's is full."""
+    reads = np.zeros(net.width(k), dtype=bool)
+    reads[neuron] = True
+    for j in range(k, 1, -1):
+        layer = net.layer(j)
+        if isinstance(layer, Dense):
+            deps = np.ones((net.width(j - 1), net.width(j)), dtype=bool)
+        elif isinstance(layer, Conv2D):
+            ones = Conv2D(np.ones_like(layer.kernels), layer.bias, layer.stride, layer.padding)
+            deps = conv_matrix_reference(ones, net.shape(j - 1))[0] != 0.0
+        elif isinstance(layer, MaxPool):
+            (ph, pw), (oh, ow, c), w = layer.window, net.shape(j), net.shape(j - 1)[1]
+            deps = np.zeros((net.width(j - 1), net.width(j)), dtype=bool)
+            for i in range(oh):
+                for jj in range(ow):
+                    for ch in range(c):
+                        for di in range(ph):
+                            for dj in range(pw):
+                                deps[((i * ph + di) * w + jj * pw + dj) * c + ch, (i * ow + jj) * c + ch] = True
+        else:
+            deps = np.eye(net.width(j), dtype=bool)
+        reads = deps[:, reads].any(axis=1)
+    return np.flatnonzero(reads)
 
 
 def conv_matrix_reference(layer, in_shape):

@@ -343,6 +343,28 @@ class TestSampleSetForwardedOnce:
         assert [rows[s.tobytes()] for s in samples] == [1] * cfg.sample_count
         assert sum(1 for batch in batches if keys & set(batch)) == 1
 
+    def test_lipschitz_run_forwards_no_sample(self, monkeypatch, tmp_path):
+        # the Lipschitz steps read neither layer factors nor bounds: the sample
+        # set is drawn, so the random baseline's draws follow it in the stream,
+        # but never forwarded
+        rows = set()
+        real_forward_batch = network.forward_batch
+
+        def recording_forward_batch(net, X, last=None):
+            rows.update(row.tobytes() for row in np.asarray(X, dtype=np.float64).reshape(len(X), -1))
+            return real_forward_batch(net, X, last=last)
+
+        monkeypatch.setattr(network, "forward_batch", recording_forward_batch)
+        monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
+        monkeypatch.setattr(engine, "estimate_layer_factors", None)  # a call would raise
+        net, refs, seeds, cfg = _small_run("lipschitz")
+        result = run(net, refs, seeds, cfg)
+        samples = np.random.default_rng(cfg.rng_seed).uniform(0.0, 1.0, (cfg.sample_count, net.input_dim))
+        assert rows and not rows & {s.tobytes() for s in samples}
+        save_run(result, cfg, str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "lipschitz.csv").read_bytes()).hexdigest()
+        assert digest == "a842b153d929a05c319e3cf1f69350e2717bc4cca95ebe47a6915fe57269ae04"
+
     def test_seeds_alone_are_a_sample_set(self):
         net, refs, seeds, cfg = _small_run("nbc")
         cfg.sample_count = 0

@@ -9,7 +9,7 @@ from concolic_dnn.l0search import symbolic_l0
 from concolic_dnn.logic import distance, gen_nbc, gen_nc, gen_ssc
 from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward, forward_batch
 
-from conftest import dense_net
+from conftest import conv_nets, dense_net
 from helpers import sequential_symbolic_l0
 
 
@@ -175,6 +175,34 @@ class TestSymbolicL0:
         net = single_neuron_net([-1.0] * 150, -1.0)  # two improving steps, never reached
         assert symbolic_l0(net, np.full(150, 0.5), gen_nc(net)[0], 2) is None
         assert max(sizes) <= net.batch_rows and sum(sizes) == 300 + 298
+
+    @given(conv_nets(), st.data())
+    def test_conv_nets_match_the_full_sweep(self, net, data):
+        # the sweep over the target's receptive field against the loop over every pixel
+        reqs = gen_nc(net) + gen_nbc(net, *(dict.fromkeys(net.relu_neurons(), bound) for bound in (0.5, -0.5)))
+        first = [r for r in reqs if r.tag.layer == 2]
+        deeper = [r for r in reqs if r.tag.layer > 2]
+        picks = [data.draw(st.sampled_from(first)), data.draw(st.sampled_from(deeper))]
+        t = data.draw(arrays(np.float64, net.input_dim, elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+        for r in picks:
+            got, want = symbolic_l0(net, t, r, 3), sequential_symbolic_l0(net, t, r, 3)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_first_layer_target_sweeps_its_window(self, monkeypatch):
+        sizes = []
+
+        def recording_forward_batch(net, X, last=None):
+            sizes.append(len(X))
+            return forward_batch(net, X, last=last)
+
+        monkeypatch.setattr(l0search, "forward_batch", recording_forward_batch)
+        # conv neuron (0, 0) reads pixels (0..2, 0..2) of a 6x6 input: 9 pixels at 0.5, two extremes each
+        net = Network((6, 6, 1), [Conv2D(-np.ones((3, 3, 1, 1)), np.full(1, -1.0)), Flatten(),
+                                  Dense(np.ones((16, 2)), np.zeros(2), relu=False)])
+        assert symbolic_l0(net, np.full(36, 0.5), gen_nc(net)[0], 1) is None
+        assert sizes == [18]
 
     def test_ssc_rejected(self):
         net = dense_net([2, 3, 3, 2], seed=3)

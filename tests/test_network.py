@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from concolic_dnn.lp import layer_affine
 from concolic_dnn.network import (
     BATCH_FLOATS,
-    BATCH_ROWS,
     ActivationCache,
     Conv2D,
     Dense,
@@ -26,8 +25,8 @@ from concolic_dnn.network import (
     save_model,
 )
 
-from conftest import dense_net, identity_net
-from helpers import conv_forward_reference, conv_matrix_reference, pool_forward_reference
+from conftest import conv_nets, dense_net, identity_net
+from helpers import conv_forward_reference, conv_matrix_reference, loop_receptive_field, pool_forward_reference
 
 
 def two_layer(w, b, relu=True):
@@ -236,6 +235,39 @@ class TestGatherAgainstReference:
         assert np.array_equal(acts.pool_winners[2], winners)
 
 
+class TestReceptiveField:
+    @given(conv_nets(), st.data())
+    def test_matches_the_layer_by_layer_dependencies(self, net, data):
+        k = data.draw(st.integers(2, net.num_layers))
+        neuron = data.draw(st.integers(0, net.width(k) - 1))
+        assert net.receptive_field(k, neuron).tolist() == loop_receptive_field(net, k, neuron).tolist()
+
+    @given(conv_nets(), st.integers(0, 2**32 - 1), st.data())
+    def test_inputs_outside_leave_the_neuron_bit_for_bit(self, net, seed, data):
+        k = data.draw(st.integers(2, net.num_layers))
+        neuron = data.draw(st.integers(0, net.width(k) - 1))
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (2, net.input_dim))
+        inside = np.zeros(net.input_dim, dtype=bool)
+        inside[net.receptive_field(k, neuron)] = True
+        x[1, inside] = x[0, inside]  # row 1 differs from row 0 outside the field only
+        batch = forward_batch(net, x)
+        for values in (batch.u_flat(k), batch.v[k].reshape(2, -1)):
+            assert values[0, neuron].tobytes() == values[1, neuron].tobytes()
+
+    def test_a_first_layer_neuron_reads_its_window(self):
+        net = Network((6, 6, 2), [Conv2D(np.ones((3, 3, 2, 4)), np.zeros(4), (2, 1), "same"), MaxPool((1, 2)),
+                                  Flatten(), Dense(np.ones((36, 2)), np.zeros(2), relu=False)])
+        # conv position (1, 2): rows 2-4 ("same" pads one row below), columns 1-3
+        # (one column each side), both channels
+        field = net.receptive_field(2, (1 * 6 + 2) * 4 + 3)
+        assert field.tolist() == [(r * 6 + q) * 2 + ch for r in (2, 3, 4) for q in (1, 2, 3) for ch in (0, 1)]
+        # pool position (1, 1) of channel 0: conv positions (1, 2) and (1, 3)
+        assert net.receptive_field(3, (1 * 3 + 1) * 4).tolist() == [
+            (r * 6 + q) * 2 + ch for r in (2, 3, 4) for q in (1, 2, 3, 4) for ch in (0, 1)]
+        assert net.receptive_field(5, 0).tolist() == list(range(72))
+
+
 class TestModelIO:
     def test_round_trip_bitwise(self, tmp_path, mid_net):
         path = tmp_path / "net.json"
@@ -421,7 +453,7 @@ class TestForwardBatch:
             forward_batch(net, np.zeros((2, net.input_dim)), last=last)
 
     def test_batch_rows_shrink_for_wide_rows(self):
-        assert ROW_EXACT_NETS["dense-24-16-16-10"].batch_rows == BATCH_ROWS
+        assert ROW_EXACT_NETS["dense-24-16-16-10"].batch_rows == BATCH_FLOATS // 24
         # the widest array is a layer: 18 * 18 * 16 floats per row (its gather has 18 * 18 * 9)
         wide_layer = Network((20, 20, 1), [Conv2D(np.zeros((3, 3, 1, 16)), np.zeros(16)), Flatten(),
                                            Dense(np.zeros((18 * 18 * 16, 2)), np.zeros(2), relu=False)])

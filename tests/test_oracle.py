@@ -248,6 +248,29 @@ class TestSuiteReport:
                           r.label, r.nearest_label, r.trusted_label, r.norm)
         assert [view(r) for r in report.adversarial] == expected
 
+    def test_admission_records_replace_the_report_search(self, monkeypatch):
+        net = boundary_net()
+        rng = np.random.default_rng(4)
+        rs = ReferenceSet(rng.uniform(0, 1, (30, 2)), np.zeros(30, dtype=int), norm="linf")
+        suite = [rng.uniform(-0.2, 1.2, 2) for _ in range(40)]
+        found = {}
+        for t in suite[5:]:  # the first five stand for seeds, never admitted
+            validity_check(rs, t, 0.2, found)
+        assert list(found.values()) == [loop_nearest(rs, t) for t in suite[5:]]
+        want = report_to_dict(suite_report(net, rs, suite, gen_nc(net), bound=0.2))
+
+        calls = []
+        real = oracle.nearest
+
+        def counting(refs, t):
+            calls.append(1)
+            return real(refs, t)
+
+        monkeypatch.setattr(oracle, "nearest", counting)
+        got = report_to_dict(suite_report(net, rs, suite, gen_nc(net), bound=0.2, found=found))
+        assert len(calls) == 5
+        assert json.dumps(got) == json.dumps(want)
+
     def test_report_bound_must_be_positive(self, refs):
         net = boundary_net()
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from concolic_dnn.logic import (
     gen_nbc,
     gen_nc,
     gen_ssc,
+    lip_margin,
     ssc_pairs,
 )
 from concolic_dnn.network import Activations, Dense, Network, forward, forward_batch
@@ -242,6 +243,40 @@ def lipschitz_cases(draw):
     reqs = gen_lipschitz(part, draw(st.sampled_from((0.1, 0.5, 1.0, 3.0))))
     net = dense_net([dim, 4, 2], seed=draw(st.integers(0, 20)))
     return net, tests, draw(st.permutations(reqs))
+
+
+class TestKeptMarginTable:
+    """Each box's margin table is kept in the suite state and grown by the
+    rows of new tests; it must equal a fresh pass over the whole suite."""
+
+    @given(lipschitz_cases(), st.data())
+    def test_grown_test_by_test_equals_a_fresh_pass(self, case, data):
+        net, tests, reqs = case
+        state = SuiteState(net)
+        for n in range(1, len(tests) + 1):
+            state.extend([forward(net, tests[n - 1])])
+            if n < len(tests) and not data.draw(st.booleans()):
+                continue  # the next call grows the table by several tests
+            fresh = suite_state(net, tests[:n])
+            for r in reqs:
+                inside, table = r.tag.margins(state)
+                fresh_inside, fresh_table = r.tag.margins(fresh)
+                assert inside.tolist() == fresh_inside.tolist()
+                assert table.tobytes() == fresh_table.tobytes()
+                assert [[table[a, b] for b in range(len(inside))] for a in range(len(inside))] == [
+                    [lip_margin(forward(net, tests[i]), forward(net, tests[j]), r.tag.threshold) for j in inside]
+                    for i in inside]
+            if data.draw(st.booleans()):
+                rank_lipschitz(state, reqs)  # reads the tables, writes none
+
+    def test_ranking_writes_no_table(self):
+        net = identity_net(2)
+        reqs = gen_lipschitz(SubspacePartition.from_seeds([np.array([0.5, 0.5])], 0.2), 2.0)
+        state = suite_state(net, [np.array([0.45, 0.5]), np.array([0.6, 0.5])])
+        first = rank_lipschitz(state, reqs)
+        _, table = reqs[0].tag.margins(state)
+        assert table.diagonal().tolist() == [0.0, 0.0]  # not the ranking's -inf
+        assert rank_lipschitz(state, reqs) == first
 
 
 class TestRankLipschitz:
