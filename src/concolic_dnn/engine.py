@@ -286,7 +286,7 @@ def run(
     # drawn for every family: the random baseline's draws follow in the stream
     samples = rng.uniform(0.0, 1.0, size=(cfg.sample_count, net.input_dim))
     sample_acts, factors = None, {}
-    if family.reads_samples:
+    if not family.needs_lip:  # the Lipschitz steps read neither layer factors nor NBC bounds
         sample_set = np.vstack([samples, *(np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds)])
         # forwarded once, as one batch, for the layer factors and the NBC bounds, then let go
         sample_acts = network.forward_batch(net, sample_set)
@@ -432,8 +432,8 @@ class Family:
 
     ``generate(net, seeds, cfg, sample_acts)`` returns the requirements,
     given the ``ActivationBatch`` of the run's sample set, or None for a
-    family that does not ``reads_samples`` (its ranking reads no layer
-    factors either, so the sample set is drawn but never forwarded);
+    family that ``needs_lip`` (its ranking reads no layer factors either, so
+    the sample set is drawn but never forwarded);
     ``rank(loop, open_reqs)`` picks the requirement to work on;
     ``synthesize(loop, r)`` is one loop iteration's synthesis;
     ``finish(loop, reqs)`` runs after the loop; ``save(result, outdir)``
@@ -448,7 +448,6 @@ class Family:
     finish: Optional[Callable] = None
     save: Optional[Callable] = None
     needs_lip: bool = False  # RunConfig.lip must be set
-    reads_samples: bool = True  # generate or rank reads the sample set's activations
 
 
 FAMILIES: dict[str, Family] = {
@@ -479,7 +478,6 @@ FAMILIES: dict[str, Family] = {
         save=lambda result, outdir: write_lipschitz_csv(
             result.lipschitz_rows, os.path.join(outdir, "lipschitz.csv")),
         needs_lip=True,
-        reads_samples=False,
     ),
 }
 

@@ -18,8 +18,7 @@ improving, or the run budget is spent; then the best pair found is reported.
 
 A uniform-sampling baseline with the same box constraint is provided for
 comparison; it draws all of a box's pairs in one call and forwards them in
-chunks that double from ``FIRST_PAIRS`` pairs up to a call's rows, checking a
-deadline before each. All points stay inside the box
+chunks, checking a deadline before each. All points stay inside the box
 intersected with the [0, 1] input domain, and forward evaluations can be
 capped so the two methods compete on equal budgets.
 """
@@ -41,7 +40,6 @@ EPS = 1e-9  # added to the input distance of a ratio
 SHRINK = 0.5  # compass step factor after a poll with no improvement
 SIGMA_MIN = 1e-5  # a compass run stops once its step drops below this
 PROGRESS_TOL = 1e-6  # a later run must raise the best ratio by more than this
-FIRST_PAIRS = 64  # the random baseline's first chunk of a box; each later one doubles
 
 
 class BudgetExhausted(Exception):
@@ -282,12 +280,10 @@ def random_baseline(
     both, and stops at the first ratio above ``c``; a loop stopped by
     ``eval_budget`` has drawn the pair it could not finish, and an odd budget's
     last forward counts. Here the pairs are drawn at once and forwarded in
-    growing chunks: ``FIRST_PAIRS`` pairs, then twice as many each time up
-    to a cap of ``net.batch_rows // 2`` pairs, or of ``net.batch_rows`` pairs
-    when that is odd, whose rows fill whole calls of ``net.batch_rows`` rows.
-    So an early hit costs few forwards and a box without one few calls. A
-    pair that beats ``c`` stops the search at the end of its chunk, and
-    ``rng`` is left where that loop would leave it.
+    chunks of ``net.batch_rows // 2`` pairs, or of ``net.batch_rows`` pairs
+    when that is odd, so each chunk's rows fill whole calls of
+    ``net.batch_rows`` rows. A pair that beats ``c`` stops the search at the
+    end of its chunk, and ``rng`` is left where that loop would leave it.
     ``deadline`` is a ``time.monotonic()`` value checked before each chunk; a
     passed one ends the box as a budget of the forwards made so far would.
     """
@@ -303,13 +299,12 @@ def random_baseline(
     rows = pairs.reshape(2 * drawn, t0.size)  # t1 and t2 of each pair in turn
     in_gaps = distance(pairs[:, 0], pairs[:, 1], "linf") + EPS
     ratios = np.empty(used)
-    cap = net.batch_rows if net.batch_rows % 2 else net.batch_rows // 2  # pairs filling whole calls
-    start, size = 0, min(FIRST_PAIRS, cap)
-    while start < used:
+    chunk = net.batch_rows if net.batch_rows % 2 else net.batch_rows // 2  # pairs filling whole calls
+    for start in range(0, used, chunk):
         if deadline is not None and time.monotonic() > deadline:
             used, evals, drawn = start, 2 * start, start + 1  # as a budget of the forwards made
             break
-        end = min(start + size, used)
+        end = min(start + chunk, used)
         block = rows[2 * start:2 * end]  # two rows a pair: split where batch_rows is odd
         out = np.concatenate([forward_batch(net, block[lo:lo + net.batch_rows]).out
                               for lo in range(0, len(block), net.batch_rows)])
@@ -319,7 +314,6 @@ def random_baseline(
             used = drawn = start + int(hits[0]) + 1
             evals = 2 * used
             break
-        start, size = end, min(2 * size, cap)
     if drawn < len(pairs):
         rng.bit_generator.state = state
         rng.uniform(box.lower, box.upper, size=(drawn, 2, t0.size))  # the draws the loop made

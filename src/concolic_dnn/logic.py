@@ -355,9 +355,10 @@ class LipTag:
         entry (a, b), bit for bit (the same float64 operations).
 
         The table is kept in ``state`` for the whole run and grows by the
-        rows of the tests added since the last call, so callers must not
-        write to it. It is symmetric exactly: |a - b| equals |b - a| in IEEE
-        arithmetic, so each new row is also written as its column."""
+        rows of the tests added since the last call; it is read-only, so a
+        caller that writes to it raises. It is symmetric exactly: |a - b|
+        equals |b - a| in IEEE arithmetic, so each new row is also written as
+        its column."""
         seen, inside, table = state.kept.get(self, (0, np.empty(0, dtype=np.intp), np.empty((0, 0))))
         if seen < len(state):
             x = state.u_flat(1)[seen:]
@@ -372,6 +373,7 @@ class LipTag:
                 for a in range(old, len(inside)):
                     grown[a] = distance(out, out[a], "linf") - self.threshold * distance(x, x[a], "linf")
                     grown[:old, a] = grown[a, :old]
+                grown.setflags(write=False)  # shared by every later pass of the run
                 table = grown
             state.kept[self] = (len(state), inside, table)
         return inside, table

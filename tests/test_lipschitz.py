@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from concolic_dnn import lipschitz
 from concolic_dnn.lipschitz import (
-    FIRST_PAIRS,
     EvalCounter,
     LipConfig,
     alternating_search,
@@ -370,28 +369,6 @@ class TestRandomBaseline:
         assert out.witness.satisfied
         assert out.attempts < 50
 
-    def test_an_early_hit_forwards_its_first_chunk_only(self, mid_net, monkeypatch):
-        # a hit among the first FIRST_PAIRS pairs forwards 2 * FIRST_PAIRS rows,
-        # as when every chunk of a box had FIRST_PAIRS pairs
-        assert mid_net.batch_rows > 2 * FIRST_PAIRS
-        t0 = np.full(4, 0.5)
-        box = Box(tuple(t0), 0.1)
-        pairs = np.random.default_rng(0).uniform(box.lower, box.upper, size=(FIRST_PAIRS, 2, 4))
-        ratios = [lip_ratio(mid_net, a, b) for a, b in pairs]
-        last = max(i for i in range(FIRST_PAIRS) if ratios[i] > max(ratios[:i], default=0.0))
-        sizes = []
-
-        def recording_forward_batch(net, X):
-            sizes.append(len(X))
-            return forward_batch(net, X)
-
-        monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
-        for c, hit in ((0.0, 0), ((max(ratios[:last]) + ratios[last]) / 2, last)):
-            sizes.clear()
-            out = random_baseline(mid_net, t0, c, 0.1, 1000, np.random.default_rng(0))
-            assert (out.attempts, out.witness.satisfied) == (hit + 1, True)
-            assert sizes == [2 * FIRST_PAIRS]
-
     def test_constant_net_exhausts_attempts(self):
         net = constant_net()
         rng = np.random.default_rng(2)
@@ -456,29 +433,27 @@ class TestRandomBaseline:
         monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
         random_baseline(mid_net, np.full(4, 0.5), 1e9, 0.1, 1000, np.random.default_rng(0))
         rows = mid_net.batch_rows
-        cap = rows if rows % 2 else rows // 2
-        chunks = [min(FIRST_PAIRS, cap)]  # pairs a chunk, doubling up to the cap
-        while sum(chunks) < 1000:
-            chunks.append(min(2 * chunks[-1], cap, 1000 - sum(chunks)))
-        assert max(sizes) <= rows and sum(sizes) == 2000 and len(sizes) == sum(-(-2 * p // rows) for p in chunks)
+        assert max(sizes) <= rows and sum(sizes) == 2000 and len(sizes) == -(-2000 // rows)
         sizes.clear()
         random_baseline(mid_net, np.full(4, 0.5), 0.0, 0.1, 1000, np.random.default_rng(0))
-        # a hit at the first pair forwards its chunk: FIRST_PAIRS pairs in one call,
-        # or batch_rows pairs in two calls when batch_rows is odd
-        assert sizes == ([rows, rows] if rows % 2 else [2 * chunks[0]])
+        # a hit at the first pair forwards its chunk (at most the box's 1,000 pairs):
+        # batch_rows // 2 pairs in one call, or batch_rows pairs in two calls when
+        # batch_rows is odd
+        first = 2 * min(rows if rows % 2 else rows // 2, 1000)
+        assert sizes == [min(rows, first - lo) for lo in range(0, first, rows)]
 
-    @pytest.mark.parametrize("rows", [1, 3, None])
+    # 128 rows, not the default: mid_net's default chunk holds the whole 1,000-pair box
+    @pytest.mark.parametrize("rows", [1, 3, 128])
     @pytest.mark.parametrize("c", [1e9, 0.5])
     def test_a_passed_deadline_ends_the_box_as_a_budget_does(self, mid_net, monkeypatch, rows, c):
         # the clock passes the deadline after the first chunk is forwarded
-        if rows is not None:
-            monkeypatch.setattr(mid_net, "batch_rows", rows)
+        monkeypatch.setattr(mid_net, "batch_rows", rows)
         readings = itertools.chain([0.0], itertools.repeat(10.0))
         monkeypatch.setattr(lipschitz, "time", SimpleNamespace(monotonic=lambda: next(readings)))
         t0 = np.array([0.5, 0.05, 0.95, 0.3])
         cut_rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
         got = random_baseline(mid_net, t0, c, 0.1, 1000, cut_rng, deadline=5.0)
-        pairs = min(FIRST_PAIRS, mid_net.batch_rows if mid_net.batch_rows % 2 else mid_net.batch_rows // 2)
+        pairs = mid_net.batch_rows if mid_net.batch_rows % 2 else mid_net.batch_rows // 2
         want = sequential_random_baseline(mid_net, t0, c, 0.1, 1000, loop_rng, eval_budget=2 * pairs)
         assert (got.attempts, got.evals) == (want.attempts, want.evals) == (pairs, 2 * pairs)
         assert got.witness.t1.tobytes() == want.witness.t1.tobytes()

@@ -277,6 +277,8 @@ class TestKeptMarginTable:
         _, table = reqs[0].tag.margins(state)
         assert table.diagonal().tolist() == [0.0, 0.0]  # not the ranking's -inf
         assert rank_lipschitz(state, reqs) == first
+        with pytest.raises(ValueError):
+            np.fill_diagonal(table, -np.inf)  # the kept table is read-only
 
 
 class TestRankLipschitz:
