@@ -49,6 +49,7 @@ from .lipschitz import (
     LipConfig,
     LipWitness,
     alternating_search,
+    alternating_searches,
     compass_minimize,
     lip_ratio,
     random_baseline,

@@ -24,7 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .l0search import symbolic_l0
-from .lipschitz import LipConfig, alternating_search, random_baseline
+from .lipschitz import LipConfig, alternating_searches, random_baseline
+from .lipschitz import alternating_search  # noqa: F401  (bench/spans.py traces engine.alternating_search by name)
 from .logic import (
     NORMS,
     GenerationError,
@@ -240,7 +241,9 @@ class _Loop:
     factors: dict[int, float]  # the layer factors, by hidden layer; empty for Lipschitz
     suite: TestSuite
     dump_hook: Optional[Callable]
+    reqs: list[Requirement]
     tried: dict = field(default_factory=dict)  # id(requirement) -> source tests attempted
+    searches: dict = field(default_factory=dict)  # id(Lipschitz requirement) -> its box's SearchOutcome
     lip_rows: list = field(default_factory=list)
     nearest: dict = field(default_factory=dict)  # the admission checks' nearest references
     timed_out: bool = False
@@ -309,7 +312,7 @@ def run(
         dump_count += 1
 
     loop = _Loop(net, refs, cfg, cache, SuiteState(net), rng, deadline, factors,
-                 suite, dump_hook if dump_lp_dir else None)
+                 suite, dump_hook if dump_lp_dir else None, reqs)
     checked = 0  # suite length at the last satisfaction pass
 
     while True:
@@ -340,7 +343,7 @@ def run(
 # ---------------------------------------------------------------------------
 
 # The loop and the family steps call the package functions (gen_*, rank_*,
-# ranked_tests, suite_satisfies, symbolic_lp, alternating_search, ...)
+# ranked_tests, suite_satisfies, symbolic_lp, alternating_searches, ...)
 # through this module's globals at call time, so a replaced module attribute
 # (a tracer, a test's monkeypatch) runs.
 
@@ -385,16 +388,23 @@ def _lip_row(box: int, method: str, outcome) -> dict:
 
 
 def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
-    """One alternating compass search in the requirement's box; both points of
-    the best pair are offered to the suite."""
+    """The alternating compass search's outcome in the requirement's box; both
+    points of the best pair are offered to the suite. A pick whose box has no
+    outcome yet searches every open, untried box in lockstep and keeps their
+    outcomes: a search reads only its own box, so a box another box's tests
+    satisfy first leaves its outcome unused."""
     cfg, suite = loop.cfg, loop.suite
     if id(r) in loop.tried:
         # the search is deterministic for a fixed box: one shot per requirement
         r.status = "failed"
         return
+    if id(r) not in loop.searches:
+        boxes = [q for q in loop.reqs if q.status == "open" and id(q) not in loop.tried]
+        outcomes = alternating_searches(loop.net, [q.tag.region for q in boxes], cfg.lip, deadline=loop.deadline)
+        loop.searches.update(zip(map(id, boxes), outcomes))
     loop.tried[id(r)] = set()
     center = np.asarray(r.tag.region.center, dtype=np.float64)
-    outcome = alternating_search(loop.net, center, cfg.lip, deadline=loop.deadline)
+    outcome = loop.searches[id(r)]
     loop.lip_rows.append(_lip_row(r.tag.box, "concolic", outcome))
     parent = next((i for i, c in enumerate(suite.cases) if np.array_equal(c.vector, center)), None)
     appended = False

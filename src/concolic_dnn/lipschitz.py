@@ -8,13 +8,26 @@ constant; both distances are L-infinity, measured by ``logic.distance``, and
 minimizes the paper's Stage One objective, the negated ratio to an anchor in
 the box, checked against the constant at each accepted step; the anchor's own
 ratio, 0, costs no forward. Each poll's candidates are written into one row
-buffer per run and forwarded in batches, and the run visits and counts the
+buffer per run and forwarded in chunks, and the run visits and counts the
 points of a sequential poll that stops at the first improvement. A run stops
 once its step falls below the input resolution ``logic.QUANT_TOL``, or, in a
 box whose first step is smaller still, once that step no longer improves. The
 first run is anchored at the seed, each later run at the previous run's
 converged point, until the ratio beats the constant, the best ratio stops
 improving, or the run budget is spent; then the best pair found is reported.
+
+The compass loop exists once, as a generator (``compass_steps``, whose polls
+are ``first_improving``) that yields the rows it needs forwarded and takes
+back what they give. A box's search is such a generator too, yielding each
+run's anchor and then each poll chunk. ``alternating_searches`` drives many
+boxes' searches in lockstep rounds: each round stacks every unfinished box's
+pending rows into ``forward_batch`` calls of at most ``net.batch_rows`` rows,
+so the boxes take as many rounds as the longest box has polls and anchors,
+not the sum over all boxes.
+Since a batch row equals its one-input forward bit for bit, each box's
+outcome is the one its search gives alone; ``alternating_search`` is the
+one-box case, and ``compass_minimize`` drives the same loop with a plain
+objective, one candidate at a time.
 
 A uniform-sampling baseline with the same box constraint is provided for
 comparison; it draws all of a box's pairs in one call and forwards them in
@@ -28,8 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -47,11 +59,13 @@ class BudgetExhausted(Exception):
 
 
 class EvalCounter:
-    """Counts forward evaluations, enforcing an optional hard limit; a batched
-    poll is charged the sequential poll's, up to and including the accepted one."""
+    """Counts forward evaluations, enforcing an optional hard limit and an
+    optional deadline; a batched poll is charged the sequential poll's, up to
+    and including the accepted one."""
 
-    def __init__(self, limit: Optional[int] = None):
+    def __init__(self, limit: Optional[int] = None, deadline: Optional[float] = None):
         self.limit = limit
+        self.deadline = deadline  # a time.monotonic() value
         self.count = 0
 
     def tick(self, n: int = 1) -> None:
@@ -60,6 +74,11 @@ class EvalCounter:
             self.count = self.limit
             raise BudgetExhausted()
         self.count += n
+
+    def check_deadline(self) -> None:
+        """Raise ``BudgetExhausted`` once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExhausted()
 
 
 @dataclass
@@ -108,28 +127,52 @@ def compass_minimize(
     sigma_min: float = SIGMA_MIN,
     max_iters: int = 150,
     early_stop: Optional[Callable[[np.ndarray, float], bool]] = None,
-    poll: Optional[Callable] = None,
 ) -> CompassResult:
-    """Coordinate-poll descent with a shrinking step.
-
-    Each iteration polls +/- sigma along every coordinate in a fixed order,
-    projected into the box, and moves to the first strictly improving poll;
-    when no poll improves, sigma is multiplied by ``SHRINK``. Stops at
-    ``max_iters`` iterations, when sigma drops below ``sigma_min``, or when
-    ``early_stop(point, value)`` accepts the current point and its value
-    (also at the start point). ``f`` gives the start value. ``poll(cur,
-    coords, steps, value)`` gets the moves "set coordinate coords[j] to
-    steps[j]" in poll order and returns the first improving (point, value),
-    or None; by default it calls ``f`` on one candidate at a time.
-    """
+    """Coordinate-poll descent with a shrinking step: ``compass_steps`` from
+    ``start`` projected into the box, with ``f`` called on one candidate at a
+    time (``f`` also gives the start value)."""
     cur = np.clip(np.ravel(np.asarray(start, dtype=np.float64)), lower, upper)
-    value = f(cur)
+    steps = compass_steps(cur, f(cur), lower, upper, sigma0, sigma_min, max_iters, early_stop)
+    try:
+        rows = next(steps)
+        while True:
+            rows = steps.send(np.array([f(rows[0].copy())]))
+    except StopIteration as stop:
+        return stop.value
+
+
+def compass_steps(
+    start: np.ndarray,
+    value: float,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    sigma0: float,
+    sigma_min: float = SIGMA_MIN,
+    max_iters: int = 150,
+    early_stop: Optional[Callable[[np.ndarray, float], bool]] = None,
+    chunk: int = 1,
+    values: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+    counter: Optional[EvalCounter] = None,
+) -> Generator[np.ndarray, np.ndarray, CompassResult]:
+    """The compass loop, as a generator that returns the ``CompassResult``.
+
+    ``start`` lies in the box and ``value`` is its objective. Each iteration
+    polls +/- sigma along every coordinate in a fixed order, projected into
+    the box, and moves to the first strictly improving poll; when no poll
+    improves, sigma is multiplied by ``SHRINK``. Stops at ``max_iters``
+    iterations, when sigma drops below ``sigma_min``, or when
+    ``early_stop(point, value)`` accepts the current point and its value
+    (also at the start point). Each poll is ``first_improving``, with chunks
+    of at most ``chunk`` rows, ``values`` and ``counter`` (by default one that
+    counts without a limit).
+    """
+    cur, counter = start, counter or EvalCounter()
     if early_stop is not None and early_stop(cur, value):
         return CompassResult(cur, value, 0)
-    poll = poll or partial(_first_improving, f)
     coords = np.arange(cur.size).repeat(2)  # +sigma, then -sigma, along each coordinate
     lo, hi = np.asarray(lower)[coords], np.asarray(upper)[coords]
     signs = np.tile([1.0, -1.0], cur.size)
+    buffer = np.empty((min(chunk, coords.size), cur.size))  # one poll chunk's candidates
     sigma = sigma0
     offs = signs * sigma  # x + (-sigma) is x - sigma exactly
     iters = 0
@@ -138,7 +181,7 @@ def compass_minimize(
         base = cur[coords]
         steps = np.minimum(np.maximum(base + offs, lo), hi)  # np.clip's arithmetic
         moves = (steps != base).nonzero()[0]
-        hit = poll(cur, coords[moves], steps[moves], value)
+        hit = yield from first_improving(cur, coords[moves], steps[moves], value, buffer, values, counter)
         if hit is None:
             sigma *= SHRINK
             offs = signs * sigma
@@ -149,13 +192,28 @@ def compass_minimize(
     return CompassResult(cur, value, iters)
 
 
-def _first_improving(f, cur, coords, steps, value):
-    """The sequential poll: ``f`` on one candidate at a time."""
-    for i, step in zip(coords, steps):
-        cand = cur.copy()
-        cand[i] = step
-        if (cand_value := f(cand)) < value:
-            return cand, cand_value
+def first_improving(cur, coords, steps, value, buffer, values, counter):
+    """One poll, as a generator: the moves "set coordinate coords[j] to
+    steps[j]" in poll order, written over ``cur`` into ``buffer``'s rows a
+    chunk at a time. Each chunk is yielded, and what is sent back is made the
+    chunk's objective values by ``values(rows, sent)``, or taken as them when
+    ``values`` is None. First checks ``counter``'s deadline; charges it the
+    candidates a sequential poll evaluates, up to and including the first one
+    that improves on ``value``, and returns that (point, value), or None."""
+    counter.check_deadline()
+    order = np.arange(len(buffer))
+    for first in range(0, steps.size, len(buffer)):
+        part = slice(first, first + len(buffer))
+        rows = buffer[:len(steps[part])]
+        rows[:] = cur
+        rows[order[:len(rows)], coords[part]] = steps[part]
+        sent = yield rows
+        got = sent if values is None else values(rows, sent)
+        better = got < value
+        hit = int(better.argmax())
+        counter.tick(hit + 1 if better[hit] else len(rows))
+        if better[hit]:
+            return rows[hit].copy(), float(got[hit])
     return None
 
 
@@ -171,48 +229,28 @@ class _BestPair:
         return ratio > c
 
 
-def _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline) -> CompassResult:
-    """One compass run minimizing the negated ratio to ``anchor`` inside t0's box,
-    down to a step of ``QUANT_TOL`` (or the first step, delta / 4, if smaller);
-    a poll forwards ``net.batch_rows`` candidates at a time and first checks ``deadline``."""
-    box = Box(tuple(t0), cfg.delta)
+def _anchored_run(anchor, box, cfg, counter, tracker, chunk):
+    """One compass run minimizing the negated ratio to ``anchor`` inside
+    ``box``, down to a step of ``QUANT_TOL`` (or the first step, delta / 4,
+    if smaller): a generator that yields the anchor's row, then each poll
+    chunk of at most ``chunk`` rows, and takes back their outputs."""
+    counter.tick()
+    out_anchor = (yield anchor[None])[0]
 
-    def out(x: np.ndarray) -> np.ndarray:
+    def negated_ratios(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return -(distance(out, out_anchor, "linf") / (distance(rows, anchor, "linf") + EPS))
+
+    start = np.clip(anchor, box.lower, box.upper)
+    value = 0.0  # the anchor's ratio to itself, with no forward
+    if distance(start, anchor, "linf"):  # a seed outside the input domain
         counter.tick()
-        return forward(net, x).out
-
-    out_anchor = out(anchor)
-
-    def objective(x: np.ndarray) -> float:  # the anchor's ratio to itself is 0, with no forward
-        gap_in = float(distance(x, anchor, "linf"))
-        return -float(distance(out(x), out_anchor, "linf") / (gap_in + EPS)) if gap_in else 0.0
-
-    # one poll chunk's candidates: a poll has at most two moves a coordinate
-    buffer = np.empty((min(net.batch_rows, 2 * anchor.size), anchor.size))
-    order = np.arange(len(buffer))
-
-    def poll(cur, coords, steps, value):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExhausted()
-        for first in range(0, steps.size, net.batch_rows):
-            part = slice(first, first + net.batch_rows)
-            rows = buffer[:len(steps[part])]
-            rows[:] = cur
-            rows[order[:len(rows)], coords[part]] = steps[part]
-            ratios = (distance(forward_batch(net, rows).out, out_anchor, "linf")
-                      / (distance(rows, anchor, "linf") + EPS))
-            better = ratios > -value  # -ratio < value: the objective improves
-            hit = int(better.argmax())
-            counter.tick(hit + 1 if better[hit] else len(rows))
-            if better[hit]:
-                return rows[hit].copy(), -float(ratios[hit])
-        return None
-
-    return compass_minimize(
-        objective, start=anchor, lower=box.lower, upper=box.upper, sigma0=cfg.delta / 4.0,
-        sigma_min=min(QUANT_TOL, cfg.delta / 4.0), max_iters=cfg.compass_iters, poll=poll,
+        value = float(negated_ratios(start[None], (yield start[None]))[0])
+    return (yield from compass_steps(
+        start=start, value=value, lower=box.lower, upper=box.upper, sigma0=cfg.delta / 4.0,
+        sigma_min=min(QUANT_TOL, cfg.delta / 4.0), max_iters=cfg.compass_iters, chunk=chunk,
         early_stop=lambda x, value: tracker.offer(anchor, x, -value, cfg.c),  # value: the negated ratio
-    )
+        values=negated_ratios, counter=counter,
+    ))
 
 
 @dataclass
@@ -220,6 +258,28 @@ class SearchOutcome:
     witness: LipWitness
     executions: int
     evals: int  # the sequential search's forwards, not the rows a batched poll forwarded
+
+
+def _search(box, cfg, counter, chunk):
+    """One box's alternating search, as a generator that yields the rows it
+    needs forwarded, takes back their outputs and returns the ``SearchOutcome``."""
+    anchor = np.asarray(box.center, dtype=np.float64)  # the seed
+    tracker = _BestPair(anchor)
+    executions = 0
+    try:
+        while executions < cfg.max_executions:
+            counter.check_deadline()
+            before = tracker.witness.ratio
+            executions += 1
+            res = yield from _anchored_run(anchor, box, cfg, counter, tracker, chunk)
+            if tracker.witness.satisfied:
+                break
+            if executions > 1 and tracker.witness.ratio - before <= PROGRESS_TOL:
+                break
+            anchor = res.point
+    except BudgetExhausted:
+        pass
+    return SearchOutcome(tracker.witness, executions, counter.count)
 
 
 def alternating_search(
@@ -236,25 +296,54 @@ def alternating_search(
     ``EvalCounter`` does. ``deadline`` is a ``time.monotonic()`` value checked
     before each run and poll; a passed one ends the search as exhaustion does.
     ``executions`` counts every run started, the interrupted one included.
+    This is ``alternating_searches`` of one box.
     """
-    t0 = np.ravel(np.asarray(t0, dtype=np.float64))
-    counter = EvalCounter(eval_budget)
-    tracker = _BestPair(t0)
-    anchor = t0
-    executions = 0
-    try:
-        while executions < cfg.max_executions and (deadline is None or time.monotonic() <= deadline):
-            before = tracker.witness.ratio
-            executions += 1
-            res = _anchored_run(net, anchor, t0, cfg, counter, tracker, deadline)
-            if tracker.witness.satisfied:
-                break
-            if executions > 1 and tracker.witness.ratio - before <= PROGRESS_TOL:
-                break
-            anchor = res.point
-    except BudgetExhausted:
-        pass
-    return SearchOutcome(tracker.witness, executions, counter.count)
+    return alternating_searches(net, [t0], cfg, eval_budget, deadline)[0]
+
+
+def alternating_searches(
+    net: Network, centers: Sequence, cfg: LipConfig, eval_budget: Optional[int] = None,
+    deadline: Optional[float] = None,
+) -> list[SearchOutcome]:
+    """``alternating_search`` in the box around each of ``centers``, in lockstep.
+
+    ``centers`` holds seed vectors, or ``logic.Box``es of radius ``cfg.delta``
+    whose own bounds the search then reads. Each box's search has its own
+    ``eval_budget`` and checks ``deadline`` as ``alternating_search`` does.
+    The searches advance in rounds: a round forwards every unfinished box's
+    next rows (a run's anchor, or one poll chunk) together, in calls of at
+    most ``net.batch_rows`` rows, so the boxes take as many rounds as the
+    longest box has polls and anchors, not the sum over all boxes. A row of
+    a batch equals its one-input forward bit for bit, so each outcome is the
+    one the box's search gives alone.
+    """
+    searches = []
+    for center in centers:
+        box = center if isinstance(center, Box) else Box(tuple(np.ravel(np.asarray(center, dtype=np.float64))),
+                                                         cfg.delta)
+        searches.append(_search(box, cfg, EvalCounter(eval_budget, deadline), net.batch_rows))
+    outcomes: list[Optional[SearchOutcome]] = [None] * len(searches)
+    pending: dict[int, np.ndarray] = {}  # box -> the rows its search waits on
+
+    def advance(i: int, sent: Optional[np.ndarray]) -> None:
+        try:
+            pending[i] = searches[i].send(sent)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            outcomes[i] = stop.value
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending:
+        blocks = list(pending.items())
+        rows = blocks[0][1] if len(blocks) == 1 else np.concatenate([block for _, block in blocks])
+        outs = [forward_batch(net, rows[lo:lo + net.batch_rows]).out for lo in range(0, len(rows), net.batch_rows)]
+        out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+        first = 0
+        for i, block in blocks:
+            advance(i, out[first:first + len(block)])
+            first += len(block)
+    return outcomes
 
 
 @dataclass

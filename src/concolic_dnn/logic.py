@@ -31,6 +31,7 @@ a time).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -169,18 +170,26 @@ BoolExpr = Union[Atom, And, Not, CountCmp, SignEq, SignNeq, InBox, LipschitzAtom
 
 @dataclass(frozen=True)
 class Box:
-    """L-infinity hypercube of given radius around a center, clipped to [0, 1]."""
+    """L-infinity hypercube of given radius around a center, clipped to [0, 1].
+
+    ``lower`` and ``upper`` are computed on first read and kept, read-only, so
+    the margin passes and the compass search of a box read the same arrays."""
 
     center: tuple[float, ...]
     radius: float
 
-    @property
+    @cached_property
     def lower(self) -> np.ndarray:
-        return np.clip(np.asarray(self.center) - self.radius, 0.0, 1.0)
+        return _read_only(np.clip(np.asarray(self.center) - self.radius, 0.0, 1.0))
 
-    @property
+    @cached_property
     def upper(self) -> np.ndarray:
-        return np.clip(np.asarray(self.center) + self.radius, 0.0, 1.0)
+        return _read_only(np.clip(np.asarray(self.center) + self.radius, 0.0, 1.0))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 # A tag names one requirement and carries its family's per-requirement facts:

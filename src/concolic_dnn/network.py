@@ -40,12 +40,14 @@ import numpy as np
 # gathers and products it makes on the way stay that small; the search loops
 # (the L0 sweep, the compass polls, the random baseline) also give it at most
 # that many rows per call, since a result holds u and v of every layer for
-# every row. Peak memory so stays bounded whatever the net, except for the
-# set-up's sample set, whose result its estimators read whole. Larger arrays
-# were slower too: an L0 step on a 14x14 conv net ran fastest at 8-16 rows
-# (arrays up to about 128 KB) and slower at 32 or more, and on a 28x28 conv
-# net batches of 16 or more rows were slower than one input at a time. A
-# narrow dense net takes hundreds of rows a call: 1,638 on a 10-wide one.
+# every row; the compass search's lockstep rounds, which stack the polls of
+# several boxes, are cut into calls of that many rows too. Peak memory so
+# stays bounded whatever the net, except for the set-up's sample set, whose
+# result its estimators read whole. Larger arrays were slower too: an L0 step
+# on a 14x14 conv net ran fastest at 8-16 rows (arrays up to about 128 KB)
+# and slower at 32 or more, and on a 28x28 conv net batches of 16 or more rows
+# were slower than one input at a time. A narrow dense net takes hundreds of
+# rows a call: 1,638 on a 10-wide one.
 BATCH_FLOATS = 1 << 14
 
 

@@ -27,7 +27,7 @@ from concolic_dnn.engine import (
     save_run,
 )
 from concolic_dnn.lipschitz import LipConfig
-from concolic_dnn.logic import Box, coverage, satisfies
+from concolic_dnn.logic import coverage, satisfies
 from concolic_dnn.lp import LpError
 from concolic_dnn.network import (
     ActivationCache, Conv2D, Dense, Flatten, MaxPool, Network, forward, save_model,
@@ -496,6 +496,66 @@ class TestRunOtherCriteria:
         assert len(concolic_rows) == 3
 
 
+def _saved_digest(outdir):
+    """SHA-256 over every file ``save_run`` wrote: each one's path, then its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in Path(outdir).rglob("*") if p.is_file()):
+        digest.update(path.relative_to(outdir).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestLockstepSearches:
+    """The Lipschitz family's first synthesis searches every open box at once."""
+
+    @staticmethod
+    def overlapping_run():
+        # box 1 overlaps box 0; the seeds satisfy neither, box 0's best pair
+        # satisfies both
+        net = dense_net([3, 6, 2], seed=18, scale=2.0)
+        rng = np.random.default_rng(14)
+        a = rng.uniform(0.2, 0.8, 3)
+        seeds = [a, np.clip(a + rng.uniform(-0.15, 0.15, 3), 0.0, 1.0), rng.uniform(0.2, 0.8, 3)]
+        cfg = RunConfig("lipschitz", lip=LipConfig(c=2.0, delta=0.1, compass_iters=40), sample_count=30,
+                        rng_seed=21, lip_random_attempts=50)
+        return net, make_refs(net, seed=12), seeds, cfg
+
+    def test_a_box_satisfied_before_its_turn_leaves_its_outcome_unused(self, monkeypatch, tmp_path):
+        searched = []
+
+        def spy_searches(net, boxes, *args, **kwargs):
+            searched.append([box.center for box in boxes])
+            return lipschitz.alternating_searches(net, boxes, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "alternating_searches", spy_searches)
+        net, refs, seeds, cfg = self.overlapping_run()
+        result = run(net, refs, seeds, cfg)
+        assert searched == [[tuple(float(v) for v in s) for s in seeds]]  # one lockstep search of all three
+        assert [r.status for r in result.requirements] == ["satisfied"] * 3
+        assert [row["seed"] for row in result.lipschitz_rows if row["method"] == "concolic"] == [0, 2]
+        save_run(result, cfg, str(tmp_path))
+        # every saved file as the search one box at a time wrote it
+        assert _saved_digest(tmp_path) == "0752698c7474fb622bbc9b103d360038d1e1ff4f7a17af38d909c835b2f11198"
+
+    def test_boxes_the_seeds_satisfy_are_not_searched(self, monkeypatch):
+        searched = []
+
+        def spy_searches(net, boxes, *args, **kwargs):
+            searched.append([box.center for box in boxes])
+            return lipschitz.alternating_searches(net, boxes, *args, **kwargs)
+
+        net, refs, seeds, cfg = self.overlapping_run()
+        witness = lipschitz.alternating_search(net, seeds[0], cfg.lip).witness
+        assert witness.satisfied and np.array_equal(witness.t1, seeds[0])
+        # the best pair as seeds: each lies in the other's box, so both boxes are satisfied up front
+        seeds = [witness.t1, witness.t2, seeds[2]]
+        monkeypatch.setattr(engine, "alternating_searches", spy_searches)
+        result = run(net, refs, seeds, cfg)
+        assert searched == [[tuple(float(v) for v in seeds[2])]]
+        assert [r.status for r in result.requirements] == ["satisfied"] * 3
+        assert [row["seed"] for row in result.lipschitz_rows if row["method"] == "concolic"] == [2]
+
+
 def _small_run(criterion):
     """A seeded run per criterion, small enough for a unit test."""
     if criterion == "lipschitz":
@@ -786,53 +846,87 @@ class TestDeterminismAndArtifacts:
         assert len(result.suite) == len(seeds)
 
     def test_deadline_reached_inside_compass_search(self, monkeypatch):
-        # the clock jumps once the first compass search has started: no
-        # compass run starts, the requirement stays open and the run times out
+        # the clock jumps once the lockstep compass search has started: no
+        # box's compass run starts, every requirement stays open and the run
+        # times out
         outcomes = []
 
-        def spy_search(*args, **kwargs):
+        def spy_searches(*args, **kwargs):
             outcomes.append(None)
-            outcomes[-1] = lipschitz.alternating_search(*args, **kwargs)
+            outcomes[-1] = lipschitz.alternating_searches(*args, **kwargs)
             return outcomes[-1]
 
         self.jump_clock(monkeypatch, outcomes)
-        monkeypatch.setattr(engine, "alternating_search", spy_search)
+        monkeypatch.setattr(engine, "alternating_searches", spy_searches)
         net, refs, seeds, cfg = _small_run("lipschitz")
         result = run(net, refs, seeds, cfg)
-        assert [o.executions for o in outcomes] == [0]
+        assert [[o.executions for o in box_outcomes] for box_outcomes in outcomes] == [[0] * len(seeds)]
         assert result.timed_out
         assert len(result.suite) == len(seeds)
         assert {r.status for r in result.requirements} == {"open"}
 
     def test_deadline_reached_inside_a_compass_run(self, monkeypatch):
-        # the clock jumps once the first run's first poll is forwarded: the run
-        # stops at its next poll with its best pair kept, the requirement stays
-        # open and the run times out
+        # the clock jumps once the first round, every box's first anchor, is
+        # forwarded: each run stops at its next poll with its best pair kept,
+        # every requirement stays open and the run times out
         polls, calls, outcomes = [], [], []
 
         def spy_forward_batch(*args):
             polls.append(len(args[1]))
             return network.forward_batch(*args)
 
-        def spy_search(*args, **kwargs):
+        def spy_searches(*args, **kwargs):
             calls.append(args)
-            outcomes.append(lipschitz.alternating_search(*args, **kwargs))
+            outcomes.append(lipschitz.alternating_searches(*args, **kwargs))
             return outcomes[-1]
 
         self.jump_clock(monkeypatch, polls)
         monkeypatch.setattr(lipschitz, "forward_batch", spy_forward_batch)
-        monkeypatch.setattr(engine, "alternating_search", spy_search)
+        monkeypatch.setattr(engine, "alternating_searches", spy_searches)
         net, refs, seeds, cfg = _small_run("lipschitz")
         cfg.lip = dataclasses.replace(cfg.lip, c=1e9)  # no step satisfies: only the deadline ends the run
         result = run(net, refs, seeds, cfg)
-        assert len(polls) == 1 and len(outcomes) == 1
-        untimed = lipschitz.alternating_search(*calls[0])
-        assert outcomes[0].executions == 1
-        assert outcomes[0].evals < untimed.evals
-        box = Box(tuple(calls[0][1]), cfg.lip.delta)
-        assert np.all(outcomes[0].witness.t2 >= box.lower) and np.all(outcomes[0].witness.t2 <= box.upper)
+        assert polls == [len(seeds)] and len(outcomes) == 1
+        untimed = lipschitz.alternating_searches(*calls[0])
+        for box, outcome, full in zip(calls[0][1], outcomes[0], untimed):
+            assert outcome.executions == 1
+            assert outcome.evals < full.evals
+            assert np.all(outcome.witness.t2 >= box.lower) and np.all(outcome.witness.t2 <= box.upper)
         assert result.timed_out
         assert {r.status for r in result.requirements} == {"open"}
+
+    def test_deadline_reached_inside_the_lockstep_search(self, monkeypatch):
+        # at c = 2 boxes 0 and 1 end after their second forward, box 2 after
+        # its sixth; the clock jumps once the third round is forwarded, so box
+        # 2 is cut, stays open, and the run times out
+        rounds, outcomes = [], []
+        started = []
+
+        def spy_forward_batch(*args):
+            rounds.append(len(args[1]))
+            if len(rounds) == 3:
+                started.append(True)
+            return network.forward_batch(*args)
+
+        def spy_searches(*args, **kwargs):
+            outcomes.append((args, lipschitz.alternating_searches(*args, **kwargs)))
+            return outcomes[-1][1]
+
+        self.jump_clock(monkeypatch, started)
+        monkeypatch.setattr(lipschitz, "forward_batch", spy_forward_batch)
+        monkeypatch.setattr(engine, "alternating_searches", spy_searches)
+        net, refs, seeds, cfg = _small_run("lipschitz")
+        cfg.lip = dataclasses.replace(cfg.lip, c=2.0)
+        result = run(net, refs, seeds, cfg)
+        assert len(rounds) == 3 and len(outcomes) == 1
+        args, got = outcomes[0]
+        monkeypatch.undo()
+        alone = [lipschitz.alternating_search(net, np.asarray(box.center), cfg.lip) for box in args[1]]
+        assert [o.evals for o in got[:2]] == [o.evals for o in alone[:2]]  # ended before the cut
+        assert [o.witness.satisfied for o in got] == [True, True, False]
+        assert got[2].evals < alone[2].evals
+        assert result.timed_out
+        assert result.requirements[2].status == "open"
 
     def test_deadline_reached_inside_a_baseline_box(self, monkeypatch):
         # the clock jumps once the first baseline box forwards its first chunk:

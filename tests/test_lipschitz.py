@@ -189,10 +189,10 @@ class TestRatioObjective:
         net = dense_net([n, hidden, 3], seed=net_seed, scale=2.0)
         t0 = data.draw(arrays(np.float64, n, elements=st.floats(0, 1)))
         cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
-        real_minimize = lipschitz.compass_minimize
+        real_steps = lipschitz.compass_steps
         visits = []  # per run: its anchor, and the ratio at its start and at each accepted step
 
-        def recording_minimize(f, *, start, early_stop, **kwargs):
+        def recording_steps(*, start, early_stop, **kwargs):
             seen = []
             visits.append((start, seen))
 
@@ -200,11 +200,12 @@ class TestRatioObjective:
                 seen.append((point.copy(), -value))
                 return early_stop(point, value)
 
-            return real_minimize(f, start=start, early_stop=spy, **kwargs)
+            return real_steps(start=start, early_stop=spy, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lipschitz, "compass_minimize", recording_minimize)
+            patch.setattr(lipschitz, "compass_steps", recording_steps)
             out = alternating_search(net, t0, cfg)
+        assert visits  # every run went through the spy
         assert out.witness.ratio == lip_ratio(net, out.witness.t1, out.witness.t2)
         for anchor, seen in visits:
             ratios = [ratio for _, ratio in seen]
@@ -270,23 +271,20 @@ class TestBatchedPolls:
 
     def test_a_hit_past_the_first_chunk(self, monkeypatch):
         hits, sizes = [], []
-        real_minimize = lipschitz.compass_minimize
+        real_poll = lipschitz.first_improving
 
-        def recording_minimize(*args, poll, **kwargs):
-            def spy(cur, coords, steps, value):
-                hit = poll(cur, coords, steps, value)
-                if hit is not None:  # the accepted move's place in poll order
-                    i = np.flatnonzero(hit[0] != cur)[0]
-                    hits.append(np.flatnonzero((coords == i) & (steps == hit[0][i]))[0])
-                return hit
-
-            return real_minimize(*args, poll=spy, **kwargs)
+        def recording_poll(cur, coords, steps, *args):
+            hit = yield from real_poll(cur, coords, steps, *args)
+            if hit is not None:  # the accepted move's place in poll order
+                i = np.flatnonzero(hit[0] != cur)[0]
+                hits.append(np.flatnonzero((coords == i) & (steps == hit[0][i]))[0])
+            return hit
 
         def recording_forward_batch(net, X):
             sizes.append(len(X))
             return forward_batch(net, X)
 
-        monkeypatch.setattr(lipschitz, "compass_minimize", recording_minimize)
+        monkeypatch.setattr(lipschitz, "first_improving", recording_poll)
         monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
         net = dense_net([4, 8, 6, 3], seed=2)
         net.batch_rows = 3  # eight moves a poll: chunks of 3, 3 and 2
@@ -323,6 +321,70 @@ class TestBatchedPolls:
         assert (res.point.tobytes(), res.value, res.iterations) == (point.tobytes(), value, iterations)
 
 
+class TestLockstepSearches:
+    """``alternating_searches`` against the one-candidate-a-time search run on each box alone."""
+
+    @given(
+        st.integers(1, 4), st.integers(2, 8), st.integers(0, 2**16), st.sampled_from([None, 1, 2, 3, 5]),
+        st.floats(0.05, 4.0), st.floats(0.01, 0.4), st.integers(1, 30), st.integers(1, 4), st.data(),
+    )
+    def test_matches_sequential_search_per_box(self, n, hidden, net_seed, rows, c, delta, iters, runs, data):
+        net = dense_net([n, hidden, 3], seed=net_seed, scale=2.0)
+        if rows is not None:
+            net.batch_rows = rows  # several chunks a poll, several calls a round
+        # centres on, near and past the domain's faces give clipped boxes; picks repeat centres
+        coord = st.sampled_from([0.0, 1.0, 0.01, 0.99, -0.05, 1.05]) | st.floats(0, 1)
+        pool = data.draw(st.lists(arrays(np.float64, n, elements=coord), min_size=1, max_size=3))
+        centers = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))]
+        cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
+        longest = max(sequential_alternating_search(net, t0, cfg).evals for t0 in pool)
+        budget = data.draw(st.none() | st.integers(1, longest))  # each box's own cap
+        got = lipschitz.alternating_searches(net, centers, cfg, eval_budget=budget)
+        assert len(got) == len(centers)
+        for outcome, t0 in zip(got, centers):
+            assert_same_search(outcome, sequential_alternating_search(net, t0, cfg, eval_budget=budget))
+
+    def test_a_round_costs_the_longest_box(self, monkeypatch):
+        sizes = []
+
+        def recording_forward_batch(net, X):
+            sizes.append(len(X))
+            return forward_batch(net, X)
+
+        monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
+        net = dense_net([4, 8, 6, 3], seed=2)
+        centers = [np.full(4, 0.5), np.array([0.0, 0.3, 1.0, 0.6]), np.full(4, 0.5)]
+        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10)
+        calls = []
+        for t0 in centers:
+            sizes.clear()
+            alternating_search(net, t0, cfg)
+            calls.append(len(sizes))
+        sizes.clear()
+        got = lipschitz.alternating_searches(net, centers, cfg)
+        assert len(sizes) == max(calls)  # one call a round
+        net.batch_rows = 3  # eight moves a poll: chunks of 3, 3 and 2; up to 9 rows a round
+        sizes.clear()
+        assert [o.evals for o in lipschitz.alternating_searches(net, centers, cfg)] == [o.evals for o in got]
+        assert max(sizes) == 3 and len(sizes) > max(calls)
+
+    def test_a_box_reads_its_own_bounds(self, mid_net, monkeypatch):
+        box = Box((0.5, 0.5, 0.95, 0.02), 0.1)
+        read = []
+
+        def recording_steps(*, lower, upper, **kwargs):
+            read.append((lower, upper))
+            return real_steps(lower=lower, upper=upper, **kwargs)
+
+        real_steps = lipschitz.compass_steps
+        monkeypatch.setattr(lipschitz, "compass_steps", recording_steps)
+        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10)
+        got = lipschitz.alternating_searches(mid_net, [box], cfg)[0]
+        assert read and all(lower is box.lower and upper is box.upper for lower, upper in read)
+        monkeypatch.undo()
+        assert_same_search(got, alternating_search(mid_net, np.array(box.center), cfg))
+
+
 class TestResolutionFloor:
     """Each run stops below a step of QUANT_TOL, or of delta / 4 in a smaller box."""
 
@@ -336,19 +398,17 @@ class TestResolutionFloor:
         cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
         box = Box(tuple(t0), delta)
         floor = min(QUANT_TOL, delta / 4.0)
-        real_minimize = lipschitz.compass_minimize
+        real_poll = lipschitz.first_improving
         polled = []  # per poll: its moves' coordinates, their values before and after
 
-        def recording_minimize(*args, poll, **kwargs):
-            def spy(cur, coords, steps, value):
-                polled.append((coords, cur[coords], steps))
-                return poll(cur, coords, steps, value)
-
-            return real_minimize(*args, poll=spy, **kwargs)
+        def recording_poll(cur, coords, steps, *args):
+            polled.append((coords, cur[coords], steps))
+            return (yield from real_poll(cur, coords, steps, *args))
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lipschitz, "compass_minimize", recording_minimize)
+            patch.setattr(lipschitz, "first_improving", recording_poll)
             got = alternating_search(net, t0, cfg)
+        assert polled  # every poll went through the spy
         for coords, before, steps in polled:  # every forwarded row is one of these moves
             on_face = (steps == box.lower[coords]) | (steps == box.upper[coords])
             assert np.all(on_face | (np.abs(steps - before) >= floor * (1 - 1e-9)))  # the step, up to rounding

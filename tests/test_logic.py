@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from concolic_dnn.logic import (
     And,
     Atom,
+    Box,
     Const,
     CountCmp,
     EvalError,
@@ -537,6 +538,24 @@ def quarter_rows(draw, dim):
             row[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(QUARTERS))
         rows.append(row)
     return rows
+
+
+class TestBoxBounds:
+    @given(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=6), st.floats(0.0, 0.6))
+    def test_read_only_and_the_clip_formula(self, center, radius):
+        box = Box(tuple(center), radius)
+        lower, upper = box.lower, box.upper
+        assert lower.tobytes() == np.clip(np.asarray(center) - radius, 0.0, 1.0).tobytes()
+        assert upper.tobytes() == np.clip(np.asarray(center) + radius, 0.0, 1.0).tobytes()
+        assert box.lower is lower and box.upper is upper  # computed once
+        for bound in (lower, upper):
+            with pytest.raises(ValueError):
+                bound[0] = 0.5
+
+    def test_bounds_leave_equality_and_hashing_alone(self):
+        box, twin = Box((0.2, 0.7), 0.1), Box((0.2, 0.7), 0.1)
+        _ = box.lower, box.upper  # read, and so kept, on one of the two
+        assert box == twin and hash(box) == hash(twin)
 
 
 class TestSuiteState:
