@@ -21,6 +21,7 @@ import numpy as np
 
 from concolic_dnn import lipschitz
 from concolic_dnn.lipschitz import LipConfig, alternating_search, alternating_searches
+from concolic_dnn.logic import Box
 from concolic_dnn.network import Dense, Network
 
 NETS = 6
@@ -65,7 +66,7 @@ def main() -> None:
             for c in CONSTANTS:
                 cfg = LipConfig(c=c, delta=delta)
                 lipschitz.forward_batch = counted("lockstep")
-                outs = alternating_searches(net, seeds, cfg)
+                outs = alternating_searches(net, [Box(tuple(seed), cfg.delta) for seed in seeds], cfg)
                 lipschitz.forward_batch = counted("alone")
                 alone = [alternating_search(net, seed, cfg) for seed in seeds]
                 lipschitz.forward_batch = real_forward_batch

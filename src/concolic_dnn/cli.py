@@ -44,14 +44,17 @@ def _load_json(path: str):
 
 
 def load_refs(directory: str, norm: str, net=None) -> ReferenceSet:
-    """Reference set layout: DIR/inputs.npy (N x d) and optional DIR/labels.npy.
+    """Reference set layout: DIR/inputs.npy (N x d, or N inputs of any shape,
+    each flattened as seeds are) and optional DIR/labels.npy.
 
     Without a labels file the network's own labels on the reference inputs are
     recorded (the robustness rule compares network labels anyway).
     """
     inputs = _read(np.load, os.path.join(directory, "inputs.npy"))
-    if inputs.ndim == 1:
+    if inputs.ndim < 2:
         inputs = inputs.reshape(1, -1)
+    elif inputs.ndim > 2:  # image-shaped rows
+        inputs = inputs.reshape(len(inputs), int(np.prod(inputs.shape[1:])))
     if net is not None and inputs.shape[-1] != net.input_dim:
         raise ConfigError(
             f"reference inputs have {inputs.shape[-1]} entries, the model takes {net.input_dim}"
@@ -159,12 +162,16 @@ def _cmd_verify(args) -> int:
         bound = report["config"]["bound"] if args.bound is None else args.bound
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{report_path}: malformed config ({exc!r})") from exc
+    records = report.get("adversarial", [])
+    if not (isinstance(records, list) and all(isinstance(e, dict) and isinstance(e.get("file"), str)
+                                              for e in records)):
+        raise ConfigError(f'{report_path}: malformed adversarial list (each record needs a "file" string)')
     net = _read(load_model, args.model)
     refs = load_refs(args.refs, norm, net)
     _read(load_suite, os.path.join(args.out, "suite"))  # a corrupt suite is a configuration error
     cache = ActivationCache(net)
     ok = True
-    for entry in report.get("adversarial", []):
+    for entry in records:
         path = os.path.join(args.out, "adversarial", entry["file"])
         try:
             vec = np.load(path)
@@ -182,7 +189,7 @@ def _cmd_verify(args) -> int:
             f"distance {dist:.6g} (bound {bound:g}) -> {status}"
         )
         ok = ok and good
-    print(f"verified {len(report.get('adversarial', []))} adversarial records: "
+    print(f"verified {len(records)} adversarial records: "
           + ("all good" if ok else "FAILURES FOUND"))
     return 0 if ok else 1
 

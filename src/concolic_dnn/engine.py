@@ -390,7 +390,7 @@ def _lip_row(box: int, method: str, outcome) -> dict:
 def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
     """The alternating compass search's outcome in the requirement's box; both
     points of the best pair are offered to the suite. A pick whose box has no
-    outcome yet searches every open, untried box in lockstep and keeps their
+    outcome yet searches every open box in lockstep and keeps their
     outcomes: a search reads only its own box, so a box another box's tests
     satisfy first leaves its outcome unused."""
     cfg, suite = loop.cfg, loop.suite
@@ -399,7 +399,7 @@ def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
         r.status = "failed"
         return
     if id(r) not in loop.searches:
-        boxes = [q for q in loop.reqs if q.status == "open" and id(q) not in loop.tried]
+        boxes = [q for q in loop.reqs if q.status == "open"]
         outcomes = alternating_searches(loop.net, [q.tag.region for q in boxes], cfg.lip, deadline=loop.deadline)
         loop.searches.update(zip(map(id, boxes), outcomes))
     loop.tried[id(r)] = set()

@@ -17,17 +17,18 @@ converged point, until the ratio beats the constant, the best ratio stops
 improving, or the run budget is spent; then the best pair found is reported.
 
 The compass loop exists once, as a generator (``compass_steps``, whose polls
-are ``first_improving``) that yields the rows it needs forwarded and takes
-back what they give. A box's search is such a generator too, yielding each
-run's anchor and then each poll chunk. ``alternating_searches`` drives many
-boxes' searches in lockstep rounds: each round stacks every unfinished box's
-pending rows into ``forward_batch`` calls of at most ``net.batch_rows`` rows,
-so the boxes take as many rounds as the longest box has polls and anchors,
-not the sum over all boxes.
-Since a batch row equals its one-input forward bit for bit, each box's
-outcome is the one its search gives alone; ``alternating_search`` is the
-one-box case, and ``compass_minimize`` drives the same loop with a plain
-objective, one candidate at a time.
+are ``first_improving``) that yields the rows it needs and maps what it gets
+back through ``values``. A box's search is one generator too, yielding each
+run's anchor and then each poll chunk. One round driver runs such generators
+in lockstep: each round stacks every unfinished generator's pending rows and
+evaluates them at once. ``alternating_searches`` drives the searches of many
+``logic.Box``es so, forwarding each round in ``forward_batch`` calls of at
+most ``net.batch_rows`` rows; the boxes take as many rounds as the longest box
+has polls and anchors, not the sum over all boxes. Since a batch row equals
+its one-input forward bit for bit, each box's outcome is the one its search
+gives alone; ``alternating_search`` is the one-box case. ``compass_minimize``
+runs the same loop on the same driver with a plain objective, called on one
+candidate at a time.
 
 A uniform-sampling baseline with the same box constraint is provided for
 comparison; it draws all of a box's pairs in one call and forwards them in
@@ -112,10 +113,14 @@ class CompassResult:
     iterations: int
 
 
+def _ratio(out1: np.ndarray, out2: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """||out1 - out2|| / (||x1 - x2|| + EPS), one value per row of stacked rows."""
+    return distance(out1, out2, "linf") / (distance(x1, x2, "linf") + EPS)
+
+
 def lip_ratio(net: Network, t1: np.ndarray, t2: np.ndarray) -> float:
     """||out(t1) - out(t2)|| / (||t1 - t2|| + EPS); zero for identical inputs."""
-    out_gap = distance(forward(net, t1).out, forward(net, t2).out, "linf")
-    return float(out_gap / (distance(np.ravel(t1), np.ravel(t2), "linf") + EPS))
+    return float(_ratio(forward(net, t1).out, forward(net, t2).out, np.ravel(t1), np.ravel(t2)))
 
 
 def compass_minimize(
@@ -132,13 +137,11 @@ def compass_minimize(
     ``start`` projected into the box, with ``f`` called on one candidate at a
     time (``f`` also gives the start value)."""
     cur = np.clip(np.ravel(np.asarray(start, dtype=np.float64)), lower, upper)
-    steps = compass_steps(cur, f(cur), lower, upper, sigma0, sigma_min, max_iters, early_stop)
-    try:
-        rows = next(steps)
-        while True:
-            rows = steps.send(np.array([f(rows[0].copy())]))
-    except StopIteration as stop:
-        return stop.value
+    steps = compass_steps(
+        start=cur, value=f(cur), lower=lower, upper=upper, sigma0=sigma0, sigma_min=sigma_min,
+        max_iters=max_iters, early_stop=early_stop, chunk=1, values=lambda rows, got: got, counter=EvalCounter(),
+    )
+    return _rounds([steps], lambda rows: np.array([f(row.copy()) for row in rows]))[0]
 
 
 def compass_steps(
@@ -147,12 +150,12 @@ def compass_steps(
     lower: np.ndarray,
     upper: np.ndarray,
     sigma0: float,
-    sigma_min: float = SIGMA_MIN,
-    max_iters: int = 150,
-    early_stop: Optional[Callable[[np.ndarray, float], bool]] = None,
-    chunk: int = 1,
-    values: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    counter: Optional[EvalCounter] = None,
+    sigma_min: float,
+    max_iters: int,
+    early_stop: Optional[Callable[[np.ndarray, float], bool]],
+    chunk: int,
+    values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    counter: EvalCounter,
 ) -> Generator[np.ndarray, np.ndarray, CompassResult]:
     """The compass loop, as a generator that returns the ``CompassResult``.
 
@@ -163,10 +166,9 @@ def compass_steps(
     iterations, when sigma drops below ``sigma_min``, or when
     ``early_stop(point, value)`` accepts the current point and its value
     (also at the start point). Each poll is ``first_improving``, with chunks
-    of at most ``chunk`` rows, ``values`` and ``counter`` (by default one that
-    counts without a limit).
+    of at most ``chunk`` rows, ``values`` and ``counter``.
     """
-    cur, counter = start, counter or EvalCounter()
+    cur = start
     if early_stop is not None and early_stop(cur, value):
         return CompassResult(cur, value, 0)
     coords = np.arange(cur.size).repeat(2)  # +sigma, then -sigma, along each coordinate
@@ -196,10 +198,10 @@ def first_improving(cur, coords, steps, value, buffer, values, counter):
     """One poll, as a generator: the moves "set coordinate coords[j] to
     steps[j]" in poll order, written over ``cur`` into ``buffer``'s rows a
     chunk at a time. Each chunk is yielded, and what is sent back is made the
-    chunk's objective values by ``values(rows, sent)``, or taken as them when
-    ``values`` is None. First checks ``counter``'s deadline; charges it the
-    candidates a sequential poll evaluates, up to and including the first one
-    that improves on ``value``, and returns that (point, value), or None."""
+    chunk's objective values by ``values(rows, sent)``. First checks
+    ``counter``'s deadline; charges it the candidates a sequential poll
+    evaluates, up to and including the first one that improves on ``value``,
+    and returns that (point, value), or None."""
     counter.check_deadline()
     order = np.arange(len(buffer))
     for first in range(0, steps.size, len(buffer)):
@@ -207,8 +209,7 @@ def first_improving(cur, coords, steps, value, buffer, values, counter):
         rows = buffer[:len(steps[part])]
         rows[:] = cur
         rows[order[:len(rows)], coords[part]] = steps[part]
-        sent = yield rows
-        got = sent if values is None else values(rows, sent)
+        got = values(rows, (yield rows))
         better = got < value
         hit = int(better.argmax())
         counter.tick(hit + 1 if better[hit] else len(rows))
@@ -217,40 +218,30 @@ def first_improving(cur, coords, steps, value, buffer, values, counter):
     return None
 
 
-class _BestPair:
-    """Tracks the best ratio pair seen across compass runs."""
+def _rounds(searches: list, evaluate: Callable[[np.ndarray], np.ndarray]) -> list:
+    """Drive generator ``searches`` in lockstep rounds and return what each
+    returns. A round stacks every unfinished search's pending rows, maps them
+    by one ``evaluate`` call and sends each search its own slice back."""
+    outcomes = [None] * len(searches)
+    pending: dict[int, np.ndarray] = {}  # search -> the rows it waits on
 
-    def __init__(self, t0: np.ndarray):
-        self.witness = LipWitness(t0.copy(), t0.copy(), 0.0, False)
+    def advance(i: int, sent: Optional[np.ndarray]) -> None:
+        try:
+            pending[i] = searches[i].send(sent)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            outcomes[i] = stop.value
 
-    def offer(self, t1: np.ndarray, t2: np.ndarray, ratio: float, c: float) -> bool:
-        if ratio > self.witness.ratio:
-            self.witness = LipWitness(t1.copy(), t2.copy(), ratio, ratio > c)
-        return ratio > c
-
-
-def _anchored_run(anchor, box, cfg, counter, tracker, chunk):
-    """One compass run minimizing the negated ratio to ``anchor`` inside
-    ``box``, down to a step of ``QUANT_TOL`` (or the first step, delta / 4,
-    if smaller): a generator that yields the anchor's row, then each poll
-    chunk of at most ``chunk`` rows, and takes back their outputs."""
-    counter.tick()
-    out_anchor = (yield anchor[None])[0]
-
-    def negated_ratios(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return -(distance(out, out_anchor, "linf") / (distance(rows, anchor, "linf") + EPS))
-
-    start = np.clip(anchor, box.lower, box.upper)
-    value = 0.0  # the anchor's ratio to itself, with no forward
-    if distance(start, anchor, "linf"):  # a seed outside the input domain
-        counter.tick()
-        value = float(negated_ratios(start[None], (yield start[None]))[0])
-    return (yield from compass_steps(
-        start=start, value=value, lower=box.lower, upper=box.upper, sigma0=cfg.delta / 4.0,
-        sigma_min=min(QUANT_TOL, cfg.delta / 4.0), max_iters=cfg.compass_iters, chunk=chunk,
-        early_stop=lambda x, value: tracker.offer(anchor, x, -value, cfg.c),  # value: the negated ratio
-        values=negated_ratios, counter=counter,
-    ))
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending:
+        blocks = list(pending.items())
+        out = evaluate(blocks[0][1] if len(blocks) == 1 else np.concatenate([block for _, block in blocks]))
+        first = 0
+        for i, block in blocks:
+            advance(i, out[first:first + len(block)])
+            first += len(block)
+    return outcomes
 
 
 @dataclass
@@ -262,24 +253,47 @@ class SearchOutcome:
 
 def _search(box, cfg, counter, chunk):
     """One box's alternating search, as a generator that yields the rows it
-    needs forwarded, takes back their outputs and returns the ``SearchOutcome``."""
+    needs forwarded (each run's anchor, then each poll chunk of at most
+    ``chunk`` rows), takes back their outputs and returns the
+    ``SearchOutcome``. Each run minimizes the negated ratio to its anchor
+    inside ``box``, down to a step of ``QUANT_TOL`` (or the first step,
+    delta / 4, if smaller); the best pair is kept across runs."""
     anchor = np.asarray(box.center, dtype=np.float64)  # the seed
-    tracker = _BestPair(anchor)
+    witness = LipWitness(anchor.copy(), anchor.copy(), 0.0, False)
+
+    def negated_ratios(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return -_ratio(out, out_anchor, rows, anchor)
+
+    def offer(x: np.ndarray, value: float) -> bool:  # value: the negated ratio to this run's anchor
+        nonlocal witness
+        if -value > witness.ratio:
+            witness = LipWitness(anchor.copy(), x.copy(), -value, -value > cfg.c)
+        return -value > cfg.c
+
     executions = 0
     try:
         while executions < cfg.max_executions:
             counter.check_deadline()
-            before = tracker.witness.ratio
+            before = witness.ratio
             executions += 1
-            res = yield from _anchored_run(anchor, box, cfg, counter, tracker, chunk)
-            if tracker.witness.satisfied:
-                break
-            if executions > 1 and tracker.witness.ratio - before <= PROGRESS_TOL:
+            counter.tick()
+            out_anchor = (yield anchor[None])[0]
+            start = np.clip(anchor, box.lower, box.upper)
+            value = 0.0  # the anchor's ratio to itself, with no forward
+            if distance(start, anchor, "linf"):  # a seed outside the input domain
+                counter.tick()
+                value = float(negated_ratios(start[None], (yield start[None]))[0])
+            res = yield from compass_steps(
+                start=start, value=value, lower=box.lower, upper=box.upper, sigma0=cfg.delta / 4.0,
+                sigma_min=min(QUANT_TOL, cfg.delta / 4.0), max_iters=cfg.compass_iters, early_stop=offer,
+                chunk=chunk, values=negated_ratios, counter=counter,
+            )
+            if witness.satisfied or (executions > 1 and witness.ratio - before <= PROGRESS_TOL):
                 break
             anchor = res.point
     except BudgetExhausted:
         pass
-    return SearchOutcome(tracker.witness, executions, counter.count)
+    return SearchOutcome(witness, executions, counter.count)
 
 
 def alternating_search(
@@ -296,19 +310,19 @@ def alternating_search(
     ``EvalCounter`` does. ``deadline`` is a ``time.monotonic()`` value checked
     before each run and poll; a passed one ends the search as exhaustion does.
     ``executions`` counts every run started, the interrupted one included.
-    This is ``alternating_searches`` of one box.
+    This is ``alternating_searches`` of the box of radius ``cfg.delta``.
     """
-    return alternating_searches(net, [t0], cfg, eval_budget, deadline)[0]
+    box = Box(tuple(np.ravel(np.asarray(t0, dtype=np.float64))), cfg.delta)
+    return alternating_searches(net, [box], cfg, eval_budget, deadline)[0]
 
 
 def alternating_searches(
-    net: Network, centers: Sequence, cfg: LipConfig, eval_budget: Optional[int] = None,
+    net: Network, boxes: Sequence[Box], cfg: LipConfig, eval_budget: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> list[SearchOutcome]:
-    """``alternating_search`` in the box around each of ``centers``, in lockstep.
+    """``alternating_search`` in each of ``boxes``, in lockstep.
 
-    ``centers`` holds seed vectors, or ``logic.Box``es of radius ``cfg.delta``
-    whose own bounds the search then reads. Each box's search has its own
+    Each search reads its own box's centre and bounds, has its own
     ``eval_budget`` and checks ``deadline`` as ``alternating_search`` does.
     The searches advance in rounds: a round forwards every unfinished box's
     next rows (a run's anchor, or one poll chunk) together, in calls of at
@@ -317,33 +331,12 @@ def alternating_searches(
     a batch equals its one-input forward bit for bit, so each outcome is the
     one the box's search gives alone.
     """
-    searches = []
-    for center in centers:
-        box = center if isinstance(center, Box) else Box(tuple(np.ravel(np.asarray(center, dtype=np.float64))),
-                                                         cfg.delta)
-        searches.append(_search(box, cfg, EvalCounter(eval_budget, deadline), net.batch_rows))
-    outcomes: list[Optional[SearchOutcome]] = [None] * len(searches)
-    pending: dict[int, np.ndarray] = {}  # box -> the rows its search waits on
-
-    def advance(i: int, sent: Optional[np.ndarray]) -> None:
-        try:
-            pending[i] = searches[i].send(sent)
-        except StopIteration as stop:
-            pending.pop(i, None)
-            outcomes[i] = stop.value
-
-    for i in range(len(searches)):
-        advance(i, None)
-    while pending:
-        blocks = list(pending.items())
-        rows = blocks[0][1] if len(blocks) == 1 else np.concatenate([block for _, block in blocks])
+    def forward_rows(rows: np.ndarray) -> np.ndarray:
         outs = [forward_batch(net, rows[lo:lo + net.batch_rows]).out for lo in range(0, len(rows), net.batch_rows)]
-        out = outs[0] if len(outs) == 1 else np.concatenate(outs)
-        first = 0
-        for i, block in blocks:
-            advance(i, out[first:first + len(block)])
-            first += len(block)
-    return outcomes
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+    return _rounds([_search(box, cfg, EvalCounter(eval_budget, deadline), net.batch_rows) for box in boxes],
+                   forward_rows)
 
 
 @dataclass

@@ -3,9 +3,9 @@ pricing, Bland fallback.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  lo <= x <= hi
 where bounds may be infinite. The solver is dimensioned for the small problems
-this package produces (a few hundred variables); swap in another
-implementation via the ``solver`` argument of ``lp.solve`` if that stops being
-true.
+this package produces (a few hundred variables); ``lp.solve`` calls it by
+its module name, ``lp.solve_lp``, so another implementation can be put in its
+place there if that stops being true.
 
 - **Standard form.** The bounds, (lo, hi) pairs with None or an (n, 2)
   float array with -inf/inf, become ``lo`` and ``hi`` arrays. Each variable

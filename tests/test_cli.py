@@ -9,7 +9,7 @@ import pytest
 
 import concolic_dnn
 from concolic_dnn.cli import main
-from concolic_dnn.network import forward, save_model
+from concolic_dnn.network import Conv2D, Dense, Flatten, Network, forward, save_model
 
 from conftest import dense_net
 
@@ -179,6 +179,41 @@ class TestRunCommand:
         assert main(args) == 0
 
 
+class TestImageShapedInputs:
+    """A 4x4x1 model's references and seeds as (N, 4, 4, 1) arrays: each row
+    is flattened, and the run matches one on the same rows as (N, 16)."""
+
+    @pytest.fixture
+    def image_workspace(self, tmp_path):
+        rng = np.random.default_rng(5)
+        net = Network((4, 4, 1), [
+            Conv2D(rng.normal(size=(2, 2, 1, 2)) / 2.0, rng.normal(size=2) * 0.1),
+            Flatten(),
+            Dense(rng.normal(size=(18, 3)) / np.sqrt(18), np.zeros(3), relu=False),
+        ])
+        save_model(net, str(tmp_path / "model.json"))
+        images = rng.uniform(0, 1, (20, 4, 4, 1))
+        for name, inputs in (("refs_image", images), ("refs_flat", images.reshape(20, 16))):
+            (tmp_path / name).mkdir()
+            np.save(tmp_path / name / "inputs.npy", inputs)
+        np.save(tmp_path / "seeds.npy", images[:2])
+        return tmp_path
+
+    def run_args(self, ws, refs, out):
+        return ["--model", str(ws / "model.json"), "--criterion", "nc", "--seeds", str(ws / "seeds.npy"),
+                "--refs", str(ws / refs), "--out", str(ws / out), "--rng-seed", "3"]
+
+    def test_run_and_verify(self, image_workspace, capsys):
+        ws = image_workspace
+        assert main(self.run_args(ws, "refs_image", "out_image")) == 0
+        assert main(self.run_args(ws, "refs_flat", "out_flat")) == 0
+        assert (ws / "out_image" / "report.json").read_bytes() == (ws / "out_flat" / "report.json").read_bytes()
+        capsys.readouterr()
+        assert main(["verify", "--out", str(ws / "out_image"), "--model", str(ws / "model.json"),
+                     "--refs", str(ws / "refs_image")]) == 0
+        assert "all good" in capsys.readouterr().out
+
+
 def child_pythonpath():
     """PYTHONPATH under which a child interpreter imports the same
     ``concolic_dnn`` as this process: the package's parent directory first
@@ -297,3 +332,15 @@ class TestVerifyCommand:
         assert main(self.verify_args(workspace, out)) == 1
         printed = capsys.readouterr().out
         assert "adv99999.npy: cannot check" in printed and "-> FAIL" in printed
+
+    @pytest.mark.parametrize("records", [[{"test_index": 0}], [{"file": 3}], ["adv00000.npy"], "x", {"file": "a"}])
+    def test_verify_malformed_adversarial_list_exit_code(self, workspace, records, capsys):
+        out = workspace["dir"] / "vout7"
+        self.run_first(workspace, out)
+        report = json.loads((out / "report.json").read_text())
+        report["adversarial"] = records
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(self.verify_args(workspace, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "malformed adversarial" in err and err.count("\n") == 1

@@ -339,7 +339,7 @@ class TestLockstepSearches:
         cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
         longest = max(sequential_alternating_search(net, t0, cfg).evals for t0 in pool)
         budget = data.draw(st.none() | st.integers(1, longest))  # each box's own cap
-        got = lipschitz.alternating_searches(net, centers, cfg, eval_budget=budget)
+        got = lipschitz.alternating_searches(net, [Box(tuple(c), cfg.delta) for c in centers], cfg, eval_budget=budget)
         assert len(got) == len(centers)
         for outcome, t0 in zip(got, centers):
             assert_same_search(outcome, sequential_alternating_search(net, t0, cfg, eval_budget=budget))
@@ -360,12 +360,13 @@ class TestLockstepSearches:
             sizes.clear()
             alternating_search(net, t0, cfg)
             calls.append(len(sizes))
+        boxes = [Box(tuple(c), cfg.delta) for c in centers]
         sizes.clear()
-        got = lipschitz.alternating_searches(net, centers, cfg)
+        got = lipschitz.alternating_searches(net, boxes, cfg)
         assert len(sizes) == max(calls)  # one call a round
         net.batch_rows = 3  # eight moves a poll: chunks of 3, 3 and 2; up to 9 rows a round
         sizes.clear()
-        assert [o.evals for o in lipschitz.alternating_searches(net, centers, cfg)] == [o.evals for o in got]
+        assert [o.evals for o in lipschitz.alternating_searches(net, boxes, cfg)] == [o.evals for o in got]
         assert max(sizes) == 3 and len(sizes) > max(calls)
 
     def test_a_box_reads_its_own_bounds(self, mid_net, monkeypatch):

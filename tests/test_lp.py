@@ -587,31 +587,19 @@ class TestSymbolicLp:
         for t_exp, t_got in zip(expected, got):
             assert (t_exp is None and t_got is None) or np.array_equal(t_exp, t_got)
 
-    def test_custom_solver_hook(self, mid_net):
-        calls = []
-
-        def spy_solver(*args, **kwargs):
-            calls.append(1)
-            return solve_lp(*args, **kwargs)
-
-        rng = np.random.default_rng(13)
-        x = rng.uniform(0, 1, 4)
-        r = gen_nc(mid_net)[0]
-        symbolic_lp(mid_net, x, r, solver=spy_solver)
-        assert calls
-
     @pytest.mark.parametrize("source_seed", range(4))
-    def test_outcome_keeps_pivot_count(self, mid_net, source_seed):
+    def test_outcome_keeps_pivot_count(self, mid_net, source_seed, monkeypatch):
         results = []
 
         def spy_solver(*args, **kwargs):
             results.append(solve_lp(*args, **kwargs))
             return results[-1]
 
+        monkeypatch.setattr(lp_module, "solve_lp", spy_solver)
         x = np.random.default_rng(source_seed).uniform(0, 1, 4)
         target, k_star = nc_target(forward(mid_net, x), (2, source_seed))
         p = add_chebyshev_objective(encode_pattern(mid_net, target, k_star), x)
-        outcome = solve(p, solver=spy_solver)
+        outcome = solve(p)
         assert outcome.status == results[0].status
         assert outcome.iterations == results[0].iterations > 0
 
