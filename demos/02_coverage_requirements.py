@@ -5,8 +5,6 @@ neuron boundary coverage, Lipschitz coverage) for one network and measures how
 much of each a random test suite already satisfies.
 """
 
-import json
-
 import numpy as np
 
 from concolic_dnn import (
@@ -20,7 +18,6 @@ from concolic_dnn import (
     gen_ssc,
 )
 from concolic_dnn.engine import nbc_bounds_from_samples
-from concolic_dnn.logic import requirements_to_json
 
 rng = np.random.default_rng(1)
 net = Network(
@@ -49,9 +46,6 @@ for name, reqs in families.items():
     cov = coverage(suite, reqs, net)
     print(f"{name:>10}: {len(reqs):3d} requirements, coverage {cov:.2%}")
 
-print("\nfirst NC requirement as audit JSON:")
-print(json.dumps(requirements_to_json(families["NC"][:1]), indent=2))
-
 print("\nfirst SSC requirement (condition/decision pair with the rest of the")
 print("condition layer held fixed):")
-print(json.dumps(requirements_to_json(families["SSC"][:1])[0]["tag"]))
+print(families["SSC"][0].tag.label())

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -162,6 +163,8 @@ def _cmd_verify(args) -> int:
         bound = report["config"]["bound"] if args.bound is None else args.bound
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{report_path}: malformed config ({exc!r})") from exc
+    if type(bound) not in (int, float) or not (math.isfinite(bound) and bound > 0):
+        raise ConfigError(f"validity bound must be positive and finite, got {bound!r}")
     records = report.get("adversarial", [])
     if not (isinstance(records, list) and all(isinstance(e, dict) and isinstance(e.get("file"), str)
                                               for e in records)):
@@ -176,12 +179,12 @@ def _cmd_verify(args) -> int:
         try:
             vec = np.load(path)
             idx, dist = nearest(refs, vec)
-        except UNREADABLE as exc:
+            label = cache.get(vec).label
+            ref_label = cache.get(refs.inputs[idx]).label
+        except UNREADABLE as exc:  # DomainError, a non-finite entry, is a ValueError too
             print(f"{entry['file']}: cannot check ({exc}) -> FAIL")
             ok = False
             continue
-        label = cache.get(vec).label
-        ref_label = cache.get(refs.inputs[idx]).label
         good = label != ref_label and dist <= bound
         status = "ok" if good else "FAIL"
         print(

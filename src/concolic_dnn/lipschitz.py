@@ -379,7 +379,6 @@ def random_baseline(
     state = rng.bit_generator.state
     pairs = rng.uniform(box.lower, box.upper, size=(drawn, 2, t0.size))
     rows = pairs.reshape(2 * drawn, t0.size)  # t1 and t2 of each pair in turn
-    in_gaps = distance(pairs[:, 0], pairs[:, 1], "linf") + EPS
     ratios = np.empty(used)
     chunk = net.batch_rows if net.batch_rows % 2 else net.batch_rows // 2  # pairs filling whole calls
     for start in range(0, used, chunk):
@@ -390,7 +389,7 @@ def random_baseline(
         block = rows[2 * start:2 * end]  # two rows a pair: split where batch_rows is odd
         out = np.concatenate([forward_batch(net, block[lo:lo + net.batch_rows]).out
                               for lo in range(0, len(block), net.batch_rows)])
-        ratios[start:end] = distance(out[0::2], out[1::2], "linf") / in_gaps[start:end]
+        ratios[start:end] = _ratio(out[0::2], out[1::2], pairs[start:end, 0], pairs[start:end, 1])
         hits = np.flatnonzero(ratios[start:end] > c)
         if hits.size:
             used = drawn = start + int(hits[0]) + 1

@@ -5,7 +5,7 @@ The arithmetic core is linear in activation values: variables are the pre- or
 post-ReLU value of one neuron under a bound input, optionally scaled, combined
 with +/- and constants, and compared against 0. Boolean structure adds
 conjunction, negation and counting. Three sugar forms (same-sign, differing
-sign, box membership) expand into the core grammar; a fourth atom, the
+sign, box membership) abbreviate core formulas; a fourth atom, the
 Lipschitz margin ||out(x1) - out(x2)|| - c * ||x1 - x2|| > 0 (L-infinity
 norms, "out" the output layer; ``lip_margin``), is evaluated natively because
 norms have no core encoding. ``distance`` is the package's one norm helper:
@@ -227,8 +227,17 @@ def _target_signs(acts: Activations, k_star: int, flips=()) -> dict[int, np.ndar
     return signs
 
 
+class _GapReached:
+    """``settle`` of the one-test families whose test satisfies a tag once its
+    gap is ``reached`` (NC and NBC): one slice of the layer's rows."""
+
+    @classmethod
+    def settle(cls, state: SuiteState, tags: Sequence[Tag], start: int) -> np.ndarray:
+        return cls.reached(cls.gaps(state.u_flat(tags[0].layer)[start:], tags)).any(axis=1)
+
+
 @dataclass(frozen=True)
-class NCTag:
+class NCTag(_GapReached):
     """Neuron coverage: activate neuron (layer, neuron)."""
 
     layer: int
@@ -247,10 +256,6 @@ class NCTag:
     @staticmethod
     def reached(gap):
         return gap >= 0.0
-
-    @classmethod
-    def settle(cls, state: SuiteState, tags: Sequence[NCTag], start: int) -> np.ndarray:
-        return cls.reached(cls.gaps(state.u_flat(tags[0].layer)[start:], tags)).any(axis=1)
 
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, None]:
         """Freeze the layers below, flip this neuron, leave the rest of its layer open."""
@@ -306,7 +311,7 @@ class SSCTag:
 
 
 @dataclass(frozen=True)
-class NBCTag:
+class NBCTag(_GapReached):
     """Neuron boundary coverage, one side of neuron (layer, neuron)."""
 
     layer: int
@@ -332,10 +337,6 @@ class NBCTag:
     @staticmethod
     def reached(gap):
         return gap > 0.0
-
-    @classmethod
-    def settle(cls, state: SuiteState, tags: Sequence[NBCTag], start: int) -> np.ndarray:
-        return cls.reached(cls.gaps(state.u_flat(tags[0].layer)[start:], tags)).any(axis=1)
 
     def lp_target(self, acts: Activations) -> tuple[dict[int, np.ndarray], int, float]:
         """Freeze the layers below, leave this neuron's layer open, and cross
@@ -521,46 +522,6 @@ def _eval_bool(e: BoolExpr, binding: _Binding) -> bool:
         return bool(np.all(x >= np.asarray(e.lower)) and np.all(x <= np.asarray(e.upper)))
     if isinstance(e, LipschitzAtom):
         return lip_margin(binding[e.a], binding[e.b], e.threshold) > 0.0
-    raise EvalError(f"unknown boolean node {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Sugar expansion (core grammar only; used to cross-check evaluation)
-# ---------------------------------------------------------------------------
-
-
-def _or(a: BoolExpr, b: BoolExpr) -> BoolExpr:
-    return Not(And((Not(a), Not(b))))
-
-
-def expand(e: BoolExpr) -> BoolExpr:
-    """Rewrite sugar nodes into the core grammar (atoms, and, not, counting).
-
-    LipschitzAtom has no core encoding and is returned unchanged.
-    """
-    if isinstance(e, (Atom, LipschitzAtom)):
-        return e
-    if isinstance(e, And):
-        return And(tuple(expand(m) for m in e.members))
-    if isinstance(e, Not):
-        return Not(expand(e.inner))
-    if isinstance(e, CountCmp):
-        return CountCmp(tuple(expand(m) for m in e.members), e.rel, e.count)
-    if isinstance(e, SignEq):
-        on_a = Atom(Var("u", e.layer, e.neuron, e.a), ">=")
-        on_b = Atom(Var("u", e.layer, e.neuron, e.b), ">=")
-        off_a = Atom(Var("u", e.layer, e.neuron, e.a), "<")
-        off_b = Atom(Var("u", e.layer, e.neuron, e.b), "<")
-        return _or(And((on_a, on_b)), And((off_a, off_b)))
-    if isinstance(e, SignNeq):
-        return Not(expand(SignEq(e.a, e.b, e.layer, e.neuron)))
-    if isinstance(e, InBox):
-        conjuncts: list[BoolExpr] = []
-        for i, (lo, hi) in enumerate(zip(e.lower, e.upper)):
-            coord = Var("v", 1, i, e.var)
-            conjuncts.append(Atom(Sub(coord, Const(hi)), "<="))
-            conjuncts.append(Atom(Sub(coord, Const(lo)), ">="))
-        return And(tuple(conjuncts))
     raise EvalError(f"unknown boolean node {type(e).__name__}")
 
 
@@ -818,56 +779,3 @@ def gen_lipschitz(partition: SubspacePartition, c: float) -> list[Requirement]:
                     InBox("x1", lower, upper), InBox("x2", lower, upper)))
         reqs.append(Requirement("exists", 2, body, LipTag(idx, float(c), box)))
     return reqs
-
-
-# ---------------------------------------------------------------------------
-# JSON audit dump (tag, quantifier, body as an S-expression)
-# ---------------------------------------------------------------------------
-
-
-def _sexp_arith(a: ArithExpr):
-    if isinstance(a, Const):
-        return a.value
-    if isinstance(a, Var):
-        return [a.kind, a.layer, a.neuron, a.input_var]
-    if isinstance(a, Scaled):
-        return ["scale", a.coeff, _sexp_arith(a.var)]
-    if isinstance(a, Add):
-        return ["+", _sexp_arith(a.left), _sexp_arith(a.right)]
-    if isinstance(a, Sub):
-        return ["-", _sexp_arith(a.left), _sexp_arith(a.right)]
-    raise EvalError(f"unknown arithmetic node {type(a).__name__}")
-
-
-def body_sexp(e: BoolExpr):
-    if isinstance(e, Atom):
-        return [e.rel, _sexp_arith(e.expr), 0]
-    if isinstance(e, And):
-        return ["and", *(body_sexp(m) for m in e.members)]
-    if isinstance(e, Not):
-        return ["not", body_sexp(e.inner)]
-    if isinstance(e, CountCmp):
-        return ["count", [body_sexp(m) for m in e.members], e.rel, e.count]
-    if isinstance(e, SignEq):
-        return ["sign-eq", e.a, e.b, e.layer, e.neuron]
-    if isinstance(e, SignNeq):
-        return ["sign-neq", e.a, e.b, e.layer, e.neuron]
-    if isinstance(e, InBox):
-        return ["in-box", e.var, list(e.lower), list(e.upper)]
-    if isinstance(e, LipschitzAtom):
-        return ["lip-margin", e.a, e.b, e.threshold]
-    raise EvalError(f"unknown boolean node {type(e).__name__}")
-
-
-def requirement_to_json(r: Requirement) -> dict:
-    return {
-        "tag": r.tag.label(),
-        "quantifier": r.quantifier,
-        "arity": r.arity,
-        "status": r.status,
-        "body": body_sexp(r.body),
-    }
-
-
-def requirements_to_json(reqs: Sequence[Requirement]) -> list[dict]:
-    return [requirement_to_json(r) for r in reqs]

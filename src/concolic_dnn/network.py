@@ -136,6 +136,12 @@ def _gather_index(layer: Union[Conv2D, MaxPool], in_shape: tuple[int, ...],
     return idx.transpose(0, 1, 4, 2, 3).reshape(-1, kh * kw)  # one row per (i, j, ch)
 
 
+def _check_pair(value, what: str) -> None:
+    """A stride or window is two positive integers."""
+    if not (np.shape(value) == (2,) and all(isinstance(v, (int, np.integer)) and v >= 1 for v in value)):
+        raise ModelError(f"{what} must be two positive integers, got {value!r}")
+
+
 def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     if isinstance(layer, Dense):
         if len(in_shape) != 1:
@@ -155,11 +161,13 @@ def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]
             raise ModelError(f"conv2d kernels expect {in_ch} channels, layer receives {c}")
         if layer.bias.shape != (out_ch,):
             raise ModelError(f"conv2d bias shape {layer.bias.shape} does not match {out_ch} kernels")
+        _check_pair(layer.stride, "conv2d stride")
         oh, ow = _conv_out_hw(h, w, kh, kw, layer.stride, layer.padding)
         return (oh, ow, out_ch)
     if isinstance(layer, MaxPool):
         if len(in_shape) != 3:
             raise ModelError(f"maxpool expects an (H, W, C) input, got shape {in_shape}")
+        _check_pair(layer.window, "maxpool window")
         ph, pw = layer.window
         h, w, c = in_shape
         if h % ph or w % pw:
@@ -554,24 +562,15 @@ def _layer_from_json(raw: dict, idx: int) -> Layer:
     if kind == "dense":
         weights = _parse_float_array(raw.get("weights"), f"layer {idx}: weights", 2)
         bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias", 1)
-        _require(
-            bias.shape[0] == weights.shape[1],
-            f"layer {idx}: bias length {bias.shape[0]} does not match {weights.shape[1]} columns",
-        )
         return Dense(weights=weights, bias=bias, relu=bool(raw.get("relu", False)))
     if kind == "conv2d":
         kernels = _parse_float_array(raw.get("kernels"), f"layer {idx}: kernels", 4)
         bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias", 1)
         stride = _parse_ints(raw.get("stride", [1, 1]), f"layer {idx}: stride")
-        _require(len(stride) == 2 and all(s >= 1 for s in stride), f"layer {idx}: bad stride")
-        padding = raw.get("padding", "valid")
-        _require(padding in ("valid", "same"), f"layer {idx}: bad padding {padding!r}")
-        return Conv2D(kernels=kernels, bias=bias, stride=stride, padding=padding,
+        return Conv2D(kernels=kernels, bias=bias, stride=stride, padding=raw.get("padding", "valid"),
                       relu=bool(raw.get("relu", False)))
     if kind == "maxpool":
-        window = _parse_ints(raw.get("window", ()), f"layer {idx}: window")
-        _require(len(window) == 2 and all(w >= 1 for w in window), f"layer {idx}: bad window")
-        return MaxPool(window=window)
+        return MaxPool(window=_parse_ints(raw.get("window", ()), f"layer {idx}: window"))
     if kind == "flatten":
         return Flatten()
     raise ModelError(f"layer {idx}: unknown kind {kind!r}")

@@ -1,6 +1,6 @@
 """Independent oracles used by the tests: a from-scratch formula evaluator,
-exhaustive suite enumeration, the nearest-reference scan under its own 1-d
-norms, each one-test family's gap, the loops of the one-test and Lipschitz
+exhaustive suite enumeration, the sugar forms' rewrite into the core grammar,
+the nearest-reference scan under its own 1-d norms, each one-test family's gap, the loops of the one-test and Lipschitz
 rankings, the layer factors' Python fold, a vertex-enumeration LP solver, the simplex's column-gather
 pivot, ratio scan and per-variable standard-form loop, per-position conv and maxpool kernels with the
 conv matrix built from them, and the receptive field from each layer's dependency matrix. These stay deliberately naive so they share no
@@ -128,6 +128,41 @@ def brute_satisfies(suite, r, net, memo=None, start=0):
 
 def brute_coverage(suite, reqs, net, memo=None):
     return sum(1 for r in reqs if brute_satisfies(suite, r, net, memo)) / len(reqs)
+
+
+def _or(a, b):
+    return logic.Not(logic.And((logic.Not(a), logic.Not(b))))
+
+
+def expand(e):
+    """Rewrite sugar nodes into the core grammar (atoms, and, not, counting).
+
+    LipschitzAtom has no core encoding and is returned unchanged.
+    """
+    if isinstance(e, (logic.Atom, logic.LipschitzAtom)):
+        return e
+    if isinstance(e, logic.And):
+        return logic.And(tuple(expand(m) for m in e.members))
+    if isinstance(e, logic.Not):
+        return logic.Not(expand(e.inner))
+    if isinstance(e, logic.CountCmp):
+        return logic.CountCmp(tuple(expand(m) for m in e.members), e.rel, e.count)
+    if isinstance(e, logic.SignEq):
+        on_a = logic.Atom(logic.Var("u", e.layer, e.neuron, e.a), ">=")
+        on_b = logic.Atom(logic.Var("u", e.layer, e.neuron, e.b), ">=")
+        off_a = logic.Atom(logic.Var("u", e.layer, e.neuron, e.a), "<")
+        off_b = logic.Atom(logic.Var("u", e.layer, e.neuron, e.b), "<")
+        return _or(logic.And((on_a, on_b)), logic.And((off_a, off_b)))
+    if isinstance(e, logic.SignNeq):
+        return logic.Not(expand(logic.SignEq(e.a, e.b, e.layer, e.neuron)))
+    if isinstance(e, logic.InBox):
+        conjuncts = []
+        for i, (lo, hi) in enumerate(zip(e.lower, e.upper)):
+            coord = logic.Var("v", 1, i, e.var)
+            conjuncts.append(logic.Atom(logic.Sub(coord, logic.Const(hi)), "<="))
+            conjuncts.append(logic.Atom(logic.Sub(coord, logic.Const(lo)), ">="))
+        return logic.And(tuple(conjuncts))
+    raise AssertionError(f"unexpected node {type(e).__name__}")
 
 
 def vertex_enum_lp(c, A_ub, b_ub, tol=1e-9):

@@ -318,7 +318,7 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: cannot read") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("content", [None, b"not an npy file"])
+    @pytest.mark.parametrize("content", [None, b"not an npy file", np.full(4, np.nan)])
     def test_verify_unreadable_record_fails(self, workspace, content, capsys):
         out = workspace["dir"] / "vout5"
         self.run_first(workspace, out)
@@ -327,7 +327,11 @@ class TestVerifyCommand:
         (out / "report.json").write_text(json.dumps(report))
         if content is not None:  # None: the record's file does not exist
             (out / "adversarial").mkdir(exist_ok=True)
-            (out / "adversarial" / "adv99999.npy").write_bytes(content)
+            record = out / "adversarial" / "adv99999.npy"
+            if isinstance(content, bytes):
+                record.write_bytes(content)
+            else:  # a readable vector the network cannot forward
+                np.save(record, content)
         capsys.readouterr()
         assert main(self.verify_args(workspace, out)) == 1
         printed = capsys.readouterr().out
@@ -344,3 +348,17 @@ class TestVerifyCommand:
         assert main(self.verify_args(workspace, out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "malformed adversarial" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("bound, flag", [("0.3", None), (None, None), (True, None), (-0.1, None),
+                                             (0.3, "0"), (0.3, "nan"), (0.3, "inf")])
+    def test_verify_bad_bound_exit_code(self, workspace, bound, flag, capsys):
+        out = workspace["dir"] / "vout8"
+        self.run_first(workspace, out)
+        report = json.loads((out / "report.json").read_text())
+        report["config"]["bound"] = bound
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        extra = [] if flag is None else ["--bound", flag]
+        assert main(self.verify_args(workspace, out) + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "bound" in err and err.count("\n") == 1

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +12,7 @@ from concolic_dnn.logic import (
     EvalError,
     GenerationError,
     InBox,
+    LipschitzAtom,
     NORMS,
     QUANT_TOL,
     Not,
@@ -27,12 +26,10 @@ from concolic_dnn.logic import (
     coverage,
     distance,
     eval_bool,
-    expand,
     gen_lipschitz,
     gen_nbc,
     gen_nc,
     gen_ssc,
-    requirements_to_json,
     satisfies,
     ssc_pairs,
     suite_satisfies,
@@ -40,7 +37,7 @@ from concolic_dnn.logic import (
 from concolic_dnn.network import ActivationCache, Conv2D, Dense, Flatten, Network, forward
 
 from conftest import dense_net, identity_net
-from helpers import brute_coverage, brute_satisfies
+from helpers import brute_coverage, brute_satisfies, expand
 
 TRUE_ATOM = Atom(Const(0.0), ">=")
 FALSE_ATOM = Atom(Const(-1.0), ">")
@@ -208,7 +205,7 @@ class TestWideLayers:
         assert satisfies([on, off], r, net)
         assert not satisfies([on, also_on], r, net)
 
-    def test_wide_ssc_body_expands_and_serializes(self):
+    def test_wide_ssc_body_expands_and_stays_flat(self):
         net = wide_ssc_net()
         (r,) = gen_ssc(net, [(2, 0, 0)])
         on, off, also_on = (np.array([x0, 0.0, 0.0, 0.0]) for x0 in (1.0, 0.0, 0.9))
@@ -219,8 +216,8 @@ class TestWideLayers:
             assert eval_bool(expanded, {"x1": x1, "x2": x2}, net) == holds
             seen.add(holds)
         assert seen == {True, False}
-        (doc,) = json.loads(json.dumps(requirements_to_json([r])))
-        assert doc["body"][0] == "and" and len(doc["body"]) == 1 + 2 + (net.width(2) - 1)
+        # one n-ary conjunction: the two flips, then every other condition neuron's sign
+        assert isinstance(r.body, And) and len(r.body.members) == 2 + (net.width(2) - 1)
 
     def test_wide_and_short_circuits_left_to_right(self, tiny_net):
         unbound = Atom(Var("u", 2, 0, "x"), ">=")  # raises EvalError when evaluated
@@ -442,19 +439,18 @@ def test_sign_sugar_property(xs1, xs2, neuron):
         assert eval_bool(node, binding, net) == eval_bool(expand(node), binding, net)
 
 
-def test_requirements_serialize_to_json(mid_net):
+def test_requirement_tags_and_lipschitz_body(mid_net):
     reqs = gen_nc(mid_net)[:2] + gen_ssc(mid_net)[:2]
     part = SubspacePartition.from_seeds([np.zeros(4)], 0.1)
     reqs += gen_lipschitz(part, 1.0)
-    blob = json.dumps(requirements_to_json(reqs))
-    parsed = json.loads(blob)
-    assert parsed[0]["tag"].startswith("nc:")
-    assert parsed[-1]["tag"].startswith("lip:")
-    assert parsed[-1]["body"][1] == ["lip-margin", "x1", "x2", 1.0]
+    assert reqs[0].tag.label().startswith("nc:")
+    assert reqs[-1].tag.label().startswith("lip:")
     # one flat conjunction: the margin, then both box memberships
-    op, *members = parsed[-1]["body"]
-    assert op == "and" and [m[0] for m in members] == ["lip-margin", "in-box", "in-box"]
-    assert parsed[0]["quantifier"] == "exists"
+    body = reqs[-1].body
+    assert isinstance(body, And) and [type(m) for m in body.members] == [LipschitzAtom, InBox, InBox]
+    assert body.members[0] == LipschitzAtom("x1", "x2", 1.0)
+    assert [m.var for m in body.members[1:]] == ["x1", "x2"]
+    assert reqs[0].quantifier == "exists"
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,19 @@ class TestConstruction:
         with pytest.raises(ModelError):
             Network((4, 4, 1), layers)  # conv valid output is 3x3, not divisible
 
+    @pytest.mark.parametrize("field, shape, layer", [
+        ("stride", (4, 4, 1), Conv2D(np.ones((2, 2, 1, 1)), np.zeros(1), stride=(0, 1))),
+        ("stride", (4, 4, 1), Conv2D(np.ones((2, 2, 1, 1)), np.zeros(1), stride=(1,))),
+        ("padding", (4, 4, 1), Conv2D(np.ones((2, 2, 1, 1)), np.zeros(1), padding="full")),
+        ("window", (4, 4, 1), MaxPool((0, 2))),
+        ("window", (4, 4, 1), MaxPool((2,))),
+        ("bias", (16,), Dense(np.ones((16, 2)), np.zeros(3))),
+    ])
+    def test_bad_layer_field_rejected(self, field, shape, layer):
+        # checked here alone, for a layer built in Python and for one read from a model file
+        with pytest.raises(ModelError, match=field):
+            Network(shape, [layer, Flatten(), Dense(np.ones((4, 2)), np.zeros(2), relu=False)])
+
 
 class TestConvAndPool:
     def net(self):
@@ -337,14 +350,18 @@ class TestModelIO:
         ("input_shape", 5),
         ("layers", 5),
         ("stride", [None, 1]),
+        ("stride", [0, 1]),
+        ("padding", "full"),
         ("window", ["a", 2]),
+        ("window", [0, 2]),
     ])
     def test_malformed_field_rejected(self, tmp_path, field, value):
         path = tmp_path / "malformed.json"
         save_model(TestConvAndPool().net(), str(path))
         doc = json.loads(path.read_text())
-        # stride is the conv layer's (layer 0), window the maxpool's (layer 1)
-        owner = {"stride": doc["layers"][0], "window": doc["layers"][1]}.get(field, doc)
+        # stride and padding are the conv layer's (layer 0), window the maxpool's (layer 1)
+        conv, pool = doc["layers"][:2]
+        owner = {"stride": conv, "padding": conv, "window": pool}.get(field, doc)
         owner[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match=field):
