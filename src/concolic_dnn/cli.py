@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import FAMILIES, NORMS, ConfigError, RunConfig, load_suite, run, save_run
 from .lipschitz import LipConfig
-from .network import ActivationCache, load_model
+from .network import ActivationCache, Network, load_model
 from .oracle import ReferenceSet, nearest
 
 UNREADABLE = (OSError, EOFError, ValueError)  # a missing file, or one numpy or the model reader rejects
@@ -44,7 +44,7 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def load_refs(directory: str, norm: str, net=None) -> ReferenceSet:
+def load_refs(directory: str, norm: str, net: Network) -> ReferenceSet:
     """Reference set layout: DIR/inputs.npy (N x d, or N inputs of any shape,
     each flattened as seeds are) and optional DIR/labels.npy.
 
@@ -56,18 +56,16 @@ def load_refs(directory: str, norm: str, net=None) -> ReferenceSet:
         inputs = inputs.reshape(1, -1)
     elif inputs.ndim > 2:  # image-shaped rows
         inputs = inputs.reshape(len(inputs), int(np.prod(inputs.shape[1:])))
-    if net is not None and inputs.shape[-1] != net.input_dim:
+    if inputs.shape[-1] != net.input_dim:
         raise ConfigError(
             f"reference inputs have {inputs.shape[-1]} entries, the model takes {net.input_dim}"
         )
     labels_path = os.path.join(directory, "labels.npy")
     if os.path.exists(labels_path):
         labels = _read(np.load, labels_path)
-    elif net is not None:
+    else:
         cache = ActivationCache(net)
         labels = np.array([cache.get(row).label for row in inputs])
-    else:
-        raise ConfigError(f"reference set needs {labels_path} (or a model to label with)")
     try:
         return ReferenceSet(inputs=inputs, labels=labels, norm=norm)
     except ValueError as exc:

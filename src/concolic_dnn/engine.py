@@ -41,8 +41,7 @@ from .logic import (
     suite_satisfies,
 )
 from .lp import LpError, lp_text, symbolic_lp
-from . import network
-from .network import ActivationBatch, ActivationCache, Network
+from .network import ActivationCache, Network
 from .oracle import (
     CoverageReport,
     ReferenceSet,
@@ -53,12 +52,14 @@ from .oracle import (
 )
 from .ranking import (
     RankedCandidate,
+    SampleStats,
     estimate_layer_factors,
     rank_lipschitz,
     rank_nbc,
     rank_nc,
     rank_ssc,
     ranked_tests,
+    sample_stats,
 )
 
 NBC_WIDEN = 0.05  # NBC bounds: the sample min/max widened by this fraction of their range
@@ -204,16 +205,14 @@ class RunResult:
 def nbc_bounds_from_samples(net: Network, samples: Sequence) -> tuple[dict, dict]:
     """Per-neuron high/low activation bounds: sample min/max widened by
     ``NBC_WIDEN`` of the observed range. ``samples`` are input vectors, one
-    per row, or their ``ActivationBatch``; an empty sample set gives no
-    bounds."""
+    per row, or their ``SampleStats``; an empty sample set gives no bounds."""
     high: dict[tuple[int, int], float] = {}
     low: dict[tuple[int, int], float] = {}
     if len(samples) == 0:
         return high, low
-    acts = samples if isinstance(samples, ActivationBatch) else network.forward_batch(net, samples)
+    stats = samples if isinstance(samples, SampleStats) else sample_stats(net, samples)
     for k in net.hidden_relu_layers:
-        u = acts.u_flat(k)
-        lo, hi = u.min(axis=0), u.max(axis=0)
+        lo, hi = stats.low[k], stats.high[k]
         span = hi - lo
         for i in range(lo.size):
             high[(k, i)] = float(hi[i] + NBC_WIDEN * span[i])
@@ -288,14 +287,13 @@ def run(
 
     # drawn for every family: the random baseline's draws follow in the stream
     samples = rng.uniform(0.0, 1.0, size=(cfg.sample_count, net.input_dim))
-    sample_acts, factors = None, {}
+    stats, factors = None, {}
     if not family.needs_lip:  # the Lipschitz steps read neither layer factors nor NBC bounds
         sample_set = np.vstack([samples, *(np.ravel(np.asarray(s, dtype=np.float64)) for s in seeds)])
-        # forwarded once, as one batch, for the layer factors and the NBC bounds, then let go
-        sample_acts = network.forward_batch(net, sample_set)
-        factors = estimate_layer_factors(net, sample_acts)
-    reqs = family.generate(net, seeds, cfg, sample_acts)
-    del sample_acts
+        # one pass, batch_rows rows a call, keeps what the layer factors and the NBC bounds read
+        stats = sample_stats(net, sample_set)
+        factors = estimate_layer_factors(net, stats)
+    reqs = family.generate(net, seeds, cfg, stats)
 
     suite = TestSuite(dim=net.input_dim)
     for s in seeds:
@@ -431,19 +429,14 @@ def _random_baselines(loop: _Loop, reqs: list[Requirement]) -> None:
     loop.expired()  # a box the deadline cut short marks the run timed out
 
 
-def _generate_nbc(net, seeds, cfg, sample_acts):
-    high, low = nbc_bounds_from_samples(net, sample_acts)
-    return gen_nbc(net, high, low)
-
-
 @dataclass(frozen=True)
 class Family:
     """What the engine knows about one requirement family (criterion).
 
-    ``generate(net, seeds, cfg, sample_acts)`` returns the requirements,
-    given the ``ActivationBatch`` of the run's sample set, or None for a
-    family that ``needs_lip`` (its ranking reads no layer factors either, so
-    the sample set is drawn but never forwarded);
+    ``generate(net, seeds, cfg, stats)`` returns the requirements, given the
+    ``SampleStats`` of the run's sample set, or None for a family that
+    ``needs_lip`` (its ranking reads no layer factors either, so the sample
+    set is drawn but never forwarded);
     ``rank(loop, open_reqs)`` picks the requirement to work on;
     ``synthesize(loop, r)`` is one loop iteration's synthesis;
     ``finish(loop, reqs)`` runs after the loop; ``save(result, outdir)``
@@ -462,23 +455,23 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "nc": Family(
-        generate=lambda net, seeds, cfg, sample_acts: gen_nc(net),
+        generate=lambda net, seeds, cfg, stats: gen_nc(net),
         rank=lambda loop, reqs: rank_nc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
     ),
     "ssc": Family(
-        generate=lambda net, seeds, cfg, sample_acts: gen_ssc(net, cfg.ssc_pairs),
+        generate=lambda net, seeds, cfg, stats: gen_ssc(net, cfg.ssc_pairs),
         rank=lambda loop, reqs: rank_ssc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
         norms=("linf",),
     ),
     "nbc": Family(
-        generate=_generate_nbc,
+        generate=lambda net, seeds, cfg, stats: gen_nbc(net, *nbc_bounds_from_samples(net, stats)),
         rank=lambda loop, reqs: rank_nbc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
     ),
     "lipschitz": Family(
-        generate=lambda net, seeds, cfg, sample_acts: gen_lipschitz(
+        generate=lambda net, seeds, cfg, stats: gen_lipschitz(
             SubspacePartition.from_seeds(seeds, cfg.lip.delta), cfg.lip.c),
         # when no box holds a test yet, the first open requirement
         rank=lambda loop, reqs: (rank_lipschitz(loop.state, reqs)

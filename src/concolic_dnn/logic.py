@@ -38,7 +38,6 @@ import numpy as np
 
 from .network import ActivationCache, Activations, Network
 
-RELATIONS = ("<=", "<", "=", ">", ">=")
 NORMS = ("linf", "l0")
 QUANT_TOL = 1.0 / 510.0  # half of one 8-bit quantization step
 EPS_STRICT = 1e-6  # margin standing in for strict inequalities in LP targets
@@ -693,11 +692,6 @@ def gen_nc(net: Network) -> list[Requirement]:
     return reqs
 
 
-def _ssc_body(net: Network, k: int, i: int, j: int) -> BoolExpr:
-    flips = (SignNeq("x1", "x2", k, i), SignNeq("x1", "x2", k + 1, j))
-    return And(flips + tuple(SignEq("x1", "x2", k, l) for l in range(net.width(k)) if l != i))
-
-
 def ssc_pairs(net: Network) -> list[tuple[int, int, int]]:
     """All eligible (layer, condition, decision) triples: adjacent hidden ReLU layers."""
     eligible = []
@@ -737,11 +731,15 @@ def gen_ssc(
     (layer, cond) and the decision neuron (layer + 1, decision) while every
     other neuron of the condition layer keeps its sign. ``pairs`` restricts
     generation to a subset of (layer, cond, decision) triples; a repeated
-    triple yields one requirement.
+    triple yields one requirement. The bodies share each layer's sign nodes.
     """
+    triples = select_ssc_pairs(net, pairs)
+    layers = {m for k, _, _ in triples for m in (k, k + 1)}
+    eq, neq = ({m: tuple(sign("x1", "x2", m, l) for l in range(net.width(m))) for m in layers}
+               for sign in (SignEq, SignNeq))
     return [
-        Requirement("exists", 2, _ssc_body(net, k, i, j), SSCTag(k, i, j))
-        for k, i, j in select_ssc_pairs(net, pairs)
+        Requirement("exists", 2, And((neq[k][i], neq[k + 1][j]) + eq[k][:i] + eq[k][i + 1:]), SSCTag(k, i, j))
+        for k, i, j in triples
     ]
 
 

@@ -16,8 +16,9 @@ equals the forward of that input alone bit for bit, because every product is
 stacked (``X[:, None, :] @ W`` for dense layers, one im2col product per input,
 gathered C-contiguously, for conv layers), so BLAS runs the same per-item gemv
 or gemm at the same shapes whatever the batch size; a plain 2-D ``X @ W``
-differs from the gemv in the last bit on some rows. A call's rows are capped
-by floats alone (``Network.batch_rows``). ``Network.receptive_field`` follows
+differs from the gemv in the last bit on some rows. Its one layer loop runs
+on the rows it is given, and its callers give it at most ``Network.batch_rows``
+rows a call, a cap by floats alone. ``Network.receptive_field`` follows
 the gather index down from one neuron to the inputs it reads.
 
 Layers are indexed the way the rest of the package expects: the input layer
@@ -36,18 +37,13 @@ import numpy as np
 # ``Network.batch_rows`` is BATCH_FLOATS // widest, at least 1, where the
 # widest is a row's largest array (a layer, or a conv or pool gather): so many
 # rows that a batch's largest array holds at most BATCH_FLOATS floats, 128 KB.
-# ``forward_batch`` runs its layers on at most that many rows at a time, so the
-# gathers and products it makes on the way stay that small; the search loops
-# (the L0 sweep, the compass polls, the random baseline) also give it at most
-# that many rows per call, since a result holds u and v of every layer for
-# every row; the compass search's lockstep rounds, which stack the polls of
-# several boxes, are cut into calls of that many rows too. Peak memory so
-# stays bounded whatever the net, except for the set-up's sample set, whose
-# result its estimators read whole. Larger arrays were slower too: an L0 step
-# on a 14x14 conv net ran fastest at 8-16 rows (arrays up to about 128 KB)
-# and slower at 32 or more, and on a 28x28 conv net batches of 16 or more rows
-# were slower than one input at a time. A narrow dense net takes hundreds of
-# rows a call: 1,638 on a 10-wide one.
+# Every caller of ``forward_batch`` gives it at most that many rows a call, so
+# its gathers and products, and its result, which holds u and v of every layer
+# for every row, stay that small whatever the net. Larger arrays were slower
+# too: an L0 step on a 14x14 conv net ran fastest at 8-16 rows (arrays up to
+# about 128 KB) and slower at 32 or more, and on a 28x28 conv net batches of
+# 16 or more rows were slower than one input at a time. A narrow dense net
+# takes hundreds of rows a call: 1,638 on a 10-wide one.
 BATCH_FLOATS = 1 << 14
 
 
@@ -143,6 +139,12 @@ def _check_pair(value, what: str) -> None:
 
 
 def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+    for name, ndim in (("weights", 2), ("kernels", 4), ("bias", 1)):
+        arr = getattr(layer, name, None)
+        if arr is not None and np.ndim(arr) != ndim:
+            raise ModelError(f"{type(layer).__name__}.{name} must have {ndim} dimensions, got {np.ndim(arr)}")
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise ModelError(f"non-finite values in {type(layer).__name__}.{name}")
     if isinstance(layer, Dense):
         if len(in_shape) != 1:
             raise ModelError(f"dense layer expects a flat input, got shape {in_shape}")
@@ -182,9 +184,11 @@ class Network:
     """An immutable layered feedforward model.
 
     The input layer is layer 1; ``layers[j]`` produces layer ``j + 2``.
-    Construction validates that consecutive shapes compose, that there is at
-    least one hidden layer, that the output layer has >= 2 neurons, and that
-    all weights are finite.
+    Construction validates that each layer's arrays have their number of
+    dimensions and are finite, that consecutive shapes compose, that there is
+    at least one hidden layer and that the output layer has >= 2 neurons. An
+    error about one layer begins with its position in ``layers``
+    ("layer 0: ...").
 
     ``gather[k]`` is the window geometry of a conv2d or maxpool layer k, built
     once here and read by ``forward`` and the LP encoder: row o lists the flat
@@ -202,14 +206,12 @@ class Network:
         self.layers = list(layers)
         if len(self.layers) < 2:
             raise ModelError("network needs at least one hidden layer and an output layer")
-        for layer in self.layers:
-            for arr_name in ("weights", "bias", "kernels"):
-                arr = getattr(layer, arr_name, None)
-                if arr is not None and not np.all(np.isfinite(arr)):
-                    raise ModelError(f"non-finite values in {type(layer).__name__}.{arr_name}")
         self.layer_shapes: list[tuple[int, ...]] = [self.input_shape]
-        for layer in self.layers:
-            self.layer_shapes.append(_layer_out_shape(layer, self.layer_shapes[-1]))
+        for j, layer in enumerate(self.layers):
+            try:
+                self.layer_shapes.append(_layer_out_shape(layer, self.layer_shapes[-1]))
+            except ModelError as err:
+                raise ModelError(f"layer {j}: {err}") from None
         self._widths = tuple(math.prod(shape) for shape in self.layer_shapes)
         if self._widths[-1] < 2:
             raise ModelError("output layer must have at least 2 neurons")
@@ -366,10 +368,9 @@ def forward_batch(net: Network, X: np.ndarray, last: Optional[int] = None) -> Ac
     Each row of ``X`` is one input: a flat vector of length prod(input_shape),
     or an array of the input shape itself. Raises InputShapeError on a size
     mismatch and DomainError on non-finite entries anywhere in the batch.
-    Row i of every result equals ``forward(net, X[i])`` bit for bit. A batch
-    of more than ``net.batch_rows`` rows is forwarded that many rows at a
-    time into arrays for the whole batch, so the layers' temporaries (the
-    gathers and products) stay the size of one chunk. With ``last`` set the
+    Row i of every result equals ``forward(net, X[i])`` bit for bit. The
+    layers run on all of ``X``'s rows at once, so callers pass at most
+    ``net.batch_rows`` of them (see ``BATCH_FLOATS``). With ``last`` set the
     passes stop after that layer (1..K): the result holds layers 1..``last``
     only, each the same as in a full pass.
     """
@@ -382,44 +383,8 @@ def forward_batch(net: Network, X: np.ndarray, last: Optional[int] = None) -> Ac
     # a finite sum proves every entry finite; only a sum that is not needs the full scan
     if not (math.isfinite(X.sum()) or np.isfinite(X).all()):
         raise DomainError("input contains non-finite entries")
-    n, rows = X.shape[0], net.batch_rows
-    X = X.reshape(n, *net.input_shape)
-    if n <= rows:
-        return _forward_rows(net, X, top)
-    first = _forward_rows(net, X[:rows], top)
-
-    def whole(a: np.ndarray) -> np.ndarray:
-        out = np.empty((n, *a.shape[1:]), dtype=a.dtype)
-        out[:rows] = a
-        return out
-
-    # the arrays the layer loop shares (u is v without a ReLU, a flatten is a
-    # view of the layer before, layer 1 is X) stay shared
-    u: dict[int, np.ndarray] = {1: X}
-    v: dict[int, np.ndarray] = {1: X}
-    for k in range(2, top + 1):
-        if isinstance(net.layer(k), Flatten):
-            u[k] = v[k] = v[k - 1].reshape(n, net.width(k))
-        else:
-            u[k] = whole(first.u[k])
-            v[k] = u[k] if first.v[k] is first.u[k] else whole(first.v[k])
-    winners = {k: whole(w) for k, w in first.pool_winners.items()}
-    for lo in range(rows, n, rows):
-        part = _forward_rows(net, X[lo:lo + rows], top)
-        for k in range(2, top + 1):
-            u[k][lo:lo + rows] = part.u[k]
-            if v[k] is not u[k]:
-                v[k][lo:lo + rows] = part.v[k]
-        for k in winners:
-            winners[k][lo:lo + rows] = part.pool_winners[k]
-    return ActivationBatch(u=u, v=v, relu_layers=net.relu_layers, num_layers=net.num_layers,
-                           pool_winners=winners)
-
-
-def _forward_rows(net: Network, value: np.ndarray, top: int) -> ActivationBatch:
-    """The layer loop, layers 2..``top``, over a checked batch ``value`` of
-    shape (n, *input_shape)."""
-    n = value.shape[0]
+    n = X.shape[0]
+    value = X.reshape(n, *net.input_shape)
     u: dict[int, np.ndarray] = {1: value}
     v: dict[int, np.ndarray] = {1: value}
     winners: dict[int, np.ndarray] = {}
@@ -539,14 +504,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ModelError(msg)
 
 
-def _parse_float_array(raw, what: str, ndim: int) -> np.ndarray:
+def _parse_float_array(raw, what: str) -> np.ndarray:
+    """``raw`` as a float array; ``Network`` checks its shape and values."""
     try:
-        arr = np.array(raw, dtype=np.float64)
+        return np.array(raw, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"{what}: not a numeric array ({exc})") from exc
-    _require(arr.ndim == ndim, f"{what}: expected {ndim} dimensions, got {arr.ndim} (ragged rows?)")
-    _require(bool(np.all(np.isfinite(arr))), f"{what}: contains non-finite values")
-    return arr
 
 
 def _parse_ints(raw, what: str) -> tuple[int, ...]:
@@ -560,12 +523,12 @@ def _layer_from_json(raw: dict, idx: int) -> Layer:
     _require(isinstance(raw, dict) and "kind" in raw, f"layer {idx}: missing 'kind'")
     kind = raw["kind"]
     if kind == "dense":
-        weights = _parse_float_array(raw.get("weights"), f"layer {idx}: weights", 2)
-        bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias", 1)
+        weights = _parse_float_array(raw.get("weights"), f"layer {idx}: weights")
+        bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias")
         return Dense(weights=weights, bias=bias, relu=bool(raw.get("relu", False)))
     if kind == "conv2d":
-        kernels = _parse_float_array(raw.get("kernels"), f"layer {idx}: kernels", 4)
-        bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias", 1)
+        kernels = _parse_float_array(raw.get("kernels"), f"layer {idx}: kernels")
+        bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias")
         stride = _parse_ints(raw.get("stride", [1, 1]), f"layer {idx}: stride")
         return Conv2D(kernels=kernels, bias=bias, stride=stride, padding=raw.get("padding", "valid"),
                       relu=bool(raw.get("relu", False)))

@@ -4,7 +4,9 @@ analysis.
 
 A one-test requirement's score is c_k times its tag class's ``gaps`` at layer
 k, with a per-layer factor c_k = 1 / mean |u| (estimated on a sample set) so
-that values from layers of different magnitude are comparable. Tie-breaking
+that values from layers of different magnitude are comparable. The set-up
+forwards its sample set once, ``net.batch_rows`` rows a call, and keeps only
+what the factors and the NBC bounds read (``sample_stats``). Tie-breaking
 is deterministic: lowest tag ``order_key`` (layer first, then neuron), then
 earliest test. Every family is ranked over the suite's ``SuiteState``: the
 one-test families (NC, SSC, NBC) by one score matrix, requirements by tests,
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import network
 from .logic import Requirement, SuiteState, layer_groups
-from .network import ActivationBatch, Network
+from .network import Network
 
 FACTOR_FLOOR = 1e-12
 
@@ -34,24 +36,55 @@ class RankedCandidate:
     score: float
 
 
+@dataclass(frozen=True)
+class SampleStats:
+    """What the set-up reads of its sample set's forward passes: by hidden layer
+    k, each sample's |u_k| sum in sample order; by hidden ReLU layer k, each
+    neuron's least and greatest u_k over the samples."""
+
+    count: int
+    abs_sums: dict[int, np.ndarray]
+    low: dict[int, np.ndarray]
+    high: dict[int, np.ndarray]
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def sample_stats(net: Network, samples: Sequence) -> SampleStats:
+    """The ``SampleStats`` of ``samples``, input vectors one per row, from one
+    pass over them in ``forward_batch`` calls of ``net.batch_rows`` rows, so
+    no more of their activations than one call's are held at a time."""
+    X = np.asarray(samples, dtype=np.float64)
+    sums = {k: np.empty(len(X)) for k in range(2, net.num_layers)}
+    low = {k: np.full(net.width(k), np.inf) for k in net.hidden_relu_layers}
+    high = {k: np.full(net.width(k), -np.inf) for k in net.hidden_relu_layers}
+    for lo in range(0, len(X), net.batch_rows):
+        acts = network.forward_batch(net, X[lo:lo + net.batch_rows])
+        for k, row_sums in sums.items():
+            row_sums[lo:lo + len(acts)] = np.abs(acts.u_flat(k)).sum(axis=1)
+        for k in net.hidden_relu_layers:
+            # each neuron's u in one contiguous row: min and max reduce a row faster than a column
+            neurons = np.ascontiguousarray(acts.u_flat(k).T)
+            np.minimum(low[k], neurons.min(axis=1), out=low[k])
+            np.maximum(high[k], neurons.max(axis=1), out=high[k])
+    return SampleStats(len(X), sums, low, high)
+
+
 def estimate_layer_factors(net: Network, samples: Sequence) -> dict[int, float]:
     """c_k = 1 / max(mean |u_k| over samples and neurons, 1e-12), by hidden layer k.
 
-    ``samples`` are input vectors, one per row, or their ``ActivationBatch``.
+    ``samples`` are input vectors, one per row, or their ``SampleStats``.
     Each sample's |u_k| sum is added to the total in sample order (a strict
     left fold, ``np.add.accumulate``).
     """
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
-    acts = samples if isinstance(samples, ActivationBatch) else network.forward_batch(net, samples)
+    stats = samples if isinstance(samples, SampleStats) else sample_stats(net, samples)
     factors = {}
-    for k in range(2, net.num_layers):
-        u = acts.u_flat(k)
-        # |u| of one chunk at a time, not of the whole set
-        row_sums = np.concatenate([np.abs(u[lo:lo + net.batch_rows]).sum(axis=1)
-                                   for lo in range(0, len(u), net.batch_rows)])
+    for k, row_sums in stats.abs_sums.items():
         total = float(np.add.accumulate(row_sums)[-1])
-        factors[k] = 1.0 / max(total / (len(acts) * net.width(k)), FACTOR_FLOOR)
+        factors[k] = 1.0 / max(total / (len(stats) * net.width(k)), FACTOR_FLOOR)
     return factors
 
 

@@ -322,6 +322,22 @@ class TestNbcBounds:
             assert high[(k, i)] == u.max() + engine.NBC_WIDEN * span
             assert low[(k, i)] == u.min() - engine.NBC_WIDEN * span
 
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @given(st.integers(0, 2**16), st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           st.integers(1, 40), st.floats(0.1, 100.0))
+    def test_matches_one_whole_forward(self, rows, seed, hidden, count, scale):
+        net = dense_net([3, *hidden, 2], seed=seed, scale=scale)
+        if rows is not None:
+            net.batch_rows = rows  # as on a net with wide rows: several calls a sample set
+        X = np.random.default_rng(seed).uniform(0, 1, (count, 3))
+        high, low = nbc_bounds_from_samples(net, X)
+        acts = network.forward_batch(net, X)
+        for k in net.hidden_relu_layers:
+            lo, hi = acts.u_flat(k).min(axis=0), acts.u_flat(k).max(axis=0)
+            span = hi - lo
+            assert [high[(k, i)] for i in range(net.width(k))] == (hi + engine.NBC_WIDEN * span).tolist()
+            assert [low[(k, i)] for i in range(net.width(k))] == (lo - engine.NBC_WIDEN * span).tolist()
+
 
 class TestSampleSetForwardedOnce:
     def test_nbc_run_forwards_each_sample_once(self, monkeypatch):
@@ -342,6 +358,30 @@ class TestSampleSetForwardedOnce:
         rows = Counter(row for batch in batches for row in batch)
         assert [rows[s.tobytes()] for s in samples] == [1] * cfg.sample_count
         assert sum(1 for batch in batches if keys & set(batch)) == 1
+
+    def test_nbc_run_streams_the_sample_set(self, monkeypatch, tmp_path):
+        # with batch_rows 7 the sample set goes through in calls of at most 7
+        # rows, each sample once, and the run writes the report it writes unpatched
+        net, refs, seeds, cfg = _small_run("nbc")
+        save_run(run(net, refs, seeds, cfg), cfg, str(tmp_path / "unpatched"))
+        batches = []
+        real_forward_batch = network.forward_batch
+
+        def recording_forward_batch(net, X, last=None):
+            batches.append([row.tobytes() for row in np.asarray(X, dtype=np.float64).reshape(len(X), -1)])
+            return real_forward_batch(net, X, last=last)
+
+        monkeypatch.setattr(network, "forward_batch", recording_forward_batch)
+        monkeypatch.setattr(net, "batch_rows", 7)
+        save_run(run(net, refs, seeds, cfg), cfg, str(tmp_path / "streamed"))
+        samples = np.random.default_rng(cfg.rng_seed).uniform(0.0, 1.0, (cfg.sample_count, net.input_dim))
+        keys = {s.tobytes() for s in samples}
+        rows = Counter(row for batch in batches for row in batch)
+        assert [rows[s.tobytes()] for s in samples] == [1] * cfg.sample_count
+        assert max(len(batch) for batch in batches) <= 7
+        assert sum(1 for batch in batches if keys & set(batch)) == math.ceil(cfg.sample_count / 7)
+        report = "report.json"
+        assert (tmp_path / "streamed" / report).read_bytes() == (tmp_path / "unpatched" / report).read_bytes()
 
     def test_lipschitz_run_forwards_no_sample(self, monkeypatch, tmp_path):
         # the Lipschitz steps read neither layer factors nor bounds: the sample

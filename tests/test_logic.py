@@ -291,6 +291,14 @@ class TestGenerators:
         assert count(r.body, SignEq) == 2  # s_k - 1
         assert count(r.body, SignNeq) == 2
 
+    def test_ssc_bodies_share_the_layer_sign_nodes(self):
+        net = dense_net([2, 4, 3, 2], seed=6)
+        r0, r1 = gen_ssc(net, [(2, 0, 0), (2, 3, 2)])
+        assert r1.body == And((SignNeq("x1", "x2", 2, 3), SignNeq("x1", "x2", 3, 2))
+                              + tuple(SignEq("x1", "x2", 2, l) for l in range(3)))
+        # both keep the signs of neurons 1 and 2 of layer 2, through the same nodes
+        assert r0.body.members[2] is r1.body.members[3] and r0.body.members[3] is r1.body.members[4]
+
     def test_ssc_rejects_bad_pair(self):
         net = dense_net([2, 3, 2, 2], seed=5)
         with pytest.raises(GenerationError):

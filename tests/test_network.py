@@ -152,6 +152,15 @@ class TestConstruction:
         with pytest.raises(ModelError, match=field):
             Network(shape, [layer, Flatten(), Dense(np.ones((4, 2)), np.zeros(2), relu=False)])
 
+    @pytest.mark.parametrize("shape, first, layer", [
+        ((3,), Flatten(), Dense(np.zeros(3), np.zeros(3))),
+        ((4, 4, 1), MaxPool((1, 1)), Conv2D(np.ones((2, 2, 1)), np.zeros(1))),
+    ])
+    def test_array_dimensions_checked(self, shape, first, layer):
+        # the second layer's 1-D weights or 3-D kernels, named by its position
+        with pytest.raises(ModelError, match="^layer 1: .* must have [24] dimensions, got [13]$"):
+            Network(shape, [first, layer, Flatten(), Dense(np.ones((3, 2)), np.zeros(2), relu=False)])
+
 
 class TestConvAndPool:
     def net(self):
@@ -365,6 +374,20 @@ class TestModelIO:
         owner[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match=field):
+            load_model(str(path))
+
+    def test_layer_error_names_its_position(self, tmp_path):
+        path = tmp_path / "bias.json"
+        save_model(TestConvAndPool().net(), str(path))
+        doc = json.loads(path.read_text())
+        doc["layers"][3]["bias"] = [0.0, 0.0, 0.0]
+        doc["layers"][1]["window"] = [0, 2]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match="^layer 1: maxpool window"):
+            load_model(str(path))
+        doc["layers"][1]["window"] = [3, 3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match="^layer 3: dense bias shape"):
             load_model(str(path))
 
     def test_non_finite_weight_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,7 +22,7 @@ from concolic_dnn.logic import (
     lip_margin,
     ssc_pairs,
 )
-from concolic_dnn.network import Activations, Dense, Network, forward, forward_batch
+from concolic_dnn.network import Activations, Conv2D, Dense, Flatten, MaxPool, Network, forward, forward_batch
 from concolic_dnn.ranking import (
     estimate_layer_factors,
     rank_lipschitz,
@@ -28,6 +30,7 @@ from concolic_dnn.ranking import (
     rank_nc,
     rank_ssc,
     ranked_tests,
+    sample_stats,
 )
 
 from conftest import dense_net, identity_net, suite_state
@@ -80,8 +83,31 @@ class TestLayerFactors:
         net = dense_net([3, *hidden, 2], seed=seed, scale=scale)
         if rows is not None:
             net.batch_rows = rows  # as on a net with wide rows: several chunks a layer
-        acts = forward_batch(net, np.random.default_rng(seed).uniform(0, 1, (count, 3)))
-        assert estimate_layer_factors(net, acts) == loop_layer_factors(net, acts)
+        X = np.random.default_rng(seed).uniform(0, 1, (count, 3))
+        acts = forward_batch(net, X)
+        assert estimate_layer_factors(net, X) == loop_layer_factors(net, acts)
+
+
+class TestSampleStats:
+    def test_set_up_pass_holds_one_call_of_activations(self):
+        # a 28x28 conv net takes one row a call; forwarding all 1,001 samples
+        # at once would hold about 210 MiB of traced memory
+        rng = np.random.default_rng(0)
+        net = Network((28, 28, 1), [
+            Conv2D(rng.normal(0, 0.3, (3, 3, 1, 16)), rng.normal(0, 0.1, 16)),
+            MaxPool((2, 2)),
+            Flatten(),
+            Dense(rng.normal(0, 0.02, (13 * 13 * 16, 64)), np.zeros(64)),
+            Dense(rng.normal(0, 0.1, (64, 10)), np.zeros(10), relu=False),
+        ])
+        samples = rng.uniform(0, 1, (1001, net.input_dim))
+        tracemalloc.start()
+        try:
+            stats = sample_stats(net, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stats) == 1001 and peak < 20 * 2**20
 
 
 class TestRankNC:
