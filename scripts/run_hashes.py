@@ -1,4 +1,5 @@
-"""One sha256 per bench workload and seed over every file ``save_run`` writes.
+"""One sha256 per bench workload and seed over every file ``save_run`` writes,
+and one per workload over the model file ``save_model`` writes.
 
     PYTHONPATH=src python3 scripts/run_hashes.py
 
@@ -6,8 +7,10 @@ Builds each workload of ``bench/scenarios.py`` at each seed in ``SEEDS``, runs
 it once with ``engine.run`` and saves it with ``engine.save_run`` into a
 temporary directory. Prints one line per run: the workload, the seed and a
 sha256 over the relative path, size and bytes of every file written, in
-sorted path order. A change meant to keep every report byte-identical shows
-the same output as its parent, so comparing the two is one diff.
+sorted path order. Then prints one line per workload: the sha256 of the file
+``network.save_model`` writes for the workload's net (the same at every seed).
+A change meant to keep every report and model file byte-identical shows the
+same output as its parent, so comparing the two is one diff.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from concolic_dnn import engine
+from concolic_dnn import engine, network
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import scenarios  # noqa: E402  (bench/ is not a package)
@@ -38,10 +41,19 @@ def run_hash(workload: str, seed: int) -> str:
     return digest.hexdigest()
 
 
+def model_hash(workload: str) -> str:
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "model.json"
+        network.save_model(scenarios.WORKLOADS[workload](SEEDS[0]).net, str(path))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def main() -> None:
     for workload in scenarios.WORKLOADS:
         for seed in SEEDS:
             print(f"{workload} seed {seed}: {run_hash(workload, seed)}")
+    for workload in scenarios.WORKLOADS:
+        print(f"{workload} model: {model_hash(workload)}")
 
 
 if __name__ == "__main__":

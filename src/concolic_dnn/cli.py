@@ -73,15 +73,16 @@ def load_refs(directory: str, norm: str, net: Network) -> ReferenceSet:
 
 
 def load_seeds(path: str) -> list[np.ndarray]:
-    """Seeds: a single .npy file (vector or row matrix) or a directory of .npy files."""
+    """Seeds: a single .npy file (vector or row matrix; a 0-d array is a
+    one-entry vector) or a directory of .npy files."""
     if os.path.isdir(path):
         files = sorted(f for f in os.listdir(path) if f.endswith(".npy"))
         if not files:
             raise ConfigError(f"no .npy seed files in {path}")
         return [np.ravel(_read(np.load, os.path.join(path, f))) for f in files]
     arr = _read(np.load, path)
-    if arr.ndim == 1:
-        return [arr]
+    if arr.ndim <= 1:
+        return [np.ravel(arr)]
     return [np.ravel(row) for row in arr]
 
 

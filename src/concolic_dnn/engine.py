@@ -183,10 +183,13 @@ class RunConfig:
             raise ConfigError("validity bound must be positive and finite")
         if not math.isfinite(self.timeout):
             raise ConfigError("timeout must be finite")
-        if self.max_attempts < 1 or self.timeout <= 0 or self.l0_budget < 1:
-            raise ConfigError("budgets must be positive")
-        if self.sample_count < 0 or self.rng_seed < 0:
-            raise ConfigError("sample count and rng seed must not be negative")
+        if self.timeout <= 0:
+            raise ConfigError("timeout must be positive")
+        for name, least in (("max_attempts", 1), ("l0_budget", 1), ("sample_count", 0), ("rng_seed", 0),
+                            ("lip_random_attempts", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
         if self.quantize is not None and self.quantize <= 0:
             raise ConfigError("quantization grid must be positive")
         if family.needs_lip and self.lip is None:
@@ -420,7 +423,7 @@ def _random_baselines(loop: _Loop, reqs: list[Requirement]) -> None:
     """The uniform-sampling baseline in each requirement's box, for lipschitz.csv."""
     cfg, lip = loop.cfg, loop.cfg.lip
     for r in reqs:
-        if cfg.lip_random_attempts <= 0 or loop.expired():
+        if cfg.lip_random_attempts == 0 or loop.expired():
             break  # no baseline box starts once the budget is spent
         center = np.asarray(r.tag.region.center, dtype=np.float64)
         base = random_baseline(loop.net, center, lip.c, lip.delta, cfg.lip_random_attempts, loop.rng,

@@ -361,11 +361,12 @@ def random_baseline(
     The outcome is that of a loop which draws a pair (t1, then t2), forwards
     both, and stops at the first ratio above ``c``; a loop stopped by
     ``eval_budget`` has drawn the pair it could not finish, and an odd budget's
-    last forward counts. Here the pairs are drawn at once and forwarded in
+    last forward counts. Here the pairs are drawn, forwarded and checked in
     chunks of ``net.batch_rows // 2`` pairs, or of ``net.batch_rows`` pairs
     when that is odd, so each chunk's rows fill whole calls of
     ``net.batch_rows`` rows. A pair that beats ``c`` stops the search at the
-    end of its chunk, and ``rng`` is left where that loop would leave it.
+    end of its chunk, and ``rng`` is rewound to the chunk's start and redraws
+    the pairs up to the hit, so it is left where that loop would leave it.
     ``deadline`` is a ``time.monotonic()`` value checked before each chunk; a
     passed one ends the box as a budget of the forwards made so far would.
     """
@@ -373,35 +374,35 @@ def random_baseline(
         raise ValueError("at least one attempt is required")
     t0 = np.ravel(np.asarray(t0, dtype=np.float64))
     box = Box(tuple(t0), delta)
+
+    def draw(n: int) -> np.ndarray:
+        return rng.uniform(box.lower, box.upper, size=(n, 2, t0.size))
     evals = 2 * attempts if eval_budget is None else min(2 * attempts, max(eval_budget, 0))
     used = evals // 2  # pairs whose two forwards fit the budget
-    drawn = min(attempts, used + 1)  # a loop stopped by the budget drew one pair more
-    state = rng.bit_generator.state
-    pairs = rng.uniform(box.lower, box.upper, size=(drawn, 2, t0.size))
-    rows = pairs.reshape(2 * drawn, t0.size)  # t1 and t2 of each pair in turn
-    ratios = np.empty(used)
+    witness = LipWitness(t0.copy(), t0.copy(), 0.0, False)
     chunk = net.batch_rows if net.batch_rows % 2 else net.batch_rows // 2  # pairs filling whole calls
     for start in range(0, used, chunk):
         if deadline is not None and time.monotonic() > deadline:
-            used, evals, drawn = start, 2 * start, start + 1  # as a budget of the forwards made
+            used, evals = start, 2 * start  # as a budget of the forwards made
             break
-        end = min(start + chunk, used)
-        block = rows[2 * start:2 * end]  # two rows a pair: split where batch_rows is odd
-        out = np.concatenate([forward_batch(net, block[lo:lo + net.batch_rows]).out
-                              for lo in range(0, len(block), net.batch_rows)])
-        ratios[start:end] = _ratio(out[0::2], out[1::2], pairs[start:end, 0], pairs[start:end, 1])
-        hits = np.flatnonzero(ratios[start:end] > c)
+        state = rng.bit_generator.state
+        pairs = draw(min(chunk, used - start))
+        rows = pairs.reshape(-1, t0.size)  # t1 and t2 of each pair in turn: split where batch_rows is odd
+        out = np.concatenate([forward_batch(net, rows[lo:lo + net.batch_rows]).out
+                              for lo in range(0, len(rows), net.batch_rows)])
+        ratios = _ratio(out[0::2], out[1::2], pairs[:, 0], pairs[:, 1])
+        hits = np.flatnonzero(ratios > c)
         if hits.size:
-            used = drawn = start + int(hits[0]) + 1
-            evals = 2 * used
-            break
-    if drawn < len(pairs):
-        rng.bit_generator.state = state
-        rng.uniform(box.lower, box.upper, size=(drawn, 2, t0.size))  # the draws the loop made
-    witness = LipWitness(t0.copy(), t0.copy(), 0.0, False)
-    if used:
-        best = int(np.argmax(ratios[:used]))  # the first pair with the best ratio, as the loop kept it
+            ratios = ratios[:hits[0] + 1]
+            rng.bit_generator.state = state
+            draw(len(ratios))  # the draws the loop made
+        best = int(np.argmax(ratios))  # the first pair with the best ratio, as the loop kept it
         if ratios[best] > witness.ratio:
             ratio = float(ratios[best])
             witness = LipWitness(pairs[best, 0].copy(), pairs[best, 1].copy(), ratio, ratio > c)
+        if hits.size:
+            used = start + len(ratios)
+            return BaselineOutcome(witness, used, 2 * used)
+    if used < attempts:
+        draw(1)  # the pair a budget or deadline stopped the loop from finishing
     return BaselineOutcome(witness, used, evals)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -132,9 +132,16 @@ def _gather_index(layer: Union[Conv2D, MaxPool], in_shape: tuple[int, ...],
     return idx.transpose(0, 1, 4, 2, 3).reshape(-1, kh * kw)  # one row per (i, j, ch)
 
 
+def _positive_ints(value) -> bool:
+    """``value`` is a non-empty tuple or list of positive Python or numpy ints
+    (bools, floats such as 4.0 and strings are not ints here)."""
+    return isinstance(value, (tuple, list)) and len(value) > 0 and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1 for v in value)
+
+
 def _check_pair(value, what: str) -> None:
     """A stride or window is two positive integers."""
-    if not (np.shape(value) == (2,) and all(isinstance(v, (int, np.integer)) and v >= 1 for v in value)):
+    if not (_positive_ints(value) and len(value) == 2):
         raise ModelError(f"{what} must be two positive integers, got {value!r}")
 
 
@@ -145,6 +152,8 @@ def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]
             raise ModelError(f"{type(layer).__name__}.{name} must have {ndim} dimensions, got {np.ndim(arr)}")
         if arr is not None and not np.all(np.isfinite(arr)):
             raise ModelError(f"non-finite values in {type(layer).__name__}.{name}")
+    if not isinstance(getattr(layer, "relu", False), (bool, np.bool_)):
+        raise ModelError(f"{type(layer).__name__}.relu must be a bool, got {layer.relu!r}")
     if isinstance(layer, Dense):
         if len(in_shape) != 1:
             raise ModelError(f"dense layer expects a flat input, got shape {in_shape}")
@@ -184,11 +193,12 @@ class Network:
     """An immutable layered feedforward model.
 
     The input layer is layer 1; ``layers[j]`` produces layer ``j + 2``.
-    Construction validates that each layer's arrays have their number of
-    dimensions and are finite, that consecutive shapes compose, that there is
-    at least one hidden layer and that the output layer has >= 2 neurons. An
-    error about one layer begins with its position in ``layers``
-    ("layer 0: ...").
+    Construction validates that ``input_shape`` and every stride and window
+    are positive integers, that each relu marker is a bool, that each layer's
+    arrays have their number of dimensions and are finite, that consecutive
+    shapes compose, that there is at least one hidden layer and that the
+    output layer has >= 2 neurons. An error about one layer begins with its
+    position in ``layers`` ("layer 0: ...").
 
     ``gather[k]`` is the window geometry of a conv2d or maxpool layer k, built
     once here and read by ``forward`` and the LP encoder: row o lists the flat
@@ -200,9 +210,9 @@ class Network:
     """
 
     def __init__(self, input_shape: tuple[int, ...], layers: list[Layer]):
+        if not _positive_ints(input_shape):
+            raise ModelError(f"input_shape must be positive integers, got {input_shape!r}")
         self.input_shape = tuple(int(d) for d in input_shape)
-        if not self.input_shape or any(d <= 0 for d in self.input_shape):
-            raise ModelError(f"invalid input shape {input_shape}")
         self.layers = list(layers)
         if len(self.layers) < 2:
             raise ModelError("network needs at least one hidden layer and an output layer")
@@ -453,90 +463,58 @@ class ActivationCache:
 # ---------------------------------------------------------------------------
 # Model file I/O
 #
-# JSON schema:
-#   {"input_shape": [..], "layers": [
-#       {"kind": "dense", "weights": [[...]], "bias": [...], "relu": true},
-#       {"kind": "conv2d", "kernels": [[[[...]]]], "bias": [...],
-#        "stride": [1, 1], "padding": "valid", "relu": true},
-#       {"kind": "maxpool", "window": [2, 2]},
-#       {"kind": "flatten"}]}
+# A model file is {"input_shape": [..], "layers": [..]}, and each layer is an
+# object holding its "kind" and then the fields of its class, by name and in
+# declaration order:
+#   {"kind": "dense", "weights": [[...]], "bias": [...], "relu": true},
+#   {"kind": "conv2d", "kernels": [[[[...]]]], "bias": [...],
+#    "stride": [1, 1], "padding": "valid", "relu": true},
+#   {"kind": "maxpool", "window": [2, 2]},
+#   {"kind": "flatten"}
+# ``_KINDS`` maps each kind to its class and to the values of the fields a
+# file may leave out. The reader turns weights, kernels and bias into float
+# arrays and hands every other value to the class as the file gives it, so
+# ``Network`` checks a file's layers as it checks layers built in Python.
 # json writes each float as its shortest round-tripping repr, so
 # load(save(net)) reproduces every weight bit for bit, -0.0 included.
 # ---------------------------------------------------------------------------
 
+_KINDS: dict[str, tuple[type, dict]] = {
+    "dense": (Dense, {"relu": False}),
+    "conv2d": (Conv2D, {"stride": (1, 1), "padding": "valid", "relu": False}),
+    "maxpool": (MaxPool, {}),
+    "flatten": (Flatten, {}),
+}
+_ARRAYS = ("weights", "kernels", "bias")
+
 
 def _layer_to_json(layer: Layer) -> dict:
-    if isinstance(layer, Dense):
-        return {
-            "kind": "dense",
-            "weights": layer.weights.tolist(),
-            "bias": layer.bias.tolist(),
-            "relu": layer.relu,
-        }
-    if isinstance(layer, Conv2D):
-        return {
-            "kind": "conv2d",
-            "kernels": layer.kernels.tolist(),
-            "bias": layer.bias.tolist(),
-            "stride": [int(s) for s in layer.stride],
-            "padding": layer.padding,
-            "relu": layer.relu,
-        }
-    if isinstance(layer, MaxPool):
-        return {"kind": "maxpool", "window": [int(w) for w in layer.window]}
-    if isinstance(layer, Flatten):
-        return {"kind": "flatten"}
-    raise ModelError(f"unknown layer type {type(layer).__name__}")
+    kind = next(kind for kind, (cls, _) in _KINDS.items() if type(layer) is cls)
+    return {"kind": kind, **{f.name: getattr(layer, f.name) for f in fields(layer)}}
 
 
 def save_model(net: Network, path: str) -> None:
-    doc = {
-        "input_shape": list(net.input_shape),
-        "layers": [_layer_to_json(layer) for layer in net.layers],
-    }
+    doc = {"input_shape": net.input_shape, "layers": [_layer_to_json(layer) for layer in net.layers]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh, default=lambda value: value.tolist())  # numpy arrays, ints and bools
         fh.write("\n")
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ModelError(msg)
-
-
-def _parse_float_array(raw, what: str) -> np.ndarray:
-    """``raw`` as a float array; ``Network`` checks its shape and values."""
-    try:
-        return np.array(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{what}: not a numeric array ({exc})") from exc
-
-
-def _parse_ints(raw, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(d) for d in raw)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{what}: not a list of integers ({exc})") from exc
-
-
-def _layer_from_json(raw: dict, idx: int) -> Layer:
-    _require(isinstance(raw, dict) and "kind" in raw, f"layer {idx}: missing 'kind'")
-    kind = raw["kind"]
-    if kind == "dense":
-        weights = _parse_float_array(raw.get("weights"), f"layer {idx}: weights")
-        bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias")
-        return Dense(weights=weights, bias=bias, relu=bool(raw.get("relu", False)))
-    if kind == "conv2d":
-        kernels = _parse_float_array(raw.get("kernels"), f"layer {idx}: kernels")
-        bias = _parse_float_array(raw.get("bias"), f"layer {idx}: bias")
-        stride = _parse_ints(raw.get("stride", [1, 1]), f"layer {idx}: stride")
-        return Conv2D(kernels=kernels, bias=bias, stride=stride, padding=raw.get("padding", "valid"),
-                      relu=bool(raw.get("relu", False)))
-    if kind == "maxpool":
-        return MaxPool(window=_parse_ints(raw.get("window", ()), f"layer {idx}: window"))
-    if kind == "flatten":
-        return Flatten()
-    raise ModelError(f"layer {idx}: unknown kind {kind!r}")
+def _layer_from_json(raw, idx: int) -> Layer:
+    if not (isinstance(raw, dict) and isinstance(raw.get("kind"), str) and raw["kind"] in _KINDS):
+        raise ModelError(f"layer {idx}: 'kind' must be one of {', '.join(_KINDS)}")
+    cls, defaults = _KINDS[raw["kind"]]
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw and f.name not in defaults:
+            raise ModelError(f"layer {idx}: missing {f.name!r}")
+        values[f.name] = raw.get(f.name, defaults.get(f.name))
+        if f.name in _ARRAYS:
+            try:
+                values[f.name] = np.array(values[f.name], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"layer {idx}: {f.name}: not a numeric array ({exc})") from exc
+    return cls(**values)
 
 
 def load_model(path: str) -> Network:
@@ -545,9 +523,6 @@ def load_model(path: str) -> Network:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: invalid JSON ({exc})") from exc
-    _require(isinstance(doc, dict), f"{path}: top-level object expected")
-    _require("input_shape" in doc and "layers" in doc, f"{path}: missing input_shape or layers")
-    input_shape = _parse_ints(doc["input_shape"], f"{path}: input_shape")
-    _require(isinstance(doc["layers"], list), f"{path}: layers must be a list")
-    layers = [_layer_from_json(raw, i) for i, raw in enumerate(doc["layers"])]
-    return Network(input_shape=input_shape, layers=layers)
+    if not (isinstance(doc, dict) and "input_shape" in doc and isinstance(doc.get("layers"), list)):
+        raise ModelError(f"{path}: an object with input_shape and a list of layers expected")
+    return Network(doc["input_shape"], [_layer_from_json(raw, i) for i, raw in enumerate(doc["layers"])])

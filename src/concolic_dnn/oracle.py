@@ -41,9 +41,13 @@ class ReferenceSet:
             raise ValueError("reference set must be a non-empty (N, d) array")
         if not np.isfinite(self.inputs).all():
             raise ValueError("reference inputs must be finite")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape != (self.inputs.shape[0],):
+        labels = np.asarray(self.labels)
+        if labels.shape != (self.inputs.shape[0],):
             raise ValueError("one label per reference input is required")
+        # integers, or floats of integral value: a cast would turn 1.7 into 1 and NaN into any integer
+        if labels.dtype.kind not in "iuf" or not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
+            raise ValueError("reference labels must be integers")
+        self.labels = labels.astype(np.int64)
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

@@ -9,7 +9,7 @@ import pytest
 
 import concolic_dnn
 from concolic_dnn.cli import main
-from concolic_dnn.network import Conv2D, Dense, Flatten, Network, forward, save_model
+from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward, save_model
 
 from conftest import dense_net
 
@@ -91,6 +91,24 @@ class TestRunCommand:
         assert main(args) == 2
         assert not out.exists()
 
+    def test_non_integer_labels_exit_code(self, workspace, capsys):
+        np.save(workspace["refs"] / "labels.npy", np.full(300, 1.7))
+        out = workspace["dir"] / "out_labels"
+        assert main(base_args(workspace, out)) == 2
+        assert "labels must be integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_d_seed_file_exit_code(self, workspace, capsys):
+        # read as a one-entry seed, which the 4-input model rejects
+        seeds = workspace["dir"] / "seed0d.npy"
+        np.save(seeds, np.float64(0.5))
+        out = workspace["dir"] / "out_seed_0d"
+        args = base_args(workspace, out)
+        args[args.index(str(workspace["seeds"]))] = str(seeds)
+        assert main(args) == 2
+        assert "seed 0 has 1 entries, the model takes 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_dimension_mismatch_exit_code(self, workspace):
         seeds = workspace["dir"] / "seeds3.npy"
         np.save(seeds, np.zeros(3))
@@ -149,6 +167,28 @@ class TestRunCommand:
         args[args.index(str(workspace["model"]))] = str(model)
         assert main(args) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layer, field, value", [
+        (None, "input_shape", [4.7, 4, 1]), (None, "input_shape", ["4", 4, 1]), (None, "input_shape", [4.0, 4, 1]),
+        (0, "relu", "false"), (3, "relu", "no"), (3, "relu", 1),
+        (0, "stride", [1.9, 1]), (0, "stride", [True, 1]), (1, "window", [1.5, 1]),
+    ])
+    def test_malformed_model_field_exit_code(self, workspace, layer, field, value, capsys):
+        # each value loaded as a valid one before the model reader stopped casting
+        model = workspace["dir"] / "malformed.json"
+        save_model(Network((4, 4, 1), [Conv2D(np.ones((1, 1, 1, 1)), np.zeros(1)), MaxPool((2, 2)), Flatten(),
+                                       Dense(np.ones((4, 2)), np.zeros(2), relu=False)]), str(model))
+        doc = json.loads(model.read_text())
+        (doc if layer is None else doc["layers"][layer])[field] = value
+        model.write_text(json.dumps(doc))
+        out = workspace["dir"] / "out_malformed"
+        args = base_args(workspace, out)
+        args[args.index(str(workspace["model"]))] = str(model)
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:") and field in err[0]
+        assert layer is None or f"layer {layer}: " in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("which", ["seeds", "refs"])

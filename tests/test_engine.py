@@ -216,8 +216,11 @@ BAD_SETTINGS = st.one_of(
     st.fixed_dictionaries({"timeout": _bad_positive_float()}),
     *(st.fixed_dictionaries({name: st.integers(max_value=0)})
       for name in ("max_attempts", "l0_budget", "quantize")),
-    st.fixed_dictionaries({"sample_count": st.integers(max_value=-1)}),
-    st.fixed_dictionaries({"rng_seed": st.integers(max_value=-1)}),
+    *(st.fixed_dictionaries({name: st.integers(max_value=-1)})
+      for name in ("sample_count", "rng_seed", "lip_random_attempts")),
+    # counts and seeds that are not integers: each raised TypeError mid-run, or at the finish step
+    *(st.fixed_dictionaries({name: st.floats(0.5, 1e3).filter(lambda v: v != int(v)) | st.just(True)})
+      for name in ("max_attempts", "l0_budget", "sample_count", "rng_seed", "lip_random_attempts")),
 )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -27,6 +28,9 @@ from concolic_dnn.network import (
 
 from conftest import conv_nets, dense_net, identity_net
 from helpers import conv_forward_reference, conv_matrix_reference, loop_receptive_field, pool_forward_reference
+
+
+SAVED_GOLDEN_SHA256 = "db9f62264c4a6edde1244893a66e6d65e04cf1970519bce1e7df1e6bdece1c48"
 
 
 def two_layer(w, b, relu=True):
@@ -146,11 +150,30 @@ class TestConstruction:
         ("window", (4, 4, 1), MaxPool((0, 2))),
         ("window", (4, 4, 1), MaxPool((2,))),
         ("bias", (16,), Dense(np.ones((16, 2)), np.zeros(3))),
+        # values a cast would turn into valid ones: (1, 1) strides and windows, a ReLU marker
+        ("stride", (4, 4, 1), Conv2D(np.ones((2, 2, 1, 1)), np.zeros(1), stride=(1.9, 1))),
+        ("stride", (4, 4, 1), Conv2D(np.ones((2, 2, 1, 1)), np.zeros(1), stride=(True, 1))),
+        ("window", (4, 4, 1), MaxPool((1.5, 1))),
+        ("relu", (4, 4, 1), Conv2D(np.ones((2, 2, 1, 1)), np.zeros(1), relu=1)),
+        ("relu", (16,), Dense(np.ones((16, 2)), np.zeros(2), relu="false")),
+        ("relu", (16,), Dense(np.ones((16, 2)), np.zeros(2), relu="no")),
     ])
     def test_bad_layer_field_rejected(self, field, shape, layer):
         # checked here alone, for a layer built in Python and for one read from a model file
-        with pytest.raises(ModelError, match=field):
+        with pytest.raises(ModelError, match=f"^layer 0: .*{field}"):
             Network(shape, [layer, Flatten(), Dense(np.ones((4, 2)), np.zeros(2), relu=False)])
+
+    @pytest.mark.parametrize("shape", [(4.7,), ("4",), (4.0,), (True,), (0,), (), 4])
+    def test_input_shape_must_be_positive_ints(self, shape):
+        with pytest.raises(ModelError, match="input_shape"):
+            Network(shape, [Dense(np.ones((4, 2)), np.zeros(2)), Dense(np.eye(2), np.zeros(2), relu=False)])
+
+    def test_numpy_ints_and_bools_accepted(self):
+        net = Network((np.int64(4), 4, 1), [
+            Conv2D(np.ones((2, 2, 1, 1)), np.zeros(1), stride=(np.int32(2), 2), relu=np.bool_(True)),
+            MaxPool((np.int64(2), 1)), Flatten(), Dense(np.ones((2, 2)), np.zeros(2), relu=False)])
+        assert net.input_shape == (4, 4, 1) and all(type(d) is int for d in net.input_shape)
+        assert net.relu_layers == (2,)
 
     @pytest.mark.parametrize("shape, first, layer", [
         ((3,), Flatten(), Dense(np.zeros(3), np.zeros(3))),
@@ -363,14 +386,24 @@ class TestModelIO:
         ("padding", "full"),
         ("window", ["a", 2]),
         ("window", [0, 2]),
+        # each of these loaded as a valid value before the reader stopped casting
+        ("relu", "false"),
+        ("relu", "no"),
+        ("relu", 1),
+        ("input_shape", [4.7, 4, 1]),
+        ("input_shape", ["4", 4, 1]),
+        ("input_shape", [4.0, 4, 1]),
+        ("stride", [1.9, 1]),
+        ("stride", [True, 1]),
+        ("window", [1.5, 1]),
     ])
     def test_malformed_field_rejected(self, tmp_path, field, value):
         path = tmp_path / "malformed.json"
         save_model(TestConvAndPool().net(), str(path))
         doc = json.loads(path.read_text())
-        # stride and padding are the conv layer's (layer 0), window the maxpool's (layer 1)
+        # stride, padding and relu are the conv layer's (layer 0), window the maxpool's (layer 1)
         conv, pool = doc["layers"][:2]
-        owner = {"stride": conv, "padding": conv, "window": pool}.get(field, doc)
+        owner = {"stride": conv, "padding": conv, "relu": conv, "window": pool}.get(field, doc)
         owner[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match=field):
@@ -389,6 +422,46 @@ class TestModelIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match="^layer 3: dense bias shape"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("layer, message", [
+        ({"weights": [[1.0, 0.0]], "bias": [0.0, 0.0]}, "'kind' must be one of"),
+        ({"kind": ["dense"], "weights": [[1.0, 0.0]], "bias": [0.0, 0.0]}, "'kind' must be one of"),
+        ({"kind": "dense", "bias": [0.0, 0.0]}, "missing 'weights'"),
+    ])
+    def test_layer_structure_rejected(self, tmp_path, layer, message):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps({"input_shape": [1], "layers": [
+            layer, {"kind": "dense", "weights": [[1.0, 1.0], [0.0, 1.0]], "bias": [0.0, 0.0]}]}))
+        with pytest.raises(ModelError, match=f"^layer 0: {message}"):
+            load_model(str(path))
+
+    def test_file_defaults(self, tmp_path):
+        # a dense or conv layer without "relu" has none; stride and padding default to (1, 1), "valid"
+        path = tmp_path / "defaults.json"
+        path.write_text(json.dumps({"input_shape": [2, 2, 1], "layers": [
+            {"kind": "conv2d", "kernels": [[[[1.0]]]], "bias": [0.0]}, {"kind": "flatten"},
+            {"kind": "dense", "weights": np.ones((4, 2)).tolist(), "bias": [0.0, 0.0]}]}))
+        net = load_model(str(path))
+        conv = net.layers[0]
+        assert (conv.relu, tuple(conv.stride), conv.padding) == (False, (1, 1), "valid")
+        assert net.relu_layers == ()
+
+    def test_saved_bytes_golden(self, tmp_path):
+        # every layer kind and every field; the sha256 pins the writer's format (key order,
+        # separators, float reprs, -0.0, booleans and the trailing newline)
+        net = Network((4, 4, 2), [
+            Conv2D((np.arange(36.0) % 7 - 3).reshape(3, 3, 2, 2) / 4, np.array([0.1, -0.0]),
+                   stride=(2, 1), padding="same", relu=True),
+            MaxPool((2, 2)),
+            Flatten(),
+            Dense(np.arange(12.0).reshape(4, 3) / 3, np.array([1e-300, -2.5, 7.0])),
+            Dense(np.array([[1.0, -1.0], [0.5, 0.25], [-0.0, 3.0]]), np.zeros(2), relu=False),
+        ])
+        path = tmp_path / "golden.json"
+        save_model(net, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_GOLDEN_SHA256
+        save_model(load_model(str(path)), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_GOLDEN_SHA256
 
     def test_non_finite_weight_rejected(self, tmp_path):
         path = tmp_path / "nan.json"

@@ -55,6 +55,18 @@ class TestNearest:
         assert idx == 0
 
 
+class TestReferenceSet:
+    @pytest.mark.parametrize("labels", [[0.0, 1.7], [np.nan, 1.0], [0.0, np.inf], [True, False], ["0", "1"]])
+    def test_labels_must_be_integers(self, labels):
+        # a cast would have recorded 1.7 as the trusted label 1, and NaN as an arbitrary integer
+        with pytest.raises(ValueError, match="labels must be integers"):
+            ReferenceSet(np.zeros((2, 2)), np.array(labels))
+
+    def test_integral_float_labels_accepted(self):
+        refs = ReferenceSet(np.zeros((2, 2)), np.array([0.0, 3.0]))
+        assert refs.labels.dtype == np.int64 and refs.labels.tolist() == [0, 3]
+
+
 # A coarse grid next to arbitrary values makes equal distances common.
 coordinate = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-2.0, 2.0))
 
