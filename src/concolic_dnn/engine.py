@@ -28,7 +28,6 @@ from .lipschitz import LipConfig, alternating_searches, random_baseline
 from .lipschitz import alternating_search  # noqa: F401  (bench/spans.py traces engine.alternating_search by name)
 from .logic import (
     NORMS,
-    GenerationError,
     Requirement,
     SubspacePartition,
     SuiteState,
@@ -37,7 +36,6 @@ from .logic import (
     gen_nc,
     gen_ssc,
     satisfies,  # noqa: F401  (bench/spans.py traces engine.satisfies by name)
-    select_ssc_pairs,
     suite_satisfies,
 )
 from .lp import LpError, lp_text, symbolic_lp
@@ -63,6 +61,7 @@ from .ranking import (
 )
 
 NBC_WIDEN = 0.05  # NBC bounds: the sample min/max widened by this fraction of their range
+BASELINE_ATTEMPTS = 1000  # random baseline pairs per box in lipschitz.csv
 
 
 class ConfigError(ValueError):
@@ -166,8 +165,6 @@ class RunConfig:
     lip: Optional[LipConfig] = None
     sample_count: int = 1000
     quantize: Optional[int] = None  # e.g. 255: snap synthesized inputs to the 1/255 grid
-    ssc_pairs: Optional[list[tuple[int, int, int]]] = None
-    lip_random_attempts: int = 1000  # baseline rows in lipschitz.csv; 0 disables
 
     def validate(self) -> None:
         family = FAMILIES.get(self.criterion)
@@ -186,12 +183,12 @@ class RunConfig:
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
         for name, least in (("max_attempts", 1), ("l0_budget", 1), ("sample_count", 0), ("rng_seed", 0),
-                            ("lip_random_attempts", 0)):
+                            ("quantize", 1)):
             value = getattr(self, name)
+            if value is None and name == "quantize":
+                continue  # no grid
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
-        if self.quantize is not None and self.quantize <= 0:
-            raise ConfigError("quantization grid must be positive")
         if family.needs_lip and self.lip is None:
             raise ConfigError(f"criterion {self.criterion} needs a LipConfig")
 
@@ -265,7 +262,7 @@ def run(
 ) -> RunResult:
     """Generate a test suite for the configured criterion and report on it."""
     cfg.validate()
-    if not seeds:
+    if len(seeds) == 0:
         raise ConfigError("at least one seed input is required")
     if refs.norm != cfg.norm:
         raise ConfigError(f"the reference set uses the {refs.norm} norm, the run the {cfg.norm} norm")
@@ -278,11 +275,6 @@ def run(
             raise ConfigError(f"seed {i} has {np.size(s)} entries, the model takes {net.input_dim}")
         if not np.isfinite(s).all():
             raise ConfigError(f"seed {i} has non-finite entries")
-    if cfg.ssc_pairs is not None:
-        try:
-            select_ssc_pairs(net, cfg.ssc_pairs)
-        except GenerationError as err:
-            raise ConfigError(f"ssc_pairs: {err}") from None
     family = FAMILIES[cfg.criterion]
     rng = np.random.default_rng(cfg.rng_seed)
     deadline = time.monotonic() + cfg.timeout
@@ -421,12 +413,12 @@ def _synthesize_compass(loop: _Loop, r: Requirement) -> None:
 
 def _random_baselines(loop: _Loop, reqs: list[Requirement]) -> None:
     """The uniform-sampling baseline in each requirement's box, for lipschitz.csv."""
-    cfg, lip = loop.cfg, loop.cfg.lip
+    lip = loop.cfg.lip
     for r in reqs:
-        if cfg.lip_random_attempts == 0 or loop.expired():
+        if loop.expired():
             break  # no baseline box starts once the budget is spent
         center = np.asarray(r.tag.region.center, dtype=np.float64)
-        base = random_baseline(loop.net, center, lip.c, lip.delta, cfg.lip_random_attempts, loop.rng,
+        base = random_baseline(loop.net, center, lip.c, lip.delta, BASELINE_ATTEMPTS, loop.rng,
                                deadline=loop.deadline)
         loop.lip_rows.append(_lip_row(r.tag.box, "random", base))
     loop.expired()  # a box the deadline cut short marks the run timed out
@@ -463,7 +455,7 @@ FAMILIES: dict[str, Family] = {
         synthesize=_synthesize_ranked,
     ),
     "ssc": Family(
-        generate=lambda net, seeds, cfg, stats: gen_ssc(net, cfg.ssc_pairs),
+        generate=lambda net, seeds, cfg, stats: gen_ssc(net),
         rank=lambda loop, reqs: rank_ssc(loop.state, reqs, loop.factors),
         synthesize=_synthesize_ranked,
         norms=("linf",),

@@ -53,6 +53,8 @@ EPS = 1e-9  # added to the input distance of a ratio
 SHRINK = 0.5  # compass step factor after a poll with no improvement
 SIGMA_MIN = 1e-5  # a compass run stops once its step drops below this
 PROGRESS_TOL = 1e-6  # a later run must raise the best ratio by more than this
+COMPASS_ITERS = 150  # iterations of one compass run
+MAX_RUNS = 30  # compass runs of one box's alternating search
 
 
 class BudgetExhausted(Exception):
@@ -84,18 +86,14 @@ class EvalCounter:
 
 @dataclass
 class LipConfig:
-    """Knobs of the alternating search; the first compass step is delta / 4."""
+    """The target constant and the box radius; the first compass step is delta / 4."""
 
     c: float
     delta: float = 0.1
-    compass_iters: int = 150
-    max_executions: int = 30
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.c, self.delta)):
             raise ValueError("c and delta must be finite and positive")
-        if self.max_executions < 1:
-            raise ValueError("max_executions must be at least 1")
 
 
 @dataclass
@@ -131,7 +129,6 @@ def compass_minimize(
     sigma0: float,
     sigma_min: float = SIGMA_MIN,
     max_iters: int = 150,
-    early_stop: Optional[Callable[[np.ndarray, float], bool]] = None,
 ) -> CompassResult:
     """Coordinate-poll descent with a shrinking step: ``compass_steps`` from
     ``start`` projected into the box, with ``f`` called on one candidate at a
@@ -139,7 +136,7 @@ def compass_minimize(
     cur = np.clip(np.ravel(np.asarray(start, dtype=np.float64)), lower, upper)
     steps = compass_steps(
         start=cur, value=f(cur), lower=lower, upper=upper, sigma0=sigma0, sigma_min=sigma_min,
-        max_iters=max_iters, early_stop=early_stop, chunk=1, values=lambda rows, got: got, counter=EvalCounter(),
+        max_iters=max_iters, early_stop=None, chunk=1, values=lambda rows, got: got, counter=EvalCounter(),
     )
     return _rounds([steps], lambda rows: np.array([f(row.copy()) for row in rows]))[0]
 
@@ -272,7 +269,7 @@ def _search(box, cfg, counter, chunk):
 
     executions = 0
     try:
-        while executions < cfg.max_executions:
+        while executions < MAX_RUNS:
             counter.check_deadline()
             before = witness.ratio
             executions += 1
@@ -285,7 +282,7 @@ def _search(box, cfg, counter, chunk):
                 value = float(negated_ratios(start[None], (yield start[None]))[0])
             res = yield from compass_steps(
                 start=start, value=value, lower=box.lower, upper=box.upper, sigma0=cfg.delta / 4.0,
-                sigma_min=min(QUANT_TOL, cfg.delta / 4.0), max_iters=cfg.compass_iters, early_stop=offer,
+                sigma_min=min(QUANT_TOL, cfg.delta / 4.0), max_iters=COMPASS_ITERS, early_stop=offer,
                 chunk=chunk, values=negated_ratios, counter=counter,
             )
             if witness.satisfied or (executions > 1 and witness.ratio - before <= PROGRESS_TOL):
@@ -303,9 +300,9 @@ def alternating_search(
     """Alternating compass runs in the seed's box, best pair kept across runs.
 
     The first run is anchored at the seed; each later one at the previous
-    run's converged point. Stops on satisfaction, after ``cfg.max_executions``
-    runs, or when a run after the first raises the best ratio by
-    ``PROGRESS_TOL`` or less. ``eval_budget`` caps total forward evaluations;
+    run's converged point. Stops on satisfaction, after ``MAX_RUNS`` runs,
+    or when a run after the first raises the best ratio by ``PROGRESS_TOL``
+    or less. ``eval_budget`` caps total forward evaluations;
     on exhaustion the best witness so far is returned, and ``evals`` counts as
     ``EvalCounter`` does. ``deadline`` is a ``time.monotonic()`` value checked
     before each run and poll; a passed one ends the search as exhaustion does.

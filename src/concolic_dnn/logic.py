@@ -704,36 +704,15 @@ def ssc_pairs(net: Network) -> list[tuple[int, int, int]]:
     return eligible
 
 
-def select_ssc_pairs(
-    net: Network, pairs: Optional[Iterable[tuple[int, int, int]]] = None
-) -> list[tuple[int, int, int]]:
-    """The (layer, cond, decision) triples ``pairs`` names, repeats dropped in
-    first-occurrence order; all eligible triples when ``pairs`` is None."""
-    eligible = ssc_pairs(net)
-    if pairs is None:
-        return eligible
-    selected = list(dict.fromkeys((int(k), int(i), int(j)) for (k, i, j) in pairs))
-    eligible_set = set(eligible)
-    for trip in selected:
-        if trip not in eligible_set:
-            raise GenerationError(
-                f"pair {trip} is not a (condition, decision) pair of adjacent hidden ReLU layers"
-            )
-    return selected
-
-
-def gen_ssc(
-    net: Network, pairs: Optional[Iterable[tuple[int, int, int]]] = None
-) -> list[Requirement]:
-    """Sign-sign requirements for (condition, decision) neuron pairs.
+def gen_ssc(net: Network) -> list[Requirement]:
+    """Sign-sign requirements for every (condition, decision) pair of ``ssc_pairs``.
 
     Each requirement asks for two inputs that flip both the condition neuron
     (layer, cond) and the decision neuron (layer + 1, decision) while every
-    other neuron of the condition layer keeps its sign. ``pairs`` restricts
-    generation to a subset of (layer, cond, decision) triples; a repeated
-    triple yields one requirement. The bodies share each layer's sign nodes.
+    other neuron of the condition layer keeps its sign. The bodies share each
+    layer's sign nodes.
     """
-    triples = select_ssc_pairs(net, pairs)
+    triples = ssc_pairs(net)
     layers = {m for k, _, _ in triples for m in (k, k + 1)}
     eq, neq = ({m: tuple(sign("x1", "x2", m, l) for l in range(net.width(m))) for m in layers}
                for sign in (SignEq, SignNeq))

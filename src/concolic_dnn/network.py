@@ -472,8 +472,9 @@ class ActivationCache:
 #   {"kind": "maxpool", "window": [2, 2]},
 #   {"kind": "flatten"}
 # ``_KINDS`` maps each kind to its class and to the values of the fields a
-# file may leave out. The reader turns weights, kernels and bias into float
-# arrays and hands every other value to the class as the file gives it, so
+# file may leave out; a key that is neither "kind" nor a field is refused.
+# The reader turns weights, kernels and bias into float arrays and hands
+# every other value to the class as the file gives it, so
 # ``Network`` checks a file's layers as it checks layers built in Python.
 # json writes each float as its shortest round-tripping repr, so
 # load(save(net)) reproduces every weight bit for bit, -0.0 included.
@@ -504,6 +505,9 @@ def _layer_from_json(raw, idx: int) -> Layer:
     if not (isinstance(raw, dict) and isinstance(raw.get("kind"), str) and raw["kind"] in _KINDS):
         raise ModelError(f"layer {idx}: 'kind' must be one of {', '.join(_KINDS)}")
     cls, defaults = _KINDS[raw["kind"]]
+    extra = sorted(set(raw) - {"kind", *(f.name for f in fields(cls))})
+    if extra:
+        raise ModelError(f"layer {idx}: unknown key {extra[0]!r} for a {raw['kind']} layer")
     values = {}
     for f in fields(cls):
         if f.name not in raw and f.name not in defaults:

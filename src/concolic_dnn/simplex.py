@@ -49,7 +49,7 @@ place there if that stops being true.
   flip the sign of a zero and nothing else, and no comparison here sees
   that sign.
 - **Iterations and limits.** ``SimplexResult.iterations`` counts pivots and
-  bound flips over both phases; ``max_iters`` caps that count, and an
+  bound flips over both phases; ``MAX_ITERS`` caps that count, and an
   optional ``deadline`` (a ``time.monotonic()`` value) is checked every
   ``DEADLINE_EVERY`` iterations and stops the solve with status
   "time-limit".
@@ -78,7 +78,7 @@ from typing import Optional
 import numpy as np
 
 PIVOT_TOL = 1e-9
-DEFAULT_MAX_ITERS = 10_000
+MAX_ITERS = 10_000  # iterations of one solve
 DEGENERATE_LIMIT = 10  # consecutive degenerate steps before Bland's entering rule
 DEADLINE_EVERY = 50  # iterations between two looks at the deadline
 
@@ -206,14 +206,14 @@ def _complement_basic(T: np.ndarray, flipped: np.ndarray, row: int, col: int, wi
     flipped[col] = not flipped[col]
 
 
-def _run_phase(T, basis, caps, upper, flipped, m, allowed, obj_row, max_iters, iters, deadline):
+def _run_phase(T, basis, caps, upper, flipped, m, allowed, obj_row, iters, deadline):
     """Step until optimal / unbounded / iteration or time limit. ``basis``,
     ``caps`` (each row's basic upper bound) and ``upper`` (each column's)
     are lists; each pivot updates the first two. Returns (status, iters)."""
     degenerate = 0  # consecutive steps that left the point where it was
     cost_row = T[obj_row, :allowed]  # a view: every step updates T in place
     while True:
-        if iters >= max_iters:
+        if iters >= MAX_ITERS:
             return "iteration-limit", iters
         if deadline is not None and iters % DEADLINE_EVERY == 0 and time.monotonic() > deadline:
             return "time-limit", iters
@@ -241,7 +241,6 @@ def solve_lp(
     A_ub=None,
     b_ub=None,
     bounds=None,
-    max_iters: int = DEFAULT_MAX_ITERS,
     deadline: Optional[float] = None,
 ) -> SimplexResult:
     """Minimize c.x subject to inequality rows and variable bounds.
@@ -280,7 +279,7 @@ def solve_lp(
     caps = [math.inf] * m  # every slack and artificial is unbounded above
     flipped = np.zeros(len(cap), dtype=bool)  # column holds y' = cap - y
 
-    status, iters = _run_phase(T, basis, caps, cap, flipped, m, n_struct + n_art, m + 1, max_iters, 0, deadline)
+    status, iters = _run_phase(T, basis, caps, cap, flipped, m, n_struct + n_art, m + 1, 0, deadline)
     if status != "optimal":
         return SimplexResult(status, None, None, iters)
     if -T[m + 1, -1] > 1e-7:
@@ -295,7 +294,7 @@ def solve_lp(
     # row behind; the artificial columns stay in place, never to enter.
     T = T[: m + 1]
 
-    status, iters = _run_phase(T, basis, caps, cap, flipped, m, n_struct, m, max_iters, iters, deadline)
+    status, iters = _run_phase(T, basis, caps, cap, flipped, m, n_struct, m, iters, deadline)
     if status != "optimal":
         return SimplexResult(status, None, None, iters)
 

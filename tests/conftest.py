@@ -1,10 +1,12 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from concolic_dnn import lipschitz
 from concolic_dnn.logic import SuiteState
 from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forward
 
@@ -29,6 +31,17 @@ def dense_net(layer_sizes, seed=0, scale=1.0, out_relu=False):
             )
         )
     return Network((layer_sizes[0],), layers)
+
+
+@contextmanager
+def compass_schedule(iters=lipschitz.COMPASS_ITERS, runs=lipschitz.MAX_RUNS):
+    """Within the block, a compass run takes at most ``iters`` iterations and
+    a box's search at most ``runs`` runs (``lipschitz.COMPASS_ITERS`` and
+    ``lipschitz.MAX_RUNS``); usable inside a Hypothesis test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lipschitz, "COMPASS_ITERS", iters)
+        patch.setattr(lipschitz, "MAX_RUNS", runs)
+        yield
 
 
 @st.composite

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from concolic_dnn import logic
+from concolic_dnn import lipschitz, logic
 from concolic_dnn.lipschitz import (
     EPS,
     PROGRESS_TOL,
@@ -387,7 +387,8 @@ def sequential_alternating_search(net, t0, cfg, eval_budget=None):
     point, down to a step of min(QUANT_TOL, delta / 4), and its start value
     (the anchor's ratio to itself, 0) costs no forward. The best pair is kept
     until the ratio beats c, a later run gains PROGRESS_TOL or less, the runs
-    are spent or the forwards reach ``eval_budget``."""
+    are spent or the forwards reach ``eval_budget``. The run length and count
+    are ``lipschitz.COMPASS_ITERS`` and ``lipschitz.MAX_RUNS``, read at call time."""
     t0 = np.ravel(np.asarray(t0, dtype=np.float64))
     lower, upper = np.clip(t0 - cfg.delta, 0.0, 1.0), np.clip(t0 + cfg.delta, 0.0, 1.0)
     evals = 0
@@ -420,12 +421,12 @@ def sequential_alternating_search(net, t0, cfg, eval_budget=None):
 
         return sequential_compass_minimize(objective, anchor, lower, upper, cfg.delta / 4.0,
                                            sigma_min=min(logic.QUANT_TOL, cfg.delta / 4.0),
-                                           max_iters=cfg.compass_iters, early_stop=early)[0]
+                                           max_iters=lipschitz.COMPASS_ITERS, early_stop=early)[0]
 
     anchor = t0
     executions = 0
     try:
-        while executions < cfg.max_executions:
+        while executions < lipschitz.MAX_RUNS:
             before = best.ratio
             executions += 1
             point = run(anchor)

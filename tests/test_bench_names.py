@@ -15,3 +15,12 @@ def test_every_wrapped_name_resolves(monkeypatch):
                if not callable(getattr(owner, attr, None))]
     assert missing == []
     assert callable(getattr(spans.ActivationCache, "get", None))
+
+
+def test_every_workload_config_validates(monkeypatch):
+    # a config API change that breaks a bench scenario fails here, not only in the bench
+    monkeypatch.syspath_prepend(str(BENCH))
+    import scenarios
+
+    for build in scenarios.WORKLOADS.values():
+        build(1).cfg.validate()

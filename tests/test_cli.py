@@ -173,6 +173,7 @@ class TestRunCommand:
         (None, "input_shape", [4.7, 4, 1]), (None, "input_shape", ["4", 4, 1]), (None, "input_shape", [4.0, 4, 1]),
         (0, "relu", "false"), (3, "relu", "no"), (3, "relu", 1),
         (0, "stride", [1.9, 1]), (0, "stride", [True, 1]), (1, "window", [1.5, 1]),
+        (3, "rellu", True),  # an unknown key: loaded as a layer without it
     ])
     def test_malformed_model_field_exit_code(self, workspace, layer, field, value, capsys):
         # each value loaded as a valid one before the model reader stopped casting

@@ -35,7 +35,7 @@ from concolic_dnn.network import (
 from concolic_dnn.oracle import ReferenceSet
 from concolic_dnn.ranking import RankedCandidate
 
-from conftest import DEAD_NEURONS, dense_net, saturation_net
+from conftest import DEAD_NEURONS, compass_schedule, dense_net, saturation_net
 from helpers import ref_gap
 
 
@@ -44,6 +44,16 @@ def make_refs(net, n=400, seed=0, norm="linf"):
     inputs = rng.uniform(0, 1, (n, net.input_dim))
     labels = np.array([forward(net, x).label for x in inputs])
     return ReferenceSet(inputs=inputs, labels=labels, norm=norm)
+
+
+@pytest.fixture(autouse=True)
+def small_lipschitz_schedule():
+    """Every Lipschitz run here takes compass runs of 40 iterations and 50
+    random baseline pairs a box, as ``run_golden.json`` was recorded. A
+    test's own ``monkeypatch.undo()`` leaves this in place."""
+    with compass_schedule(iters=40), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BASELINE_ATTEMPTS", 50)
+        yield
 
 
 class TestTestSuite:
@@ -143,10 +153,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(criterion="nc", timeout=timeout).validate()
 
-    @pytest.mark.parametrize("grid", [0, -255])
-    def test_quantize_must_be_positive(self, grid):
-        with pytest.raises(ConfigError):
-            RunConfig(criterion="nc", quantize=grid).validate()
+    @pytest.mark.parametrize("grid", [0, -255, True, 2.5])
+    def test_quantize_must_be_positive(self, grid, monkeypatch):
+        # True snapped inputs to the 1/1 grid and 2.5 to multiples of 0.4
+        cfg = RunConfig(criterion="nc", quantize=grid)
+        with pytest.raises(ConfigError, match="quantize"):
+            cfg.validate()
+        net = dense_net([2, 3, 2], seed=0)
+        refs = make_refs(net)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("run() started work on a bad configuration")
+
+        monkeypatch.setattr(network, "forward_batch", no_work)  # the first work run() does
+        with pytest.raises(ConfigError, match="quantize"):
+            run(net, refs, [np.zeros(2)], cfg)
 
     def test_reference_dimension_mismatch_rejected_before_work(self, monkeypatch):
         net = dense_net([3, 4, 2], seed=0)
@@ -181,30 +202,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="l0 norm"):
             run(net, refs, [np.zeros(4)], RunConfig(criterion="nc"))
 
-    def test_ineligible_ssc_pair_rejected_before_work(self, monkeypatch):
-        net = dense_net([3, 4, 3, 2], seed=11)
-        refs = make_refs(net)
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("run() started work on a bad configuration")
-
-        monkeypatch.setattr(network, "forward_batch", no_work)  # the first work run() does
-        cfg = RunConfig(criterion="ssc", ssc_pairs=[(2, 0, 0), (3, 0, 0)])
-        with pytest.raises(ConfigError, match=r"\(3, 0, 0\)"):
-            run(net, refs, [np.zeros(3)], cfg)
-
-    def test_repeated_ssc_pair_reported_once(self, tmp_path):
-        net = dense_net([3, 4, 3, 2], seed=11)
-        rng = np.random.default_rng(13)
-        seeds = [rng.uniform(0, 1, 3) for _ in range(4)]
-        cfg = RunConfig(criterion="ssc", sample_count=50, rng_seed=14, timeout=120,
-                        ssc_pairs=[(2, 0, 0), (2, 1, 2), (2, 0, 0)])
-        result = run(net, make_refs(net, seed=12), seeds, cfg)
-        assert [r.tag.label() for r in result.requirements] == ["ssc:2:0:3:0", "ssc:2:1:3:2"]
-        save_run(result, cfg, str(tmp_path))
-        report = (tmp_path / "report.json").read_text()
-        assert report.count('"ssc:2:0:3:0"') == 1
-        assert report.count('"ssc:2:1:3:2"') == 1
+    def test_seed_array_runs_as_its_rows(self, tmp_path):
+        net, refs, seeds, cfg = _small_run("nc")
+        for name, given_seeds in (("rows", seeds), ("array", np.array(seeds))):
+            save_run(run(net, refs, given_seeds, cfg), cfg, str(tmp_path / name))
+        report = "report.json"
+        assert (tmp_path / "array" / report).read_bytes() == (tmp_path / "rows" / report).read_bytes()
+        with pytest.raises(ConfigError, match="at least one seed"):
+            run(net, refs, np.empty((0, net.input_dim)), cfg)
 
 
 def _bad_positive_float():
@@ -217,25 +222,19 @@ BAD_SETTINGS = st.one_of(
     *(st.fixed_dictionaries({name: st.integers(max_value=0)})
       for name in ("max_attempts", "l0_budget", "quantize")),
     *(st.fixed_dictionaries({name: st.integers(max_value=-1)})
-      for name in ("sample_count", "rng_seed", "lip_random_attempts")),
+      for name in ("sample_count", "rng_seed")),
     # counts and seeds that are not integers: each raised TypeError mid-run, or at the finish step
     *(st.fixed_dictionaries({name: st.floats(0.5, 1e3).filter(lambda v: v != int(v)) | st.just(True)})
-      for name in ("max_attempts", "l0_budget", "sample_count", "rng_seed", "lip_random_attempts")),
+      for name in ("max_attempts", "l0_budget", "sample_count", "rng_seed", "quantize")),
+    st.fixed_dictionaries({"quantize": st.sampled_from([True, 2.5, 0])}),
 )
 
 
 SSC_NET = dense_net([2, 3, 3, 2], seed=0)
-ELIGIBLE_SSC = [(2, i, j) for i in range(3) for j in range(3)]  # SSC_NET's eligible triples
-_bad_triple = st.tuples(*[st.integers(-3, 6)] * 3).filter(lambda t: t not in ELIGIBLE_SSC)
 BAD_CHOICES = st.one_of(
     st.fixed_dictionaries({"criterion": st.text(max_size=8).filter(lambda s: s not in engine.FAMILIES)}),
     st.fixed_dictionaries({"criterion": st.sampled_from(sorted(engine.FAMILIES)),
                            "norm": st.text(max_size=8).filter(lambda s: s not in engine.NORMS)}),
-    # eligible triples around one that is not
-    st.fixed_dictionaries({"criterion": st.just("ssc"), "ssc_pairs": st.tuples(
-        st.lists(st.sampled_from(ELIGIBLE_SSC), max_size=3), _bad_triple,
-        st.lists(st.sampled_from(ELIGIBLE_SSC), max_size=3),
-    ).map(lambda parts: [*parts[0], parts[1], *parts[2]])}),
 )
 
 
@@ -520,17 +519,17 @@ class TestRunOtherCriteria:
         result = run(net, refs, [np.full(4, 0.5)], cfg)
         assert result.report.coverage > 0.5
 
-    def test_lipschitz_run_emits_rows(self):
+    def test_lipschitz_run_emits_rows(self, monkeypatch):
+        monkeypatch.setattr(engine, "BASELINE_ATTEMPTS", 100)
         net = dense_net([3, 6, 2], seed=18, scale=2.0)
         refs = make_refs(net, seed=19)
         rng = np.random.default_rng(20)
         seeds = [rng.uniform(0.2, 0.8, 3) for _ in range(3)]
         cfg = RunConfig(
             criterion="lipschitz",
-            lip=LipConfig(c=0.05, delta=0.1, compass_iters=40),
+            lip=LipConfig(c=0.05, delta=0.1),
             sample_count=30,
             rng_seed=21,
-            lip_random_attempts=100,
         )
         result = run(net, refs, seeds, cfg)
         methods = {row["method"] for row in result.lipschitz_rows}
@@ -559,8 +558,7 @@ class TestLockstepSearches:
         rng = np.random.default_rng(14)
         a = rng.uniform(0.2, 0.8, 3)
         seeds = [a, np.clip(a + rng.uniform(-0.15, 0.15, 3), 0.0, 1.0), rng.uniform(0.2, 0.8, 3)]
-        cfg = RunConfig("lipschitz", lip=LipConfig(c=2.0, delta=0.1, compass_iters=40), sample_count=30,
-                        rng_seed=21, lip_random_attempts=50)
+        cfg = RunConfig("lipschitz", lip=LipConfig(c=2.0, delta=0.1), sample_count=30, rng_seed=21)
         return net, make_refs(net, seed=12), seeds, cfg
 
     def test_a_box_satisfied_before_its_turn_leaves_its_outcome_unused(self, monkeypatch, tmp_path):
@@ -605,8 +603,7 @@ def _small_run(criterion):
         net = dense_net([3, 6, 2], seed=18, scale=2.0)
         rng = np.random.default_rng(20)
         seeds = [rng.uniform(0.2, 0.8, 3) for _ in range(3)]
-        lip = LipConfig(c=0.05, delta=0.1, compass_iters=40)
-        cfg = RunConfig(criterion, lip=lip, sample_count=30, rng_seed=21, lip_random_attempts=50)
+        cfg = RunConfig(criterion, lip=LipConfig(c=0.05, delta=0.1), sample_count=30, rng_seed=21)
     else:
         net = dense_net([3, 5, 4, 2], seed=13)
         rng = np.random.default_rng(13)

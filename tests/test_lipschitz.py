@@ -1,5 +1,6 @@
 import itertools
 import time
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from concolic_dnn.lipschitz import (
 from concolic_dnn.logic import QUANT_TOL, Box
 from concolic_dnn.network import Dense, Network, forward_batch
 
-from conftest import dense_net, identity_net
+from conftest import compass_schedule, dense_net, identity_net
 from helpers import sequential_alternating_search, sequential_compass_minimize, sequential_random_baseline
 
 
@@ -81,19 +82,16 @@ class TestCompassMinimize:
         assert res.iterations <= 150
 
     def test_early_stop_at_start(self):
-        calls = []
-
-        def f(v):
-            calls.append(1)
-            return float(v[0])
-
-        res = compass_minimize(
-            f, np.array([0.5]), np.array([0.0]), np.array([1.0]),
-            sigma0=0.25, early_stop=lambda p, value: True,
+        steps = lipschitz.compass_steps(
+            start=np.array([0.5]), value=0.5, lower=np.array([0.0]), upper=np.array([1.0]), sigma0=0.25,
+            sigma_min=1e-5, max_iters=150, early_stop=lambda p, value: True, chunk=1,
+            values=lambda rows, got: got, counter=EvalCounter(),
         )
+        with pytest.raises(StopIteration) as stop:
+            next(steps)  # returns before yielding a row: no candidate evaluated
+        res = stop.value.value
         assert res.point[0] == 0.5
         assert res.iterations == 0
-        assert len(calls) == 1  # only the start evaluation
 
     def test_trace_stays_in_box_and_descends(self):
         lower, upper = np.array([0.2, 0.2]), np.array([0.8, 0.8])
@@ -112,18 +110,23 @@ class TestCompassMinimize:
 
 
 class TestStageOne:
-    """max_executions=1: the one compass run anchored at the seed."""
+    """MAX_RUNS = 1: the one compass run anchored at the seed."""
+
+    @pytest.fixture(autouse=True)
+    def one_run(self, monkeypatch):
+        monkeypatch.setattr(lipschitz, "MAX_RUNS", 1)
 
     def test_identity_net_beats_small_constant(self):
         net = identity_net(3)
-        cfg = LipConfig(c=0.5, delta=0.1, max_executions=1)
+        cfg = LipConfig(c=0.5, delta=0.1)
         out = alternating_search(net, np.full(3, 0.5), cfg)
         assert out.witness.satisfied
         assert out.witness.ratio > 0.5
         assert out.executions == 1
 
-    def test_huge_constant_keeps_best_pair_in_box(self, mid_net):
-        cfg = LipConfig(c=1e6, delta=0.1, compass_iters=40, max_executions=1)
+    def test_huge_constant_keeps_best_pair_in_box(self, mid_net, monkeypatch):
+        monkeypatch.setattr(lipschitz, "COMPASS_ITERS", 40)
+        cfg = LipConfig(c=1e6, delta=0.1)
         seed = np.full(4, 0.5)
         out = alternating_search(mid_net, seed, cfg)
         assert not out.witness.satisfied
@@ -133,7 +136,7 @@ class TestStageOne:
         assert np.all(out.witness.t2 >= box.lower) and np.all(out.witness.t2 <= box.upper)
 
     def test_witness_pair_respects_box(self, mid_net):
-        cfg = LipConfig(c=0.01, delta=0.05, max_executions=1)
+        cfg = LipConfig(c=0.01, delta=0.05)
         seed = np.full(4, 0.5)
         out = alternating_search(mid_net, seed, cfg)
         box = Box(tuple(seed), 0.05)
@@ -148,25 +151,29 @@ class TestStageTwo:
         # on this net the first run tops out near 2.46 and the second beats 2.5
         net = dense_net([4, 8, 6, 3], seed=2)
         seed = np.full(4, 0.5)
-        first = alternating_search(net, seed, LipConfig(c=2.5, compass_iters=40, max_executions=1))
-        out = alternating_search(net, seed, LipConfig(c=2.5, compass_iters=40))
+        with compass_schedule(iters=40, runs=1):
+            first = alternating_search(net, seed, LipConfig(c=2.5))
+        with compass_schedule(iters=40):
+            out = alternating_search(net, seed, LipConfig(c=2.5))
         assert not first.witness.satisfied
         assert out.witness.satisfied and out.witness.ratio > 2.5
         assert out.executions == 2
         assert not np.array_equal(out.witness.t1, seed)  # re-anchored off the seed
 
-    def test_constant_net_reports_zero_ratio(self):
+    def test_constant_net_reports_zero_ratio(self, monkeypatch):
         # the first run never stops on progress; the second gains nothing and stops
+        monkeypatch.setattr(lipschitz, "COMPASS_ITERS", 20)
         net = constant_net()
-        cfg = LipConfig(c=1.0, delta=0.1, compass_iters=20)
+        cfg = LipConfig(c=1.0, delta=0.1)
         out = alternating_search(net, np.full(2, 0.5), cfg)
         assert not out.witness.satisfied
         assert out.witness.ratio == 0.0
         assert out.executions == 2
 
     def test_run_budget_honored(self, mid_net):
-        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10, max_executions=3)
-        out = alternating_search(mid_net, np.full(4, 0.5), cfg)
+        cfg = LipConfig(c=1e9, delta=0.1)
+        with compass_schedule(iters=10, runs=3):
+            out = alternating_search(mid_net, np.full(4, 0.5), cfg)
         assert out.executions <= 3
 
 
@@ -174,10 +181,11 @@ class TestRatioObjective:
     """Each compass run minimizes the paper's Stage One objective: the negated
     ratio of a point to the run's anchor."""
 
-    def test_the_first_run_satisfies(self):
+    def test_the_first_run_satisfies(self, monkeypatch):
         # the ratio beats 1.5 at the first run's eleventh evaluation (1.72)
+        monkeypatch.setattr(lipschitz, "COMPASS_ITERS", 40)
         net = dense_net([4, 8, 6, 3], seed=2)
-        out = alternating_search(net, np.full(4, 0.5), LipConfig(c=1.5, compass_iters=40))
+        out = alternating_search(net, np.full(4, 0.5), LipConfig(c=1.5))
         assert out.witness.satisfied and out.witness.ratio > 1.5
         assert (out.executions, out.evals) == (1, 11)  # the anchor is forwarded once
 
@@ -188,7 +196,7 @@ class TestRatioObjective:
     def test_accepted_steps_raise_the_ratio(self, n, hidden, net_seed, c, delta, iters, runs, data):
         net = dense_net([n, hidden, 3], seed=net_seed, scale=2.0)
         t0 = data.draw(arrays(np.float64, n, elements=st.floats(0, 1)))
-        cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
+        cfg = LipConfig(c=c, delta=delta)
         real_steps = lipschitz.compass_steps
         visits = []  # per run: its anchor, and the ratio at its start and at each accepted step
 
@@ -202,7 +210,7 @@ class TestRatioObjective:
 
             return real_steps(start=start, early_stop=spy, **kwargs)
 
-        with pytest.MonkeyPatch.context() as patch:
+        with compass_schedule(iters, runs), pytest.MonkeyPatch.context() as patch:
             patch.setattr(lipschitz, "compass_steps", recording_steps)
             out = alternating_search(net, t0, cfg)
         assert visits  # every run went through the spy
@@ -221,13 +229,15 @@ class TestAlternatingSearch:
         assert out.evals <= 200
 
     def test_executions_within_config(self, mid_net):
-        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=5, max_executions=4)
-        out = alternating_search(mid_net, np.full(4, 0.5), cfg)
+        cfg = LipConfig(c=1e9, delta=0.1)
+        with compass_schedule(iters=5, runs=4):
+            out = alternating_search(mid_net, np.full(4, 0.5), cfg)
         assert out.executions <= 4
 
-    def test_executions_count_the_interrupted_run(self):
+    def test_executions_count_the_interrupted_run(self, monkeypatch):
+        monkeypatch.setattr(lipschitz, "COMPASS_ITERS", 10)
         net = dense_net([4, 8, 6, 3], seed=1)
-        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10)
+        cfg = LipConfig(c=1e9, delta=0.1)
         seed = np.full(4, 0.5)
         full = alternating_search(net, seed, cfg)
         assert full.executions > 1
@@ -263,11 +273,12 @@ class TestBatchedPolls:
         if rows is not None:
             net.batch_rows = rows  # as on a net with wide rows: several chunks a poll
         t0 = data.draw(arrays(np.float64, n, elements=st.floats(0, 1)))
-        cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
-        full = sequential_alternating_search(net, t0, cfg)
-        budget = data.draw(st.none() | st.integers(1, full.evals))
-        got = alternating_search(net, t0, cfg, eval_budget=budget)
-        assert_same_search(got, sequential_alternating_search(net, t0, cfg, eval_budget=budget))
+        cfg = LipConfig(c=c, delta=delta)
+        with compass_schedule(iters, runs):
+            full = sequential_alternating_search(net, t0, cfg)
+            budget = data.draw(st.none() | st.integers(1, full.evals))
+            got = alternating_search(net, t0, cfg, eval_budget=budget)
+            assert_same_search(got, sequential_alternating_search(net, t0, cfg, eval_budget=budget))
 
     def test_a_hit_past_the_first_chunk(self, monkeypatch):
         hits, sizes = [], []
@@ -286,9 +297,10 @@ class TestBatchedPolls:
 
         monkeypatch.setattr(lipschitz, "first_improving", recording_poll)
         monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
+        monkeypatch.setattr(lipschitz, "COMPASS_ITERS", 10)
         net = dense_net([4, 8, 6, 3], seed=2)
         net.batch_rows = 3  # eight moves a poll: chunks of 3, 3 and 2
-        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10)
+        cfg = LipConfig(c=1e9, delta=0.1)
         seed = np.full(4, 0.5)
         for budget in (None, 50, 51, 52):
             got = alternating_search(net, seed, cfg, eval_budget=budget)
@@ -336,13 +348,15 @@ class TestLockstepSearches:
         coord = st.sampled_from([0.0, 1.0, 0.01, 0.99, -0.05, 1.05]) | st.floats(0, 1)
         pool = data.draw(st.lists(arrays(np.float64, n, elements=coord), min_size=1, max_size=3))
         centers = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5))]
-        cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
-        longest = max(sequential_alternating_search(net, t0, cfg).evals for t0 in pool)
-        budget = data.draw(st.none() | st.integers(1, longest))  # each box's own cap
-        got = lipschitz.alternating_searches(net, [Box(tuple(c), cfg.delta) for c in centers], cfg, eval_budget=budget)
-        assert len(got) == len(centers)
-        for outcome, t0 in zip(got, centers):
-            assert_same_search(outcome, sequential_alternating_search(net, t0, cfg, eval_budget=budget))
+        cfg = LipConfig(c=c, delta=delta)
+        with compass_schedule(iters, runs):
+            longest = max(sequential_alternating_search(net, t0, cfg).evals for t0 in pool)
+            budget = data.draw(st.none() | st.integers(1, longest))  # each box's own cap
+            boxes = [Box(tuple(c), cfg.delta) for c in centers]
+            got = lipschitz.alternating_searches(net, boxes, cfg, eval_budget=budget)
+            assert len(got) == len(centers)
+            for outcome, t0 in zip(got, centers):
+                assert_same_search(outcome, sequential_alternating_search(net, t0, cfg, eval_budget=budget))
 
     def test_a_round_costs_the_longest_box(self, monkeypatch):
         sizes = []
@@ -352,9 +366,10 @@ class TestLockstepSearches:
             return forward_batch(net, X)
 
         monkeypatch.setattr(lipschitz, "forward_batch", recording_forward_batch)
+        monkeypatch.setattr(lipschitz, "COMPASS_ITERS", 10)
         net = dense_net([4, 8, 6, 3], seed=2)
         centers = [np.full(4, 0.5), np.array([0.0, 0.3, 1.0, 0.6]), np.full(4, 0.5)]
-        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10)
+        cfg = LipConfig(c=1e9, delta=0.1)
         calls = []
         for t0 in centers:
             sizes.clear()
@@ -378,12 +393,13 @@ class TestLockstepSearches:
             return real_steps(lower=lower, upper=upper, **kwargs)
 
         real_steps = lipschitz.compass_steps
-        monkeypatch.setattr(lipschitz, "compass_steps", recording_steps)
-        cfg = LipConfig(c=1e9, delta=0.1, compass_iters=10)
-        got = lipschitz.alternating_searches(mid_net, [box], cfg)[0]
-        assert read and all(lower is box.lower and upper is box.upper for lower, upper in read)
-        monkeypatch.undo()
-        assert_same_search(got, alternating_search(mid_net, np.array(box.center), cfg))
+        cfg = LipConfig(c=1e9, delta=0.1)
+        with compass_schedule(iters=10):
+            monkeypatch.setattr(lipschitz, "compass_steps", recording_steps)
+            got = lipschitz.alternating_searches(mid_net, [box], cfg)[0]
+            assert read and all(lower is box.lower and upper is box.upper for lower, upper in read)
+            monkeypatch.undo()
+            assert_same_search(got, alternating_search(mid_net, np.array(box.center), cfg))
 
 
 class TestResolutionFloor:
@@ -396,7 +412,7 @@ class TestResolutionFloor:
     def test_polls_move_at_least_the_floor(self, n, hidden, net_seed, c, delta, iters, runs, data):
         net = dense_net([n, hidden, 3], seed=net_seed, scale=2.0)
         t0 = data.draw(arrays(np.float64, n, elements=st.floats(0, 1)))
-        cfg = LipConfig(c=c, delta=delta, compass_iters=iters, max_executions=runs)
+        cfg = LipConfig(c=c, delta=delta)
         box = Box(tuple(t0), delta)
         floor = min(QUANT_TOL, delta / 4.0)
         real_poll = lipschitz.first_improving
@@ -406,14 +422,16 @@ class TestResolutionFloor:
             polled.append((coords, cur[coords], steps))
             return (yield from real_poll(cur, coords, steps, *args))
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lipschitz, "first_improving", recording_poll)
-            got = alternating_search(net, t0, cfg)
+        with compass_schedule(iters, runs):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(lipschitz, "first_improving", recording_poll)
+                got = alternating_search(net, t0, cfg)
+            want = sequential_alternating_search(net, t0, cfg)
         assert polled  # every poll went through the spy
         for coords, before, steps in polled:  # every forwarded row is one of these moves
             on_face = (steps == box.lower[coords]) | (steps == box.upper[coords])
             assert np.all(on_face | (np.abs(steps - before) >= floor * (1 - 1e-9)))  # the step, up to rounding
-        assert_same_search(got, sequential_alternating_search(net, t0, cfg))
+        assert_same_search(got, want)
 
     @pytest.mark.parametrize("delta, evals, executions, ratio", [(0.1, 167, 3, 3.3918), (0.004, 65, 2, 3.4532)])
     def test_pinned_counts(self, delta, evals, executions, ratio):
@@ -559,10 +577,11 @@ def test_config_validation():
     nan, inf = float("nan"), float("inf")
     for kwargs in ({"c": 0.0}, {"c": -1.0}, {"c": nan}, {"c": inf},
                    {"c": 1.0, "delta": 0.0}, {"c": 1.0, "delta": -0.1},
-                   {"c": 1.0, "delta": nan}, {"c": 1.0, "delta": inf},
-                   {"c": 1.0, "max_executions": 0}):
+                   {"c": 1.0, "delta": nan}, {"c": 1.0, "delta": inf}):
         with pytest.raises(ValueError):
             LipConfig(**kwargs)
+    # the search's schedule is the module's: COMPASS_ITERS and MAX_RUNS
+    assert [f.name for f in fields(LipConfig)] == ["c", "delta"]
 
 
 def test_eval_counter_limit():

@@ -31,7 +31,6 @@ from concolic_dnn.logic import (
     gen_nc,
     gen_ssc,
     satisfies,
-    ssc_pairs,
     suite_satisfies,
 )
 from concolic_dnn.network import ActivationCache, Conv2D, Dense, Flatten, Network, forward
@@ -200,14 +199,15 @@ def wide_ssc_net(width=1200):
 class TestWideLayers:
     def test_ssc_on_a_1200_wide_condition_layer(self):
         net = wide_ssc_net()
-        (r,) = gen_ssc(net, [(2, 0, 0)])
+        r = gen_ssc(net)[0]
+        assert r.tag.label() == "ssc:2:0:3:0"
         on, off, also_on = (np.array([x0, 0.0, 0.0, 0.0]) for x0 in (1.0, 0.0, 0.9))
         assert satisfies([on, off], r, net)
         assert not satisfies([on, also_on], r, net)
 
     def test_wide_ssc_body_expands_and_stays_flat(self):
         net = wide_ssc_net()
-        (r,) = gen_ssc(net, [(2, 0, 0)])
+        r = gen_ssc(net)[0]
         on, off, also_on = (np.array([x0, 0.0, 0.0, 0.0]) for x0 in (1.0, 0.0, 0.9))
         expanded = expand(r.body)
         seen = set()
@@ -293,21 +293,19 @@ class TestGenerators:
 
     def test_ssc_bodies_share_the_layer_sign_nodes(self):
         net = dense_net([2, 4, 3, 2], seed=6)
-        r0, r1 = gen_ssc(net, [(2, 0, 0), (2, 3, 2)])
+        reqs = gen_ssc(net)
+        r0, r1 = reqs[0], reqs[-1]
+        assert [r.tag.label() for r in (r0, r1)] == ["ssc:2:0:3:0", "ssc:2:3:3:2"]
         assert r1.body == And((SignNeq("x1", "x2", 2, 3), SignNeq("x1", "x2", 3, 2))
                               + tuple(SignEq("x1", "x2", 2, l) for l in range(3)))
         # both keep the signs of neurons 1 and 2 of layer 2, through the same nodes
         assert r0.body.members[2] is r1.body.members[3] and r0.body.members[3] is r1.body.members[4]
 
-    def test_ssc_rejects_bad_pair(self):
-        net = dense_net([2, 3, 2, 2], seed=5)
-        with pytest.raises(GenerationError):
-            gen_ssc(net, [(2, 0, 5)])
-
-    def test_ssc_repeated_pairs_dropped_in_first_order(self):
-        net = dense_net([2, 3, 2, 2], seed=5)
-        reqs = gen_ssc(net, [(2, 2, 1), (2, 0, 0), (2, 2, 1), (2, 0, 0)])
-        assert [r.tag.label() for r in reqs] == ["ssc:2:2:3:1", "ssc:2:0:3:0"]
+    def test_generators_emit_in_order_key_order(self, mid_net):
+        high = {pos: 1.0 for pos in mid_net.relu_neurons()}
+        for reqs in (gen_nc(mid_net), gen_ssc(mid_net), gen_nbc(mid_net, high, {pos: 0.0 for pos in high})):
+            keys = [r.tag.order_key() for r in reqs]
+            assert keys == sorted(keys)
 
     def test_ssc_grid_witness_satisfies_body(self):
         net = dense_net([2, 4, 3, 2], seed=6)
@@ -495,13 +493,13 @@ def conv_relu_net():
 
 
 def family_requirements(net, data):
-    """NC, NBC (quarter-grid bounds) and SSC on all pairs, SSC on a drawn,
-    shuffled subset of the pairs, then Lipschitz on drawn quarter-grid boxes
+    """NC, NBC (quarter-grid bounds) and SSC on all pairs, a drawn, shuffled
+    subset of a second SSC generation, then Lipschitz on drawn quarter-grid boxes
     (a zero radius makes a one-point box) at drawn thresholds."""
     high = {pos: data.draw(st.sampled_from((0.0, 0.5, 1.0))) for pos in net.relu_neurons()}
     low = {pos: h - data.draw(st.sampled_from((0.0, 0.5, 1.0))) for pos, h in high.items()}
-    pairs = ssc_pairs(net)
-    subset = data.draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    second = gen_ssc(net)
+    subset = data.draw(st.lists(st.sampled_from(second), max_size=6, unique_by=id)) if second else []
     lipschitz = []
     for _ in range(data.draw(st.integers(1, 3))):
         center = np.array(data.draw(st.lists(st.sampled_from(QUARTERS), min_size=net.input_dim,
@@ -509,7 +507,7 @@ def family_requirements(net, data):
         radius = data.draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)))
         c = data.draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)))
         lipschitz += gen_lipschitz(SubspacePartition.from_seeds([center], radius), c)
-    return gen_nc(net) + gen_nbc(net, high, low) + gen_ssc(net) + gen_ssc(net, subset) + lipschitz
+    return gen_nc(net) + gen_nbc(net, high, low) + gen_ssc(net) + subset + lipschitz
 
 
 def assert_state_matches_reference(net, rows, data):

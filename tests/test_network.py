@@ -427,6 +427,10 @@ class TestModelIO:
         ({"weights": [[1.0, 0.0]], "bias": [0.0, 0.0]}, "'kind' must be one of"),
         ({"kind": ["dense"], "weights": [[1.0, 0.0]], "bias": [0.0, 0.0]}, "'kind' must be one of"),
         ({"kind": "dense", "bias": [0.0, 0.0]}, "missing 'weights'"),
+        # a misspelt field loaded as a layer without it: here, without ReLU
+        ({"kind": "dense", "weights": [[1.0, 0.0]], "bias": [0.0, 0.0], "rellu": True},
+         "unknown key 'rellu' for a dense layer"),
+        ({"kind": "flatten", "relu": False}, "unknown key 'relu' for a flatten layer"),
     ])
     def test_layer_structure_rejected(self, tmp_path, layer, message):
         path = tmp_path / "structure.json"

@@ -20,7 +20,6 @@ from concolic_dnn.logic import (
     gen_nc,
     gen_ssc,
     lip_margin,
-    ssc_pairs,
 )
 from concolic_dnn.network import Activations, Conv2D, Dense, Flatten, MaxPool, Network, forward, forward_batch
 from concolic_dnn.ranking import (
@@ -221,8 +220,7 @@ def one_test_cases(draw):
     """A dense or conv net with exact pre-activations on the quarter grid (many
     exact zeros and ties between neurons), a suite drawn from a few points (so
     tests repeat and tie exactly), per-layer factors, and a subset of the
-    net's NC, NBC and SSC requirements in any order, the SSC ones made from
-    user pairs in any order, repeats included."""
+    net's NC, NBC and SSC requirements in any order."""
     if draw(st.booleans()):
         net = conv_relu_net()
     else:
@@ -235,9 +233,7 @@ def one_test_cases(draw):
     neurons = net.relu_neurons()
     high = {pos: draw(st.sampled_from([0.0, 0.5, 1.0])) for pos in neurons}
     low = {pos: draw(st.sampled_from([-1.0, -0.5, 0.0])) for pos in neurons}
-    reqs = gen_nc(net) + gen_nbc(net, high, low)
-    if ssc_pairs(net):
-        reqs += gen_ssc(net, draw(st.lists(st.sampled_from(ssc_pairs(net)), min_size=1, max_size=12)))
+    reqs = gen_nc(net) + gen_nbc(net, high, low) + gen_ssc(net)
     return net, tests, factors, draw(st.lists(st.sampled_from(reqs), min_size=1, unique_by=id))
 
 

@@ -216,7 +216,7 @@ class TestBoundedVariables:
 
 
 class TestBoundFlips:
-    """Bound flips count as iterations, so ``max_iters`` and the deadline
+    """Bound flips count as iterations, so ``MAX_ITERS`` and the deadline
     limit a run of flips."""
 
     @staticmethod
@@ -243,8 +243,9 @@ class TestBoundFlips:
         assert res.iterations == 1 and not pivots
         assert res.x[0] == 1.0
 
-    def test_first_flip_hits_iteration_limit(self):
-        res = solve_lp(**self.box_only(2), max_iters=1)
+    def test_first_flip_hits_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_ITERS", 1)
+        res = solve_lp(**self.box_only(2))
         assert res.status == "iteration-limit"
         assert res.iterations == 1
 
@@ -319,12 +320,13 @@ class TestBoundForms:
 
 
 class TestIterationLimit:
-    def test_limit_reported(self):
+    def test_limit_reported(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_ITERS", 1)
         rng = np.random.default_rng(1)
         c = rng.normal(size=6)
         A = rng.normal(size=(10, 6))
         b = rng.uniform(1, 2, 10)
-        res = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6, max_iters=1)
+        res = solve_lp(c, A_ub=A, b_ub=b, bounds=[(-4, 4)] * 6)
         assert res.status == "iteration-limit"
 
 
@@ -350,14 +352,15 @@ class TestDeadline:
 
 
 class TestPivotRule:
-    def test_beale_cycling_example_terminates(self):
+    def test_beale_cycling_example_terminates(self, monkeypatch):
         # Beale (1955): Dantzig's rule with a smallest-index leaving rule
         # cycles here through six degenerate bases; Bland's entering rule
         # after DEGENERATE_LIMIT degenerate pivots breaks the cycle.
         c = np.array([-0.75, 150.0, -0.02, 6.0])
         A = np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]])
         b = np.array([0.0, 0.0, 1.0])
-        res = solve_lp(c, A_ub=A, b_ub=b, bounds=[(0, None)] * 4, max_iters=100)
+        monkeypatch.setattr(simplex, "MAX_ITERS", 100)
+        res = solve_lp(c, A_ub=A, b_ub=b, bounds=[(0, None)] * 4)
         assert res.status == "optimal"
         assert res.iterations <= 2 * simplex.DEGENERATE_LIMIT
         assert res.objective == pytest.approx(-0.05)
