@@ -221,8 +221,8 @@ def _target_signs(acts: Activations, k_star: int, flips=()) -> dict[int, np.ndar
     of its source sign."""
     signs = {k: acts.signs(k) for k in acts.relu_layers if k < k_star}
     signs[k_star] = np.zeros(acts.u_flat(k_star).size, dtype=np.int8)
-    for k, i in flips:
-        signs[k][i] = -acts.signs(k)[i]
+    for k, i in flips:  # below the top, signs[k] still holds the source sign
+        signs[k][i] = -(signs[k][i] if k < k_star else acts.signs(k)[i])
     return signs
 
 

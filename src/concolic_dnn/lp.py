@@ -36,6 +36,7 @@ u <= low - eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -91,17 +92,28 @@ class LpProblem:
         if self.anchor is None:
             raise EncodingError("the problem has no anchor; call add_chebyshev_objective")
         t, n, m = self.anchor, self.n_in, self.A_ub.shape[0]
-        A = np.zeros((m + n, 2 * n + 1))
-        A[:m, :n], A[:m, n : 2 * n] = self.A_ub, -self.A_ub
-        i = np.arange(n)
-        A[m + i, i] = A[m + i, n + i] = 1.0  # p_i + q_i - d <= 0
+        width = 2 * n + 1
+        A = np.zeros((m + n, width))
+        A[:m, :n] = self.A_ub
+        np.negative(self.A_ub, out=A[:m, n : 2 * n])
+        # p_i + q_i - d <= 0: the diagonals (m + i, i) and (m + i, n + i) as
+        # strided slices of the flat matrix, then the d column
+        flat = A.reshape(-1)
+        flat[m * width : (m + n) * width : width + 1] = 1.0
+        flat[m * width + n : (m + n) * width : width + 1] = 1.0
         A[m:, -1] = -1.0
         b = np.zeros(m + n)
-        b[:m] = self.b_ub - self.A_ub @ t
-        c = np.zeros(2 * n + 1)
+        np.subtract(self.b_ub, self.A_ub @ t, out=b[:m])
+        c = np.zeros(width)
         c[-1] = 1.0
-        lo, hi = np.concatenate([-t, t - 1.0, [0.0]]), np.concatenate([1.0 - t, t, [np.inf]])
-        return dict(c=c, A_ub=A, b_ub=b, bounds=np.maximum(np.stack([lo, hi], axis=1), 0.0))
+        bounds = np.empty((width, 2))  # (lo, hi) of p: (-t, 1 - t), q: (t - 1, t), d: (0, inf)
+        np.negative(t, out=bounds[:n, 0])
+        np.subtract(1.0, t, out=bounds[:n, 1])
+        np.subtract(t, 1.0, out=bounds[n:-1, 0])
+        bounds[n:-1, 1] = t
+        bounds[-1] = 0.0, np.inf
+        np.maximum(bounds, 0.0, out=bounds)
+        return dict(c=c, A_ub=A, b_ub=b, bounds=bounds)
 
 
 @dataclass
@@ -161,17 +173,19 @@ def encode_pattern(
             s = np.asarray(signs.get(k, ()))
             if s.shape != (c.size,):
                 raise EncodingError(f"layer {k} needs a sign array of {c.size} entries, got shape {s.shape}")
-            on = np.flatnonzero(s)
-            if k < k_star and on.size < c.size:
-                raise EncodingError(f"neuron ({k}, {np.flatnonzero(s == 0)[0]}) is open below the top layer")
-            sign = s[on].astype(np.float64)
-            rows.append(-sign[:, None] * J[:, on].T)  # sign * (x @ J + c) >= eps
-            rhs.append(sign * c[on] - EPS_STRICT)
+            if np.count_nonzero(s) < s.size:  # open neurons get no row; only the top layer has them
+                if k < k_star:
+                    raise EncodingError(f"neuron ({k}, {np.flatnonzero(s == 0)[0]}) is open below the top layer")
+                on = s.nonzero()[0]
+                J_on, c_on, sign = J[:, on], c[on], s[on].astype(np.float64)
+            else:
+                J_on, c_on, sign = J, c, s.astype(np.float64)
+            rows.append(J_on.T * -sign[:, None])  # sign * (x @ J + c) >= eps
+            rhs.append(sign * c_on - EPS_STRICT)
             if k == k_star:  # the last layer encoded: no mask for the layers above
                 top = (J, c)
                 break
-            active = np.zeros(c.size)
-            active[on] = sign > 0
+            active = np.maximum(sign, 0.0)  # 1 where activated; every neuron is signed below the top
             J, c = J * active, c * active
         elif isinstance(layer, MaxPool):
             if pool_winners is None or k not in pool_winners:
@@ -188,16 +202,19 @@ def encode_pattern(
             J, c = J[:, winners], c[winners]
         elif not isinstance(layer, Flatten):  # flatten: flat order already matches
             raise EncodingError(f"cannot encode layer type {type(layer).__name__}")
-    return LpProblem(n_in, np.vstack(rows), np.concatenate(rhs), k_star, top)
+    return LpProblem(n_in, np.concatenate(rows), np.concatenate(rhs), k_star, top)
 
 
 def add_chebyshev_objective(p: LpProblem, anchor: np.ndarray) -> LpProblem:
     """Anchor the problem at ``anchor``: the objective is min |x - anchor|_inf."""
-    anchor = np.ravel(np.asarray(anchor, dtype=np.float64))
+    anchor = np.asarray(anchor, dtype=np.float64).ravel()
     if anchor.size != p.n_in:
         raise EncodingError(
             f"anchor has {anchor.size} entries, problem has {p.n_in} input variables"
         )
+    # a finite sum proves every entry finite; only a sum that is not needs the full scan
+    if not (math.isfinite(anchor.sum()) or np.isfinite(anchor).all()):
+        raise EncodingError("anchor has non-finite entries")
     p.anchor = anchor
     return p
 
@@ -230,14 +247,18 @@ def solve(p: LpProblem, deadline: Optional[float] = None) -> LpOutcome:
     if res.status != "optimal":
         return LpOutcome(res.status, None, None, res.iterations)
     n = p.n_in
-    x, d = p.anchor + res.x[:n] - res.x[n : 2 * n], res.x[-1]
-    if p.A_ub.shape[0] and np.max(p.A_ub @ x - p.b_ub) > TOL_LP:
+    values = np.empty(n + 1)  # x, then d
+    x, d = values[:n], res.x[-1]
+    np.subtract(p.anchor + res.x[:n], res.x[n : 2 * n], out=x)
+    values[n] = d
+    # each check reads "not within": a NaN residual fails it too
+    if p.A_ub.shape[0] and not (p.A_ub @ x - p.b_ub).max() <= TOL_LP:
         raise LpError("inequality residual exceeds tolerance")
-    if np.min(x) < -TOL_LP or np.max(x) > 1.0 + TOL_LP:
+    if not (-TOL_LP <= x.min() and x.max() <= 1.0 + TOL_LP):
         raise LpError("variable bound violated")
-    if np.max(np.abs(x - p.anchor)) > d + TOL_LP:
+    if not np.abs(x - p.anchor).max() <= d + TOL_LP:
         raise LpError("distance residual exceeds tolerance")
-    return LpOutcome("optimal", np.append(x, d), res.objective, res.iterations)
+    return LpOutcome("optimal", values, res.objective, res.iterations)
 
 
 def symbolic_lp(
@@ -259,7 +280,7 @@ def symbolic_lp(
     lp_target = getattr(r.tag, "lp_target", None)
     if lp_target is None:
         raise EncodingError(f"no LP synthesis for requirement family {type(r.tag).__name__}")
-    t = np.ravel(np.asarray(t, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64).ravel()
     if acts is None:
         acts = forward(net, t)
     signs, k_star, bound = lp_target(acts)

@@ -7,14 +7,17 @@ this package produces (a few hundred variables); ``lp.solve`` calls it by
 its module name, ``lp.solve_lp``, so another implementation can be put in its
 place there if that stops being true.
 
-- **Standard form.** The bounds, (lo, hi) pairs with None or an (n, 2)
-  float array with -inf/inf, become ``lo`` and ``hi`` arrays. Each variable
-  becomes standard columns 0 <= y <= u: a finite lower bound is shifted to 0
-  and keeps the width hi - lo as u; a variable with only an upper bound is
-  mirrored; a free variable is split into two unbounded columns. A variable
-  with lo == hi gets no column, so it never enters. Each column is a pick of
-  its variable's column of ``A_ub``, negated when mirrored or the second of
-  a split, written once into the tableau.
+- **Standard form.** ``c``, ``A_ub`` and ``b_ub`` must be finite and of
+  matching shapes (a ValueError names the one that is not). The bounds,
+  (lo, hi) pairs with None or an (n, 2) float array with -inf/inf, become
+  ``lo`` and ``hi`` arrays. Each variable becomes standard columns
+  0 <= y <= u: a finite lower bound is shifted to 0 and keeps the width
+  hi - lo as u; a variable with only an upper bound is mirrored; a free
+  variable is split into two unbounded columns. A variable with lo == hi
+  gets no column, so it never enters. Each column is a pick of its
+  variable's column of ``A_ub``, negated when mirrored or the second of a
+  split, written once into the tableau beside the slack diagonal, which is
+  one strided slice of it.
 - **Bounded variables** (Dantzig 1955, "Upper bounds, secondary constraints
   and block triangularity in linear programming"; Chvátal 1983, *Linear
   Programming*, ch. 8). A finite u is no tableau row. A variable at its upper
@@ -45,9 +48,12 @@ place there if that stops being true.
   scan beat a numpy ratio test. The basis and each row's basic upper bound
   are Python lists that every pivot updates, so the scan converts only the
   entering column and the rhs. A pivot is one dense rank-one update of the
-  whole tableau; where the pivot row holds +-0 it subtracts +-0, which can
-  flip the sign of a zero and nothing else, and no comparison here sees
-  that sign.
+  whole tableau, one outer product of the entering column and the
+  normalized pivot row, after which the pivot row is written as that
+  normalized row. Where the pivot row holds +-0 the update subtracts +-0,
+  which can flip the sign of a zero and nothing else; no comparison here
+  sees that sign, and the read-back's ``bincount`` sums a zero of y as
+  +0.0, so no zero's sign reaches x.
 - **Iterations and limits.** ``SimplexResult.iterations`` counts pivots and
   bound flips over both phases; ``MAX_ITERS`` caps that count, and an
   optional ``deadline`` (a ``time.monotonic()`` value) is checked every
@@ -107,16 +113,25 @@ def _standardize(c, A_ub, b_ub, bounds):
     (``inf`` where it has none), original variable and negation, and the
     offsets: x is the offset plus each column's signed y, summed per
     variable. A variable with lo == hi is fixed: it gets no column, only its
-    offset.
+    offset. Raises ValueError on non-finite or misshapen ``c``, ``A_ub`` or
+    ``b_ub``.
     """
     c = np.asarray(c, dtype=np.float64)
     n = c.size
     A_ub = _as_2d(A_ub, n)
     b_ub = np.asarray(b_ub, dtype=np.float64) if b_ub is not None else np.zeros(0)
+    if A_ub.shape[1] != n:
+        raise ValueError(f"A_ub has {A_ub.shape[1]} columns, c has {n} entries")
+    if b_ub.shape != (A_ub.shape[0],):
+        raise ValueError(f"b_ub has shape {b_ub.shape}, A_ub has {A_ub.shape[0]} rows")
+    # a finite sum proves every entry finite; only a sum that is not needs the full scan
+    if not math.isfinite(c.sum() + A_ub.sum() + b_ub.sum()):
+        for name, a in (("c", c), ("A_ub", A_ub), ("b_ub", b_ub)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} has non-finite entries")
     # either bounds form as one (n, 2) array; None reads as nan: no bound
-    pairs = np.array([(None, None)] * n if bounds is None else bounds, dtype=np.float64).reshape(n, 2)
-    np.copyto(pairs, (-math.inf, math.inf), where=np.isnan(pairs))
-    lo, hi = pairs.T
+    pairs = np.asarray([(None, None)] * n if bounds is None else bounds, dtype=np.float64).reshape(n, 2)
+    lo, hi = np.fmax(pairs[:, 0], -math.inf), np.fmin(pairs[:, 1], math.inf)  # nan becomes -inf, inf
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
     if has_lo.all():  # no column mirrored or split: pick the unfixed ones
         var = np.flatnonzero(hi != lo)
@@ -138,11 +153,12 @@ def _standardize(c, A_ub, b_ub, bounds):
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    # Where the pivot row holds +-0 this subtracts +-0: only a zero's sign can change.
-    T -= factors[:, None] * T[row]
+    pivot_row = T[row] / T[row, col]
+    # One outer product updates every row; the pivot row, which this leaves
+    # near 0, is then written as the normalized row. Where the pivot row holds
+    # +-0 the update subtracts +-0: only a zero's sign can change.
+    T -= T[:, col, None] * pivot_row
+    T[row] = pivot_row
     basis[row] = col
 
 
@@ -251,30 +267,33 @@ def solve_lp(
     status "time-limit" (checked every ``DEADLINE_EVERY`` iterations).
     """
     c_std, A_std, b, upper, var, negate, offset = _standardize(c, A_ub, b_ub, bounds)
-    if np.any(upper < 0):  # a lower bound above its upper bound
+    if np.count_nonzero(upper < 0):  # a lower bound above its upper bound
         return SimplexResult("infeasible", None, None, 0)
     m, n_std = A_std.shape
     n_struct = n_std + m  # the standard columns, then one slack per row
     # A row with rhs >= 0 starts with its slack basic; a row with a negative
     # rhs is negated and gets an artificial column.
-    art_rows = np.flatnonzero(b < 0)
-    n_art = art_rows.size
+    art_rows = (b < 0).nonzero()[0].tolist()
+    n_art = len(art_rows)
 
     # Tableau: structural columns, the artificials, rhs; below the constraints
     # sit the phase-2 cost row and the phase-1 cost row (summing the
     # artificial rows only). Every variable starts at its lower bound 0.
-    T = np.zeros((m + 2, n_struct + n_art + 1))
+    width = n_struct + n_art + 1
+    T = np.zeros((m + 2, width))
     T[:m, :n_std] = A_std
-    T[np.arange(m), n_std + np.arange(m)] = 1.0
+    T.reshape(-1)[n_std : m * (width + 1) : width + 1] = 1.0  # the slack diagonal (i, n_std + i)
     T[:m, -1] = b
-    T[art_rows] *= -1.0
-    T[art_rows, n_struct + np.arange(n_art)] = 1.0
     T[m, :n_std] = c_std
-    T[m + 1, :n_struct] = -T[art_rows, :n_struct].sum(axis=0)
-    T[m + 1, -1] = -T[art_rows, -1].sum()
-    basis = list(range(n_std, n_std + m))
-    for k, i in enumerate(art_rows.tolist()):
+    basis = list(range(n_std, n_struct))
+    for k, i in enumerate(art_rows):
+        T[i] *= -1.0
+        T[i, n_struct + k] = 1.0
         basis[i] = n_struct + k
+    if art_rows:
+        rows = T[art_rows]
+        T[m + 1, :n_struct] = -rows[:, :n_struct].sum(axis=0)
+        T[m + 1, -1] = -rows[:, -1].sum()
     cap = upper.tolist() + [math.inf] * (m + n_art)
     caps = [math.inf] * m  # every slack and artificial is unbounded above
     flipped = np.zeros(len(cap), dtype=bool)  # column holds y' = cap - y

@@ -5,14 +5,17 @@ rankings, the layer factors' Python fold, a vertex-enumeration LP solver, the si
 pivot, ratio scan and per-variable standard-form loop, per-position conv and maxpool kernels with the
 conv matrix built from them, and the receptive field from each layer's dependency matrix. These stay deliberately naive so they share no
 code path with the implementations they check (forward passes are memoized
-for speed, nothing else is)."""
+for speed, nothing else is). One exception is a recorded earlier version
+rather than a naive one: the synthesis LP's set-up as first vectorized
+(``reference_anchored`` and ``reference_solve_lp``), which the leaner set-up
+must match pivot for pivot and byte for byte."""
 
 import math
 from itertools import combinations
 
 import numpy as np
 
-from concolic_dnn import lipschitz, logic
+from concolic_dnn import lipschitz, logic, simplex
 from concolic_dnn.lipschitz import (
     EPS,
     PROGRESS_TOL,
@@ -23,7 +26,7 @@ from concolic_dnn.lipschitz import (
     SearchOutcome,
 )
 from concolic_dnn.network import Conv2D, Dense, MaxPool, forward
-from concolic_dnn.simplex import PIVOT_TOL
+from concolic_dnn.simplex import PIVOT_TOL, SimplexResult
 
 
 def _fwd(x, net, memo):
@@ -223,6 +226,99 @@ def loop_standardize(c, A_ub, b_ub, bounds):
         M[j, k] = sign
     upper = np.array([u for _, _, u in cols])
     return c @ M, A_ub @ M, b_ub - A_ub @ offset, upper, M, offset
+
+
+def reference_anchored(p):
+    """``LpProblem.anchored`` as first vectorized: ``[A, -A]`` and the
+    distance rows through index arrays, the bounds through concatenation."""
+    t, n, m = p.anchor, p.n_in, p.A_ub.shape[0]
+    A = np.zeros((m + n, 2 * n + 1))
+    A[:m, :n], A[:m, n : 2 * n] = p.A_ub, -p.A_ub
+    i = np.arange(n)
+    A[m + i, i] = A[m + i, n + i] = 1.0
+    A[m:, -1] = -1.0
+    b = np.zeros(m + n)
+    b[:m] = p.b_ub - p.A_ub @ t
+    c = np.zeros(2 * n + 1)
+    c[-1] = 1.0
+    lo, hi = np.concatenate([-t, t - 1.0, [0.0]]), np.concatenate([1.0 - t, t, [np.inf]])
+    return dict(c=c, A_ub=A, b_ub=b, bounds=np.maximum(np.stack([lo, hi], axis=1), 0.0))
+
+
+def _reference_standardize(c, A_ub, b_ub, bounds):
+    """The standard form as first vectorized: a pick of every unfixed column
+    and offsets by the lower bounds, or the mirror and split arithmetic."""
+    c = np.asarray(c, dtype=np.float64)
+    n = c.size
+    A_ub = np.asarray(A_ub, dtype=np.float64).reshape(-1, n)
+    b_ub = np.asarray(b_ub, dtype=np.float64)
+    pairs = np.array(bounds, dtype=np.float64).reshape(n, 2)
+    np.copyto(pairs, (-math.inf, math.inf), where=np.isnan(pairs))
+    lo, hi = pairs.T
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    if has_lo.all():
+        var = np.flatnonzero(hi != lo)
+        return c[var], A_ub[:, var], b_ub - A_ub @ lo, (hi - lo)[var], var, np.zeros(var.size, bool), lo
+    offset = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    free = ~has_lo & ~has_hi
+    counts = np.where(has_lo, hi != lo, 1 + free)
+    var = np.repeat(np.arange(n), counts)
+    negate = ~has_lo[var]
+    negate[(np.cumsum(counts) - counts)[free]] = False
+    upper = np.where(has_lo, hi - lo, math.inf)[var]
+    A = A_ub[:, var]
+    np.negative(A, out=A, where=negate)
+    c_std = c[var]
+    np.negative(c_std, out=c_std, where=negate)
+    return c_std, A, b_ub - A_ub @ offset, upper, var, negate, offset
+
+
+def reference_solve_lp(c, A_ub, b_ub, bounds):
+    """``simplex.solve_lp`` with its first vectorized set-up and read-back:
+    the standard form above, the slack and artificial blocks written through
+    index arrays, and x mapped back by ``bincount``. The phases run through
+    ``simplex._run_phase``, so only the path to the first pivot and back
+    differs."""
+    c_std, A_std, b, upper, var, negate, offset = _reference_standardize(c, A_ub, b_ub, bounds)
+    if np.any(upper < 0):
+        return SimplexResult("infeasible", None, None, 0)
+    m, n_std = A_std.shape
+    n_struct = n_std + m
+    art_rows = np.flatnonzero(b < 0)
+    n_art = art_rows.size
+    T = np.zeros((m + 2, n_struct + n_art + 1))
+    T[:m, :n_std] = A_std
+    T[np.arange(m), n_std + np.arange(m)] = 1.0
+    T[:m, -1] = b
+    T[art_rows] *= -1.0
+    T[art_rows, n_struct + np.arange(n_art)] = 1.0
+    T[m, :n_std] = c_std
+    T[m + 1, :n_struct] = -T[art_rows, :n_struct].sum(axis=0)
+    T[m + 1, -1] = -T[art_rows, -1].sum()
+    basis = list(range(n_std, n_std + m))
+    for k, i in enumerate(art_rows.tolist()):
+        basis[i] = n_struct + k
+    cap = upper.tolist() + [math.inf] * (m + n_art)
+    caps = [math.inf] * m
+    flipped = np.zeros(len(cap), dtype=bool)
+    status, iters = simplex._run_phase(T, basis, caps, cap, flipped, m, n_struct + n_art, m + 1, 0, None)
+    if status != "optimal":
+        return SimplexResult(status, None, None, iters)
+    if -T[m + 1, -1] > 1e-7:
+        return SimplexResult("infeasible", None, None, iters)
+    for i in [i for i, j in enumerate(basis) if j >= n_struct]:
+        col = int(np.flatnonzero(np.abs(T[i, :n_struct]) > PIVOT_TOL)[0])
+        simplex._pivot(T, basis, i, col)
+        caps[i] = cap[col]
+    T = T[: m + 1]
+    status, iters = simplex._run_phase(T, basis, caps, cap, flipped, m, n_struct, m, iters, None)
+    if status != "optimal":
+        return SimplexResult(status, None, None, iters)
+    y = np.zeros(n_struct)
+    y[basis] = T[:m, -1]
+    y = np.where(flipped[:n_std], upper - y[:n_std], y[:n_std])
+    x = offset + np.bincount(var, weights=np.where(negate, -y, y), minlength=offset.size)
+    return SimplexResult("optimal", x, float(np.asarray(c, dtype=np.float64) @ x), iters)
 
 
 def ratio_scan_leave(T, basis, upper, col, m):

@@ -24,3 +24,25 @@ def test_every_workload_config_validates(monkeypatch):
 
     for build in scenarios.WORKLOADS.values():
         build(1).cfg.validate()
+
+
+def test_traced_run_sees_every_lp(monkeypatch):
+    # the tracer reads each LP's shape from how lp.solve calls lp.solve_lp
+    # (c by position, A_ub by keyword): a set-up that stopped calling it so
+    # would zero lp.rows, lp.cols and simplex.pivots and fail nowhere else
+    monkeypatch.syspath_prepend(str(BENCH))
+    import scenarios
+    import spans
+
+    from concolic_dnn import engine
+
+    scenario = scenarios.WORKLOADS["nc-linf-dense"](3)
+    tracer = spans.Tracer(0)
+    with tracer.installed():
+        engine.run(scenario.net, scenario.refs, scenario.seeds, scenario.cfg)
+    lp_solves = [i for i, span in enumerate(tracer.spans) if span["name"] == "lp.solve"]
+    solves = [span for span in tracer.spans if span["name"] == "simplex.solve"]
+    assert lp_solves and sorted(span["parent"] for span in solves) == lp_solves
+    assert all(span["rows"] > 0 and span["cols"] > 0 and span["pivots"] > 0 for span in solves)
+    metrics = tracer.layer_metrics()
+    assert metrics["lp.rows"] > 0 and metrics["lp.cols"] > 0 and metrics["simplex.pivots"] > 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from concolic_dnn import lp as lp_module
@@ -8,6 +8,7 @@ from concolic_dnn.logic import NBCTag, NCTag, SSCTag, gen_nbc, gen_nc, gen_ssc, 
 from concolic_dnn.lp import (
     EPS_STRICT,
     EncodingError,
+    LpError,
     add_chebyshev_objective,
     apply_nbc_branch,
     encode_pattern,
@@ -20,7 +21,7 @@ from concolic_dnn.network import Conv2D, Dense, Flatten, MaxPool, Network, forwa
 from concolic_dnn.simplex import solve_lp
 
 from conftest import dense_net, identity_net
-from helpers import ref_gap, vertex_enum_lp
+from helpers import ref_gap, reference_anchored, reference_solve_lp, vertex_enum_lp
 
 
 def source_signs(acts, k_star):
@@ -402,6 +403,28 @@ class TestChebyshevObjective:
         with pytest.raises(EncodingError):
             add_chebyshev_objective(p, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anchor_rejected(self, bad):
+        net = dense_net([3, 4, 2], seed=4)
+        p = encode_pattern(net, source_signs(forward(net, np.full(3, 0.5)), 2), 2)
+        with pytest.raises(EncodingError, match="non-finite"):
+            add_chebyshev_objective(p, np.array([0.2, bad, 0.7]))
+        assert p.anchor is None
+
+    @pytest.mark.parametrize("entry", [0, 1, 2, -1])
+    def test_non_finite_solution_fails_the_residual_checks(self, entry, monkeypatch):
+        # a NaN compares False with everything: each check must read "not
+        # within tolerance", so that a NaN in x or d fails it
+        net = dense_net([3, 4, 2], seed=4)
+        t = np.full(3, 0.5)
+        p = add_chebyshev_objective(encode_pattern(net, source_signs(forward(net, t), 2), 2), t)
+        res = solve_lp(**p.anchored())
+        assert res.status == "optimal"
+        res.x[entry] = np.nan
+        monkeypatch.setattr(lp_module, "solve_lp", lambda *args, **kwargs: res)
+        with pytest.raises(LpError):
+            solve(p)
+
 
 class TestTargetPatterns:
     def test_nc_negates_target_and_freezes_below(self, mid_net):
@@ -752,3 +775,48 @@ class TestAnchoredSolve:
         # a seed may lie outside [0, 1]; the solution still lies inside it
         net = dense_net([2, 4, 3, 2], seed=23)
         assert self.check(net, np.array([1.25, -0.5])) >= 1
+
+
+@st.composite
+def anchored_synthesis_problems(draw):
+    """A synthesis problem of a drawn family, net, source and tag, anchored at
+    the source: in the box, with coordinates moved to exactly 0 or 1 (their p
+    or q columns fixed), or stretched outside the box (lower bounds above 0)."""
+    family = draw(st.sampled_from(FAMILIES))
+    net, t, tag = draw(sources_and_tags(family))
+    where = draw(st.sampled_from(["inside", "faces", "outside"]))
+    event(f"anchor {where}")
+    if where == "faces":
+        faces = draw(st.lists(st.sampled_from([None, 0.0, 1.0]), min_size=t.size, max_size=t.size))
+        t = np.array([ti if face is None else face for ti, face in zip(t, faces)])
+    elif where == "outside":
+        t = t * 1.5 - 0.25
+    acts = forward(net, t)
+    signs, k_star, bound = tag.lp_target(acts)
+    p = encode_pattern(net, signs, k_star, acts.pool_winners)
+    if bound is not None:
+        apply_nbc_branch(p, tag, bound)
+    return add_chebyshev_objective(p, t)
+
+
+class TestLeanSetup:
+    """The synthesis LP's set-up, from the anchored arrays to the first pivot
+    and from the last pivot back to x, against its first vectorized version
+    (``tests/helpers.py``): the same arrays, status, iteration count and
+    solution bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchored_synthesis_problems())
+    def test_matches_first_vectorized_setup(self, p):
+        lp, ref = p.anchored(), reference_anchored(p)
+        for key in ("c", "A_ub", "b_ub", "bounds"):
+            assert lp[key].shape == ref[key].shape and lp[key].tobytes() == ref[key].tobytes(), key
+        event("artificial rows: " + ("0", "1", "2 or more")[min(np.count_nonzero(ref["b_ub"] < 0), 2)])
+        new = solve_lp(lp["c"], A_ub=lp["A_ub"], b_ub=lp["b_ub"], bounds=lp["bounds"])
+        old = reference_solve_lp(**ref)
+        assert (new.status, new.iterations) == (old.status, old.iterations)
+        if old.x is None:
+            assert new.x is None and new.objective is None
+        else:
+            assert new.x.tobytes() == old.x.tobytes()
+            assert new.objective == old.objective

@@ -319,6 +319,56 @@ class TestBoundForms:
             assert by_pairs.x.tobytes() == by_array.x.tobytes()
 
 
+class TestArgumentChecks:
+    """Non-finite or misshapen c, A_ub or b_ub fail up front with a
+    ValueError that names the argument; bounds keep inf, and nan there
+    still means no bound."""
+
+    @pytest.mark.parametrize("name, lp", [
+        ("b_ub", dict(c=np.array([1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([np.nan]))),
+        ("A_ub", dict(c=np.array([1.0]), A_ub=np.array([[np.nan]]), b_ub=np.array([1.0]))),
+        ("c", dict(c=np.array([np.nan, 1.0]), A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]))),
+        ("c", dict(c=np.array([np.inf, 1.0]))),
+        ("A_ub", dict(c=np.array([1.0, 1.0]), A_ub=np.array([[np.inf, -np.inf]]), b_ub=np.array([1.0]))),
+        ("b_ub", dict(c=np.array([1.0]), A_ub=np.array([[1.0], [2.0]]), b_ub=np.array([1.0, -np.inf]))),
+    ])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf in the sum
+    def test_non_finite_data_named(self, name, lp):
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+            solve_lp(**lp, bounds=[(0.0, 1.0)] * lp["c"].size)
+
+    def test_non_finite_entry_of_a_fixed_column_named(self):
+        # the fixed column gets no tableau column, but its cost still enters c.x
+        with pytest.raises(ValueError, match="^c has"):
+            solve_lp(np.array([np.nan, 1.0]), A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]),
+                     bounds=[(0.5, 0.5), (0.0, 1.0)])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_large_finite_data_accepted(self):
+        # the entries' sum overflows to inf; the full scan then finds every entry finite
+        res = solve_lp(np.array([1.0, 1.0]), A_ub=np.array([[1e308, 1e308]]), b_ub=np.array([1e308]),
+                       bounds=[(0.0, 1.0)] * 2)
+        assert res.status == "optimal"
+
+    @pytest.mark.parametrize("A_ub, b_ub, match", [
+        (np.ones((2, 2)), np.ones(3), "^b_ub has shape"),
+        (np.ones((2, 2)), np.ones((2, 1)), "^b_ub has shape"),
+        (np.ones((2, 3)), np.ones(2), "^A_ub has 3 columns"),
+        (None, np.ones(1), "^b_ub has shape"),
+        (np.ones((1, 2)), None, "^b_ub has shape"),
+    ])
+    def test_misshapen_rows_named(self, A_ub, b_ub, match):
+        with pytest.raises(ValueError, match=match):
+            solve_lp(np.ones(2), A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * 2)
+
+    def test_infinite_and_nan_bounds_mean_no_bound(self):
+        lp = dict(c=np.array([1.0, -1.0]), A_ub=np.array([[-1.0, 1.0]]), b_ub=np.array([2.0]))
+        by_nan = solve_lp(**lp, bounds=np.array([[np.nan, np.nan], [0.0, np.nan]]))
+        by_inf = solve_lp(**lp, bounds=np.array([[-np.inf, np.inf], [0.0, np.inf]]))
+        assert by_nan.status == by_inf.status == "optimal"
+        assert by_nan.objective == by_inf.objective == pytest.approx(-2.0)
+
+
 class TestIterationLimit:
     def test_limit_reported(self, monkeypatch):
         monkeypatch.setattr(simplex, "MAX_ITERS", 1)
